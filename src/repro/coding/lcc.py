@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.lagrange import eval_lagrange_basis, interpolate_eval
-from repro.ff.linalg import ff_matmul
+from repro.ff.lagrange import eval_lagrange_basis
+from repro.ff.linalg import matmul_reduced
 from repro.ff.rs import ReedSolomon
 
 __all__ = ["LagrangeCode"]
@@ -128,7 +128,7 @@ class LagrangeCode:
                 raise ValueError("t > 0 requires an rng for the privacy padding")
             w = field.random((self.t, flat.shape[1]), rng)
             flat = np.concatenate([flat, w], axis=0)
-        shares = ff_matmul(field, self._u.T, flat)
+        shares = matmul_reduced(field, self._u.T, flat)
         return shares.reshape(self.n, *block_shape)
 
     def decode(
@@ -160,7 +160,8 @@ class LagrangeCode:
         shares = shares[:need]
         block_shape = shares.shape[1:]
         flat = shares.reshape(need, -1)
-        out = interpolate_eval(field, self.alpha[idx], flat, self.beta[: self.k])
+        basis = eval_lagrange_basis(field, self.alpha[idx], self.beta[: self.k])
+        out = matmul_reduced(field, basis.T, flat)
         return out.reshape(self.k, *block_shape)
 
     def decode_corrected(

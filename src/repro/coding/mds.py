@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.ff.field import PrimeField
 from repro.ff.gauss import SingularMatrixError, gauss_solve
-from repro.ff.linalg import ff_matmul
+from repro.ff.linalg import matmul_reduced
 from repro.coding.lcc import LagrangeCode
 
 __all__ = ["MDSCode"]
@@ -113,7 +113,7 @@ class MDSCode:
         if blocks.ndim < 2 or blocks.shape[0] != self.k:
             raise ValueError(f"expected (k={self.k}, ...) blocks, got {blocks.shape}")
         shape = blocks.shape[1:]
-        shares = ff_matmul(field, self._g.T, blocks.reshape(self.k, -1))
+        shares = matmul_reduced(field, self._g.T, blocks.reshape(self.k, -1))
         return shares.reshape(self.n, *shape)
 
     def decode(self, indices, shares: np.ndarray, deg_f: int = 1) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.ff.arith import mod_pow
 from repro.ff.field import PrimeField
 from repro.ff.gauss import gauss_solve
+from repro.ff.linalg import matmul_reduced
 from repro.ff.vandermonde import vandermonde_matrix
 
 __all__ = ["PolynomialCode"]
@@ -70,9 +71,7 @@ class PolynomialCode:
         w = np.ones((self.n, n_blocks), dtype=np.int64)
         for j in range(1, n_blocks):
             w[:, j] = w[:, j - 1] * exps % field.q
-        from repro.ff.linalg import ff_matmul
-
-        shares = ff_matmul(field, w, flat)
+        shares = matmul_reduced(field, w, flat)
         return shares.reshape(self.n, *blocks.shape[1:])
 
     def encode_a(self, a_blocks: np.ndarray) -> np.ndarray:

@@ -12,6 +12,17 @@ Per round, the master:
    treated as stragglers" (Sec. IV-A step 4);
 4. decodes by Lagrange interpolation over the verified subset.
 
+**What early stopping guarantees.** A result that is *used* was
+verified; a result that fails verification is never used, and its
+worker is reported (``detected_byzantine``) and dropped at
+``end_iteration``. But the master cancels the round at the recovery
+threshold, so a Byzantine worker whose result never lands before the
+cancel is neither used *nor detected* that round — on a wall-clock
+backend that depends on arrival order, and it is fine: the decode is
+exact either way. Tests assert this invariant, not the schedule
+(``tests/runtime/test_backends.py``); the full adversarial contract is
+ROADMAP direction 3.
+
 ``end_iteration`` runs the dynamic-coding policy: detected Byzantine
 workers are dropped from the pool (their redundancy is spent), and if
 the straggler population has eaten the code's slack the master switches

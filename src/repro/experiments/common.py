@@ -6,7 +6,7 @@ All cluster/master construction goes through the session API
 scheme, cost constants) and materialized by the name registries —
 compose :func:`scenario_config` with ``config.build_workers()`` /
 ``resolve_backend`` / ``resolve_master`` when a test or notebook wants
-the layers separately. (The pre-0.4 ``build_cluster`` /
+the layers separately. (The pre-1.0 ``build_cluster`` /
 ``make_master`` shims are gone; see the README migration note.)
 
 Calibration

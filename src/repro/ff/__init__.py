@@ -28,7 +28,7 @@ from repro.ff.arith import (
     mod_inverse,
     mod_pow,
 )
-from repro.ff.field import DEFAULT_PRIME, PrimeField
+from repro.ff.field import DEFAULT_PRIME, PrimeField, safe_chunk_len
 from repro.ff.gauss import (
     SingularMatrixError,
     gauss_inverse,
@@ -42,7 +42,7 @@ from repro.ff.lagrange import (
     interpolate_eval,
     lagrange_coeff_matrix,
 )
-from repro.ff.linalg import ff_dot, ff_matmul, ff_matvec, safe_chunk_len
+from repro.ff.linalg import ff_dot, ff_matmul, ff_matvec
 from repro.ff.poly import Poly
 from repro.ff.rs import DecodingError, ReedSolomon, berlekamp_welch
 from repro.ff.vandermonde import vandermonde_matrix, vandermonde_solve

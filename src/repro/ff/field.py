@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.ff.arith import batch_inverse, is_prime, mod_inverse, mod_pow
 
-__all__ = ["PrimeField", "DEFAULT_PRIME"]
+__all__ = ["PrimeField", "DEFAULT_PRIME", "safe_chunk_len", "limb_bits", "float_chunk_len"]
 
 #: The paper's field: the largest 25-bit prime, chosen so that the
 #: worst-case GISETTE inner product ``d * (q-1)**2`` with ``d = 5000``
@@ -23,6 +23,34 @@ __all__ = ["PrimeField", "DEFAULT_PRIME"]
 DEFAULT_PRIME: int = 2**25 - 39
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: every integer up to this one is a ``float64``
+_FLOAT64_EXACT_MAX = 2**53 - 1
+
+
+def safe_chunk_len(q: int) -> int:
+    """Largest inner-dimension chunk with no ``int64`` overflow risk.
+
+    Satisfies ``chunk * (q-1)**2 + (q-1) <= 2**63 - 1`` so that the sum
+    of a chunk's products plus a previously reduced accumulator fits.
+    """
+    return int((_INT64_MAX - (q - 1)) // ((q - 1) ** 2))
+
+
+def limb_bits(q: int) -> int:
+    """``ceil(bits(q-1) / 2)``: the width of each of the two limbs a
+    residue is split into for the ``float64`` kernel."""
+    return ((q - 1).bit_length() + 1) // 2
+
+
+def float_chunk_len(q: int) -> int:
+    """Largest inner-dimension chunk a ``float64`` accumulator sums exactly.
+
+    Satisfies ``chunk * (q-1) * (2**limb_bits(q) - 1) <= 2**53 - 1``:
+    that many products of a residue and a limb are integers whose every
+    partial sum ``float64`` represents without rounding.
+    """
+    return _FLOAT64_EXACT_MAX // ((q - 1) * ((1 << limb_bits(q)) - 1))
 
 
 class PrimeField:
@@ -44,9 +72,12 @@ class PrimeField:
         Largest inner-dimension length such that ``chunk`` products of
         reduced residues plus one reduced residue still fit in ``int64``.
         :mod:`repro.ff.linalg` splits accumulations at this bound.
+    float_chunk:
+        The same guard for the ``float64`` (BLAS) kernel of
+        :mod:`repro.ff.linalg`: :func:`float_chunk_len` of ``q``.
     """
 
-    __slots__ = ("q", "dtype", "chunk", "_half")
+    __slots__ = ("q", "dtype", "chunk", "float_chunk", "_half")
 
     def __init__(self, q: int = DEFAULT_PRIME):
         q = int(q)
@@ -58,8 +89,8 @@ class PrimeField:
             raise ValueError(f"q={q} is not prime")
         self.q = q
         self.dtype = np.int64
-        # chunk * (q-1)^2 + (q-1) <= INT64_MAX  => safe chunked accumulation
-        self.chunk = int((_INT64_MAX - (q - 1)) // ((q - 1) ** 2))
+        self.chunk = safe_chunk_len(q)
+        self.float_chunk = float_chunk_len(q)
         self._half = (q - 1) // 2
 
     # ------------------------------------------------------------------
@@ -88,6 +119,20 @@ class PrimeField:
             ).reshape(arr.shape)
             return arr
         return arr.astype(np.int64, copy=False) % self.q
+
+    def ensure_reduced(self, x) -> np.ndarray:
+        """:meth:`asarray` for input that is usually reduced already.
+
+        An ``int64`` array whose entries all lie in ``[0, q)`` is
+        returned as is — one min/max scan instead of a ``% q`` pass,
+        and no copy; anything else goes through :meth:`asarray`. This
+        is how a static operand is validated once at a trust boundary
+        (a worker storing a share) without paying for a second array.
+        """
+        if isinstance(x, np.ndarray) and x.dtype == np.int64 and x.size:
+            if x.min() >= 0 and x.max() < self.q:
+                return x
+        return self.asarray(x)
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)

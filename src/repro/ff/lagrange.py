@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.ff.arith import mod_inverse
 from repro.ff.field import PrimeField
+from repro.ff.linalg import matmul_reduced, matvec_reduced
 
 __all__ = [
     "barycentric_weights",
@@ -104,11 +105,7 @@ def interpolate_eval(field: PrimeField, xs, ys, z) -> np.ndarray:
     one row per evaluation point in the 2-D case.
     """
     ys = field.asarray(ys)
-    basis = eval_lagrange_basis(field, xs, z)    # (n_src, n_dst)
+    basis = eval_lagrange_basis(field, xs, z)    # (n_src, n_dst), reduced
     if ys.ndim == 1:
-        from repro.ff.linalg import ff_matvec
-
-        return ff_matvec(field, basis.T, ys)
-    from repro.ff.linalg import ff_matmul
-
-    return ff_matmul(field, basis.T, ys)
+        return matvec_reduced(field, basis.T, ys)
+    return matmul_reduced(field, basis.T, ys)

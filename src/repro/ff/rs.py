@@ -36,7 +36,7 @@ import numpy as np
 from repro.ff.field import PrimeField
 from repro.ff.gauss import gauss_solve_any
 from repro.ff.lagrange import interpolate_eval
-from repro.ff.linalg import ff_matvec
+from repro.ff.linalg import matvec_reduced
 from repro.ff.poly import Poly
 from repro.ff.vandermonde import vandermonde_matrix
 
@@ -234,7 +234,7 @@ class ReedSolomon:
         if rng is None:
             rng = np.random.default_rng(0xAC0DEC)
         r = field.random(vals.shape[1], rng)
-        proj = ff_matvec(field, vals, r)
+        proj = matvec_reduced(field, vals, r)
         _, err_pos = berlekamp_welch(field, xs, proj, self.msg_degree, budget)
 
         keep = np.setdiff1d(np.arange(idx.size), err_pos)

@@ -57,7 +57,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import ff_matmul, ff_matvec
+from repro.ff.linalg import matmul_reduced, matvec_reduced
 from repro.runtime.costmodel import CostModel
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
     "WallClockBackend",
     "job_macs",
     "run_job_compute",
+    "store_share",
 ]
 
 
@@ -195,22 +196,41 @@ class RoundJob:
         return int(self.operand.shape[1])
 
 
+def store_share(
+    field: PrimeField, payload: dict[str, Any], name: str, share: np.ndarray
+) -> None:
+    """A remote worker's store: validate a shipped share once, here,
+    so :func:`run_job_compute` need not on every round. What arrives
+    over a pipe or a socket is untrusted: out-of-range entries are
+    reduced, and anything that is not field data drops the key — later
+    rounds on it fail crash-stop instead of multiplying a stale share.
+    """
+    try:
+        payload[name] = field.ensure_reduced(share)
+    except TypeError:
+        payload.pop(name, None)
+
+
 def run_job_compute(
     field: PrimeField, payload: dict[str, Any], job: RoundJob
 ) -> np.ndarray:
-    """Execute a job's honest computation over one worker's payload."""
+    """Execute a job's honest computation over one worker's payload.
+
+    ``payload`` entries are multiplied as stored: every backend's store
+    path validates a share once, when it arrives (:func:`store_share`,
+    or ``distribute`` on the in-process backends), so a static share is
+    not re-reduced on every round. The broadcast operand is validated
+    here, per round.
+    """
+    if job.op == "matmul":
+        return matmul_reduced(field, payload[job.payload_key], payload[job.rhs_key])
+    share = payload[job.payload_key]
+    operand = field.ensure_reduced(job.operand)
+    product = matmul_reduced if operand.ndim == 2 else matvec_reduced
+    z = product(field, share, operand)
     if job.op == "matvec":
-        if job.operand.ndim == 2:
-            return ff_matmul(field, payload[job.payload_key], job.operand)
-        return ff_matvec(field, payload[job.payload_key], job.operand)
-    if job.op == "gramian":
-        share = payload[job.payload_key]
-        if job.operand.ndim == 2:
-            z = ff_matmul(field, share, job.operand)
-            return np.concatenate([z, ff_matmul(field, share.T, z)], axis=0)
-        z = ff_matvec(field, share, job.operand)
-        return np.concatenate([z, ff_matvec(field, share.T, z)])
-    return ff_matmul(field, payload[job.payload_key], payload[job.rhs_key])
+        return z
+    return np.concatenate([z, product(field, share.T, z)], axis=0)
 
 
 def job_macs(payload: dict[str, Any], job: RoundJob) -> int:

@@ -179,7 +179,7 @@ class SimCluster(Backend):
             raise ValueError("fewer shares than participants")
         total = 0.0
         for slot, wid in enumerate(participants):
-            share = shares[slot]
+            share = self.field.ensure_reduced(shares[slot])
             self.workers[wid].store(**{name: share})
             total += self.cost_model.transfer_time(int(np.asarray(share).size))
         self._now += total

@@ -47,7 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro.ff.field import DEFAULT_PRIME, PrimeField
-from repro.runtime.backend import RoundJob, run_job_compute
+from repro.runtime.backend import RoundJob, run_job_compute, store_share
 from repro.runtime.byzantine import Behavior
 from repro.runtime.net.wire import (
     PROTOCOL_VERSION,
@@ -268,7 +268,8 @@ class WorkerServer:
             if kind == "store":
                 # copy out of the frame buffer: shares live for the
                 # worker's whole lifetime, frames do not
-                self.payload[str(fields["name"])] = np.array(arrays[0], copy=True)
+                share = np.array(arrays[0], copy=True)
+                store_share(self.field, self.payload, str(fields["name"]), share)
             elif kind == "round":
                 await self._serve_round(fields, arrays)
             # anything else is ignored: forward compatibility

@@ -62,6 +62,7 @@ from repro.runtime.backend import (
     RoundResult,
     WallClockBackend,
     run_job_compute,
+    store_share,
 )
 from repro.runtime.costmodel import CostModel
 from repro.runtime.worker import SimWorker
@@ -89,7 +90,7 @@ def _worker_main(
         kind = msg[0]
         if kind == "store":
             _, name, arr = msg
-            payload[name] = arr
+            store_share(field, payload, name, arr)
         elif kind == "round":
             _, rid, op, payload_key, rhs_key, shm_name, shape, dtype_str = msg
             value, err, t_c0 = None, None, time.perf_counter()

@@ -227,7 +227,7 @@ class ThreadedCluster(WallClockBackend):
             raise ValueError("fewer shares than participants")
         t0 = time.perf_counter()
         for slot, wid in enumerate(participants):
-            self._by_id[wid].store(**{name: shares[slot]})
+            self._by_id[wid].store(**{name: self.field.ensure_reduced(shares[slot])})
         return time.perf_counter() - t0
 
     def dispatch_round(

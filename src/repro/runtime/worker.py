@@ -44,7 +44,12 @@ class SimWorker:
     payload: dict[str, Any] = dc_field(default_factory=dict)
 
     def store(self, **items) -> None:
-        """Install data shipped by the master (e.g. coded sub-matrices)."""
+        """Install data shipped by the master (e.g. coded sub-matrices).
+
+        Rounds multiply a stored share as stored, so what is installed
+        must be reduced residues: the clusters' ``distribute`` validates
+        each share once on the way in (``PrimeField.ensure_reduced``).
+        """
         self.payload.update(items)
 
     def payload_elements(self) -> int:

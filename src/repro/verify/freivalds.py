@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import ff_matmul
+from repro.ff.linalg import matmul_reduced
 
 __all__ = ["MatvecKey", "FreivaldsVerifier", "soundness_error"]
 
@@ -84,12 +84,11 @@ class FreivaldsVerifier:
     # ------------------------------------------------------------------
     def keygen_single(self, share: np.ndarray, rng: np.random.Generator) -> MatvecKey:
         """Key for one coded matrix ``A`` (``(b, d)``)."""
-        share = self.field.asarray(share)
+        share = self.field.ensure_reduced(share)
         if share.ndim != 2:
             raise ValueError(f"share must be a matrix, got shape {share.shape}")
         r = self.field.random((self.probes, share.shape[0]), rng)
-        s = ff_matmul(self.field, r, share)
-        return MatvecKey(r=r, s=s)
+        return MatvecKey(r=r, s=matmul_reduced(self.field, r, share))
 
     def keygen(self, shares: np.ndarray, rng: np.random.Generator) -> list[MatvecKey]:
         """Keys for a stack of coded matrices ``(n, b, d)`` — one per
@@ -111,10 +110,15 @@ class FreivaldsVerifier:
         conjunction too), and the check accepts only when every column
         verifies — a worker that forges any job in the batch is
         rejected whole.
+
+        Both inputs are validated on every call. The operand is the
+        same reduced array for every arrival of a round, so validation
+        is a range scan that finds nothing to reduce; ``key.r`` and
+        ``key.s`` are residues by construction and are not re-reduced.
         """
         field = self.field
-        operand = field.asarray(operand)
-        claimed = field.asarray(claimed)
+        operand = field.ensure_reduced(operand)
+        claimed = field.ensure_reduced(claimed)
         if operand.ndim == 1:
             if claimed.shape != (key.rows,):
                 raise ValueError(
@@ -136,8 +140,8 @@ class FreivaldsVerifier:
                     f"claimed result has shape {claimed.shape}, key expects "
                     f"({key.rows}, {operand.shape[1]})"
                 )
-        lhs = ff_matmul(field, key.r, claimed)
-        rhs = ff_matmul(field, key.s, operand)
+        lhs = matmul_reduced(field, key.r, claimed)
+        rhs = matmul_reduced(field, key.s, operand)
         return bool(np.array_equal(lhs, rhs))
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import ff_matmul
+from repro.ff.linalg import matmul_reduced
 
 __all__ = ["MatmulKey", "MatmulVerifier"]
 
@@ -68,11 +68,11 @@ class MatmulVerifier:
         self.probes = probes
 
     def keygen_single(self, a_share: np.ndarray, rng: np.random.Generator) -> MatmulKey:
-        a_share = self.field.asarray(a_share)
+        a_share = self.field.ensure_reduced(a_share)
         if a_share.ndim != 2:
             raise ValueError(f"A-share must be a matrix, got {a_share.shape}")
         r = self.field.random((self.probes, a_share.shape[0]), rng)
-        return MatmulKey(r=r, s=ff_matmul(self.field, r, a_share))
+        return MatmulKey(r=r, s=matmul_reduced(self.field, r, a_share))
 
     def keygen(self, a_shares: np.ndarray, rng: np.random.Generator) -> list[MatmulKey]:
         a_shares = self.field.asarray(a_shares)
@@ -83,8 +83,8 @@ class MatmulVerifier:
     def check(self, key: MatmulKey, b_share: np.ndarray, claimed: np.ndarray) -> bool:
         """Accept iff ``r @ claimed == s @ b_share`` for all probes."""
         field = self.field
-        b_share = field.asarray(b_share)
-        claimed = field.asarray(claimed)
+        b_share = field.ensure_reduced(b_share)
+        claimed = field.ensure_reduced(claimed)
         if claimed.ndim != 2 or claimed.shape[0] != key.rows:
             raise ValueError(
                 f"claimed product has shape {claimed.shape}, expected ({key.rows}, b)"
@@ -95,8 +95,8 @@ class MatmulVerifier:
             )
         if b_share.shape[1] != claimed.shape[1]:
             raise ValueError("B-share and claimed product disagree on columns")
-        lhs = ff_matmul(field, key.r, claimed)
-        rhs = ff_matmul(field, key.s, b_share)
+        lhs = matmul_reduced(field, key.r, claimed)
+        rhs = matmul_reduced(field, key.s, b_share)
         return bool(np.array_equal(lhs, rhs))
 
     def check_cost_ops(self, key: MatmulKey, out_cols: int) -> int:

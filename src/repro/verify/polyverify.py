@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import ff_matmul, ff_matvec
+from repro.ff.linalg import matmul_reduced, matvec_reduced
 
 __all__ = ["MatrixPolynomialVerifier"]
 
@@ -49,7 +49,7 @@ class MatrixPolynomialVerifier:
         out = field.zeros((b, b))
         ident = np.eye(b, dtype=np.int64)
         for ck in c[::-1]:
-            out = ff_matmul(field, out, a)
+            out = matmul_reduced(field, out, a)
             out = (out + int(ck) * ident) % field.q
         return out
 
@@ -78,8 +78,8 @@ class MatrixPolynomialVerifier:
             # rhs = f(A) r via Horner: acc = c_D r; acc = A acc + c_k r
             acc = int(c[-1]) * r % field.q
             for ck in c[-2::-1]:
-                acc = (ff_matvec(field, a, acc) + int(ck) * r) % field.q
-            lhs = ff_matvec(field, y, r)
+                acc = (matvec_reduced(field, a, acc) + int(ck) * r) % field.q
+            lhs = matvec_reduced(field, y, r)
             if not np.array_equal(lhs, acc):
                 return False
         return True

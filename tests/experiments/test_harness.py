@@ -57,7 +57,7 @@ class TestConfig:
 
 class TestScenarioConfig:
     """Scenario descriptions materialize through the api registries —
-    the pre-0.4 ``build_cluster``/``make_master`` shims are gone."""
+    the pre-1.0 ``build_cluster``/``make_master`` shims are gone."""
 
     def test_placement_defaults(self):
         config = scenario_config(

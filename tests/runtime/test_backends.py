@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.coding import SchemeParams
 from repro.core import AVCCMaster, LCCMaster, UncodedMaster
-from repro.ff import PrimeField, ff_matvec
+from repro.ff import PrimeField, ff_matmul, ff_matvec
 from repro.runtime import (
     AsyncTcpCluster,
     Backend,
@@ -213,8 +213,14 @@ class TestBackendParity:
                 )
 
     def test_avcc_adaptation_parity_across_backends(self):
-        """A full iterate -> drop Byzantine -> next iteration cycle must
-        stay exact on every backend (worker-pool mutation path)."""
+        """A full iterate -> adapt -> next iteration cycle must stay
+        exact on every backend (worker-pool mutation path).
+
+        The master stops at the recovery threshold, so on a wall-clock
+        backend the Byzantine worker is only *seen* if its result lands
+        before the cancel. What holds under every arrival order: the
+        decode is exact, the liar's result is never used, and if it was
+        collected it was rejected, reported and dropped."""
         data_rng = np.random.default_rng(9)
         x = F.random((27, 5), data_rng)
         w = F.random(5, data_rng)
@@ -230,14 +236,81 @@ class TestBackendParity:
                     rng=np.random.default_rng(42),
                 )
                 master.setup(x)
-                master.forward_round(w)
-                master.backward_round(e)
+                fwd = master.forward_round(w)
+                bwd = master.backward_round(e)
+                np.testing.assert_array_equal(fwd.vector, z, err_msg=kind)
+                np.testing.assert_array_equal(bwd.vector, g, err_msg=kind)
+                collected = False
+                for rec in (fwd.record, bwd.record):
+                    assert 6 not in rec.used_workers, kind
+                    assert set(rec.rejected_workers) <= {6}, kind
+                    collected |= 6 in rec.rejected_workers
                 out = master.end_iteration()
-                assert out.detected_byzantine == (6,), kind
-                assert 6 not in master.active
-                # dropped worker is really gone: still exact without it
+                assert out.detected_byzantine == ((6,) if collected else ()), kind
+                assert out.dropped_workers == out.detected_byzantine, kind
+                assert (6 in master.active) == (not collected), kind
+                if kind == "sim":
+                    # virtual time: the constant liar always lands first
+                    assert collected
+                # whatever the roster now is, the next iteration is exact
                 np.testing.assert_array_equal(master.forward_round(w).vector, z)
                 np.testing.assert_array_equal(master.backward_round(e).vector, g)
+
+
+class TestStoreTimeValidation:
+    """Workers multiply a stored share as stored (no per-round ``% q``
+    pass), so the store path is the trust boundary: whatever arrives is
+    reduced or refused there, never multiplied raw."""
+
+    @staticmethod
+    def _round(backend, operand):
+        handle = backend.dispatch_round(
+            RoundJob(op="matvec", payload_key="X", operand=operand), participants=[0, 1, 2]
+        )
+        arrivals = list(handle)
+        handle.result()
+        return arrivals
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_out_of_range_share_is_reduced_at_store(self, kind):
+        """Entries near +-2**45 carry the right residues but would wrap
+        int64 (and round in float64) if a kernel ever saw them raw. The
+        width-64 round is large enough to take the dgemm kernel, in the
+        forked children and the daemons too."""
+        rng = np.random.default_rng(5)
+        shares = F.random((3, 16, 300), rng)
+        raw = shares.copy()
+        raw[:, ::2, ::3] += F.q * 2**20
+        raw[:, 1::2, 1::3] -= F.q * 2**20
+        vec, wide = F.random(300, rng), F.random((300, 64), rng)
+        with _make_backend(kind, 3, {}, {}) as backend:
+            backend.distribute("X", raw)
+            for operand, product in ((vec, ff_matvec), (wide, ff_matmul)):
+                arrivals = self._round(backend, operand)
+                assert sorted(a.worker_id for a in arrivals) == [0, 1, 2]
+                for a in arrivals:
+                    want = product(F, shares[a.worker_id], operand)
+                    assert a.value.dtype == want.dtype and a.value.shape == want.shape
+                    assert a.value.tobytes() == want.tobytes(), (kind, a.worker_id)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_float_share_is_refused_at_store(self, kind):
+        """Not field data: in-process backends refuse it at
+        ``distribute``; a remote worker drops the key, so later rounds
+        on it fail crash-stop instead of using what was there before."""
+        rng = np.random.default_rng(6)
+        shares = F.random((3, 4, 10), rng)
+        vec = F.random(10, rng)
+        with _make_backend(kind, 3, {}, {}) as backend:
+            backend.distribute("X", shares)
+            assert len(self._round(backend, vec)) == 3
+            if kind in ("sim", "threaded"):
+                with pytest.raises(TypeError, match="float input"):
+                    backend.distribute("X", shares.astype(np.float64))
+            else:
+                backend.distribute("X", shares.astype(np.float64))
+                with pytest.raises(RuntimeError, match="KeyError"):
+                    self._round(backend, vec)
 
 
 class TestEarlyStopping:
