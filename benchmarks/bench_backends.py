@@ -25,9 +25,14 @@ bit-exactly); relative wall-clock between the real backends is
 machine-dependent and intentionally not asserted. The CI ``bench-tcp``
 and ``bench-async`` jobs gate the deterministic
 ``tcp_decode_success_rate`` / ``async_tcp_decode_success_rate``
-emitted here (every socket round must decode bit-exactly) via
+emitted here (every socket round must decode bit-exactly) and the
+wall-clock ``{tcp,async_tcp}_rounds_per_s`` (median of ``REPS`` timed
+blocks on one fleet, floor at half the committed value) via
 ``check_perf_regression.py --select``.
 """
+
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +44,8 @@ from repro.ff import ff_matvec
 
 N, K, S, M = 12, 9, 1, 2
 ROUNDS = 4
+#: timed blocks behind each ``*_rounds_per_s`` sample (their median)
+REPS = 5
 
 
 def _specs(straggler_factor=3.0, byzantine_id=7):
@@ -121,9 +128,10 @@ def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
     under a straggler and a Byzantine worker must decode every round
     bit-exactly.
 
-    The gated metric is a *success rate*, not a wall time — runner
-    hardware varies, protocol correctness does not. The measured
-    round rate is still recorded (ungated) for the artifact trail.
+    Two metrics are gated: the *success rate* (protocol correctness
+    does not vary with the runner) and the round rate — the median of
+    ``REPS`` timed blocks on the same fleet, so one slow stretch of a
+    shared runner does not set the number.
     """
     x = field.random((cfg.m, cfg.d), rng)
     w = field.random(cfg.d, rng)
@@ -137,21 +145,21 @@ def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
     n_rounds = 2 * ROUNDS
 
     def run():
-        import time as _time
-
         with Session.create(config) as sess:
             sess.load(x)
-            t0 = _time.perf_counter()
-            outs = []
-            for _ in range(ROUNDS):
-                outs.append(sess.submit_matvec(w).result())
-                outs.append(sess.submit_matvec(e, transpose=True).result())
-            return outs, _time.perf_counter() - t0
+            outs, rates = [], []
+            for _ in range(REPS):
+                t0 = time.perf_counter()
+                for _ in range(ROUNDS):
+                    outs.append(sess.submit_matvec(w).result())
+                    outs.append(sess.submit_matvec(e, transpose=True).result())
+                rates.append(n_rounds / (time.perf_counter() - t0))
+            return outs, rates
 
-    outs, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+    outs, rates = benchmark.pedantic(run, rounds=1, iterations=1)
     exact = sum(
         np.array_equal(vec, z if i % 2 == 0 else g) for i, vec in enumerate(outs)
     )
-    record_metric(f"{kind}_decode_success_rate", exact / n_rounds)
-    record_metric(f"{kind}_rounds_per_s", n_rounds / elapsed)
-    assert exact == n_rounds
+    record_metric(f"{kind}_decode_success_rate", exact / len(outs))
+    record_metric(f"{kind}_rounds_per_s", statistics.median(rates))
+    assert exact == len(outs) == REPS * n_rounds

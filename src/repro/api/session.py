@@ -44,6 +44,7 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from typing import Any, Iterator
 
 import numpy as np
@@ -272,10 +273,17 @@ class SessionStats:
         stretch does not skew a matvec estimate."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        records = self.records
-        if family is not None:
-            records = [r for r in records if r.round_name == family]
-        durations = [r.duration for r in records[-window:]]
+        if family is None:
+            durations = [r.duration for r in self.records[-window:]]
+        else:
+            # newest first, stopping at ``window`` matches: the cost is
+            # the window plus the other families' rounds since, not the
+            # whole log (the gateway asks per batching decision)
+            matching = (
+                r.duration for r in reversed(self.records) if r.round_name == family
+            )
+            durations = list(islice(matching, window))
+            durations.reverse()  # summed oldest first, as the log reads
         if not durations:
             return 0.0
         return float(sum(durations)) / len(durations)

@@ -30,6 +30,11 @@ from repro.ff.rs import ReedSolomon
 
 __all__ = ["LagrangeCode"]
 
+#: decode bases a code keeps (one per responder set seen); at the
+#: paper's N = 12, K = 9 there are C(12, 9) = 220 sets in all and a
+#: handful occur, so the bound only matters for a large, churning fleet
+_BASIS_CACHE_MAX = 256
+
 
 class LagrangeCode:
     """An ``(N, K, T)`` Lagrange code over a prime field.
@@ -89,6 +94,8 @@ class LagrangeCode:
         self.beta = beta
         # Encoding matrix U[j, i] = l_j(alpha_i), Eq. (13); shape (k+t, n).
         self._u = eval_lagrange_basis(field, beta, alpha)
+        #: sorted responder ids -> their decode basis (see _decode_basis)
+        self._decode_bases: dict[tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -160,9 +167,33 @@ class LagrangeCode:
         shares = shares[:need]
         block_shape = shares.shape[1:]
         flat = shares.reshape(need, -1)
-        basis = eval_lagrange_basis(field, self.alpha[idx], self.beta[: self.k])
-        out = matmul_reduced(field, basis.T, flat)
+        out = matmul_reduced(field, self._decode_basis(idx).T, flat)
         return out.reshape(self.k, *block_shape)
+
+    def _decode_basis(self, idx: np.ndarray) -> np.ndarray:
+        """``B[j, i] = l_j(beta_i)`` on the nodes ``alpha[idx]`` — the
+        interpolation matrix of one responder set.
+
+        Row ``j`` depends on *which* workers answered and on which of
+        them ``idx[j]`` is, not on the order they answered in, so the
+        basis is computed once per set (on the sorted ids) and its rows
+        are put in arrival order per call. Residues are canonical, so
+        the rows are the bytes a fresh evaluation gives. ``alpha`` and
+        ``beta`` never change on a code object — a re-code builds a new
+        one — so nothing is ever invalidated; ``idx`` must already be
+        validated (distinct, in range).
+        """
+        order = np.argsort(idx)
+        key = tuple(idx[order].tolist())
+        basis = self._decode_bases.get(key)
+        if basis is None:
+            if len(self._decode_bases) >= _BASIS_CACHE_MAX:
+                self._decode_bases.clear()
+            basis = eval_lagrange_basis(
+                self.field, self.alpha[idx[order]], self.beta[: self.k]
+            )
+            self._decode_bases[key] = basis
+        return basis[np.argsort(order)]  # sorted rows back in arrival order
 
     def decode_corrected(
         self,

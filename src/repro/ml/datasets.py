@@ -23,6 +23,7 @@ tuning achieved in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class Dataset:
 
     ``x_*`` are ``int64`` (field-embeddable as-is); ``y_*`` are
     ``float64`` 0/1 labels (logistic) or reals (regression targets).
+
+    The arrays are **immutable inputs**: what is derived from them
+    (:meth:`max_feature` here, the trainers' ``float64`` evaluation
+    matrices) is computed once and never refreshed — build a new
+    ``Dataset`` instead of writing into one.
     """
 
     name: str
@@ -52,7 +58,19 @@ class Dataset:
         return self.x_train.shape[1]
 
     def max_feature(self) -> int:
-        return int(max(self.x_train.max(initial=0), self.x_test.max(initial=0)))
+        """Largest ``|x|`` over both splits — the matrix-entry bound
+        :meth:`~repro.ml.quantize.OverflowBudget.check_matvec` needs
+        (a negative feature counts by its magnitude). One scan per
+        dataset; the trainers ask every iteration."""
+        return self._max_abs_feature
+
+    @cached_property
+    def _max_abs_feature(self) -> int:
+        return max(
+            abs(int(bound))
+            for x in (self.x_train, self.x_test)
+            for bound in (x.min(initial=0), x.max(initial=0))
+        )
 
 
 def make_gisette_like(

@@ -7,7 +7,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TrainingHistory"]
+from repro.ml.datasets import Dataset
+
+__all__ = ["TrainingHistory", "evaluation_matrices"]
+
+
+def evaluation_matrices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``(x_train, x_test)`` as ``float64`` — what a trainer evaluates
+    its per-iteration accuracy and loss on.
+
+    That evaluation is plaintext and off-protocol (the coded rounds
+    never see it), and ``x @ w`` with an ``int64`` matrix and real
+    weights makes NumPy cast the whole matrix on every call. A trainer
+    makes the cast once, when it is built: the same dgemv then runs on
+    the same values, so every recorded number keeps its bytes. The
+    copies live as long as the trainer, not the dataset.
+    """
+    return dataset.x_train.astype(np.float64), dataset.x_test.astype(np.float64)
 
 
 @dataclass

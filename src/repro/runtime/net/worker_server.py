@@ -23,10 +23,14 @@ deadlocks and never goes dark:
   uses — the numpy work hops to the loop's executor so the receive
   task keeps answering probes mid-compute — applies the configured
   straggler sleep (``asyncio.sleep``, cancellable mid-straggle) and
-  Byzantine behaviour, and transmits ``result`` frames (a silent
-  behaviour reports ``ok=False`` so the master records a never-arrived
-  worker instead of waiting out a heartbeat timeout; a computation
-  error is reported crash-stop, exactly like the process backend).
+  Byzantine behaviour, and transmits each ``result`` frame as one
+  buffer in one write (a silent behaviour reports ``ok=False`` so the
+  master records a never-arrived worker instead of waiting out a
+  heartbeat timeout; a computation error is reported crash-stop,
+  exactly like the process backend). Every job takes the hop, however
+  small: computing sub-millisecond jobs on the loop instead was built
+  and measured, and made a loopback fleet's throughput swing by whole
+  sessions (README "Distributed deployment" has the numbers).
 
 Fault injection for tests can come from either end: the master's
 ``config`` carries the session's :class:`~repro.api.config.WorkerSpec`
@@ -243,11 +247,11 @@ class WorkerServer:
         assert self._writer is not None and self._send_lock is not None
         assert self._inbox is not None
         try:
+            # one buffer, one write: under TCP_NODELAY a frame written
+            # in pieces leaves as several segments
+            frame = b"".join(encode_frame(kind, fields, arrays))
             async with self._send_lock:
-                for part in encode_frame(kind, fields, arrays):
-                    self._writer.write(
-                        bytes(part) if isinstance(part, memoryview) else part
-                    )
+                self._writer.write(frame)
                 await self._writer.drain()
             return True
         except (OSError, ConnectionError):

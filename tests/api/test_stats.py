@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import Session, SessionConfig, SessionStats
 from repro.coding import SchemeParams
@@ -87,6 +89,59 @@ class TestSummary:
     def test_summary_on_fresh_stats(self):
         text = SessionStats().summary()
         assert "0/0 jobs served in 0 rounds" in text
+
+
+class _Round:
+    """The two fields ``recent_round_time`` reads, with reads counted."""
+
+    touched = 0
+
+    def __init__(self, round_name, duration):
+        self._round_name = round_name
+        self.duration = duration
+
+    @property
+    def round_name(self):
+        _Round.touched += 1
+        return self._round_name
+
+
+def _recent_round_time_by_full_scan(records, window, family):
+    """The definition ``recent_round_time`` had before it walked the
+    log from the tail: filter the whole log, then take the window."""
+    if family is not None:
+        records = [r for r in records if r.round_name == family]
+    durations = [r.duration for r in records[-window:]]
+    return float(sum(durations)) / len(durations) if durations else 0.0
+
+
+class TestRecentRoundTimeWalksFromTheTail:
+    @given(
+        log=st.lists(
+            st.tuples(
+                st.sampled_from(["fwd", "bwd", "gram"]),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            max_size=60,
+        ),
+        window=st.integers(min_value=1, max_value=12),
+        family=st.sampled_from([None, "fwd", "bwd", "gram", "matmul"]),
+    )
+    def test_equals_the_full_scan_definition(self, log, window, family):
+        stats = SessionStats(records=[_Round(n, d) for n, d in log])
+        got = stats.recent_round_time(window=window, family=family)
+        # == on floats: the durations must also be summed in log order
+        assert got == _recent_round_time_by_full_scan(stats.records, window, family)
+
+    def test_long_log_reads_only_the_window_and_the_tail_between(self):
+        records = [_Round("fwd" if i % 2 else "bwd", 1e-3 * i) for i in range(50_000)]
+        records += [_Round("bwd", 1.0)] * 5  # a non-matching tail
+        stats = SessionStats(records=records)
+        _Round.touched = 0
+        got = stats.recent_round_time(window=8, family="fwd")
+        # 8 matches alternate with 7 "bwd" rounds, behind the tail of 5
+        assert _Round.touched == 8 + 7 + 5
+        assert got == pytest.approx(1e-3 * sum(range(49_985, 50_000, 2)) / 8)
 
 
 class TestRoundTimeTelemetry:

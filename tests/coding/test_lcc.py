@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import LagrangeCode, partition_rows
+from repro.coding import lcc as lcc_module
 from repro.ff import DecodingError, PrimeField, ff_matvec
+from repro.ff.lagrange import eval_lagrange_basis
 
 F = PrimeField(7919)
 
@@ -148,6 +150,68 @@ class TestEncodeDecode:
         need = code.recovery_threshold()
         idx = r.permutation(n)[:need]
         np.testing.assert_array_equal(code.decode(idx, shares[idx]), blocks)
+
+
+class TestDecodeBasisCache:
+    """The decode basis is kept per responder set; what decode returns
+    must not depend on what the code object decoded before."""
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 1), deg_f=st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_cached_equals_fresh_over_permuted_and_repeated_sets(self, seed, t, deg_f):
+        r = np.random.default_rng(seed)
+        k = 3
+        need = (k + t - 1) * deg_f + 1
+        n = need + 3
+        warm = LagrangeCode(F, n=n, k=k, t=t)
+        results = F.random((n, 4), r)  # decode is linear: any values do
+        subsets = [r.permutation(n)[: need + int(r.integers(0, 3))] for _ in range(4)]
+        # each set again in a different arrival order, then repeated as is
+        order = subsets + [r.permutation(s[:need]) for s in subsets] + subsets
+        for idx in order:
+            fresh = LagrangeCode(F, n=n, k=k, t=t)  # has decoded nothing yet
+            got = warm.decode(idx, results[idx], deg_f=deg_f)
+            want = fresh.decode(idx, results[idx], deg_f=deg_f)
+            assert got.tobytes() == want.tobytes()
+            basis = eval_lagrange_basis(F, warm.alpha[idx[:need]], warm.beta[:k])
+            assert warm._decode_basis(idx[:need]).tobytes() == basis.tobytes()
+
+    def test_one_entry_per_set_whatever_the_order(self, rng):
+        code = LagrangeCode(F, n=12, k=9)
+        results = F.random((12, 2), rng)
+        base = np.array([0, 1, 2, 3, 4, 5, 6, 7, 9])
+        for _ in range(20):
+            idx = rng.permutation(base)
+            code.decode(idx, results[idx])
+        assert len(code._decode_bases) == 1
+        code.decode(np.arange(9), results[:9])
+        assert len(code._decode_bases) == 2
+
+    def test_bound_respected(self, rng, monkeypatch):
+        monkeypatch.setattr(lcc_module, "_BASIS_CACHE_MAX", 4)
+        code = LagrangeCode(F, n=8, k=3)
+        blocks = F.random((3, 2), rng)
+        shares = code.encode(blocks)
+        for subset in combinations(range(8), 3):
+            idx = np.array(subset)
+            np.testing.assert_array_equal(code.decode(idx, shares[idx]), blocks)
+            assert 1 <= len(code._decode_bases) <= 4
+
+    def test_validation_runs_before_the_cache(self, rng):
+        code = LagrangeCode(F, n=6, k=3)
+        shares = code.encode(F.random((3, 2), rng))
+        code.decode(np.array([0, 1, 2]), shares[[0, 1, 2]])  # warm
+        with pytest.raises(ValueError, match="duplicate"):
+            code.decode(np.array([0, 0, 1]), shares[[0, 0, 1]])
+        with pytest.raises(ValueError, match="out of range"):
+            code.decode(np.array([0, 1, 9]), shares[[0, 1, 2]])
+        with pytest.raises(ValueError, match="out of range"):
+            code.decode(np.array([0, 1, -1]), shares[[0, 1, 2]])
+        assert list(code._decode_bases) == [(0, 1, 2)]
+
+    def test_a_new_code_object_starts_empty(self):
+        # re-coding builds a new LagrangeCode, so nothing is invalidated
+        assert LagrangeCode(F, n=6, k=3)._decode_bases == {}
 
 
 class TestDecodeCorrected:

@@ -20,9 +20,14 @@ from repro.coding import SchemeParams
 from repro.obs.audit import ChainError, load_jsonl, verify_chain
 from repro.obs.cli import audit_main
 
-#: worker 5 always corrupts (and is fast, so it is always verified);
-#: the rest are mildly slowed honest workers
-FLEET = [WorkerSpec(straggler_factor=2.0)] * 5 + [WorkerSpec(behavior="reverse")]
+#: worker 5 always corrupts and worker 4 is the one killed mid-run;
+#: both are fast, so both are always among the arrivals a round
+#: collects (which slowed worker makes the cut is scheduler luck). The
+#: rest are mildly slowed honest workers
+FLEET = [WorkerSpec(straggler_factor=2.0)] * 4 + [
+    WorkerSpec(),
+    WorkerSpec(behavior="reverse"),
+]
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,13 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField, ff_matvec
-from repro.runtime import AsyncTcpCluster, RoundJob, SimWorker, TcpCluster
+from repro.runtime import (
+    AsyncTcpCluster,
+    RoundJob,
+    SimWorker,
+    TcpCluster,
+    make_profiles,
+)
 from repro.runtime.net import (
     PROTOCOL_VERSION,
     WireError,
@@ -37,8 +43,9 @@ CLUSTERS = {"tcp": TcpCluster, "async_tcp": AsyncTcpCluster}
 KINDS = sorted(CLUSTERS)
 
 
-def _cluster(kind, n, **kw):
-    workers = [SimWorker(i) for i in range(n)]
+def _cluster(kind, n, straggler_factors=None, **kw):
+    profiles = make_profiles(n, straggler_factors or {})
+    workers = [SimWorker(i, profile=profiles[i]) for i in range(n)]
     kw.setdefault("straggle_scale", 0.002)
     kw.setdefault("heartbeat_interval", 0.05)
     kw.setdefault("heartbeat_timeout", 0.5)
@@ -105,7 +112,10 @@ class TestElasticJoin:
     def test_admit_mid_round_raises(self, kind, rng):
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
-        with _cluster(kind, 3) as backend:
+        # worker 1 sleeps 0.2 s, so the round is in flight whenever
+        # admit_workers() runs (async_tcp retires a round the moment
+        # its last result lands)
+        with _cluster(kind, 3, {1: 101.0}) as backend:
             backend.distribute("share", shares)
             handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
             with pytest.raises(RuntimeError, match="mid-round"):
