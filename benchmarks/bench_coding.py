@@ -1,11 +1,34 @@
 """Micro-benchmarks of the codecs: encode/decode costs and their
 scaling, backing the paper's quasi-linear complexity discussion
-(Sec. II-A)."""
+(Sec. II-A).
+
+The two ``coding_*`` metrics recorded for the perf gate guard the
+set-up / re-code path: ``coding_encode_inplace_speedup`` is a same-box
+ratio of two medians taken back to back (the plain full product over
+:meth:`LagrangeCode.encode` into a reused destination — which encoder
+runs, not how fast the runner is), and ``coding_setup_alloc_headroom``
+is a ratio of byte counts, the same on every machine.
+"""
+
+import statistics
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _metrics import record_metric
 from repro.coding import LagrangeCode, MDSCode
+from repro.core import EncodingCache
+
+
+def _median_s(fn, calls=7):
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 @pytest.mark.parametrize("n,k", [(12, 9), (24, 18), (48, 36)])
@@ -15,6 +38,43 @@ def test_lagrange_encode_scaling(benchmark, field, rng, n, k):
     code = LagrangeCode(field, n=n, k=k)
     shares = benchmark(code.encode, blocks)
     assert shares.shape == (n, 64, 256)
+
+
+def test_encode_in_place_against_the_full_product(benchmark, field, rng):
+    """The train workload's forward family: 9 blocks of 200 x 2000 into
+    12 shares. The systematic encoder leaves the data where it is and
+    computes three parity shares in the destination; the product it
+    replaced recomputed all twelve into two fresh arrays."""
+    n, k = 12, 9
+    code = LagrangeCode(field, n=n, k=k)
+    into = np.empty((n, 200, 2000), dtype=np.int64)
+    into[:k] = field.random((k, 200, 2000), rng)
+    blocks = into[:k]
+    u_t = np.ascontiguousarray(code.encoding_matrix().T)
+    flat = blocks.reshape(k, -1)
+    shares = benchmark(code.encode, blocks, None, into)
+    assert shares is into
+    assert shares.tobytes() == (u_t @ flat % field.q).tobytes()
+    full = _median_s(lambda: u_t @ flat % field.q)
+    in_place = _median_s(lambda: code.encode(blocks, None, into))
+    record_metric("coding_encode_inplace_speedup", full / in_place)
+
+
+def test_setup_allocates_little_more_than_the_shares(field, rng):
+    """Bytes of shares returned over the peak traced while building
+    them, on the train workload's 1800 x 2000 matrix at (12, 9): 1.0
+    would be the shares and nothing else."""
+    x = field.random((1800, 2000), rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cfg = EncodingCache(field, x).get(12, 9)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = cfg.fwd_shares.nbytes + cfg.bwd_shares.nbytes
+    record_metric("coding_setup_alloc_headroom", returned / peak)
+    assert peak >= returned
 
 
 def test_mds_decode_paper_shape(benchmark, field, rng):

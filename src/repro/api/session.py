@@ -124,7 +124,10 @@ class JobHandle:
     _audit_seq: int | None = None
 
     def __init__(self, session: "Session", kind: str, family: str) -> None:
-        self._session = session
+        #: only a pending handle needs its session (to flush and drain
+        #: up to its round); dropped on resolution, so results a caller
+        #: keeps do not keep a closed session's dataset and shares alive
+        self._session: "Session | None" = session
         self.kind = kind
         self.family = family
         self._outcome: RoundOutcome | None = None
@@ -135,15 +138,17 @@ class JobHandle:
 
     def _resolve(self, outcome: RoundOutcome) -> None:
         self._outcome = outcome
+        self._session = None
 
     def _fail(self, exc: BaseException) -> None:
         self._error = exc
+        self._session = None
 
     def outcome(self) -> RoundOutcome:
         """The full :class:`~repro.core.results.RoundOutcome` (flushes
         the pending batch and finalizes in-flight rounds up to this
         job's own on first call)."""
-        if not self.done():
+        if self._session is not None:  # still pending
             self._session._resolve_handle(self)
         if self._error is not None:
             raise self._error
@@ -889,11 +894,19 @@ class Session:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self, *, flush: bool = True) -> None:
-        """Release the backend (if owned); by default pending work is
-        flushed and the pipeline drained first so outstanding handles
-        resolve. With ``flush=False`` (the exception-unwind path)
-        pending jobs and in-flight rounds are abandoned and their
-        handles fail with :class:`SessionClosedError` instead."""
+        """Release the backend (if owned) and the dataset; by default
+        pending work is flushed and the pipeline drained first so
+        outstanding handles resolve. With ``flush=False`` (the
+        exception-unwind path) pending jobs and in-flight rounds are
+        abandoned and their handles fail with
+        :class:`SessionClosedError` instead.
+
+        A closed session keeps no array of the dataset's size: its
+        reduced copy, the encoded shares, keys and encoding cache of
+        the master it built and, through an owned backend's ``close``,
+        the workers' payloads are all let go. What it reports —
+        ``scheme_now``, ``stats``, ``audit`` — stays.
+        """
         if self._closed:
             return
         try:
@@ -917,7 +930,15 @@ class Session:
             except Exception:  # pragma: no cover - telemetry best-effort
                 pass
             self._closed = True
+            self._x = None
             if self._owns_backend:
+                # the session built this master, so nobody plans rounds
+                # on it now (a borrowed one is its caller's and may
+                # serve on); masters registered before ``release``
+                # existed have nothing the session can let go of
+                release = getattr(self.master, "release", None)
+                if release is not None:
+                    release()
                 self.backend.close()
 
     def _abandon(self, exc: BaseException) -> None:

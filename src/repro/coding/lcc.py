@@ -115,28 +115,71 @@ class LagrangeCode:
 
     # ------------------------------------------------------------------
     def encode(
-        self, blocks: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        blocks: np.ndarray,
+        rng: np.random.Generator | None = None,
+        into: np.ndarray | None = None,
     ) -> np.ndarray:
         """Encode ``(k, ...)`` data blocks into ``(n, ...)`` coded shares.
 
         With ``t > 0`` the required randomness is drawn from ``rng``
         (mandatory then — privacy with a fixed seed is no privacy).
+
+        ``into``, when given, is the C-contiguous ``(n, ...)`` ``int64``
+        array the shares are written to (and returned); otherwise one
+        is allocated. ``blocks`` may be ``into[:k]`` itself — the
+        set-up path writes the dataset there once and encodes around
+        it — or any array that does not overlap ``into``.
+
+        A systematic code (:attr:`is_systematic`) does arithmetic for
+        its ``n - k`` parity shares only: the first ``k`` shares *are*
+        the blocks, copied unless they are already in place, and the
+        rest is ``U[:, k:].T @ blocks mod q`` accumulated and reduced in
+        the destination. Any other code is the full product
+        ``U.T @ [blocks; W]``, written in place as well.
+
+        ``blocks`` is validated, not re-reduced: reduced ``int64`` input
+        costs a min/max scan and no copy
+        (:meth:`PrimeField.ensure_reduced`); anything else is reduced
+        into a copy, floats raise.
         """
         field = self.field
-        blocks = field.asarray(blocks)
+        blocks = field.ensure_reduced(blocks)
         if blocks.ndim < 2 or blocks.shape[0] != self.k:
             raise ValueError(
                 f"expected (k={self.k}, ...) stacked blocks, got {blocks.shape}"
             )
-        block_shape = blocks.shape[1:]
-        flat = blocks.reshape(self.k, -1)
+        shape = (self.n, *blocks.shape[1:])
+        if into is None:
+            into = np.empty(shape, dtype=np.int64)
+        elif (
+            not isinstance(into, np.ndarray)
+            or into.shape != shape
+            or into.dtype != np.int64
+            or not into.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"destination must be a C-contiguous int64 array of shape {shape}"
+            )
+        k = self.k
+        flat_into = into.reshape(self.n, -1)
+        if self.is_systematic:
+            data = into[:k]
+            if blocks.ctypes.data != data.ctypes.data or blocks.strides != data.strides:
+                data[...] = blocks  # not in place already
+            if self.n > k:
+                matmul_reduced(field, self._u[:, k:].T, flat_into[:k], flat_into[k:])
+            return into
+        flat = blocks.reshape(k, -1)
         if self.t > 0:
             if rng is None:
                 raise ValueError("t > 0 requires an rng for the privacy padding")
             w = field.random((self.t, flat.shape[1]), rng)
             flat = np.concatenate([flat, w], axis=0)
-        shares = matmul_reduced(field, self._u.T, flat)
-        return shares.reshape(self.n, *block_shape)
+        elif np.may_share_memory(flat, into):
+            flat = flat.copy()  # the product below overwrites its input
+        matmul_reduced(field, self._u.T, flat, flat_into)
+        return into
 
     def decode(
         self, indices, shares: np.ndarray, deg_f: int = 1

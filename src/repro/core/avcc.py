@@ -115,6 +115,7 @@ class AVCCMaster(MatvecMasterBase):
         self.verifier = FreivaldsVerifier(self.field, probes=probes)
         self._cache: EncodingCache | None = None
         self._cfg = None
+        self._k_now = scheme.k
         self._code_pos: dict[int, int] = {}
         self._keys: dict[str, dict[int, MatvecKey]] = {}
 
@@ -138,6 +139,7 @@ class AVCCMaster(MatvecMasterBase):
         self.backend.distribute("fwd", cfg.fwd_shares, participants=participants)
         self.backend.distribute("bwd", cfg.bwd_shares, participants=participants)
         self._cfg = cfg
+        self._k_now = k
         self._code_pos = {wid: slot for slot, wid in enumerate(participants)}
         self._keys = {
             "fwd": {wid: cfg.fwd_keys[slot] for slot, wid in enumerate(participants)},
@@ -168,7 +170,12 @@ class AVCCMaster(MatvecMasterBase):
     # ------------------------------------------------------------------
     @property
     def scheme_now(self) -> tuple[int, int]:
-        return (len(self.active), self._cfg.k if self._cfg else self.scheme.k)
+        return (len(self.active), self._k_now)
+
+    def release(self) -> None:
+        self._cache = None
+        self._cfg = None
+        self._keys = {}
 
     def _plan_raw(self, family: str, operand) -> RoundPlan:
         """Stage 1: pad the operand, build the broadcast job, snapshot

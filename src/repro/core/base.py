@@ -37,7 +37,13 @@ from repro.obs.audit import digest_array
 from repro.runtime.backend import Arrival, Backend, RoundHandle, RoundJob, RoundResult
 from repro.runtime.trace import RoundRecord
 
-__all__ = ["pad_rows_to_multiple", "MatvecMasterBase", "FamilyState", "RoundPlan"]
+__all__ = [
+    "pad_rows_to_multiple",
+    "encode_padded_rows",
+    "MatvecMasterBase",
+    "FamilyState",
+    "RoundPlan",
+]
 
 
 def pad_rows_to_multiple(x: np.ndarray, k: int) -> np.ndarray:
@@ -50,6 +56,29 @@ def pad_rows_to_multiple(x: np.ndarray, k: int) -> np.ndarray:
         return x
     widths = [(0, pad)] + [(0, 0)] * (x.ndim - 1)
     return np.pad(x, widths)
+
+
+def encode_padded_rows(
+    code: Any, x: np.ndarray, cols: int, rng: np.random.Generator | None
+) -> np.ndarray:
+    """The ``(n, rows_pad/k, cols)`` share stack of the matrix ``x``,
+    zero-padded to ``cols`` columns and a multiple of ``k`` rows.
+
+    The stack is the only allocation: the padded matrix is written
+    straight into its first ``k`` shares (one copy, strided when ``x``
+    is a transposed view) and the code encodes around it
+    (:meth:`~repro.coding.lcc.LagrangeCode.encode` with ``into``).
+    ``x`` must hold reduced residues; the shares never alias it.
+    """
+    k = code.k
+    rows, width = x.shape
+    rows_pad = rows + (-rows) % k
+    stack = np.empty((code.n, rows_pad // k, cols), dtype=np.int64)
+    data = stack[:k].reshape(rows_pad, cols)
+    data[:rows, :width] = x
+    data[:rows, width:] = 0
+    data[rows:] = 0
+    return code.encode(stack[:k], rng, into=stack)
 
 
 @dataclass
@@ -179,6 +208,12 @@ class MatvecMasterBase:
         self._iter_rejected: set[int] = set()
         self._iter_stragglers: set[int] = set()
         self._iter_round_stragglers: list[set[int]] = []
+
+    def release(self) -> None:
+        """Let go of everything the size of the dataset (encoded
+        shares, keys, an encoding cache): called by the owner once no
+        further round will be planned. ``scheme_now`` keeps answering;
+        planning a round afterwards needs a new ``setup``."""
 
     # ------------------------------------------------------------------
     # helpers for subclasses

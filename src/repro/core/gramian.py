@@ -26,10 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.coding.base import partition_rows
 from repro.coding.lcc import LagrangeCode
 from repro.coding.scheme import SchemeParams
-from repro.core.base import MatvecMasterBase, RoundPlan, pad_rows_to_multiple
+from repro.core.base import MatvecMasterBase, RoundPlan, encode_padded_rows
 from repro.core.results import InsufficientResultsError, RoundOutcome
 from repro.runtime.backend import Backend, RoundHandle, RoundJob
 from repro.verify.twostage import TwoStageVerifier
@@ -79,19 +78,18 @@ class GramianAVCCMaster(MatvecMasterBase):
     # ------------------------------------------------------------------
     def setup(self, x_field: np.ndarray) -> float:
         t0 = self.backend.now
-        x = self.field.asarray(x_field)
+        x = self.field.ensure_reduced(x_field)
         if x.ndim != 2:
             raise ValueError("dataset must be a matrix")
         self._m, self._d = x.shape
         k = self.scheme.k
-        x_pad = pad_rows_to_multiple(x, k)
-        self._m_pad = x_pad.shape[0]
         self._code = LagrangeCode(
             self.field, n=self.scheme.n, k=k, t=self.scheme.t
         )
-        shares = self._code.encode(
-            partition_rows(x_pad, k), self.rng if self.scheme.t else None
+        shares = encode_padded_rows(
+            self._code, x, self._d, self.rng if self.scheme.t else None
         )
+        self._m_pad = k * shares.shape[1]
         self.backend.distribute("gram", shares, participants=self.active)
         self._keys = {
             wid: self.verifier.keygen_single(shares[slot], self.rng)

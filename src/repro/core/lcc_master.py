@@ -93,6 +93,9 @@ class LCCMaster(MatvecMasterBase):
     def scheme_now(self) -> tuple[int, int]:
         return (self.scheme.n, self.scheme.k)
 
+    def release(self) -> None:
+        self._cfg = None
+
     # ------------------------------------------------------------------
     def _plan_raw(self, family: str, operand) -> RoundPlan:
         if self._cfg is None:

@@ -105,18 +105,26 @@ def _check_2d(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
 
 
-def _matmul_int64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndarray:
-    """``a @ b % q`` for a matrix or a vector ``b``."""
+def _matmul_int64(
+    a: np.ndarray, b: np.ndarray, q: int, chunk: int, into: np.ndarray | None = None
+) -> np.ndarray:
+    """``a @ b % q`` for a matrix or a vector ``b``; with ``into``, the
+    product is accumulated and reduced in that array (one chunk's
+    product is the only temporary, and only when there is a second
+    chunk)."""
     k = a.shape[1]
-    if k <= chunk:
-        return a @ b % q
-    a = np.ascontiguousarray(a)
-    out = np.zeros((a.shape[0],) + b.shape[1:], dtype=np.int64)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        out += a[:, lo:hi] @ b[lo:hi]
-        out %= q
-    return out
+    if into is None:
+        if k <= chunk:
+            return a @ b % q
+        into = np.empty((a.shape[0],) + b.shape[1:], dtype=np.int64)
+    if k > chunk:
+        a = np.ascontiguousarray(a)  # sliced once per chunk below
+    np.matmul(a[:, :chunk], b[:chunk], out=into)
+    into %= q
+    for lo in range(chunk, k, chunk):
+        into += a[:, lo : lo + chunk] @ b[lo : lo + chunk]
+        into %= q
+    return into
 
 
 def _matmul_float64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndarray:
@@ -137,22 +145,39 @@ def _matmul_float64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndar
     return out
 
 
-def matmul_reduced(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul_reduced(
+    field: PrimeField, a: np.ndarray, b: np.ndarray, into: np.ndarray | None = None
+) -> np.ndarray:
     """``a @ b mod q`` for ``int64`` residues the caller guarantees are
     already in ``[0, q)`` — no reduction pass, no dtype check.
 
     The core under :func:`ff_matmul`; see the module docstring for who
     may call it directly. ``a`` is ``(n, k)``, ``b`` is ``(k, m)``; any
     strides (a transposed view is fine).
+
+    ``into``, when given, is the ``(n, m)`` ``int64`` array the result
+    is written to (and returned): the ``int64`` kernel accumulates and
+    reduces there, so a product whose inner dimension fits one
+    ``field.chunk`` allocates nothing. It must not overlap ``a`` or
+    ``b``.
     """
     _check_2d(a, "a")
     _check_2d(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dims differ: {a.shape} @ {b.shape}")
     (n, k), m = a.shape, b.shape[1]
+    if into is not None and (into.shape != (n, m) or into.dtype != np.int64):
+        raise ValueError(
+            f"destination must be int64 of shape {(n, m)}, got "
+            f"{into.dtype} {into.shape}"
+        )
     if _use_dgemm(n, k, m, field.float_chunk):
-        return _matmul_float64(a, b, field.q, field.float_chunk)
-    return _matmul_int64(a, b, field.q, field.chunk)
+        res = _matmul_float64(a, b, field.q, field.float_chunk)
+        if into is None:
+            return res
+        into[...] = res
+        return into
+    return _matmul_int64(a, b, field.q, field.chunk, into)
 
 
 def matvec_reduced(field: PrimeField, a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -162,6 +162,12 @@ class SimCluster(Backend):
             raise ValueError("dt must be non-negative")
         self._now += dt
 
+    def close(self) -> None:
+        """Let go of the workers' payloads: share ``i`` is a view of
+        the master's whole stack, so one kept worker keeps all of it."""
+        for worker in self.workers:
+            worker.payload.clear()
+
     def drop_workers(self, worker_ids: Sequence[int]) -> None:
         """Bookkeeping only: simulated workers cost nothing to keep,
         but dropped ids are remembered for introspection."""

@@ -80,6 +80,7 @@ from repro.runtime.net.wire import (
     behavior_to_dict,
     check_hello,
     encode_frame,
+    encode_store,
     read_frame_async,
 )
 from repro.runtime.worker import SimWorker
@@ -653,7 +654,7 @@ class AsyncTcpCluster(WallClockBackend):
             raise ValueError("fewer shares than participants")
         t0 = time.perf_counter()
         items = [
-            (wid, encode_frame("store", {"name": name}, (np.asarray(shares[slot]),)))
+            (wid, encode_store(name, shares[slot], self.field.q))
             for slot, wid in enumerate(participants)
         ]
         self._call(self._send_stores(items))
@@ -665,12 +666,10 @@ class AsyncTcpCluster(WallClockBackend):
             if writer is None or wid in self._dead:
                 continue  # permanently silent; shares would be lost
             try:
-                nbytes = 0
                 for part in parts:
-                    writer.write(bytes(part) if isinstance(part, memoryview) else part)
-                    nbytes += len(part)
+                    writer.write(part)
                 await asyncio.wait_for(writer.drain(), self.io_timeout)
-                self.wire.note_out(nbytes)
+                self.wire.note_out(sum(memoryview(part).nbytes for part in parts))
             except _CONN_ERRORS:
                 self._mark_dead(wid)
 

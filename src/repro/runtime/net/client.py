@@ -92,6 +92,7 @@ from repro.runtime.net.wire import (
     behavior_to_dict,
     check_hello,
     encode_frame,
+    encode_store,
     read_frame,
     send_frame,
     send_parts,
@@ -653,9 +654,10 @@ class TcpCluster(WallClockBackend):
             if wid in self._dead:
                 continue  # permanently silent; shares would be lost
             try:
-                send_frame(
-                    self._conns[wid], "store", {"name": name},
-                    (np.asarray(shares[slot]),), counters=self.wire,
+                send_parts(
+                    self._conns[wid],
+                    encode_store(name, shares[slot], self.field.q),
+                    counters=self.wire,
                 )
             except (OSError, ConnectionError):
                 self._mark_dead(wid)

@@ -34,7 +34,11 @@ Message kinds
 ``config``         master → worker: ``{q, straggle_scale, factor,
                    behavior, seed}`` — the fleet description the other
                    backends apply in-process, shipped over the wire
-``store``          master → worker: ``{name}`` + one share array
+``store``          master → worker: ``{name}`` + one share array. A
+                   share of reduced residues travels as ``<u4`` (every
+                   entry is below ``q < 2**31``; :func:`encode_store`),
+                   anything else in the dtype it has; the daemon widens
+                   integers to ``int64`` and validates what it stores
 ``round``          master → worker: ``{rid, op, payload_key, rhs_key}``
                    (+ the broadcast operand, when the op has one);
                    carries ``attest: true`` when the session armed
@@ -80,6 +84,7 @@ __all__ = [
     "check_hello",
     "decode_payload",
     "encode_frame",
+    "encode_store",
     "read_frame",
     "read_frame_async",
     "send_frame",
@@ -232,6 +237,22 @@ def encode_frame(
         crc = zlib.crc32(buf, crc)
     preamble = _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, code, crc, length)
     return [preamble + head, *bufs]
+
+
+def encode_store(name: str, share: np.ndarray, q: int) -> list[bytes | memoryview]:
+    """The ``store`` frame of one worker's share.
+
+    An ``int64`` share whose entries all lie in ``[0, q)`` is narrowed
+    to ``<u4`` — half the bytes to checksum, send and receive, and the
+    dtype travels in the array descriptor, so the frame layout is the
+    one every daemon already reads. Anything else (out of range, float,
+    another dtype) is framed as it is and meets the daemon's
+    store-time validation unchanged.
+    """
+    share = np.asarray(share)
+    if share.dtype == np.int64 and share.size and share.min() >= 0 and share.max() < q:
+        share = share.astype("<u4")
+    return encode_frame("store", {"name": name}, (share,))
 
 
 def send_frame(

@@ -270,9 +270,14 @@ class WorkerServer:
                 return
             kind, fields, arrays = item
             if kind == "store":
-                # copy out of the frame buffer: shares live for the
-                # worker's whole lifetime, frames do not
-                share = np.array(arrays[0], copy=True)
+                share = arrays[0]
+                if share.dtype.kind in "iu":
+                    # copy out of the frame buffer — shares live for
+                    # the worker's whole lifetime, frames do not — and
+                    # widen by the same copy: reduced shares travel as
+                    # <u4. Anything else store_share reduces into an
+                    # array of its own or refuses
+                    share = share.astype(np.int64)
                 store_share(self.field, self.payload, str(fields["name"]), share)
             elif kind == "round":
                 await self._serve_round(fields, arrays)

@@ -210,6 +210,8 @@ class ThreadedCluster(WallClockBackend):
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
+        for worker in self.workers:
+            worker.payload.clear()  # views of the master's share stacks
 
     # ------------------------------------------------------------------
     @property

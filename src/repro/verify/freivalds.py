@@ -92,8 +92,10 @@ class FreivaldsVerifier:
 
     def keygen(self, shares: np.ndarray, rng: np.random.Generator) -> list[MatvecKey]:
         """Keys for a stack of coded matrices ``(n, b, d)`` — one per
-        worker (the paper's per-worker ``V_i``)."""
-        shares = self.field.asarray(shares)
+        worker (the paper's per-worker ``V_i``). Each share is validated
+        where its key is made (:meth:`keygen_single`), so the stack is
+        never copied whole."""
+        shares = np.asarray(shares)
         if shares.ndim != 3:
             raise ValueError(f"expected (n, b, d) shares, got {shares.shape}")
         return [self.keygen_single(s, rng) for s in shares]

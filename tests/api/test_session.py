@@ -477,3 +477,82 @@ class TestCloseDuringUnwind:
             h = sess.submit_matvec(F.random(8, RNG))
         assert h.done()
         assert sess.stats.rounds_executed == 1
+
+
+class TestClosedSessionLetsGo:
+    """Results outlive their session; the dataset and its shares must
+    not. A caller that keeps every handle (a benchmark, a notebook)
+    used to keep every closed session's master, cache and shares."""
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_no_array_of_the_dataset_survives_close(self, backend):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(8)
+        x = F.random((12, 8), rng)
+        w, e = F.random(8, rng), F.random(12, rng)
+        scheme = SchemeParams(n=8, k=3, s=1, m=1)  # room for the degree-2 family
+        sess = Session.create(
+            _config(backend=backend, scheme=scheme, workers=(), audit=True)
+        )
+        with sess:
+            sess.load(x)
+            assert not np.shares_memory(sess._x, x)
+            handles = [
+                sess.submit_matvec(w),
+                sess.submit_matvec(e, transpose=True),
+                sess.submit_gramian(w),
+            ]
+            results = [h.result().copy() for h in handles]
+            sess.end_iteration()
+            cfg = sess.master._cfg
+            refs = [weakref.ref(a) for a in (cfg.fwd_shares, cfg.bwd_shares, sess._x)]
+            del cfg
+            now, summary, head = sess.scheme_now, sess.stats.summary(), sess.audit.head
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+        # the closed session and its resolved handles are all still here
+        assert (sess.scheme_now, sess.stats.summary(), sess.audit.head) == (now, summary, head)
+        assert sess.audit.verify_chain() == len(sess.audit) == 3
+        for h, want in zip(handles, results):
+            np.testing.assert_array_equal(h.result(), want)
+            assert h.record.n_verified >= scheme.k
+
+    def test_the_callers_array_is_never_aliased(self):
+        """``load`` owns a reduced copy: what the caller does to its
+        array afterwards reaches neither a round nor a later re-code."""
+        x = X.copy()
+        w = F.random(8, RNG)
+        with Session.create(_config(workers=())) as sess:
+            sess.load(x)
+            x[...] = 0
+            np.testing.assert_array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
+            sess.release_workers((5,))  # re-code from the session's copy
+            assert sess.scheme_now[0] == 5
+            np.testing.assert_array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
+
+    def test_abandoned_handle_still_reports_the_closed_session(self):
+        from repro.api.scheduler import SessionClosedError
+
+        sess = Session.create(_config())
+        sess.load(X)
+        h = sess.submit_matvec(F.random(8, RNG))
+        sess.close(flush=False)
+        for _ in range(2):
+            with pytest.raises(SessionClosedError):
+                h.result()
+
+    def test_borrowed_master_keeps_serving_after_its_session_closes(self):
+        """``from_master`` borrows: closing that session releases its
+        own copy of nothing the master needs."""
+        from repro.core import AVCCMaster
+        from repro.runtime import SimCluster, SimWorker
+
+        backend = SimCluster(F, [SimWorker(i) for i in range(6)], rng=np.random.default_rng(3))
+        master = AVCCMaster(backend, SCHEME)
+        master.setup(X)
+        w = F.random(8, RNG)
+        with Session.from_master(master) as sess:
+            np.testing.assert_array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
+        np.testing.assert_array_equal(master.forward_round(w).vector, ff_matvec(F, X, w))

@@ -152,6 +152,135 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(code.decode(idx, shares[idx]), blocks)
 
 
+def _encode_reference(code, blocks, seed):
+    """``U.T @ [X; W] mod q`` one term at a time in ``int64`` (a product
+    of two residues fits, a sum of ``k + t`` of them need not), with the
+    privacy rows the encoder draws from a generator seeded alike."""
+    q = code.field.q
+    flat = np.asarray(blocks).reshape(code.k, -1).astype(np.int64) % q
+    if code.t:
+        w = code.field.random((code.t, flat.shape[1]), np.random.default_rng(seed))
+        flat = np.concatenate([flat, w], axis=0)
+    u = code.encoding_matrix()
+    want = np.zeros((code.n, flat.shape[1]), dtype=np.int64)
+    for j in range(code.k + code.t):
+        want = (want + u[j][:, None] * flat[j][None, :]) % q
+    return want.reshape(code.n, *np.shape(blocks)[1:])
+
+
+@st.composite
+def _encode_cases(draw):
+    q = draw(st.sampled_from([97, 7919, 2**25 - 39, 2**31 - 1]))
+    k = draw(st.integers(1, 6))
+    t = draw(st.integers(0, 2))
+    n = k + t + draw(st.integers(0, 4))
+    trailing = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    chunk = draw(st.sampled_from([None, 1, 2, max(1, k + t - 1)]))
+    layout = draw(st.sampled_from(["fresh", "given", "in_place", "strided"]))
+    return q, n, k, t, trailing, chunk, layout, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEncodeInto:
+    """The destination parameter: same shares wherever they are written,
+    whichever way the inner dimension is chunked."""
+
+    @given(_encode_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_plain_product(self, case):
+        q, n, k, t, trailing, chunk, layout, seed = case
+        field = PrimeField(q)
+        if chunk is not None:
+            field.chunk = min(field.chunk, chunk)
+        code = LagrangeCode(field, n=n, k=k, t=t)
+        rng = np.random.default_rng(seed)
+        blocks = field.random((k, *trailing), rng)
+        want = _encode_reference(code, blocks, seed)
+        into = None
+        if layout == "strided":  # every other column of a wider array
+            wide = np.zeros((k, *trailing[:-1], 2 * trailing[-1]), dtype=np.int64)
+            wide[..., ::2] = blocks
+            blocks = wide[..., ::2]
+        elif layout != "fresh":
+            into = np.full((n, *trailing), -1, dtype=np.int64)
+            if layout == "in_place":
+                into[:k] = blocks
+                blocks = into[:k]
+        before = None if layout == "in_place" else blocks.copy()
+        got = code.encode(blocks, np.random.default_rng(seed) if t else None, into)
+        if into is not None:
+            assert got is into
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        if before is not None:  # the input is read, never written
+            np.testing.assert_array_equal(blocks, before)
+
+    def test_n_equal_k_is_a_copy(self, rng):
+        code = LagrangeCode(F, n=4, k=4)
+        blocks = F.random((4, 3, 2), rng)
+        shares = code.encode(blocks)
+        np.testing.assert_array_equal(shares, blocks)
+        assert not np.shares_memory(shares, blocks)
+
+    def test_systematic_in_place_leaves_the_data_rows_alone(self, rng, monkeypatch):
+        """``blocks is into[:k]``: nothing is copied onto itself and the
+        only product is the parity rows'."""
+        code = LagrangeCode(F, n=7, k=4)
+        into = np.empty((7, 5, 3), dtype=np.int64)
+        into[:4] = F.random((4, 5, 3), rng)
+        data = into[:4].copy()
+        seen = []
+        real = lcc_module.matmul_reduced
+
+        def spy(field, a, b, into=None):
+            seen.append((a.shape, b.shape))
+            return real(field, a, b, into)
+
+        monkeypatch.setattr(lcc_module, "matmul_reduced", spy)
+        code.encode(into[:4], None, into)
+        assert seen == [((3, 4), (4, 15))]
+        np.testing.assert_array_equal(into[:4], data)
+        np.testing.assert_array_equal(into, code.encode(data))
+
+    def test_overlapping_input_of_a_non_systematic_code(self, rng):
+        """No privacy rows, custom points: the full product would read
+        rows it has already overwritten if the input were not copied."""
+        code = LagrangeCode(F, 5, 3, alpha=np.arange(1, 6), beta=np.arange(10, 13))
+        assert not code.is_systematic
+        blocks = F.random((3, 4), rng)
+        into = np.zeros((5, 4), dtype=np.int64)
+        into[:3] = blocks
+        np.testing.assert_array_equal(
+            code.encode(into[:3], None, into), code.encode(blocks)
+        )
+
+    def test_unreduced_input_is_reduced_and_float_rejected(self, rng):
+        code = LagrangeCode(F, n=5, k=3)
+        blocks = F.random((3, 4), rng)
+        shifted = blocks + F.q * rng.integers(-3, 4, size=blocks.shape)
+        into = np.zeros((5, 4), dtype=np.int64)
+        np.testing.assert_array_equal(
+            code.encode(shifted, None, into), code.encode(blocks)
+        )
+        np.testing.assert_array_equal(code.encode(shifted.astype(np.int32)), into)
+        with pytest.raises(TypeError, match="float"):
+            code.encode(blocks.astype(np.float64), None, into)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((5, 4), dtype=np.int32),
+            np.zeros((5, 5), dtype=np.int64),
+            np.zeros((4, 4), dtype=np.int64),
+            np.zeros((5, 8), dtype=np.int64)[:, ::2],
+        ],
+        ids=["dtype", "trailing", "n", "strided"],
+    )
+    def test_rejects_a_destination_it_cannot_fill(self, bad, rng):
+        code = LagrangeCode(F, n=5, k=3)
+        with pytest.raises(ValueError, match="destination"):
+            code.encode(F.random((3, 4), rng), None, bad)
+
+
 class TestDecodeBasisCache:
     """The decode basis is kept per responder set; what decode returns
     must not depend on what the code object decoded before."""

@@ -155,3 +155,90 @@ class TestEncodingCache:
         cfg = cache.get(6, 2)
         assert cfg.code.t == 1
         assert not cfg.code.is_systematic
+
+
+def _config_by_the_old_recipe(field, x, n, k, t, probes, rng):
+    """Shares and keys the way they were built before the stacks were
+    encoded in place: pad a copy, transpose a copy, pad that, the full
+    ``U.T @ [X; W]`` product, then ``r`` and ``s = r @ share`` per share
+    — the same draws from ``rng`` in the same order."""
+    from repro.coding import LagrangeCode, partition_rows
+
+    q = field.q
+    x_pad = np.pad(x % q, [(0, (-x.shape[0]) % k), (0, 0)])
+    xt_pad = np.pad(np.ascontiguousarray(x_pad.T), [(0, (-x.shape[1]) % k), (0, 0)])
+    u_t = LagrangeCode(field, n=n, k=k, t=t).encoding_matrix().T
+
+    def encode(blocks):
+        flat = blocks.reshape(k, -1)
+        if t:
+            flat = np.concatenate([flat, field.random((t, flat.shape[1]), rng)])
+        return (u_t @ flat % q).reshape(n, *blocks.shape[1:])
+
+    def keys(shares):
+        out = []
+        for share in shares:
+            r = field.random((probes, share.shape[0]), rng)
+            out.append((r, r @ share % q))
+        return out
+
+    fwd, bwd = encode(partition_rows(x_pad, k)), encode(partition_rows(xt_pad, k))
+    return x_pad, xt_pad, fwd, bwd, keys(fwd), keys(bwd)
+
+
+class TestEncodedInPlace:
+    """One allocation per share stack, the dataset written into its
+    first ``k`` shares — and the bytes of the recipe it replaced."""
+
+    @pytest.mark.parametrize("t", [0, 1])
+    @pytest.mark.parametrize("m,d,n,k", [(10, 7, 6, 4), (12, 10, 6, 4), (7, 12, 5, 3)])
+    def test_same_shares_and_keys_as_the_old_recipe(self, m, d, n, k, t):
+        x = F.random((m, d), np.random.default_rng(5))
+        cfg = EncodingCache(
+            F, x, t=t, probes=2, rng=np.random.default_rng(11)
+        ).get(n, k)
+        x_pad, xt_pad, fwd, bwd, fwd_keys, bwd_keys = _config_by_the_old_recipe(
+            F, x, n, k, t, 2, np.random.default_rng(11)
+        )
+        assert (cfg.m, cfg.d, cfg.m_pad, cfg.d_pad) == (m, d, x_pad.shape[0], xt_pad.shape[0])
+        for got, want in ((cfg.fwd_shares, fwd), (cfg.bwd_shares, bwd)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        for got, want in ((cfg.fwd_keys, fwd_keys), (cfg.bwd_keys, bwd_keys)):
+            assert len(got) == n
+            for key, (r, s) in zip(got, want):
+                assert key.r.tobytes() == r.tobytes() and key.s.tobytes() == s.tobytes()
+        if t == 0:  # systematic: the first k shares are the padded data
+            assert cfg.fwd_shares[:k].reshape(x_pad.shape).tobytes() == x_pad.tobytes()
+            assert cfg.bwd_shares[:k].reshape(xt_pad.shape).tobytes() == xt_pad.tobytes()
+
+    def test_shares_never_alias_the_dataset(self, rng):
+        x = F.random((8, 6), rng)
+        cfg = EncodingCache(F, x, rng=rng).get(4, 4)  # n == k: shares are the data
+        assert not np.shares_memory(cfg.fwd_shares, x)
+        assert not np.shares_memory(cfg.bwd_shares, x)
+
+    def test_unreduced_dataset_is_reduced_float_rejected(self, rng):
+        x = F.random((6, 4), rng)
+        want = EncodingCache(F, x, rng=np.random.default_rng(1)).get(4, 2)
+        got = EncodingCache(F, x - F.q, rng=np.random.default_rng(1)).get(4, 2)
+        np.testing.assert_array_equal(got.fwd_shares, want.fwd_shares)
+        np.testing.assert_array_equal(got.bwd_shares, want.bwd_shares)
+        with pytest.raises(TypeError, match="float"):
+            EncodingCache(F, x.astype(np.float64))
+
+    def test_building_a_config_allocates_little_more_than_its_shares(self):
+        """The train workload's matrix: two share stacks of 36.6 MiB.
+        Built by the old recipe the peak was 2.64x their bytes."""
+        import tracemalloc
+
+        field = PrimeField()
+        x = field.random((1800, 2000), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cfg = EncodingCache(field, x).get(12, 9)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (cfg.fwd_shares.nbytes + cfg.bwd_shares.nbytes)

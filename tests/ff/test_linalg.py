@@ -37,12 +37,19 @@ def _same_bytes(got, want):
 
 
 def _three_ways(f, a, b):
-    """dgemm kernel == int64 kernel == bignum oracle, byte for byte."""
+    """dgemm kernel == int64 kernel == bignum oracle, byte for byte —
+    returned, or written to a destination the caller supplies."""
     want = _ref_matmul(a, b, f.q)
     _same_bytes(linalg._matmul_float64(a, b, f.q, f.float_chunk), want)
     _same_bytes(linalg._matmul_int64(a, b, f.q, f.chunk), want)
     _same_bytes(matmul_reduced(f, a, b), want)
     _same_bytes(ff_matmul(f, a, b), want)
+    for dest in (
+        np.full(want.shape, -1, dtype=np.int64),
+        np.full((want.shape[0], 2 * want.shape[1]), -1, dtype=np.int64)[:, ::2],
+    ):
+        assert matmul_reduced(f, a, b, dest) is dest
+        _same_bytes(np.ascontiguousarray(dest), want)
 
 
 class TestFloatChunk:
@@ -82,6 +89,14 @@ class TestKernelEquality:
             f.float_chunk = min(f.float_chunk, chunk)
         r = np.random.default_rng(seed)
         _three_ways(f, f.random((n, k), r), f.random((k, m), r))
+
+    @pytest.mark.parametrize(
+        "dest", [np.zeros((4, 3), dtype=np.int32), np.zeros((3, 4), dtype=np.int64)]
+    )
+    def test_rejects_a_destination_of_the_wrong_dtype_or_shape(self, dest, paper_field, rng):
+        a, b = paper_field.random((4, 5), rng), paper_field.random((5, 3), rng)
+        with pytest.raises(ValueError, match="destination"):
+            matmul_reduced(paper_field, a, b, dest)
 
     def test_rule_sends_wide_products_to_dgemm_and_keeps_the_rest(self, paper_field):
         fc = float_chunk_len(paper_field.q)

@@ -39,9 +39,8 @@ class DaemonUnderTest:
     def __init__(self, factor=1.0, straggle_scale=0.05):
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
-        self.thread = threading.Thread(
-            target=WorkerServer("127.0.0.1", port, 0).run, daemon=True
-        )
+        self.server = WorkerServer("127.0.0.1", port, 0)
+        self.thread = threading.Thread(target=self.server.run, daemon=True)
         self.thread.start()
         listener.settimeout(10.0)
         self.sock, _ = listener.accept()
@@ -236,6 +235,38 @@ class TestDaemonProtocol:
         assert all(a <= b for _, a, b in fields["spans"])
         assert fields["digest"] == digest_array(value)
 
+    @pytest.mark.parametrize(
+        "frame",
+        ["u4", "int64", "int64_out_of_range", "int32_negative", "float64"],
+    )
+    def test_store_leaves_a_reduced_int64_share_or_none(self, daemon, frame, rng):
+        """What a master of this build ships (``<u4`` for reduced
+        residues), what one of the parent build ships (``int64``) and
+        what neither should all meet the same store: integers are
+        widened and reduced, anything else drops the key."""
+        share = F.random((5, 12), rng)
+        sent = {
+            "u4": share.astype("<u4"),
+            "int64": share,
+            "int64_out_of_range": share + F.q * 2**20 * rng.choice([-1, 1], size=share.shape),
+            "int32_negative": (share % 1000 - 1000).astype(np.int32),
+            "float64": share.astype(np.float64),
+        }[frame]
+        want = sent.astype(np.int64) % F.q if frame != "float64" else None
+        daemon.store("s", F.random((5, 12), rng))  # a stale share under the key
+        daemon.store("s", sent)
+        v = F.random(12, rng)
+        daemon.round("s", v)  # the compute task is FIFO: the stores are done
+        fields, value = daemon.result()
+        stored = daemon.server.payload.get("s")
+        if want is None:
+            assert stored is None
+            assert fields["ok"] is False and "KeyError" in fields["err"]
+            return
+        assert stored.dtype == np.int64 and stored.flags.owndata
+        assert stored.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(value, ff_matvec(F, want, v))
+
     def test_every_frame_is_one_write(self, monkeypatch, rng):
         writes = []
         real_write = asyncio.StreamWriter.write
@@ -290,6 +321,40 @@ class TestThroughBothMasters:
         assert sorted(got) == [0, 1, 2]
         for wid, value in got.items():
             np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+
+    def test_install_ships_reduced_shares_narrow_and_stores_what_was_sent(self, kind, rng):
+        """Reduced residues travel at 4 bytes an element, anything else
+        as it is; both masters count the same bytes for the same
+        install and every daemon stores the same share either way."""
+        shares = F.random((3, 64, 256), rng)
+        out_of_range = shares + F.q * 2**20
+        v = F.random(256, rng)
+
+        def install(backend, name, stack):
+            before = backend.wire.bytes_out
+            backend.distribute(name, stack)
+            return backend.wire.bytes_out - before
+
+        def answers(backend, name):
+            handle = backend.dispatch_round(RoundJob(payload_key=name, operand=v))
+            return {a.worker_id: a.value for a in handle}
+
+        with CLUSTERS[kind](F, _fleet(3, {}, {})) as backend:
+            narrow = install(backend, "in", shares)
+            wide = install(backend, "out", out_of_range)
+            install(backend, "float", shares.astype(np.float64))
+            got_in, got_out = answers(backend, "in"), answers(backend, "out")
+            with pytest.raises(RuntimeError, match="KeyError"):
+                handle = backend.dispatch_round(RoundJob(payload_key="float", operand=v))
+                list(handle)
+                handle.result()
+        headers = 3 * 128  # preamble + JSON descriptor per frame, generously
+        assert shares.nbytes // 2 < narrow <= shares.nbytes // 2 + headers
+        assert shares.nbytes < wide <= shares.nbytes + headers
+        for wid in range(3):
+            want = ff_matvec(F, shares[wid], v)
+            np.testing.assert_array_equal(got_in[wid], want)
+            np.testing.assert_array_equal(got_out[wid], want)
 
     def test_interleaved_small_and_large_rounds_answer_in_dispatch_order(self, kind, rng):
         """Collect the *last* round first: once it has answered from
