@@ -122,7 +122,13 @@ class AVCCMaster(MatvecMasterBase):
     # ------------------------------------------------------------------
     def setup(self, x_field: np.ndarray) -> float:
         """Encode, distribute and key both families. Returns the
-        backend-clock seconds spent shipping shares."""
+        backend-clock seconds spent shipping shares.
+
+        ``x_field`` is kept for re-coding, by reference when it already
+        holds reduced ``int64`` residues, behind a read-only view (see
+        :class:`~repro.core.dynamic.EncodingCache`): the master never
+        writes into it, and a caller that will write into it passes a
+        copy."""
         t0 = self.backend.now
         self._cache = EncodingCache(
             self.field, x_field, t=self.scheme.t, probes=self.probes, rng=self.rng

@@ -145,9 +145,18 @@ class EncodingCache:
 
     ``x_field`` is validated, not copied: reduced ``int64`` residues
     are kept by reference (anything else is reduced into a copy, floats
-    raise), and every configuration is built from it — so a caller that
-    goes on mutating its array hands the cache a copy, as
-    ``Session.load`` does. The shares never alias it: each family's
+    raise), and every configuration — the first and each later re-code
+    — is built from it. What the cache holds, :attr:`x`, is a
+    ``writeable=False`` view, so nothing reached through the cache or
+    the master that owns it can write into the dataset (NumPy raises
+    ``ValueError``). The caller's own handle stays writable — a view
+    cannot revoke that — and there the guarantee stops: an array
+    mutated after ``setup`` gives later configurations encoded from the
+    mutated data while the installed shares keep the old. A caller that
+    goes on writing hands over a copy, as ``Session.load`` does (its
+    reducing copy is the session's own).
+
+    The shares never alias the dataset: each family's
     ``(n, rows, cols)`` stack is allocated once per configuration, the
     zero-padded dataset (or its transpose) is written into the first
     ``k`` shares and the code encodes around it
@@ -167,7 +176,8 @@ class EncodingCache:
         if x_field.ndim != 2:
             raise ValueError(f"dataset must be a matrix, got shape {x_field.shape}")
         self.field = field
-        self.x = x_field
+        self.x = x_field.view()
+        self.x.flags.writeable = False
         self.t = int(t)
         self.probes = int(probes)
         self.rng = rng or np.random.default_rng(0)

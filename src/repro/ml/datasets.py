@@ -38,9 +38,8 @@ class Dataset:
     ``float64`` 0/1 labels (logistic) or reals (regression targets).
 
     The arrays are **immutable inputs**: what is derived from them
-    (:meth:`max_feature` here, the trainers' ``float64`` evaluation
-    matrices) is computed once and never refreshed — build a new
-    ``Dataset`` instead of writing into one.
+    (:meth:`max_feature`) is computed once and never refreshed — build
+    a new ``Dataset`` instead of writing into one.
     """
 
     name: str

@@ -6,6 +6,11 @@ real domain, and computes ``g = X^T·e`` (round 2). Demonstrates that
 the coded masters are a generic linear-computation service, not a
 logistic-regression one-off (the paper: "AVCC is particularly suitable
 for ... linear regression and logistic regression").
+
+As in :mod:`repro.ml.logistic`, the loop does protocol work only: the
+train and test MSEs are scored from the buffered weight vectors in one
+pass after the last iteration
+(:func:`~repro.ml.trainer.record_evaluation`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from repro.ml.datasets import Dataset
 from repro.ml.quantize import OverflowBudget, Quantizer
-from repro.ml.trainer import TrainingHistory, evaluation_matrices
+from repro.ml.trainer import TrainingHistory, record_evaluation
 from repro.runtime.trace import TraceRecorder
 
 __all__ = ["LinRegConfig", "DistributedLinearRegressionTrainer"]
@@ -56,11 +61,6 @@ class DistributedLinearRegressionTrainer:
         self.qw = Quantizer(self.field, self.config.l_w)
         self.qe = Quantizer(self.field, self.config.l_e)
         self._budget = OverflowBudget(self.field)
-        self._x_train_f, self._x_test_f = evaluation_matrices(dataset)
-
-    def _mse(self, x, y, w) -> float:
-        r = x @ w - y
-        return float(np.mean(r * r))
 
     def train(self, recorder: TraceRecorder | None = None) -> TrainingHistory:
         cfg = self.config
@@ -68,6 +68,7 @@ class DistributedLinearRegressionTrainer:
         m = ds.m
         w = np.zeros(ds.d, dtype=np.float64)
         history = TrainingHistory(method=self.master.name)
+        weights: list[np.ndarray] = []
         t0 = self.session.now
 
         for it in range(cfg.iterations):
@@ -100,15 +101,9 @@ class DistributedLinearRegressionTrainer:
             adapt = self.session.end_iteration()
             t_iter_end = self.session.now
 
+            # the MSEs are evaluated after the loop, from this
+            weights.append(w)
             history.times.append(t_iter_end - t0)
-            # for regression, "accuracy" slots hold negative MSE so the
-            # shared time_to_accuracy machinery still works monotonely
-            # (plaintext, off-protocol, on the matrices cast once)
-            train_mse = self._mse(self._x_train_f, ds.y_train, w)
-            test_mse = self._mse(self._x_test_f, ds.y_test, w)
-            history.train_acc.append(-train_mse)
-            history.test_acc.append(-test_mse)
-            history.train_loss.append(train_mse)
             history.schemes.append(adapt.scheme)
             history.reencode_times.append(adapt.reencode_time)
             history.detected_byzantine.append(adapt.detected_byzantine)
@@ -126,4 +121,13 @@ class DistributedLinearRegressionTrainer:
                     )
                 )
         self.final_weights = w
+        record_evaluation(history, ds, weights, _score)
         return history
+
+
+def _score(z: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """For regression the "accuracy" slots hold negative MSE, so the
+    shared ``time_to_accuracy`` machinery still works monotonely."""
+    r = z - y
+    mse = float(np.mean(r * r))
+    return -mse, mse

@@ -16,6 +16,13 @@ it is the standard guard that keeps a *poisoned* decode (LCC beyond
 capacity, uncoded under attack) a bounded-wrong step instead of a
 divergence — without it no baseline survives the constant attack at
 all, with it they degrade gracefully to the plateaus Fig. 3 shows.
+
+An iteration is those two rounds, the ``O(m + d)`` master work between
+them and ``end_iteration()`` — the phases of Fig. 4 and nothing else.
+Accuracy and loss are plaintext and off-protocol: the loop only keeps
+each iteration's weight vector, and
+:func:`~repro.ml.trainer.record_evaluation` scores them all in one
+pass after the last iteration, before ``train()`` returns.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from repro.ml.datasets import Dataset
 from repro.ml.metrics import accuracy, binary_cross_entropy, sigmoid
 from repro.ml.quantize import OverflowBudget, Quantizer
-from repro.ml.trainer import TrainingHistory, evaluation_matrices
+from repro.ml.trainer import TrainingHistory, record_evaluation
 from repro.runtime.trace import TraceRecorder
 
 __all__ = ["LogisticConfig", "DistributedLogisticTrainer"]
@@ -51,7 +58,8 @@ class LogisticConfig:
 
 class DistributedLogisticTrainer:
     """Drives a coded-computing service through the two-round protocol
-    and records accuracy-vs-simulated-time curves.
+    and records accuracy-vs-time curves (the backend's clock: simulated
+    on ``sim``, wall elsewhere — see :class:`~repro.ml.trainer.TrainingHistory`).
 
     Accepts either a :class:`repro.api.Session` (the sanctioned path)
     or a bare master (AVCC / LCC / uncoded / Static VCC), which is
@@ -91,7 +99,6 @@ class DistributedLogisticTrainer:
         self.qw = Quantizer(self.field, self.config.l_w)
         self.qe = Quantizer(self.field, self.config.l_e)
         self._budget = OverflowBudget(self.field)
-        self._x_train_f, self._x_test_f = evaluation_matrices(dataset)
 
     # ------------------------------------------------------------------
     def _check_budgets(self, w_max: float) -> None:
@@ -112,6 +119,7 @@ class DistributedLogisticTrainer:
         m = ds.m
         w = np.zeros(ds.d, dtype=np.float64)
         history = TrainingHistory(method=self.master.name)
+        weights: list[np.ndarray] = []
         t0 = self.session.now
 
         for it in range(cfg.iterations):
@@ -144,13 +152,9 @@ class DistributedLogisticTrainer:
             adapt = self.session.end_iteration()
             t_iter_end = self.session.now
 
-            # plaintext, off-protocol, on the matrices cast once
-            p_train = sigmoid(self._x_train_f @ w)
-            p_test = sigmoid(self._x_test_f @ w)
+            # accuracy and loss are evaluated after the loop, from this
+            weights.append(w)
             history.times.append(t_iter_end - t0)
-            history.train_acc.append(accuracy(ds.y_train, p_train))
-            history.test_acc.append(accuracy(ds.y_test, p_test))
-            history.train_loss.append(binary_cross_entropy(ds.y_train, p_train))
             history.schemes.append(adapt.scheme)
             history.reencode_times.append(adapt.reencode_time)
             history.detected_byzantine.append(adapt.detected_byzantine)
@@ -168,4 +172,12 @@ class DistributedLogisticTrainer:
                     )
                 )
         self.final_weights = w
+        record_evaluation(history, ds, weights, _score)
         return history
+
+
+def _score(z: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Accuracy and cross-entropy of the predictions ``h(z)`` — always
+    the true sigmoid, whatever activation trained the weights."""
+    p = sigmoid(z)
+    return accuracy(y, p), binary_cross_entropy(y, p)

@@ -218,6 +218,59 @@ class TestEncodedInPlace:
         assert not np.shares_memory(cfg.fwd_shares, x)
         assert not np.shares_memory(cfg.bwd_shares, x)
 
+    def test_held_dataset_is_a_read_only_view(self, rng):
+        x = F.random((8, 6), rng)
+        cache = EncodingCache(F, x, rng=rng)
+        assert np.shares_memory(cache.x, x)  # a reference, not a copy
+        assert not cache.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cache.x[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            cache.x.T[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            cache.x %= 2
+        cache.get(4, 2)  # encoding only reads it
+        # the caller's own handle is untouched by the view's flag
+        assert x.flags.writeable
+
+    def test_caller_writing_into_its_array_reaches_later_configs_only(self, rng):
+        """What a master handed an array directly does *not* guarantee:
+        the caller can still write through its own handle, and a
+        configuration built afterwards encodes the mutated data."""
+        x = F.random((8, 6), rng)
+        kept = x.copy()
+        cache = EncodingCache(F, x, rng=np.random.default_rng(1))
+        before = cache.get(4, 2)
+        built = before.fwd_shares.copy()
+        x[0, 0] = (x[0, 0] + 1) % F.q
+        np.testing.assert_array_equal(before.fwd_shares, built)  # built shares keep the old
+        after = cache.get(3, 2)
+        want_mutated = EncodingCache(F, x.copy(), rng=np.random.default_rng(1)).get(3, 2)
+        want_original = EncodingCache(F, kept, rng=np.random.default_rng(1)).get(3, 2)
+        np.testing.assert_array_equal(after.fwd_shares, want_mutated.fwd_shares)
+        assert not np.array_equal(after.fwd_shares, want_original.fwd_shares)
+
+    def test_session_load_isolates_the_caller(self):
+        """``Session.load`` hands the master a copy it owns: writing
+        into the loaded array afterwards changes no later re-code."""
+        from repro.api import Session, SessionConfig
+        from repro.coding import SchemeParams
+
+        field = PrimeField()
+        # reduced int64 residues: validating them needs no copy
+        x = field.random((12, 8), np.random.default_rng(2))
+        kept = x.copy()
+        config = SessionConfig(scheme=SchemeParams(n=6, k=3, s=1, m=1), backend="sim", seed=3)
+        with Session.create(config) as session:
+            session.load(x)
+            cache = session.master._cache
+            assert not np.shares_memory(cache.x, x) and not cache.x.flags.writeable
+            x[:] = 0
+            recoded = cache.get(5, 3)
+        want = EncodingCache(field, kept, rng=np.random.default_rng(0)).get(5, 3)
+        np.testing.assert_array_equal(recoded.fwd_shares, want.fwd_shares)
+        np.testing.assert_array_equal(recoded.bwd_shares, want.bwd_shares)
+
     def test_unreduced_dataset_is_reduced_float_rejected(self, rng):
         x = F.random((6, 4), rng)
         want = EncodingCache(F, x, rng=np.random.default_rng(1)).get(4, 2)
