@@ -18,7 +18,7 @@ reports real wall-clock for each. The deployment is one
   this repo gets to the paper's physical testbed.
 * ``async_tcp`` is the same wire protocol driven by one event loop
   (a single extra thread demultiplexing every worker socket) instead
-  of per-socket reader threads.
+  of ``tcp``'s caller-driven ``selectors`` pump, which has no thread.
 
 Shape assertions only check correctness (every backend must decode
 bit-exactly); relative wall-clock between the real backends is
@@ -123,8 +123,8 @@ def test_early_stopping_saves_straggler_tail(benchmark, field, rng, kind):
 @pytest.mark.parametrize("kind", ["tcp", "async_tcp"])
 def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
     """The ``bench-tcp`` / ``bench-async`` CI headline: a loopback
-    socket fleet (per-socket reader threads for ``tcp``, one event
-    loop for ``async_tcp``) serving a block of mixed fwd/bwd rounds
+    socket fleet (a caller-driven ``selectors`` pump for ``tcp``, one
+    event loop for ``async_tcp``) serving a block of mixed fwd/bwd rounds
     under a straggler and a Byzantine worker must decode every round
     bit-exactly.
 

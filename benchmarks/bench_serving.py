@@ -215,8 +215,8 @@ def test_async_tcp_gateway_matches_sync_tcp(cfg):
     loopback ``async_tcp`` fleet. Every request terminates, the served
     fraction clears the gated ``async_tcp_serving_served_fraction``
     baseline, and every answer served by both the async and the sync
-    ``tcp`` replay is byte-identical — swapping reader threads for one
-    event loop can change timing, never a byte.
+    ``tcp`` replay is byte-identical — swapping the selector pump for
+    one event loop can change timing, never a byte.
 
     ``ASYNC_TRACE_REQUESTS`` scales the trace; the CI ``bench-async``
     job sets 10000 (the ISSUE's acceptance length)."""

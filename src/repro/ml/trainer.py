@@ -90,7 +90,7 @@ class TrainingHistory:
     def summary(self) -> str:
         return (
             f"{self.method}: {self.iterations()} iters, "
-            f"{self.total_time:.2f}s simulated, "
+            f"{self.total_time:.2f}s on the backend clock, "
             f"final test acc {self.final_test_acc:.3f}"
         )
 

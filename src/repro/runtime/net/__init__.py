@@ -11,7 +11,7 @@ operational guide.
 
 ``wire``           framed messages, protocol version, checksums
 ``tunables``       shared liveness/deadline knobs (:class:`NetTunables`)
-``worker_server``  the worker daemon (one asyncio loop per worker)
+``worker_server``  the worker daemon (two threads over one blocking socket)
 ``worker``         the ``python -m`` CLI entrypoint for daemons
 ``client``         :class:`TcpCluster` — selector-pumped sync Backend
 ``async_client``   :class:`AsyncTcpCluster` — one event loop, O(1) threads

@@ -7,30 +7,37 @@ scale — the same fleet description the in-process backends apply
 directly), then serves the store/round protocol until it is shut down
 or the connection drops.
 
-The daemon runs **one asyncio event loop** (it serves either the sync
-``TcpCluster`` or the ``AsyncTcpCluster`` — the wire protocol is
-identical) with two long-lived tasks splitting the work so it never
-deadlocks and never goes dark:
+The daemon is **two plain threads over one blocking socket** (it serves
+either the sync ``TcpCluster`` or the ``AsyncTcpCluster`` — the wire
+protocol is identical), splitting the work so it never deadlocks and
+never goes dark:
 
-* the **receive task** drains the socket continuously — heartbeats are
-  acknowledged inline (so a worker grinding through a long compute, or
-  sleeping out an injected straggle, still proves liveness), cancels
-  are noted, and store/round messages are queued for the compute task.
-  Draining eagerly also means the master's share distribution can
-  never block on a worker that is busy computing.
-* the **compute task** executes rounds FIFO through the same
+* the **receive thread** drains the socket continuously — heartbeats
+  are acknowledged from it (so a worker grinding through a long
+  compute, or waiting out an injected straggle, still proves
+  liveness), cancels are noted, and store/round frames are queued for
+  the compute thread. Draining eagerly also means the master's share
+  distribution can never block on a worker that is busy computing. A
+  ``shutdown`` frame, EOF or a malformed frame ends the thread and the
+  daemon with it: what is still queued is skipped, not served.
+* the **compute thread** — the one that called :meth:`WorkerServer.run`
+  — executes rounds FIFO through the same
   :func:`~repro.runtime.backend.run_job_compute` every other backend
-  uses — the numpy work hops to the loop's executor so the receive
-  task keeps answering probes mid-compute — applies the configured
-  straggler sleep (``asyncio.sleep``, cancellable mid-straggle) and
-  Byzantine behaviour, and transmits each ``result`` frame as one
-  buffer in one write (a silent behaviour reports ``ok=False`` so the
-  master records a never-arrived worker instead of waiting out a
-  heartbeat timeout; a computation error is reported crash-stop,
-  exactly like the process backend). Every job takes the hop, however
-  small: computing sub-millisecond jobs on the loop instead was built
-  and measured, and made a loopback fleet's throughput swing by whole
-  sessions (README "Distributed deployment" has the numbers).
+  uses, waits out the configured straggle on a condition that a
+  cancel or a stop ends at once, applies the Byzantine behaviour, and
+  transmits each ``result`` frame as one buffer in one ``sendall`` (a
+  silent behaviour reports ``ok=False`` so the master records a
+  never-arrived worker instead of waiting out a heartbeat timeout; a
+  computation error is reported crash-stop, exactly like the process
+  backend).
+
+The second thread exists for liveness and nothing else: numpy holds
+the compute thread for as long as a job takes and acks must flow
+meanwhile, so every job, however small, is computed off the receive
+thread — one rule, no size threshold. The same split used to run on
+an asyncio loop with an executor hop per job: ~300 µs of daemon CPU a
+round around a 5 µs matvec, ~150 µs here (README "Distributed
+deployment" has the measurements).
 
 Fault injection for tests can come from either end: the master's
 ``config`` carries the session's :class:`~repro.api.config.WorkerSpec`
@@ -42,9 +49,10 @@ worker side without the master's cooperation.
 
 from __future__ import annotations
 
-import asyncio
 import os
+import queue
 import socket
+import threading
 import time
 from typing import Any
 
@@ -58,10 +66,17 @@ from repro.runtime.net.wire import (
     WireError,
     behavior_from_dict,
     encode_frame,
-    read_frame_async,
+    read_frame,
 )
 
 __all__ = ["WorkerServer"]
+
+
+def _rid(fields: dict) -> int:
+    try:
+        return int(fields["rid"])
+    except (KeyError, TypeError, ValueError):
+        raise WireError(f"frame carries no usable rid: {fields.get('rid')!r}") from None
 
 
 class WorkerServer:
@@ -101,15 +116,17 @@ class WorkerServer:
         self.field = PrimeField(q or DEFAULT_PRIME)
         self.payload: dict[str, np.ndarray] = {}
         self._rng = np.random.default_rng(worker_id)
-        self._writer: asyncio.StreamWriter | None = None
-        self._send_lock: asyncio.Lock | None = None
-        self._inbox: asyncio.Queue | None = None
-        #: rids cancelled but not yet seen by the compute task. Bounded:
-        #: cancels at or below the served watermark are dropped on
-        #: arrival (the round already finished here), and _serve_round
-        #: prunes everything up to its own rid — a long-lived daemon
-        #: never accumulates stale cancellations. Receive and compute
-        #: tasks share one loop, so no lock guards the set.
+        self._sock: socket.socket | None = None
+        #: acks leave from the receive thread, results from the other
+        self._send_lock = threading.Lock()
+        #: store / round frames in arrival order; ``None`` ends the loop
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        #: guards the three fields below (both threads touch them) and
+        #: is what a straggle wait sleeps on
+        self._wake = threading.Condition()
+        #: rids cancelled but not yet served. Bounded: a cancel at or
+        #: below the served watermark is dropped on arrival, and each
+        #: round prunes everything up to its own rid
         self._cancelled: set[int] = set()
         self._served_rid = 0
         self._stopping = False
@@ -140,8 +157,7 @@ class WorkerServer:
     def _connect(self) -> socket.socket:
         """Dial the master, retrying until ``connect_timeout`` — the
         fleet launcher may start workers before the master listens.
-        Dialing is plain blocking sockets *before* the loop starts, so
-        no getaddrinfo ever runs on (or threads off) the event loop."""
+        The socket comes back blocking, and stays so."""
         deadline = time.monotonic() + self.connect_timeout
         delay = 0.01
         while True:
@@ -176,96 +192,92 @@ class WorkerServer:
         self._rng = np.random.default_rng(int(fields.get("seed", self.worker_id)))
 
     def run(self) -> None:
-        """Register with the master and serve until shutdown/EOF."""
-        sock = self._connect()
+        """Register with the master and serve, on this thread, until shutdown/EOF."""
+        sock = self._sock = self._connect()
+        receiver: threading.Thread | None = None
         try:
-            asyncio.run(self._serve(sock))
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-
-    async def _serve(self, sock: socket.socket) -> None:
-        reader, writer = await asyncio.open_connection(sock=sock)
-        self._writer = writer
-        self._send_lock = asyncio.Lock()
-        self._inbox = asyncio.Queue()
-        recv_task: asyncio.Task | None = None
-        try:
-            await self._send(
-                "hello",
-                {
-                    "worker_id": self.worker_id,
-                    "protocol": PROTOCOL_VERSION,
-                    "pid": os.getpid(),
-                },
-            )
-            kind, fields, _ = await read_frame_async(reader)
+            hello = {"worker_id": self.worker_id, "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
+            self._send("hello", hello)
+            kind, fields, _ = read_frame(sock)
             if kind != "config":
                 raise WireError(f"expected a config frame after hello, got {kind!r}")
             self._apply_config(fields)
-            recv_task = asyncio.get_running_loop().create_task(
-                self._receive_loop(reader)
+            receiver = threading.Thread(
+                target=self._receive_loop, args=(sock,), daemon=True,
+                name=f"avcc-worker-{self.worker_id}-recv",
             )
-            await self._compute_loop()
+            receiver.start()
+            self._compute_loop()
         finally:
+            self._stop()
+            try:
+                # the receive thread may sit in recv(): shutting the
+                # socket down wakes it, which close() alone does not
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            if receiver is not None:
+                receiver.join()
+            sock.close()
+
+    def _stop(self) -> None:
+        """From here on whatever is still queued is skipped: end a
+        straggle wait, wake the compute thread's ``get``."""
+        with self._wake:
             self._stopping = True
-            if recv_task is not None:
-                recv_task.cancel()
-                await asyncio.gather(recv_task, return_exceptions=True)
-            writer.close()
+            self._wake.notify_all()
+        self._inbox.put(None)
+
+    def _send(self, kind: str, fields: dict, arrays: tuple = ()) -> None:
+        assert self._sock is not None
+        # one buffer, one sendall: under TCP_NODELAY a frame written
+        # in pieces leaves as several segments
+        frame = b"".join(encode_frame(kind, fields, arrays))
+        try:
+            with self._send_lock:
+                self._sock.sendall(frame)
+        except OSError:
+            self._stop()
 
     # ------------------------------------------------------------------
-    # receive task: keep the socket drained, answer liveness probes
+    # receive thread: keep the socket drained, answer liveness probes
     # ------------------------------------------------------------------
-    async def _receive_loop(self, reader: asyncio.StreamReader) -> None:
-        assert self._inbox is not None
+    def _receive_loop(self, sock: socket.socket) -> None:
         try:
-            while not self._stopping:
-                kind, fields, arrays = await read_frame_async(reader)
+            while True:
+                kind, fields, arrays = read_frame(sock)
                 if kind == "heartbeat":
-                    await self._send("heartbeat_ack", {"seq": fields.get("seq", 0)})
+                    self._send("heartbeat_ack", {"seq": fields.get("seq", 0)})
                 elif kind == "cancel":
-                    rid = int(fields["rid"])
-                    if rid > self._served_rid:  # else: already done
-                        self._cancelled.add(rid)
+                    rid = _rid(fields)
+                    with self._wake:
+                        if rid > self._served_rid:  # else: already done
+                            self._cancelled.add(rid)
+                            self._wake.notify_all()
                 elif kind == "shutdown":
-                    await self._inbox.put(None)
                     return
-                else:
-                    if kind == "round":
-                        # receipt timestamp: anchors the daemon's own
-                        # sub-spans when the round is traced
-                        fields["_t_recv"] = time.perf_counter()
-                    await self._inbox.put((kind, fields, arrays))
-        except (WireError, OSError, ConnectionError, asyncio.IncompleteReadError):
-            # master went away (or spoke garbage): drain and exit
-            await self._inbox.put(None)
-
-    async def _send(self, kind: str, fields: dict, arrays: tuple = ()) -> bool:
-        assert self._writer is not None and self._send_lock is not None
-        assert self._inbox is not None
-        try:
-            # one buffer, one write: under TCP_NODELAY a frame written
-            # in pieces leaves as several segments
-            frame = b"".join(encode_frame(kind, fields, arrays))
-            async with self._send_lock:
-                self._writer.write(frame)
-                await self._writer.drain()
-            return True
-        except (OSError, ConnectionError):
-            self._stopping = True
-            self._inbox.put_nowait(None)
-            return False
+                elif kind == "round":
+                    fields["rid"] = _rid(fields)
+                    # receipt timestamp: anchors the daemon's own
+                    # sub-spans when the round is traced
+                    fields["_t_recv"] = time.perf_counter()
+                    self._inbox.put((kind, fields, arrays))
+                elif kind == "store":
+                    if len(arrays) != 1 or "name" not in fields:
+                        raise WireError("store frame without a name and one share")
+                    self._inbox.put((kind, fields, arrays))
+                # anything else is ignored: forward compatibility
+        except (WireError, OSError):
+            pass  # master went away (or spoke garbage)
+        finally:
+            self._stop()
 
     # ------------------------------------------------------------------
-    # compute task
+    # compute thread: the one that called run()
     # ------------------------------------------------------------------
-    async def _compute_loop(self) -> None:
-        assert self._inbox is not None
+    def _compute_loop(self) -> None:
         while True:
-            item = await self._inbox.get()
+            item = self._inbox.get()
             if item is None:
                 return
             kind, fields, arrays = item
@@ -279,35 +291,29 @@ class WorkerServer:
                     # array of its own or refuses
                     share = share.astype(np.int64)
                 store_share(self.field, self.payload, str(fields["name"]), share)
-            elif kind == "round":
-                await self._serve_round(fields, arrays)
-            # anything else is ignored: forward compatibility
+            else:
+                self._serve_round(fields["rid"], fields, arrays)
 
-    def _is_cancelled(self, rid: int) -> bool:
-        return rid in self._cancelled
+    def _serve_round(self, rid: int, fields: dict, arrays: list[np.ndarray]) -> None:
+        def skip() -> bool:  # cancelled, or the daemon is stopping
+            return self._stopping or rid in self._cancelled
 
-    async def _serve_round(self, fields: dict, arrays: list[np.ndarray]) -> None:
-        rid = int(fields["rid"])
-        try:
-            await self._serve_round_inner(rid, fields, arrays)
-        finally:
-            # rounds are served in dispatch order, so anything at or
-            # below this rid can no longer be usefully cancelled
-            self._served_rid = max(self._served_rid, rid)
-            self._cancelled = {r for r in self._cancelled if r > rid}
-
-    async def _serve_round_inner(
-        self, rid: int, fields: dict, arrays: list[np.ndarray]
-    ) -> None:
-        if self._is_cancelled(rid):
-            return
-        traced = bool(fields.get("trace"))
-        t_recv = fields.get("_t_recv")
         t_dq = time.perf_counter()
-        if self.factor > 1.0:
-            await asyncio.sleep((self.factor - 1.0) * self.straggle_scale)
-        if self._is_cancelled(rid):  # cancelled while straggling
-            return
+        with self._wake:
+            if self.factor > 1.0:
+                # the injected slowdown; a cancel or a stop ends it at once
+                self._wake.wait_for(skip, (self.factor - 1.0) * self.straggle_scale)
+            serve = not skip()
+        if serve:
+            self._answer(rid, fields, arrays, t_dq)
+        # rounds are served in dispatch order, so anything at or below
+        # this rid can no longer be usefully cancelled
+        with self._wake:
+            self._served_rid = max(self._served_rid, rid)
+            if self._cancelled:
+                self._cancelled = {r for r in self._cancelled if r > rid}
+
+    def _answer(self, rid: int, fields: dict, arrays: list[np.ndarray], t_dq: float) -> None:
         value: np.ndarray | None = None
         err: str | None = None
         t0 = time.perf_counter()
@@ -318,11 +324,7 @@ class WorkerServer:
                 operand=arrays[0] if arrays else None,
                 rhs_key=fields.get("rhs_key"),
             )
-            # numpy work leaves the loop so heartbeat acks flow
-            # mid-compute; one job at a time preserves FIFO order
-            honest = await asyncio.get_running_loop().run_in_executor(
-                None, run_job_compute, self.field, self.payload, job
-            )
+            honest = run_job_compute(self.field, self.payload, job)
             assert self.behavior is not None
             value = self.behavior.corrupt(honest, self.field, self._rng)
         except Exception as exc:  # crash-stop: report, stay alive
@@ -342,19 +344,17 @@ class WorkerServer:
             from repro.obs.audit import digest_array
 
             meta["digest"] = digest_array(value)
-        if traced:
+        if fields.get("trace"):
             # sub-spans as offsets from frame receipt; the master
             # anchors them so the last span ends at result arrival,
             # which folds encode + uplink into "worker.send"
-            base = t_recv if isinstance(t_recv, (int, float)) else t_dq
+            base = fields["_t_recv"]
             c0 = max(t0 - base, t_dq - base)
             c1 = c0 + compute_time
             spans = [["worker.recv", 0.0, max(0.0, t_dq - base)]]
             if self.factor > 1.0:
                 spans.append(["worker.straggle", t_dq - base, t0 - base])
             spans.append(["worker.compute", c0, c1])
-            spans.append(
-                ["worker.send", c1, max(c1, time.perf_counter() - base)]
-            )
+            spans.append(["worker.send", c1, max(c1, time.perf_counter() - base)])
             meta["spans"] = [[n, round(a, 9), round(b, 9)] for n, a, b in spans]
-        await self._send("result", meta, (value,) if value is not None else ())
+        self._send("result", meta, (value,) if value is not None else ())

@@ -1,17 +1,23 @@
-"""The worker daemon's compute path: every job through the executor,
-the loop free for probes and cancels meanwhile, one write per frame.
+"""The worker daemon: two threads over one blocking socket — every job
+on the thread that called ``run()``, the receive thread free for
+probes and cancels meanwhile, one ``sendall`` per frame.
 
 ``TestDaemonProtocol`` talks to one in-process daemon over a raw
 socket, frame by frame — the only way to pin *which frame follows
-which* (an ack between two results, a round that never answers). The
-daemon serves both socket masters, so ``TestThroughBothMasters``
-repeats what a master can observe on ``tcp`` and ``async_tcp`` fleets.
+which* (an ack between two results, a round that never answers).
+``TestTwoThreads`` pins what the two threads share and that both end
+with the connection; ``TestHostileFrames`` feeds the receive path what
+no master of this build would send. The daemon serves both socket
+masters, so ``TestThroughBothMasters`` repeats what a master can
+observe on ``tcp`` and ``async_tcp`` fleets.
 """
 
-import asyncio
+import json
 import socket
+import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -40,6 +46,7 @@ class DaemonUnderTest:
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         self.server = WorkerServer("127.0.0.1", port, 0)
+        self._others = set(threading.enumerate())
         self.thread = threading.Thread(target=self.server.run, daemon=True)
         self.thread.start()
         listener.settimeout(10.0)
@@ -90,6 +97,27 @@ class DaemonUnderTest:
         kind, fields, _ = self.read()
         assert (kind, fields["seq"]) == ("heartbeat_ack", seq)
 
+    def threads(self):
+        """The live threads that exist because of this daemon."""
+        return [t for t in threading.enumerate() if t not in self._others]
+
+    def assert_gone(self, deadline=5.0):
+        """Both daemon threads end within ``deadline`` seconds."""
+        end = time.monotonic() + deadline
+        for t in self.threads():
+            t.join(max(0.0, end - time.monotonic()))
+        assert self.threads() == []
+
+    def read_to_eof(self):
+        """Every byte the daemon still sends before it hangs up."""
+        got = bytearray()
+        try:
+            while chunk := self.sock.recv(65536):
+                got += chunk
+        except ConnectionResetError:
+            pass  # it closed with our bytes unread: a reset is its EOF
+        return bytes(got)
+
     def close(self):
         try:
             self.send("shutdown", {})
@@ -108,6 +136,21 @@ def daemon():
 
 
 @pytest.fixture
+def spawn():
+    """Daemons for tests that end the connection their own way."""
+    made = []
+
+    def make(**kwargs):
+        made.append(DaemonUnderTest(**kwargs))
+        return made[-1]
+
+    yield make
+    for d in made:
+        d.sock.close()
+        d.thread.join(10.0)
+
+
+@pytest.fixture
 def compute_threads(monkeypatch):
     """Thread ident of every ``run_job_compute`` call the daemon makes."""
     seen = []
@@ -121,10 +164,46 @@ def compute_threads(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def send_threads(monkeypatch):
+    """``(kind, thread ident)`` of every frame the daemon sends."""
+    seen = []
+    real = WorkerServer._send
+
+    def recording(self, kind, fields, arrays=()):
+        seen.append((kind, threading.get_ident()))
+        return real(self, kind, fields, arrays)
+
+    monkeypatch.setattr(WorkerServer, "_send", recording)
+    return seen
+
+
+class CountingSocket:
+    """The daemon's socket, with every buffer handed to the kernel noted."""
+
+    def __init__(self, sock, writes):
+        self._sock, self._writes = sock, writes
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def sendall(self, data):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def send(self, data, *args):
+        self._writes.append(bytes(data))
+        return self._sock.send(data, *args)
+
+    def sendmsg(self, buffers, *args):
+        self._writes.extend(bytes(b) for b in buffers)
+        return self._sock.sendmsg(buffers, *args)
+
+
 class TestDaemonProtocol:
     def test_heartbeat_acked_while_a_job_computes(self, daemon, monkeypatch, rng):
-        """Even the smallest job leaves the loop: a probe sent while it
-        computes is answered before its result."""
+        """Even the smallest job leaves the receive thread: a probe sent
+        while it computes is answered before its result."""
         started, release = threading.Event(), threading.Event()
         real = worker_server.run_job_compute
 
@@ -146,7 +225,7 @@ class TestDaemonProtocol:
         np.testing.assert_array_equal(value, ff_matvec(F, share, v))
 
     def test_results_in_dispatch_order_across_small_and_large_jobs(
-        self, daemon, compute_threads, rng
+        self, daemon, compute_threads, send_threads, rng
     ):
         small = F.random((4, 1024), rng)
         big = F.random((1025, 1024), rng)
@@ -161,8 +240,13 @@ class TestDaemonProtocol:
             fields, value = daemon.result()
             assert fields["rid"] == rid
             np.testing.assert_array_equal(value, ff_matvec(F, shares[key], v))
-        assert len(compute_threads) == len(keys)
-        assert daemon.thread.ident not in compute_threads
+        daemon.assert_idle(seq=1)
+        # every job on the thread that called run(); probes are
+        # acknowledged by the other one
+        assert compute_threads == [daemon.thread.ident] * len(keys)
+        assert [t for kind, t in send_threads if kind == "result"] == compute_threads
+        (acker,) = (t for kind, t in send_threads if kind == "heartbeat_ack")
+        assert acker != daemon.thread.ident
 
     def test_queued_jobs_do_not_starve_the_receive_task(self, daemon, rng):
         """A burst of queued jobs must not starve the socket: a
@@ -269,13 +353,10 @@ class TestDaemonProtocol:
 
     def test_every_frame_is_one_write(self, monkeypatch, rng):
         writes = []
-        real_write = asyncio.StreamWriter.write
-
-        def counting_write(self, data):
-            writes.append(bytes(data))
-            return real_write(self, data)
-
-        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        real_connect = WorkerServer._connect
+        monkeypatch.setattr(
+            WorkerServer, "_connect", lambda self: CountingSocket(real_connect(self), writes)
+        )
         daemon = DaemonUnderTest()
         try:
             share = F.random((6, 40), rng)
@@ -294,13 +375,311 @@ class TestDaemonProtocol:
             assert len(buf) == wire._PREAMBLE.size + length  # the whole frame
 
 
+def _hold_jobs(monkeypatch):
+    """Every job blocks until ``release`` is set; ``started`` says one has begun."""
+    started, release = threading.Event(), threading.Event()
+    real = worker_server.run_job_compute
+
+    def held(field, payload, job):
+        started.set()
+        assert release.wait(10.0)
+        return real(field, payload, job)
+
+    monkeypatch.setattr(worker_server, "run_job_compute", held)
+    return started, release
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions that escaped any thread while the test ran."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+    return escaped
+
+
+class TestTwoThreads:
+    def test_serving_daemon_owns_two_threads_and_shutdown_ends_both(self, daemon, rng):
+        daemon.store("s", F.random((3, 5), rng))
+        daemon.round("s", F.random(5, rng))
+        daemon.result()
+        names = sorted(t.name for t in daemon.threads())
+        assert names == sorted([daemon.thread.name, "avcc-worker-0-recv"])
+        daemon.send("shutdown", {})
+        daemon.assert_gone()
+        assert daemon.read_to_eof() == b""
+
+    def test_master_eof_mid_compute_ends_both_threads(self, spawn, monkeypatch, rng):
+        started, release = _hold_jobs(monkeypatch)
+        daemon = spawn()
+        daemon.store("s", F.random((3, 5), rng))
+        daemon.round("s", F.random(5, rng))
+        daemon.round("s", F.random(5, rng))  # queued behind the held job
+        assert started.wait(10.0)
+        daemon.sock.close()
+        deadline = time.monotonic() + 5.0
+        while len(daemon.threads()) > 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert daemon.threads() == [daemon.thread]  # numpy still holds this one
+        started.clear()
+        release.set()
+        daemon.assert_gone()
+        assert not started.is_set()  # the queued round was skipped, not computed
+
+    def test_master_eof_mid_straggle_wakes_the_wait(self, spawn, rng):
+        daemon = spawn(factor=3.0, straggle_scale=30.0)  # a minute a round
+        daemon.store("s", F.random((3, 5), rng))
+        daemon.round("s", F.random(5, rng))
+        daemon.assert_idle(seq=1)  # the round is queued or already straggling
+        time.sleep(0.05)
+        daemon.sock.close()
+        daemon.assert_gone(deadline=5.0)
+
+    def test_shutdown_mid_straggle_wakes_the_wait(self, spawn, rng):
+        daemon = spawn(factor=3.0, straggle_scale=30.0)
+        daemon.store("s", F.random((3, 5), rng))
+        daemon.round("s", F.random(5, rng))
+        daemon.assert_idle(seq=1)
+        time.sleep(0.05)
+        daemon.send("shutdown", {})
+        daemon.assert_gone(deadline=5.0)
+        assert daemon.read_to_eof() == b""  # the straggling round is not answered
+
+    def test_cancels_from_a_second_sender_race_a_few_hundred_queued_rounds(
+        self, daemon, monkeypatch, thread_errors, rng
+    ):
+        """The cancel set, the served watermark and the stop flag are
+        touched by both daemon threads. A second sender stays ``lead``
+        rounds ahead of the results with one cancel per round — every
+        third rid a target, the rest stale or for a round far in the
+        future — over a backlog of such far cancels, which makes every
+        prune long enough to collide with an arriving one. Rounds nobody
+        targeted are all answered, in dispatch order; a cancel whose
+        probe was acknowledged ahead of an earlier round's result
+        reached the set before its round was dequeued, so that round is
+        never answered; nothing is left in the set."""
+        n_rounds, lead, backlog, far = 301, 30, 20000, 10**6
+        real = worker_server.run_job_compute
+
+        def slow(field, payload, job):
+            time.sleep(0.0005)  # keeps the queue a few hundred deep
+            return real(field, payload, job)
+
+        monkeypatch.setattr(worker_server, "run_job_compute", slow)
+        daemon.store("s", F.random((3, 5), rng))
+        v = F.random(5, rng)
+        frames = [daemon.round_frame("s", v) for _ in range(n_rounds)]
+        targets = set(range(3, n_rounds + 1, 3))
+        sending = threading.Lock()
+        progress = threading.Condition()
+        answered = [0]
+
+        def cancel_sender():
+            with sending:
+                daemon.sock.sendall(
+                    b"".join(
+                        b"".join(encode_frame("cancel", {"rid": far + j})) for j in range(backlog)
+                    )
+                )
+            for i in range(1, n_rounds + 1):
+                with progress:
+                    assert progress.wait_for(lambda: answered[0] >= i - lead, 30.0)
+                with sending:
+                    if i in targets:
+                        daemon.send("cancel", {"rid": i})
+                        daemon.send("heartbeat", {"seq": i})
+                    elif i % 3 == 1:  # grows the set
+                        daemon.send("cancel", {"rid": far + backlog + i})
+                    else:  # stale, dropped on arrival
+                        daemon.send("cancel", {"rid": max(0, i - lead - 1)})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            canceller = threading.Thread(target=cancel_sender, daemon=True)
+            canceller.start()
+            for frame in frames:
+                with sending:
+                    daemon.sock.sendall(frame)
+            stream = []  # ("result", rid) / ("heartbeat_ack", seq), as they arrived
+            acks = 0
+            while acks < len(targets) or ("result", n_rounds) not in stream:
+                kind, fields, _ = daemon.read()
+                stream.append((kind, fields["rid" if kind == "result" else "seq"]))
+                acks += kind == "heartbeat_ack"
+                if kind == "result":
+                    with progress:
+                        answered[0] = fields["rid"]
+                        progress.notify()
+            canceller.join(30.0)
+            assert not canceller.is_alive()
+            daemon.rid = 2 * far  # past the backlog, and past round n_rounds' book-keeping
+            daemon.round("s", v)
+            assert daemon.result()[0]["rid"] == 2 * far + 1
+            daemon.assert_idle(seq=0)
+        finally:
+            sys.setswitchinterval(interval)
+        served = [x for kind, x in stream if kind == "result"]
+        assert served == sorted(set(served))
+        assert set(range(1, n_rounds + 1)) - targets <= set(served)
+        in_time = set()
+        for at, (kind, x) in enumerate(stream):
+            if kind == "heartbeat_ack" and any(
+                k == "result" and rid < x for k, rid in stream[at + 1:]
+            ):
+                in_time.add(x)
+        assert len(in_time) > len(targets) // 2  # the race was actually run
+        assert not in_time & set(served)
+        assert thread_errors == []
+
+
+def raw_frame(kind_code, header, buffers=(), *, version=PROTOCOL_VERSION, crc=None, length=None):
+    """A frame assembled by hand, so every field of it can lie.
+    ``header`` is the JSON object, or the bytes to put in its place."""
+    head = header
+    if not isinstance(header, bytes):
+        head = json.dumps(header, separators=(",", ":")).encode()
+    payload = wire._HEADER_LEN.pack(len(head)) + head + b"".join(buffers)
+    preamble = wire._PREAMBLE.pack(
+        wire.MAGIC,
+        version,
+        kind_code,
+        zlib.crc32(payload) if crc is None else crc,
+        len(payload) if length is None else length,
+    )
+    return preamble + payload
+
+
+def _round_header(rid=2, **lies):
+    desc = {"dtype": "<i8", "shape": [5], "nbytes": 40, **lies}
+    return {"rid": rid, "op": "matvec", "payload_key": "s", "rhs_key": None, "_arrays": [desc]}
+
+
+_OPERAND = np.arange(5, dtype="<i8").tobytes()
+_ROUND = wire.MSG_CODES["round"]
+#: round 2 on share "s", well formed: each hostile frame breaks one thing in it
+_GOOD = raw_frame(_ROUND, _round_header(), [_OPERAND])
+HOSTILE = {
+    "truncated_then_closed": _GOOD[:-17],
+    "flipped_payload_byte": _GOOD[:-1] + bytes([_GOOD[-1] ^ 0xFF]),
+    "wrong_version": raw_frame(_ROUND, _round_header(), [_OPERAND], version=PROTOCOL_VERSION + 1),
+    "bad_magic": b"GE" + _GOOD[2:],
+    "length_above_max_payload": raw_frame(
+        _ROUND, _round_header(), [_OPERAND], length=wire.MAX_PAYLOAD + 1
+    ),
+    "unknown_kind_code": raw_frame(99, {"_arrays": []}),
+    "nbytes_overruns_payload": raw_frame(_ROUND, _round_header(nbytes=80), [_OPERAND]),
+    "nbytes_short_of_payload": raw_frame(_ROUND, _round_header(nbytes=32, shape=[4]), [_OPERAND]),
+    "shape_disagrees_with_nbytes": raw_frame(_ROUND, _round_header(shape=[7]), [_OPERAND]),
+    "dtype_is_not_one": raw_frame(_ROUND, _round_header(dtype="no-such"), [_OPERAND]),
+    "header_is_not_json": raw_frame(_ROUND, b"{]"),
+    "round_without_a_rid": raw_frame(_ROUND, _round_header(rid=None), [_OPERAND]),
+    "cancel_without_a_rid": raw_frame(wire.MSG_CODES["cancel"], {"_arrays": []}),
+    "store_without_a_share": raw_frame(wire.MSG_CODES["store"], {"name": "s", "_arrays": []}),
+}
+
+
+class TestHostileFrames:
+    """What no master of this build sends, against a live daemon: it
+    drains and exits, owes nothing further, leaves no thread behind."""
+
+    @pytest.mark.parametrize("attack", sorted(HOSTILE))
+    def test_daemon_exits_and_sends_nothing_it_did_not_owe(
+        self, attack, spawn, thread_errors, rng
+    ):
+        daemon = spawn()
+        share = F.random((3, 5), rng)
+        daemon.store("s", share)
+        daemon.round("s", np.arange(5))
+        fields, value = daemon.result()  # what it owed, it sent
+        np.testing.assert_array_equal(value, ff_matvec(F, share, np.arange(5)))
+        try:
+            daemon.sock.sendall(HOSTILE[attack])
+            daemon.sock.shutdown(socket.SHUT_WR)  # the truncated frame's "then close"
+        except OSError:
+            pass  # it has hung up already
+        assert daemon.read_to_eof() == b""
+        daemon.assert_gone()
+        assert thread_errors == []
+
+    def test_the_same_bytes_unbroken_are_served(self, daemon, rng):
+        """The hostile frames above differ from this one in one field each."""
+        share = F.random((3, 5), rng)
+        daemon.store("s", share)
+        daemon.round("s", np.arange(5))
+        daemon.result()
+        daemon.sock.sendall(_GOOD)
+        fields, value = daemon.result()
+        assert fields["rid"] == 2 and fields["ok"] is True
+        np.testing.assert_array_equal(value, ff_matvec(F, share, np.arange(5)))
+
+    def test_store_with_a_lying_dtype_meets_validation_and_the_next_round_is_served(
+        self, daemon, rng
+    ):
+        """int64 bytes labelled float64 decode — the sizes agree — into
+        something that is not field data: the key is dropped, the round
+        on it fails crash-stop, and the daemon serves on."""
+        share = F.random((3, 5), rng)
+        daemon.store("s", share)
+        lying = {"name": "s", "_arrays": [{"dtype": "<f8", "shape": [3, 5], "nbytes": 120}]}
+        daemon.sock.sendall(raw_frame(wire.MSG_CODES["store"], lying, [share.tobytes()]))
+        v = F.random(5, rng)
+        daemon.round("s", v)
+        fields, value = daemon.result()
+        assert fields["ok"] is False and "KeyError" in fields["err"] and value is None
+        assert "s" not in daemon.server.payload
+        daemon.store("s", share)
+        daemon.round("s", v)
+        fields, value = daemon.result()
+        assert fields["ok"] is True
+        np.testing.assert_array_equal(value, ff_matvec(F, share, v))
+
+
+class TestFrameBytes:
+    """Today's frames in, today's frames out — byte for byte where the
+    frame holds no clock reading, field for field where it does."""
+
+    def _raw(self, daemon):
+        pre = bytes(wire._recv_exact(daemon.sock, wire._PREAMBLE.size))
+        length = wire._PREAMBLE.unpack(pre)[4]
+        return pre, bytes(wire._recv_exact(daemon.sock, length))
+
+    def test_ack_and_result_frames_are_the_frames_of_protocol_2(self, daemon, rng):
+        daemon.send("heartbeat", {"seq": 41})
+        assert b"".join(self._raw(daemon)).hex() == (
+            "4156020833b861dd0000001b00000017"  # AV, version 2, kind 8, crc, length 27
+            "7b22736571223a34312c225f617272617973223a5b5d7d"  # {"seq":41,"_arrays":[]}
+        )
+        share = F.random((3, 5), rng)
+        v = F.random(5, rng)
+        daemon.store("s", share)
+        daemon.round("s", v, attest=True)
+        pre, payload = self._raw(daemon)
+        magic, version, code, crc, length = wire._PREAMBLE.unpack(pre)
+        assert (magic, version, code) == (b"AV", 2, wire.MSG_CODES["result"])
+        assert crc == zlib.crc32(payload)
+        (header_len,) = wire._HEADER_LEN.unpack_from(payload)
+        header = json.loads(payload[4:4 + header_len])
+        want = ff_matvec(F, share, v)
+        assert list(header) == [
+            "rid", "worker_id", "compute_time", "ok", "err", "digest", "_arrays"
+        ]
+        assert header["_arrays"] == [{"dtype": "<i8", "shape": [3], "nbytes": 24}]
+        compute_time = header.pop("compute_time")
+        assert isinstance(compute_time, float) and 0.0 <= compute_time < 10.0
+        assert header == {
+            "rid": 1, "worker_id": 0, "ok": True, "err": None,
+            "digest": digest_array(want), "_arrays": header["_arrays"],
+        }
+        assert payload[4 + header_len:] == want.astype("<i8").tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(CLUSTERS))
 class TestThroughBothMasters:
     def test_long_job_keeps_its_worker_alive_past_the_heartbeat_timeout(
         self, kind, monkeypatch, rng
     ):
         """A job that computes for longer than ``heartbeat_timeout`` is
-        not a dead worker: the executor hop keeps the acks flowing.
+        not a dead worker: the receive thread keeps the acks flowing.
         (Forked daemons inherit the patch.)"""
         real = worker_server.run_job_compute
 
