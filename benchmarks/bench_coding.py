@@ -2,12 +2,14 @@
 scaling, backing the paper's quasi-linear complexity discussion
 (Sec. II-A).
 
-The two ``coding_*`` metrics recorded for the perf gate guard the
-set-up / re-code path: ``coding_encode_inplace_speedup`` is a same-box
-ratio of two medians taken back to back (the plain full product over
+The three metrics recorded for the perf gate guard the set-up /
+re-code path: ``coding_encode_inplace_speedup`` is a same-box ratio of
+two medians taken back to back (the plain full product over
 :meth:`LagrangeCode.encode` into a reused destination — which encoder
-runs, not how fast the runner is), and ``coding_setup_alloc_headroom``
-is a ratio of byte counts, the same on every machine.
+runs, not how fast the runner is); ``coding_setup_alloc_headroom`` and
+``setup_retained_headroom`` are ratios of byte counts, the same on
+every machine — what building a configuration allocates at its peak,
+and what a master keeps once it has shipped the shares.
 """
 
 import statistics
@@ -18,8 +20,9 @@ import numpy as np
 import pytest
 
 from _metrics import record_metric
-from repro.coding import LagrangeCode, MDSCode
-from repro.core import EncodingCache
+from repro.coding import LagrangeCode, MDSCode, SchemeParams
+from repro.core import AVCCMaster, EncodingCache
+from repro.runtime import SimCluster, SimWorker
 
 
 def _median_s(fn, calls=7):
@@ -68,13 +71,34 @@ def test_setup_allocates_little_more_than_the_shares(field, rng):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cfg = EncodingCache(field, x).get(12, 9)
+        _, fwd, bwd = EncodingCache(field, x).shares(12, 9)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    returned = cfg.fwd_shares.nbytes + cfg.bwd_shares.nbytes
+    returned = fwd.nbytes + bwd.nbytes
     record_metric("coding_setup_alloc_headroom", returned / peak)
     assert peak >= returned
+
+
+def test_master_keeps_the_dataset_not_its_shares(field, rng):
+    """Bytes of the dataset over the bytes an AVCC master still holds
+    once ``setup`` has shipped the shares, on the same matrix and
+    scheme: 1.0 would be the dataset and nothing else (codes and keys
+    are ~1.5 % more); a master that kept both share stacks, 0.27. The
+    workers' copies are not the master's, so distribute keeps none."""
+    backend = SimCluster(field, [SimWorker(i) for i in range(12)], rng=rng)
+    backend.distribute = lambda name, shares, participants=None: 0.0
+    master = AVCCMaster(backend, SchemeParams(n=12, k=9, s=1, m=2), rng=rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = field.random((1800, 2000), rng)
+        master.setup(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    record_metric("setup_retained_headroom", x.nbytes / held)
+    assert held >= x.nbytes
 
 
 def test_mds_decode_paper_shape(benchmark, field, rng):

@@ -124,11 +124,17 @@ class AVCCMaster(MatvecMasterBase):
         """Encode, distribute and key both families. Returns the
         backend-clock seconds spent shipping shares.
 
-        ``x_field`` is kept for re-coding, by reference when it already
-        holds reduced ``int64`` residues, behind a read-only view (see
-        :class:`~repro.core.dynamic.EncodingCache`): the master never
-        writes into it, and a caller that will write into it passes a
-        copy."""
+        The master keeps ``x_field``, the codes and the keys, not the
+        shares: they are shipped and dropped, and re-encoded bit for
+        bit from ``x_field`` whenever a configuration is installed
+        again. ``x_field`` is kept by reference when it already holds
+        reduced ``int64`` residues, behind a read-only view (see
+        :class:`~repro.core.dynamic.EncodingCache`), so the master
+        never writes into it. A caller that writes into it after
+        ``setup`` gets re-encoded shares that disagree with the keys —
+        the rounds that need them raise ``InsufficientResultsError``,
+        they never decode wrong bytes — so such a caller passes a copy,
+        as ``Session.load`` does."""
         t0 = self.backend.now
         self._cache = EncodingCache(
             self.field, x_field, t=self.scheme.t, probes=self.probes, rng=self.rng
@@ -137,13 +143,13 @@ class AVCCMaster(MatvecMasterBase):
         return self.backend.now - t0
 
     def _install_config(self, n: int, k: int, participants: list[int]) -> float:
-        """Ship config ``(n, k)`` shares to ``participants``; returns
-        the transfer time charged to the clock."""
+        """Ship config ``(n, k)`` shares to ``participants`` and let
+        them go; returns the transfer time charged to the clock."""
         assert self._cache is not None
-        cfg = self._cache.get(n, k)
+        cfg, fwd, bwd = self._cache.shares(n, k)
         t0 = self.backend.now
-        self.backend.distribute("fwd", cfg.fwd_shares, participants=participants)
-        self.backend.distribute("bwd", cfg.bwd_shares, participants=participants)
+        self.backend.distribute("fwd", fwd, participants=participants)
+        self.backend.distribute("bwd", bwd, participants=participants)
         self._cfg = cfg
         self._k_now = k
         self._code_pos = {wid: slot for slot, wid in enumerate(participants)}

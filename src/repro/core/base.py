@@ -207,7 +207,7 @@ class MatvecMasterBase:
         # per-iteration observation scratch (reset by end_iteration)
         self._iter_rejected: set[int] = set()
         self._iter_stragglers: set[int] = set()
-        self._iter_round_stragglers: list[set[int]] = []
+        self._iter_rounds = 0  # rounds observed by _note_stragglers
 
     def release(self) -> None:
         """Let go of everything the size of the dataset (encoded
@@ -280,7 +280,9 @@ class MatvecMasterBase:
         unused — the paper's operational reading of ``S_t`` — and only
         if that happened in *every* round of the iteration: which
         worker loses a scheduling race changes round to round, but a
-        genuine straggler loses them all.
+        genuine straggler loses them all. The flag set is a running
+        intersection, so a session that never ends an iteration (a
+        serving gateway) keeps constant state.
         """
         bcast_done = rr.t_start + rr.broadcast_time
         finite = [a for a in rr.arrivals if math.isfinite(a.t_arrival)]
@@ -290,10 +292,10 @@ class MatvecMasterBase:
         if not getattr(self.backend, "timing_is_exact", False):
             consumed = set(used) | self._iter_rejected
             flagged.update(a.worker_id for a in finite if a.worker_id not in consumed)
-            self._iter_round_stragglers.append(flagged)
-            self._iter_stragglers = set(
-                set.intersection(*self._iter_round_stragglers)
-            )
+            if self._iter_rounds:
+                flagged &= self._iter_stragglers
+            self._iter_stragglers = flagged
+            self._iter_rounds += 1
             return
         self._iter_stragglers.update(flagged)
         if not finite:
@@ -498,7 +500,7 @@ class MatvecMasterBase:
         self._iteration += 1
         self._iter_rejected = set()
         self._iter_stragglers = set()
-        self._iter_round_stragglers = []
+        self._iter_rounds = 0
 
     def end_iteration(self):
         """Default: advance the iteration counter, no adaptation."""

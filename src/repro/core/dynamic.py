@@ -27,12 +27,15 @@ each allocated once, the padded dataset written into their first ``K``
 shares, arithmetic for the ``N - K`` parity shares only, one Freivalds
 key per share — and peaks at 1.0x the bytes of the shares it returns;
 installing it is ~0.1–0.16 s of sockets (the shares travel as 4-byte
-residues). A *cold* re-code — a worker released and restarted, the
+residues). The cache keeps the configuration — code, keys, geometry —
+but not its shares: the installer ships them and lets them go, and a
+later install of the same ``(n, k)`` re-encodes them from the dataset,
+bit for bit. A *cold* re-code — a worker released and restarted, the
 roster passing through ``(11, 9)`` and back to ``(12, 9)``, neither in
 the cache — is ~1 s end to end: two builds on pages never touched
 before, on top of what a *warm* one pays, which finds both
-configurations cached and only waits for the daemon to rejoin and
-ships twice, ~0.2 s.
+configurations cached, skips code construction and key generation,
+re-encodes and ships twice.
 """
 
 from __future__ import annotations
@@ -112,30 +115,36 @@ class AdaptivePolicy:
 
 @dataclass(frozen=True)
 class EncodedConfig:
-    """One pre-encoded deployment: code, shares and verification keys
-    for both matrix families at a given ``(n, k)``."""
+    """One pre-encoded deployment at a given ``(n, k)``: the code, the
+    verification keys of both matrix families and their geometry — not
+    the shares, which :meth:`EncodingCache.shares` hands out fresh for
+    an installer to ship and drop."""
 
     n: int
     k: int
     t: int
     code: LagrangeCode
-    fwd_shares: np.ndarray          # (n, m_pad/k, d)
-    bwd_shares: np.ndarray          # (n, d_pad/k, m_pad)
     fwd_keys: tuple[MatvecKey, ...]
     bwd_keys: tuple[MatvecKey, ...]
     m: int
     d: int
     m_pad: int
     d_pad: int
+    #: the bit generator's state the privacy padding was first drawn
+    #: from (``t > 0``), so that a re-encode draws the same padding;
+    #: ``None`` when ``t = 0``
+    padding_state: dict | None
 
     def share_elements_per_worker(self) -> int:
-        """Field elements each worker stores (drives re-ship cost)."""
-        return int(self.fwd_shares[0].size + self.bwd_shares[0].size)
+        """Field elements each worker stores (drives re-ship cost): one
+        ``(m_pad/k, d)`` forward and one ``(d_pad/k, m_pad)`` backward
+        share."""
+        return (self.m_pad * self.d + self.d_pad * self.m_pad) // self.k
 
 
 class EncodingCache:
     """Offline factory for :class:`EncodedConfig` objects, memoized by
-    ``(n, k)``.
+    ``(n, k)``, and the one source of their shares.
 
     All CPU work here (partitioning, Lagrange encoding, Freivalds key
     generation) is considered preprocessing and never charged to the
@@ -143,21 +152,34 @@ class EncodingCache:
     (Sec. VI: "the cost of encoding and key generation are one-time
     costs").
 
+    The cache keeps configurations, not shares. :meth:`shares` returns
+    a configuration with its two share stacks: built together on first
+    use — the same draws from ``rng`` in the same order, padding then
+    keys — and re-encoded from the dataset on every later call for the
+    same ``(n, k)``, the privacy padding replayed from the generator
+    state the configuration saved, so the stacks are the first ones bit
+    for bit. A re-encode draws nothing from ``rng`` and builds no keys.
+    The caller ships the stacks and drops them; what stays is the
+    dataset, the codes and the keys (at the paper's GISETTE scale,
+    6000 x 5000 at ``(12, 9)``, ~640 MB of ``int64`` shares per
+    configuration not held beside a 240 MB dataset).
+
     ``x_field`` is validated, not copied: reduced ``int64`` residues
     are kept by reference (anything else is reduced into a copy, floats
-    raise), and every configuration — the first and each later re-code
-    — is built from it. What the cache holds, :attr:`x`, is a
+    raise), and every share — the first install's and each re-encode —
+    is encoded from it. What the cache holds, :attr:`x`, is a
     ``writeable=False`` view, so nothing reached through the cache or
     the master that owns it can write into the dataset (NumPy raises
     ``ValueError``). The caller's own handle stays writable — a view
-    cannot revoke that — and there the guarantee stops: an array
-    mutated after ``setup`` gives later configurations encoded from the
-    mutated data while the installed shares keep the old. A caller that
-    goes on writing hands over a copy, as ``Session.load`` does (its
-    reducing copy is the session's own).
+    cannot revoke that. An array mutated after ``setup`` re-encodes
+    into shares that disagree with the keys made from the original
+    ones: Freivalds rejects their results and the master refuses the
+    round (``InsufficientResultsError``) instead of decoding wrong
+    bytes. A caller that goes on writing hands over a copy, as
+    ``Session.load`` does (its reducing copy is the session's own).
 
     The shares never alias the dataset: each family's
-    ``(n, rows, cols)`` stack is allocated once per configuration, the
+    ``(n, rows, cols)`` stack is allocated once per encode, the
     zero-padded dataset (or its transpose) is written into the first
     ``k`` shares and the code encodes around it
     (:func:`~repro.core.base.encode_padded_rows`).
@@ -185,9 +207,11 @@ class EncodingCache:
         self._configs: dict[tuple[int, int], EncodedConfig] = {}
 
     def get(self, n: int, k: int) -> EncodedConfig:
+        """The configuration ``(n, k)``, built if it is not cached yet
+        (its shares are let go at once)."""
         key = (int(n), int(k))
         if key not in self._configs:
-            self._configs[key] = self._build(*key)
+            self._build(*key)
         return self._configs[key]
 
     def prebuild(self, configs) -> None:
@@ -195,35 +219,55 @@ class EncodingCache:
         for n, k in configs:
             self.get(n, k)
 
-    def _build(self, n: int, k: int) -> EncodedConfig:
-        field = self.field
+    def shares(self, n: int, k: int) -> tuple[EncodedConfig, np.ndarray, np.ndarray]:
+        """The configuration ``(n, k)`` with its ``fwd`` and ``bwd``
+        share stacks, which the caller owns: built with it on first
+        use, re-encoded from :attr:`x` afterwards."""
+        key = (int(n), int(k))
+        cfg = self._configs.get(key)
+        if cfg is None:
+            return self._build(*key)
+        rng = None
+        if cfg.padding_state is not None:
+            rng = np.random.Generator(type(self.rng.bit_generator)())
+            rng.bit_generator.state = cfg.padding_state
+        return (cfg, *self._encode(cfg.code, rng))
+
+    def _encode(
+        self, code: LagrangeCode, rng: np.random.Generator | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        m, d = self.x.shape
+        fwd = encode_padded_rows(code, self.x, d, rng)
+        bwd = encode_padded_rows(code, self.x.T, m + (-m) % code.k, rng)
+        return fwd, bwd
+
+    def _build(self, n: int, k: int) -> tuple[EncodedConfig, np.ndarray, np.ndarray]:
         m, d = self.x.shape
         m_pad, d_pad = m + (-m) % k, d + (-d) % k
 
-        code = LagrangeCode(field, n=n, k=k, t=self.t)
-        rng = self.rng if self.t else None
-        fwd = encode_padded_rows(code, self.x, d, rng)
-        bwd = encode_padded_rows(code, self.x.T, m_pad, rng)
+        code = LagrangeCode(self.field, n=n, k=k, t=self.t)
+        padding_state = self.rng.bit_generator.state if self.t else None
+        fwd, bwd = self._encode(code, self.rng if self.t else None)
 
         if self.build_keys:
-            verifier = FreivaldsVerifier(field, probes=self.probes)
+            verifier = FreivaldsVerifier(self.field, probes=self.probes)
             fwd_keys = tuple(verifier.keygen(fwd, self.rng))
             bwd_keys = tuple(verifier.keygen(bwd, self.rng))
         else:
             fwd_keys = ()
             bwd_keys = ()
 
-        return EncodedConfig(
+        cfg = self._configs[(n, k)] = EncodedConfig(
             n=n,
             k=k,
             t=self.t,
             code=code,
-            fwd_shares=fwd,
-            bwd_shares=bwd,
             fwd_keys=fwd_keys,
             bwd_keys=bwd_keys,
             m=m,
             d=d,
             m_pad=m_pad,
             d_pad=d_pad,
+            padding_state=padding_state,
         )
+        return cfg, fwd, bwd

@@ -70,9 +70,9 @@ class LCCMaster(MatvecMasterBase):
         cache = EncodingCache(
             self.field, x_field, t=self.scheme.t, rng=self.rng, build_keys=False
         )
-        cfg = cache.get(self.scheme.n, self.scheme.k)
-        self.backend.distribute("fwd", cfg.fwd_shares, participants=self.active)
-        self.backend.distribute("bwd", cfg.bwd_shares, participants=self.active)
+        cfg, fwd, bwd = cache.shares(self.scheme.n, self.scheme.k)
+        self.backend.distribute("fwd", fwd, participants=self.active)
+        self.backend.distribute("bwd", bwd, participants=self.active)
         self._cfg = cfg
         k = self.scheme.k
         self._families = {

@@ -19,7 +19,9 @@ never goes dark:
   the compute thread. Draining eagerly also means the master's share
   distribution can never block on a worker that is busy computing. A
   ``shutdown`` frame, EOF or a malformed frame ends the thread and the
-  daemon with it: what is still queued is skipped, not served.
+  daemon with it: what is still queued is skipped, not served. So does
+  a send that makes no progress for ``connect_timeout`` — a master that
+  stopped reading.
 * the **compute thread** — the one that called :meth:`WorkerServer.run`
   — executes rounds FIFO through the same
   :func:`~repro.runtime.backend.run_job_compute` every other backend
@@ -49,9 +51,11 @@ worker side without the master's cooperation.
 
 from __future__ import annotations
 
+import heapq
 import os
 import queue
 import socket
+import struct
 import threading
 import time
 from typing import Any
@@ -121,13 +125,16 @@ class WorkerServer:
         self._send_lock = threading.Lock()
         #: store / round frames in arrival order; ``None`` ends the loop
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        #: guards the three fields below (both threads touch them) and
+        #: guards the four fields below (both threads touch them) and
         #: is what a straggle wait sleeps on
         self._wake = threading.Condition()
-        #: rids cancelled but not yet served. Bounded: a cancel at or
-        #: below the served watermark is dropped on arrival, and each
-        #: round prunes everything up to its own rid
+        #: rids cancelled but not yet served, and the same rids as a
+        #: min-heap. A cancel at or below the served watermark is
+        #: dropped on arrival, and each round pops what is at or below
+        #: its own rid — work for the cancels it retires, not for every
+        #: one outstanding
         self._cancelled: set[int] = set()
+        self._cancel_heap: list[int] = []
         self._served_rid = 0
         self._stopping = False
 
@@ -157,14 +164,20 @@ class WorkerServer:
     def _connect(self) -> socket.socket:
         """Dial the master, retrying until ``connect_timeout`` — the
         fleet launcher may start workers before the master listens.
-        The socket comes back blocking, and stays so."""
+        The socket comes back blocking, and stays so, but a send that
+        makes no progress for ``connect_timeout`` fails (``SO_SNDTIMEO``:
+        a master that stopped reading cannot hold the daemon forever,
+        and the receive thread's blocking ``recv`` is untouched)."""
         deadline = time.monotonic() + self.connect_timeout
         delay = 0.01
+        sec, frac = divmod(self.connect_timeout, 1.0)
+        send_deadline = struct.pack("ll", int(sec), int(frac * 1e6))
         while True:
             try:
                 sock = self._dial_once()
                 sock.settimeout(None)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, send_deadline)
                 return sock
             except OSError:
                 if time.monotonic() >= deadline:
@@ -251,7 +264,9 @@ class WorkerServer:
                 elif kind == "cancel":
                     rid = _rid(fields)
                     with self._wake:
-                        if rid > self._served_rid:  # else: already done
+                        # else: already done, or already noted
+                        if rid > self._served_rid and rid not in self._cancelled:
+                            heapq.heappush(self._cancel_heap, rid)
                             self._cancelled.add(rid)
                             self._wake.notify_all()
                 elif kind == "shutdown":
@@ -310,8 +325,9 @@ class WorkerServer:
         # this rid can no longer be usefully cancelled
         with self._wake:
             self._served_rid = max(self._served_rid, rid)
-            if self._cancelled:
-                self._cancelled = {r for r in self._cancelled if r > rid}
+            heap = self._cancel_heap
+            while heap and heap[0] <= rid:
+                self._cancelled.remove(heapq.heappop(heap))
 
     def _answer(self, rid: int, fields: dict, arrays: list[np.ndarray], t_dq: float) -> None:
         value: np.ndarray | None = None

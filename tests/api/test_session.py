@@ -479,6 +479,23 @@ class TestCloseDuringUnwind:
         assert sess.stats.rounds_executed == 1
 
 
+def _share_stack_refs(backend):
+    """A weak reference to every ``(n, rows, cols)`` share stack
+    ``backend`` is handed to distribute, appended as it ships."""
+    import weakref
+
+    refs = []
+    real = backend.distribute
+
+    def recording(name, shares, participants=None):
+        assert shares.ndim == 3 and shares.shape[0] == len(participants)
+        refs.append(weakref.ref(shares))
+        return real(name, shares, participants=participants)
+
+    backend.distribute = recording
+    return refs
+
+
 class TestClosedSessionLetsGo:
     """Results outlive their session; the dataset and its shares must
     not. A caller that keeps every handle (a benchmark, a notebook)
@@ -496,6 +513,7 @@ class TestClosedSessionLetsGo:
         sess = Session.create(
             _config(backend=backend, scheme=scheme, workers=(), audit=True)
         )
+        stacks = _share_stack_refs(sess.backend)
         with sess:
             sess.load(x)
             assert not np.shares_memory(sess._x, x)
@@ -506,18 +524,31 @@ class TestClosedSessionLetsGo:
             ]
             results = [h.result().copy() for h in handles]
             sess.end_iteration()
-            cfg = sess.master._cfg
-            refs = [weakref.ref(a) for a in (cfg.fwd_shares, cfg.bwd_shares, sess._x)]
-            del cfg
+            refs = [*stacks, weakref.ref(sess._x)]
             now, summary, head = sess.scheme_now, sess.stats.summary(), sess.audit.head
         gc.collect()
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() is None for r in refs] == [True] * 4
         # the closed session and its resolved handles are all still here
         assert (sess.scheme_now, sess.stats.summary(), sess.audit.head) == (now, summary, head)
         assert sess.audit.verify_chain() == len(sess.audit) == 3
         for h, want in zip(handles, results):
             np.testing.assert_array_equal(h.result(), want)
             assert h.record.n_verified >= scheme.k
+
+    def test_socket_master_holds_no_share_stack_after_load(self):
+        """The daemons own copies of their shares, so once ``load`` has
+        shipped them the master keeps the dataset, codes and keys only."""
+        import gc
+
+        rng = np.random.default_rng(8)
+        x = F.random((12, 8), rng)
+        w = F.random(8, rng)
+        with Session.create(_config(backend="tcp", workers=())) as sess:
+            refs = _share_stack_refs(sess.backend)
+            sess.load(x)
+            gc.collect()
+            assert [r() is None for r in refs] == [True, True]
+            np.testing.assert_array_equal(sess.submit_matvec(w).result(), ff_matvec(F, x, w))
 
     def test_the_callers_array_is_never_aliased(self):
         """``load`` owns a reduced copy: what the caller does to its

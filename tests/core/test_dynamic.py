@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdaptivePolicy, EncodingCache
-from repro.ff import PrimeField
+from repro.ff import PrimeField, ff_matvec
 
 F = PrimeField(7919)
 
@@ -103,9 +103,9 @@ class TestEncodingCache:
     def test_builds_consistent_config(self, rng):
         x = F.random((12, 10), rng)
         cache = EncodingCache(F, x, rng=rng)
-        cfg = cache.get(6, 4)
-        assert cfg.fwd_shares.shape == (6, 3, 10)   # m=12, k=4 -> 3 rows
-        assert cfg.bwd_shares.shape == (6, 3, 12)   # d=10 padded to 12
+        cfg, fwd, bwd = cache.shares(6, 4)
+        assert fwd.shape == (6, 3, 10)   # m=12, k=4 -> 3 rows
+        assert bwd.shape == (6, 3, 12)   # d=10 padded to 12
         assert cfg.m_pad == 12 and cfg.d_pad == 12
         assert len(cfg.fwd_keys) == 6 and len(cfg.bwd_keys) == 6
 
@@ -122,14 +122,12 @@ class TestEncodingCache:
 
     def test_padding_roundtrip_through_decode(self, rng):
         """Padded encode/decode must reproduce X w exactly."""
-        from repro.ff import ff_matvec
-
         x = F.random((10, 7), rng)  # 10 rows, k=4 -> pad to 12
         w = F.random(7, rng)
         cache = EncodingCache(F, x, rng=rng)
-        cfg = cache.get(6, 4)
+        cfg, fwd, _ = cache.shares(6, 4)
         results = np.stack(
-            [ff_matvec(F, s, w) for s in cfg.fwd_shares]
+            [ff_matvec(F, s, w) for s in fwd]
         )
         blocks = cfg.code.decode(np.arange(4), results[:4])
         got = blocks.reshape(-1)[:10]
@@ -142,8 +140,8 @@ class TestEncodingCache:
 
     def test_share_elements(self, rng):
         cache = EncodingCache(F, F.random((8, 6), rng), rng=rng)
-        cfg = cache.get(4, 2)
-        assert cfg.share_elements_per_worker() == cfg.fwd_shares[0].size + cfg.bwd_shares[0].size
+        cfg, fwd, bwd = cache.shares(4, 2)
+        assert cfg.share_elements_per_worker() == fwd[0].size + bwd[0].size
 
     def test_rejects_non_matrix(self, rng):
         with pytest.raises(ValueError):
@@ -194,14 +192,14 @@ class TestEncodedInPlace:
     @pytest.mark.parametrize("m,d,n,k", [(10, 7, 6, 4), (12, 10, 6, 4), (7, 12, 5, 3)])
     def test_same_shares_and_keys_as_the_old_recipe(self, m, d, n, k, t):
         x = F.random((m, d), np.random.default_rng(5))
-        cfg = EncodingCache(
+        cfg, got_fwd, got_bwd = EncodingCache(
             F, x, t=t, probes=2, rng=np.random.default_rng(11)
-        ).get(n, k)
+        ).shares(n, k)
         x_pad, xt_pad, fwd, bwd, fwd_keys, bwd_keys = _config_by_the_old_recipe(
             F, x, n, k, t, 2, np.random.default_rng(11)
         )
         assert (cfg.m, cfg.d, cfg.m_pad, cfg.d_pad) == (m, d, x_pad.shape[0], xt_pad.shape[0])
-        for got, want in ((cfg.fwd_shares, fwd), (cfg.bwd_shares, bwd)):
+        for got, want in ((got_fwd, fwd), (got_bwd, bwd)):
             assert got.dtype == np.int64 and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
         for got, want in ((cfg.fwd_keys, fwd_keys), (cfg.bwd_keys, bwd_keys)):
@@ -209,14 +207,16 @@ class TestEncodedInPlace:
             for key, (r, s) in zip(got, want):
                 assert key.r.tobytes() == r.tobytes() and key.s.tobytes() == s.tobytes()
         if t == 0:  # systematic: the first k shares are the padded data
-            assert cfg.fwd_shares[:k].reshape(x_pad.shape).tobytes() == x_pad.tobytes()
-            assert cfg.bwd_shares[:k].reshape(xt_pad.shape).tobytes() == xt_pad.tobytes()
+            assert got_fwd[:k].reshape(x_pad.shape).tobytes() == x_pad.tobytes()
+            assert got_bwd[:k].reshape(xt_pad.shape).tobytes() == xt_pad.tobytes()
 
     def test_shares_never_alias_the_dataset(self, rng):
         x = F.random((8, 6), rng)
-        cfg = EncodingCache(F, x, rng=rng).get(4, 4)  # n == k: shares are the data
-        assert not np.shares_memory(cfg.fwd_shares, x)
-        assert not np.shares_memory(cfg.bwd_shares, x)
+        cache = EncodingCache(F, x, rng=rng)
+        for _ in range(2):  # built, then re-encoded
+            _, fwd, bwd = cache.shares(4, 4)  # n == k: shares are the data
+            assert not np.shares_memory(fwd, x)
+            assert not np.shares_memory(bwd, x)
 
     def test_held_dataset_is_a_read_only_view(self, rng):
         x = F.random((8, 6), rng)
@@ -233,22 +233,27 @@ class TestEncodedInPlace:
         # the caller's own handle is untouched by the view's flag
         assert x.flags.writeable
 
-    def test_caller_writing_into_its_array_reaches_later_configs_only(self, rng):
+    def test_caller_writing_into_its_array_gets_shares_the_keys_refuse(self, rng):
         """What a master handed an array directly does *not* guarantee:
         the caller can still write through its own handle, and a
-        configuration built afterwards encodes the mutated data."""
+        re-encode then encodes the mutated data — under the keys of the
+        original shares, which reject all but ``k - 1`` of them."""
+        from repro.verify.freivalds import FreivaldsVerifier
+
         x = F.random((8, 6), rng)
-        kept = x.copy()
         cache = EncodingCache(F, x, rng=np.random.default_rng(1))
-        before = cache.get(4, 2)
-        built = before.fwd_shares.copy()
+        cfg, first, _ = cache.shares(4, 2)
         x[0, 0] = (x[0, 0] + 1) % F.q
-        np.testing.assert_array_equal(before.fwd_shares, built)  # built shares keep the old
-        after = cache.get(3, 2)
-        want_mutated = EncodingCache(F, x.copy(), rng=np.random.default_rng(1)).get(3, 2)
-        want_original = EncodingCache(F, kept, rng=np.random.default_rng(1)).get(3, 2)
-        np.testing.assert_array_equal(after.fwd_shares, want_mutated.fwd_shares)
-        assert not np.array_equal(after.fwd_shares, want_original.fwd_shares)
+        _, again, _ = cache.shares(4, 2)
+        want_mutated = EncodingCache(F, x.copy(), rng=np.random.default_rng(1)).shares(4, 2)
+        np.testing.assert_array_equal(again, want_mutated[1])
+        assert not np.array_equal(again, first)
+        verifier, w = FreivaldsVerifier(F), F.random(6, rng)
+        passed = [
+            verifier.check(key, w, ff_matvec(F, share, w))
+            for key, share in zip(cfg.fwd_keys, again)
+        ]
+        assert sum(passed) == cfg.k - 1 < cfg.code.recovery_threshold()
 
     def test_session_load_isolates_the_caller(self):
         """``Session.load`` hands the master a copy it owns: writing
@@ -266,17 +271,17 @@ class TestEncodedInPlace:
             cache = session.master._cache
             assert not np.shares_memory(cache.x, x) and not cache.x.flags.writeable
             x[:] = 0
-            recoded = cache.get(5, 3)
-        want = EncodingCache(field, kept, rng=np.random.default_rng(0)).get(5, 3)
-        np.testing.assert_array_equal(recoded.fwd_shares, want.fwd_shares)
-        np.testing.assert_array_equal(recoded.bwd_shares, want.bwd_shares)
+            recoded = cache.shares(5, 3)
+        want = EncodingCache(field, kept, rng=np.random.default_rng(0)).shares(5, 3)
+        np.testing.assert_array_equal(recoded[1], want[1])
+        np.testing.assert_array_equal(recoded[2], want[2])
 
     def test_unreduced_dataset_is_reduced_float_rejected(self, rng):
         x = F.random((6, 4), rng)
-        want = EncodingCache(F, x, rng=np.random.default_rng(1)).get(4, 2)
-        got = EncodingCache(F, x - F.q, rng=np.random.default_rng(1)).get(4, 2)
-        np.testing.assert_array_equal(got.fwd_shares, want.fwd_shares)
-        np.testing.assert_array_equal(got.bwd_shares, want.bwd_shares)
+        want = EncodingCache(F, x, rng=np.random.default_rng(1)).shares(4, 2)
+        got = EncodingCache(F, x - F.q, rng=np.random.default_rng(1)).shares(4, 2)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
         with pytest.raises(TypeError, match="float"):
             EncodingCache(F, x.astype(np.float64))
 
@@ -290,8 +295,95 @@ class TestEncodedInPlace:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cfg = EncodingCache(field, x).get(12, 9)
+            _, fwd, bwd = EncodingCache(field, x).shares(12, 9)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * (cfg.fwd_shares.nbytes + cfg.bwd_shares.nbytes)
+        assert peak <= 1.15 * (fwd.nbytes + bwd.nbytes)
+
+
+class TestReinstall:
+    """The cache keeps configurations, not shares: every install after
+    the first re-encodes from the dataset, and ships the same bytes."""
+
+    @pytest.mark.parametrize("t", [0, 1])  # systematic, then not
+    def test_shares_again_are_the_first_bytes_and_draw_nothing(self, t):
+        x = F.random((10, 7), np.random.default_rng(5))
+        cache = EncodingCache(F, x, t=t, probes=2, rng=np.random.default_rng(11))
+        cfg, fwd, bwd = cache.shares(6, 4)
+        assert cfg.code.is_systematic == (t == 0)
+        assert (cfg.padding_state is None) == (t == 0)
+        state = cache.rng.bit_generator.state
+        for _ in range(2):
+            again, fwd2, bwd2 = cache.shares(6, 4)
+            assert again is cfg and cache.get(6, 4) is cfg  # keys never rebuilt
+            assert fwd2.tobytes() == fwd.tobytes() and bwd2.tobytes() == bwd.tobytes()
+            assert not np.shares_memory(fwd2, fwd)
+        assert cache.rng.bit_generator.state == state
+
+    def test_get_keeps_no_share_stack(self):
+        import gc
+        import weakref
+
+        cache = EncodingCache(F, F.random((8, 6), np.random.default_rng(0)))
+        _, fwd, bwd = cache.shares(4, 2)
+        refs = [weakref.ref(fwd), weakref.ref(bwd)]
+        del fwd, bwd
+        cache.prebuild([(4, 2), (3, 2)])
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_recode_back_and_rejoin_ship_the_first_install_bytes(self, t):
+        """Through the master: a departure shrinks ``K`` (a cold build),
+        the rejoin grows it back to the cached configuration, and a
+        join at unchanged ``(N, K)`` re-installs it once more."""
+        from repro.coding import SchemeParams
+        from repro.core import AVCCMaster
+        from repro.runtime import SimCluster, SimWorker
+
+        field = PrimeField()
+        n = 6 + t
+        scheme = SchemeParams(n=n, k=4, s=1, m=1, t=t)
+        backend = SimCluster(field, [SimWorker(i) for i in range(n)], rng=np.random.default_rng(3))
+        shipped = []
+        real = backend.distribute
+
+        def recording(name, shares, participants=None):
+            shipped.append((name, shares.tobytes()))
+            return real(name, shares, participants=participants)
+
+        backend.distribute = recording
+        master = AVCCMaster(backend, scheme, rng=np.random.default_rng(4))
+        x = field.random((13, 9), np.random.default_rng(6))
+        w = field.random(9, np.random.default_rng(7))
+        master.setup(x)
+        first, cfg = list(shipped), master._cfg
+        master.adopt_membership(departed=(n - 1,))
+        assert master.scheme_now == (n - 1, 3)
+        state = master.rng.bit_generator.state
+        for joined in ((n - 1,), (0,)):
+            shipped.clear()
+            master.adopt_membership(joined=joined)
+            assert master.scheme_now == (n, 4) and master._cfg is cfg
+            assert shipped == first
+            np.testing.assert_array_equal(master.forward_round(w).vector, ff_matvec(field, x, w))
+        assert master.rng.bit_generator.state == state
+
+    def test_dataset_mutated_after_setup_is_refused_not_decoded(self):
+        from repro.coding import SchemeParams
+        from repro.core import AVCCMaster, InsufficientResultsError
+        from repro.runtime import SimCluster, SimWorker
+
+        field = PrimeField()
+        backend = SimCluster(field, [SimWorker(i) for i in range(6)], rng=np.random.default_rng(3))
+        master = AVCCMaster(backend, SchemeParams(n=6, k=3, s=1, m=1))
+        x = field.random((12, 8), np.random.default_rng(6))
+        w = field.random(8, np.random.default_rng(7))
+        master.setup(x)
+        want = ff_matvec(field, x, w)
+        x[5, 3] = (x[5, 3] + 1) % field.q  # through the caller's own handle
+        np.testing.assert_array_equal(master.forward_round(w).vector, want)  # shipped before
+        master.adopt_membership(joined=(0,))  # re-encodes the mutated data
+        with pytest.raises(InsufficientResultsError):
+            master.forward_round(w)

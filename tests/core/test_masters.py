@@ -358,3 +358,45 @@ class TestClusterAliasRemoved:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert master.backend is cluster
+
+
+class TestWallClockStragglerObservation:
+    """On wall-clock backends a straggler is a worker left unused in
+    every round of the iteration. A serving session never ends one."""
+
+    def test_ten_thousand_rounds_without_end_iteration_hold_constant_state(self):
+        import math
+
+        from repro.runtime.backend import Arrival, RoundResult
+
+        cluster = make_cluster(n=6)
+        cluster.timing_is_exact = False  # observe as the wall-clock backends do
+        master = AVCCMaster(cluster, SchemeParams(n=6, k=3, s=1, m=1))
+        rng = np.random.default_rng(0)
+        master.setup(F.random((12, 4), rng))
+
+        def containers():
+            return {
+                name: len(v) for name, v in vars(master).items()
+                if isinstance(v, (list, set, dict, tuple))
+            }
+
+        flagged_by_round = []  # the old book: one set per round, intersected whole
+        for r in range(1, 10_001):
+            # worker 5 is never used; of the others, three of five are
+            silent = {int(rng.integers(6))} if r % 7 == 0 else set()
+            used = [int(w) for w in rng.permutation(5)[:3] if w not in silent]
+            arrivals = tuple(
+                Arrival(w, None, math.inf if w in silent else 1.0, 0.0, 0.0, False)
+                for w in range(6)
+            )
+            master._note_stragglers(RoundResult(0.0, 0.0, arrivals), used=used)
+            flagged_by_round.append({w for w in range(6) if w not in used})
+            if r in (1, 2, 3, 10, 10_000):
+                assert master._iter_stragglers == set.intersection(*flagged_by_round)
+            if r == 10:
+                at_ten = containers()
+        assert master._iter_stragglers == {5}
+        assert containers() == at_ten
+        assert master.end_iteration().observed_stragglers == (5,)
+        assert master._iter_stragglers == set() and master._iter_rounds == 0

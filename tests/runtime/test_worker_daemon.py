@@ -12,12 +12,14 @@ masters, so ``TestThroughBothMasters`` repeats what a master can
 observe on ``tcp`` and ``async_tcp`` fleets.
 """
 
+import heapq
 import json
 import socket
 import sys
 import threading
 import time
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,10 +44,10 @@ CLUSTERS = {"tcp": TcpCluster, "async_tcp": AsyncTcpCluster}
 class DaemonUnderTest:
     """One in-process daemon and the master's end of its socket."""
 
-    def __init__(self, factor=1.0, straggle_scale=0.05):
+    def __init__(self, factor=1.0, straggle_scale=0.05, connect_timeout=30.0):
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
-        self.server = WorkerServer("127.0.0.1", port, 0)
+        self.server = WorkerServer("127.0.0.1", port, 0, connect_timeout=connect_timeout)
         self._others = set(threading.enumerate())
         self.thread = threading.Thread(target=self.server.run, daemon=True)
         self.thread.start()
@@ -447,24 +449,36 @@ class TestTwoThreads:
     def test_cancels_from_a_second_sender_race_a_few_hundred_queued_rounds(
         self, daemon, monkeypatch, thread_errors, rng
     ):
-        """The cancel set, the served watermark and the stop flag are
-        touched by both daemon threads. A second sender stays ``lead``
-        rounds ahead of the results with one cancel per round — every
-        third rid a target, the rest stale or for a round far in the
-        future — over a backlog of such far cancels, which makes every
-        prune long enough to collide with an arriving one. Rounds nobody
-        targeted are all answered, in dispatch order; a cancel whose
+        """The cancel book (set, heap and served watermark) and the stop
+        flag are touched by both daemon threads. A second sender stays
+        ``lead`` rounds ahead of the results with one cancel per round —
+        every third rid a target, the rest stale, for a round far in
+        the future, or for a round about to be served — over a
+        backlog of far cancels. Noting a cancel for a round about to be
+        served is held open for 2 ms between heap and set, long enough
+        for that round to finish and prune: only the lock keeps the prune
+        from popping a rid the set does not hold yet. Rounds nobody
+        cancelled are all answered, in dispatch order; a cancel whose
         probe was acknowledged ahead of an earlier round's result
         reached the set before its round was dequeued, so that round is
-        never answered; nothing is left in the set."""
+        never answered; nothing is left in the book."""
         n_rounds, lead, backlog, far = 301, 30, 20000, 10**6
         real = worker_server.run_job_compute
+        hot = set()  # rids cancelled as they were about to be served
 
         def slow(field, payload, job):
             time.sleep(0.0005)  # keeps the queue a few hundred deep
             return real(field, payload, job)
 
+        def held_push(heap, rid):
+            heapq.heappush(heap, rid)
+            if rid in hot:
+                time.sleep(0.002)
+
         monkeypatch.setattr(worker_server, "run_job_compute", slow)
+        monkeypatch.setattr(
+            worker_server, "heapq", SimpleNamespace(heappush=held_push, heappop=heapq.heappop)
+        )
         daemon.store("s", F.random((3, 5), rng))
         v = F.random(5, rng)
         frames = [daemon.round_frame("s", v) for _ in range(n_rounds)]
@@ -489,6 +503,9 @@ class TestTwoThreads:
                         daemon.send("heartbeat", {"seq": i})
                     elif i % 3 == 1:  # grows the set
                         daemon.send("cancel", {"rid": far + backlog + i})
+                    elif i % 6 == 5:  # a round the daemon reaches within the hold
+                        hot.add(answered[0] + 3)
+                        daemon.send("cancel", {"rid": answered[0] + 3})
                     else:  # stale, dropped on arrival
                         daemon.send("cancel", {"rid": max(0, i - lead - 1)})
 
@@ -515,12 +532,15 @@ class TestTwoThreads:
             daemon.rid = 2 * far  # past the backlog, and past round n_rounds' book-keeping
             daemon.round("s", v)
             assert daemon.result()[0]["rid"] == 2 * far + 1
+            daemon.round("s", v)  # served once the one before it has pruned
+            assert daemon.result()[0]["rid"] == 2 * far + 2
             daemon.assert_idle(seq=0)
         finally:
             sys.setswitchinterval(interval)
+        assert daemon.server._cancelled == set() and daemon.server._cancel_heap == []
         served = [x for kind, x in stream if kind == "result"]
         assert served == sorted(set(served))
-        assert set(range(1, n_rounds + 1)) - targets <= set(served)
+        assert set(range(1, n_rounds + 1)) - targets - hot <= set(served)
         in_time = set()
         for at, (kind, x) in enumerate(stream):
             if kind == "heartbeat_ack" and any(
@@ -530,6 +550,53 @@ class TestTwoThreads:
         assert len(in_time) > len(targets) // 2  # the race was actually run
         assert not in_time & set(served)
         assert thread_errors == []
+
+    def test_master_that_stops_reading_cannot_hold_a_send_forever(
+        self, spawn, compute_threads, rng
+    ):
+        """The send deadline is ``connect_timeout``: once the master's
+        receive window and the daemon's send buffer are full, the
+        blocked ``sendall`` fails and the daemon stops as on EOF."""
+        daemon = spawn(connect_timeout=0.5)
+        daemon.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        daemon.store("s", F.random((250_000, 1), rng))  # results of 1 MB
+        v = F.random(1, rng)
+        daemon.sock.sendall(b"".join(daemon.round_frame("s", v) for _ in range(40)))
+        daemon.assert_gone(deadline=10.0)
+        assert len(compute_threads) < 40  # it gave up mid-stream, the rest was skipped
+
+    def test_round_prunes_the_cancels_it_retires_not_the_backlog(self, daemon, monkeypatch, rng):
+        """Pruning work counted in heap pops: 20 000 far-future cancels
+        cost a round nothing until a round reaches them."""
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(
+            worker_server, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+        )
+        far, backlog = 10**6, 20_000
+        daemon.sock.sendall(
+            b"".join(b"".join(encode_frame("cancel", {"rid": far + j})) for j in range(backlog))
+        )
+        daemon.send("cancel", {"rid": 3})
+        daemon.assert_idle(seq=1)  # every cancel is noted
+        daemon.store("s", F.random((3, 5), rng))
+        v = F.random(5, rng)
+        for _ in range(50):
+            daemon.round("s", v)
+        served = [daemon.result()[0]["rid"] for _ in range(49)]
+        assert served == [r for r in range(1, 51) if r != 3]
+        assert pops == [3]
+        assert len(daemon.server._cancelled) == len(daemon.server._cancel_heap) == backlog
+        daemon.rid = far + backlog  # one round past the backlog retires all of it
+        daemon.round("s", v)
+        daemon.round("s", v)  # served once the one before it has pruned
+        assert [daemon.result()[0]["rid"] for _ in range(2)] == [far + backlog + 1, far + backlog + 2]
+        assert pops == [3, *range(far, far + backlog)]
+        assert daemon.server._cancelled == set() and daemon.server._cancel_heap == []
 
 
 def raw_frame(kind_code, header, buffers=(), *, version=PROTOCOL_VERSION, crc=None, length=None):
