@@ -16,19 +16,15 @@ reports real wall-clock for each. The deployment is one
 * ``tcp`` pays real sockets and real serialization (the binary wire
   protocol) against a loopback fleet of worker daemons — the closest
   this repo gets to the paper's physical testbed.
-* ``async_tcp`` is the same wire protocol driven by one event loop
-  (a single extra thread demultiplexing every worker socket) instead
-  of ``tcp``'s caller-driven ``selectors`` pump, which has no thread.
 
 Shape assertions only check correctness (every backend must decode
 bit-exactly); relative wall-clock between the real backends is
 machine-dependent and intentionally not asserted. The CI ``bench-tcp``
-and ``bench-async`` jobs gate the deterministic
-``tcp_decode_success_rate`` / ``async_tcp_decode_success_rate``
-emitted here (every socket round must decode bit-exactly) and the
-wall-clock ``{tcp,async_tcp}_rounds_per_s`` (median of ``REPS`` timed
-blocks on one fleet, floor at half the committed value) via
-``check_perf_regression.py --select``.
+job gates the deterministic ``tcp_decode_success_rate`` emitted here
+(every socket round must decode bit-exactly) and the wall-clock
+``tcp_rounds_per_s`` (median of ``REPS`` timed blocks on one fleet,
+floor at half the committed value) via ``check_perf_regression.py
+--select``.
 """
 
 import statistics
@@ -66,7 +62,7 @@ def _config(kind, s=S, m=M, **kwargs):
     )
 
 
-@pytest.mark.parametrize("kind", ["sim", "threaded", "process", "tcp", "async_tcp"])
+@pytest.mark.parametrize("kind", ["sim", "threaded", "process", "tcp"])
 def test_avcc_rounds_per_backend(benchmark, cfg, field, rng, kind):
     x = field.random((cfg.m, cfg.d), rng)
     w = field.random(cfg.d, rng)
@@ -92,7 +88,7 @@ def test_avcc_rounds_per_backend(benchmark, cfg, field, rng, kind):
         np.testing.assert_array_equal(vec, z if i % 2 == 0 else g)
 
 
-@pytest.mark.parametrize("kind", ["threaded", "process", "tcp", "async_tcp"])
+@pytest.mark.parametrize("kind", ["threaded", "process", "tcp"])
 def test_early_stopping_saves_straggler_tail(benchmark, field, rng, kind):
     """With one heavy straggler and enough slack, a real-backend round
     must cost ~(fast worker time), not ~(straggler sleep)."""
@@ -120,13 +116,10 @@ def test_early_stopping_saves_straggler_tail(benchmark, field, rng, kind):
     assert 0 not in out.record.used_workers
 
 
-@pytest.mark.parametrize("kind", ["tcp", "async_tcp"])
-def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
-    """The ``bench-tcp`` / ``bench-async`` CI headline: a loopback
-    socket fleet (a caller-driven ``selectors`` pump for ``tcp``, one
-    event loop for ``async_tcp``) serving a block of mixed fwd/bwd rounds
-    under a straggler and a Byzantine worker must decode every round
-    bit-exactly.
+def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng):
+    """The ``bench-tcp`` CI headline: a loopback socket fleet serving a
+    block of mixed fwd/bwd rounds under a straggler and a Byzantine
+    worker must decode every round bit-exactly.
 
     Two metrics are gated: the *success rate* (protocol correctness
     does not vary with the runner) and the round rate — the median of
@@ -140,7 +133,7 @@ def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
     g = ff_matvec(field, x.T.copy(), e)
 
     config = _config(
-        kind, workers=_specs(), backend_options={"straggle_scale": 0.01}
+        "tcp", workers=_specs(), backend_options={"straggle_scale": 0.01}
     )
     n_rounds = 2 * ROUNDS
 
@@ -160,6 +153,6 @@ def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng, kind):
     exact = sum(
         np.array_equal(vec, z if i % 2 == 0 else g) for i, vec in enumerate(outs)
     )
-    record_metric(f"{kind}_decode_success_rate", exact / len(outs))
-    record_metric(f"{kind}_rounds_per_s", statistics.median(rates))
+    record_metric("tcp_decode_success_rate", exact / len(outs))
+    record_metric("tcp_rounds_per_s", statistics.median(rates))
     assert exact == len(outs) == REPS * n_rounds

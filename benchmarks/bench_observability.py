@@ -20,13 +20,12 @@ metrics against ``benchmarks/baselines/metrics.json``:
   ``ServeReport.to_dict()`` JSON *and* ``SessionStats.summary()``
   strings are byte-identical: the off-switch guarantee, enforced in CI
   on the same trace the overhead is measured on.
-* ``obs_endpoint_ok`` — 1.0 iff a live telemetry endpoint attached to
-  the traced gateway serves ``/healthz``, a Prometheus ``/metrics``
+* ``obs_endpoint_ok`` — 1.0 iff a live telemetry endpoint running
+  beside the traced gateway serves ``/healthz``, a Prometheus ``/metrics``
   page containing the request counter, and ``/trace/<id>`` for a served
   request whose resolved spans reach ``round.decode``.
 """
 
-import asyncio
 import json
 import os
 import time
@@ -41,6 +40,7 @@ from repro.experiments.common import (
     make_serving_workload,
     serving_config,
 )
+from repro.obs.exporter import TelemetryServer
 from repro.serve import Gateway, GatewayConfig, OpenLoopSource
 
 N_REQUESTS = int(os.environ.get("OBS_TRACE_REQUESTS", "240"))
@@ -131,47 +131,34 @@ def test_obs_endpoint_smoke(cfg):
 
     session_cfg = dataclasses.replace(serving_config(cfg), observability=True)
 
-    async def run():
-        with Session.create(session_cfg) as sess:
-            x = sess.field.random(SERVING_SCALE, np.random.default_rng(0))
-            sess.load(x)
-            generator, requests = make_serving_workload(
-                sess.field, SERVING_SCALE, n_requests=32
-            )
-            gateway = Gateway(
-                sess,
-                OpenLoopSource(requests),
-                GatewayConfig(
-                    batch_policy="hybrid",
-                    policy_options=HYBRID,
-                    tenant_weights=generator.tenant_weights,
-                ),
-            )
-            report = await gateway.run_async(telemetry_port=0)
-            loop = asyncio.get_running_loop()
-            url = gateway.telemetry.url
+    with Session.create(session_cfg) as sess:
+        x = sess.field.random(SERVING_SCALE, np.random.default_rng(0))
+        sess.load(x)
+        generator, requests = make_serving_workload(
+            sess.field, SERVING_SCALE, n_requests=32
+        )
+        gateway = Gateway(
+            sess,
+            OpenLoopSource(requests),
+            GatewayConfig(
+                batch_policy="hybrid",
+                policy_options=HYBRID,
+                tenant_weights=generator.tenant_weights,
+            ),
+        )
+        with TelemetryServer(sess.obs) as tel:
+            report = gateway.run()
 
             def fetch(path):
-                with urllib.request.urlopen(url + path, timeout=5) as resp:
+                with urllib.request.urlopen(tel.url + path, timeout=5) as resp:
                     return resp.read().decode()
 
-            try:
-                ok = True
-                ok &= "ok" in await loop.run_in_executor(None, fetch, "/healthz")
-                prom = await loop.run_in_executor(None, fetch, "/metrics")
-                ok &= "gateway_requests_total" in prom
-                served = report.served[0]
-                doc = json.loads(
-                    await loop.run_in_executor(
-                        None, fetch, f"/trace/req-{served.request_id}"
-                    )
-                )
-                names = {s["name"] for s in doc["spans"]}
-                ok &= {"request", "session", "round", "round.decode"} <= names
-            finally:
-                await gateway.telemetry.stop()
-            return float(ok)
+            ok = "ok" in fetch("/healthz")
+            ok &= "gateway_requests_total" in fetch("/metrics")
+            doc = json.loads(fetch(f"/trace/req-{report.served[0].request_id}"))
+            names = {s["name"] for s in doc["spans"]}
+            ok &= {"request", "session", "round", "round.decode"} <= names
 
-    ok = asyncio.run(run())
+    ok = float(ok)
     record_metric("obs_endpoint_ok", ok)
     assert ok == 1.0

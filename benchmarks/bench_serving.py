@@ -37,16 +37,8 @@ a deadline-batched gateway over a **real loopback TCP fleet**
 (``test_tcp_gateway_completes_mixed_trace``): served results must stay
 byte-identical to the simulated gateway's, and the served fraction is
 gated as ``tcp_serving_served_fraction``.
-
-The ``bench-async`` CI job replays the trace once more through
-``Gateway.run_async`` over the event-loop ``async_tcp`` backend
-(``test_async_tcp_gateway_matches_sync_tcp``) and diffs every commonly
-served answer byte-for-byte against the sync ``tcp`` replay — the
-ISSUE's acceptance trace. ``ASYNC_TRACE_REQUESTS`` scales the trace
-length (CI sets 10000; the local default keeps the bench quick).
 """
 
-import asyncio
 import json
 import os
 
@@ -75,11 +67,9 @@ def _serve(
     max_inflight=1,
     backend="sim",
     n_requests=N_REQUESTS,
-    use_async=False,
 ):
     """Run one gateway variant over the canonical trace; returns
-    (report, results-by-request-id). ``use_async`` drives the same
-    trace through ``Gateway.run_async`` on a fresh event loop."""
+    (report, results-by-request-id)."""
     session_cfg = serving_config(
         cfg, max_inflight_rounds=max_inflight, backend=backend
     )
@@ -98,10 +88,7 @@ def _serve(
                 tenant_weights=generator.tenant_weights,
             ),
         )
-        if use_async:
-            report = asyncio.run(gateway.run_async())
-        else:
-            report = gateway.run()
+        report = gateway.run()
     return report, gateway.results
 
 
@@ -207,45 +194,6 @@ def test_tcp_gateway_completes_mixed_trace(cfg):
     for rid in common:
         assert tcp_results[rid].tobytes() == sim_results[rid].tobytes()
     assert sim_report.total == n  # both replays saw the identical trace
-
-
-def test_async_tcp_gateway_matches_sync_tcp(cfg):
-    """The asyncio acceptance pin: one event-loop master replays the
-    open-loop mixed trace through ``Gateway.run_async`` over a
-    loopback ``async_tcp`` fleet. Every request terminates, the served
-    fraction clears the gated ``async_tcp_serving_served_fraction``
-    baseline, and every answer served by both the async and the sync
-    ``tcp`` replay is byte-identical — swapping the selector pump for
-    one event loop can change timing, never a byte.
-
-    ``ASYNC_TRACE_REQUESTS`` scales the trace; the CI ``bench-async``
-    job sets 10000 (the ISSUE's acceptance length)."""
-    n = int(os.environ.get("ASYNC_TRACE_REQUESTS", "240"))
-    hybrid = {"window": WINDOW, "safety": 2.0, "linger": 0.02}
-    sync_report, sync_results = _serve(
-        cfg, policy="hybrid", options=hybrid, backend="tcp", n_requests=n
-    )
-    async_report, async_results = _serve(
-        cfg,
-        policy="hybrid",
-        options=hybrid,
-        backend="async_tcp",
-        n_requests=n,
-        use_async=True,
-    )
-
-    assert async_report.total == n
-    assert len(async_report.served) + async_report.shed == n
-    served_fraction = len(async_report.served) / n
-    record_metric("async_tcp_serving_served_fraction", served_fraction)
-    record_metric("async_tcp_trace_requests", n)
-    assert served_fraction >= 0.8, async_report.summary()
-
-    common = set(async_results) & set(sync_results)
-    assert common, "the async and sync gateways served no request in common"
-    for rid in common:
-        assert async_results[rid].tobytes() == sync_results[rid].tobytes()
-    assert sync_report.total == n  # both replays saw the identical trace
 
 
 @pytest.mark.parametrize("variant", ["serial", "pipelined", "batched"])

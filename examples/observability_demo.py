@@ -3,10 +3,10 @@
 One bursty multi-tenant trace is served twice against the same
 simulated AVCC fleet:
 
-1. **observability on** — through ``Gateway.run_async`` with a live
-   telemetry endpoint attached (``telemetry_port=0`` picks a free
-   port). While the service runs, ``/healthz``, Prometheus
-   ``/metrics`` and ``/trace/<id>`` are all queryable over plain HTTP;
+1. **observability on** — ``Gateway.run`` inside a live
+   ``TelemetryServer`` (port 0 picks a free port). While the service
+   runs, ``/healthz``, Prometheus ``/metrics`` and ``/trace/<id>`` are
+   all queryable over plain HTTP;
    afterwards one served request's *resolved* trace — gateway
    admission → queue → session → the round it rode (broadcast /
    worker compute / verify / decode) — is rendered as a timeline, and
@@ -22,7 +22,6 @@ Usage::
 """
 
 import argparse
-import asyncio
 import json
 import urllib.request
 
@@ -36,6 +35,7 @@ from repro.experiments.common import (
     serving_config,
 )
 from repro.obs.bridge import render_timeline
+from repro.obs.exporter import TelemetryServer
 from repro.serve import Gateway, GatewayConfig, OpenLoopSource
 
 HYBRID = {"window": 16, "safety": 2.0, "linger": 0.02}
@@ -70,29 +70,17 @@ def replay(cfg, n_requests, observability, snapshot_path=None):
         if not observability:
             return gateway.run(), None, None
 
-        async def serve():
-            report = await gateway.run_async(telemetry_port=0)
-            loop = asyncio.get_running_loop()
-            url = gateway.telemetry.url
+        with TelemetryServer(sess.obs) as tel:
+            report = gateway.run()
 
             def fetch(path):
-                with urllib.request.urlopen(url + path, timeout=10) as resp:
+                with urllib.request.urlopen(tel.url + path, timeout=10) as resp:
                     return resp.read().decode()
 
-            try:
-                health = await loop.run_in_executor(None, fetch, "/healthz")
-                prom = await loop.run_in_executor(None, fetch, "/metrics")
-                served = report.served[0]
-                doc = json.loads(
-                    await loop.run_in_executor(
-                        None, fetch, f"/trace/req-{served.request_id}"
-                    )
-                )
-            finally:
-                await gateway.telemetry.stop()
-            return report, (url, health, prom, doc)
-
-        report, endpoint = asyncio.run(serve())
+            health = fetch("/healthz")
+            prom = fetch("/metrics")
+            doc = json.loads(fetch(f"/trace/req-{report.served[0].request_id}"))
+            endpoint = (tel.url, health, prom, doc)
         sess.obs.dump_path(snapshot_path)
         return report, endpoint, sess.obs
 

@@ -53,9 +53,8 @@ Three pieces:
 Registries (:mod:`repro.api.registry`) — the extension point
     ``Session.create`` resolves backends and masters **by name**
     through two registries pre-populated with the built-ins
-    (backends ``"sim" | "threaded" | "process" | "tcp" | "async_tcp"``;
-    masters ``"avcc" | "lcc" | "static_vcc" | "uncoded"``). Third-party
-    code
+    (backends ``"sim" | "threaded" | "process" | "tcp"``; masters
+    ``"avcc" | "lcc" | "static_vcc" | "uncoded"``). Third-party code
     plugs in without touching ``repro`` internals::
 
         from repro.api import register_backend, register_master

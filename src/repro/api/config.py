@@ -108,7 +108,7 @@ class SessionConfig:
         (``"avcc" | "lcc" | "static_vcc" | "uncoded"`` built in).
     backend:
         Registry name of the execution substrate (``"sim" |
-        "threaded" | "process" | "tcp" | "async_tcp"`` built in).
+        "threaded" | "process" | "tcp"`` built in).
     prime:
         Field modulus (the paper's ``2**25 - 39`` by default).
     seed:
@@ -136,16 +136,16 @@ class SessionConfig:
         pending joiners (restarted daemons, new capacity) are admitted
         and heartbeat-declared deaths evicted, with the master
         re-coding over the new roster. ``False`` freezes the roster at
-        session start (pre-0.7 behaviour). Only the socket backends
-        produce membership changes; elsewhere this is inert.
+        session start (pre-0.7 behaviour). Only the socket backend
+        (``"tcp"``) produces membership changes; elsewhere this is inert.
     observability:
         When ``True`` the session carries an
         :class:`~repro.obs.Observability` bundle: every submitted job
         gets a span-traced request-to-round timeline (worker daemons
         ship their own sub-spans back over the wire on the socket
         backends), and a unified metrics registry feeds the live
-        telemetry endpoint (``Gateway.run_async(telemetry_port=...)``)
-        and the ``repro obs`` CLI. ``False`` (default) instantiates
+        telemetry endpoint (``TelemetryServer(session.obs)``) and the
+        ``repro obs`` CLI. ``False`` (default) instantiates
         none of it — reports, summaries and wire frames are
         byte-identical to an untraced build.
     audit:
@@ -165,18 +165,17 @@ class SessionConfig:
         Overrides for :class:`~repro.runtime.costmodel.CostModel`
         fields (e.g. ``{"worker_sec_per_mac": 300e-9}``).
     net:
-        The socket backends' liveness/deadline knob surface
+        The socket backend's liveness/deadline knob surface
         (:class:`~repro.runtime.net.tunables.NetTunables`):
         ``heartbeat_interval``/``heartbeat_timeout`` (probing cadence
         and the dead-worker threshold), ``io_timeout`` (per-socket I/O
         deadline) and ``round_timeout`` (per-round collect deadline).
-        Shared verbatim by ``"tcp"`` and ``"async_tcp"``; ignored by
-        the in-process backends. Accepts a plain mapping in
-        :meth:`from_dict`.
+        Used by ``"tcp"``; ignored by the in-process backends. Accepts
+        a plain mapping in :meth:`from_dict`.
     backend_options:
         Extra keyword arguments for the backend factory (e.g.
         ``{"straggle_scale": 0.05}`` for wall-clock backends). The
-        socket backends' deployment knobs travel here too:
+        tcp backend's deployment knobs travel here too:
         ``host``/``port`` (listen address; port 0 = ephemeral),
         ``connect_timeout`` (seconds to wait for the fleet to
         register) and ``spawn_workers``/``spawn_mode`` (self-launch a

@@ -2,8 +2,7 @@
 
 The session layer resolves ``SessionConfig.backend`` and
 ``SessionConfig.master`` strings through these registries, so the
-string names ``"sim" | "threaded" | "process" | "tcp" | "async_tcp"``
-and
+string names ``"sim" | "threaded" | "process" | "tcp"`` and
 ``"avcc" | "lcc" | "static_vcc" | "uncoded"`` are data, not code —
 a config file can pick any combination, and third parties can plug in
 their own substrate or waiting/verification policy without touching
@@ -195,23 +194,6 @@ def _tcp_backend(
     )
 
 
-def _async_tcp_backend(
-    config: "SessionConfig",
-    field: "PrimeField",
-    workers: Sequence["SimWorker"],
-    rng: np.random.Generator,
-) -> "Backend":
-    from repro.runtime.net import AsyncTcpCluster
-
-    return AsyncTcpCluster(
-        field,
-        workers,
-        rng=rng,
-        cost_model=config.cost_model(),
-        **{**config.net.backend_kwargs(), **config.backend_options},
-    )
-
-
 def _avcc_master(
     config: "SessionConfig", backend: "Backend", rng: np.random.Generator
 ) -> object:
@@ -248,7 +230,6 @@ register_backend("sim", _sim_backend)
 register_backend("threaded", _threaded_backend)
 register_backend("process", _process_backend)
 register_backend("tcp", _tcp_backend)
-register_backend("async_tcp", _async_tcp_backend)
 register_master("avcc", _avcc_master)
 register_master("static_vcc", _static_vcc_master)
 register_master("lcc", _lcc_master)

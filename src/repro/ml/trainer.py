@@ -30,7 +30,7 @@ class TrainingHistory:
     paper's amortization of one-time costs), and ``reencode_times``
     durations on the same clock: simulated seconds on ``sim``,
     wall-clock seconds (``perf_counter``) on ``threaded`` / ``process``
-    / ``tcp`` / ``async_tcp``. ``times[i]`` is read right after
+    / ``tcp``. ``times[i]`` is read right after
     iteration ``i``'s ``end_iteration()``. On a wall-clock backend it
     therefore holds protocol work only — the phases of the paper's
     Fig. 4 (encode, compute, communicate, verify, decode), re-coding,

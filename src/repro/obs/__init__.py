@@ -6,11 +6,12 @@ Switched on with ``SessionConfig(observability=True)``. One
 sub-spans shipped back over the wire) and the
 :class:`~repro.obs.metrics.MetricsRegistry` (labeled counters / gauges
 / histograms) that every layer writes to. The
-:class:`~repro.obs.exporter.TelemetryServer` serves both live
-(``/metrics`` Prometheus text, ``/metrics.json``, ``/trace/<id>``,
-``/healthz``) and the ``repro obs`` CLI renders dumps or polls a live
-endpoint. With the knob off nothing here is instantiated — reports and
-wire frames are byte-identical to an untraced build.
+:class:`~repro.obs.exporter.TelemetryServer` — a threaded HTTP server
+the caller runs beside ``Gateway.run`` — serves both live (``/metrics``
+Prometheus text, ``/metrics.json``, ``/trace/<id>``, ``/healthz``) and
+the ``repro obs`` CLI renders dumps or polls a live endpoint. With the
+knob off nothing here is instantiated — reports and wire frames are
+byte-identical to an untraced build.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tiny asyncio HTTP telemetry endpoint.
+"""Tiny threaded HTTP telemetry endpoint.
 
 Serves a session's :class:`~repro.obs.Observability` live:
 
@@ -13,17 +13,24 @@ Serves a session's :class:`~repro.obs.Observability` live:
   as JSON. Both 404 unless the session armed ``SessionConfig.audit``
   alongside observability.
 
-Implemented directly on ``asyncio.start_server`` — no HTTP framework,
-no new dependency; enough of HTTP/1.0 for ``curl``, Prometheus scrapes
-and ``urllib``. Attach to a serving loop with
-``Gateway.run_async(telemetry_port=0)`` or run standalone via
-:meth:`TelemetryServer.start`.
+Implemented on the stdlib ``http.server.ThreadingHTTPServer`` — no
+HTTP framework, no new dependency; enough of HTTP/1.0 for ``curl``,
+Prometheus scrapes and ``urllib``. The listener runs on one daemon
+thread (plus one short-lived thread per request); the registry and
+tracer readers take their own locks, so it serves while the session
+that feeds it runs on other threads. The caller owns its lifetime::
+
+    with TelemetryServer(sess.obs) as tel:
+        report = gateway.run()
+        ...  # query tel.url while the server is still up
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socketserver import TCPServer
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -31,66 +38,89 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["TelemetryServer"]
 
-_MAX_REQUEST = 16384
 _PROM_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _JSON_TYPE = "application/json; charset=utf-8"
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """Routes every method through :meth:`TelemetryServer._route`."""
+
+    #: a client that never finishes its request line is dropped
+    timeout = 5.0
+
+    def _serve(self) -> None:
+        status, ctype, body = self.server.telemetry._route(self.command, self.path)
+        code, _, reason = status.partition(" ")
+        self.send_response(int(code), reason)
+        self.send_header("Content-Type", ctype)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    do_GET = do_HEAD = do_POST = do_PUT = do_DELETE = do_PATCH = _serve
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # no per-request stderr line
+
+
+class _Server(ThreadingHTTPServer):
+    telemetry: "TelemetryServer"
+
+    def server_bind(self) -> None:
+        # skip HTTPServer's socket.getfqdn(host): a reverse DNS lookup
+        # that can stall start() on a host with a broken resolver
+        TCPServer.server_bind(self)
+
+
 class TelemetryServer:
-    """One asyncio HTTP listener over one Observability bundle."""
+    """One threaded HTTP listener over one Observability bundle."""
 
     def __init__(
-        self, obs: "Observability", host: str = "127.0.0.1", port: int = 0
+        self, obs: "Observability | None", host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        if obs is None:
+            raise RuntimeError(
+                "telemetry endpoint needs observability=True on the session config"
+            )
         self.obs = obs
         self.host = host
         self.port = port
-        self._server: asyncio.AbstractServer | None = None
+        self._server: _Server | None = None
+        self._thread: threading.Thread | None = None
 
-    async def start(self) -> "TelemetryServer":
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+    def start(self) -> "TelemetryServer":
+        server = _Server((self.host, self.port), _Handler)
+        server.telemetry = self
+        self.port = server.server_address[1]
+        self._thread = threading.Thread(
+            target=server.serve_forever, name="telemetry-http", daemon=True
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._thread.start()
+        self._server = server
         return self
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
+        """Stop serving; joins the listener and any in-flight request
+        threads, so no thread outlives the call. Idempotent."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            self._server.shutdown()
+            self._server.server_close()
+            self._thread.join()
+            self._server = self._thread = None
+
+    def __enter__(self) -> "TelemetryServer":
+        return self.start()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.stop()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     # -- request handling ----------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
-            )
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError, ValueError):
-            writer.close()
-            return
-        try:
-            line = request.split(b"\r\n", 1)[0].decode("latin-1")
-            parts = line.split()
-            method, path = (parts + ["", ""])[:2]
-            status, ctype, body = self._route(method, path)
-            head = (
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("latin-1") + body)
-            await writer.drain()
-        finally:
-            writer.close()
-
     def _route(self, method: str, path: str) -> tuple[str, str, bytes]:
         if method not in ("GET", "HEAD"):
             return self._json("405 Method Not Allowed", {"error": "GET only"})

@@ -69,7 +69,7 @@ from repro.runtime.latency import (
     TraceLatency,
     make_profiles,
 )
-from repro.runtime.net import AsyncTcpCluster, NetTunables, TcpCluster
+from repro.runtime.net import NetTunables, TcpCluster
 from repro.runtime.process import ProcessCluster
 from repro.runtime.threaded import ThreadedCluster
 from repro.runtime.trace import IterationRecord, RoundRecord, TraceRecorder
@@ -77,7 +77,6 @@ from repro.runtime.worker import SimWorker
 
 __all__ = [
     "Arrival",
-    "AsyncTcpCluster",
     "Backend",
     "Behavior",
     "ConstantAttack",

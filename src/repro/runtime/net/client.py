@@ -1,8 +1,8 @@
 """The TCP socket execution backend: a master over remote workers.
 
-:class:`TcpCluster` is the fourth :class:`~repro.runtime.backend.Backend`
-and the first whose workers live outside the master's address space by
-construction: each worker is a daemon process
+:class:`TcpCluster` is the fourth :class:`~repro.runtime.backend.Backend`,
+the only socket master, and the first whose workers live outside the
+master's address space by construction: each worker is a daemon process
 (:mod:`repro.runtime.net.worker_server`) reached over a real socket
 with real serialization (:mod:`repro.runtime.net.wire`). This is the
 deployment model of the paper's testbed — a master node coordinating a
@@ -29,6 +29,10 @@ no handle can steal another round's replies. ``cancel`` is idempotent,
 safe after ``result()``, and additionally ships ``cancel`` frames so
 workers skip rounds still sitting in their queues.
 
+The master owns no thread: the pump is one ``selectors`` wait over
+every worker socket plus the listener, run by whichever thread is
+iterating a round handle whose inbox is empty.
+
 Fault tolerance
 ---------------
 A worker is *dead* when its socket errors/EOFs (killed process,
@@ -39,7 +43,7 @@ them as never-arrived — the same observation a straggler produces —
 so the master's waiting policy and the adaptive re-coding absorb the
 failure instead of hanging. Heartbeats ride the same pump that
 collects results, and the worker daemon acknowledges them from its
-receiver thread even mid-compute, so a slow worker is never mistaken
+receive thread even mid-compute, so a slow worker is never mistaken
 for a dead one. ``round_timeout`` bounds each round's collect phase:
 workers that produced nothing by then are recorded as never-arrived
 for that round (but stay in the pool).

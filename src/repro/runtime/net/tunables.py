@@ -1,13 +1,12 @@
-"""Validated network tunables shared by the sync and async backends.
+"""Validated network tunables of the tcp backend.
 
-The tcp backends used to hardcode their liveness/deadline constants as
-constructor defaults scattered across :mod:`client`,
-:mod:`async_client` and :mod:`worker_server`. :class:`NetTunables`
-lifts them into one frozen, validated object so a deployment tunes one
-knob surface: :class:`~repro.api.config.SessionConfig` carries a
-``net`` field, the backend factories thread it into whichever cluster
-the registry name selects, and explicit ``backend_options`` entries
-still win for per-run overrides.
+:class:`NetTunables` gathers the liveness/deadline constants of
+:mod:`client` and :mod:`worker_server` into one frozen, validated
+object so a deployment tunes one knob surface:
+:class:`~repro.api.config.SessionConfig` carries a ``net`` field, the
+``"tcp"`` backend factory threads it into
+:class:`~repro.runtime.net.client.TcpCluster`, and
+explicit ``backend_options`` entries still win for per-run overrides.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ __all__ = ["NetTunables"]
 
 @dataclass(frozen=True)
 class NetTunables:
-    """Liveness and deadline knobs of the socket backends.
+    """Liveness and deadline knobs of the socket backend.
 
     Attributes
     ----------

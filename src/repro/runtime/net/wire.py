@@ -86,7 +86,6 @@ __all__ = [
     "encode_frame",
     "encode_store",
     "read_frame",
-    "read_frame_async",
     "send_frame",
     "send_parts",
 ]
@@ -397,37 +396,6 @@ def read_frame(
     if length > MAX_PAYLOAD:
         raise WireError(f"declared payload of {length} bytes exceeds MAX_PAYLOAD")
     payload = _recv_exact(sock, length)
-    if counters is not None:
-        counters.note_in(_PREAMBLE.size + length)
-    if zlib.crc32(payload) != crc:
-        if counters is not None:
-            counters.crc_rejects += 1
-        raise WireError("payload checksum mismatch (corrupted frame)")
-    return decode_payload(code, payload)
-
-
-async def read_frame_async(
-    reader, counters: WireCounters | None = None
-) -> tuple[str, dict, list[np.ndarray]]:
-    """Async twin of :func:`read_frame` over an ``asyncio.StreamReader``.
-
-    Same validation, same :class:`WireError` surface; a peer that
-    closes mid-frame raises ``asyncio.IncompleteReadError`` (callers
-    treat it like EOF, exactly as the sync reader's closed-mid-frame
-    error).
-    """
-    pre = await reader.readexactly(_PREAMBLE.size)
-    magic, version, code, crc, length = _PREAMBLE.unpack(pre)
-    if magic != MAGIC:
-        raise WireError(f"bad magic {bytes(magic)!r} (not an AVCC protocol peer?)")
-    if version != PROTOCOL_VERSION:
-        raise WireError(
-            f"protocol version mismatch: peer speaks {version}, "
-            f"this build speaks {PROTOCOL_VERSION}"
-        )
-    if length > MAX_PAYLOAD:
-        raise WireError(f"declared payload of {length} bytes exceeds MAX_PAYLOAD")
-    payload = memoryview(await reader.readexactly(length))
     if counters is not None:
         counters.note_in(_PREAMBLE.size + length)
     if zlib.crc32(payload) != crc:

@@ -7,10 +7,8 @@ scale — the same fleet description the in-process backends apply
 directly), then serves the store/round protocol until it is shut down
 or the connection drops.
 
-The daemon is **two plain threads over one blocking socket** (it serves
-either the sync ``TcpCluster`` or the ``AsyncTcpCluster`` — the wire
-protocol is identical), splitting the work so it never deadlocks and
-never goes dark:
+The daemon is **two plain threads over one blocking socket**, splitting
+the work so it never deadlocks and never goes dark:
 
 * the **receive thread** drains the socket continuously — heartbeats
   are acknowledged from it (so a worker grinding through a long
@@ -37,7 +35,7 @@ The second thread exists for liveness and nothing else: numpy holds
 the compute thread for as long as a job takes and acks must flow
 meanwhile, so every job, however small, is computed off the receive
 thread — one rule, no size threshold. The same split used to run on
-an asyncio loop with an executor hop per job: ~300 µs of daemon CPU a
+an event loop with an executor hop per job: ~300 µs of daemon CPU a
 round around a 5 µs matvec, ~150 µs here (README "Distributed
 deployment" has the measurements).
 

@@ -401,8 +401,6 @@ class Gateway:
         self._req_spans: dict[int, list[Any]] = {}
         #: (tenant, family) -> shared root-attr dict for admission spans
         self._admit_attrs: dict[tuple[str, str], dict[str, Any]] = {}
-        #: live TelemetryServer when run_async was given telemetry_port
-        self.telemetry: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -476,83 +474,6 @@ class Gateway:
                 continue
             if self._inflight:
                 self.session.drain()
-                self._harvest(heap)  # may spawn closed-loop arrivals
-            if heap:
-                continue
-            break
-        return self._build_report()
-
-    async def run_async(
-        self,
-        *,
-        telemetry_port: int | None = None,
-        telemetry_host: str = "127.0.0.1",
-    ) -> ServeReport:
-        """Asyncio twin of :meth:`run`: the same event loop (identical
-        order of admission, batching, dispatch and harvest — reports
-        are byte-identical), but every session call that can block on
-        the network (``flush`` inside a dispatch, the final ``drain``)
-        hops to the loop's executor, so an event loop hosting this
-        coroutine overlaps batching/admission bookkeeping — and any
-        other tasks it runs — with the backend's network waits.
-
-        With ``telemetry_port`` set (0 = ephemeral) and observability
-        enabled on the session, a live
-        :class:`~repro.obs.exporter.TelemetryServer` is attached to
-        this event loop before the first request is admitted — and is
-        deliberately *left running* after the trace completes (query
-        ``gateway.telemetry.url``, stop via
-        ``await gateway.telemetry.stop()``), so traces and metrics
-        stay inspectable after the run."""
-        import asyncio
-
-        if self._ran:
-            raise RuntimeError("gateway already ran; build a fresh one per trace")
-        self._ran = True
-        if telemetry_port is not None:
-            if self.obs is None:
-                raise RuntimeError(
-                    "telemetry endpoint needs observability=True on the "
-                    "session config"
-                )
-            from repro.obs.exporter import TelemetryServer
-
-            self.telemetry = TelemetryServer(
-                self.obs, host=telemetry_host, port=telemetry_port
-            )
-            await self.telemetry.start()
-        loop = asyncio.get_running_loop()
-        self._t0 = self.session.now  # trace t=0 (see `now`)
-        self._floor = 0.0
-        heap: list[tuple[float, int, Request]] = [
-            (r.arrival, r.request_id, r) for r in self.source.initial()
-        ]
-        heapq.heapify(heap)
-        while True:
-            self._harvest(heap)
-            # controller actions can block on the network (spawn +
-            # re-code); keep them off the event loop
-            await loop.run_in_executor(None, self._control_tick)
-            self._ingest(heap)
-            await self._fill_async(heap, loop)
-            due = self._batcher.take_due(self.now)
-            if due:
-                for batch in due:
-                    await loop.run_in_executor(None, self._dispatch, batch, heap)
-                continue
-            t_next = min(
-                heap[0][0] if heap else math.inf, self._batcher.next_due()
-            )
-            if math.isfinite(t_next):
-                if t_next > self.now:
-                    self._advance(t_next)
-                continue
-            if self._batcher.pending:
-                for batch in self._batcher.drain():
-                    await loop.run_in_executor(None, self._dispatch, batch, heap)
-                continue
-            if self._inflight:
-                await loop.run_in_executor(None, self.session.drain)
                 self._harvest(heap)  # may spawn closed-loop arrivals
             if heap:
                 continue
@@ -749,24 +670,6 @@ class Gateway:
                 batch = self._batcher.pop_family(family)
                 if batch is not None:
                     self._dispatch(batch, heap)
-
-    async def _fill_async(self, heap: list[tuple[float, int, Request]], loop) -> None:
-        """:meth:`_fill` with the dispatches (the calls that can block
-        on the network) hopped to the executor."""
-        while True:
-            req = self._queue.pop(self.now)
-            self._note_shed(heap)
-            if req is None:
-                return
-            family = self._session_family(req)
-            if family is None:
-                await loop.run_in_executor(None, self._dispatch_single, req, heap)
-                continue
-            self._batcher.add(family, req, self.now)
-            if self._batcher.due_now(family, self.now):
-                batch = self._batcher.pop_family(family)
-                if batch is not None:
-                    await loop.run_in_executor(None, self._dispatch, batch, heap)
 
     def _dispatch(
         self, batch: PendingBatch, heap: list[tuple[float, int, Request]]

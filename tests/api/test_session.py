@@ -119,22 +119,24 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="probability"):
             WorkerSpec(probability=0.0)
 
-    def test_builds_every_backend_master_combination(self):
-        w = F.random(8, RNG)
-        expected = ff_matvec(F, X, w)
-        assert set(backend_names()) >= {"sim", "threaded", "process"}
+    def test_registry_names_the_builtin_backends_and_masters(self):
+        assert set(backend_names()) >= {"sim", "threaded", "process", "tcp"}
         assert set(master_names()) >= {"avcc", "lcc", "static_vcc", "uncoded"}
-        for backend in backend_names():
-            for master in master_names():
-                cfg = _config(backend=backend, master=master)
-                with Session.create(cfg) as sess:
-                    assert type(sess.backend).__name__ != "object"
-                    sess.load(X)
-                    got = sess.submit_matvec(w).result()
-                    if master != "uncoded":
-                        # uncoded ingests the injected forgery by design
-                        assert np.array_equal(got, expected), (backend, master)
-                    assert got.shape == expected.shape
+
+    @pytest.mark.parametrize("master", master_names())
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_builds_every_backend_master_combination(self, backend, master):
+        w = F.random(8, np.random.default_rng(11))
+        expected = ff_matvec(F, X, w)
+        cfg = _config(backend=backend, master=master)
+        with Session.create(cfg) as sess:
+            assert type(sess.backend).__name__ != "object"
+            sess.load(X)
+            got = sess.submit_matvec(w).result()
+            if master != "uncoded":
+                # uncoded ingests the injected forgery by design
+                assert np.array_equal(got, expected), (backend, master)
+            assert got.shape == expected.shape
 
 
 class TestRegistryExtension:

@@ -1,7 +1,7 @@
 """Span-completeness across every backend: one served job must leave a
 single closed, gap-free trace tree — parents resolve, children nest
 inside their parents, worker spans never orphan — including under
-worker death and round-timeout expiry on the socket backends."""
+worker death and round-timeout expiry on the tcp backend."""
 
 import os
 import signal
@@ -14,7 +14,7 @@ from repro.api import Session, SessionConfig
 from repro.api.config import WorkerSpec
 from repro.coding import SchemeParams
 
-BACKENDS = ["sim", "threaded", "process", "tcp", "async_tcp"]
+BACKENDS = ["sim", "threaded", "process", "tcp"]
 
 EPS = 1e-6
 
@@ -89,9 +89,8 @@ class TestSpanCompleteness:
                 assert need in names, (backend, need, names)
             assert any(n.startswith("worker:") for n in names)
 
-    @pytest.mark.parametrize("backend", ["tcp", "async_tcp"])
-    def test_socket_backends_carry_daemon_sub_spans(self, backend):
-        with Session.create(_config(backend)) as sess:
+    def test_tcp_carries_daemon_sub_spans(self):
+        with Session.create(_config("tcp")) as sess:
             _serve_one(sess)
             spans = sess.obs.tracer.resolved(_request_traces(sess)[0])
             by_id = {s.span_id: s for s in spans}

@@ -26,7 +26,6 @@ from repro.coding import SchemeParams
 from repro.core import AVCCMaster, LCCMaster, UncodedMaster
 from repro.ff import PrimeField, ff_matmul, ff_matvec
 from repro.runtime import (
-    AsyncTcpCluster,
     Backend,
     ConstantAttack,
     Honest,
@@ -43,8 +42,8 @@ from repro.runtime import (
 
 F = PrimeField()  # the paper's field: exactness must hold at full size
 
-BACKENDS = ["sim", "threaded", "process", "tcp", "async_tcp"]
-REAL_BACKENDS = ["threaded", "process", "tcp", "async_tcp"]
+BACKENDS = ["sim", "threaded", "process", "tcp"]
+REAL_BACKENDS = ["threaded", "process", "tcp"]
 
 #: (straggler_factors, behaviors) — each must stay within the
 #: (n=12, k=9, s=1, m=2) scheme's tolerance so decoding is exact
@@ -74,8 +73,6 @@ def _make_backend(kind, n, straggler_factors, behaviors, straggle_scale=0.01):
         return ProcessCluster(F, workers, straggle_scale=straggle_scale)
     if kind == "tcp":
         return TcpCluster(F, workers, straggle_scale=straggle_scale)
-    if kind == "async_tcp":
-        return AsyncTcpCluster(F, workers, straggle_scale=straggle_scale)
     raise ValueError(kind)
 
 

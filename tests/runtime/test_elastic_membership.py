@@ -1,16 +1,14 @@
-"""Elastic membership on the socket backends: worker join/rejoin.
+"""Elastic membership on the tcp backend: worker join/rejoin.
 
 Covers what PR 7 added to the runtime layer — a restarted or brand-new
 worker daemon can dial a *running* cluster, handshake, park as a
 pending join, and be admitted at a quiesce point (never mid-round);
 ``drop_workers`` is reversible; the hello-level protocol negotiation
-turns mismatched daemons away with a descriptive error on both the
-sync and async read paths. The session-level reconciliation
-(``end_iteration`` growing N, byte-exact results across membership
-changes) is exercised at the bottom.
+turns mismatched daemons away with a descriptive error. The
+session-level reconciliation (``end_iteration`` growing N, byte-exact
+results across membership changes) is exercised at the bottom.
 """
 
-import asyncio
 import os
 import signal
 import socket
@@ -22,34 +20,25 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField, ff_matvec
-from repro.runtime import (
-    AsyncTcpCluster,
-    RoundJob,
-    SimWorker,
-    TcpCluster,
-    make_profiles,
-)
+from repro.runtime import RoundJob, SimWorker, TcpCluster, make_profiles
 from repro.runtime.net import (
     PROTOCOL_VERSION,
     WireError,
     read_frame,
     send_frame,
 )
-from repro.runtime.net.wire import check_hello, read_frame_async
+from repro.runtime.net.wire import check_hello
 
 F = PrimeField()
 
-CLUSTERS = {"tcp": TcpCluster, "async_tcp": AsyncTcpCluster}
-KINDS = sorted(CLUSTERS)
 
-
-def _cluster(kind, n, straggler_factors=None, **kw):
+def _cluster(n, straggler_factors=None, **kw):
     profiles = make_profiles(n, straggler_factors or {})
     workers = [SimWorker(i, profile=profiles[i]) for i in range(n)]
     kw.setdefault("straggle_scale", 0.002)
     kw.setdefault("heartbeat_interval", 0.05)
     kw.setdefault("heartbeat_timeout", 0.5)
-    return CLUSTERS[kind](F, workers, **kw)
+    return TcpCluster(F, workers, **kw)
 
 
 def _await(pred, timeout=20.0, interval=0.05):
@@ -82,17 +71,16 @@ def _round(backend, shares, v, participants=None):
 # backend-level join / rejoin / drop
 # ----------------------------------------------------------------------
 class TestElasticJoin:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_sigkill_restart_rejoin_and_serve(self, kind, rng):
+    def test_sigkill_restart_rejoin_and_serve(self, rng):
         """The ISSUE's acceptance choreography: SIGKILL a worker
         mid-run, restart its daemon, admit it at a quiesce point, and
         serve with the full fleet again."""
         shares = F.random((4, 3, 5), rng)
         v = F.random(5, rng)
-        with _cluster(kind, 4) as backend:
+        with _cluster(4) as backend:
             assert _round(backend, shares, v) == [0, 1, 2, 3]
             os.kill(backend.worker_pids()[2], signal.SIGKILL)
-            # the sync pump only runs while collecting — the next round
+            # the pump only runs while collecting — the next round
             # both detects the death and completes without the victim
             assert _round(backend, shares, v) == [0, 1, 3]
             assert 2 in backend.membership().dead
@@ -108,14 +96,12 @@ class TestElasticJoin:
             kinds = {(e.kind, e.worker_id) for e in backend.take_membership_events()}
         assert ("dead", 2) in kinds and ("rejoined", 2) in kinds
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_admit_mid_round_raises(self, kind, rng):
+    def test_admit_mid_round_raises(self, rng):
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
         # worker 1 sleeps 0.2 s, so the round is in flight whenever
-        # admit_workers() runs (async_tcp retires a round the moment
-        # its last result lands)
-        with _cluster(kind, 3, {1: 101.0}) as backend:
+        # admit_workers() runs
+        with _cluster(3, {1: 101.0}) as backend:
             backend.distribute("share", shares)
             handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
             with pytest.raises(RuntimeError, match="mid-round"):
@@ -124,9 +110,8 @@ class TestElasticJoin:
             handle.result()  # drained and harvested: now admissible
             assert backend.admit_workers() == ()
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_spawn_worker_grows_roster(self, kind, rng):
-        with _cluster(kind, 3) as backend:
+    def test_spawn_worker_grows_roster(self, rng):
+        with _cluster(3) as backend:
             wid = backend.spawn_worker()
             assert wid == 3
             assert _await(lambda: 3 in backend.membership().pending)
@@ -139,11 +124,10 @@ class TestElasticJoin:
             kinds = {(e.kind, e.worker_id) for e in backend.take_membership_events()}
         assert ("joined", 3) in kinds
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_drop_is_reversible(self, kind, rng):
+    def test_drop_is_reversible(self, rng):
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
-        with _cluster(kind, 3) as backend:
+        with _cluster(3) as backend:
             backend.drop_workers([1])
             assert backend.membership().dropped == (1,)
             assert _round(backend, shares, v, participants=[0, 2]) == [0, 2]
@@ -155,12 +139,11 @@ class TestElasticJoin:
             assert view.dropped == () and view.live == (0, 1, 2)
             assert _round(backend, shares, v) == [0, 1, 2]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_gapped_id_waits_for_dense_roster(self, kind):
+    def test_gapped_id_waits_for_dense_roster(self):
         """A joiner whose id would leave a hole in 0..n-1 parks until
         the gap fills (ids index the share arrays — they must stay
         dense)."""
-        with _cluster(kind, 2) as backend:
+        with _cluster(2) as backend:
             assert backend.spawn_worker(3) == 3
             assert _await(lambda: 3 in backend.membership().pending)
             assert backend.admit_workers() == ()  # 3 > n: stays parked
@@ -190,12 +173,10 @@ class TestVersionNegotiation:
         with pytest.raises(WireError, match=">= 0"):
             check_hello({"worker_id": -1, "protocol": PROTOCOL_VERSION})
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_mismatched_daemon_turned_away_at_join(self, kind):
+    def test_mismatched_daemon_turned_away_at_join(self):
         """A late dialer whose hello negotiates the wrong protocol
-        revision is rejected (connection closed, never parked) on both
-        the sync selector path and the asyncio path."""
-        with _cluster(kind, 2) as backend:
+        revision is rejected (connection closed, never parked)."""
+        with _cluster(2) as backend:
             fresh = 2  # would be a valid new id if the hello were sane
             with socket.create_connection(
                 (backend.host, backend.port), timeout=5.0
@@ -208,7 +189,7 @@ class TestVersionNegotiation:
                 conn.settimeout(5.0)
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
-                    backend.membership()  # sync path sweeps the backlog here
+                    backend.membership()  # sweeps the accept backlog
                     try:
                         read_frame(conn)
                     except WireError:
@@ -217,34 +198,15 @@ class TestVersionNegotiation:
                     pytest.fail("master never closed the mismatched dialer")
             assert fresh not in backend.membership().pending
 
-    def test_async_read_path_rejects_frame_version(self):
-        """The asyncio reader raises the same descriptive WireError as
-        the sync one when the preamble's version byte is foreign."""
-        from repro.runtime.net.wire import encode_frame
-
-        frame = bytearray(
-            b"".join(bytes(p) for p in encode_frame("heartbeat", {"seq": 1}))
-        )
-        frame[2] = PROTOCOL_VERSION + 1
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes(frame))
-            reader.feed_eof()
-            await read_frame_async(reader)
-
-        with pytest.raises(WireError, match="version mismatch"):
-            asyncio.run(scenario())
-
 
 # ----------------------------------------------------------------------
 # session-level reconciliation: grow N, keep results byte-exact
 # ----------------------------------------------------------------------
-def _session_config(kind):
+def _session_config():
     return SessionConfig(
         scheme=SchemeParams(n=4, k=2, s=1, m=0),
         master="avcc",
-        backend=kind,
+        backend="tcp",
         backend_options={
             "straggle_scale": 0.002,
             "heartbeat_interval": 0.05,
@@ -254,8 +216,7 @@ def _session_config(kind):
 
 
 class TestElasticSession:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_membership_changes_keep_results_exact(self, kind, rng):
+    def test_membership_changes_keep_results_exact(self, rng):
         """Kill → evict → rejoin → grow → release across quiesce
         points; every matvec answer must equal the plain-field
         reference bit for bit, and the stats must narrate the
@@ -264,7 +225,7 @@ class TestElasticSession:
         vs = [F.random(5, rng) for _ in range(5)]
         expected = [ff_matvec(F, x, v) for v in vs]
 
-        with Session.create(_session_config(kind)) as sess:
+        with Session.create(_session_config()) as sess:
             sess.load(x)
             results = [sess.submit_matvec(vs[0]).result()]
 
@@ -312,7 +273,7 @@ class TestElasticSession:
 
     def test_release_workers_validates_roster(self, rng):
         x = F.random((4, 3), rng)
-        with Session.create(_session_config("tcp")) as sess:
+        with Session.create(_session_config()) as sess:
             sess.load(x)
             with pytest.raises(ValueError, match="not in the roster"):
                 sess.release_workers([17])

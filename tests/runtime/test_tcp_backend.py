@@ -1,8 +1,10 @@
 """TCP backend specifics: the wire protocol's rejection of malformed
 frames, fault tolerance of the round transport (killed workers,
-heartbeat-dead peers, cancel idempotence), the external-daemon
-registration path (the real ``python -m`` CLI), and byte-identical
-decode parity vs the simulator for every master family.
+heartbeat-dead peers, cancel mid-collect and idempotence), shutdown
+with a round in flight, a thread census that does not grow with the
+fleet, the external-daemon registration path (the real ``python -m``
+CLI), and byte-identical decode parity vs the simulator for every
+master family.
 
 The generic Backend-contract, parity and early-stopping coverage for
 ``tcp`` lives in ``test_backends.py``/``test_concurrent_rounds.py``
@@ -10,6 +12,7 @@ The generic Backend-contract, parity and early-stopping coverage for
 what only a socket fleet can exhibit.
 """
 
+import math
 import os
 import signal
 import socket
@@ -273,6 +276,106 @@ class TestFaultTolerance:
             handle.cancel()
             handle.cancel()
             assert handle.result().arrivals == rr.arrivals
+
+    def test_cancel_mid_collect_skips_straggler_sleep(self, rng):
+        """Cancelling after enough arrivals must neither wait for the
+        straggler's injected sleep nor leak its late reply into the
+        next round."""
+        sleep = 1.5
+        factor = 16.0
+        shares = F.random((4, 2, 4), rng)
+        v1 = F.random(4, rng)
+        v2 = F.random(4, rng)
+        with TcpCluster(
+            F, _fleet(4, {3: factor}, {}), straggle_scale=sleep / (factor - 1.0)
+        ) as backend:
+            backend.distribute("share", shares)
+            t0 = time.perf_counter()
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v1))
+            seen = []
+            for a in handle:
+                seen.append(a.worker_id)
+                if len(seen) == 3:
+                    handle.cancel()
+                    break
+            rr = handle.result()
+            wall = time.perf_counter() - t0
+            assert sorted(seen) == [0, 1, 2]
+            assert wall < sleep * 0.8, "collect waited on a cancelled straggler"
+            late = [a for a in rr.arrivals if a.worker_id == 3]
+            assert len(late) == 1 and math.isinf(late[0].t_arrival)
+            # cancel is idempotent and safe after result()
+            handle.cancel()
+            assert handle.result().arrivals == rr.arrivals
+            # the cancelled round's rid never bleeds into the next one
+            time.sleep(sleep + 0.3)  # let the straggler drain its sleep
+            handle2 = backend.dispatch_round(RoundJob(payload_key="share", operand=v2))
+            got2 = {a.worker_id: a.value for a in handle2}
+            assert sorted(got2) == [0, 1, 2, 3]
+            for wid, value in got2.items():
+                np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v2))
+
+
+class TestShutdown:
+    def test_close_with_rounds_in_flight(self, rng):
+        """close() while a round is still collecting must resolve the
+        round (outstanding workers become never-arrived) and return
+        promptly — no hang, no leaked thread."""
+        sleep = 3.0
+        factor = 31.0
+        shares = F.random((3, 2, 4), rng)
+        v = F.random(4, rng)
+        threads_before = threading.active_count()
+        backend = TcpCluster(
+            F, _fleet(3, {2: factor}, {}), straggle_scale=sleep / (factor - 1.0)
+        )
+        try:
+            backend.distribute("share", shares)
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            # collect the two fast workers, leave the straggler in flight
+            seen = []
+            for a in handle:
+                seen.append(a.worker_id)
+                if len(seen) == 2:
+                    break
+            assert sorted(seen) == [0, 1]
+        finally:
+            t0 = time.perf_counter()
+            backend.close()
+            wall = time.perf_counter() - t0
+        assert wall < sleep * 0.8, "close() waited out an in-flight straggler"
+        rr = handle.result()
+        assert {a.worker_id for a in rr.arrivals} == {0, 1, 2}
+        late = [a for a in rr.arrivals if a.worker_id == 2]
+        assert math.isinf(late[0].t_arrival)
+        assert threading.active_count() == threads_before
+        backend.close()  # idempotent
+
+
+class TestFanoutScaling:
+    """The master's thread census does not grow with the fleet."""
+
+    @staticmethod
+    def _run_fleet(n, rng):
+        shares = F.random((n, 2, 4), rng)
+        v = F.random(4, rng)
+        with TcpCluster(F, _fleet(n, {}, {}), straggle_scale=0.0) as backend:
+            during = threading.active_count()
+            backend.distribute("share", shares)
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            got = {a.worker_id: a.value for a in handle}
+            handle.result()
+        assert sorted(got) == list(range(n))
+        for wid, value in got.items():
+            np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+        return during
+
+    @pytest.mark.slow
+    def test_64_workers_same_thread_census_as_8(self, rng):
+        threads_small = self._run_fleet(8, rng)
+        threads_large = self._run_fleet(64, rng)
+        # 8x the fleet, identical thread census
+        assert threads_large == threads_small
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,8 @@ socket, frame by frame — the only way to pin *which frame follows
 which* (an ack between two results, a round that never answers).
 ``TestTwoThreads`` pins what the two threads share and that both end
 with the connection; ``TestHostileFrames`` feeds the receive path what
-no master of this build would send. The daemon serves both socket
-masters, so ``TestThroughBothMasters`` repeats what a master can
-observe on ``tcp`` and ``async_tcp`` fleets.
+no master of this build would send. ``TestThroughTheMaster`` checks
+what a ``TcpCluster`` master can observe of a forked fleet.
 """
 
 import heapq
@@ -27,7 +26,7 @@ from test_backends import _fleet
 
 from repro.ff import PrimeField, ff_matvec
 from repro.obs.audit import digest_array
-from repro.runtime import AsyncTcpCluster, RoundJob, TcpCluster
+from repro.runtime import RoundJob, TcpCluster
 from repro.runtime.net import (
     PROTOCOL_VERSION,
     WorkerServer,
@@ -38,7 +37,6 @@ from repro.runtime.net import (
 from repro.runtime.net import wire, worker_server
 
 F = PrimeField()
-CLUSTERS = {"tcp": TcpCluster, "async_tcp": AsyncTcpCluster}
 
 
 class DaemonUnderTest:
@@ -740,10 +738,9 @@ class TestFrameBytes:
         assert payload[4 + header_len:] == want.astype("<i8").tobytes()
 
 
-@pytest.mark.parametrize("kind", sorted(CLUSTERS))
-class TestThroughBothMasters:
+class TestThroughTheMaster:
     def test_long_job_keeps_its_worker_alive_past_the_heartbeat_timeout(
-        self, kind, monkeypatch, rng
+        self, monkeypatch, rng
     ):
         """A job that computes for longer than ``heartbeat_timeout`` is
         not a dead worker: the receive thread keeps the acks flowing.
@@ -757,7 +754,7 @@ class TestThroughBothMasters:
         monkeypatch.setattr(worker_server, "run_job_compute", slow)
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
-        with CLUSTERS[kind](
+        with TcpCluster(
             F, _fleet(3, {}, {}), heartbeat_interval=0.05, heartbeat_timeout=0.4
         ) as backend:
             backend.distribute("share", shares)
@@ -768,10 +765,10 @@ class TestThroughBothMasters:
         for wid, value in got.items():
             np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
 
-    def test_install_ships_reduced_shares_narrow_and_stores_what_was_sent(self, kind, rng):
+    def test_install_ships_reduced_shares_narrow_and_stores_what_was_sent(self, rng):
         """Reduced residues travel at 4 bytes an element, anything else
-        as it is; both masters count the same bytes for the same
-        install and every daemon stores the same share either way."""
+        as it is; the wire counters see the narrow install and every
+        daemon stores the same share either way."""
         shares = F.random((3, 64, 256), rng)
         out_of_range = shares + F.q * 2**20
         v = F.random(256, rng)
@@ -785,7 +782,7 @@ class TestThroughBothMasters:
             handle = backend.dispatch_round(RoundJob(payload_key=name, operand=v))
             return {a.worker_id: a.value for a in handle}
 
-        with CLUSTERS[kind](F, _fleet(3, {}, {})) as backend:
+        with TcpCluster(F, _fleet(3, {}, {})) as backend:
             narrow = install(backend, "in", shares)
             wide = install(backend, "out", out_of_range)
             install(backend, "float", shares.astype(np.float64))
@@ -802,7 +799,7 @@ class TestThroughBothMasters:
             np.testing.assert_array_equal(got_in[wid], want)
             np.testing.assert_array_equal(got_out[wid], want)
 
-    def test_interleaved_small_and_large_rounds_answer_in_dispatch_order(self, kind, rng):
+    def test_interleaved_small_and_large_rounds_answer_in_dispatch_order(self, rng):
         """Collect the *last* round first: once it has answered from
         every worker, every earlier round must have too — a socket is
         FIFO, so that holds exactly when each daemon answers in
@@ -811,7 +808,7 @@ class TestThroughBothMasters:
         big = F.random((3, 1025, 1024), rng)
         keys = ["big", "small", "big", "small", "small", "big"]
         operands = [F.random(1024, rng) for _ in keys]
-        with CLUSTERS[kind](F, _fleet(3, {}, {})) as backend:
+        with TcpCluster(F, _fleet(3, {}, {})) as backend:
             backend.distribute("small", small)
             backend.distribute("big", big)
             handles = [
@@ -828,11 +825,11 @@ class TestThroughBothMasters:
                     a.value, ff_matvec(F, shares[key][a.worker_id], v)
                 )
 
-    def test_cancelled_third_round_behind_a_straggler_is_skipped(self, kind, rng):
+    def test_cancelled_third_round_behind_a_straggler_is_skipped(self, rng):
         sleep = 0.4
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
-        with CLUSTERS[kind](
+        with TcpCluster(
             F, _fleet(3, {2: 5.0}, {}), straggle_scale=sleep / 4.0
         ) as backend:
             backend.distribute("share", shares)
@@ -848,10 +845,10 @@ class TestThroughBothMasters:
             # one sleep for round 4; a served round 3 would make it two
             assert time.perf_counter() - t0 < 1.75 * sleep
 
-    def test_worker_whose_job_raises_is_crash_stop_for_that_round_only(self, kind, rng):
+    def test_worker_whose_job_raises_is_crash_stop_for_that_round_only(self, rng):
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
-        with CLUSTERS[kind](F, _fleet(3, {}, {})) as backend:
+        with TcpCluster(F, _fleet(3, {}, {})) as backend:
             backend.distribute("share", shares)
             backend.distribute("partial", shares, participants=[0, 1])
             bad = backend.dispatch_round(RoundJob(payload_key="partial", operand=v))

@@ -142,37 +142,6 @@ class TestEndToEndParity:
             assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
 
 
-class TestAsyncEntryPoint:
-    def test_run_async_matches_run_bytes(self):
-        """run_async is the same event loop with the network-blocking
-        session calls hopped to the executor: reports and decoded
-        vectors must be byte-identical to run()."""
-        import asyncio
-
-        reqs = _generator(seed=17).generate(24)
-        x, sync_gw, sync_report = _run(reqs)
-        with Session.create(_session_config()) as sess:
-            sess.load(x)
-            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig())
-            report = asyncio.run(gw.run_async())
-        assert report.outcomes == sync_report.outcomes
-        for rid, vec in sync_gw.results.items():
-            assert vec.tobytes() == gw.results[rid].tobytes()
-
-    def test_run_async_runs_once(self):
-        import asyncio
-
-        reqs = _generator(seed=19).generate(4)
-        with Session.create(_session_config()) as sess:
-            sess.load(_x())
-            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig())
-            asyncio.run(gw.run_async())
-            with pytest.raises(RuntimeError, match="already ran"):
-                asyncio.run(gw.run_async())
-            with pytest.raises(RuntimeError, match="already ran"):
-                gw.run()
-
-
 class TestBatchingBehavior:
     def test_serial_policy_runs_one_round_per_request(self):
         reqs = _generator(seed=3).generate(12)
