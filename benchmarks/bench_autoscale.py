@@ -28,7 +28,10 @@ CI gates (``bench-autoscale`` job, ``autoscale_*`` keys):
 * ``autoscale_slo_uplift`` — autoscaled minus fixed SLO attainment;
   the loose floor guards the headline without depending on runner
   speed.
-* ``autoscale_rounds_per_s`` — deliberately loose wall-clock floor.
+
+No wall-clock rate is gated: a round rate from one run of a shared
+runner gates nothing, and the repo benchmark (``BENCHMARK.json``,
+``benchmarks/e2e``) measures socket-fleet throughput with quartiles.
 
 Byte-level parity is asserted in-bench: every served answer in both
 runs must equal the plain-field ground truth.
@@ -138,9 +141,7 @@ def _run(controlled):
             ),
             **kwargs,
         )
-        t0 = time.perf_counter()
         report = gateway.run()
-        wall = time.perf_counter() - t0
         view = sess.backend.membership()
         scheme = sess.master.scheme_now
     # ground-truth parity: coding/membership changes may delay answers,
@@ -156,7 +157,6 @@ def _run(controlled):
         "view": view,
         "scheme": scheme,
         "controller": controller,
-        "wall": wall,
         "windows": gateway.window_history,
     }
 
@@ -185,10 +185,6 @@ def test_autoscaler_recovers_slo_after_fleet_failure():
     record_metric("autoscale_recode_recovered", recovered)
     record_metric("autoscale_served_fraction", served_fraction)
     record_metric("autoscale_slo_uplift", uplift)
-    record_metric(
-        "autoscale_rounds_per_s",
-        scaled["report"].rounds_executed / max(scaled["wall"], 1e-9),
-    )
     print(
         f"\nfixed slo={fixed_slo:.1%} | autoscaled slo={scaled_slo:.1%} "
         f"uplift={uplift:+.1%} served={served_fraction:.1%} "

@@ -21,14 +21,11 @@ Shape assertions only check correctness (every backend must decode
 bit-exactly); relative wall-clock between the real backends is
 machine-dependent and intentionally not asserted. The CI ``bench-tcp``
 job gates the deterministic ``tcp_decode_success_rate`` emitted here
-(every socket round must decode bit-exactly) and the wall-clock
-``tcp_rounds_per_s`` (median of ``REPS`` timed blocks on one fleet,
-floor at half the committed value) via ``check_perf_regression.py
---select``.
+(every socket round must decode bit-exactly) via
+``check_perf_regression.py --select``. It gates no wall-clock rate:
+the socket fleet's round rate is measured, with quartiles, by the
+repo benchmark (``BENCHMARK.json``, ``benchmarks/e2e``).
 """
-
-import statistics
-import time
 
 import numpy as np
 import pytest
@@ -40,7 +37,7 @@ from repro.ff import ff_matvec
 
 N, K, S, M = 12, 9, 1, 2
 ROUNDS = 4
-#: timed blocks behind each ``*_rounds_per_s`` sample (their median)
+#: blocks of ``ROUNDS`` fwd/bwd round pairs the decode-rate gate serves
 REPS = 5
 
 
@@ -117,15 +114,11 @@ def test_early_stopping_saves_straggler_tail(benchmark, field, rng, kind):
 
 
 def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng):
-    """The ``bench-tcp`` CI headline: a loopback socket fleet serving a
-    block of mixed fwd/bwd rounds under a straggler and a Byzantine
-    worker must decode every round bit-exactly.
-
-    Two metrics are gated: the *success rate* (protocol correctness
-    does not vary with the runner) and the round rate — the median of
-    ``REPS`` timed blocks on the same fleet, so one slow stretch of a
-    shared runner does not set the number.
-    """
+    """The ``bench-tcp`` CI headline: a loopback socket fleet serving
+    blocks of mixed fwd/bwd rounds under a straggler and a Byzantine
+    worker must decode every round bit-exactly. The gated metric is
+    the *success rate*: protocol correctness does not vary with the
+    runner."""
     x = field.random((cfg.m, cfg.d), rng)
     w = field.random(cfg.d, rng)
     e = field.random(cfg.m, rng)
@@ -135,24 +128,19 @@ def test_tcp_loopback_fleet_decode_rate(benchmark, cfg, field, rng):
     config = _config(
         "tcp", workers=_specs(), backend_options={"straggle_scale": 0.01}
     )
-    n_rounds = 2 * ROUNDS
 
     def run():
         with Session.create(config) as sess:
             sess.load(x)
-            outs, rates = [], []
-            for _ in range(REPS):
-                t0 = time.perf_counter()
-                for _ in range(ROUNDS):
-                    outs.append(sess.submit_matvec(w).result())
-                    outs.append(sess.submit_matvec(e, transpose=True).result())
-                rates.append(n_rounds / (time.perf_counter() - t0))
-            return outs, rates
+            outs = []
+            for _ in range(REPS * ROUNDS):
+                outs.append(sess.submit_matvec(w).result())
+                outs.append(sess.submit_matvec(e, transpose=True).result())
+            return outs
 
-    outs, rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    outs = benchmark.pedantic(run, rounds=1, iterations=1)
     exact = sum(
         np.array_equal(vec, z if i % 2 == 0 else g) for i, vec in enumerate(outs)
     )
     record_metric("tcp_decode_success_rate", exact / len(outs))
-    record_metric("tcp_rounds_per_s", statistics.median(rates))
-    assert exact == len(outs) == REPS * n_rounds
+    assert exact == len(outs) == REPS * ROUNDS * 2

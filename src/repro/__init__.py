@@ -21,7 +21,6 @@ from repro.core import (
     GramianAVCCMaster,
     InsufficientResultsError,
     LCCMaster,
-    StaticVCCMaster,
     UncodedMaster,
 )
 from repro.ff import DEFAULT_PRIME, PrimeField
@@ -79,7 +78,6 @@ __all__ = [
     "SilentFailure",
     "SimCluster",
     "SimWorker",
-    "StaticVCCMaster",
     "TraceRecorder",
     "TwoStageVerifier",
     "UncodedMaster",

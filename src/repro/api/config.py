@@ -105,7 +105,8 @@ class SessionConfig:
         is validated by the master's own constructor at build time.
     master:
         Registry name of the waiting/verification policy
-        (``"avcc" | "lcc" | "static_vcc" | "uncoded"`` built in).
+        (``"avcc" | "lcc" | "static_vcc" | "uncoded"`` built in;
+        ``"static_vcc"`` is ``AVCCMaster(adaptive=False)``).
     backend:
         Registry name of the execution substrate (``"sim" |
         "threaded" | "process" | "tcp"`` built in).

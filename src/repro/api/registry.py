@@ -14,6 +14,10 @@ their own substrate or waiting/verification policy without touching
     register_master("my_policy", my_policy_factory)
     Session.create(SessionConfig(..., backend="my_grpc", master="my_policy"))
 
+The four built-in master names are three classes: ``"static_vcc"``
+builds ``AVCCMaster(adaptive=False)``, AVCC with the dynamic coding
+step off (its ``name`` reads ``"static_vcc"``).
+
 Factory contracts
 -----------------
 ``BackendFactory(config, field, workers, rng) -> Backend``
@@ -205,9 +209,11 @@ def _avcc_master(
 def _static_vcc_master(
     config: "SessionConfig", backend: "Backend", rng: np.random.Generator
 ) -> object:
-    from repro.core.static_vcc import StaticVCCMaster
+    from repro.core.avcc import AVCCMaster
 
-    return StaticVCCMaster(backend, config.scheme, probes=config.probes, rng=rng)
+    return AVCCMaster(
+        backend, config.scheme, probes=config.probes, adaptive=False, rng=rng
+    )
 
 
 def _lcc_master(

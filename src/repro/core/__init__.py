@@ -8,17 +8,27 @@ All masters expose the same *coded matrix–vector service*:
 * ``backward_round(e)`` — compute ``g = X^T·e`` distributedly;
 * ``end_iteration()`` — bookkeeping + (AVCC only) dynamic re-coding.
 
-The four implementations:
+The matvec implementations:
 
-=================  ==============================================================
-:class:`AVCCMaster`      verify-per-worker, decode from the fastest K verified
-                         results, adapt the code at runtime (Sec. IV)
-:class:`StaticVCCMaster` AVCC minus dynamic coding (the Fig. 5 ablation)
-:class:`LCCMaster`       wait for ``N - S`` results, Reed–Solomon error
-                         correction, ``2M`` worker overhead (Sec. II)
-:class:`UncodedMaster`   no redundancy, ``K`` workers, waits for all,
-                         ingests Byzantine results silently (Sec. V)
-=================  ==============================================================
+=============================  ==================================================
+:class:`AVCCMaster`            verify-per-worker, decode from the fastest K
+                               verified results, adapt the code at runtime
+                               (Sec. IV)
+``AVCCMaster(adaptive=False)`` Static VCC: AVCC minus dynamic coding (the
+                               Fig. 5 ablation; registry name ``"static_vcc"``)
+:class:`LCCMaster`             wait for ``N - S`` results, Reed–Solomon error
+                               correction, ``2M`` worker overhead (Sec. II)
+:class:`UncodedMaster`         no redundancy, ``K`` workers, waits for all,
+                               ingests Byzantine results silently (Sec. V)
+=============================  ==================================================
+
+:class:`GramianAVCCMaster` (degree-2 ``X^T X w``) and
+:class:`CodedMatmulAVCCMaster` (``A @ B``) apply the AVCC policy to
+other computations. Every master is its ``setup``, a collect policy and
+a decode step on the one round path of
+:class:`~repro.core.base.MatvecMasterBase`, which plans, dispatches,
+collects, refuses below the recovery threshold and finishes each round
+(record, audit commitment, clock) the same way for all of them.
 """
 
 from repro.core.avcc import AVCCMaster
@@ -31,7 +41,6 @@ from repro.core.results import (
     InsufficientResultsError,
     RoundOutcome,
 )
-from repro.core.static_vcc import StaticVCCMaster
 from repro.core.uncoded import UncodedMaster
 
 __all__ = [
@@ -45,6 +54,5 @@ __all__ = [
     "LCCMaster",
     "RecodeDecision",
     "RoundOutcome",
-    "StaticVCCMaster",
     "UncodedMaster",
 ]

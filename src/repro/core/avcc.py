@@ -27,7 +27,11 @@ ROADMAP direction 3.
 workers are dropped from the pool (their redundancy is spent), and if
 the straggler population has eaten the code's slack the master switches
 to a pre-encoded smaller configuration, paying only the share re-ship
-time (Fig. 5's one-time bump).
+time (Fig. 5's one-time bump). With ``adaptive=False`` the step is off:
+that is Static VCC, the Fig. 5 ablation ("the verification mechanism is
+still available to mitigate Byzantine nodes, but the dynamic coding is
+removed", Sec. VI), which pays the stragglers' tail once they outnumber
+the scheme's slack.
 
 The master is backend-agnostic: it runs unmodified on the simulator,
 the thread pool, and the process pool.
@@ -35,43 +39,16 @@ the thread pool, and the process pool.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.coding.scheme import SchemeParams
-from repro.core.base import FamilyState, MatvecMasterBase, RoundPlan
+from repro.core.base import MatvecMasterBase, RoundPlan, matvec_families
 from repro.core.dynamic import AdaptivePolicy, EncodingCache
-from repro.core.results import AdaptationOutcome, InsufficientResultsError, RoundOutcome
-from repro.runtime.backend import Backend, RoundHandle
-from repro.verify.freivalds import FreivaldsVerifier, MatvecKey
+from repro.core.results import AdaptationOutcome
+from repro.runtime.backend import Arrival, Backend
+from repro.verify.freivalds import FreivaldsVerifier
 
 __all__ = ["AVCCMaster"]
-
-
-@dataclass(frozen=True)
-class _AvccRoundContext:
-    """Verification/decoding snapshot taken at plan time.
-
-    ``keys`` and ``code_pos`` are dict copies; ``st`` and ``code`` are
-    references into the :class:`EncodedConfig` current at plan time.
-    That is enough for re-entrancy because a dynamic re-code
-    (``end_iteration`` → ``_install_config``) *replaces*
-    ``self._families`` / ``self._cfg`` wholesale — existing
-    ``FamilyState`` and code objects are never mutated in place, so a
-    round planned under the old configuration keeps decoding against
-    exactly the objects it was planned with. Any future change that
-    mutates these objects in place instead of replacing them would
-    break this contract.
-    """
-
-    st: FamilyState
-    keys: dict[int, MatvecKey]
-    code_pos: dict[int, int]
-    code: object
-    k: int
-    need: int
 
 
 class AVCCMaster(MatvecMasterBase):
@@ -86,10 +63,14 @@ class AVCCMaster(MatvecMasterBase):
     probes:
         Freivalds probes per check (1 in the paper).
     adaptive:
-        ``False`` gives Static VCC (verification without re-coding).
+        ``False`` gives Static VCC, the Fig. 5 ablation: verification
+        without re-coding, so the master still rejects Byzantine
+        results per worker but never drops workers nor re-encodes
+        (its :attr:`name` reads ``"static_vcc"``).
     """
 
     name = "avcc"
+    verify_each = True
 
     def __init__(
         self,
@@ -108,7 +89,10 @@ class AVCCMaster(MatvecMasterBase):
                 "the matvec master serves deg_f=1 rounds; higher degrees use "
                 "the generalized verifier directly"
             )
+        if not adaptive:
+            self.name = "static_vcc"
         self.scheme = scheme
+        self._budget = (scheme.s, scheme.m)
         self.probes = probes
         self.adaptive = adaptive
         self.policy = AdaptivePolicy(mode="mds", deg_f=1)
@@ -116,8 +100,6 @@ class AVCCMaster(MatvecMasterBase):
         self._cache: EncodingCache | None = None
         self._cfg = None
         self._k_now = scheme.k
-        self._code_pos: dict[int, int] = {}
-        self._keys: dict[str, dict[int, MatvecKey]] = {}
 
     # ------------------------------------------------------------------
     def setup(self, x_field: np.ndarray) -> float:
@@ -152,31 +134,13 @@ class AVCCMaster(MatvecMasterBase):
         self.backend.distribute("bwd", bwd, participants=participants)
         self._cfg = cfg
         self._k_now = k
-        self._code_pos = {wid: slot for slot, wid in enumerate(participants)}
-        self._keys = {
-            "fwd": {wid: cfg.fwd_keys[slot] for slot, wid in enumerate(participants)},
-            "bwd": {wid: cfg.bwd_keys[slot] for slot, wid in enumerate(participants)},
-        }
-        self._families = {
-            "fwd": FamilyState(
-                name="fwd",
-                true_len=cfg.m,
-                padded_len=cfg.m_pad,
-                operand_len=cfg.d,
-                operand_true_len=cfg.d,
-                block_rows=cfg.m_pad // k,
-                block_cols=cfg.d,
-            ),
-            "bwd": FamilyState(
-                name="bwd",
-                true_len=cfg.d,
-                padded_len=cfg.d_pad,
-                operand_len=cfg.m_pad,
-                operand_true_len=cfg.m,
-                block_rows=cfg.d_pad // k,
-                block_cols=cfg.m_pad,
-            ),
-        }
+        self._install_rounds(
+            matvec_families(cfg.m, cfg.d, k),
+            cfg.code,
+            cfg.code.recovery_threshold(),
+            participants,
+            keys={"fwd": cfg.fwd_keys, "bwd": cfg.bwd_keys},
+        )
         return self.backend.now - t0
 
     # ------------------------------------------------------------------
@@ -185,108 +149,18 @@ class AVCCMaster(MatvecMasterBase):
         return (len(self.active), self._k_now)
 
     def release(self) -> None:
+        super().release()
         self._cache = None
         self._cfg = None
-        self._keys = {}
 
-    def _plan_raw(self, family: str, operand) -> RoundPlan:
-        """Stage 1: pad the operand, build the broadcast job, snapshot
-        the verification context (keys/code/positions frozen here)."""
-        if self._cfg is None:
-            raise RuntimeError("setup() must be called before rounds")
-        ctx = _AvccRoundContext(
-            st=self._family(family),
-            keys=dict(self._keys[family]),
-            code_pos=dict(self._code_pos),
-            code=self._cfg.code,
-            k=self._cfg.k,
-            need=self._cfg.code.recovery_threshold(),
-        )
-        return self._plan_family_round(family, operand, context=ctx)
-
-    def _complete_raw(self, plan: RoundPlan, handle: RoundHandle) -> RoundOutcome:
-        """Stages 3+4: verify each arrival as it lands, stop at the
-        recovery threshold, decode over the verified subset."""
-        ctx: _AvccRoundContext = plan.context
-        operand = plan.job.operand
-        need = ctx.need
-
-        verified, rejected, verify_time, t_verified = self._collect_verified(
-            handle, ctx.keys, operand, need, width=plan.width
-        )
-        rr = handle.result()
-        if len(verified) < need:
-            raise InsufficientResultsError(
-                f"{plan.family} round: only {len(verified)} verified results, "
-                f"need {need}"
-            )
-
-        positions = [ctx.code_pos[a.worker_id] for a in verified]
-        values = np.stack([a.value for a in verified])
-        block_elems = ctx.st.block_rows * plan.width
+    def _decode(self, plan: RoundPlan, used: list[Arrival], positions: np.ndarray):
+        """Lagrange interpolation over the verified subset."""
+        ctx = plan.context
         decode_time = self.cost_model.master_compute_time(
-            self.lagrange_decode_macs(need, ctx.k, block_elems)
+            self.lagrange_decode_macs(ctx.need, ctx.code.k, ctx.st.block_rows * plan.width)
         )
-        blocks = ctx.code.decode(np.asarray(positions), values)
-        vec = self._strip(blocks, ctx.st.true_len)
-
-        t_end = t_verified + decode_time
-        self._iter_rejected.update(rejected)
-        self._note_stragglers(rr, used=[a.worker_id for a in verified])
-        record = self._mk_record(
-            round_name=plan.round_name,
-            rr=rr,
-            last_used=verified[-1],
-            t_end=t_end,
-            verify_time=verify_time,
-            decode_time=decode_time,
-            n_collected=len(verified) + len(rejected),
-            n_verified=len(verified),
-            rejected=rejected,
-            used=[a.worker_id for a in verified],
-        )
-        self._audit_commit(
-            plan,
-            record,
-            output=vec,
-            accepted=[a.worker_id for a in verified],
-            verify_ok=not rejected,
-            arrivals=rr.arrived(),
-            handle=handle,
-        )
-        self.backend.advance_to(t_end)
-        return RoundOutcome(vector=vec, record=record)
-
-    def _collect_verified(
-        self, handle: RoundHandle, keys, operand, need: int, width: int = 1
-    ):
-        """Consume arrivals in time order, verifying each on the master
-        core, until ``need`` results pass — then cancel the round so no
-        backend waits on the remaining stragglers. Returns
-        ``(verified_arrivals, rejected_ids, verify_work_time, t_done)``.
-        """
-        master_free = self._master_free_at(handle)
-        verified = []
-        rejected: list[int] = []
-        verify_time = 0.0
-        t_done = math.inf
-        for a in handle:
-            key = keys[a.worker_id]
-            vt = self.cost_model.master_compute_time(
-                self.verifier.check_cost_ops(key, width)
-            )
-            start = max(a.t_arrival, master_free)
-            master_free = start + vt
-            verify_time += vt
-            if self.verifier.check(key, operand, a.value):
-                verified.append(a)
-            else:
-                rejected.append(a.worker_id)
-            if len(verified) == need:
-                t_done = master_free
-                handle.cancel()
-                break
-        return verified, rejected, verify_time, t_done
+        blocks = ctx.code.decode(positions, np.stack([a.value for a in used]))
+        return self._strip(blocks, ctx.st.true_len), decode_time, (), True
 
     # ------------------------------------------------------------------
     def end_iteration(self) -> AdaptationOutcome:
@@ -305,10 +179,7 @@ class AVCCMaster(MatvecMasterBase):
             )
             if m_t_ids:
                 dropped = m_t_ids
-                self.active = [w for w in self.active if w not in self._iter_rejected]
-                self._code_pos = {
-                    w: p for w, p in self._code_pos.items() if w in self.active
-                }
+                self._drop_workers(self._iter_rejected)
                 self.backend.drop_workers(dropped)
             if decision.reencode:
                 reencode_time = self._install_config(
@@ -365,14 +236,9 @@ class AVCCMaster(MatvecMasterBase):
             k_new = max(k_new, self.policy.min_k)
         else:
             k_new = k_now
-        self.active = new_active
         if joined or k_new != k_now:
+            self.active = new_active
             return self._install_config(n_new, k_new, self.active)
         # pure departure at unchanged K: surviving positions stay valid
-        live = set(self.active)
-        self._code_pos = {w: p for w, p in self._code_pos.items() if w in live}
-        self._keys = {
-            fam: {w: key for w, key in keys.items() if w in live}
-            for fam, keys in self._keys.items()
-        }
+        self._drop_workers(gone)
         return 0.0

@@ -1,5 +1,5 @@
-"""Common machinery for all masters: padding, cost helpers, the
-broadcast-compute-collect round skeleton.
+"""Common machinery for all masters: padding, cost helpers, and the one
+round path every master runs.
 
 Masters are **backend-agnostic**: they accept any
 :class:`~repro.runtime.backend.Backend` (the discrete-event simulator,
@@ -7,6 +7,15 @@ the thread pool, or the shared-memory process pool) and drive it
 through declarative :class:`~repro.runtime.backend.RoundJob` dispatches.
 A master's verify/decode/adapt logic never changes across backends —
 only where the worker arithmetic physically runs.
+
+A master supplies three things: its ``setup`` (encode, ship, key), a
+collect policy (verify each arrival and stop at the recovery
+threshold, or take results unchecked until enough have landed) and a
+decode step. :class:`MatvecMasterBase` does the rest once for all of
+them: plan, dispatch, the collect loop, the refusal below the
+threshold, and the finish — iteration observations, the
+:class:`~repro.runtime.trace.RoundRecord`, the audit commitment and the
+clock.
 
 Every matvec master serves two encoded matrix *families* (paper
 Sec. IV-A):
@@ -32,6 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.coding.base import unpartition_rows
+from repro.core.results import AdaptationOutcome, InsufficientResultsError, RoundOutcome
 from repro.ff.field import PrimeField
 from repro.obs.audit import digest_array
 from repro.runtime.backend import Arrival, Backend, RoundHandle, RoundJob, RoundResult
@@ -40,8 +50,10 @@ from repro.runtime.trace import RoundRecord
 __all__ = [
     "pad_rows_to_multiple",
     "encode_padded_rows",
+    "matvec_families",
     "MatvecMasterBase",
     "FamilyState",
+    "RoundContext",
     "RoundPlan",
 ]
 
@@ -81,25 +93,23 @@ def encode_padded_rows(
     return code.encode(stack[:k], rng, into=stack)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyState:
-    """Per-family bookkeeping (one for ``fwd``, one for ``bwd``)."""
+    """Geometry of one encoded family (``fwd``, ``bwd``, ``gram``)."""
 
     name: str              # payload key on the workers
     true_len: int          # m (fwd) or d (bwd): output length before padding
-    padded_len: int        # m_pad or d_pad
     operand_len: int       # d (fwd) or m_pad (bwd): broadcast length
     operand_true_len: int  # d (fwd) or m (bwd): operand length pre-padding
-    block_rows: int        # padded_len // k
-    block_cols: int        # columns of each share
+    block_rows: int        # rows of each share: m_pad // k (fwd), d_pad // k (bwd)
+    op: str = "matvec"     # the RoundJob op the workers run on this family
 
     def pad_operand(self, field, operand: np.ndarray) -> np.ndarray:
         """Zero-extend a true-length operand to the broadcast length
         (masters accept unpadded operands; padding is internal).
 
         Accepts a single vector or a ``(len, B)`` batch of ``B``
-        operands stacked along the trailing axis."""
-        operand = field.asarray(operand)
+        operands stacked along the trailing axis, already reduced."""
         if operand.ndim not in (1, 2):
             raise ValueError(
                 f"{self.name} operand must be 1-D or 2-D, got shape {operand.shape}"
@@ -116,6 +126,36 @@ class FamilyState:
         )
 
 
+def matvec_families(m: int, d: int, k: int) -> dict[str, FamilyState]:
+    """The ``fwd``/``bwd`` geometry of an ``m x d`` dataset cut into
+    ``k`` row blocks per family, each side zero-padded to a multiple of
+    ``k``."""
+    m_pad, d_pad = m + (-m) % k, d + (-d) % k
+    return {
+        "fwd": FamilyState("fwd", m, d, d, m_pad // k),
+        "bwd": FamilyState("bwd", d, m_pad, m, d_pad // k),
+    }
+
+
+@dataclass(frozen=True)
+class RoundContext:
+    """What a round is verified and decoded against, fixed at plan time.
+
+    A master keeps one context per family and *replaces* it — at
+    ``setup``, on a re-code, when workers are dropped — never edits it
+    or the objects it holds, so a round planned under the old context
+    keeps decoding against exactly what it was planned with (the
+    re-entrancy the pipelined scheduler relies on). Any change that
+    mutated these objects in place instead would break that contract.
+    """
+
+    st: FamilyState | None    # geometry (None for matmul's factor pair)
+    code: Any                 # the code decoded with (None: uncoded)
+    code_pos: dict[int, int]  # worker id -> code position
+    keys: dict[int, Any]      # worker id -> key (empty: nothing is verified)
+    need: int                 # results the decode needs
+
+
 @dataclass(frozen=True)
 class RoundPlan:
     """Everything needed to dispatch and later finalize one round.
@@ -123,12 +163,12 @@ class RoundPlan:
     The round lifecycle is an explicit **plan → dispatch → collect →
     finalize** state machine: ``plan_round`` pads/stacks the operands,
     builds the declarative :class:`~repro.runtime.backend.RoundJob`
-    and *snapshots* the verification context (keys, code, code
-    positions, participants) so the master stays re-entrant — a
-    dynamic re-code between plan and finalize can never corrupt an
-    in-flight round's bookkeeping. ``dispatch_plan`` hands the job to
-    the backend; ``complete_round`` consumes the arrival stream,
-    verifies, decodes and traces.
+    and takes the family's current :class:`RoundContext` (keys, code,
+    code positions) so the master stays re-entrant — a dynamic re-code
+    between plan and finalize can never corrupt an in-flight round's
+    bookkeeping. ``dispatch_plan`` hands the job to the backend;
+    ``complete_round`` consumes the arrival stream, verifies, decodes
+    and traces.
 
     Attributes
     ----------
@@ -148,7 +188,8 @@ class RoundPlan:
         *raw* round (``forward_round``-style single operand): the
         finalized vector is returned unsplit.
     context:
-        Master-specific frozen verification/decoding context.
+        The :class:`RoundContext` the round is verified and decoded
+        against.
     """
 
     family: str
@@ -161,11 +202,13 @@ class RoundPlan:
 
 
 class MatvecMasterBase:
-    """Skeleton shared by AVCC, LCC, uncoded and Static VCC masters.
+    """The round skeleton shared by every master.
 
-    Subclasses implement their waiting/verification policy over the
-    round's :class:`~repro.runtime.backend.RoundHandle` and ``setup``;
-    the round-driving logic here is common and backend-agnostic.
+    Subclasses implement ``setup`` (which installs one
+    :class:`RoundContext` per family via :meth:`_install_rounds`), pick
+    a collect policy (:attr:`verify_each`, plus :meth:`_check` or
+    :meth:`_wait_count`) and implement :meth:`_decode`; the round
+    driving here is common and backend-agnostic.
 
     The round lifecycle is split into the :class:`RoundPlan` state
     machine so callers (the session scheduler) can hold several rounds
@@ -178,9 +221,19 @@ class MatvecMasterBase:
 
     #: the session's shared :class:`~repro.obs.audit.AuditLog` when
     #: ``SessionConfig.audit`` is on, ``None`` otherwise. Armed by the
-    #: session; with it off, :meth:`_audit_commit` is a no-op and the
+    #: session; with it off, :meth:`_finish` commits nothing and the
     #: finalize path is byte-identical to an unaudited build.
     audit: Any = None
+
+    #: collect policy. ``True``: check every arrival on the master core
+    #: (:meth:`_check`) and stop at ``need`` accepted results (AVCC).
+    #: ``False``: take results unchecked until :meth:`_wait_count` have
+    #: landed (LCC, uncoded).
+    verify_each = False
+
+    #: the ``(S, M)`` budget the master was provisioned for, committed
+    #: with every audited round
+    _budget: tuple[int, int] = (0, 0)
 
     #: latency-ratio threshold of the *exact-timing* straggler detector:
     #: on backends with a virtual clock (``timing_is_exact`` — the
@@ -202,7 +255,8 @@ class MatvecMasterBase:
         self.rng = rng or np.random.default_rng(0)
         #: worker ids participating, in code-position order
         self.active: list[int] = list(range(backend.n))
-        self._families: dict[str, FamilyState] = {}
+        #: family -> the context the next round of that family is planned against
+        self._rounds: dict[str, RoundContext] = {}
         self._iteration = 0
         # per-iteration observation scratch (reset by end_iteration)
         self._iter_rejected: set[int] = set()
@@ -214,41 +268,52 @@ class MatvecMasterBase:
         shares, keys, an encoding cache): called by the owner once no
         further round will be planned. ``scheme_now`` keeps answering;
         planning a round afterwards needs a new ``setup``."""
+        self._rounds = {}
 
     # ------------------------------------------------------------------
     # helpers for subclasses
     # ------------------------------------------------------------------
-    def _position_of(self, worker_id: int) -> int:
-        """Code position (index into alpha points) of a worker."""
-        return self.active.index(worker_id)
-
-    def _family(self, family: str) -> FamilyState:
-        try:
-            return self._families[family]
-        except KeyError:
-            raise ValueError(f"unknown family {family!r}; call setup() first") from None
-
-    def _plan_family_round(
-        self, family: str, operand: np.ndarray, context: Any = None
-    ) -> RoundPlan:
-        """Shared plan builder for the matvec families: pad the operand,
-        build the broadcast job, snapshot the participants."""
-        st = self._family(family)
-        operand = st.pad_operand(self.field, self.field.asarray(operand))
-        if operand.shape[0] != st.operand_len or operand.ndim not in (1, 2):
-            raise ValueError(
-                f"{family} operand must have length {st.operand_len}, got {operand.shape}"
+    def _install_rounds(
+        self,
+        families: dict[str, FamilyState | None],
+        code: Any,
+        need: int,
+        participants: Sequence[int],
+        keys: dict[str, Sequence[Any]] | None = None,
+    ) -> None:
+        """Plan new rounds against ``families``: worker
+        ``participants[i]`` holds share ``i`` of ``code`` and, for a
+        verifying master, key ``keys[family][i]``."""
+        code_pos = {wid: slot for slot, wid in enumerate(participants)}
+        self._rounds = {
+            name: RoundContext(
+                st, code, code_pos, dict(zip(participants, keys[name])) if keys else {}, need
             )
-        width = 1 if operand.ndim == 1 else int(operand.shape[1])
-        job = RoundJob(op="matvec", payload_key=st.name, operand=operand)
-        return RoundPlan(
-            family=family,
-            round_name=family,
-            job=job,
-            participants=tuple(self.active),
-            width=width,
-            context=context,
-        )
+            for name, st in families.items()
+        }
+
+    def _drop_workers(self, worker_ids) -> None:
+        """Plan no further round on ``worker_ids``: the roster and every
+        family's positions and keys lose them. Surviving positions stay
+        valid — the code is unchanged, their redundancy is spent."""
+        gone = set(worker_ids)
+        self.active = [w for w in self.active if w not in gone]
+        self._rounds = {
+            name: dc_replace(
+                ctx,
+                code_pos={w: p for w, p in ctx.code_pos.items() if w not in gone},
+                keys={w: key for w, key in ctx.keys.items() if w not in gone},
+            )
+            for name, ctx in self._rounds.items()
+        }
+
+    def _context(self, family: str) -> RoundContext:
+        if not self._rounds:
+            raise RuntimeError("setup() must be called before rounds")
+        try:
+            return self._rounds[family]
+        except KeyError:
+            raise ValueError(f"unknown family {family!r}") from None
 
     def _master_free_at(self, handle: RoundHandle) -> float:
         """When the master core can start verifying this round's
@@ -308,98 +373,10 @@ class MatvecMasterBase:
             if lat > self.straggler_ratio * med:
                 self._iter_stragglers.add(a.worker_id)
 
-    def _mk_record(
-        self,
-        round_name: str,
-        rr: RoundResult,
-        last_used: Arrival,
-        t_end: float,
-        verify_time: float,
-        decode_time: float,
-        n_collected: int,
-        n_verified: int,
-        rejected: Sequence[int],
-        used: Sequence[int],
-    ) -> RoundRecord:
-        bcast_done = rr.t_start + rr.broadcast_time
-        compute_wait = max(0.0, last_used.t_arrival - bcast_done - last_used.comm_time)
-        worker_latencies = tuple(
-            (a.worker_id, max(0.0, a.t_arrival - bcast_done))
-            for a in rr.arrivals
-            if math.isfinite(a.t_arrival)
-        )
-        return RoundRecord(
-            iteration=self._iteration,
-            round_name=round_name,
-            t_start=rr.t_start,
-            t_end=t_end,
-            compute_wait=compute_wait,
-            comm_time=rr.broadcast_time + last_used.comm_time,
-            verify_time=verify_time,
-            decode_time=decode_time,
-            n_collected=n_collected,
-            n_verified=n_verified,
-            n_rejected=len(rejected),
-            rejected_workers=tuple(rejected),
-            used_workers=tuple(used),
-            worker_latencies=worker_latencies,
-        )
-
     @staticmethod
     def _strip(blocks: np.ndarray, true_len: int) -> np.ndarray:
         """Concatenate decoded blocks and strip zero padding."""
         return unpartition_rows(blocks)[:true_len]
-
-    def _audit_commit(
-        self,
-        plan: RoundPlan,
-        record: RoundRecord,
-        *,
-        output: np.ndarray,
-        accepted: Sequence[int],
-        verify_ok: bool,
-        arrivals: Sequence[Arrival] = (),
-        handle: RoundHandle | None = None,
-    ) -> None:
-        """Append this round's commitment to the session's audit chain
-        (no-op unless the session armed :attr:`audit`).
-
-        Digests every *received* result — rejected workers included,
-        so the evidence of a Byzantine share survives verification —
-        and cross-checks any daemon-countersigned digests the backend
-        handle collected (``worker_digests``, socket backends only):
-        workers whose shipped digest matches the master-side digest of
-        the received bytes land in the commitment's ``attested`` set.
-        """
-        if self.audit is None:
-            return
-        n_t, k_t = self.scheme_now
-        scheme = getattr(self, "scheme", None)
-        s = int(getattr(scheme, "s", 0) or getattr(self, "s", 0) or 0)
-        m = int(getattr(scheme, "m", 0) or getattr(self, "m", 0) or 0)
-        digests = {
-            int(a.worker_id): digest_array(a.value)
-            for a in arrivals
-            if a.value is not None
-        }
-        shipped = getattr(handle, "worker_digests", None) or {}
-        attested = sorted(
-            w for w, d in digests.items() if shipped.get(w) == d
-        )
-        operand = plan.job.operand
-        self.audit.commit(
-            family=record.round_name,
-            scheme=(n_t, k_t, s, m),
-            operand_digest=digest_array(operand) if operand is not None else "",
-            output_digest=digest_array(output),
-            workers=plan.participants,
-            worker_digests=sorted(digests.items()),
-            attested=attested,
-            accepted=accepted,
-            rejected=record.rejected_workers,
-            verify_ok=verify_ok,
-            t_end=record.t_end,
-        )
 
     # ------------------------------------------------------------------
     # cost formulas (documented in DESIGN.md; drive simulated timing)
@@ -437,18 +414,20 @@ class MatvecMasterBase:
     # round lifecycle: plan -> dispatch -> collect/finalize
     # ------------------------------------------------------------------
     def plan_round(self, family: str, operands: Sequence[np.ndarray]) -> RoundPlan:
-        """Stage 1: coalesce ``operands`` (same-family jobs) into one
-        plan. A single operand stays a plain vector round; several are
-        stacked into a ``(len, B)`` batch served by one broadcast."""
-        ops = [self.field.asarray(op) for op in operands]
+        """Stage 1: coalesce ``operands`` (same-family jobs, reduced
+        residues — the session reduces each at submission, the
+        blocking helpers on entry) into one plan. A single operand
+        stays a plain vector round; several are stacked into a
+        ``(len, B)`` batch served by one broadcast."""
+        ops = list(operands)
         if not ops:
             raise ValueError("plan_round needs at least one operand")
         if len(ops) == 1:
             raw = ops[0]
         else:
-            st = self._family(family)
+            st = self._context(family).st
             raw = np.stack([st.pad_operand(self.field, op) for op in ops], axis=1)
-        return dc_replace(self._plan_raw(family, raw), n_jobs=len(ops))
+        return self._plan_raw(family, raw, n_jobs=len(ops))
 
     def dispatch_plan(self, plan: RoundPlan) -> RoundHandle:
         """Stage 2: hand the planned job to the backend. Non-blocking on
@@ -460,8 +439,6 @@ class MatvecMasterBase:
         where the policy has one), decode, trace. Returns one
         :class:`~repro.core.results.RoundOutcome` per planned job, in
         submission order; they share the round's record."""
-        from repro.core.results import RoundOutcome
-
         out = self._complete_raw(plan, handle)
         if plan.n_jobs <= 1:
             return [out]
@@ -479,7 +456,7 @@ class MatvecMasterBase:
         single decode recovers every job — B jobs cost one broadcast,
         one arrival wait and one straggler exposure instead of B.
         """
-        ops = list(operands)
+        ops = [self.field.asarray(op) for op in operands]
         if not ops:
             return []
         plan = self.plan_round(family, ops)
@@ -487,14 +464,179 @@ class MatvecMasterBase:
 
     def _round(self, family: str, operand):
         """Blocking raw round (operand may be a pre-stacked batch)."""
-        plan = self._plan_raw(family, operand)
+        plan = self._plan_raw(family, self.field.asarray(operand))
         return self._complete_raw(plan, self.dispatch_plan(plan))
 
-    def _plan_raw(self, family: str, operand) -> RoundPlan:  # pragma: no cover
+    def _plan_raw(self, family: str, operand: np.ndarray, n_jobs: int = 0) -> RoundPlan:
+        """Pad the reduced operand, build the broadcast job and take the
+        family's current context."""
+        ctx = self._context(family)
+        st = ctx.st
+        operand = st.pad_operand(self.field, operand)
+        return RoundPlan(
+            family=family,
+            # fwd and bwd are both matvec, so a matvec round is named
+            # after its family; any other op after the op
+            round_name=family if st.op == "matvec" else st.op,
+            job=RoundJob(op=st.op, payload_key=st.name, operand=operand),
+            participants=tuple(self.active),
+            width=1 if operand.ndim == 1 else int(operand.shape[1]),
+            n_jobs=n_jobs,
+            context=ctx,
+        )
+
+    def _complete_raw(self, plan: RoundPlan, handle: RoundHandle) -> RoundOutcome:
+        """Stages 3+4 for every master: collect under the master's
+        policy, refuse below the recovery threshold, finish."""
+        used, rejected, verify_time, t_ready = self._collect(plan, handle)
+        rr = handle.result()
+        need = plan.context.need
+        if len(used) < need:
+            what = "verified" if self.verify_each else "collected"
+            raise InsufficientResultsError(
+                f"{plan.round_name} round: {len(used)} {what} results, need {need}"
+            )
+        return self._finish(plan, handle, rr, used, rejected, verify_time, t_ready)
+
+    def _collect(
+        self, plan: RoundPlan, handle: RoundHandle
+    ) -> tuple[list[Arrival], list[int], float, float]:
+        """Consume arrivals in time order until the policy has enough,
+        then cancel the round so no backend waits on the remaining
+        stragglers.
+
+        A verifying master checks each arrival on the master core,
+        serialized — a check starts once the result landed and the
+        previous check finished — until ``need`` pass. Returns
+        ``(used, rejected_ids, verify_time, t_ready)``, ``t_ready``
+        being when the master core holds everything it decodes from.
+        """
+        ctx = plan.context
+        used: list[Arrival] = []
+        rejected: list[int] = []
+        if not self.verify_each:
+            wait = self._wait_count(plan)
+            for a in handle:
+                used.append(a)
+                if len(used) == wait:
+                    handle.cancel()
+                    break
+            t_ready = max(used[-1].t_arrival, self._master_free_at(handle)) if used else math.inf
+            return used, rejected, 0.0, t_ready
+        master_free = self._master_free_at(handle)
+        verify_time = 0.0
+        for a in handle:
+            key = ctx.keys[a.worker_id]
+            vt = self.cost_model.master_compute_time(
+                self.verifier.check_cost_ops(key, plan.width)
+            )
+            start = max(a.t_arrival, master_free)
+            master_free = start + vt
+            verify_time += vt
+            if self._check(plan, key, a):
+                used.append(a)
+            else:
+                rejected.append(a.worker_id)
+            if len(used) == ctx.need:
+                handle.cancel()
+                break
+        return used, rejected, verify_time, master_free
+
+    def _check(self, plan: RoundPlan, key: Any, arrival: Arrival) -> bool:
+        """A verifying master's test of one arrival: the claimed product
+        against the round's broadcast operand."""
+        return self.verifier.check(key, plan.job.operand, arrival.value)
+
+    def _wait_count(self, plan: RoundPlan) -> int:
+        """How many results an unverifying master waits for: every
+        participant, unless the master has slack to spare."""
+        return len(plan.participants)
+
+    def _decode(
+        self, plan: RoundPlan, used: list[Arrival], positions: np.ndarray
+    ) -> tuple[np.ndarray, float, Sequence[int], bool]:  # pragma: no cover - abstract
+        """Recover the round's output from ``used`` (the arrivals the
+        collect policy kept, at code ``positions``). Returns ``(output,
+        decode_time, faulty, trusted)``: ``faulty`` lists workers the
+        decode itself caught lying (LCC's error locator), ``trusted``
+        is ``False`` when nothing vouches for the output. A decode may
+        reorder ``used`` into the order the record should report."""
         raise NotImplementedError
 
-    def _complete_raw(self, plan: RoundPlan, handle: RoundHandle):  # pragma: no cover
-        raise NotImplementedError
+    def _finish(
+        self,
+        plan: RoundPlan,
+        handle: RoundHandle,
+        rr: RoundResult,
+        used: list[Arrival],
+        rejected: list[int],
+        verify_time: float,
+        t_ready: float,
+    ) -> RoundOutcome:
+        """Decode and close the round — the one finish path: note
+        rejections, then stragglers, build the record, commit it to the
+        audit chain when one is armed, and advance the clock."""
+        ctx = plan.context
+        last = used[-1]  # the result that gated the round, in time order
+        n_collected = len(used) + len(rejected)
+        positions = np.asarray([ctx.code_pos[a.worker_id] for a in used])
+        output, decode_time, faulty, trusted = self._decode(plan, used, positions)
+        verify_ok = trusted and not rejected
+        rejected = [*rejected, *faulty]
+        used_ids = [a.worker_id for a in used]
+        t_end = t_ready + decode_time
+
+        self._iter_rejected.update(rejected)
+        self._note_stragglers(rr, used=used_ids)
+        bcast_done = rr.t_start + rr.broadcast_time
+        record = RoundRecord(
+            iteration=self._iteration,
+            round_name=plan.round_name,
+            t_start=rr.t_start,
+            t_end=t_end,
+            compute_wait=max(0.0, last.t_arrival - bcast_done - last.comm_time),
+            comm_time=rr.broadcast_time + last.comm_time,
+            verify_time=verify_time,
+            decode_time=decode_time,
+            n_collected=n_collected,
+            n_verified=n_collected - len(rejected),
+            n_rejected=len(rejected),
+            rejected_workers=tuple(rejected),
+            used_workers=tuple(used_ids),
+            worker_latencies=tuple(
+                (a.worker_id, max(0.0, a.t_arrival - bcast_done))
+                for a in rr.arrivals
+                if math.isfinite(a.t_arrival)
+            ),
+        )
+        if self.audit is not None:
+            # every *received* result is digested — rejected workers
+            # included, so the evidence of a Byzantine share survives
+            # verification — and checked against any digest the daemon
+            # countersigned (socket backends): the matching workers are
+            # the commitment's ``attested`` set
+            digests = {
+                int(a.worker_id): digest_array(a.value)
+                for a in rr.arrived()
+                if a.value is not None
+            }
+            shipped = getattr(handle, "worker_digests", None) or {}
+            operand = plan.job.operand
+            self.audit.commit(
+                family=plan.round_name,
+                scheme=(*self.scheme_now, *self._budget),
+                operand_digest=digest_array(operand) if operand is not None else "",
+                output_digest=digest_array(output),
+                workers=plan.participants,
+                worker_digests=sorted(digests.items()),
+                attested=sorted(w for w, d in digests.items() if shipped.get(w) == d),
+                accepted=[w for w in used_ids if w not in faulty],
+                rejected=record.rejected_workers,
+                verify_ok=verify_ok,
+                t_end=t_end,
+            )
+        self.backend.advance_to(t_end)
+        return RoundOutcome(vector=output, record=record)
 
     def _reset_iteration_observations(self) -> None:
         self._iteration += 1
@@ -504,8 +646,6 @@ class MatvecMasterBase:
 
     def end_iteration(self):
         """Default: advance the iteration counter, no adaptation."""
-        from repro.core.results import AdaptationOutcome
-
         out = AdaptationOutcome(
             reencode_time=0.0,
             scheme=self.scheme_now,

@@ -18,8 +18,6 @@ verified evaluations, and interpolates all ``A_j @ B_k`` blocks.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,22 +25,11 @@ import numpy as np
 from repro.coding.base import partition_rows
 from repro.coding.polynomial import PolynomialCode
 from repro.core.base import MatvecMasterBase, RoundPlan
-from repro.core.results import InsufficientResultsError, RoundOutcome
-from repro.runtime.backend import Backend, RoundHandle, RoundJob
+from repro.core.results import RoundOutcome
+from repro.runtime.backend import Arrival, Backend, RoundJob
 from repro.verify.matmul import MatmulVerifier
 
 __all__ = ["CodedMatmulAVCCMaster"]
-
-
-@dataclass(frozen=True)
-class _MatmulRoundContext:
-    """Verification/decoding snapshot taken at plan time."""
-
-    keys: dict[int, object]
-    b_shares: np.ndarray
-    code: PolynomialCode
-    code_pos: dict[int, int]
-    need: int
 
 
 class CodedMatmulAVCCMaster(MatvecMasterBase):
@@ -52,10 +39,12 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
     keys (``A#<uid>`` / ``B#<uid>``): a session serves every
     ``submit_matmul`` through a fresh master, and with rounds
     pipelined a later job's ``setup`` must never overwrite factors a
-    still-in-flight round is computing on.
+    still-in-flight round is computing on. The factors are fixed at
+    ``setup``; a round verifies against the stored ``B~_i``.
     """
 
     name = "matmul_avcc"
+    verify_each = True
 
     #: per-instance uid source for the unique payload keys
     _uids = itertools.count()
@@ -78,16 +67,12 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
             )
         self.p = p
         self.q = q
-        self.s = s
-        self.m = m
+        self._budget = (s, m)
         uid = next(CodedMatmulAVCCMaster._uids)
         self._key_a = f"A#{uid}"
         self._key_b = f"B#{uid}"
         self.verifier = MatmulVerifier(self.field, probes=probes)
-        self._code: PolynomialCode | None = None
         self._b_shares = None
-        self._keys = None
-        self._out_shape: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     def setup(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -102,21 +87,24 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
             raise ValueError(
                 f"p={self.p} must divide A's rows and q={self.q} B's columns"
             )
-        self._out_shape = (a.shape[0], b.shape[1])
         a_blocks = partition_rows(a, self.p)
         b_blocks = partition_rows(np.ascontiguousarray(b.T), self.q)
         b_blocks = b_blocks.transpose(0, 2, 1)  # (q, n, r/q) column blocks
 
-        self._code = PolynomialCode(field, self.backend.n, self.p, self.q)
-        a_shares = self._code.encode_a(a_blocks)
-        b_shares = self._code.encode_b(b_blocks)
+        code = PolynomialCode(field, self.backend.n, self.p, self.q)
+        a_shares = code.encode_a(a_blocks)
+        b_shares = code.encode_b(b_blocks)
         self.backend.distribute(self._key_a, a_shares, participants=self.active)
         self.backend.distribute(self._key_b, b_shares, participants=self.active)
         self._b_shares = b_shares
-        self._keys = {
-            wid: self.verifier.keygen_single(a_shares[slot], self.rng)
-            for slot, wid in enumerate(self.active)
-        }
+        keys = [
+            self.verifier.keygen_single(a_shares[slot], self.rng)
+            for slot in range(len(self.active))
+        ]
+        self._install_rounds(
+            {"matmul": None}, code, code.recovery_threshold, self.active,
+            keys={"matmul": keys},
+        )
         return self.backend.now - t0
 
     @property
@@ -126,30 +114,13 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
     # ------------------------------------------------------------------
     def multiply(self) -> RoundOutcome:
         """One blocking coded round computing the full ``A @ B``."""
-        plan = self.plan_multiply()
-        return self.complete_multiply(plan, self.dispatch_plan(plan))
+        plan = self.plan_round("matmul", ())
+        return self._complete_raw(plan, self.dispatch_plan(plan))
 
-    # scheduler-facing aliases: a matmul round carries its operands in
-    # the pre-shipped payload, so the generic (family, operands) plan
-    # surface ignores both arguments
     def plan_round(self, family: str, operands: Sequence) -> RoundPlan:
-        return self.plan_multiply()
-
-    def complete_round(self, plan: RoundPlan, handle: RoundHandle) -> list[RoundOutcome]:
-        return [self.complete_multiply(plan, handle)]
-
-    def plan_multiply(self) -> RoundPlan:
-        """Stage 1: snapshot keys/factor shares; factors are
-        pre-shipped, so the planned round is a pure trigger."""
-        if self._code is None:
-            raise RuntimeError("setup() must be called before multiply()")
-        ctx = _MatmulRoundContext(
-            keys=dict(self._keys),
-            b_shares=self._b_shares,
-            code=self._code,
-            code_pos={wid: slot for slot, wid in enumerate(self.active)},
-            need=self._code.recovery_threshold,
-        )
+        """Stage 1: the factors are pre-shipped, so the planned round is
+        a pure trigger and both arguments are ignored."""
+        ctx = self._context("matmul")
         return RoundPlan(
             family="matmul",
             round_name="matmul",
@@ -159,67 +130,16 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
             context=ctx,
         )
 
-    def complete_multiply(self, plan: RoundPlan, handle: RoundHandle) -> RoundOutcome:
-        """Stages 3+4: verify each arriving product, stop at the
-        recovery threshold, interpolate the block products."""
-        ctx: _MatmulRoundContext = plan.context
-        need = ctx.need
-        master_free = self._master_free_at(handle)
-        verified, rejected, verify_time = [], [], 0.0
-        t_done = math.inf
-        out_cols = plan.width
-        for a in handle:
-            key = ctx.keys[a.worker_id]
-            vt = self.cost_model.master_compute_time(
-                self.verifier.check_cost_ops(key, out_cols)
-            )
-            start = max(a.t_arrival, master_free)
-            master_free = start + vt
-            verify_time += vt
-            slot = ctx.code_pos[a.worker_id]
-            if self.verifier.check(key, ctx.b_shares[slot], a.value):
-                verified.append(a)
-            else:
-                rejected.append(a.worker_id)
-            if len(verified) == need:
-                t_done = master_free
-                handle.cancel()
-                break
-        rr = handle.result()
-        if len(verified) < need:
-            raise InsufficientResultsError(
-                f"matmul round: {len(verified)} verified products, need {need}"
-            )
+    def _check(self, plan: RoundPlan, key, arrival: Arrival) -> bool:
+        slot = plan.context.code_pos[arrival.worker_id]
+        return self.verifier.check(key, self._b_shares[slot], arrival.value)
 
-        positions = np.asarray([ctx.code_pos[a.worker_id] for a in verified])
-        products = np.stack([a.value for a in verified])
-        block_elems = int(products[0].size)
+    def _decode(self, plan: RoundPlan, used: list[Arrival], positions: np.ndarray):
+        """Interpolate every ``A_j @ B_k`` block from ``pq`` products."""
+        need = plan.context.need
+        products = np.stack([a.value for a in used])
         decode_time = self.cost_model.master_compute_time(
-            need**3 // 3 + need * need * block_elems
+            need**3 // 3 + need * need * int(products[0].size)
         )
-        blocks = ctx.code.decode(positions, products)
-        c = PolynomialCode.assemble(blocks)
-
-        t_end = t_done + decode_time
-        self._iter_rejected.update(rejected)
-        self._note_stragglers(rr, used=[a.worker_id for a in verified])
-        record = self._mk_record(
-            round_name=plan.round_name,
-            rr=rr,
-            last_used=verified[-1],
-            t_end=t_end,
-            verify_time=verify_time,
-            decode_time=decode_time,
-            n_collected=len(verified) + len(rejected),
-            n_verified=len(verified),
-            rejected=rejected,
-            used=[a.worker_id for a in verified],
-        )
-        self._audit_commit(
-            plan, record, output=c,
-            accepted=[a.worker_id for a in verified],
-            verify_ok=not rejected,
-            arrivals=rr.arrived(), handle=handle,
-        )
-        self.backend.advance_to(t_end)
-        return RoundOutcome(vector=c, record=record)
+        blocks = plan.context.code.decode(positions, products)
+        return PolynomialCode.assemble(blocks), decode_time, (), True

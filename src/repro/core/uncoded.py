@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.coding.base import partition_rows
-from repro.core.base import FamilyState, MatvecMasterBase, RoundPlan, pad_rows_to_multiple
-from repro.core.results import InsufficientResultsError, RoundOutcome
-from repro.runtime.backend import Backend, RoundHandle
+from repro.core.base import MatvecMasterBase, RoundPlan, matvec_families, pad_rows_to_multiple
+from repro.runtime.backend import Arrival, Backend
 
 __all__ = ["UncodedMaster"]
 
@@ -46,7 +45,6 @@ class UncodedMaster(MatvecMasterBase):
         if len(participants) != k:
             raise ValueError(f"need exactly k={k} participants")
         self.active = participants
-        self._dims: tuple[int, int, int, int] | None = None
 
     # ------------------------------------------------------------------
     def setup(self, x_field: np.ndarray) -> float:
@@ -55,26 +53,15 @@ class UncodedMaster(MatvecMasterBase):
         m, d = x.shape
         x_pad = pad_rows_to_multiple(x, self.k)
         xt_pad = pad_rows_to_multiple(np.ascontiguousarray(x_pad.T), self.k)
-        m_pad, d_pad = x_pad.shape[0], xt_pad.shape[0]
         self.backend.distribute(
             "fwd", partition_rows(x_pad, self.k), participants=self.active
         )
         self.backend.distribute(
             "bwd", partition_rows(xt_pad, self.k), participants=self.active
         )
-        self._dims = (m, d, m_pad, d_pad)
-        self._families = {
-            "fwd": FamilyState(
-                name="fwd", true_len=m, padded_len=m_pad,
-                operand_len=d, operand_true_len=d,
-                block_rows=m_pad // self.k, block_cols=d,
-            ),
-            "bwd": FamilyState(
-                name="bwd", true_len=d, padded_len=d_pad,
-                operand_len=m_pad, operand_true_len=m,
-                block_rows=d_pad // self.k, block_cols=m_pad,
-            ),
-        }
+        # participant order IS the block order for the uncoded layout;
+        # no slack: the round needs every one of the k blocks
+        self._install_rounds(matvec_families(m, d, self.k), None, self.k, self.active)
         return self.backend.now - t0
 
     @property
@@ -82,47 +69,10 @@ class UncodedMaster(MatvecMasterBase):
         return (self.k, self.k)
 
     # ------------------------------------------------------------------
-    def _plan_raw(self, family: str, operand) -> RoundPlan:
-        if self._dims is None:
-            raise RuntimeError("setup() must be called before rounds")
-        st = self._family(family)
-        # participant order IS the block order for the uncoded layout
-        return self._plan_family_round(family, operand, context=st)
-
-    def _complete_raw(self, plan: RoundPlan, handle: RoundHandle) -> RoundOutcome:
-        st: FamilyState = plan.context
-        order = {wid: slot for slot, wid in enumerate(plan.participants)}
-
-        finite = list(handle)  # uncoded has no slack: wait for everyone
-        rr = handle.result()
-        if len(finite) < self.k:
-            raise InsufficientResultsError(
-                f"{plan.family} round: a worker died; uncoded cannot proceed"
-            )
-        # waits for ALL k workers — the last arrival gates the round
-        t_end = max(finite[-1].t_arrival, self._master_free_at(handle))
-        by_position = sorted(finite, key=lambda a: order[a.worker_id])
-        blocks = np.stack([a.value for a in by_position])
-        vec = self._strip(blocks, st.true_len)
-        self._note_stragglers(rr, used=[a.worker_id for a in by_position])
-
-        record = self._mk_record(
-            round_name=plan.round_name,
-            rr=rr,
-            last_used=finite[-1],
-            t_end=t_end,
-            verify_time=0.0,
-            decode_time=0.0,
-            n_collected=self.k,
-            n_verified=self.k,  # nothing is ever checked
-            rejected=[],
-            used=[a.worker_id for a in by_position],
-        )
-        self._audit_commit(
-            plan, record, output=vec,
-            accepted=[a.worker_id for a in by_position],
-            verify_ok=False,  # uncoded never verifies anything
-            arrivals=rr.arrived(), handle=handle,
-        )
-        self.backend.advance_to(t_end)
-        return RoundOutcome(vector=vec, record=record)
+    def _decode(self, plan: RoundPlan, used: list[Arrival], positions: np.ndarray):
+        """No decoding: concatenate the blocks in position order. Nothing
+        is ever checked, so the output is never vouched for."""
+        order = plan.context.code_pos
+        used.sort(key=lambda a: order[a.worker_id])
+        blocks = np.stack([a.value for a in used])
+        return self._strip(blocks, plan.context.st.true_len), 0.0, (), False

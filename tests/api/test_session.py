@@ -286,6 +286,65 @@ class TestRoundBatching:
                 assert np.array_equal(got, ff_matvec(F, X, w)), backend
 
 
+class TestOperandReducedOnce:
+    """An operand is reduced ``% q`` once, where it enters — at
+    ``submit`` on the session path, at the blocking helper on the bare
+    master — and every plan stage after that takes it reduced."""
+
+    #: a scheme feasible at deg_f = 1 and 2, so gramian jobs run too
+    SCHEME2 = SchemeParams(n=6, k=2, s=1, m=1)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Callers in the session and master layers of
+        ``PrimeField.asarray``, one entry per call."""
+        import sys
+
+        seen: list[str] = []
+        original = PrimeField.asarray
+
+        def counting(field, x):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith(("repro.api", "repro.core")):
+                seen.append(caller)
+            return original(field, x)
+
+        monkeypatch.setattr(PrimeField, "asarray", counting)
+        return seen
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("family", ["fwd", "bwd", "gram"])
+    def test_session_submission(self, calls, family, width):
+        rng = np.random.default_rng(3)
+        length = {"fwd": 8, "bwd": 12, "gram": 8}[family]
+        ops = [F.random(length, rng) for _ in range(width)]
+        with Session.create(_config(scheme=self.SCHEME2)) as sess:
+            sess.load(X)
+            if family == "gram":
+                sess.submit_gramian(ops[0]).result()  # builds the gramian master
+            del calls[:]
+            if family == "gram":
+                handles = [sess.submit_gramian(w) for w in ops]
+            else:
+                handles = [sess.submit_matvec(w, transpose=family == "bwd") for w in ops]
+            sess.flush()
+            [h.result() for h in handles]
+        assert sess.stats.jobs_per_round[-1] == width
+        assert calls == ["repro.api.session"] * width
+
+    def test_bare_master_entry_points(self, calls):
+        rng = np.random.default_rng(4)
+        with Session.create(_config(scheme=self.SCHEME2)) as sess:
+            sess.load(X)
+            master = sess.master
+            del calls[:]
+            master.forward_round(F.random(8, rng))
+            assert len(calls) == 1
+            master.round_many("bwd", [F.random(12, rng) for _ in range(3)])
+            assert len(calls) == 1 + 3
+            assert set(calls) == {"repro.core.base"}
+
+
 class TestOtherWorkloads:
     def test_gramian_jobs_batch(self):
         cfg = _config(scheme=SchemeParams(n=8, k=3, s=1, m=1), workers=())
@@ -375,7 +434,7 @@ class TestNoBespokeConstructionOutsideCore:
 
     FORBIDDEN = re.compile(
         r"\b(SimCluster|ThreadedCluster|ProcessCluster|AVCCMaster|"
-        r"StaticVCCMaster|LCCMaster|UncodedMaster|GramianAVCCMaster|"
+        r"LCCMaster|UncodedMaster|GramianAVCCMaster|"
         r"CodedMatmulAVCCMaster)\s*\("
     )
 

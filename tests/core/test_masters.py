@@ -13,7 +13,6 @@ from repro.core import (
     AVCCMaster,
     InsufficientResultsError,
     LCCMaster,
-    StaticVCCMaster,
     UncodedMaster,
 )
 from repro.ff import PrimeField, ff_matvec
@@ -94,7 +93,7 @@ class TestExactness:
     def test_static_vcc(self, data):
         x, w, e = data
         cluster = make_cluster()
-        master = StaticVCCMaster(cluster, SchemeParams(n=12, k=9, s=2, m=1))
+        master = AVCCMaster(cluster, SchemeParams(n=12, k=9, s=2, m=1), adaptive=False)
         master.setup(x)
         z, _ = _exact(x, w, e)
         np.testing.assert_array_equal(master.forward_round(w).vector, z)
@@ -285,7 +284,8 @@ class TestDynamicAdaptation:
             straggler_factors={0: 20.0, 1: 20.0, 2: 20.0},
             behaviors={3: ConstantAttack()},
         )
-        master = StaticVCCMaster(cluster, SchemeParams(n=12, k=9, s=2, m=1))
+        master = AVCCMaster(cluster, SchemeParams(n=12, k=9, s=2, m=1), adaptive=False)
+        assert master.name == "static_vcc"
         master.setup(x)
         master.forward_round(w)
         master.backward_round(e)

@@ -183,11 +183,10 @@ class TestIntermittentAdversary:
             assert 7 not in master.active
 
     def test_static_vcc_keeps_rejecting_forever(self, dataset, reference_weights):
-        from repro import StaticVCCMaster
-
-        master = StaticVCCMaster(
+        master = AVCCMaster(
             _cluster(behaviors={7: ConstantAttack()}),
             SchemeParams(n=12, k=9, s=2, m=1),
+            adaptive=False,
         )
         master.setup(dataset.x_train)
         trainer = DistributedLogisticTrainer(master, dataset, CFG)
