@@ -7,9 +7,13 @@ modpow.
 
 The ``ff_*`` metrics recorded for the perf gate are ratios of two
 best-of-30 times taken back to back on the same box — the ``int64`` reference
-kernel (``a @ b % q``) over :func:`ff_matmul`, and the validating
-:func:`ff_matvec` over the worker's :func:`run_job_compute` — so they
-track which kernel runs, not how fast the runner is.
+kernel (``a @ b % q``) over :func:`ff_matmul`; the validating
+:func:`ff_matvec` over the worker's :func:`run_job_compute`; and the
+``int64`` :func:`matvec_reduced` over :func:`run_job_compute` on cold
+``float64``-resident shares — so they track which kernel runs, not how
+fast the runner is. Worker shares are stored as a daemon stores one
+off the wire (:func:`store_share` on a ``<u4`` array), so the round is
+timed on the dtype the worker really multiplies.
 """
 
 import time
@@ -19,7 +23,8 @@ import pytest
 
 from _metrics import record_metric
 from repro.ff import batch_inverse, ff_matmul, ff_matvec, mod_inverse
-from repro.runtime.backend import RoundJob, run_job_compute
+from repro.ff.linalg import matvec_reduced
+from repro.runtime.backend import RoundJob, run_job_compute, store_share
 
 #: the worker's product in a width-64 round: batch_wide_sim's share,
 #: and the paper's GISETTE split (m=6000 over K=9 workers, d=5000)
@@ -97,13 +102,22 @@ def test_worker_round_wide_matmul(benchmark, field, rng, name):
     )
 
 
+def _stored(field, share) -> dict:
+    """A worker's payload holding ``share`` as a daemon stores it: the
+    ``<u4`` frame array through :func:`store_share`."""
+    payload = {}
+    store_share(field, payload, "share", share.astype("<u4"))
+    return payload
+
+
 def test_worker_round_stored_share_matvec(benchmark, field, rng):
     """A matvec round as the worker runs it: the share was validated
-    once when it was stored, so the round pays for the product only —
-    against the validating entry point, which reduces the share again."""
-    share = field.ensure_reduced(field.random((667, 5000), rng))
+    (and made resident) once when it was stored, so the round pays for
+    the product only — against the validating entry point, which
+    reduces the share again."""
+    share = field.random((667, 5000), rng)
     job = RoundJob(op="matvec", payload_key="share", operand=field.random(5000, rng))
-    payload = {"share": share}
+    payload = _stored(field, share)
     out = benchmark(run_job_compute, field, payload, job)
     np.testing.assert_array_equal(out, ff_matvec(field, share, job.operand))
     validating = _best_s(lambda: ff_matvec(field, share, job.operand))
@@ -111,6 +125,25 @@ def test_worker_round_stored_share_matvec(benchmark, field, rng):
         "ff_stored_matvec_speedup",
         validating / _best_s(lambda: run_job_compute(field, payload, job)),
     )
+
+
+def test_worker_round_resident_share_matvec(benchmark, field, rng):
+    """train_logreg's worker round: a 200x2000 share, over the
+    ``2**18`` residency bound, so it is stored ``float64`` and every
+    round over it is one exact dgemm. Twelve distinct shares are
+    cycled, as twelve daemons on one box do, so no share is hot in
+    cache; the reference is the ``int64`` kernel over the same shares."""
+    shares = [field.random((200, 2000), rng) for _ in range(12)]
+    payloads = [_stored(field, s) for s in shares]
+    job = RoundJob(op="matvec", payload_key="share", operand=field.random(2000, rng))
+    assert all(p["share"].dtype == np.float64 for p in payloads)
+    for share, payload in zip(shares, payloads):
+        want = matvec_reduced(field, share, job.operand)
+        assert run_job_compute(field, payload, job).tobytes() == want.tobytes()
+    benchmark(lambda: [run_job_compute(field, p, job) for p in payloads])
+    int64 = _best_s(lambda: [matvec_reduced(field, s, job.operand) for s in shares])
+    resident = _best_s(lambda: [run_job_compute(field, p, job) for p in payloads])
+    record_metric("ff_resident_matvec_speedup", int64 / resident)
 
 
 def test_fermat_inverse_vectorized(benchmark, field, rng):

@@ -208,13 +208,17 @@ class RoundPlan:
     context: Any = None
 
 
-def _well_formed(value: Any, shape: tuple[int, ...]) -> bool:
+def _well_formed(value: Any, shape: tuple[int, ...], field: PrimeField | None = None) -> bool:
     """Whether a worker's result is an integer array of ``shape`` (of
-    any integer dtype that widens to ``int64`` without loss)."""
+    any integer dtype that widens to ``int64`` without loss) and, given
+    ``field``, of residues in ``[0, q)``. A verifying master passes no
+    field: its verifier's range scan over the claimed value refuses a
+    non-residue, so each arrival is still scanned once."""
     return (
         isinstance(value, np.ndarray)
         and value.shape == shape
         and np.can_cast(value.dtype, np.int64)
+        and (field is None or field.is_reduced(value))
     )
 
 
@@ -523,9 +527,11 @@ class MatvecMasterBase:
         stragglers.
 
         A worker may send anything (paper Sec. III-A): an arrival that is
-        not an integer array of the shape the plan implies is rejected
-        before any policy sees it, so it never counts toward ``need`` or
-        the wait count. A verifying master checks each other arrival on
+        not an integer array of residues in ``[0, q)`` of the shape the
+        plan implies is rejected before any policy sees it (the range
+        half of that test is the verifier's own, on a verifying master),
+        so it never counts toward ``need`` or the wait count. A
+        verifying master checks each other arrival on
         the master core, serialized — a check starts once the result
         landed and the previous check finished — until ``need`` pass.
         Returns ``(used, rejected_ids, verify_time, t_ready)``,
@@ -539,7 +545,7 @@ class MatvecMasterBase:
         if not self.verify_each:
             wait = self._wait_count(plan)
             for a in handle:
-                if not _well_formed(a.value, shape):
+                if not _well_formed(a.value, shape, self.field):
                     rejected.append(a.worker_id)
                     continue
                 used.append(a)

@@ -120,6 +120,17 @@ class PrimeField:
             return arr
         return arr.astype(np.int64, copy=False) % self.q
 
+    def is_reduced(self, x) -> bool:
+        """Whether ``x`` is an integer array of residues, every entry in
+        ``[0, q)``, as it stands: one min/max scan, nothing reduced or
+        copied. This is how an untrusted result is judged — a value an
+        honest computation cannot produce is refused, not repaired."""
+        return (
+            isinstance(x, np.ndarray)
+            and x.dtype.kind in "iu"
+            and (not x.size or (x.min() >= 0 and x.max() < self.q))
+        )
+
     def ensure_reduced(self, x) -> np.ndarray:
         """:meth:`asarray` for input that is usually reduced already.
 
@@ -129,9 +140,8 @@ class PrimeField:
         is how a static operand is validated once at a trust boundary
         (a worker storing a share) without paying for a second array.
         """
-        if isinstance(x, np.ndarray) and x.dtype == np.int64 and x.size:
-            if x.min() >= 0 and x.max() < self.q:
-                return x
+        if isinstance(x, np.ndarray) and x.dtype == np.int64 and self.is_reduced(x):
+            return x
         return self.asarray(x)
 
     def zeros(self, shape) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 These functions are the hot path of the whole stack (worker compute,
 encoding, decoding, verification all land here). Two kernels compute
-the same residues; which one runs depends only on the operand shapes
-and ``q``.
+the same residues; which one runs depends only on the operand shapes,
+``q`` and whether the left operand is a ``float64`` resident share.
 
 **The ``int64`` kernel** is ``a @ b % q``. NumPy integer products do not
 saturate — they silently wrap — so the inner dimension is split at
@@ -36,7 +36,9 @@ inner dimensions are chunked and reduced between chunks, exactly as
 **The crossover** (:func:`_use_dgemm`): ``dgemm`` pays once the inner
 dimension amortises building ``float64`` copies of both operands and
 converting the result back. Measured on a 2-vCPU box (OpenBLAS, 25-bit
-prime, median ms of 100 calls):
+prime, median ms of 100 calls; the last rows are ms per share over
+twelve 200x2000 or four 667x5000 shares cycled, so none is hot in
+cache, as on a fleet of daemons sharing one box, quartiles of 30 passes):
 
 ==================================  =========  ===========  =====
 ``(n x k) . (k x m)``               ``int64``  ``float64``  rule
@@ -52,6 +54,8 @@ Freivalds      1x600 . 600x64        0.038      0.081       int64
 serve share    27x120 . 120x16       0.028      0.023       int64
 cube           32x64 . 64x32         0.051      0.036       int64
 cube           64x128 . 128x64       0.52       0.13        dgemm
+train share    200x2000 . 2000, cold 0.64-0.66  0.23-0.24   float
+GISETTE share  667x5000 . 5000, cold 5.0-5.6    2.4-2.8     float
 ==================================  =========  ===========  =====
 
 ``dgemm`` breaks even near ``n*k*m = 2**15`` with ``k >= 32`` and is
@@ -62,9 +66,25 @@ above that line with a margin: the ``float64`` kernel runs when
 what it leaves on ``int64`` would save under 0.15 ms a call. The margin
 is deliberate: ``2**18`` is also where OpenBLAS starts waking worker
 threads, and the small products of a serving fleet (twelve daemons on
-two cores) are better off never meeting them. For the same reason no
-matrix–vector product goes to BLAS: ``a @ x`` on ``int64`` is
-memory-bound (0.3 ms for a 200x2000 share) and has nothing to gain.
+two cores) are better off never meeting them.
+
+**Resident shares** (:func:`resident_share`). A matrix–vector product
+over ``int64`` runs NumPy's own loop, not BLAS, and on a share that is
+cold in cache that loop — not memory — is the bound: keeping the share
+as ``uint32`` and widening it per 32-row block reads half the bytes and
+takes longer (0.71-0.77 ms against 0.64-0.66 on the train share). The
+``float64`` kernel needs a ``float64`` left operand, and converting a
+share on every round would cost more than the product; so a worker
+converts it once, when it stores it, and every later product over it —
+a matvec, the gramian's ``share.T`` matvec, a batched round — takes
+the ``float64`` kernel (the last two rows above; the vector is split
+into a ``(k, 2)`` limb matrix). The rule is the crossover's own bound
+at ``m = 1``: a 2-D share of ``n*k >= 2**18`` entries is resident,
+anything smaller stays ``int64`` — the serving and width-64 batch
+shares (27x120, 134x600) are below it. Such a product runs in row
+blocks of at most ``2**18`` multiply-adds (:func:`_dgemm`), on the
+calling thread: one threaded ``(667x5000) . (5000x2)`` ``dgemm`` took
+8.0 ms on the same box, hot in cache, and the blocked product 1.5-1.6.
 
 **Trust boundary.** :func:`ff_matmul`, :func:`ff_matvec` and
 :func:`ff_dot` are the validating entry points: they reduce both
@@ -72,8 +92,8 @@ operands (a full ``% q`` pass each) and reject floats. Reducing a large
 static operand costs more than the product it guards (1.4 ms of a
 1.8 ms ``ff_matvec`` on a 200x2000 share), so callers whose operands
 are residues *by construction* — a worker's stored share (validated
-once, when it is stored), a Freivalds key, an encoding matrix, a
-product just computed here — call :func:`matmul_reduced` /
+once, when it is stored, and kept resident), a Freivalds key, an
+encoding matrix, a product just computed here — call :func:`matmul_reduced` /
 :func:`matvec_reduced` and skip that pass. Anything that arrives from
 outside goes through the validating functions or
 :meth:`PrimeField.ensure_reduced` first.
@@ -91,13 +111,38 @@ __all__ = [
     "ff_dot",
     "matmul_reduced",
     "matvec_reduced",
+    "resident_share",
 ]
+
+
+#: the product size from which ``dgemm`` runs (module docstring): the
+#: crossover's ``n*k*m`` and the size of a share kept ``float64``
+_DGEMM_MIN_MACS = 2**18
 
 
 def _use_dgemm(n: int, k: int, m: int, chunk: int) -> bool:
     """The measured crossover (module docstring); ``chunk`` is the
     longest inner run the ``float64`` kernel may sum at once."""
-    return n >= 8 and m >= 8 and min(k, chunk) >= 64 and n * k * m >= 2**18
+    return n >= 8 and m >= 8 and min(k, chunk) >= 64 and n * k * m >= _DGEMM_MIN_MACS
+
+
+def resident_share(field: PrimeField, share) -> np.ndarray:
+    """A worker's share, validated once and in the dtype every later
+    round multiplies it in (the residency rule, module docstring).
+
+    Validation is :meth:`PrimeField.ensure_reduced`'s: residues pass
+    after a range scan, other integers are reduced, floats raise
+    ``TypeError``. Residues in an unsigned container (a ``<u4`` store
+    frame) skip the ``int64`` copy and are widened once, straight to
+    the resident dtype. A 2-D share of at least ``2**18`` entries is
+    kept ``float64`` — its every product is then one exact ``dgemm``,
+    a matvec included; anything smaller stays ``int64``, as is.
+    """
+    arr = np.asarray(share)
+    if not (arr.dtype.kind == "u" and field.is_reduced(arr)):
+        arr = field.ensure_reduced(arr)
+    big = arr.ndim == 2 and arr.size >= _DGEMM_MIN_MACS
+    return arr.astype(np.float64 if big else np.int64, copy=False)
 
 
 def _check_2d(a: np.ndarray, name: str) -> None:
@@ -127,22 +172,42 @@ def _matmul_int64(
     return into
 
 
+def _dgemm(a: np.ndarray, limbs: np.ndarray) -> np.ndarray:
+    """``a @ limbs`` in ``float64``. Over one limb pair (a matvec) it
+    runs in row blocks of at most ``2**18`` multiply-adds, the size
+    below which OpenBLAS keeps to the calling thread (module
+    docstring)."""
+    n, k = a.shape
+    rows = max(1, _DGEMM_MIN_MACS // (k * limbs.shape[1]))
+    if limbs.shape[1] > 2 or n <= rows:
+        return a @ limbs
+    out = np.empty((n, 2), dtype=np.float64)
+    for lo in range(0, n, rows):
+        np.matmul(a[lo : lo + rows], limbs, out=out[lo : lo + rows])
+    return out
+
+
 def _matmul_float64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndarray:
-    k, m = b.shape
+    """``a @ b % q`` in one ``dgemm`` per chunk; ``b`` is a matrix or a
+    vector (split into a ``(k, 2)`` limb matrix), ``a`` is ``int64`` or
+    a ``float64`` resident share, used as it is."""
+    k = b.shape[0]
+    m = b.shape[1] if b.ndim == 2 else 1
     sh = limb_bits(q)
-    a_f = a.astype(np.float64)
+    a_f = a if a.dtype == np.float64 else a.astype(np.float64)
+    b2 = b.reshape(k, m)
     limbs = np.empty((k, 2 * m), dtype=np.float64)
-    np.bitwise_and(b, (1 << sh) - 1, out=limbs[:, :m], casting="unsafe")
-    np.right_shift(b, sh, out=limbs[:, m:], casting="unsafe")
+    np.bitwise_and(b2, (1 << sh) - 1, out=limbs[:, :m], casting="unsafe")
+    np.right_shift(b2, sh, out=limbs[:, m:], casting="unsafe")
     radix = (1 << sh) % q
     out = None
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
-        r = (a_f[:, lo:hi] @ limbs[lo:hi]).astype(np.int64)
+        r = _dgemm(a_f[:, lo:hi], limbs[lo:hi]).astype(np.int64)
         # (R_hi mod q) * radix < 2**47 and R_lo < 2**53: no int64 wrap
         part = r[:, m:] % q * radix + r[:, :m]
         out = part % q if out is None else (out + part) % q
-    return out
+    return out if b.ndim == 2 else out.reshape(-1)
 
 
 def matmul_reduced(
@@ -171,7 +236,7 @@ def matmul_reduced(
             f"destination must be int64 of shape {(n, m)}, got "
             f"{into.dtype} {into.shape}"
         )
-    if _use_dgemm(n, k, m, field.float_chunk):
+    if a.dtype == np.float64 or _use_dgemm(n, k, m, field.float_chunk):
         res = _matmul_float64(a, b, field.q, field.float_chunk)
         if into is None:
             return res
@@ -182,12 +247,15 @@ def matmul_reduced(
 
 def matvec_reduced(field: PrimeField, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x mod q`` (1-D result) for residues already in ``[0, q)``;
-    the core under :func:`ff_matvec`. Always the ``int64`` kernel."""
+    the core under :func:`ff_matvec`. The ``int64`` kernel, unless
+    ``a`` is a ``float64`` resident share (:func:`resident_share`)."""
     _check_2d(a, "a")
     if x.ndim != 1:
         raise ValueError(f"x must be 1-D, got shape {x.shape}")
     if a.shape[1] != x.shape[0]:
         raise ValueError(f"inner dims differ: {a.shape} @ {x.shape}")
+    if a.dtype == np.float64:
+        return _matmul_float64(a, x, field.q, field.float_chunk)
     return _matmul_int64(a, x, field.q, field.chunk)
 
 

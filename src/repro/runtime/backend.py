@@ -55,7 +55,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import matmul_reduced, matvec_reduced
+from repro.ff.linalg import matmul_reduced, matvec_reduced, resident_share
 from repro.runtime.costmodel import CostModel
 
 __all__ = [
@@ -198,13 +198,15 @@ def store_share(
     field: PrimeField, payload: dict[str, Any], name: str, share: np.ndarray
 ) -> None:
     """A remote worker's store: validate a shipped share once, here,
-    so :func:`run_job_compute` need not on every round. What arrives
+    so :func:`run_job_compute` need not on every round, and keep it in
+    the dtype it is multiplied in (:func:`~repro.ff.linalg.resident_share`:
+    ``float64`` for a large share, ``int64`` otherwise). What arrives
     over a socket is untrusted: out-of-range entries are
     reduced, and anything that is not field data drops the key — later
     rounds on it fail crash-stop instead of multiplying a stale share.
     """
     try:
-        payload[name] = field.ensure_reduced(share)
+        payload[name] = resident_share(field, share)
     except TypeError:
         payload.pop(name, None)
 
@@ -215,13 +217,18 @@ def run_job_compute(
     """Execute a job's honest computation over one worker's payload.
 
     ``payload`` entries are multiplied as stored: every backend's store
-    path validates a share once, when it arrives (:func:`store_share`,
-    or ``distribute`` on the in-process backends), so a static share is
-    not re-reduced on every round. The broadcast operand is validated
-    here, per round.
+    path validates a share once, when it arrives, and keeps it resident
+    in the dtype its products run in (:func:`store_share`, or
+    ``distribute`` on the in-process backends, both through
+    :func:`~repro.ff.linalg.resident_share`), so a static share is
+    neither re-reduced nor converted on every round. The broadcast
+    operand is validated here, per round. A ``float64`` right-hand
+    share of a ``matmul`` job is the one operand converted back to
+    ``int64``: the kernels split the right operand into integer limbs.
     """
     if job.op == "matmul":
-        return matmul_reduced(field, payload[job.payload_key], payload[job.rhs_key])
+        rhs = payload[job.rhs_key]
+        return matmul_reduced(field, payload[job.payload_key], rhs.astype(np.int64, copy=False))
     share = payload[job.payload_key]
     operand = field.ensure_reduced(job.operand)
     product = matmul_reduced if operand.ndim == 2 else matvec_reduced

@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.ff.field import PrimeField
+from repro.ff.linalg import resident_share
 from repro.runtime.backend import (
     Arrival,
     Backend,
@@ -163,8 +164,9 @@ class SimCluster(Backend):
         self._now += dt
 
     def close(self) -> None:
-        """Let go of the workers' payloads: share ``i`` is a view of
-        the master's whole stack, so one kept worker keeps all of it."""
+        """Let go of the workers' payloads: a share kept ``int64`` is a
+        view of the master's whole stack, so one kept worker keeps all
+        of it (a ``float64``-resident share is a copy of its own)."""
         for worker in self.workers:
             worker.payload.clear()
 
@@ -185,7 +187,7 @@ class SimCluster(Backend):
             raise ValueError("fewer shares than participants")
         total = 0.0
         for slot, wid in enumerate(participants):
-            share = self.field.ensure_reduced(shares[slot])
+            share = resident_share(self.field, shares[slot])
             self.workers[wid].store(**{name: share})
             total += self.cost_model.transfer_time(int(np.asarray(share).size))
         self._now += total

@@ -37,8 +37,10 @@ Message kinds
 ``store``          master → worker: ``{name}`` + one share array. A
                    share of reduced residues travels as ``<u4`` (every
                    entry is below ``q < 2**31``; :func:`encode_store`),
-                   anything else in the dtype it has; the daemon widens
-                   integers to ``int64`` and validates what it stores
+                   anything else in the dtype it has; the daemon
+                   validates what it stores and widens integers to
+                   the resident dtype (``float64`` for a share of at
+                   least ``2**18`` entries, ``int64`` below)
 ``round``          master → worker: ``{rid, op, payload_key, rhs_key}``
                    (+ the broadcast operand, when the op has one);
                    carries ``attest: true`` when the session armed

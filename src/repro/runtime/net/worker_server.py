@@ -296,12 +296,13 @@ class WorkerServer:
             kind, fields, arrays = item
             if kind == "store":
                 share = arrays[0]
-                if share.dtype.kind in "iu":
-                    # copy out of the frame buffer — shares live for
-                    # the worker's whole lifetime, frames do not — and
-                    # widen by the same copy: reduced shares travel as
-                    # <u4. Anything else store_share reduces into an
-                    # array of its own or refuses
+                if share.dtype.kind == "i":
+                    # copy out of the frame buffer: shares live for the
+                    # worker's whole lifetime, frames do not. Reduced
+                    # shares travel as <u4, which store_share widens
+                    # straight to the resident dtype (that widening is
+                    # the copy); anything else it reduces into an array
+                    # of its own or refuses
                     share = share.astype(np.int64)
                 store_share(self.field, self.payload, str(fields["name"]), share)
             else:

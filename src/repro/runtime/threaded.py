@@ -46,6 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.ff.field import PrimeField
+from repro.ff.linalg import resident_share
 from repro.runtime.backend import (
     Arrival,
     RoundHandle,
@@ -200,7 +201,7 @@ class ThreadedCluster(WallClockBackend):
     def close(self) -> None:
         self._pool.shutdown(wait=True)
         for worker in self.workers:
-            worker.payload.clear()  # views of the master's share stacks
+            worker.payload.clear()  # int64 shares view the master's stacks
 
     # ------------------------------------------------------------------
     @property
@@ -218,7 +219,7 @@ class ThreadedCluster(WallClockBackend):
             raise ValueError("fewer shares than participants")
         t0 = time.perf_counter()
         for slot, wid in enumerate(participants):
-            self._by_id[wid].store(**{name: self.field.ensure_reduced(shares[slot])})
+            self._by_id[wid].store(**{name: resident_share(self.field, shares[slot])})
         return time.perf_counter() - t0
 
     def dispatch_round(

@@ -47,8 +47,9 @@ class SimWorker:
         """Install data shipped by the master (e.g. coded sub-matrices).
 
         Rounds multiply a stored share as stored, so what is installed
-        must be reduced residues: the clusters' ``distribute`` validates
-        each share once on the way in (``PrimeField.ensure_reduced``).
+        must be reduced residues in the dtype rounds multiply: the
+        clusters' ``distribute`` validates each share once on the way
+        in and keeps it resident (``repro.ff.linalg.resident_share``).
         """
         self.payload.update(items)
 

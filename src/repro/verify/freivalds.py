@@ -113,14 +113,20 @@ class FreivaldsVerifier:
         verifies — a worker that forges any job in the batch is
         rejected whole.
 
-        Both inputs are validated on every call. The operand is the
-        same reduced array for every arrival of a round, so validation
-        is a range scan that finds nothing to reduce; ``key.r`` and
-        ``key.s`` are residues by construction and are not re-reduced.
+        Both inputs are validated on every call, by one range scan
+        each. The operand is the master's own: it is the same reduced
+        array for every arrival of a round, so the scan finds nothing
+        to reduce (and a float operand raises). ``claimed`` is the
+        worker's, and is refused rather than reduced: a result that is
+        not an integer array of residues in ``[0, q)`` fails the check,
+        as no honest worker sends one. ``key.r`` and ``key.s`` are
+        residues by construction and are not re-reduced.
         """
         field = self.field
         operand = field.ensure_reduced(operand)
-        claimed = field.ensure_reduced(claimed)
+        if not field.is_reduced(claimed):
+            return False
+        claimed = claimed.astype(np.int64, copy=False)
         if operand.ndim == 1:
             if claimed.shape != (key.rows,):
                 raise ValueError(

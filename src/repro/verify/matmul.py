@@ -81,10 +81,16 @@ class MatmulVerifier:
         return [self.keygen_single(s, rng) for s in a_shares]
 
     def check(self, key: MatmulKey, b_share: np.ndarray, claimed: np.ndarray) -> bool:
-        """Accept iff ``r @ claimed == s @ b_share`` for all probes."""
+        """Accept iff ``r @ claimed == s @ b_share`` for all probes.
+
+        ``claimed`` must be an integer array of residues as it stands
+        (:meth:`~repro.ff.field.PrimeField.is_reduced`): the worker's
+        value is refused, not reduced."""
         field = self.field
         b_share = field.ensure_reduced(b_share)
-        claimed = field.ensure_reduced(claimed)
+        if not field.is_reduced(claimed):
+            return False
+        claimed = claimed.astype(np.int64, copy=False)
         if claimed.ndim != 2 or claimed.shape[0] != key.rows:
             raise ValueError(
                 f"claimed product has shape {claimed.shape}, expected ({key.rows}, b)"

@@ -1,7 +1,8 @@
 """A worker may send anything (paper Sec. III-A), malformed results too.
 
-A result that is not an integer array of the shape its round implies —
-one row short, a float dtype, an extra axis — is rejected the way a
+A result that is not an integer array of residues in ``[0, q)`` of the
+shape its round implies — one row short, a float dtype, an extra axis,
+an honest value shifted by a multiple of ``q`` — is rejected the way a
 failed Freivalds check is, on every master: it never counts toward the
 recovery threshold and never raises out of the round. Within the
 provisioned budget the round decodes exactly from the other workers and
@@ -57,7 +58,14 @@ class Malformed:
             return result[:-1]
         if self.kind == "float":
             return result.astype(np.float64)
+        if self.kind in NON_RESIDUE:  # the right value, not a residue
+            return result + NON_RESIDUE[self.kind] * field.q
         return result[np.newaxis]  # wrong ndim
+
+
+#: multiples of ``q`` added to an honest result: each entry is then
+#: congruent to the right one but outside ``[0, q)``
+NON_RESIDUE = {"plus_q": 1, "minus_q": -1, "plus_2**30_q": 2**30}
 
 
 def _round(master: str, bad: set[int], kind: str):
@@ -92,7 +100,7 @@ def _round(master: str, bad: set[int], kind: str):
     return mv.forward_round(w), ff_matvec(F, x, w)
 
 
-@pytest.mark.parametrize("kind", ["short", "float", "wrong_ndim"])
+@pytest.mark.parametrize("kind", ["short", "float", "wrong_ndim", *NON_RESIDUE])
 @pytest.mark.parametrize("master", sorted(BEYOND))
 def test_malformed_result_is_rejected_not_raised(master, kind):
     if BEYOND[master] > 1:  # within budget: exact, the worker named

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.ff import PrimeField, ff_dot, ff_matmul, ff_matvec, safe_chunk_len
 from repro.ff import linalg
 from repro.ff.field import float_chunk_len, limb_bits
-from repro.ff.linalg import matmul_reduced, matvec_reduced
+from repro.ff.linalg import matmul_reduced, matvec_reduced, resident_share
 
 
 def _ref_matmul(a, b, q):
@@ -38,11 +38,13 @@ def _same_bytes(got, want):
 
 def _three_ways(f, a, b):
     """dgemm kernel == int64 kernel == bignum oracle, byte for byte —
-    returned, or written to a destination the caller supplies."""
+    returned, or written to a destination the caller supplies, and
+    with ``a`` held ``float64`` as a resident share is."""
     want = _ref_matmul(a, b, f.q)
     _same_bytes(linalg._matmul_float64(a, b, f.q, f.float_chunk), want)
     _same_bytes(linalg._matmul_int64(a, b, f.q, f.chunk), want)
     _same_bytes(matmul_reduced(f, a, b), want)
+    _same_bytes(matmul_reduced(f, a.astype(np.float64), b), want)
     _same_bytes(ff_matmul(f, a, b), want)
     for dest in (
         np.full(want.shape, -1, dtype=np.int64),
@@ -106,6 +108,13 @@ class TestKernelEquality:
         assert not linalg._use_dgemm(1, 600, 64, fc)      # Freivalds probe
         assert not linalg._use_dgemm(27, 120, 16, fc)     # serve_small share
         assert not linalg._use_dgemm(134, 600, 64, 7)     # chunks too short to pay
+        # the residency rule: n*k >= 2**18, the same product bound at m = 1
+        for shape, dtype in [
+            ((200, 2000), np.float64),  # train_logreg share
+            ((134, 600), np.int64),     # batch_wide_sim share
+            ((27, 120), np.int64),      # serve_small share
+        ]:
+            assert resident_share(paper_field, paper_field.zeros(shape)).dtype == dtype
 
     @pytest.mark.parametrize("q", [2**25 - 39, 2**31 - 1])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -184,6 +193,68 @@ class TestKernelEquality:
             matvec_reduced(small_field, ok, ok.T)
         with pytest.raises(ValueError, match="inner dims"):
             matvec_reduced(small_field, ok, ok[0, :2])
+
+
+class TestResidentShare:
+    """A share kept ``float64`` by :func:`resident_share` takes the
+    float64 kernel for every product over it, a matvec included, with
+    no per-call conversion; the bytes are the int64 kernel's and the
+    bignum oracle's."""
+
+    @pytest.mark.parametrize("q", [2**25 - 39, 2**31 - 1])
+    @pytest.mark.parametrize("float_chunk", [None, 7, 64])
+    def test_matvec_transposed_view_and_wide_matmul(self, q, float_chunk):
+        """The three products a worker runs over its share: the matvec,
+        the gramian's ``share.T`` matvec and a width-64 batched round.
+        ``q = 2**31 - 1`` sums at most 64 terms at once, so its 300-long
+        inner runs are chunked anyway; a shrunk ``float_chunk`` forces
+        the paper field's chunked path too."""
+        f = PrimeField(q)
+        if float_chunk is not None:
+            f.float_chunk = min(f.float_chunk, float_chunk)
+        r = np.random.default_rng(q)
+        share = f.random((40, 300), r)
+        resident = share.astype(np.float64)
+        x, z, wide = f.random(300, r), f.random(40, r), f.random((300, 64), r)
+        for a, a_f, v in ((share, resident, x), (share.T, resident.T, z)):
+            want = _ref_matmul(a, v[:, None], q)[:, 0]
+            _same_bytes(matvec_reduced(f, a_f, v), want)
+            _same_bytes(linalg._matmul_int64(a, v, q, f.chunk), want)
+        _same_bytes(matmul_reduced(f, resident, wide), _ref_matmul(share, wide, q))
+        _same_bytes(matmul_reduced(f, resident.T, wide[:40]), _ref_matmul(share.T, wide[:40], q))
+
+    @pytest.mark.parametrize("size", [2**18 - 1, 2**18, 2**18 + 1])
+    def test_one_element_either_side_of_the_bound(self, paper_field, size):
+        """2**18 - 1 = 513 x 511, 2**18 = 512 x 512, 2**18 + 1 = 5 x 52429:
+        the first stays int64, the other two are resident; all three
+        multiply to the same bytes."""
+        f = paper_field
+        n = {2**18 - 1: 513, 2**18: 512, 2**18 + 1: 5}[size]
+        r = np.random.default_rng(size)
+        share = f.random((n, size // n), r)
+        stored = resident_share(f, share)
+        assert stored.dtype == (np.int64 if size < 2**18 else np.float64)
+        if stored.dtype == np.int64:
+            assert stored is share  # validated by a scan, not copied
+        x = f.random(share.shape[1], r)
+        _same_bytes(matvec_reduced(f, stored, x), _ref_matmul(share, x[:, None], f.q)[:, 0])
+
+    def test_validation_is_ensure_reduced(self, paper_field):
+        """Out-of-range integers are reduced, residues in an unsigned
+        container are widened, floats are refused — at either size."""
+        f = paper_field
+        r = np.random.default_rng(3)
+        for shape in [(27, 120), (200, 2000)]:
+            share = f.random(shape, r)
+            shifted = share + f.q * r.choice([-1, 1, 2**20], size=shape)
+            for sent in (shifted, share.astype("<u4"), shifted.astype(np.int32) % 2**20):
+                stored = resident_share(f, sent)
+                want = sent.astype(np.int64) % f.q
+                np.testing.assert_array_equal(stored, want)
+                assert stored.flags.owndata
+            with pytest.raises(TypeError, match="float input"):
+                resident_share(f, share.astype(np.float64))
+        assert resident_share(f, f.zeros(2**18)).dtype == np.int64  # 1-D: not a share
 
 
 class TestMatmul:

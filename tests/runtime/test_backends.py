@@ -38,6 +38,7 @@ from repro.runtime import (
     ThreadedCluster,
     make_profiles,
 )
+from repro.runtime.backend import run_job_compute, store_share
 
 F = PrimeField()  # the paper's field: exactness must hold at full size
 
@@ -265,14 +266,16 @@ class TestStoreTimeValidation:
         handle.result()
         return arrivals
 
+    @pytest.mark.parametrize("rows", [16, 1024])
     @pytest.mark.parametrize("kind", BACKENDS)
-    def test_out_of_range_share_is_reduced_at_store(self, kind):
+    def test_out_of_range_share_is_reduced_at_store(self, kind, rows):
         """Entries near +-2**45 carry the right residues but would wrap
         int64 (and round in float64) if a kernel ever saw them raw. The
         width-64 round is large enough to take the dgemm kernel, in the
-        daemons too."""
+        daemons too; a 1024x300 share (over 2**18 entries) is stored
+        float64-resident once reduced, so its matvec takes it as well."""
         rng = np.random.default_rng(5)
-        shares = F.random((3, 16, 300), rng)
+        shares = F.random((3, rows, 300), rng)
         raw = shares.copy()
         raw[:, ::2, ::3] += F.q * 2**20
         raw[:, 1::2, 1::3] -= F.q * 2**20
@@ -305,6 +308,28 @@ class TestStoreTimeValidation:
                 backend.distribute("X", shares.astype(np.float64))
                 with pytest.raises(RuntimeError, match="KeyError"):
                     self._round(backend, vec)
+
+
+    @pytest.mark.parametrize("case", ["matvec", "batched", "gramian", "matmul"])
+    def test_every_op_multiplies_a_resident_share_as_stored(self, case):
+        """Shares of 2**18 entries or more are stored ``float64``; every
+        op's product over them has the ``int64`` payload's bytes — the
+        matmul op converting its resident right-hand share back."""
+        rng = np.random.default_rng(8)
+        a, b = F.random((200, 2000), rng), F.random((2000, 150), rng)
+        stored = {}
+        for name, share in (("a", a), ("b", b)):
+            store_share(F, stored, name, share.astype("<u4"))
+            assert stored[name].dtype == np.float64
+        op, operand = {
+            "matvec": ("matvec", F.random(2000, rng)),
+            "batched": ("matvec", F.random((2000, 64), rng)),
+            "gramian": ("gramian", F.random(2000, rng)),
+            "matmul": ("matmul", None),
+        }[case]
+        job = RoundJob(op=op, payload_key="a", operand=operand, rhs_key="b")
+        want = run_job_compute(F, {"a": a, "b": b}, job)
+        assert run_job_compute(F, stored, job).tobytes() == want.tobytes()
 
 
 class TestEarlyStopping:

@@ -319,16 +319,19 @@ class TestDaemonProtocol:
         assert all(a <= b for _, a, b in fields["spans"])
         assert fields["digest"] == digest_array(value)
 
+    @pytest.mark.parametrize("shape", [(5, 12), (200, 2000)])
     @pytest.mark.parametrize(
         "frame",
         ["u4", "int64", "int64_out_of_range", "int32_negative", "float64"],
     )
-    def test_store_leaves_a_reduced_int64_share_or_none(self, daemon, frame, rng):
-        """What a master of this build ships (``<u4`` for reduced
-        residues), what one of the parent build ships (``int64``) and
-        what neither should all meet the same store: integers are
-        widened and reduced, anything else drops the key."""
-        share = F.random((5, 12), rng)
+    def test_store_leaves_a_reduced_resident_share_or_none(self, daemon, frame, shape, rng):
+        """What a master ships (``<u4`` for reduced residues), an
+        ``int64`` share and what no master should all meet the same
+        store: integers are widened and reduced, anything else drops
+        the key. A share of at least ``2**18`` entries is kept
+        ``float64`` (one exact dgemm per round), a smaller one
+        ``int64``; either is an array of the daemon's own."""
+        share = F.random(shape, rng)
         sent = {
             "u4": share.astype("<u4"),
             "int64": share,
@@ -337,9 +340,9 @@ class TestDaemonProtocol:
             "float64": share.astype(np.float64),
         }[frame]
         want = sent.astype(np.int64) % F.q if frame != "float64" else None
-        daemon.store("s", F.random((5, 12), rng))  # a stale share under the key
+        daemon.store("s", F.random(shape, rng))  # a stale share under the key
         daemon.store("s", sent)
-        v = F.random(12, rng)
+        v = F.random(shape[1], rng)
         daemon.round("s", v)  # the compute task is FIFO: the stores are done
         fields, value = daemon.result()
         stored = daemon.server.payload.get("s")
@@ -347,9 +350,10 @@ class TestDaemonProtocol:
             assert stored is None
             assert fields["ok"] is False and "KeyError" in fields["err"]
             return
-        assert stored.dtype == np.int64 and stored.flags.owndata
-        assert stored.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(value, ff_matvec(F, want, v))
+        resident = np.float64 if share.size >= 2**18 else np.int64
+        assert stored.dtype == resident and stored.flags.owndata
+        assert stored.astype(np.int64).tobytes() == want.tobytes()
+        assert value.tobytes() == ff_matvec(F, want, v).tobytes()
 
     def test_every_frame_is_one_write(self, monkeypatch, rng):
         writes = []
