@@ -81,9 +81,9 @@ the ``float64`` kernel (the last two rows above; the vector is split
 into a ``(k, 2)`` limb matrix). The rule is the crossover's own bound
 at ``m = 1``: a 2-D share of ``n*k >= 2**18`` entries is resident,
 anything smaller stays ``int64`` — the serving and width-64 batch
-shares (27x120, 134x600) are below it. Such a product runs in row
-blocks of at most ``2**18`` multiply-adds (:func:`_dgemm`), on the
-calling thread: one threaded ``(667x5000) . (5000x2)`` ``dgemm`` took
+shares (27x120, 134x600) are below it. A matvec over a resident share
+runs in row blocks of at most ``2**18`` multiply-adds (:func:`_dgemm`),
+on the calling thread: one threaded ``(667x5000) . (5000x2)`` ``dgemm`` took
 8.0 ms on the same box, hot in cache, and the blocked product 1.5-1.6.
 
 **Trust boundary.** :func:`ff_matmul`, :func:`ff_matvec` and
