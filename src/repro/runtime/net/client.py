@@ -554,20 +554,14 @@ class TcpCluster(WallClockBackend):
                 continue
             self._hb_pending[wid] = None
             if kind == "result":
-                try:
-                    rid = int(fields["rid"])
-                    compute_time = float(fields.get("compute_time", 0.0))
-                except (KeyError, TypeError, ValueError):
-                    # a header the worker forged reads like a bad CRC:
-                    # the worker becomes one erasure
-                    self._mark_dead(wid)
-                    continue
-                value = arrays[0] if fields.get("ok") and arrays else None
-                target = self._handles.get(rid)
+                # the record is typed: a forged one failed read_frame
+                # like a bad CRC, and its worker is one erasure already
+                value = arrays[0] if fields["ok"] and arrays else None
+                target = self._handles.get(fields["rid"])
                 if target is not None:
                     target._deliver(
-                        wid, value, compute_time,
-                        fields.get("err"), fields.get("spans"),
+                        wid, value, fields["compute_time"],
+                        fields["err"], fields.get("spans"),
                         fields.get("digest"),
                     )
             elif kind == "heartbeat_ack":

@@ -1,68 +1,88 @@
 """The length-prefixed binary wire protocol of the TCP backend.
 
-Every master↔worker exchange travels as one *frame*::
+Every master↔worker exchange travels as one *frame*; every integer on
+the wire is big-endian::
 
-    preamble (12 bytes, big-endian):
+    preamble (12 bytes):
         magic   2s   b"AV"
-        version B    PROTOCOL_VERSION
-        kind    B    message kind code (see MSG_CODES)
-        crc32   I    CRC-32 of the payload
-        length  I    payload length in bytes
+        version u8   PROTOCOL_VERSION
+        kind    u8   message kind code (see MSG_CODES)
+        crc32   u32  CRC-32 of the payload
+        length  u32  payload length in bytes
     payload:
-        header_len  u32
-        header      header_len bytes of UTF-8 JSON (the message fields,
-                    plus "_arrays": [[dtype, shape, nbytes], ...])
-        buffers     the raw array bytes, concatenated in header order
+        record  the kind's fixed record (table below)
+        table   u16 array count, then per array: dtype u8 (1 <i8,
+                2 <u4, 3 <i4, 4 <f8 — a closed table), ndim u8, and
+                ndim u64 dims
+        arrays  the raw array bytes, concatenated in table order
 
-Array payloads (coded shares, broadcast operands, worker results) are
-**not** copied into an intermediate serialization: the sender writes
-each array's buffer straight to the socket after the JSON header
-(:func:`send_frame` hands the kernel a list of memoryviews), and the
-receiver reconstructs arrays as zero-copy views over the received
-payload (:func:`decode_payload` via ``np.frombuffer``) using the
-dtype/shape descriptors from the header.
+A ``str`` is a u32 byte count and that many bytes of UTF-8. A field in
+brackets is present only when its flag bit is set, and a flag that
+stands for a field alone (``trace``, ``attest``) appears in the
+decoded dict only when set. The record tables, kind by kind:
 
-Integrity and compatibility are checked on every frame: a wrong magic,
-an unknown protocol version, a truncated payload, a CRC mismatch, an
-oversized length or a malformed header all raise :class:`WireError`
-with a message naming what was wrong — a corrupted or non-protocol
-peer can never be silently misread as data.
-
-Message kinds
--------------
-``hello``          worker → master: ``{worker_id, protocol, pid}``
-``config``         master → worker: ``{q, straggle_scale, factor,
-                   behavior, seed}`` — the fleet description the other
+=================  ====================================================
+``hello``          worker → master: i32 worker_id, u16 protocol,
+                   u32 pid (an absent protocol or pid is sent as 0)
+``config``         master → worker: i64 q, f64 straggle_scale,
+                   f64 factor, i64 seed, and the fault-injection
+                   behaviour as u8 kind code, i64 value and
+                   f64 probability — the fleet description the other
                    backends apply in-process, shipped over the wire
-``store``          master → worker: ``{name}`` + one share array. A
+``store``          master → worker: str name, + one share array. A
                    share of reduced residues travels as ``<u4`` (every
                    entry is below ``q < 2**31``; :func:`encode_store`),
                    anything else in the dtype it has; the daemon
                    validates what it stores and widens integers to
                    the resident dtype (``float64`` for a share of at
                    least ``2**18`` entries, ``int64`` below)
-``round``          master → worker: ``{rid, op, payload_key, rhs_key}``
-                   (+ the broadcast operand, when the op has one);
-                   carries ``attest: true`` when the session armed
-                   auditing, asking the daemon to countersign
-``result``         worker → master: ``{rid, worker_id, compute_time,
-                   ok, err}`` (+ the result array when ``ok``); on an
-                   attested round the daemon adds ``digest``, the
+``round``          master → worker: u8 flags (1 rhs_key, 2 trace,
+                   4 attest), u64 rid, u8 op code (matvec, matmul,
+                   gramian), str payload_key, [str rhs_key], + the
+                   broadcast operand when the op has one. ``attest``
+                   asks the daemon to countersign, ``trace`` for its
+                   own sub-spans
+``result``         worker → master: u8 flags (1 ok, 2 err, 4 digest,
+                   8 spans), u64 rid, i32 worker_id, f64 compute_time,
+                   [str err], [16 bytes digest], [u16 count, then per
+                   span str name, f64 t0, f64 t1], + the result array
+                   when ``ok``. ``digest`` (an attested round) is the
                    blake2b digest of the shipped result — the worker's
-                   countersignature for the round's audit commitment
-``cancel``         master → worker: ``{rid}`` — skip this round if it
-                   is still queued
-``heartbeat`` / ``heartbeat_ack``: ``{seq}`` liveness probes
-``shutdown``       master → worker: drain and exit
+                   countersignature for the round's audit commitment;
+                   ``spans`` (a traced round) the daemon's sub-spans
+``cancel``         master → worker: u64 rid — skip this round if it is
+                   still queued
+``heartbeat`` /    u64 seq: liveness probes
+``heartbeat_ack``
+``shutdown``       master → worker: empty — drain and exit
+=================  ====================================================
+
+Array payloads (coded shares, broadcast operands, worker results) are
+**not** copied into an intermediate serialization: the sender writes
+each array's buffer straight to the socket after the table
+(:func:`send_parts` hands the kernel a list of memoryviews), and the
+receiver reconstructs arrays as zero-copy views over the received
+payload (:func:`decode_payload` via ``np.frombuffer``). An array's byte
+length is derived from its dtype and dims, never sent, and the arrays
+must tile what follows the table exactly: each decoded array is a view
+of its own consecutive slice, the last ending at the payload's end.
+
+Integrity and compatibility are checked on every frame: a wrong magic,
+an unknown protocol version, a truncated payload, a CRC mismatch, an
+oversized length, a record that ends early or whose lengths run past
+the payload, an unknown flag bit, op, behaviour or dtype code, an
+array count past the table, or arrays that do not tile the payload
+all raise :class:`WireError` with a message naming what was wrong — a
+corrupted or non-protocol peer can never be silently misread as data.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import socket
 import struct
 import zlib
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +97,7 @@ from repro.runtime.byzantine import (
 )
 
 __all__ = [
+    "Frame",
     "MSG_CODES",
     "PROTOCOL_VERSION",
     "WireCounters",
@@ -142,33 +163,28 @@ class WireCounters:
 
 MAGIC = b"AV"
 #: bumped 1 → 2 when the result frame gained the attestation ``digest``
-#: field: the hello-level negotiation (:func:`check_hello`) turns away
-#: daemons from either side of the bump with an error naming both
-#: versions, instead of admitting a fleet that cannot countersign.
-PROTOCOL_VERSION = 2
+#: field, 2 → 3 when every frame's JSON header became a fixed binary
+#: record. The preamble's version byte turns a peer of another version
+#: away with an error naming both (``read_frame``), and the hello's
+#: ``protocol`` field is checked on top of it (:func:`check_hello`).
+PROTOCOL_VERSION = 3
 #: preamble: magic, version, kind code, payload crc32, payload length
 _PREAMBLE = struct.Struct(">2sBBII")
-_HEADER_LEN = struct.Struct(">I")
 #: hard upper bound on one frame's payload (a corrupt length field must
 #: not make the receiver try to allocate the universe)
 MAX_PAYLOAD = 1 << 31
 
-MSG_CODES = {
-    "hello": 1,
-    "config": 2,
-    "store": 3,
-    "round": 4,
-    "result": 5,
-    "cancel": 6,
-    "heartbeat": 7,
-    "heartbeat_ack": 8,
-    "shutdown": 9,
-}
-_CODE_NAMES = {code: name for name, code in MSG_CODES.items()}
-
 
 class WireError(RuntimeError):
     """A malformed, truncated or incompatible frame."""
+
+
+class Frame(list):
+    """One encoded frame: its buffers, preamble first, ready for a
+    scatter-gather send, and their total length. ``b"".join(frame)``
+    is the frame as one bytes object."""
+
+    __slots__ = ("nbytes",)
 
 
 def check_hello(fields: Mapping[str, Any]) -> int:
@@ -201,51 +217,270 @@ def check_hello(fields: Mapping[str, Any]) -> int:
 
 
 # ----------------------------------------------------------------------
+# records: one encoder (fields -> bytes) and one decoder
+# (payload -> fields, offset past the record) per kind
+# ----------------------------------------------------------------------
+_STRLEN = struct.Struct(">I")
+_CONFIG = struct.Struct(">qddqBqd")
+_ROUND = struct.Struct(">BQB")
+_RESULT = struct.Struct(">BQid")
+_SPAN = struct.Struct(">dd")
+_COUNT = struct.Struct(">H")
+_ARRAY = struct.Struct(">BB")
+
+_OPS = ("matvec", "matmul", "gramian")
+_OP_CODES = {op: code for code, op in enumerate(_OPS)}
+#: behaviour kind codes of the config record; reverse and constant
+#: carry a value, and they and random a probability
+_BEHAVIORS = ("honest", "reverse", "constant", "random", "silent")
+_BEHAVIOR_CODES = {kind: code for code, kind in enumerate(_BEHAVIORS)}
+
+_RHS_KEY, _TRACE, _ATTEST = 1, 2, 4
+_OK, _ERR, _DIGEST, _SPANS = 1, 2, 4, 8
+_DIGEST_LEN = 16
+
+
+def _str(value: str) -> bytes:
+    data = value.encode()
+    return _STRLEN.pack(len(data)) + data
+
+
+def _take_str(buf: memoryview, off: int) -> tuple[str, int]:
+    (n,) = _STRLEN.unpack_from(buf, off)
+    start = off + _STRLEN.size
+    end = start + n
+    if end > len(buf):
+        raise WireError(
+            f"string of {n} bytes at offset {start} runs past the payload "
+            f"of {len(buf)} bytes"
+        )
+    try:
+        return str(buf[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"string at offset {start} is not UTF-8: {exc}") from None
+
+
+def _check_flags(kind: str, flags: int, known: int) -> None:
+    if flags & ~known:
+        raise WireError(f"{kind} record sets unknown flag bits {flags & ~known:#04x}")
+
+
+def _fixed(fmt: str, *keys: str, **defaults: Any) -> tuple[frozenset, Callable, Callable]:
+    """The keys, encoder and decoder of a record of fixed-width fields
+    only; a key in ``defaults`` may be absent from the fields."""
+    record = struct.Struct(fmt)
+
+    def enc(f: Mapping[str, Any]) -> bytes:
+        return record.pack(*[f[k] if k in f else defaults[k] for k in keys])
+
+    def dec(buf: memoryview) -> tuple[dict, int]:
+        return dict(zip(keys, record.unpack_from(buf))), record.size
+
+    return frozenset(keys), enc, dec
+
+
+def _enc_config(f: Mapping[str, Any]) -> bytes:
+    # the canonical description: absent values take the defaults the
+    # daemon would apply, so the record has a value for every slot
+    desc = behavior_to_dict(behavior_from_dict(f["behavior"]))
+    return _CONFIG.pack(
+        f["q"], f["straggle_scale"], f["factor"], f["seed"],
+        _BEHAVIOR_CODES[desc["kind"]], desc.get("value", 0), desc.get("probability", 1.0),
+    )
+
+
+def _dec_config(buf: memoryview) -> tuple[dict, int]:
+    q, scale, factor, seed, code, value, probability = _CONFIG.unpack_from(buf)
+    if code >= len(_BEHAVIORS):
+        raise WireError(f"unknown behaviour code {code} in config")
+    desc: dict[str, Any] = {"kind": _BEHAVIORS[code]}
+    if desc["kind"] in ("reverse", "constant"):
+        desc["value"] = value
+    if desc["kind"] in ("reverse", "constant", "random"):
+        desc["probability"] = probability
+    fields = {
+        "q": q, "straggle_scale": scale, "factor": factor, "behavior": desc, "seed": seed,
+    }
+    return fields, _CONFIG.size
+
+
+def _enc_store(f: Mapping[str, Any]) -> bytes:
+    return _str(f["name"])
+
+
+def _dec_store(buf: memoryview) -> tuple[dict, int]:
+    name, off = _take_str(buf, 0)
+    return {"name": name}, off
+
+
+def _enc_round(f: Mapping[str, Any]) -> bytes:
+    flags = 0
+    tail = _str(f["payload_key"])
+    rhs_key = f.get("rhs_key")
+    if rhs_key is not None:
+        flags |= _RHS_KEY
+        tail += _str(rhs_key)
+    if f.get("trace"):
+        flags |= _TRACE
+    if f.get("attest"):
+        flags |= _ATTEST
+    return _ROUND.pack(flags, f["rid"], _OP_CODES[f["op"]]) + tail
+
+
+def _dec_round(buf: memoryview) -> tuple[dict, int]:
+    flags, rid, op = _ROUND.unpack_from(buf)
+    _check_flags("round", flags, _RHS_KEY | _TRACE | _ATTEST)
+    if op >= len(_OPS):
+        raise WireError(f"unknown round op code {op}")
+    payload_key, off = _take_str(buf, _ROUND.size)
+    rhs_key = None
+    if flags & _RHS_KEY:
+        rhs_key, off = _take_str(buf, off)
+    fields = {"rid": rid, "op": _OPS[op], "payload_key": payload_key, "rhs_key": rhs_key}
+    if flags & _TRACE:
+        fields["trace"] = True
+    if flags & _ATTEST:
+        fields["attest"] = True
+    return fields, off
+
+
+def _enc_result(f: Mapping[str, Any]) -> bytes:
+    flags = _OK if f["ok"] else 0
+    tail = b""
+    err, digest, spans = f.get("err"), f.get("digest"), f.get("spans")
+    if err is not None:
+        flags |= _ERR
+        tail += _str(err)
+    if digest is not None:
+        flags |= _DIGEST
+        raw = bytes.fromhex(digest)
+        if len(raw) != _DIGEST_LEN:
+            raise ValueError(f"digest must be {_DIGEST_LEN} bytes, got {len(raw)}")
+        tail += raw
+    if spans is not None:
+        flags |= _SPANS
+        tail += _COUNT.pack(len(spans)) + b"".join(
+            _str(name) + _SPAN.pack(t0, t1) for name, t0, t1 in spans
+        )
+    return _RESULT.pack(flags, f["rid"], f["worker_id"], f["compute_time"]) + tail
+
+
+def _dec_result(buf: memoryview) -> tuple[dict, int]:
+    flags, rid, wid, compute_time = _RESULT.unpack_from(buf)
+    _check_flags("result", flags, _OK | _ERR | _DIGEST | _SPANS)
+    off = _RESULT.size
+    err = None
+    if flags & _ERR:
+        err, off = _take_str(buf, off)
+    fields = {
+        "rid": rid, "worker_id": wid, "compute_time": compute_time,
+        "ok": bool(flags & _OK), "err": err,
+    }
+    if flags & _DIGEST:
+        end = off + _DIGEST_LEN
+        if end > len(buf):
+            raise WireError(f"digest at offset {off} runs past the payload of {len(buf)} bytes")
+        fields["digest"] = buf[off:end].hex()
+        off = end
+    if flags & _SPANS:
+        (count,) = _COUNT.unpack_from(buf, off)
+        off += _COUNT.size
+        spans = []
+        for _ in range(count):
+            name, off = _take_str(buf, off)
+            t0, t1 = _SPAN.unpack_from(buf, off)
+            off += _SPAN.size
+            spans.append([name, t0, t1])
+        fields["spans"] = spans
+    return fields, off
+
+
+#: kind -> (code, the keys its record carries, encoder, decoder)
+_KINDS: dict[str, tuple[int, frozenset, Callable, Callable]] = {
+    "hello": (1, *_fixed(">iHI", "worker_id", "protocol", "pid", protocol=0, pid=0)),
+    "config": (
+        2, frozenset(("q", "straggle_scale", "factor", "behavior", "seed")),
+        _enc_config, _dec_config,
+    ),
+    "store": (3, frozenset(("name",)), _enc_store, _dec_store),
+    "round": (
+        4, frozenset(("rid", "op", "payload_key", "rhs_key", "trace", "attest")),
+        _enc_round, _dec_round,
+    ),
+    "result": (
+        5, frozenset(("rid", "worker_id", "compute_time", "ok", "err", "digest", "spans")),
+        _enc_result, _dec_result,
+    ),
+    "cancel": (6, *_fixed(">Q", "rid")),
+    "heartbeat": (7, *_fixed(">Q", "seq")),
+    "heartbeat_ack": (8, *_fixed(">Q", "seq")),
+    "shutdown": (9, *_fixed(">")),
+}
+MSG_CODES = {kind: spec[0] for kind, spec in _KINDS.items()}
+_BY_CODE = {spec[0]: (kind, spec[3]) for kind, spec in _KINDS.items()}
+
+#: the closed dtype table: what this build sends (``<i8`` operands and
+#: results, ``<u4`` reduced shares, any integer share as it is) and
+#: ``<f8``, which a store must be able to carry to meet validation
+_DTYPES = {1: np.dtype("<i8"), 2: np.dtype("<u4"), 3: np.dtype("<i4"), 4: np.dtype("<f8")}
+_DTYPE_CODES = {dtype: code for code, dtype in _DTYPES.items()}
+#: numpy 1's limit on ndim (numpy 2 allows 64)
+_MAX_NDIM = 32
+#: per ndim: the dims of a table entry, and a whole entry
+_DIMS = [struct.Struct(f">{n}Q") for n in range(_MAX_NDIM + 1)]
+_ENTRIES = [struct.Struct(f">BB{n}Q") for n in range(_MAX_NDIM + 1)]
+
+
+# ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def _array_parts(arrays: Sequence[np.ndarray]) -> tuple[list[dict], list[memoryview]]:
-    descs, bufs = [], []
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        descs.append(
-            {"dtype": arr.dtype.str, "shape": list(arr.shape), "nbytes": arr.nbytes}
-        )
-        bufs.append(arr.data.cast("B"))
-    return descs, bufs
-
-
 def encode_frame(
     kind: str, fields: Mapping[str, Any], arrays: Sequence[np.ndarray] = ()
-) -> list[bytes | memoryview]:
-    """Encode one frame as a list of buffers (preamble+header first,
-    then each array's raw bytes — ready for a scatter-gather send).
-    ``b"".join(...)`` the result to get the frame as one bytes object.
-    """
+) -> Frame:
+    """Encode one frame as a :class:`Frame` (preamble, record and table
+    first, then each array's raw bytes). A field the kind's record
+    does not carry, or a value that does not fit its slot, is a
+    :class:`WireError`, never dropped or truncated."""
     try:
-        code = MSG_CODES[kind]
+        code, keys, encode, _ = _KINDS[kind]
     except KeyError:
         raise WireError(f"unknown message kind {kind!r}") from None
-    descs, bufs = _array_parts(arrays)
-    header = dict(fields)
-    header["_arrays"] = descs
-    header_bytes = json.dumps(header, separators=(",", ":")).encode()
-    head = _HEADER_LEN.pack(len(header_bytes)) + header_bytes
+    if not fields.keys() <= keys:
+        raise WireError(f"a {kind} record has no field {sorted(fields.keys() - keys)}")
+    try:
+        record = encode(fields)
+    except (KeyError, TypeError, ValueError, AttributeError, struct.error) as exc:
+        raise WireError(f"{kind} fields do not fit its record: {exc!r}") from None
+    head_parts = [record, _COUNT.pack(len(arrays))]
+    bufs = []
+    for arr in arrays:
+        arr = np.asarray(arr, order="C")  # ascontiguousarray would make a 0-d array 1-d
+        dtype_code = _DTYPE_CODES.get(arr.dtype)
+        if dtype_code is None:
+            raise WireError(f"dtype {arr.dtype.str} has no wire code")
+        if arr.ndim > _MAX_NDIM:
+            raise WireError(f"array of {arr.ndim} dims exceeds {_MAX_NDIM}")
+        head_parts.append(_ENTRIES[arr.ndim].pack(dtype_code, arr.ndim, *arr.shape))
+        if arr.nbytes:  # an empty array has no bytes, and no view to cast
+            bufs.append(arr.data.cast("B"))
+    head = b"".join(head_parts)
     length = len(head) + sum(b.nbytes for b in bufs)
     if length > MAX_PAYLOAD:
         raise WireError(f"frame payload of {length} bytes exceeds MAX_PAYLOAD")
     crc = zlib.crc32(head)
     for buf in bufs:
         crc = zlib.crc32(buf, crc)
-    preamble = _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, code, crc, length)
-    return [preamble + head, *bufs]
+    frame = Frame((_PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, code, crc, length) + head, *bufs))
+    frame.nbytes = _PREAMBLE.size + length
+    return frame
 
 
-def encode_store(name: str, share: np.ndarray, q: int) -> list[bytes | memoryview]:
+def encode_store(name: str, share: np.ndarray, q: int) -> Frame:
     """The ``store`` frame of one worker's share.
 
     An ``int64`` share whose entries all lie in ``[0, q)`` is narrowed
     to ``<u4`` — half the bytes to checksum, send and receive, and the
-    dtype travels in the array descriptor, so the frame layout is the
+    dtype travels in the array table, so the frame layout is the
     one every daemon already reads. Anything else (out of range, float,
     another dtype) is framed as it is and meets the daemon's
     store-time validation unchanged.
@@ -272,7 +507,7 @@ def send_frame(
 
 def send_parts(
     sock: socket.socket,
-    parts: list[bytes | memoryview],
+    frame: Frame,
     lock: Any = None,
     counters: WireCounters | None = None,
 ) -> None:
@@ -280,26 +515,21 @@ def send_parts(
     many). ``lock`` serializes concurrent writers on one socket."""
     if lock is not None:
         with lock:
-            _send_parts(sock, parts)
+            _send_parts(sock, frame)
     else:
-        _send_parts(sock, parts)
+        _send_parts(sock, frame)
     if counters is not None:
-        counters.note_out(
-            sum(p.nbytes if isinstance(p, memoryview) else len(p) for p in parts)
-        )
+        counters.note_out(frame.nbytes)
 
 
-def _send_parts(sock: socket.socket, parts: list[bytes | memoryview]) -> None:
+def _send_parts(sock: socket.socket, frame: Frame) -> None:
     if hasattr(sock, "sendmsg"):
-        total = sum(
-            p.nbytes if isinstance(p, memoryview) else len(p) for p in parts
-        )
-        sent = sock.sendmsg(parts)
-        if sent == total:
+        sent = sock.sendmsg(frame)
+        if sent == frame.nbytes:
             return
         # short gather-write: resume at the offset, still zero-copy —
         # skip fully-sent parts and sendall the remaining views
-        for part in parts:
+        for part in frame:
             view = part if isinstance(part, memoryview) else memoryview(part)
             n = view.nbytes
             if sent >= n:
@@ -308,7 +538,7 @@ def _send_parts(sock: socket.socket, parts: list[bytes | memoryview]) -> None:
             sock.sendall(view[sent:] if sent else view)
             sent = 0
         return
-    for part in parts:  # pragma: no cover - no-sendmsg fallback
+    for part in frame:  # pragma: no cover - no-sendmsg fallback
         sock.sendall(part)
 
 
@@ -329,6 +559,49 @@ def _recv_exact(sock: socket.socket, n: int) -> memoryview:
     return view
 
 
+def _take_arrays(buf: memoryview, off: int) -> list[np.ndarray]:
+    """The array table at ``off`` and the arrays it describes, which
+    must fill the payload from the table's end to the payload's end."""
+    size = len(buf)
+    (count,) = _COUNT.unpack_from(buf, off)
+    off += _COUNT.size
+    specs = []
+    for i in range(count):
+        if off + _ARRAY.size > size:
+            raise WireError(f"array table of {count} entries ends after {i}")
+        dtype_code, ndim = _ARRAY.unpack_from(buf, off)
+        off += _ARRAY.size
+        dtype = _DTYPES.get(dtype_code)
+        if dtype is None:
+            raise WireError(f"unknown dtype code {dtype_code} in array table entry {i}")
+        if ndim > _MAX_NDIM:
+            raise WireError(f"array table entry {i} has {ndim} dims, more than {_MAX_NDIM}")
+        dims = _DIMS[ndim]
+        if off + dims.size > size:
+            raise WireError(f"array table of {count} entries ends inside entry {i}")
+        shape = dims.unpack_from(buf, off)
+        off += dims.size
+        specs.append((dtype, shape))
+    arrays = []
+    for dtype, shape in specs:
+        n = math.prod(shape)
+        nbytes = n * dtype.itemsize
+        if nbytes > size - off:
+            raise WireError(
+                f"array of shape {shape} ({nbytes} bytes) overruns the payload "
+                f"by {nbytes - (size - off)} bytes"
+            )
+        try:
+            arrays.append(np.frombuffer(buf, dtype, n, off).reshape(shape))
+        except (ValueError, OverflowError) as exc:
+            # a zero-size array whose other dims numpy cannot index
+            raise WireError(f"array of shape {shape} does not decode: {exc}") from None
+        off += nbytes
+    if off != size:
+        raise WireError(f"{size - off} trailing bytes after the declared arrays")
+    return arrays
+
+
 def decode_payload(code: int, payload: memoryview) -> tuple[str, dict, list[np.ndarray]]:
     """Decode one validated payload into ``(kind, fields, arrays)``.
 
@@ -336,51 +609,19 @@ def decode_payload(code: int, payload: memoryview) -> tuple[str, dict, list[np.n
     array beyond the frame's lifetime own the backing buffer through
     the array itself (numpy holds the reference).
     """
-    kind = _CODE_NAMES.get(code)
-    if kind is None:
-        raise WireError(f"unknown message code {code}")
-    if len(payload) < _HEADER_LEN.size:
-        raise WireError(f"frame payload of {len(payload)} bytes is too short")
-    (header_len,) = _HEADER_LEN.unpack_from(payload)
-    end = _HEADER_LEN.size + header_len
-    if end > len(payload):
-        raise WireError(
-            f"header length {header_len} exceeds payload of {len(payload)} bytes"
-        )
     try:
-        header = json.loads(bytes(payload[_HEADER_LEN.size:end]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed frame header: {exc}") from None
-    if not isinstance(header, dict) or "_arrays" not in header:
-        raise WireError("frame header is not an object with an '_arrays' entry")
-    descs = header.pop("_arrays")
-    if not isinstance(descs, list):
-        raise WireError(f"'_arrays' must be a list, got {type(descs).__name__}")
-    arrays = []
-    offset = end
-    for desc in descs:
-        try:
-            dtype = np.dtype(desc["dtype"])
-            shape = tuple(int(s) for s in desc["shape"])
-            nbytes = int(desc["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireError(f"malformed array descriptor {desc!r}: {exc}") from None
-        if offset + nbytes > len(payload):
-            raise WireError(
-                f"array of {nbytes} bytes overruns payload of {len(payload)} bytes"
-            )
-        try:
-            arrays.append(
-                np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(shape)
-            )
-        except ValueError as exc:
-            raise WireError(f"array descriptor {desc!r} does not decode: {exc}") from None
-        offset += nbytes
-    if offset != len(payload):
+        kind, decode = _BY_CODE[code]
+    except KeyError:
+        raise WireError(f"unknown message code {code}") from None
+    try:
+        fields, off = decode(payload)
+        arrays = _take_arrays(payload, off)
+    except struct.error as exc:
         raise WireError(
-            f"{len(payload) - offset} trailing bytes after the declared arrays"
-        )
-    return kind, header, arrays
+            f"{kind} frame of {len(payload)} bytes ends inside its record "
+            f"or array table: {exc}"
+        ) from None
+    return kind, fields, arrays
 
 
 def read_frame(
@@ -413,11 +654,11 @@ def read_frame(
 # behaviour descriptions (the CONFIG message's fault-injection half)
 # ----------------------------------------------------------------------
 def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
-    """Describe a built-in behaviour as plain JSON-able data, so the
-    master can ship the same fleet description the in-process backends
-    apply directly. Custom behaviours cannot travel (they are code,
-    and the wire carries data): raise with a pointer to the daemon's
-    own injection flags."""
+    """Describe a built-in behaviour as plain data, so the master can
+    ship the same fleet description the in-process backends apply
+    directly. Custom behaviours cannot travel (they are code, and the
+    wire carries data): raise with a pointer to the daemon's own
+    injection flags."""
     probability = 1.0
     if isinstance(behavior, IntermittentAttack):
         probability = behavior.probability

@@ -36,8 +36,9 @@ the compute thread for as long as a job takes and acks must flow
 meanwhile, so every job, however small, is computed off the receive
 thread — one rule, no size threshold. The same split used to run on
 an event loop with an executor hop per job: ~300 µs of daemon CPU a
-round around a 5 µs matvec, ~150 µs here (README "Distributed
-deployment" has the measurements).
+round around a 5 µs matvec, ~150 µs here, and ~90–140 µs since the
+frames carry binary records instead of JSON headers (README
+"Distributed deployment" has the measurements).
 
 Fault injection for tests can come from either end: the master's
 ``config`` carries the session's :class:`~repro.api.config.WorkerSpec`
@@ -72,13 +73,6 @@ from repro.runtime.net.wire import (
 )
 
 __all__ = ["WorkerServer"]
-
-
-def _rid(fields: dict) -> int:
-    try:
-        return int(fields["rid"])
-    except (KeyError, TypeError, ValueError):
-        raise WireError(f"frame carries no usable rid: {fields.get('rid')!r}") from None
 
 
 class WorkerServer:
@@ -184,23 +178,17 @@ class WorkerServer:
                 delay = min(0.2, delay * 2)
 
     def _apply_config(self, fields: dict) -> None:
-        q = self._cli_q if self._cli_q is not None else int(fields.get("q", self.field.q))
-        self.field = PrimeField(q)
-        self.straggle_scale = float(
-            self._cli_scale
-            if self._cli_scale is not None
-            else fields.get("straggle_scale", self.straggle_scale)
-        )
-        self.factor = float(
-            self._cli_factor
-            if self._cli_factor is not None
-            else fields.get("factor", 1.0)
-        )
+        def pick(cli: Any, key: str) -> Any:
+            return fields[key] if cli is None else cli
+
+        self.field = PrimeField(pick(self._cli_q, "q"))
+        self.straggle_scale = float(pick(self._cli_scale, "straggle_scale"))
+        self.factor = float(pick(self._cli_factor, "factor"))
         if self._cli_behavior is not None:
             self.behavior = self._cli_behavior
         else:
-            self.behavior = behavior_from_dict(fields.get("behavior", {}))
-        self._rng = np.random.default_rng(int(fields.get("seed", self.worker_id)))
+            self.behavior = behavior_from_dict(fields["behavior"])
+        self._rng = np.random.default_rng(fields["seed"])
 
     def run(self) -> None:
         """Register with the master and serve, on this thread, until shutdown/EOF."""
@@ -258,9 +246,9 @@ class WorkerServer:
             while True:
                 kind, fields, arrays = read_frame(sock)
                 if kind == "heartbeat":
-                    self._send("heartbeat_ack", {"seq": fields.get("seq", 0)})
+                    self._send("heartbeat_ack", {"seq": fields["seq"]})
                 elif kind == "cancel":
-                    rid = _rid(fields)
+                    rid = fields["rid"]
                     with self._wake:
                         # else: already done, or already noted
                         if rid > self._served_rid and rid not in self._cancelled:
@@ -270,14 +258,13 @@ class WorkerServer:
                 elif kind == "shutdown":
                     return
                 elif kind == "round":
-                    fields["rid"] = _rid(fields)
                     # receipt timestamp: anchors the daemon's own
                     # sub-spans when the round is traced
                     fields["_t_recv"] = time.perf_counter()
                     self._inbox.put((kind, fields, arrays))
                 elif kind == "store":
-                    if len(arrays) != 1 or "name" not in fields:
-                        raise WireError("store frame without a name and one share")
+                    if len(arrays) != 1:
+                        raise WireError(f"store frame with {len(arrays)} arrays, not one share")
                     self._inbox.put((kind, fields, arrays))
                 # anything else is ignored: forward compatibility
         except (WireError, OSError):
@@ -304,7 +291,7 @@ class WorkerServer:
                     # the copy); anything else it reduces into an array
                     # of its own or refuses
                     share = share.astype(np.int64)
-                store_share(self.field, self.payload, str(fields["name"]), share)
+                store_share(self.field, self.payload, fields["name"], share)
             else:
                 self._serve_round(fields["rid"], fields, arrays)
 
@@ -334,10 +321,10 @@ class WorkerServer:
         t0 = time.perf_counter()
         try:
             job = RoundJob(
-                op=str(fields["op"]),
-                payload_key=str(fields["payload_key"]),
+                op=fields["op"],
+                payload_key=fields["payload_key"],
                 operand=arrays[0] if arrays else None,
-                rhs_key=fields.get("rhs_key"),
+                rhs_key=fields["rhs_key"],
             )
             honest = run_job_compute(self.field, self.payload, job)
             assert self.behavior is not None
@@ -371,5 +358,5 @@ class WorkerServer:
                 spans.append(["worker.straggle", t_dq - base, t0 - base])
             spans.append(["worker.compute", c0, c1])
             spans.append(["worker.send", c1, max(c1, time.perf_counter() - base)])
-            meta["spans"] = [[n, round(a, 9), round(b, 9)] for n, a, b in spans]
+            meta["spans"] = spans
         self._send("result", meta, (value,) if value is not None else ())

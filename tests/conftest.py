@@ -7,8 +7,14 @@ key integration tests also run over the paper's 25-bit field.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.ff import DEFAULT_PRIME, PrimeField
+
+#: the wire fuzz (tests/runtime/test_wire_fuzz.py) at 20x its tier-1
+#: 150 examples, under a random seed: ``pytest
+#: tests/runtime/test_wire_fuzz.py --hypothesis-profile=wire-fuzz``
+settings.register_profile("wire-fuzz", max_examples=3000, derandomize=False, deadline=None)
 
 
 @pytest.fixture

@@ -70,6 +70,29 @@ class TestWireCounters:
             read_frame(FakeSock(bytes(raw)), counters)
         assert counters.crc_rejects == 1
 
+    def test_a_broadcast_counts_one_frame_a_send(self):
+        """A frame encoded once and sent to several sockets counts one
+        frame and its length per send, the length taken from the frame."""
+        import socket
+
+        from repro.runtime.net.wire import encode_frame, read_frame, send_parts
+
+        fields = {"rid": 1, "op": "matvec", "payload_key": "s", "rhs_key": None}
+        frame = encode_frame("round", fields, (np.arange(120),))
+        assert frame.nbytes == len(b"".join(frame))
+        counters = WireCounters()
+        pairs = [socket.socketpair() for _ in range(3)]
+        try:
+            for left, _ in pairs:
+                send_parts(left, frame, counters=counters)
+            assert (counters.frames_out, counters.bytes_out) == (3, 3 * frame.nbytes)
+            for _, right in pairs:
+                assert read_frame(right)[:2] == ("round", fields)
+        finally:
+            for left, right in pairs:
+                left.close()
+                right.close()
+
     def test_summary_without_wire_backend_is_unchanged(self):
         cfg = SessionConfig(
             scheme=SchemeParams(n=6, k=3, s=1, m=1),

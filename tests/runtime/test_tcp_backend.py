@@ -12,7 +12,6 @@ The generic Backend-contract, parity and early-stopping coverage for
 what only a socket fleet can exhibit.
 """
 
-import json
 import math
 import os
 import signal
@@ -24,7 +23,7 @@ import time
 import numpy as np
 import pytest
 from test_backends import _fleet, _make_backend
-from test_worker_daemon import raw_frame
+from test_worker_daemon import array_table, raw_frame, wire_str
 
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
@@ -43,6 +42,7 @@ from repro.runtime.net import (
     send_frame,
     spawn_local_workers,
 )
+from repro.runtime.net import wire
 from repro.runtime.net.wire import MSG_CODES
 
 F = PrimeField()
@@ -60,13 +60,21 @@ class TestWireProtocol:
         b = F.random(3, rng)
         left, right = self._pipe()
         with left, right:
-            send_frame(left, "store", {"name": "share", "n": 2}, (a, b))
+            send_frame(left, "store", {"name": "share"}, (a, b))
             kind, fields, arrays = read_frame(right)
         assert kind == "store"
-        assert fields == {"name": "share", "n": 2}
+        assert fields == {"name": "share"}
         np.testing.assert_array_equal(arrays[0], a)
         np.testing.assert_array_equal(arrays[1], b)
         assert arrays[0].dtype == a.dtype
+
+    def test_a_field_the_record_has_no_slot_for_is_refused(self):
+        with pytest.raises(WireError, match=r"no field \['n'\]"):
+            encode_frame("store", {"name": "share", "n": 2})
+        with pytest.raises(WireError, match="do not fit"):
+            encode_frame("cancel", {"rid": -1})
+        with pytest.raises(WireError, match="no wire code"):
+            encode_frame("store", {"name": "s"}, (np.zeros(3, dtype=np.int16),))
 
     def test_truncated_frame_rejected_with_description(self, rng):
         frame = b"".join(bytes(p) for p in encode_frame("store", {"name": "s"}, (F.random(4, rng),)))
@@ -104,25 +112,68 @@ class TestWireProtocol:
             with pytest.raises(WireError, match="version mismatch"):
                 read_frame(right)
 
-    def test_malformed_header_and_descriptor_rejected(self):
-        with pytest.raises(WireError, match="header"):
-            decode_payload(MSG_CODES["store"], memoryview(b"\x00\x00\x00\x04{]:["))
-        # declared array overruns the actual payload
-        import zlib
+    def test_wrong_version_names_protocol_2_and_3(self):
+        """A protocol-2 peer (here: its heartbeat_ack of seq 41, JSON
+        header and all) is refused on its preamble, naming both."""
+        frame = bytes.fromhex(
+            "4156020833b861dd0000001b00000017"
+            "7b22736571223a34312c225f617272617973223a5b5d7d"
+        )
+        left, right = self._pipe()
+        with left, right:
+            left.sendall(frame)
+            with pytest.raises(WireError, match="peer speaks 2, this build speaks 3"):
+                read_frame(right)
 
-        header = json.dumps(
-            {"_arrays": [{"dtype": "<i8", "shape": [64], "nbytes": 512}]}
-        ).encode()
-        payload = struct.pack(">I", len(header)) + header  # no array bytes at all
-        assert zlib.crc32(payload) >= 0  # payload is internally consistent
+    def test_malformed_header_and_descriptor_rejected(self):
+        store = MSG_CODES["store"]
+        # a record that ends before its string does
+        with pytest.raises(WireError, match="ends inside its record"):
+            decode_payload(store, memoryview(b"\x00\x00"))
+        # a string length past the payload
+        with pytest.raises(WireError, match="runs past the payload"):
+            decode_payload(store, memoryview(wire_str("s", 99) + array_table()))
+        # declared array overruns the actual payload (no array bytes at all)
+        payload = wire_str("s") + array_table((1, (64,)))
+        with pytest.raises(WireError, match="overruns"):
+            decode_payload(store, memoryview(payload))
+        # an array count past the table
+        with pytest.raises(WireError, match="ends after 1"):
+            decode_payload(store, memoryview(wire_str("s") + array_table((1, (0,)), count=5)))
+        # a dims product past any integer type: a WireError, not an
+        # OverflowError or MemoryError
+        payload = wire_str("s") + array_table((1, (2**64 - 1, 2**64 - 1, 2**64 - 1)))
+        with pytest.raises(WireError, match="overruns"):
+            decode_payload(store, memoryview(payload))
+        with pytest.raises(WireError, match="does not decode"):
+            decode_payload(store, memoryview(wire_str("s") + array_table((1, (0, 2**64 - 1)))))
+        # unknown codes and flag bits
+        with pytest.raises(WireError, match="unknown dtype code 9"):
+            decode_payload(store, memoryview(wire_str("s") + array_table((9, (0,)))))
+        result = struct.pack(">BQid", 0x10, 1, 0, 0.0) + array_table()
+        with pytest.raises(WireError, match="unknown flag bits 0x10"):
+            decode_payload(MSG_CODES["result"], memoryview(result))
+
+    def test_descriptor_sign_and_inference_cannot_be_sent(self):
+        """Protocol 2 trusted a descriptor's ``nbytes`` sign and a -1 in
+        its ``shape``; dims are unsigned now and byte lengths derived,
+        so every array is a view of its own consecutive slice of the
+        payload, and the slices end at the payload's end."""
+        arrays = (np.zeros(0, "<i8"), F.random((2, 3), np.random.default_rng(0)))
+        frame = b"".join(encode_frame("store", {"name": "s"}, arrays))
+        payload = np.frombuffer(frame, np.uint8)[wire._PREAMBLE.size:]
+        base = payload.__array_interface__["data"][0]
+        _, _, got = decode_payload(MSG_CODES["store"], memoryview(payload))
+        end = len(payload) - sum(a.nbytes for a in got)
+        for arr, want in zip(got, arrays):
+            assert arr.__array_interface__["data"][0] - base == end
+            assert arr.shape == want.shape
+            end += arr.nbytes
+        assert end == len(payload)
+        # -1, the dim protocol 2 inferred, reads as 2**64 - 1 unsigned
+        payload = wire_str("s") + array_table((1, (2**64 - 1, 2))) + bytes(32)
         with pytest.raises(WireError, match="overruns"):
             decode_payload(MSG_CODES["store"], memoryview(payload))
-        # the array table itself is not a list
-        header = json.dumps({"_arrays": 5}).encode()
-        with pytest.raises(WireError, match="must be a list"):
-            decode_payload(
-                MSG_CODES["store"], memoryview(struct.pack(">I", len(header)) + header)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -329,28 +380,33 @@ class TestFaultTolerance:
 
 
 def _forged_result(kind, rid):
-    """A checksummed ``result`` frame whose header a worker forged."""
-    desc = [{"dtype": "<i8", "shape": [4], "nbytes": 32}]
-    header = {
-        "missing_rid": {"worker_id": 3, "ok": True, "_arrays": desc},
-        "non_integer_rid": {"rid": "one", "ok": True, "_arrays": desc},
-        "non_numeric_compute_time": {
-            "rid": rid, "ok": True, "compute_time": "fast", "_arrays": desc
-        },
-        "arrays_not_a_list": {"rid": rid, "ok": True, "_arrays": 5},
+    """A checksummed ``result`` frame whose record a worker forged."""
+    record = struct.pack(">BQid", 1, rid, 3, 1e-3)  # ok, rid, worker 3
+    value = array_table((1, (4,))) + np.zeros(4, dtype="<i8").tobytes()
+    body = {
+        "record_cut_before_the_rid": record[:1],
+        "unknown_flag_bits": bytes([0x41]) + record[1:] + value,
+        "err_length_past_payload": bytes([0x03]) + record[1:] + wire_str("x", 999) + value,
+        "array_count_past_the_table": record + array_table(count=1),
+        "dims_product_overflows": record + array_table((1, (2**63, 2**63))) + value[-32:],
     }[kind]
-    value = b"" if kind == "arrays_not_a_list" else np.zeros(4, dtype="<i8").tobytes()
-    return raw_frame(MSG_CODES["result"], header, [value])
+    return raw_frame(MSG_CODES["result"], body)
 
 
 class TestForgedResultHeader:
-    """A worker writes its result frame's header too: a header the
+    """A worker writes its result frame's record too: a record the
     pump cannot read makes its sender one erasure, as a bad CRC does,
     and the round decodes exactly from the others."""
 
     @pytest.mark.parametrize(
         "kind",
-        ["missing_rid", "non_integer_rid", "non_numeric_compute_time", "arrays_not_a_list"],
+        [
+            "record_cut_before_the_rid",
+            "unknown_flag_bits",
+            "err_length_past_payload",
+            "array_count_past_the_table",
+            "dims_product_overflows",
+        ],
     )
     def test_forged_header_is_one_erasure(self, kind, rng):
         port = free_port()

@@ -12,8 +12,8 @@ what a ``TcpCluster`` master can observe of a forked fleet.
 """
 
 import heapq
-import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -601,13 +601,10 @@ class TestTwoThreads:
         assert daemon.server._cancelled == set() and daemon.server._cancel_heap == []
 
 
-def raw_frame(kind_code, header, buffers=(), *, version=PROTOCOL_VERSION, crc=None, length=None):
+def raw_frame(kind_code, body, buffers=(), *, version=PROTOCOL_VERSION, crc=None, length=None):
     """A frame assembled by hand, so every field of it can lie.
-    ``header`` is the JSON object, or the bytes to put in its place."""
-    head = header
-    if not isinstance(header, bytes):
-        head = json.dumps(header, separators=(",", ":")).encode()
-    payload = wire._HEADER_LEN.pack(len(head)) + head + b"".join(buffers)
+    ``body`` is the record and the array table, as bytes."""
+    payload = body + b"".join(buffers)
     preamble = wire._PREAMBLE.pack(
         wire.MAGIC,
         version,
@@ -618,33 +615,60 @@ def raw_frame(kind_code, header, buffers=(), *, version=PROTOCOL_VERSION, crc=No
     return preamble + payload
 
 
-def _round_header(rid=2, **lies):
-    desc = {"dtype": "<i8", "shape": [5], "nbytes": 40, **lies}
-    return {"rid": rid, "op": "matvec", "payload_key": "s", "rhs_key": None, "_arrays": [desc]}
+def wire_str(text, length=None):
+    """A record string: u32 byte count, UTF-8 bytes."""
+    data = text.encode()
+    return struct.pack(">I", len(data) if length is None else length) + data
+
+
+def array_table(*entries, count=None):
+    """An array table of ``(dtype code, dims)`` entries (1 is ``<i8``,
+    4 ``<f8``) or ``(dtype code, dims, ndim)`` with a lying ndim."""
+    out = struct.pack(">H", len(entries) if count is None else count)
+    for code, dims, *ndim in entries:
+        out += struct.pack(f">BB{len(dims)}Q", code, ndim[0] if ndim else len(dims), *dims)
+    return out
+
+
+def _round_body(rid=2, flags=0, op=0, key_len=None, entry=(1, (5,)), count=None):
+    """Round ``rid`` on share "s" with one 5-entry ``<i8`` operand."""
+    record = struct.pack(">BQB", flags, rid, op) + wire_str("s", key_len)
+    return record + array_table(entry, count=count)
 
 
 _OPERAND = np.arange(5, dtype="<i8").tobytes()
 _ROUND = wire.MSG_CODES["round"]
 #: round 2 on share "s", well formed: each hostile frame breaks one thing in it
-_GOOD = raw_frame(_ROUND, _round_header(), [_OPERAND])
+_GOOD = raw_frame(_ROUND, _round_body(), [_OPERAND])
 HOSTILE = {
     "truncated_then_closed": _GOOD[:-17],
     "flipped_payload_byte": _GOOD[:-1] + bytes([_GOOD[-1] ^ 0xFF]),
-    "wrong_version": raw_frame(_ROUND, _round_header(), [_OPERAND], version=PROTOCOL_VERSION + 1),
+    "wrong_version": raw_frame(_ROUND, _round_body(), [_OPERAND], version=PROTOCOL_VERSION + 1),
+    "protocol_2_peer": raw_frame(_ROUND, _round_body(), [_OPERAND], version=2),
     "bad_magic": b"GE" + _GOOD[2:],
     "length_above_max_payload": raw_frame(
-        _ROUND, _round_header(), [_OPERAND], length=wire.MAX_PAYLOAD + 1
+        _ROUND, _round_body(), [_OPERAND], length=wire.MAX_PAYLOAD + 1
     ),
-    "unknown_kind_code": raw_frame(99, {"_arrays": []}),
-    "nbytes_overruns_payload": raw_frame(_ROUND, _round_header(nbytes=80), [_OPERAND]),
-    "nbytes_short_of_payload": raw_frame(_ROUND, _round_header(nbytes=32, shape=[4]), [_OPERAND]),
-    "shape_disagrees_with_nbytes": raw_frame(_ROUND, _round_header(shape=[7]), [_OPERAND]),
-    "dtype_is_not_one": raw_frame(_ROUND, _round_header(dtype="no-such"), [_OPERAND]),
-    "header_is_not_json": raw_frame(_ROUND, b"{]"),
-    "round_without_a_rid": raw_frame(_ROUND, _round_header(rid=None), [_OPERAND]),
-    "cancel_without_a_rid": raw_frame(wire.MSG_CODES["cancel"], {"_arrays": []}),
-    "store_without_a_share": raw_frame(wire.MSG_CODES["store"], {"name": "s", "_arrays": []}),
-    "arrays_is_not_a_list": raw_frame(_ROUND, {**_round_header(), "_arrays": 5}),
+    "unknown_kind_code": raw_frame(99, array_table()),
+    "dims_overrun_payload": raw_frame(_ROUND, _round_body(entry=(1, (10,))), [_OPERAND]),
+    "dims_short_of_payload": raw_frame(_ROUND, _round_body(entry=(1, (4,))), [_OPERAND]),
+    # the table takes the operand's first 8 bytes for a second dim
+    "ndim_disagrees_with_dims": raw_frame(_ROUND, _round_body(entry=(1, (5,), 2)), [_OPERAND]),
+    "unknown_dtype_code": raw_frame(_ROUND, _round_body(entry=(200, (5,))), [_OPERAND]),
+    "record_truncated": raw_frame(_ROUND, _round_body()[:12]),  # inside the key's length
+    "round_without_a_rid": raw_frame(_ROUND, _round_body()[:1]),
+    "cancel_without_a_rid": raw_frame(wire.MSG_CODES["cancel"], b""),
+    "store_without_a_share": raw_frame(wire.MSG_CODES["store"], wire_str("s") + array_table()),
+    "array_count_past_the_table": raw_frame(_ROUND, _round_body(count=2)),
+    "dims_product_overflows": raw_frame(
+        _ROUND, _round_body(entry=(1, (2**31, 2**31, 2**31))), [_OPERAND]
+    ),
+    "zero_size_with_a_dim_past_numpy": raw_frame(
+        _ROUND, _round_body(entry=(1, (0, 2**64 - 1))), [_OPERAND]
+    ),
+    "unknown_flag_bits": raw_frame(_ROUND, _round_body(flags=0x80), [_OPERAND]),
+    "record_length_past_payload": raw_frame(_ROUND, _round_body(key_len=1000), [_OPERAND]),
+    "unknown_op_code": raw_frame(_ROUND, _round_body(op=9), [_OPERAND]),
 }
 
 
@@ -690,7 +714,7 @@ class TestHostileFrames:
         on it fails crash-stop, and the daemon serves on."""
         share = F.random((3, 5), rng)
         daemon.store("s", share)
-        lying = {"name": "s", "_arrays": [{"dtype": "<f8", "shape": [3, 5], "nbytes": 120}]}
+        lying = wire_str("s") + array_table((4, (3, 5)))  # <f8
         daemon.sock.sendall(raw_frame(wire.MSG_CODES["store"], lying, [share.tobytes()]))
         v = F.random(5, rng)
         daemon.round("s", v)
@@ -713,11 +737,11 @@ class TestFrameBytes:
         length = wire._PREAMBLE.unpack(pre)[4]
         return pre, bytes(wire._recv_exact(daemon.sock, length))
 
-    def test_ack_and_result_frames_are_the_frames_of_protocol_2(self, daemon, rng):
+    def test_ack_and_result_frames_are_the_frames_of_protocol_3(self, daemon, rng):
         daemon.send("heartbeat", {"seq": 41})
         assert b"".join(self._raw(daemon)).hex() == (
-            "4156020833b861dd0000001b00000017"  # AV, version 2, kind 8, crc, length 27
-            "7b22736571223a34312c225f617272617973223a5b5d7d"  # {"seq":41,"_arrays":[]}
+            "41560308d41615190000000a"  # AV, version 3, kind 8, crc, length 10
+            "0000000000000029" "0000"  # seq 41, no arrays
         )
         share = F.random((3, 5), rng)
         v = F.random(5, rng)
@@ -725,22 +749,18 @@ class TestFrameBytes:
         daemon.round("s", v, attest=True)
         pre, payload = self._raw(daemon)
         magic, version, code, crc, length = wire._PREAMBLE.unpack(pre)
-        assert (magic, version, code) == (b"AV", 2, wire.MSG_CODES["result"])
-        assert crc == zlib.crc32(payload)
-        (header_len,) = wire._HEADER_LEN.unpack_from(payload)
-        header = json.loads(payload[4:4 + header_len])
+        assert (magic, version, code) == (b"AV", 3, wire.MSG_CODES["result"])
+        assert crc == zlib.crc32(payload) and length == len(payload)
         want = ff_matvec(F, share, v)
-        assert list(header) == [
-            "rid", "worker_id", "compute_time", "ok", "err", "digest", "_arrays"
-        ]
-        assert header["_arrays"] == [{"dtype": "<i8", "shape": [3], "nbytes": 24}]
-        compute_time = header.pop("compute_time")
-        assert isinstance(compute_time, float) and 0.0 <= compute_time < 10.0
-        assert header == {
-            "rid": 1, "worker_id": 0, "ok": True, "err": None,
-            "digest": digest_array(want), "_arrays": header["_arrays"],
-        }
-        assert payload[4 + header_len:] == want.astype("<i8").tobytes()
+        # flags ok|digest, rid 1, worker 0; then the compute time
+        assert payload[:13].hex() == "05" "0000000000000001" "00000000"
+        (compute_time,) = struct.unpack(">d", payload[13:21])
+        assert 0.0 <= compute_time < 10.0
+        assert payload[21:].hex() == (
+            digest_array(want)
+            + "0001" "0101" "0000000000000003"  # one <i8 array of shape (3,)
+            + want.astype("<i8").tobytes().hex()
+        )
 
 
 class TestThroughTheMaster:
@@ -796,7 +816,7 @@ class TestThroughTheMaster:
                 handle = backend.dispatch_round(RoundJob(payload_key="float", operand=v))
                 list(handle)
                 handle.result()
-        headers = 3 * 128  # preamble + JSON descriptor per frame, generously
+        headers = 3 * 64  # preamble, record and array table per frame, generously
         assert shares.nbytes // 2 < narrow <= shares.nbytes // 2 + headers
         assert shares.nbytes < wide <= shares.nbytes + headers
         for wid in range(3):
