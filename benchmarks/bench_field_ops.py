@@ -10,8 +10,9 @@ best-of-30 times taken back to back on the same box — the ``int64`` reference
 kernel (``a @ b % q``) over :func:`ff_matmul`; the validating
 :func:`ff_matvec` over the worker's :func:`run_job_compute`; and the
 ``int64`` :func:`matvec_reduced` over :func:`run_job_compute` on cold
-``float64``-resident shares — so they track which kernel runs, not how
-fast the runner is. Worker shares are stored as a daemon stores one
+``float64``-resident shares; twelve per-worker :func:`run_job_compute`
+calls over one stacked :class:`SimCluster` round — so they track which
+kernel runs, not how fast the runner is. Worker shares are stored as a daemon stores one
 off the wire (:func:`store_share` on a ``<u4`` array), so the round is
 timed on the dtype the worker really multiplies.
 """
@@ -24,6 +25,7 @@ import pytest
 from _metrics import record_metric
 from repro.ff import batch_inverse, ff_matmul, ff_matvec, mod_inverse
 from repro.ff.linalg import matvec_reduced
+from repro.runtime import SimCluster, SimWorker
 from repro.runtime.backend import RoundJob, run_job_compute, store_share
 
 #: the worker's product in a width-64 round: batch_wide_sim's share,
@@ -144,6 +146,33 @@ def test_worker_round_resident_share_matvec(benchmark, field, rng):
     int64 = _best_s(lambda: [matvec_reduced(field, s, job.operand) for s in shares])
     resident = _best_s(lambda: [run_job_compute(field, p, job) for p in payloads])
     record_metric("ff_resident_matvec_speedup", int64 / resident)
+
+
+def test_sim_round_stacked_products(benchmark, field, rng):
+    """batch_wide_sim's round on the simulator: twelve workers' 134x600
+    shares times one 600x64 operand. The reference is the per-worker
+    round — twelve :func:`run_job_compute` calls, each validating the
+    operand, splitting it into limbs, widening its share and
+    recombining — against one stacked round, which does each of those
+    once over the whole stack (bookkeeping of the round included)."""
+    n, (b, k, m) = 12, WIDE_SHAPES["wide"]
+    shares = field.random((n, b, k), rng)
+    payloads = [_stored(field, s) for s in shares]
+    job = RoundJob(op="matvec", payload_key="share", operand=field.random((k, m), rng))
+    cluster = SimCluster(field, [SimWorker(i) for i in range(n)])
+    cluster.distribute("share", shares)
+
+    def stacked_round():
+        return cluster.dispatch_round(job).result()
+
+    arrivals = stacked_round().arrivals
+    assert sorted(a.worker_id for a in arrivals) == list(range(n))
+    for a in arrivals:
+        want = run_job_compute(field, payloads[a.worker_id], job)
+        assert a.value.dtype == want.dtype and a.value.tobytes() == want.tobytes()
+    benchmark(stacked_round)
+    per_worker = _best_s(lambda: [run_job_compute(field, p, job) for p in payloads])
+    record_metric("ff_sim_round_speedup", per_worker / _best_s(stacked_round))
 
 
 def test_fermat_inverse_vectorized(benchmark, field, rng):

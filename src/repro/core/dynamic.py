@@ -206,19 +206,6 @@ class EncodingCache:
         self.build_keys = build_keys
         self._configs: dict[tuple[int, int], EncodedConfig] = {}
 
-    def get(self, n: int, k: int) -> EncodedConfig:
-        """The configuration ``(n, k)``, built if it is not cached yet
-        (its shares are let go at once)."""
-        key = (int(n), int(k))
-        if key not in self._configs:
-            self._build(*key)
-        return self._configs[key]
-
-    def prebuild(self, configs) -> None:
-        """Warm the cache for a list of ``(n, k)`` pairs."""
-        for n, k in configs:
-            self.get(n, k)
-
     def shares(self, n: int, k: int) -> tuple[EncodedConfig, np.ndarray, np.ndarray]:
         """The configuration ``(n, k)`` with its ``fwd`` and ``bwd``
         share stacks, which the caller owns: built with it on first

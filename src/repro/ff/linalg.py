@@ -86,6 +86,36 @@ runs in row blocks of at most ``2**18`` multiply-adds (:func:`_dgemm`),
 on the calling thread: one threaded ``(667x5000) . (5000x2)`` ``dgemm`` took
 8.0 ms on the same box, hot in cache, and the blocked product 1.5-1.6.
 
+**Wide row blocks.** The simulator multiplies a fleet's whole stack of
+shares in one call (:mod:`repro.runtime.cluster`): twelve 134x600
+shares times a 600x64 operand is one ``(1608x600) . (600x128)``
+``dgemm`` over the limbs. As one call that product is bimodal under
+OpenBLAS's helper thread. On the same box, 40 calls 4 ms apart ran at
+a median of 8.0 ms in one pass and 2.4 ms in the next; ``batch_wide_sim``
+read 3400-4600 ops/s on it, against 4300-5600 for the per-worker round.
+Blocks of 218 rows ran 2.6-3.7 ms in both passes (6000-9500 ops/s),
+134-row blocks 3.0-4.2 ms (6900-8700 ops/s), and 402-row blocks
+2.6-2.9 ms with a 32 ms outlier; 536-row blocks were as bimodal as one
+call (2100-6800 ops/s). So :func:`_dgemm` runs a wide product (more than
+one limb pair) in row blocks of at most ``2**24`` multiply-adds — 218
+rows of that stack — written into one output. The blocks are never
+thinner than 64 rows: at GISETTE's inner length a ``2**24`` block is 26
+rows, and 26-row blocks of one 667x5000 share ran 20.7-22.0 ms against
+10.7-13.1 for the one call. A product whose blocks would be that thin
+stays one call, as does any of at most ``2**24`` multiply-adds — one
+worker's 134x600 share at width 64 is 10.3 M. What the stacked round
+saves (quartiles of 40 rounds 2 ms apart; the per-worker column is
+twelve ``run_job_compute`` calls, the stacked one the whole
+``SimCluster.dispatch_round``):
+
+========================================  ===========  =========
+simulated round                           per worker   stacked
+========================================  ===========  =========
+``fwd``    12 x 134x600 . 600x64          8.4-11.4     7.5-8.4
+``bwd``    12 x 67x1200 . 1200x64         10.7-11.7    5.1-5.7
+width 1    12 x 134x600 . 600             1.1-1.6      0.60-0.88
+========================================  ===========  =========
+
 **Trust boundary.** :func:`ff_matmul`, :func:`ff_matvec` and
 :func:`ff_dot` are the validating entry points: they reduce both
 operands (a full ``% q`` pass each) and reject floats. Reducing a large
@@ -118,6 +148,10 @@ __all__ = [
 #: the product size from which ``dgemm`` runs (module docstring): the
 #: crossover's ``n*k*m`` and the size of a share kept ``float64``
 _DGEMM_MIN_MACS = 2**18
+#: row blocks of a wide product (module docstring): at most this many
+#: multiply-adds, and never thinner than this many rows
+_WIDE_BLOCK_MACS = 2**24
+_WIDE_BLOCK_ROWS = 64
 
 
 def _use_dgemm(n: int, k: int, m: int, chunk: int) -> bool:
@@ -173,15 +207,18 @@ def _matmul_int64(
 
 
 def _dgemm(a: np.ndarray, limbs: np.ndarray) -> np.ndarray:
-    """``a @ limbs`` in ``float64``. Over one limb pair (a matvec) it
-    runs in row blocks of at most ``2**18`` multiply-adds, the size
-    below which OpenBLAS keeps to the calling thread (module
-    docstring)."""
+    """``a @ limbs`` in ``float64``, in row blocks (module docstring):
+    over one limb pair (a matvec) of at most ``2**18`` multiply-adds,
+    the size below which OpenBLAS keeps to the calling thread; over a
+    wide operand of at most ``_WIDE_BLOCK_MACS``, unless a block would
+    have fewer than ``_WIDE_BLOCK_ROWS`` rows."""
     n, k = a.shape
-    rows = max(1, _DGEMM_MIN_MACS // (k * limbs.shape[1]))
-    if limbs.shape[1] > 2 or n <= rows:
+    cols = limbs.shape[1]
+    wide = cols > 2
+    rows = max(1, (_WIDE_BLOCK_MACS if wide else _DGEMM_MIN_MACS) // (k * cols))
+    if n <= rows or (wide and rows < _WIDE_BLOCK_ROWS):
         return a @ limbs
-    out = np.empty((n, 2), dtype=np.float64)
+    out = np.empty((n, cols), dtype=np.float64)
     for lo in range(0, n, rows):
         np.matmul(a[lo : lo + rows], limbs, out=out[lo : lo + rows])
     return out

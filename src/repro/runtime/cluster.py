@@ -17,10 +17,30 @@ transmitted bytes, exactly like the real system.
 
 :class:`SimCluster` implements the :class:`~repro.runtime.backend.Backend`
 protocol, so any master runs on it interchangeably with the real
-thread-pool and socket backends. Because the simulator computes every
-arrival up front, cancellation is free and the full arrival schedule
-(including workers the master never waited for) stays observable —
+thread-pool and socket backends. A round is resolved in full when it
+is dispatched — cancellation is free, and the full arrival schedule
+(including workers the master never waited for) stays observable,
 which is what the straggler detector uses.
+
+**How a round's products are computed.** ``distribute`` validates a
+share name's ``(n, rows, cols)`` stack once and keeps it as one stack;
+each worker stores a row view of it. At the stack's first round it
+takes its resident dtype — the rule of
+:func:`~repro.ff.linalg.resident_share`, applied to the stack as the
+one matrix of its rows — and the workers' views move with it. A
+``matvec`` round then validates its operand once and multiplies every
+participant's rows in one :func:`~repro.ff.linalg.matmul_reduced` /
+:func:`~repro.ff.linalg.matvec_reduced` call, before any randomness is
+drawn; a worker's honest result is its rows of that one output
+(disjoint views, so no two workers share memory). ``gramian`` and
+``matmul`` jobs, and a worker whose payload entry is no longer its view
+of the stack (re-stored through :meth:`SimWorker.store`), run
+:func:`~repro.runtime.backend.run_job_compute` over their own payload,
+as before. No product draws randomness: in participant order each
+worker applies its behaviour and samples its latency from the
+cluster's one generator, the same draws in the same order whichever
+path computed its product, so arrivals, records and decoded bytes do
+not depend on the path.
 
 Concurrent rounds (the pipelined scheduler) contend through
 **per-worker busy-time queues**: while a dispatched round is neither
@@ -40,7 +60,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.linalg import resident_share
+from repro.ff.linalg import matmul_reduced, matvec_reduced, resident_share
 from repro.runtime.backend import (
     Arrival,
     Backend,
@@ -55,6 +75,12 @@ from repro.runtime.events import EventQueue
 from repro.runtime.worker import SimWorker
 
 __all__ = ["Arrival", "RoundResult", "SimCluster", "SimRoundHandle"]
+
+
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """An ``(n, b, k)`` stack as the ``(n*b, k)`` matrix of its rows."""
+    n, b, k = stack.shape
+    return stack.reshape(n * b, k)
 
 
 class SimRoundHandle(RoundHandle):
@@ -139,6 +165,11 @@ class SimCluster(Backend):
         #: queue each worker behind these — concurrent rounds contend
         self._inflight: dict[int, dict[int, float]] = {}
         self._round_seq = 0
+        #: share name -> (stack, the row view stored at each slot, the
+        #: worker each slot went to)
+        self._stacks: dict[str, tuple[np.ndarray, list[np.ndarray], list[int]]] = {}
+        #: stacks validated but not yet in their resident dtype
+        self._unsettled: set[str] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -164,9 +195,16 @@ class SimCluster(Backend):
         self._now += dt
 
     def close(self) -> None:
-        """Let go of the workers' payloads: a share kept ``int64`` is a
-        view of the master's whole stack, so one kept worker keeps all
-        of it (a ``float64``-resident share is a copy of its own)."""
+        """Let go of the stacks and the workers' payloads. A stack is
+        kept alive by the cluster, until the same name is distributed
+        again or ``close``, and by every worker still holding a row
+        view of it: one kept worker keeps the whole stack — the
+        master's own array until the stack's first round, and after it
+        too if the stack stays ``int64``; else the ``float64`` copy. A
+        stacked round's results are views of that round's one output,
+        not of the stack: one kept result keeps that output."""
+        self._stacks.clear()
+        self._unsettled.clear()
         for worker in self.workers:
             worker.payload.clear()
 
@@ -181,15 +219,30 @@ class SimCluster(Backend):
         master's NIC, as in the testbed) and charge the transfer time.
 
         Returns the time spent; also advances the clock.
+
+        A 3-D ``shares`` is validated here, as one array, and kept as
+        one stack whose row views the workers store; it takes its
+        resident dtype at its first round (:meth:`_settle`), so set-up
+        pays no conversion. Any other ``shares`` is stored share by
+        share, each resident on its own.
         """
         participants = self._participants(participants)
         if len(participants) > shares.shape[0]:
             raise ValueError("fewer shares than participants")
+        stack = shares[: len(participants)]
+        if stack.ndim == 3:
+            stack = self.field.ensure_reduced(_rows(stack)).reshape(stack.shape)
+            views = list(stack)
+            self._stacks[name] = (stack, views, participants)
+            self._unsettled.add(name)
+        else:
+            self._stacks.pop(name, None)
+            self._unsettled.discard(name)
+            views = [resident_share(self.field, share) for share in stack]
         total = 0.0
-        for slot, wid in enumerate(participants):
-            share = resident_share(self.field, shares[slot])
+        for share, wid in zip(views, participants):
             self.workers[wid].store(**{name: share})
-            total += self.cost_model.transfer_time(int(np.asarray(share).size))
+            total += self.cost_model.transfer_time(int(share.size))
         self._now += total
         return total
 
@@ -209,13 +262,22 @@ class SimCluster(Backend):
         so no contention arises and timing is identical to the
         pre-pipelining simulator.
         """
+        participants = self._participants(participants)
         if self.obs is not None:
-            self.obs.on_dispatch(
-                "sim", job, len(self._participants(participants))
-            )
+            self.obs.on_dispatch("sim", job, len(participants))
+        if job.payload_key in self._unsettled:
+            self._settle(job.payload_key)
         busy = self._worker_busy_until()
+        stacked = self._stacked_products(job, participants)
+
+        def compute(payload: dict[str, Any]) -> np.ndarray:
+            # each stacked product is handed out once: a share view held
+            # by two workers must not give them one array
+            value = stacked.pop(id(payload.get(job.payload_key)), None)
+            return run_job_compute(self.field, payload, job) if value is None else value
+
         rr = self.run_round(
-            compute=lambda p, _j=job: run_job_compute(self.field, p, _j),
+            compute=compute,
             macs=lambda p, _j=job: job_macs(p, _j),
             broadcast_elements=job.broadcast_elements(),
             participants=participants,
@@ -229,6 +291,51 @@ class SimCluster(Backend):
             if math.isfinite(a.t_arrival)
         }
         return SimRoundHandle(rr, cluster=self, key=key)
+
+    def _settle(self, name: str) -> None:
+        """Give stack ``name`` its resident dtype: the residency rule of
+        :func:`~repro.ff.linalg.resident_share`, applied to the stack as
+        the one matrix a stacked round multiplies. A ``float64`` stack
+        is a new array; each worker still holding its ``int64`` view is
+        given the new one, so the old stack — the master's array — is
+        no longer held here."""
+        self._unsettled.discard(name)
+        stack, views, holders = self._stacks[name]
+        settled = resident_share(self.field, _rows(stack))
+        if settled.dtype == stack.dtype:
+            return
+        settled = settled.reshape(stack.shape)
+        resident = list(settled)
+        for old, new, wid in zip(views, resident, holders):
+            if self.workers[wid].payload.get(name) is old:
+                self.workers[wid].store(**{name: new})
+        self._stacks[name] = (settled, resident, holders)
+
+    def _stacked_products(
+        self, job: RoundJob, participants: Sequence[int]
+    ) -> dict[int, np.ndarray]:
+        """Honest ``matvec`` results of the participants whose share is
+        still their row view of the job's stack, keyed by ``id`` of that
+        view: one operand validation and one product over the stack's
+        slots from the first such participant to the last."""
+        held = self._stacks.get(job.payload_key) if job.op == "matvec" else None
+        if held is None:
+            return {}
+        stack, views, _holders = held
+        slot_of = {id(view): slot for slot, view in enumerate(views)}
+        slots = sorted({
+            slot_of[key]
+            for wid in participants
+            if (key := id(self.workers[wid].payload.get(job.payload_key))) in slot_of
+        })
+        if not slots:
+            return {}
+        lo, hi = slots[0], slots[-1] + 1
+        operand = self.field.ensure_reduced(job.operand)
+        product = matmul_reduced if operand.ndim == 2 else matvec_reduced
+        out = product(self.field, _rows(stack[lo:hi]), operand)
+        out = out.reshape((hi - lo, stack.shape[1]) + operand.shape[1:])
+        return {id(views[slot]): out[slot - lo] for slot in slots}
 
     def _worker_busy_until(self) -> dict[int, float]:
         """Per-worker earliest free time implied by outstanding rounds."""

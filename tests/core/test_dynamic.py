@@ -112,12 +112,13 @@ class TestEncodingCache:
     def test_memoized(self, rng):
         x = F.random((8, 4), rng)
         cache = EncodingCache(F, x, rng=rng)
-        assert cache.get(4, 2) is cache.get(4, 2)
+        assert cache.shares(4, 2)[0] is cache.shares(4, 2)[0]
 
-    def test_prebuild(self, rng):
+    def test_every_configuration_built_is_cached(self, rng):
         x = F.random((8, 4), rng)
         cache = EncodingCache(F, x, rng=rng)
-        cache.prebuild([(4, 2), (3, 2)])
+        for n, k in [(4, 2), (3, 2)]:
+            cache.shares(n, k)
         assert (4, 2) in cache._configs and (3, 2) in cache._configs
 
     def test_padding_roundtrip_through_decode(self, rng):
@@ -135,7 +136,7 @@ class TestEncodingCache:
 
     def test_no_keys_mode(self, rng):
         cache = EncodingCache(F, F.random((4, 4), rng), build_keys=False, rng=rng)
-        cfg = cache.get(4, 2)
+        cfg, _, _ = cache.shares(4, 2)
         assert cfg.fwd_keys == () and cfg.bwd_keys == ()
 
     def test_share_elements(self, rng):
@@ -150,7 +151,7 @@ class TestEncodingCache:
     def test_privacy_padding_used_when_t_positive(self, rng):
         x = F.random((6, 4), rng)
         cache = EncodingCache(F, x, t=1, rng=rng)
-        cfg = cache.get(6, 2)
+        cfg, _, _ = cache.shares(6, 2)
         assert cfg.code.t == 1
         assert not cfg.code.is_systematic
 
@@ -229,7 +230,7 @@ class TestEncodedInPlace:
             cache.x.T[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             cache.x %= 2
-        cache.get(4, 2)  # encoding only reads it
+        cache.shares(4, 2)  # encoding only reads it
         # the caller's own handle is untouched by the view's flag
         assert x.flags.writeable
 
@@ -316,12 +317,12 @@ class TestReinstall:
         state = cache.rng.bit_generator.state
         for _ in range(2):
             again, fwd2, bwd2 = cache.shares(6, 4)
-            assert again is cfg and cache.get(6, 4) is cfg  # keys never rebuilt
+            assert again is cfg  # keys never rebuilt
             assert fwd2.tobytes() == fwd.tobytes() and bwd2.tobytes() == bwd.tobytes()
             assert not np.shares_memory(fwd2, fwd)
         assert cache.rng.bit_generator.state == state
 
-    def test_get_keeps_no_share_stack(self):
+    def test_cache_keeps_no_share_stack(self):
         import gc
         import weakref
 
@@ -329,7 +330,8 @@ class TestReinstall:
         _, fwd, bwd = cache.shares(4, 2)
         refs = [weakref.ref(fwd), weakref.ref(bwd)]
         del fwd, bwd
-        cache.prebuild([(4, 2), (3, 2)])
+        for n, k in [(4, 2), (3, 2)]:
+            cache.shares(n, k)
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
