@@ -2,22 +2,20 @@
 
 Runs the identical AVCC workload — setup plus a block of
 forward/backward rounds at the experiments' default (m=1200, d=600,
-N=12, K=9) scale — on all three ``Backend`` implementations and
-reports real wall-clock for each. The deployment is one
+N=12, K=9) scale — on both ``Backend`` implementations and reports
+real wall-clock for each. The deployment is one
 ``SessionConfig``; only the ``backend`` registry name changes:
 
 * ``sim`` measures protocol + master arithmetic only (worker time is
   virtual), so it is the floor: the master-side cost of the protocol.
-* ``threaded`` adds real concurrent worker execution; NumPy kernels
-  release the GIL, so this approximates one beefy multi-core node.
 * ``tcp`` runs one worker daemon process per worker and pays real
   sockets and real serialization (the binary wire protocol) against a
   loopback fleet — the closest this repo gets to the paper's physical
   testbed, and the backend the repo benchmark measures.
 
 Shape assertions only check correctness (every backend must decode
-bit-exactly); relative wall-clock between the real backends is
-machine-dependent and intentionally not asserted. The CI ``bench-tcp``
+bit-exactly); wall-clock is machine-dependent and intentionally not
+asserted. The CI ``bench-tcp``
 job gates the deterministic ``tcp_decode_success_rate`` emitted here
 (every socket round must decode bit-exactly) via
 ``check_perf_regression.py --select``. It gates no wall-clock rate:
@@ -57,7 +55,7 @@ def _config(kind, s=S, m=M, **kwargs):
     )
 
 
-@pytest.mark.parametrize("kind", ["sim", "threaded", "tcp"])
+@pytest.mark.parametrize("kind", ["sim", "tcp"])
 def test_avcc_rounds_per_backend(benchmark, cfg, field, rng, kind):
     x = field.random((cfg.m, cfg.d), rng)
     w = field.random(cfg.d, rng)
@@ -83,7 +81,7 @@ def test_avcc_rounds_per_backend(benchmark, cfg, field, rng, kind):
         np.testing.assert_array_equal(vec, z if i % 2 == 0 else g)
 
 
-@pytest.mark.parametrize("kind", ["threaded", "tcp"])
+@pytest.mark.parametrize("kind", ["tcp"])
 def test_early_stopping_saves_straggler_tail(benchmark, field, rng, kind):
     """With one heavy straggler and enough slack, a real-backend round
     must cost ~(fast worker time), not ~(straggler sleep)."""

@@ -5,9 +5,10 @@ Trains gradient descent on squared loss with the same two-round
 protocol (z = Xw, then g = X^T(z - y)) over AVCC, with one straggler
 and one Byzantine worker injected, and compares against the uncoded
 baseline — both described by the *same* ``SessionConfig`` with only the
-``master`` name changed. Then reruns a coded round on the thread-pool
-backend: real concurrent workers, real wall-clock arrival order, real
-early stopping — switching the ``backend`` string is the whole swap.
+``master`` name changed. Then reruns a coded round on the ``tcp``
+backend: a loopback fleet of worker daemons, real wall-clock arrival
+order, real early stopping — switching the ``backend`` string is the
+whole swap.
 
 Run:  python examples/linear_regression.py
 """
@@ -66,28 +67,28 @@ def main():
     print("\nAVCC rejected the attacker and dodged the straggler; uncoded "
           "absorbed both (higher loss, ~8x slower).\n")
 
-    # ---- bonus: the same service on real threads -----------------------
+    # ---- bonus: the same service on a loopback socket fleet -------------
     field = PrimeField()
     x_q = field.asarray(ds.x_train[:400])
     w_vec = field.random(ds.d, np.random.default_rng(0))
-    threaded = SessionConfig(
+    tcp = SessionConfig(
         scheme=SchemeParams(n=12, k=8, s=3, m=1),
         master="avcc",
-        backend="threaded",
+        backend="tcp",
         workers=tuple(
             WorkerSpec(straggler_factor=5.0) if i == 2 else WorkerSpec()
             for i in range(12)
         ),
         backend_options={"straggle_scale": 0.1},
     )
-    with Session.create(threaded) as sess:
+    with Session.create(tcp) as sess:
         sess.load(x_q)
         t0 = time.perf_counter()
         handle = sess.submit_matvec(w_vec)
         z = handle.result()
         wall = time.perf_counter() - t0
     assert np.array_equal(z, ff_matvec(field, x_q, w_vec))
-    print(f"thread-pool backend: the same avcc session used workers "
+    print(f"tcp backend: the same avcc session used workers "
           f"{sorted(handle.record.used_workers)}")
     print(f"decoded in {wall * 1e3:.0f} ms wall — the slowed worker 2 was "
           f"cancelled, not waited for; result bit-exact.")

@@ -15,13 +15,13 @@ broadcast-compute-collect round, verification in arrival order with
 Byzantine rejection (Eqs. 8-10), early cancellation the moment K
 results pass, and exact decoding from the fastest K verified results.
 The backend string is the only thing that changes between a
-deterministic simulation, real threads, and a real TCP socket fleet
-with one process per worker (``tcp`` spawns loopback worker daemons speaking the
+deterministic simulation and a real TCP socket fleet with one process
+per worker (``tcp`` spawns loopback worker daemons speaking the
 binary wire protocol — the same daemons you would start on other
 hosts with ``python -m repro.runtime.net.worker``); the layer-by-layer
 wiring remains available for study in `src/repro`.
 
-Run:  python examples/quickstart.py [sim|threaded|tcp]
+Run:  python examples/quickstart.py [sim|tcp]
                                     [--seed S] [--n N] [--k K]
                                     [--inflight W]
 
@@ -47,7 +47,7 @@ def parse_args():
         "backend",
         nargs="?",
         default="sim",
-        choices=("sim", "threaded", "tcp"),
+        choices=("sim", "tcp"),
         help="execution backend (default: sim; tcp spawns a loopback socket fleet)",
     )
     parser.add_argument("--seed", type=int, default=0, help="rng seed")
@@ -87,7 +87,7 @@ def main():
         workers=tuple(workers),
         batch_window=1,  # one round per request: show pipelining, not batching
         max_inflight_rounds=max(1, args.inflight),
-        # keep the injected 10x straggler's sleep short on real backends
+        # keep the injected 10x straggler's sleep short on the socket fleet
         backend_options={} if args.backend == "sim" else {"straggle_scale": 0.01},
     )
     print(f"scheme: (N={args.n}, K={args.k}, S=1, M=1) — Eq. (2) "

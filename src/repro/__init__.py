@@ -5,7 +5,7 @@ Top-level convenience re-exports. The subpackages are:
 ``repro.ff``           finite-field substrate (field, codecs' math)
 ``repro.coding``       MDS / Lagrange coded-computing codecs
 ``repro.verify``       Freivalds-style verifiable computing
-``repro.runtime``      simulated (and threaded) master/worker cluster
+``repro.runtime``      simulated and socket master/worker clusters
 ``repro.core``         the AVCC master, baselines, dynamic coding
 ``repro.ml``           quantized distributed training applications
 ``repro.experiments``  regeneration of the paper's tables and figures

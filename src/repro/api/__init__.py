@@ -53,7 +53,7 @@ Three pieces:
 Registries (:mod:`repro.api.registry`) — the extension point
     ``Session.create`` resolves backends and masters **by name**
     through two registries pre-populated with the built-ins
-    (backends ``"sim" | "threaded" | "tcp"``; masters
+    (backends ``"sim" | "tcp"``; masters
     ``"avcc" | "lcc" | "static_vcc" | "uncoded"``). Third-party code
     plugs in without touching ``repro`` internals::
 

@@ -108,10 +108,9 @@ class SessionConfig:
         (``"avcc" | "lcc" | "static_vcc" | "uncoded"`` built in;
         ``"static_vcc"`` is ``AVCCMaster(adaptive=False)``).
     backend:
-        Registry name of the execution substrate (``"sim" |
-        "threaded" | "tcp"`` built in: the simulator, workers on
-        in-process threads, or one worker daemon process per worker
-        over sockets).
+        Registry name of the execution substrate (``"sim" | "tcp"``
+        built in: the simulator, or one worker daemon process per
+        worker over sockets).
     prime:
         Field modulus (the paper's ``2**25 - 39`` by default).
     seed:
@@ -146,7 +145,7 @@ class SessionConfig:
         :class:`~repro.obs.Observability` bundle: every submitted job
         gets a span-traced request-to-round timeline (worker daemons
         ship their own sub-spans back over the wire on the socket
-        backends), and a unified metrics registry feeds the live
+        backend), and a unified metrics registry feeds the live
         telemetry endpoint (``TelemetryServer(session.obs)``) and the
         ``repro obs`` CLI. ``False`` (default) instantiates
         none of it — reports, summaries and wire frames are
@@ -157,7 +156,7 @@ class SessionConfig:
         appends a hash-chained :class:`~repro.obs.audit.
         RoundCommitment` (scheme config, operand/output digests,
         per-worker result digests, verify verdicts), the socket
-        backends' worker daemons countersign results with a digest in
+        backend's worker daemons countersign results with a digest in
         the result frame, and ``ServeReport`` rows carry the sequence
         number of the commitment backing each request. ``False``
         (default) instantiates none of it — reports, round results and
@@ -173,11 +172,11 @@ class SessionConfig:
         ``heartbeat_interval``/``heartbeat_timeout`` (probing cadence
         and the dead-worker threshold), ``io_timeout`` (per-socket I/O
         deadline) and ``round_timeout`` (per-round collect deadline).
-        Used by ``"tcp"``; ignored by the in-process backends. Accepts
+        Used by ``"tcp"``; ignored by ``"sim"``. Accepts
         a plain mapping in :meth:`from_dict`.
     backend_options:
         Extra keyword arguments for the backend factory (e.g.
-        ``{"straggle_scale": 0.05}`` for wall-clock backends). The
+        ``{"straggle_scale": 0.05}`` for ``"tcp"``). The
         tcp backend's deployment knobs travel here too:
         ``host``/``port`` (listen address; port 0 = ephemeral),
         ``connect_timeout`` (seconds to wait for the fleet to

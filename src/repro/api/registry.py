@@ -2,7 +2,7 @@
 
 The session layer resolves ``SessionConfig.backend`` and
 ``SessionConfig.master`` strings through these registries, so the
-string names ``"sim" | "threaded" | "tcp"`` and
+string names ``"sim" | "tcp"`` and
 ``"avcc" | "lcc" | "static_vcc" | "uncoded"`` are data, not code —
 a config file can pick any combination, and third parties can plug in
 their own substrate or waiting/verification policy without touching
@@ -145,23 +145,6 @@ def _sim_backend(
     return SimCluster(field, workers, cost_model=config.cost_model(), rng=rng)
 
 
-def _threaded_backend(
-    config: "SessionConfig",
-    field: "PrimeField",
-    workers: Sequence["SimWorker"],
-    rng: np.random.Generator,
-) -> "Backend":
-    from repro.runtime.threaded import ThreadedCluster
-
-    return ThreadedCluster(
-        field,
-        workers,
-        rng=rng,
-        cost_model=config.cost_model(),
-        **config.backend_options,
-    )
-
-
 def _tcp_backend(
     config: "SessionConfig",
     field: "PrimeField",
@@ -216,7 +199,6 @@ def _uncoded_master(
 
 
 register_backend("sim", _sim_backend)
-register_backend("threaded", _threaded_backend)
 register_backend("tcp", _tcp_backend)
 register_master("avcc", _avcc_master)
 register_master("static_vcc", _static_vcc_master)

@@ -15,9 +15,8 @@ once:
 
 * **dispatch** is non-blocking on every backend — the simulator
   pre-computes the arrival schedule (with per-worker busy-time queues,
-  so concurrent rounds contend realistically), the thread pool
-  multiplexes its workers, the socket master routes replies by round
-  id;
+  so concurrent rounds contend realistically), the socket master
+  routes replies by round id;
 * **finalize** happens in dispatch (FIFO) order — the master core is
   one core; verify/decode of round *i* runs while the workers compute
   rounds *i+1 … i+W*;

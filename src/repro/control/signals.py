@@ -9,29 +9,24 @@ builds one per ``control_interval`` (see
 :class:`~repro.serve.gateway.Gateway`); the policy never reaches into
 the gateway or session itself.
 
-When the session runs with observability enabled, the gateway's
-request accounting lives in the unified
-:class:`~repro.obs.metrics.MetricsRegistry` instead of a private list:
-:func:`record_outcome` feeds one terminal outcome into the gateway
-counters/histograms, and :meth:`WindowSignals.from_registry` closes a
-window from counter *deltas* (against a caller-owned marks dict) plus
-window-exact histogram drains — producing bit-identical numbers to the
-legacy fresh-outcomes computation, which remains the obs-off path.
+The gateway computes each window from the terminal outcomes it
+collected since the previous one, with observability on or off. When
+the session runs with observability enabled, :func:`record_outcome`
+additionally feeds every terminal outcome into the gateway's counters
+and histograms in the unified
+:class:`~repro.obs.metrics.MetricsRegistry`, for export.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, MutableMapping
-
-import numpy as np
+from typing import Any
 
 __all__ = [
     "WindowSignals",
     "outcome_recorder",
     "record_outcome",
-    "set_window_tracking",
 ]
 
 #: metric names the gateway accounting lives under (obs-enabled runs)
@@ -56,12 +51,10 @@ def _gateway_handles(registry: Any) -> tuple[Any, Any, Any, Any]:
             registry.histogram(
                 GATEWAY_LATENCY,
                 "end-to-end served latency (arrival to decode)",
-                track_window=True,
             ),
             registry.histogram(
                 GATEWAY_SLACK,
                 "deadline minus completion for served SLO requests",
-                track_window=True,
             ),
         )
         registry._gateway_handles = handles
@@ -78,15 +71,6 @@ _MET_KEYS = {
     None: (("met", "None"),),
 }
 _NO_LABELS: tuple = ()
-
-
-def set_window_tracking(registry: Any, on: bool) -> None:
-    """Arm/disarm the raw-value windows behind the gateway latency and
-    slack histograms. A gateway without a control loop never drains
-    them, so it disarms at startup — bucket counts still accumulate."""
-    _, _, latency, slack = _gateway_handles(registry)
-    latency.set_window_tracking(on)
-    slack.set_window_tracking(on)
 
 
 def outcome_recorder(registry: Any) -> Any:
@@ -142,23 +126,6 @@ def record_outcome(registry: Any, outcome: Any) -> None:
     outcome_recorder(registry)(outcome)
 
 
-def _counter_deltas(
-    registry: Any, name: str, marks: MutableMapping[Any, float]
-) -> dict[tuple, float]:
-    """Per-series increase of a counter since the previous call with
-    the same ``marks`` dict; advances the marks."""
-    metric = registry.get(name)
-    out: dict[tuple, float] = {}
-    if metric is None:
-        return out
-    for key, value in metric.series():
-        prev = marks.get((name, key), 0.0)
-        if value != prev:
-            out[key] = value - prev
-        marks[(name, key)] = value
-    return out
-
-
 @dataclass(frozen=True)
 class WindowSignals:
     """One control window's observations (all trace-clock seconds).
@@ -207,63 +174,6 @@ class WindowSignals:
     dead_workers: int
     observed_stragglers: int = 0
     detected_byzantine: int = 0
-
-    @classmethod
-    def from_registry(
-        cls,
-        registry: Any,
-        marks: MutableMapping[Any, float],
-        *,
-        window_index: int,
-        t_start: float,
-        t_end: float,
-        queue_depth: int,
-        live_workers: int,
-        pending_workers: int,
-        dead_workers: int,
-        observed_stragglers: int = 0,
-        detected_byzantine: int = 0,
-    ) -> "WindowSignals":
-        """Close one control window from the metrics registry.
-
-        Completion counts come from :data:`GATEWAY_REQUESTS` /
-        :data:`GATEWAY_SLO` counter deltas against ``marks`` (a
-        caller-owned dict, one per gateway run); the tail statistics
-        come from draining the ``track_window`` histograms, so p99 and
-        slack are computed over the window's *raw* values — bit-equal
-        to the legacy per-window list, not bucket-approximated.
-        """
-        completed = served = 0
-        for key, delta in _counter_deltas(registry, GATEWAY_REQUESTS, marks).items():
-            completed += int(delta)
-            if dict(key).get("status") == "served":
-                served += int(delta)
-        met = with_slo = 0
-        for key, delta in _counter_deltas(registry, GATEWAY_SLO, marks).items():
-            with_slo += int(delta)
-            if dict(key).get("met") == "True":
-                met += int(delta)
-        lat_hist = registry.get(GATEWAY_LATENCY)
-        lats = lat_hist.drain_window() if lat_hist is not None else []
-        slack_hist = registry.get(GATEWAY_SLACK)
-        slacks = slack_hist.drain_window() if slack_hist is not None else []
-        return cls(
-            window_index=window_index,
-            t_start=t_start,
-            t_end=t_end,
-            completed=completed,
-            served=served,
-            shed=completed - served,
-            queue_depth=queue_depth,
-            slo_attainment=met / with_slo if with_slo else 1.0,
-            p99_latency=float(np.percentile(lats, 99.0)) if lats else math.nan,
-            deadline_slack=min(slacks) if slacks else math.nan,
-            live_workers=live_workers,
-            pending_workers=pending_workers,
-            dead_workers=dead_workers,
-            observed_stragglers=observed_stragglers,
-            detected_byzantine=detected_byzantine,
-        )
 
     @property
     def shed_rate(self) -> float:

@@ -33,8 +33,8 @@ still available to mitigate Byzantine nodes, but the dynamic coding is
 removed", Sec. VI), which pays the stragglers' tail once they outnumber
 the scheme's slack.
 
-The master is backend-agnostic: it runs unmodified on the simulator,
-the thread pool, and the socket fleet.
+The master is backend-agnostic: it runs unmodified on the simulator
+and the socket fleet.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 round path every master runs.
 
 Masters are **backend-agnostic**: they accept any
-:class:`~repro.runtime.backend.Backend` (the discrete-event simulator,
-the thread pool, or the socket fleet) and drive it
+:class:`~repro.runtime.backend.Backend` (the discrete-event simulator
+or the socket fleet) and drive it
 through declarative :class:`~repro.runtime.backend.RoundJob` dispatches.
 A master's verify/decode/adapt logic never changes across backends —
 only where the worker arithmetic physically runs.
@@ -262,7 +262,7 @@ class MatvecMasterBase:
     #: latency exceeds this multiple of the round's median latency. The
     #: paper does not specify its detector; the median-ratio test flags
     #: exactly the "order of magnitude" slowdowns it describes while
-    #: ignoring benign jitter. Wall-clock backends (threads, sockets)
+    #: ignoring benign jitter. Wall-clock backends (the socket fleet)
     #: do **not** use this ratio at all — OS scheduling jitter would
     #: masquerade as straggling there, so they observe a straggler as a
     #: worker whose results went unused in *every* round of the

@@ -29,7 +29,7 @@ class TrainingHistory:
     training start** (setup/preprocessing is excluded, matching the
     paper's amortization of one-time costs), and ``reencode_times``
     durations on the same clock: simulated seconds on ``sim``,
-    wall-clock seconds (``perf_counter``) on ``threaded`` / ``tcp``.
+    wall-clock seconds (``perf_counter``) on ``tcp``.
     ``times[i]`` is read right after
     iteration ``i``'s ``end_iteration()``. On a wall-clock backend it
     therefore holds protocol work only — the phases of the paper's

@@ -142,8 +142,8 @@ class RoundCommitment:
     received with the digest of that result — including workers later
     *rejected* by verification, so the evidence of a Byzantine share
     survives. ``attested`` lists the subset whose daemon-countersigned
-    digest matched the master-side digest (empty on in-process
-    backends, which ship no frames to countersign).
+    digest matched the master-side digest (empty on the simulator,
+    which ships no frames to countersign).
     """
 
     seq: int

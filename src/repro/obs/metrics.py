@@ -1,23 +1,19 @@
 """Unified metrics registry: labeled counters, gauges and histograms.
 
-One registry instance is the single source of numbers for a session:
-``SessionStats`` mirrors its tallies here, the gateway's window
-accounting (:meth:`repro.control.signals.WindowSignals.from_registry`)
-reads counter deltas and window-exact histogram drains from it, and the
-telemetry endpoint renders it as Prometheus text or a JSON snapshot.
+One registry instance is the single source of exported numbers for a
+session: ``SessionStats`` mirrors its tallies here, the gateway feeds
+every terminal request outcome into its counters and histograms
+(:func:`repro.control.signals.outcome_recorder`), and the telemetry
+endpoint renders it as Prometheus text or a JSON snapshot. The
+gateway's control windows are not read back from here: it computes
+them from its own per-window outcome list, whose raw values give exact
+percentiles that bucket counts cannot.
 
 Design constraints, in order:
 
 * **Cheap when hot.** ``Counter.inc`` / ``Histogram.observe`` are a
   dict lookup plus a float add under a lock — no string formatting, no
   allocation on the steady path.
-* **Exact where reports need exactness.** The repo's byte-parity
-  guarantees (``ServeReport``/``WindowSignals`` unchanged by the
-  refactor) mean bucketed approximations are not enough: histograms
-  created with ``track_window=True`` additionally retain the raw values
-  observed since the last :meth:`Histogram.drain_window`, so per-window
-  percentiles/minima are computed from the same floats the old private
-  tallies saw.
 * **Mergeable.** All histograms of a metric share one fixed bucket
   ladder, so snapshots from different reports/processes add
   bucket-wise (:meth:`HistogramSnapshot.merge`).
@@ -271,17 +267,7 @@ def snapshot_from_values(
 
 
 class Histogram(_Metric):
-    """Labeled histogram over a fixed bucket ladder.
-
-    With ``track_window=True`` every observation is also appended to a
-    per-series window list that :meth:`drain_window` hands back and
-    clears — the registry equivalent of the gateway's old private
-    "fresh outcomes since the last control tick" list, kept so window
-    percentiles stay bit-exact rather than bucket-approximated.
-    :meth:`set_window_tracking` can disarm the window on the fly: a
-    gateway with no control loop never drains, so the appends would be
-    an unbounded-memory tax on the hot path for data nobody reads.
-    """
+    """Labeled histogram over a fixed bucket ladder."""
 
     kind = "histogram"
 
@@ -290,7 +276,6 @@ class Histogram(_Metric):
         name: str,
         help: str = "",
         buckets: Sequence[float] = LATENCY_BUCKETS,
-        track_window: bool = False,
     ) -> None:
         super().__init__(name, help)
         self.bounds = tuple(sorted(buckets))
@@ -298,17 +283,6 @@ class Histogram(_Metric):
             raise ValueError("histogram needs at least one bucket bound")
         self._counts: dict[tuple[tuple[str, str], ...], list[int]] = {}
         self._sums: dict[tuple[tuple[str, str], ...], float] = {}
-        self._track_window = track_window
-        self._window_armed = track_window
-        self._window: dict[tuple[tuple[str, str], ...], list[float]] = {}
-
-    def set_window_tracking(self, on: bool) -> None:
-        """Arm or disarm the raw-value window (``track_window``
-        histograms only). Disarmed observations still land in the
-        buckets; they just stop feeding :meth:`drain_window`."""
-        if not self._track_window:
-            raise ValueError(f"histogram {self.name} does not track windows")
-        self._window_armed = bool(on)
 
     def observe(self, value: float, **labels: Any) -> None:
         self.observe_key(_label_key(labels), value)
@@ -333,23 +307,8 @@ class Histogram(_Metric):
                 if counts is None:
                     counts = self._counts[key] = [0] * (len(self.bounds) + 1)
                     self._sums.setdefault(key, 0.0)
-                    self._window.setdefault(key, [])
         counts[idx] += 1
         self._sums[key] += value
-        if self._window_armed:
-            self._window[key].append(value)
-
-    def drain_window(self) -> list[float]:
-        """Raw values observed (across all series) since the last
-        drain; clears the window. Only on ``track_window`` histograms."""
-        if not self._track_window:
-            raise ValueError(f"histogram {self.name} does not track windows")
-        out: list[float] = []
-        with self._lock:
-            for key, vals in self._window.items():
-                out.extend(vals)
-                self._window[key] = []
-        return out
 
     def snapshot_of(self, **labels: Any) -> HistogramSnapshot:
         key = _label_key(labels)
@@ -437,7 +396,6 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Sequence[float] = LATENCY_BUCKETS,
-        track_window: bool = False,
     ) -> Histogram:
         with self._lock:
             existing = self._metrics.get(name)
@@ -447,7 +405,7 @@ class MetricsRegistry:
                         f"metric {name!r} already registered as {existing.kind}"
                     )
                 return existing
-            metric = Histogram(name, help, buckets=buckets, track_window=track_window)
+            metric = Histogram(name, help, buckets=buckets)
             self._metrics[name] = metric
             return metric
 

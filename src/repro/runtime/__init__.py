@@ -12,9 +12,6 @@ whether) time is simulated differs. All backends implement the same
     per-worker latency profiles: deterministic, used by the paper
     reproductions (straggler tails, Byzantine injection, verification
     and re-encoding costs all measured on a virtual clock).
-``ThreadedCluster``
-    Real thread-pool execution with injected straggler sleeps; NumPy
-    releases the GIL so worker kernels overlap. Real early stopping.
 ``TcpCluster``
     One worker daemon process per worker over real sockets, spawned on
     loopback or living on other hosts
@@ -22,7 +19,7 @@ whether) time is simulated differs. All backends implement the same
     protocol with zero-copy numpy payloads, heartbeat-based
     dead-worker detection (a vanished worker surfaces as a straggler,
     never a hang), and per-round collect timeouts. The deployment
-    model of the paper's testbed, and the only out-of-process backend.
+    model of the paper's testbed, and the only wall-clock backend.
 
 Layout
 ------
@@ -33,7 +30,6 @@ Layout
 ``byzantine``   attack behaviours (reverse-value, constant, ...)
 ``worker``      a worker description = payload + profile + behaviour
 ``cluster``     the discrete-event backend
-``threaded``    the thread-pool backend
 ``net``         the TCP socket backend (wire protocol, daemons, fleets)
 ``trace``       per-round/per-iteration timing records (drives Fig. 4/5)
 """
@@ -67,7 +63,6 @@ from repro.runtime.latency import (
     make_profiles,
 )
 from repro.runtime.net import NetTunables, TcpCluster
-from repro.runtime.threaded import ThreadedCluster
 from repro.runtime.trace import IterationRecord, RoundRecord, TraceRecorder
 from repro.runtime.worker import SimWorker
 
@@ -97,7 +92,6 @@ __all__ = [
     "SimCluster",
     "SimWorker",
     "TcpCluster",
-    "ThreadedCluster",
     "TraceRecorder",
     "WallClockBackend",
     "make_profiles",

@@ -6,17 +6,16 @@ shares, consume results in arrival order, stop once its recovery
 threshold is met — but *where* the worker computation runs is a
 deployment decision, not a protocol one. This module pins that seam
 down as one small contract so the discrete-event simulator
-(:class:`~repro.runtime.cluster.SimCluster`), the thread-pool backend
-(:class:`~repro.runtime.threaded.ThreadedCluster`) and the socket
-backend (:class:`~repro.runtime.net.client.TcpCluster`) are
-interchangeable under any master.
+(:class:`~repro.runtime.cluster.SimCluster`) and the socket backend
+(:class:`~repro.runtime.net.client.TcpCluster`) are interchangeable
+under any master.
 
 The contract has three parts:
 
 * :class:`RoundJob` — a declarative description of one round (which
   stored payload to use, which operand to broadcast). Every backend
-  executes it with :func:`run_job_compute`: in-process directly, the
-  socket backend's daemons after reading it off the wire.
+  executes it with :func:`run_job_compute`: the simulator in-process,
+  the socket backend's daemons after reading it off the wire.
 * :class:`RoundHandle` — the in-flight round. Iterating it yields
   :class:`Arrival` records in arrival order (each carrying its own
   timestamp); calling :meth:`RoundHandle.cancel` tells the backend to
@@ -30,8 +29,8 @@ The contract has three parts:
   *i*): each handle yields exactly its own round's arrivals, and
   concurrent rounds contend for the same fleet — the simulator queues
   each worker's compute behind its outstanding rounds (busy-time
-  queues), the thread pool multiplexes its workers, the socket
-  master routes replies off the shared per-worker sockets by round id.
+  queues), the socket master routes replies off the shared
+  per-worker sockets by round id.
   ``cancel()`` is idempotent and safe before or after ``result()``.
 * :class:`Backend` — the substrate itself: share distribution
   (:meth:`Backend.distribute`), round dispatch
@@ -219,7 +218,7 @@ def run_job_compute(
     ``payload`` entries are multiplied as stored: every backend's store
     path validates a share once, when it arrives, and keeps it resident
     in the dtype its products run in (:func:`store_share`, or
-    ``distribute`` on the in-process backends, both through
+    ``distribute`` on the simulator, both through
     :func:`~repro.ff.linalg.resident_share`), so a static share is
     neither re-reduced nor converted on every round. The broadcast
     operand is validated here, per round. A ``float64`` right-hand
@@ -312,7 +311,7 @@ class Backend(ABC):
     #: ``True`` when the session armed auditing
     #: (``SessionConfig.audit``): the socket clusters flag round
     #: frames so worker daemons countersign results with a digest of
-    #: their computed share. Inert on the in-process backends.
+    #: their computed share. Inert on the simulator.
     attest: bool = False
 
     #: whether arrival timestamps are exact (virtual clock) or wall
@@ -393,7 +392,7 @@ class Backend(ABC):
         return ()
 
     def close(self) -> None:
-        """Release backend resources (thread pools, sockets, worker processes)."""
+        """Release backend resources (sockets, worker processes)."""
 
     # ------------------------------------------------------------------
     def _participants(self, participants: Sequence[int] | None) -> list[int]:
@@ -416,7 +415,8 @@ class Backend(ABC):
 
 
 class WallClockBackend(Backend):
-    """Shared plumbing for backends that execute for real.
+    """Shared plumbing for backends that execute for real
+    (:class:`~repro.runtime.net.client.TcpCluster` is the one built in).
 
     Provides the wall clock (``now`` floored by ``advance_to`` so
     master-side accounting never runs backward), the dropped-worker

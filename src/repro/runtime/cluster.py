@@ -17,7 +17,7 @@ transmitted bytes, exactly like the real system.
 
 :class:`SimCluster` implements the :class:`~repro.runtime.backend.Backend`
 protocol, so any master runs on it interchangeably with the real
-thread-pool and socket backends. A round is resolved in full when it
+socket backend. A round is resolved in full when it
 is dispatched — cancellation is free, and the full arrival schedule
 (including workers the master never waited for) stays observable,
 which is what the straggler detector uses.

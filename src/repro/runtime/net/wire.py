@@ -27,8 +27,8 @@ decoded dict only when set. The record tables, kind by kind:
 ``config``         master → worker: i64 q, f64 straggle_scale,
                    f64 factor, i64 seed, and the fault-injection
                    behaviour as u8 kind code, i64 value and
-                   f64 probability — the fleet description the other
-                   backends apply in-process, shipped over the wire
+                   f64 probability — the fleet description the
+                   simulator applies in-process, shipped over the wire
 ``store``          master → worker: str name, + one share array. A
                    share of reduced residues travels as ``<u4`` (every
                    entry is below ``q < 2**31``; :func:`encode_store`),
@@ -655,7 +655,7 @@ def read_frame(
 # ----------------------------------------------------------------------
 def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
     """Describe a built-in behaviour as plain data, so the master can
-    ship the same fleet description the in-process backends apply
+    ship the same fleet description the simulator applies
     directly. Custom behaviours cannot travel (they are code, and the
     wire carries data): raise with a pointer to the daemon's own
     injection flags."""

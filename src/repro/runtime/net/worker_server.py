@@ -3,8 +3,7 @@
 One :class:`WorkerServer` is one worker node: it dials the master's
 listening socket, registers with a ``hello`` frame, receives its
 ``config`` (field modulus, straggler factor, behaviour, straggle
-scale — the same fleet description the in-process backends apply
-directly), then serves the store/round protocol until it is shut down
+scale — the same fleet description the simulator applies directly), then serves the store/round protocol until it is shut down
 or the connection drops.
 
 The daemon is **two plain threads over one blocking socket**, splitting

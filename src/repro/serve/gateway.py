@@ -9,7 +9,7 @@ traffic-driven service. One event loop drives the whole pipeline
 against the backend clock — *virtual* time on the simulator (the loop
 advances the clock to the next arrival or batch deadline, and round
 execution advances it through broadcast/verify/decode costs exactly as
-in the experiments), *wall* time on the threaded and tcp backends
+in the experiments), *wall* time on the tcp backend
 (``advance_to`` only floors the bookkeeping clock, so a recorded
 arrival schedule replays as-fast-as-possible).
 
@@ -34,11 +34,7 @@ from typing import Any, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from repro.api.session import JobHandle, Session
-from repro.control.signals import (
-    WindowSignals,
-    outcome_recorder,
-    set_window_tracking,
-)
+from repro.control.signals import WindowSignals, outcome_recorder
 from repro.obs.metrics import HistogramSnapshot, snapshot_from_values
 from repro.serve.batcher import MicroBatcher, PendingBatch, make_batch_policy
 from repro.serve.queueing import SHED_EXPIRED, FairQueue
@@ -387,16 +383,12 @@ class Gateway:
         self._t0 = 0.0
         self._floor = 0.0
         #: the session's Observability (None unless the session config
-        #: enabled it) — tracing and window accounting hang off it
+        #: enabled it) — tracing and request metrics hang off it
         self.obs = getattr(session, "obs", None)
         self.audit = getattr(session, "audit", None)
         self._record_outcome: Any = None
         if self.obs is not None:
-            # no control loop -> nobody ever drains the raw-value
-            # windows; disarm them so the hot path skips the appends
-            set_window_tracking(self.obs.registry, control_interval is not None)
             self._record_outcome = outcome_recorder(self.obs.registry)
-        self._obs_marks: dict[Any, float] = {}
         #: request_id -> (root "request" span, "gateway.queue" span)
         self._req_spans: dict[int, list[Any]] = {}
         #: (tenant, family) -> shared root-attr dict for admission spans
@@ -522,26 +514,9 @@ class Gateway:
         if roster is not None:
             dead &= set(roster)
         if self.obs is not None:
-            # registry-fed accounting: counter deltas + window-exact
-            # histogram drains (bit-equal to the legacy path below)
             self.obs.registry.gauge(
                 "gateway_queue_depth", "requests waiting at window close"
             ).set(len(self._queue))
-            signals = WindowSignals.from_registry(
-                self.obs.registry,
-                self._obs_marks,
-                window_index=self._window_index,
-                t_start=t_end - self.control_interval,
-                t_end=t_end,
-                queue_depth=len(self._queue),
-                live_workers=len(view.live),
-                pending_workers=len(view.pending),
-                dead_workers=len(dead),
-                observed_stragglers=len(strag),
-                detected_byzantine=len(byz),
-            )
-            self._window_index += 1
-            return signals
         served = [o for o in fresh if o.status == SERVED]
         with_slo = [o for o in fresh if math.isfinite(o.deadline)]
         slo = (

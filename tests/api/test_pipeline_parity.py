@@ -5,15 +5,14 @@ encoded families (fwd / bwd / gramian), any batching granularity and
 any window size, the decoded results of the pipelined scheduler
 (``max_inflight_rounds >= 2``) must be byte-identical to the serial
 scheduler (``max_inflight_rounds = 1``) — and, on the verified AVCC
-master, to the exact ground truth. This holds on all three backends:
-contention (sim busy-queues, thread-pool multiplexing, socket
-demultiplexing by round id) may reorder arrivals and shift which verified subset
-a round decodes from, but any recovery-threshold-sized verified
-subset interpolates the same exact values.
+master, to the exact ground truth. This holds on both backends:
+contention (sim busy-queues, socket demultiplexing by round id) may
+reorder arrivals and shift which verified subset a round decodes from,
+but any recovery-threshold-sized verified subset interpolates the same
+exact values.
 
-The wall-clock backends run fewer examples (they spin up real
-pools/daemon fleets per example); the simulator carries the bulk of the
-search.
+The wall-clock backend runs fewer examples (it spins up a daemon fleet
+per example); the simulator carries the bulk of the search.
 """
 
 import numpy as np
@@ -42,7 +41,7 @@ def _config(backend, window, batch_window, seed):
     specs = [WorkerSpec() for _ in range(8)]
     specs[1] = WorkerSpec(straggler_factor=6.0)
     specs[2] = WorkerSpec(behavior="reverse")
-    opts = {"straggle_scale": 0.005} if backend in ("threaded", "tcp") else {}
+    opts = {"straggle_scale": 0.005} if backend == "tcp" else {}
     return SessionConfig(
         scheme=SCHEME,
         master="avcc",
@@ -105,18 +104,6 @@ class TestPipelinedParity:
     )
     def test_sim(self, families, window, batch_window, data_seed):
         _check_parity("sim", families, window, batch_window, data_seed)
-
-    @settings(
-        max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    @given(
-        families=jobs_strategy,
-        window=st.integers(min_value=2, max_value=3),
-        batch_window=st.sampled_from([1, 32]),
-        data_seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_threaded(self, families, window, batch_window, data_seed):
-        _check_parity("threaded", families, window, batch_window, data_seed)
 
     @settings(
         max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow]

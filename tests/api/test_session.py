@@ -12,6 +12,7 @@ Pins the three contract points:
     ``core``/``runtime`` internals and their dedicated tests.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _config(**overrides):
         backend_options={},
     )
     base.update(overrides)
-    if base["backend"] in ("threaded", "tcp") and not base["backend_options"]:
+    if base["backend"] == "tcp" and not base["backend_options"]:
         base["backend_options"] = {"straggle_scale": 0.01}
     return SessionConfig(**base)
 
@@ -120,8 +121,24 @@ class TestConfigRoundTrip:
             WorkerSpec(probability=0.0)
 
     def test_registry_names_the_builtin_backends_and_masters(self):
-        assert set(backend_names()) >= {"sim", "threaded", "tcp"}
+        assert backend_names() == ("sim", "tcp")
         assert set(master_names()) >= {"avcc", "lcc", "static_vcc", "uncoded"}
+
+    @pytest.mark.parametrize("name", ["threaded", "process"])
+    def test_removed_backend_is_an_unknown_name(self, name):
+        with pytest.raises(ValueError, match="unknown backend") as err:
+            Session.create(_config(backend=name))
+        assert "('sim', 'tcp')" in str(err.value)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.runtime"])
+    def test_removed_backend_class_is_not_exported(self, module):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, "ThreadedCluster")
+        assert "ThreadedCluster" not in mod.__all__
+
+    def test_removed_backend_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.threaded")
 
     @pytest.mark.parametrize("master", master_names())
     @pytest.mark.parametrize("backend", backend_names())
@@ -276,14 +293,13 @@ class TestRoundBatching:
 
     def test_batched_round_on_wall_clock_backends(self):
         ops = self._ops()
-        for backend in ("threaded", "tcp"):
-            with Session.create(_config(backend=backend)) as sess:
-                sess.load(X)
-                handles = [sess.submit_matvec(w) for w in ops]
-                results = [h.result() for h in handles]
-            assert sess.stats.rounds_executed == 1, backend
-            for w, got in zip(ops, results):
-                assert np.array_equal(got, ff_matvec(F, X, w)), backend
+        with Session.create(_config(backend="tcp")) as sess:
+            sess.load(X)
+            handles = [sess.submit_matvec(w) for w in ops]
+            results = [h.result() for h in handles]
+        assert sess.stats.rounds_executed == 1
+        for w, got in zip(ops, results):
+            assert np.array_equal(got, ff_matvec(F, X, w))
 
 
 class TestOperandReducedOnce:
@@ -433,7 +449,7 @@ class TestNoBespokeConstructionOutsideCore:
     clusters or masters directly."""
 
     FORBIDDEN = re.compile(
-        r"\b(SimCluster|ThreadedCluster|TcpCluster|AVCCMaster|"
+        r"\b(SimCluster|TcpCluster|AVCCMaster|"
         r"LCCMaster|UncodedMaster|GramianAVCCMaster|"
         r"CodedMatmulAVCCMaster)\s*\("
     )
@@ -491,7 +507,7 @@ class TestGramianSurvivesDynamicRecoding:
     def _cfg(self, backend):
         specs = [WorkerSpec() for _ in range(8)]
         specs[2] = WorkerSpec(behavior="reverse")
-        opts = {"straggle_scale": 0.01} if backend == "threaded" else {}
+        opts = {"straggle_scale": 0.01} if backend == "tcp" else {}
         return SessionConfig(
             scheme=SchemeParams(n=8, k=3, s=1, m=1),
             master="avcc",
@@ -501,7 +517,7 @@ class TestGramianSurvivesDynamicRecoding:
             backend_options=opts,
         )
 
-    @pytest.mark.parametrize("backend", ["sim", "threaded"])
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
     def test_gramian_round_after_byzantine_eviction(self, backend):
         rng = np.random.default_rng(3)
         w = F.random(8, rng)

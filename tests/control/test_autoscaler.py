@@ -10,6 +10,7 @@ against a real loopback TCP fleet — scale-up must heal a SIGKILLed
 worker end to end (restart daemon → dial → admit → re-code).
 """
 
+import dataclasses
 import math
 import os
 import signal
@@ -18,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Session, SessionConfig
+from repro.api import Session, SessionConfig, WorkerSpec
 from repro.coding import SchemeParams
 from repro.control import (
     Autoscaler,
@@ -261,6 +262,158 @@ class TestGatewayWindows:
         assert set(plain) == set(windowed)
         for rid in plain:
             np.testing.assert_array_equal(plain[rid], windowed[rid])
+
+
+# ----------------------------------------------------------------------
+# window contents recounted from the report's terminal outcomes
+# ----------------------------------------------------------------------
+def _burst(field, d, n, rng):
+    """``n`` requests arriving together at t=0 with a 1 s deadline."""
+    return [
+        Request(
+            request_id=i,
+            tenant="t",
+            family="matvec",
+            operand=field.random(d, rng),
+            arrival=0.0,
+            deadline=1.0,
+        )
+        for i in range(n)
+    ]
+
+
+def _windowed_run(
+    reqs, x, *, config=None, workers=(), interval=0.05, backend="sim"
+):
+    """Serve ``reqs`` with control windows on; returns ``(windows,
+    windowed)`` where ``windowed`` are the report's outcomes that some
+    closed window accounted for (the rest finished after the last
+    window closed and are still the gateway's open tail)."""
+    cfg = SessionConfig(
+        scheme=SchemeParams(n=6, k=2, s=1, m=1),
+        master="avcc",
+        backend=backend,
+        workers=workers,
+    )
+    with Session.create(cfg) as sess:
+        sess.load(x)
+        gw = Gateway(
+            sess,
+            OpenLoopSource(reqs),
+            config or GatewayConfig(),
+            control_interval=interval,
+        )
+        report = gw.run()
+    tail = {o.request_id for o in gw._fresh_outcomes}
+    windowed = [o for o in report.outcomes if o.request_id not in tail]
+    assert report.total == len(reqs)
+    assert gw.window_history, "trace produced no control windows"
+    return gw.window_history, windowed
+
+
+class TestWindowRecount:
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_windows_count_their_outcomes_by_status(self, backend, rng):
+        x = F.random((6, 5), rng)
+        windows, windowed = _windowed_run(
+            _requests(F, 5, 16, rng), x, backend=backend
+        )
+        assert sum(w.completed for w in windows) == len(windowed)
+        assert sum(w.served for w in windows) == sum(
+            1 for o in windowed if o.status == "served"
+        )
+        assert sum(w.shed for w in windows) == sum(
+            1 for o in windowed if o.status != "served"
+        )
+
+    def test_window_slo_attainment_recounts_deadline_verdicts(self, rng):
+        x = F.random((6, 5), rng)
+        # a burst a depth-2 queue sheds, then a paced tail where every
+        # third request carries a deadline no round can meet
+        reqs = _burst(F, 5, 8, rng)
+        for r in _requests(F, 5, 12, rng):
+            slack = 1e-4 if r.request_id % 3 == 0 else 0.5
+            reqs.append(
+                dataclasses.replace(
+                    r,
+                    request_id=len(reqs),
+                    arrival=r.arrival + 0.1,
+                    deadline=r.arrival + 0.1 + slack,
+                )
+            )
+        windows, windowed = _windowed_run(
+            reqs, x, config=GatewayConfig(queue_depth=2)
+        )
+        verdicts = {(o.status == "served", o.slo_met) for o in windowed}
+        assert verdicts == {(True, True), (True, False), (False, False)}
+        # every request carries a deadline, so each window's
+        # attainment is (met / completed) over its own outcomes, sheds
+        # and late completions both counting as misses
+        met = sum(1 for o in windowed if o.slo_met)
+        assert sum(w.slo_attainment * w.completed for w in windows) == (
+            pytest.approx(met)
+        )
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_window_tail_stats_come_from_served_outcomes(self, backend, rng):
+        x = F.random((6, 5), rng)
+        windows, windowed = _windowed_run(
+            _requests(F, 5, 16, rng), x, backend=backend
+        )
+        served = [o for o in windowed if o.status == "served"]
+        lats = [o.latency for o in served]
+        slacks = [
+            w.deadline_slack for w in windows if math.isfinite(w.deadline_slack)
+        ]
+        p99s = [w.p99_latency for w in windows if math.isfinite(w.p99_latency)]
+        assert min(slacks) == min(o.deadline - o.completed for o in served)
+        assert min(lats) <= min(p99s) <= max(p99s) <= max(lats)
+        for w in windows:
+            assert math.isnan(w.p99_latency) == (w.served == 0)
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_queue_full_sheds_land_in_windows(self, backend, rng):
+        x = F.random((6, 5), rng)
+        windows, windowed = _windowed_run(
+            _burst(F, 5, 8, rng),
+            x,
+            config=GatewayConfig(queue_depth=2),
+            backend=backend,
+        )
+        sheds = [o for o in windowed if o.status == "shed-queue-full"]
+        assert sheds, "a depth-2 queue must shed part of an 8-request burst"
+        assert windows[0].shed == len(sheds)
+        assert windows[0].shed_rate > 0.0
+
+    def test_deadline_free_windows_read_full_slo_and_no_slack(self, rng):
+        x = F.random((6, 5), rng)
+        reqs = [
+            Request(
+                request_id=i,
+                tenant="t",
+                family="matvec",
+                operand=F.random(5, rng),
+                arrival=i * 0.03,
+            )
+            for i in range(10)
+        ]
+        windows, windowed = _windowed_run(reqs, x)
+        assert sum(w.served for w in windows) == len(windowed) > 0
+        for w in windows:
+            assert w.slo_attainment == 1.0
+            assert math.isnan(w.deadline_slack)
+
+    def test_byzantine_worker_is_reported_in_windows(self, rng):
+        x = F.random((6, 5), rng)
+        workers = [WorkerSpec(behavior="reverse")] + [WorkerSpec()] * 5
+        windows, _ = _windowed_run(_requests(F, 5, 12, rng), x, workers=workers)
+        assert max(w.detected_byzantine for w in windows) == 1
+
+    def test_windows_report_the_fleet_roster(self, rng):
+        x = F.random((6, 5), rng)
+        windows, _ = _windowed_run(_requests(F, 5, 12, rng), x)
+        for w in windows:
+            assert (w.live_workers, w.pending_workers, w.dead_workers) == (6, 0, 0)
 
 
 # ----------------------------------------------------------------------

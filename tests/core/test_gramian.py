@@ -12,20 +12,30 @@ from repro.runtime import (
     ReversedValueAttack,
     SimCluster,
     SimWorker,
+    TcpCluster,
     make_profiles,
 )
 
 F = PrimeField(2**25 - 39)
 
 
-def make_cluster(n=12, straggler_factors=None, behaviors=None, seed=5):
+def make_workers(n, straggler_factors=None, behaviors=None):
     profiles = make_profiles(n, straggler_factors or {})
     behaviors = behaviors or {}
-    workers = [
+    return [
         SimWorker(i, profile=profiles[i], behavior=behaviors.get(i, Honest()))
         for i in range(n)
     ]
+
+
+def make_cluster(n=12, straggler_factors=None, behaviors=None, seed=5):
+    workers = make_workers(n, straggler_factors, behaviors)
     return SimCluster(F, workers, rng=np.random.default_rng(seed))
+
+
+def make_tcp_cluster(n=12, straggler_factors=None, behaviors=None):
+    workers = make_workers(n, straggler_factors, behaviors)
+    return TcpCluster(F, workers, straggle_scale=0.01)
 
 
 def exact_gramian(x, w):
@@ -128,6 +138,48 @@ class TestFaults:
         master.setup(x)
         with pytest.raises(InsufficientResultsError):
             master.gramian_round(w)
+
+
+class TestOverTcpFleet:
+    """The same master over loopback worker daemons, where results race
+    in over real sockets in wall-clock order."""
+
+    def test_matches_direct_computation(self, rng):
+        x = F.random((20, 6), rng)
+        with make_tcp_cluster() as cluster:
+            master = GramianAVCCMaster(cluster, SCHEME)
+            master.setup(x)
+            for _ in range(2):
+                w = F.random(6, rng)
+                np.testing.assert_array_equal(
+                    master.gramian_round(w).vector, exact_gramian(x, w)
+                )
+
+    def test_byzantine_rejected(self, rng):
+        x = F.random((20, 6), rng)
+        w = F.random(6, rng)
+        # six honest stragglers: the forger is among the first arrivals,
+        # so its result is verified (and refused) before the decode
+        slow = {i: 10.0 for i in range(6, 12)}
+        cluster = make_tcp_cluster(
+            straggler_factors=slow, behaviors={5: ReversedValueAttack()}
+        )
+        with cluster:
+            master = GramianAVCCMaster(cluster, SCHEME)
+            master.setup(x)
+            out = master.gramian_round(w)
+        np.testing.assert_array_equal(out.vector, exact_gramian(x, w))
+        assert out.record.rejected_workers == (5,)
+
+    def test_too_many_byzantine_raises(self, rng):
+        x = F.random((20, 6), rng)
+        w = F.random(6, rng)
+        behaviors = {i: ConstantAttack() for i in range(6)}
+        with make_tcp_cluster(behaviors=behaviors) as cluster:
+            master = GramianAVCCMaster(cluster, SCHEME)
+            master.setup(x)
+            with pytest.raises(InsufficientResultsError):
+                master.gramian_round(w)
 
 
 class TestDegreeAccounting:

@@ -12,20 +12,30 @@ from repro.runtime import (
     RandomAttack,
     SimCluster,
     SimWorker,
+    TcpCluster,
     make_profiles,
 )
 
 F = PrimeField(2**25 - 39)
 
 
-def make_cluster(n=9, straggler_factors=None, behaviors=None, seed=8):
+def make_workers(n, straggler_factors=None, behaviors=None):
     profiles = make_profiles(n, straggler_factors or {})
     behaviors = behaviors or {}
-    workers = [
+    return [
         SimWorker(i, profile=profiles[i], behavior=behaviors.get(i, Honest()))
         for i in range(n)
     ]
+
+
+def make_cluster(n=9, straggler_factors=None, behaviors=None, seed=8):
+    workers = make_workers(n, straggler_factors, behaviors)
     return SimCluster(F, workers, rng=np.random.default_rng(seed))
+
+
+def make_tcp_cluster(n=9, straggler_factors=None, behaviors=None):
+    workers = make_workers(n, straggler_factors, behaviors)
+    return TcpCluster(F, workers, straggle_scale=0.01)
 
 
 @pytest.fixture
@@ -107,6 +117,44 @@ class TestFaults:
         master.setup(a, b)
         with pytest.raises(InsufficientResultsError):
             master.multiply()
+
+
+class TestOverTcpFleet:
+    """The same master over loopback worker daemons, where results race
+    in over real sockets in wall-clock order."""
+
+    def test_product_exact(self, factors):
+        a, b = factors
+        with make_tcp_cluster() as cluster:
+            master = CodedMatmulAVCCMaster(cluster, p=2, q=3, s=2, m=1)
+            master.setup(a, b)
+            want = ff_matmul(F, a, b)
+            for _ in range(2):
+                np.testing.assert_array_equal(master.multiply().vector, want)
+
+    def test_byzantine_rejected(self, factors):
+        a, b = factors
+        # honest stragglers past the recovery threshold: the forger is
+        # among the first arrivals, so it is verified (and refused)
+        slow = {i: 10.0 for i in range(4, 9)}
+        cluster = make_tcp_cluster(
+            straggler_factors=slow, behaviors={3: RandomAttack()}
+        )
+        with cluster:
+            master = CodedMatmulAVCCMaster(cluster, p=2, q=3, s=1, m=2)
+            master.setup(a, b)
+            out = master.multiply()
+        np.testing.assert_array_equal(out.vector, ff_matmul(F, a, b))
+        assert out.record.rejected_workers == (3,)
+
+    def test_beyond_capacity_raises(self, factors):
+        a, b = factors
+        behaviors = {i: RandomAttack() for i in range(4)}
+        with make_tcp_cluster(behaviors=behaviors) as cluster:
+            master = CodedMatmulAVCCMaster(cluster, p=2, q=3, s=2, m=1)
+            master.setup(a, b)
+            with pytest.raises(InsufficientResultsError):
+                master.multiply()
 
 
 class TestValidation:

@@ -43,7 +43,7 @@ from repro.serve import Gateway, GatewayConfig, OpenLoopSource
 
 F = PrimeField()
 SHAPE = (48, 24)
-BACKENDS = ["sim", "threaded", "tcp"]
+BACKENDS = ["sim", "tcp"]
 
 
 def _commit_n(log: AuditLog, n: int) -> None:

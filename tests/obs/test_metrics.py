@@ -67,6 +67,23 @@ class TestHistogram:
         assert snap.count == 4
         assert snap.sum == pytest.approx(5.55)
 
+    def test_value_on_a_bound_counts_in_that_bucket(self):
+        # Prometheus ``le`` semantics: a bucket includes its upper bound
+        h = Histogram("lat", buckets=(0.1, 1.0))
+        h.observe(0.1)
+        h.observe(1.0)
+        assert h.merged().counts == (1, 1, 0)
+
+    def test_observe_key_feeds_the_labelled_series(self):
+        h = Histogram("lat", buckets=(0.1, 1.0))
+        h.observe(0.05, tenant="a")
+        h.observe_key((("tenant", "a"),), 2.0)
+        h.observe_key((("tenant", "b"),), 0.5)
+        a = h.snapshot_of(tenant="a")
+        assert a.counts == (1, 0, 1)
+        assert a.sum == pytest.approx(2.05)
+        assert h.snapshot_of(tenant="b").counts == (0, 1, 0)
+
     def test_snapshots_merge_losslessly(self):
         a = snapshot_from_values([0.001, 0.01], bounds=(0.005, 0.05))
         b = snapshot_from_values([0.02, 0.1], bounds=(0.005, 0.05))
@@ -100,20 +117,6 @@ class TestHistogram:
             json.loads(json.dumps(snap.to_dict()))
         )
         assert back == snap
-
-    def test_window_drain_returns_raw_values_once(self):
-        h = Histogram("lat", track_window=True)
-        h.observe(0.25, tenant="a")
-        h.observe(0.5, tenant="b")
-        assert sorted(h.drain_window()) == [0.25, 0.5]
-        assert h.drain_window() == []
-        # bucket counts survive the drain
-        assert h.merged().count == 2
-
-    def test_drain_requires_window_tracking(self):
-        h = Histogram("lat")
-        with pytest.raises(ValueError):
-            h.drain_window()
 
 
 class TestRegistry:

@@ -3,11 +3,11 @@
 With ``observability=False`` (the default) the observability layer
 must be invisible: ``ServeReport.to_dict()`` and the session's
 ``SessionStats.summary()`` byte-identical to an untouched run, zero
-obs objects allocated. With it on, the registry-fed window accounting
-must reproduce the legacy fresh-outcomes ``WindowSignals`` bit-for-bit
-(the PR-7 control-plane contract), and the report itself must not
-change either — the simulator's virtual clock makes both runs
-deterministic, so equality is exact, not approximate.
+obs objects allocated. With it on, the control windows
+(``WindowSignals``) and the report itself must not change either, and
+the registry's request counters must agree with the report — the
+simulator's virtual clock makes both runs deterministic, so equality
+is exact, not approximate.
 """
 
 import dataclasses
@@ -79,16 +79,14 @@ class TestOffSwitchParity:
 
 
 class TestWindowAccountingParity:
-    def test_registry_windows_match_legacy_bit_for_bit(self):
+    def test_windows_identical_obs_on_vs_off(self):
         _, gw_off, _ = _run_serving(False, control_interval=0.05)
         _, gw_on, _ = _run_serving(True, control_interval=0.05)
         assert len(gw_on.window_history) == len(gw_off.window_history)
         assert gw_on.window_history, "trace produced no control windows"
-        for legacy, registry in zip(
-            gw_off.window_history, gw_on.window_history
-        ):
-            a = dataclasses.asdict(legacy)
-            b = dataclasses.asdict(registry)
+        for off, on in zip(gw_off.window_history, gw_on.window_history):
+            a = dataclasses.asdict(off)
+            b = dataclasses.asdict(on)
             assert a.keys() == b.keys()
             for key in a:
                 va, vb = a[key], b[key]

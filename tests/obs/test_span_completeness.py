@@ -14,7 +14,7 @@ from repro.api import Session, SessionConfig
 from repro.api.config import WorkerSpec
 from repro.coding import SchemeParams
 
-BACKENDS = ["sim", "threaded", "tcp"]
+BACKENDS = ["sim", "tcp"]
 
 EPS = 1e-6
 
@@ -138,7 +138,7 @@ class TestSpanCompleteness:
             for tid in tids:
                 _assert_closed_tree(sess.obs.tracer.resolved(tid))
 
-    @pytest.mark.parametrize("backend", ["sim", "threaded"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_batched_jobs_share_one_round_trace(self, backend):
         cfg = _config(backend, batch_window=4)
         with Session.create(cfg) as sess:

@@ -315,12 +315,12 @@ class TestGatewayGuards:
 
 
 class TestWallClockBackend:
-    def test_threaded_backend_serves_trace(self):
-        """The gateway must run against wall-clock backends: the
+    def test_tcp_backend_serves_trace(self):
+        """The gateway must run against a wall-clock backend: the
         arrival schedule replays as-fast-as-possible (advance_to only
         floors the clock) and every request still terminates served."""
         reqs = _generator(seed=29, rate=500.0).generate(8)
-        cfg = _session_config(backend="threaded")
+        cfg = _session_config(backend="tcp")
         x = _x()
         with Session.create(cfg) as sess:
             sess.load(x)

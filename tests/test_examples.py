@@ -34,7 +34,7 @@ class TestExamples:
         assert "REJECTED (Byzantine)" in out
         assert "never waited for" in out
 
-    @pytest.mark.parametrize("backend", ["threaded", "tcp"])
+    @pytest.mark.parametrize("backend", ["tcp"])
     def test_quickstart_real_backends(self, backend):
         out = _run("quickstart.py", backend)
         assert f"backend: {backend}" in out
@@ -42,6 +42,18 @@ class TestExamples:
         # no Byzantine-rejection assert here: on real backends arrival
         # order is a wall-clock race, and the round may legitimately
         # early-stop on K honest results before the forgery is consumed
+
+    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    def test_quickstart_refuses_removed_backends(self, backend):
+        proc = subprocess.run(
+            [sys.executable, str(EXAMPLES / "quickstart.py"), backend],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2  # argparse usage error
+        assert "invalid choice" in proc.stderr
+        assert "bit-exact" not in proc.stdout
 
     def test_coded_matmul(self):
         out = _run("coded_matmul.py")
