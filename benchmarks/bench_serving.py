@@ -164,6 +164,26 @@ def test_serving_p99_speedup_and_parity(cfg):
     )
 
 
+def test_serving_pipelined_p50_speedup(cfg):
+    """The pipelining pin: one round per request with 8 rounds in
+    flight beats the serial gateway's p50 latency on the simulated
+    clock, serving byte-identical results. A gateway that stops
+    finalizing due rounds before it idles loses most of the gain."""
+    serial_report, serial_results = _serial(cfg)
+    pipelined_report, pipelined_results = _pipelined(cfg)
+
+    assert set(pipelined_results) >= set(serial_results)
+    for rid, vec in serial_results.items():
+        assert vec.tobytes() == pipelined_results[rid].tobytes()
+
+    speedup = serial_report.p50 / pipelined_report.p50
+    record_metric("serving_pipelined_p50_speedup", speedup)
+    assert speedup > 1.0, (
+        f"serial p50 {serial_report.p50:.4f}s vs pipelined "
+        f"{pipelined_report.p50:.4f}s ({speedup:.2f}x)"
+    )
+
+
 def test_tcp_gateway_completes_mixed_trace(cfg):
     """The distributed acceptance pin: the deadline-batched gateway
     replays a (smaller) mixed Poisson+burst trace over a real loopback

@@ -44,8 +44,9 @@ Three pieces:
 ``RoundScheduler`` (:mod:`repro.api.scheduler`) — the pipelined path
     Rounds move through an explicit plan → dispatch → collect →
     finalize lifecycle; with ``SessionConfig.max_inflight_rounds >= 2``
-    the session keeps several dispatched rounds in flight, overlapping
-    master-side verify/decode with worker compute across rounds.
+    (2 by default) the session keeps several dispatched rounds in
+    flight, overlapping master-side verify/decode with worker compute
+    across rounds.
     ``flush`` becomes non-blocking dispatch; ``result()`` waits only
     for its own round; ``end_iteration`` drains the window before any
     dynamic re-code. Results are byte-identical to serial execution.

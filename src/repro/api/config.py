@@ -126,12 +126,16 @@ class SessionConfig:
         Maximum jobs the session coalesces into one broadcast round.
     max_inflight_rounds:
         Bound W of the session's pipelined round scheduler: up to W
-        dispatched rounds may be awaiting finalization at once. ``1``
-        (default) executes rounds strictly serially; ``>= 2`` lets
-        independent rounds (different families, successive serving
-        requests) overlap — workers compute round *i+1* while the
-        master verifies/decodes round *i*. Results are byte-identical
-        across window sizes.
+        dispatched rounds may be awaiting finalization at once. ``2``
+        (default) lets independent rounds (different families,
+        successive serving requests) overlap — workers compute round
+        *i+1* while the master verifies/decodes round *i*, so neither
+        side idles while the other works; a fwd and a bwd batch
+        issued together go out back to back. Rounds that depend on
+        the previous one's result (a training loop) still run at
+        depth 1. ``1`` is the strictly serial contract: every
+        dispatched round is finalized before ``flush`` returns.
+        Results are byte-identical across window sizes.
     elastic_membership:
         When ``True`` (default), every ``end_iteration`` quiesce point
         also reconciles the coding roster with live fleet membership:
@@ -193,7 +197,7 @@ class SessionConfig:
     probes: int = 1
     workers: tuple[WorkerSpec, ...] = ()
     batch_window: int = 32
-    max_inflight_rounds: int = 1
+    max_inflight_rounds: int = 2
     elastic_membership: bool = True
     observability: bool = False
     audit: bool = False

@@ -20,10 +20,11 @@ once:
 * **finalize** happens in dispatch (FIFO) order — the master core is
   one core; verify/decode of round *i* runs while the workers compute
   rounds *i+1 … i+W*;
-* the window is bounded by ``SessionConfig.max_inflight_rounds`` = W.
-  ``W = 1`` degenerates to the serial scheduler (every dispatch is
-  finalized immediately — byte- and time-identical to PR 2's path);
-  ``W >= 2`` pipelines.
+* the window is bounded by ``SessionConfig.max_inflight_rounds`` = W,
+  2 by default: one family's round computes on the fleet while the
+  master verifies/decodes the other's. ``W = 1`` degenerates to the
+  serial scheduler (every dispatch is finalized immediately, byte-
+  and time-identical to a session without a pipeline).
 
 Results are byte-identical across window sizes: which worker subset a
 round decodes from may shift under contention, but any verified subset

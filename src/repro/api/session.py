@@ -32,8 +32,11 @@ Orthogonally to batching, the session keeps up to
 dispatches without waiting for decode, so independent rounds
 (different families, successive serving requests) overlap — workers
 compute round *i+1* while the master verifies/decodes round *i*.
-``max_inflight_rounds = 1`` (the default) is the serial scheduler;
-results are byte-identical across window sizes either way.
+The default window is 2, so a fleet computes one family's round
+while the master verifies the other's; rounds that depend on an
+earlier result still run at depth 1. ``max_inflight_rounds = 1`` is
+the serial scheduler; results are byte-identical across window sizes
+either way.
 ``JobHandle.result()`` waits only for its own round (and the rounds
 dispatched before it, which the master core must finalize first);
 ``end_iteration`` drains the window before adapting, so a dynamic
@@ -603,12 +606,12 @@ class Session:
         """Dispatch pending jobs now — one coalesced round per family.
 
         ``family=None`` flushes every queue (in first-submission order).
-        With ``max_inflight_rounds = 1`` each dispatched round is also
-        finalized before the next (serial semantics); with a wider
-        window the rounds are left *in flight* — flush does not wait
-        for workers or decode, and the handles resolve when the
-        pipeline finalizes their round (``result()``,
-        ``end_iteration``, window pressure, or ``close``).
+        With the default window of 2 (or wider) the rounds are left
+        *in flight* — flush does not wait for workers or decode, and
+        the handles resolve when the pipeline finalizes their round
+        (``result()``, ``end_iteration``, window pressure, or
+        ``close``). With ``max_inflight_rounds = 1`` each dispatched
+        round is also finalized before the next (serial semantics).
         """
         if self._pending:
             self._check_open()

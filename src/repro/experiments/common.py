@@ -209,9 +209,10 @@ def scenario_config(
     scheme's design point — Fig. 5 deliberately exceeds it).
 
     ``max_inflight_rounds`` widens the session's pipelined round
-    scheduler; the paper experiments keep the serial default (their
-    two rounds per iteration are data-dependent), while the serving
-    benches (``bench_pipeline.py``) widen it.
+    scheduler; the paper experiments keep the serial window of 1
+    here, not the session's default of 2 (their two rounds per
+    iteration are data-dependent), while the serving benches
+    (``bench_pipeline.py``) widen it.
     """
     specs = _worker_specs(
         cfg,

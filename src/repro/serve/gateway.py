@@ -416,6 +416,17 @@ class Gateway:
         if t > self._floor:
             self._floor = t
 
+    def _oldest_round_due(self, t: float) -> bool:
+        """True when rounds are in flight and the oldest one — the
+        round of the oldest unharvested request, since the session
+        finalizes in dispatch order — should have finished by trace
+        time ``t`` (its dispatch time plus the session's estimate for
+        its family)."""
+        if not self._inflight or self.session.rounds_in_flight() == 0:
+            return False
+        _, handle, t_disp = self._inflight[0]
+        return t_disp + self.session.estimate_round_time(handle.family) <= t
+
     @staticmethod
     def _session_family(request: Request) -> str | None:
         """Map a request to the session's encoded-family key (None =
@@ -452,10 +463,20 @@ class Gateway:
                 heap[0][0] if heap else math.inf, self._batcher.next_due()
             )
             if math.isfinite(t_next):
-                # nothing due yet: sleep (virtually) until the next
-                # arrival or the earliest batch-dispatch obligation.
-                # A dispatch inside _fill may have advanced the clock
-                # past t_next already — then just loop to re-ingest.
+                # nothing due yet. If the oldest in-flight round is
+                # expected to finish by t_next, finalize the window
+                # first: its completions (and any closed-loop
+                # follow-ups) land before the clock jumps, instead of
+                # waiting until arrivals run out. Never fires at W=1,
+                # where flush already finalized every round.
+                if self._oldest_round_due(t_next):
+                    self.session.drain()
+                    self._harvest(heap)
+                    continue
+                # Otherwise sleep (virtually) until the next arrival or
+                # the earliest batch-dispatch obligation. A dispatch
+                # inside _fill may have advanced the clock past t_next
+                # already — then just loop to re-ingest.
                 if t_next > self.now:
                     self._advance(t_next)
                 continue

@@ -328,6 +328,55 @@ class TestTrainerOnPipelinedSession:
         assert histories[1].schemes == histories[4].schemes
 
 
+class TestDefaultWindowStaysDepthOne:
+    """Workloads whose every round depends on the previous one's
+    result never put two rounds in flight, even though the default
+    window would allow it: their dispatch depth stays 1."""
+
+    @staticmethod
+    def _default_config(**overrides):
+        base = dict(scheme=SCHEME, master="avcc", seed=1, workers=_specs())
+        base.update(overrides)
+        return SessionConfig(**base)
+
+    def test_default_window_is_two(self):
+        assert self._default_config().max_inflight_rounds == 2
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_trainer_dispatches_at_depth_one(self, backend):
+        from repro.ml import (
+            DistributedLogisticTrainer,
+            LogisticConfig,
+            make_gisette_like,
+        )
+
+        ds = make_gisette_like(m=48, d=8, rng=np.random.default_rng(2))
+        opts = {"straggle_scale": 0.01} if backend == "tcp" else {}
+        cfg = self._default_config(backend=backend, backend_options=opts)
+        with Session.create(cfg) as sess:
+            sess.load(ds.x_train)
+            DistributedLogisticTrainer(
+                sess, ds, LogisticConfig(iterations=3, learning_rate=0.1)
+            ).train()
+        assert sess.stats.rounds_executed == 6
+        assert max(sess.stats.dispatch_depths) == 1
+
+    def test_closed_loop_of_full_batches_dispatches_at_depth_one(self):
+        """64 submissions fill the batch window (one round), then
+        ``result()`` waits for it before the next 64 are issued."""
+        rng = np.random.default_rng(64)
+        with Session.create(self._default_config(batch_window=64)) as sess:
+            sess.load(X)
+            for transpose in (False, False, True, False):
+                ops = F.random((64, 12 if transpose else 8), rng)
+                handles = [sess.submit_matvec(op, transpose=transpose) for op in ops]
+                want = X.T if transpose else X
+                for op, h in zip(ops, handles):
+                    assert np.array_equal(h.result(), ff_matvec(F, want, op))
+        assert sess.stats.jobs_per_round == [64] * 4
+        assert max(sess.stats.dispatch_depths) == 1
+
+
 class TestFailurePropagation:
     def test_window_pressure_failure_fails_the_new_jobs_too(self):
         """If finalizing an older round under window pressure raises,

@@ -260,7 +260,8 @@ class TestRoundBatching:
 
     def test_batch_window_auto_flushes(self):
         ops = self._ops()
-        with Session.create(_config(batch_window=2)) as sess:
+        # the serial window: every auto-flushed round is also finalized
+        with Session.create(_config(batch_window=2, max_inflight_rounds=1)) as sess:
             sess.load(X)
             handles = [sess.submit_matvec(w) for w in ops]
             # every pair flushed eagerly; nothing left pending
@@ -268,6 +269,23 @@ class TestRoundBatching:
             assert all(h.done() for h in handles)
         assert sess.stats.rounds_executed == self.N_JOBS // 2
         assert sess.stats.jobs_per_round == [2, 2, 2]
+
+    def test_batch_window_auto_flushes_at_default_window(self):
+        ops = self._ops()
+        with Session.create(_config(batch_window=2, max_inflight_rounds=1)) as sess:
+            sess.load(X)
+            serial = [sess.submit_matvec(w).result() for w in ops]
+        with Session.create(_config(batch_window=2)) as sess:
+            sess.load(X)
+            handles = [sess.submit_matvec(w) for w in ops]
+            # every pair dispatched eagerly; at most two rounds await
+            # finalization
+            assert sess.pending_jobs() == 0
+            assert sess.rounds_in_flight() <= 2
+            results = [h.result() for h in handles]
+        assert sess.stats.jobs_per_round == [2, 2, 2]
+        for want, got in zip(serial, results):
+            assert got.tobytes() == want.tobytes()
 
     def test_flush_on_close(self):
         with Session.create(_config()) as sess:
@@ -385,10 +403,25 @@ class TestOtherWorkloads:
         rng = np.random.default_rng(21)
         a = F.random((8, 6), rng)
         b = F.random((6, 4), rng)
-        with Session.create(_config(workers=())) as sess:
+        with Session.create(_config(workers=(), max_inflight_rounds=1)) as sess:
             h = sess.submit_matmul(a, b, p=2, q=2)
             assert h.done()
             assert np.array_equal(h.result(), ff_matmul(F, a, b))
+
+    def test_matmul_dispatches_immediately_at_default_window(self):
+        rng = np.random.default_rng(21)
+        a = F.random((8, 6), rng)
+        b = F.random((6, 4), rng)
+        with Session.create(_config(workers=(), max_inflight_rounds=1)) as sess:
+            serial = sess.submit_matmul(a, b, p=2, q=2).result()
+        with Session.create(_config(workers=())) as sess:
+            h = sess.submit_matmul(a, b, p=2, q=2)
+            assert sess.pending_jobs() == 0
+            assert sess.rounds_in_flight() <= 2
+            got = h.result()
+        assert sess.stats.jobs_per_round == [1]
+        assert got.tobytes() == serial.tobytes()
+        assert np.array_equal(got, ff_matmul(F, a, b))
 
     def test_submit_after_close_raises(self):
         sess = Session.create(_config())

@@ -214,6 +214,22 @@ class TestSheddingAndSLO:
             assert o.slo_met is True
             assert o.latency >= 0.0
 
+    def test_two_round_window_finalizes_due_rounds_before_idling(self):
+        """Regression: over a two-round window the gateway used to
+        jump its clock to the next arrival with rounds still in flight
+        and collect them only once arrivals ran out, so most requests
+        missed a 10 s deadline (SLO 0.267, p50 ~10 s). Finalizing the
+        window when the oldest round is due serves exactly as the
+        serial window does."""
+        reqs = _generator(slack=10.0, rate=100.0).generate(15)
+        _, _, serial = _run(reqs, session_cfg=_session_config(max_inflight_rounds=1))
+        _, _, report = _run(reqs, session_cfg=_session_config(max_inflight_rounds=2))
+        assert report.slo_attainment == 1.0
+        assert len(report.served) == 15
+        assert [o.latency for o in report.served] == [
+            o.latency for o in serial.served
+        ]
+
 
 class TestReport:
     def test_report_json_round_trip(self):
