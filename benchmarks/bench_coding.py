@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from _metrics import record_metric
-from repro.coding import LagrangeCode, MDSCode, SchemeParams
+from repro.coding import LagrangeCode, SchemeParams
 from repro.core import AVCCMaster, EncodingCache
 from repro.runtime import SimCluster, SimWorker
 
@@ -131,12 +131,3 @@ def test_privacy_padding_encode_overhead(benchmark, field, rng):
     code = LagrangeCode(field, n=n, k=k, t=t)
     shares = benchmark(code.encode, blocks, rng)
     assert shares.shape == (n, 64, 128)
-
-
-def test_explicit_generator_mds_roundtrip(benchmark, field, rng):
-    code = MDSCode.systematic(field, 12, 9)
-    blocks = field.random((9, 100), rng)
-    shares = code.encode(blocks)
-    idx = np.arange(3, 12)
-    out = benchmark(code.decode, idx, shares[idx])
-    np.testing.assert_array_equal(out, blocks)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.ff import ff_matvec
-from repro.verify import FreivaldsVerifier, MatrixPolynomialVerifier, TwoStageVerifier
+from repro.verify import FreivaldsVerifier
 
 
 @pytest.fixture(scope="module")
@@ -68,21 +68,3 @@ def test_probe_scaling(benchmark, gisette_block, probes):
     v = FreivaldsVerifier(field, probes=probes)
     key = v.keygen_single(share, rng)
     assert benchmark(v.check, key, w, z)
-
-
-def test_two_stage_check(benchmark, field, rng):
-    v = TwoStageVerifier(field)
-    share = field.random((400, 300), rng)
-    key = v.keygen_single(share, rng)
-    w = field.random(300, rng)
-    z = ff_matvec(field, share, w)
-    g = ff_matvec(field, share.T.copy(), z)
-    assert benchmark(v.check, key, w, z, g)
-
-
-def test_matrix_polynomial_check(benchmark, field, rng):
-    v = MatrixPolynomialVerifier(field)
-    a = field.random((200, 200), rng)
-    coeffs = [3, 1, 4, 1]
-    y = v.reference_eval(a, coeffs)
-    assert benchmark(v.check, a, coeffs, y, rng)

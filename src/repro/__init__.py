@@ -3,7 +3,7 @@
 Top-level convenience re-exports. The subpackages are:
 
 ``repro.ff``           finite-field substrate (field, codecs' math)
-``repro.coding``       MDS / Lagrange coded-computing codecs
+``repro.coding``       Lagrange and polynomial coded-computing codecs
 ``repro.verify``       Freivalds-style verifiable computing
 ``repro.runtime``      simulated and socket master/worker clusters
 ``repro.core``         the AVCC master, baselines, dynamic coding
@@ -13,12 +13,11 @@ Top-level convenience re-exports. The subpackages are:
 ``repro.serve``        the multi-tenant serving gateway (traffic, deadlines)
 """
 
-from repro.coding import LagrangeCode, MDSCode, SchemeParams
+from repro.coding import LagrangeCode, SchemeParams
 from repro.core import (
     AVCCMaster,
     CodedMatmulAVCCMaster,
     AdaptivePolicy,
-    GramianAVCCMaster,
     InsufficientResultsError,
     LCCMaster,
     UncodedMaster,
@@ -46,7 +45,7 @@ from repro.runtime import (
     TraceRecorder,
     make_profiles,
 )
-from repro.verify import FreivaldsVerifier, MatrixPolynomialVerifier, TwoStageVerifier
+from repro.verify import FreivaldsVerifier
 
 __version__ = "1.0.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "DistributedLinearRegressionTrainer",
     "DistributedLogisticTrainer",
     "FreivaldsVerifier",
-    "GramianAVCCMaster",
     "Honest",
     "InsufficientResultsError",
     "IntermittentAttack",
@@ -68,8 +66,6 @@ __all__ = [
     "LagrangeCode",
     "LinRegConfig",
     "LogisticConfig",
-    "MDSCode",
-    "MatrixPolynomialVerifier",
     "PrimeField",
     "Quantizer",
     "RandomAttack",
@@ -79,7 +75,6 @@ __all__ = [
     "SimCluster",
     "SimWorker",
     "TraceRecorder",
-    "TwoStageVerifier",
     "UncodedMaster",
     "make_gisette_like",
     "make_linreg_dataset",

@@ -33,7 +33,7 @@ Three pieces:
     of this API**: every submission path yields one, and
     ``handle.result()`` / ``handle.outcome()`` / ``handle.record`` are
     the only ways results come back. The ``submit_matvec`` /
-    ``submit_gramian`` / ``submit_matmul`` conveniences are thin
+    ``submit_matmul`` conveniences are thin
     wrappers that build a ``JobRequest`` and call ``submit``.
     Concurrently submitted jobs against the same encoded family are
     **coalesced into a single broadcast round** (one ``RoundJob``

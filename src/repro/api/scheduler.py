@@ -2,7 +2,7 @@
 
 PR 2's session executed rounds strictly one at a time — ``flush``
 blocked inside the master until decode finished, so independent jobs on
-different encoded families (fwd vs. bwd vs. gramian) and successive
+different encoded families (fwd vs. bwd) and successive
 serving requests serialized on a fleet that was mostly idle. AVCC's
 core idea is that master-side verify/decode work overlaps straggler
 waiting (paper Sec. IV-A verifies each arrival as it lands); this

@@ -64,7 +64,7 @@ from repro.runtime.trace import RoundRecord
 __all__ = ["JobHandle", "JobRequest", "Session", "SessionClosedError", "SessionStats"]
 
 #: request families the submission surface accepts
-JOB_FAMILIES = ("matvec", "gramian", "matmul")
+JOB_FAMILIES = ("matvec", "matmul")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ class JobRequest:
     """One typed unit of work for :meth:`Session.submit`.
 
     The canonical submission type: the convenience wrappers
-    (``submit_matvec``/``submit_gramian``/``submit_matmul``) construct
+    (``submit_matvec``/``submit_matmul``) construct
     one of these and hand it to ``submit``. Any object exposing the
     same attributes — notably :class:`repro.serve.workload.Request` —
     is accepted by ``submit`` directly.
@@ -80,9 +80,9 @@ class JobRequest:
     Attributes
     ----------
     family:
-        ``"matvec" | "gramian" | "matmul"``.
+        ``"matvec" | "matmul"``.
     operand:
-        The job's input: the vector for matvec/gramian, the left
+        The job's input: the vector for matvec, the left
         factor ``A`` for matmul.
     transpose:
         Matvec only: serve ``X.T @ operand`` instead of
@@ -104,7 +104,7 @@ class JobRequest:
         if self.family not in JOB_FAMILIES:
             raise ValueError(
                 f"unknown request family {self.family!r}; "
-                f"expected one of {JOB_FAMILIES}"
+                f"expected {'|'.join(JOB_FAMILIES)}"
             )
         if self.family == "matmul" and self.operand_b is None:
             raise ValueError("matmul requests need operand_b (the right factor)")
@@ -159,8 +159,7 @@ class JobHandle:
         return self._outcome
 
     def result(self) -> np.ndarray:
-        """The decoded array (vector for matvec/gramian, matrix for
-        matmul)."""
+        """The decoded array (vector for matvec, matrix for matmul)."""
         return self.outcome().vector
 
     @property
@@ -277,8 +276,8 @@ class SessionStats:
         the live signal the serving layer blends with the cost-model
         prior when estimating how long the next round will take.
         ``family`` restricts to rounds of one encoded family (matched
-        against the records' ``round_name``), so a gramian-heavy
-        stretch does not skew a matvec estimate."""
+        against the records' ``round_name``), so a ``bwd``-heavy
+        stretch does not skew a ``fwd`` estimate."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if family is None:
@@ -429,7 +428,6 @@ class Session:
             on_dispatched=self._stats.dispatch_depths.append,
             on_finalized=self._note_finalized,
         )
-        self._gramian_master: Any = None
         self._x: np.ndarray | None = None
         self._closed = False
 
@@ -481,11 +479,11 @@ class Session:
         ``request`` is duck-typed (so :class:`repro.serve.workload.
         Request` — or any compatible object — can be submitted without
         this module importing the serving layer): it must expose
-        ``family`` (``"matvec" | "gramian" | "matmul"``) and
+        ``family`` (``"matvec" | "matmul"``) and
         ``operand``, plus optionally ``transpose`` for matvec and
         ``operand_b``/``p``/``q`` for matmul.
 
-        Matvec and gramian jobs coalesce per family into one broadcast
+        Matvec jobs coalesce per family into one broadcast
         round at flush time. Matmul rounds broadcast nothing (factors
         are pre-shipped at submission), so they skip the batching queue
         and dispatch immediately — but they enter the pipeline window
@@ -498,11 +496,6 @@ class Session:
             fam = "bwd" if bool(getattr(request, "transpose", False)) else "fwd"
             return self._enqueue(
                 "matvec", fam, self.field.asarray(request.operand), request
-            )
-        if family == "gramian":
-            self._ensure_gramian_master()
-            return self._enqueue(
-                "gramian", "gram", self.field.asarray(request.operand), request
             )
         if family == "matmul":
             from repro.core.matmul import CodedMatmulAVCCMaster
@@ -518,6 +511,7 @@ class Session:
                 m=m,
                 probes=self._aux_probes(),
                 rng=self.master.rng,
+                participants=self.master.active,
             )
             if self.audit is not None:
                 master.audit = self.audit
@@ -529,7 +523,7 @@ class Session:
             self._scheduler.submit(master, "matmul", [handle], [])
             return handle
         raise ValueError(
-            f"unknown request family {family!r}; expected matvec|gramian|matmul"
+            f"unknown request family {family!r}; expected {'|'.join(JOB_FAMILIES)}"
         )
 
     def submit_matvec(self, operand: np.ndarray, *, transpose: bool = False) -> JobHandle:
@@ -539,13 +533,6 @@ class Session:
         return self.submit(
             JobRequest(family="matvec", operand=operand, transpose=transpose)
         )
-
-    def submit_gramian(self, w: np.ndarray) -> JobHandle:
-        """Queue one degree-2 job: ``X^T X w`` served by a lazily
-        constructed :class:`~repro.core.gramian.GramianAVCCMaster`
-        sharing this session's backend (requires a scheme feasible at
-        ``deg_f=2``). Thin wrapper over :meth:`submit`."""
-        return self.submit(JobRequest(family="gramian", operand=w))
 
     def submit_matmul(
         self, a: np.ndarray, b: np.ndarray, *, p: int = 2, q: int = 2
@@ -622,8 +609,7 @@ class Session:
                 continue
             handles = [h for h, _ in jobs]
             operands = [op for _, op in jobs]
-            master = self._gramian_master if fam == "gram" else self.master
-            self._scheduler.submit(master, fam, handles, operands)
+            self._scheduler.submit(self.master, fam, handles, operands)
 
     def drain(self) -> None:
         """Finalize every in-flight round (does not dispatch pending
@@ -720,13 +706,7 @@ class Session:
         self._check_open()
         self.flush()
         self._scheduler.drain()
-        if self._gramian_master is not None:
-            self._gramian_master.end_iteration()
         out = self.master.end_iteration()
-        if out.dropped_workers and self._gramian_master is not None:
-            # the matvec master evicted workers from the shared pool;
-            # the gramian master must stop dispatching to them too
-            self._gramian_master.drop_workers(out.dropped_workers)
         if self.elastic_membership:
             out = self._reconcile_membership(out)
         self._ingest_membership_events()
@@ -747,11 +727,6 @@ class Session:
         if not joined and not departed:
             return out
         extra = self.master.adopt_membership(joined=joined, departed=departed)
-        if departed and self._gramian_master is not None:
-            gram_active = set(self._gramian_master.active)
-            gone = [w for w in departed if w in gram_active]
-            if gone:
-                self._gramian_master.drop_workers(gone)
         from dataclasses import replace
 
         return replace(
@@ -785,11 +760,6 @@ class Session:
             raise ValueError(f"cannot release workers not in the roster: {stale}")
         extra = self.master.adopt_membership(departed=ids)
         self.backend.drop_workers(ids)
-        if self._gramian_master is not None:
-            gram_active = set(self._gramian_master.active)
-            gone = [w for w in ids if w in gram_active]
-            if gone:
-                self._gramian_master.drop_workers(gone)
         self._ingest_membership_events()
         out = AdaptationOutcome(
             reencode_time=extra,
@@ -846,13 +816,12 @@ class Session:
 
         With both available the estimate is their average; with only
         one, that one; with neither (no data loaded, no rounds run),
-        0.0. Families: ``"fwd"``/``"matvec"``, ``"bwd"``,
-        ``"gram"``/``"gramian"`` — anything else falls back to the
-        observed signal alone.
+        0.0. Families: ``"fwd"``/``"matvec"`` and ``"bwd"`` — anything
+        else falls back to the observed signal alone.
         """
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        key = {"matvec": "fwd", "gramian": "gram"}.get(family, family)
+        key = "fwd" if family == "matvec" else family
         observed = self._stats.recent_round_time(family=key)
         if observed == 0.0:
             observed = self._stats.recent_round_time()
@@ -869,19 +838,17 @@ class Session:
         m, d = self._x.shape
         k = max(1, self.master.scheme_now[1])
         if family in ("fwd", "matvec"):
-            out_len, op_len, deg = m, d, 1
+            out_len, op_len = m, d
         elif family == "bwd":
-            out_len, op_len, deg = d, m, 1
-        elif family in ("gram", "gramian"):
-            out_len, op_len, deg = d, d, 2
+            out_len, op_len = d, m
         else:
             return 0.0
         block = -(-out_len // k)  # ceil: padded block rows per worker
         cm = self.backend.cost_model
         from repro.core.base import MatvecMasterBase
 
-        worker_macs = deg * block * op_len * width
-        result_elems = deg * block * width
+        worker_macs = block * op_len * width
+        result_elems = block * width
         master_macs = (
             k * result_elems  # one probe application per verification
             + MatvecMasterBase.lagrange_decode_macs(k, k, result_elems)
@@ -968,9 +935,8 @@ class Session:
 
     # ------------------------------------------------------------------
     def _aux_scheme(self) -> Any:
-        """The SchemeParams auxiliary masters (gramian, matmul) derive
-        their tolerances from: the config's when available, else the
-        primary master's."""
+        """The SchemeParams the matmul master derives its tolerances
+        from: the config's when available, else the primary master's."""
         if self.config is not None:
             return self.config.scheme
         return getattr(self.master, "scheme", None)
@@ -979,27 +945,6 @@ class Session:
         if self.config is not None:
             return self.config.probes
         return getattr(self.master, "probes", 1)
-
-    def _ensure_gramian_master(self) -> None:
-        if self._gramian_master is not None:
-            return
-        from repro.core.gramian import GramianAVCCMaster
-
-        scheme = self._aux_scheme()
-        if scheme is None:
-            raise ValueError(
-                "submit_gramian needs a SchemeParams; this session's master "
-                f"({type(self.master).__name__}) carries none"
-            )
-        if self._x is None:
-            raise RuntimeError("call session.load(x) before submit_gramian")
-        self._gramian_master = GramianAVCCMaster(
-            self.backend, scheme.with_(deg_f=2), probes=self._aux_probes(),
-            rng=self.master.rng,
-        )
-        if self.audit is not None:
-            self._gramian_master.audit = self.audit
-        self._gramian_master.setup(self._x)
 
     def _check_open(self) -> None:
         if self._closed:

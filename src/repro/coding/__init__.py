@@ -1,11 +1,10 @@
-"""Coded-computing codecs: MDS and Lagrange coded computing (LCC).
+"""Coded-computing codecs: Lagrange coded computing (LCC) and the
+polynomial code of coded matrix–matrix products.
 
 The paper treats MDS coding as "a special case of LCC when the
-computations are only linear" (Sec. IV-A); the implementation mirrors
-that: :class:`MDSCode` is a thin systematic wrapper over
-:class:`LagrangeCode` with ``T = 0`` and ``deg f = 1``, plus an optional
-explicit-generator construction for textbook codes like Fig. 1's
-``[X1, X2, X1+X2]``.
+computations are only linear" (Sec. IV-A); the implementation does
+the same: an MDS-coded round is a :class:`LagrangeCode` with ``T = 0``
+and ``deg f = 1``.
 
 :class:`SchemeParams` carries the resource accounting of the paper —
 Eq. (1) for LCC, Eq. (2) for AVCC — and is used by masters and the
@@ -14,13 +13,11 @@ dynamic-coding policy alike.
 
 from repro.coding.base import partition_rows, stack_blocks, unpartition_rows
 from repro.coding.lcc import LagrangeCode
-from repro.coding.mds import MDSCode
 from repro.coding.polynomial import PolynomialCode
 from repro.coding.scheme import SchemeParams
 
 __all__ = [
     "LagrangeCode",
-    "MDSCode",
     "PolynomialCode",
     "SchemeParams",
     "partition_rows",

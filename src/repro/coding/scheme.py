@@ -35,7 +35,7 @@ class SchemeParams:
         Colluding (curious) workers to stay private against.
     deg_f:
         Degree of the polynomial computed on the coded data
-        (1 for matrix–vector products, 2 for gramians, ...).
+        (1 for matrix–vector products, 2 for ``X^T X w``, ...).
     """
 
     n: int

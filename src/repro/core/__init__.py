@@ -22,9 +22,8 @@ The matvec implementations:
                                ingests Byzantine results silently (Sec. V)
 =============================  ==================================================
 
-:class:`GramianAVCCMaster` (degree-2 ``X^T X w``) and
-:class:`CodedMatmulAVCCMaster` (``A @ B``) apply the AVCC policy to
-other computations. Every master is its ``setup``, a collect policy and
+:class:`CodedMatmulAVCCMaster` (``A @ B``) applies the AVCC policy to
+matrix–matrix products. Every master is its ``setup``, a collect policy and
 a decode step on the one round path of
 :class:`~repro.core.base.MatvecMasterBase`, which plans, dispatches,
 collects, refuses below the recovery threshold and finishes each round
@@ -33,7 +32,6 @@ collects, refuses below the recovery threshold and finishes each round
 
 from repro.core.avcc import AVCCMaster
 from repro.core.dynamic import AdaptivePolicy, EncodingCache, RecodeDecision
-from repro.core.gramian import GramianAVCCMaster
 from repro.core.matmul import CodedMatmulAVCCMaster
 from repro.core.lcc_master import LCCMaster
 from repro.core.results import (
@@ -49,7 +47,6 @@ __all__ = [
     "AdaptationOutcome",
     "AdaptivePolicy",
     "EncodingCache",
-    "GramianAVCCMaster",
     "InsufficientResultsError",
     "LCCMaster",
     "RecodeDecision",

@@ -85,10 +85,7 @@ class AVCCMaster(MatvecMasterBase):
             raise ValueError(f"scheme.n={scheme.n} != cluster.n={cluster.n}")
         scheme.validate_for("avcc")
         if scheme.deg_f != 1:
-            raise ValueError(
-                "the matvec master serves deg_f=1 rounds; higher degrees use "
-                "the generalized verifier directly"
-            )
+            raise ValueError("the matvec master serves deg_f=1 rounds")
         if not adaptive:
             self.name = "static_vcc"
         self.scheme = scheme

@@ -95,14 +95,13 @@ def encode_padded_rows(
 
 @dataclass(frozen=True)
 class FamilyState:
-    """Geometry of one encoded family (``fwd``, ``bwd``, ``gram``)."""
+    """Geometry of one encoded family (``fwd`` or ``bwd``)."""
 
     name: str              # payload key on the workers
     true_len: int          # m (fwd) or d (bwd): output length before padding
     operand_len: int       # d (fwd) or m_pad (bwd): broadcast length
     operand_true_len: int  # d (fwd) or m (bwd): operand length pre-padding
     block_rows: int        # rows of each share: m_pad // k (fwd), d_pad // k (bwd)
-    op: str = "matvec"     # the RoundJob op the workers run on this family
 
     def pad_operand(self, field, operand: np.ndarray) -> np.ndarray:
         """Zero-extend a true-length operand to the broadcast length
@@ -127,10 +126,9 @@ class FamilyState:
 
     def result_shape(self, operand: np.ndarray) -> tuple[int, ...]:
         """Shape of one worker's honest result for a broadcast (padded)
-        ``operand``: its share's rows, plus the ``S^T z`` half of a
-        gramian result, times the operand's batch columns."""
-        rows = self.block_rows + (self.operand_len if self.op == "gramian" else 0)
-        return (rows, *operand.shape[1:])
+        ``operand``: its share's rows times the operand's batch
+        columns."""
+        return (self.block_rows, *operand.shape[1:])
 
 
 def matvec_families(m: int, d: int, k: int) -> dict[str, FamilyState]:
@@ -180,7 +178,7 @@ class RoundPlan:
     Attributes
     ----------
     family:
-        Encoded family served (``"fwd"``/``"bwd"``/``"gram"``...).
+        Encoded family served (``"fwd"``/``"bwd"``/``"matmul"``).
     round_name:
         Name stamped on the round's trace record.
     job:
@@ -496,10 +494,8 @@ class MatvecMasterBase:
         operand = st.pad_operand(self.field, operand)
         return RoundPlan(
             family=family,
-            # fwd and bwd are both matvec, so a matvec round is named
-            # after its family; any other op after the op
-            round_name=family if st.op == "matvec" else st.op,
-            job=RoundJob(op=st.op, payload_key=st.name, operand=operand),
+            round_name=family,
+            job=RoundJob(op="matvec", payload_key=st.name, operand=operand),
             participants=tuple(self.active),
             width=1 if operand.ndim == 1 else int(operand.shape[1]),
             n_jobs=n_jobs,

@@ -41,6 +41,10 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
     pipelined a later job's ``setup`` must never overwrite factors a
     still-in-flight round is computing on. The factors are fixed at
     ``setup``; a round verifies against the stored ``B~_i``.
+
+    ``participants`` is the roster the factors are coded over (default:
+    the whole fleet); a session passes its own master's, so a worker
+    it evicted or released never receives a share.
     """
 
     name = "matmul_avcc"
@@ -58,12 +62,16 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
         m: int = 0,
         probes: int = 1,
         rng: np.random.Generator | None = None,
+        participants: Sequence[int] | None = None,
     ):
         super().__init__(cluster, rng)
+        if participants is not None:
+            self.active = list(participants)
         required = p * q + s + m
-        if cluster.n < required:
+        if len(self.active) < required:
             raise ValueError(
-                f"need N >= p*q + S + M = {required} workers, cluster has {cluster.n}"
+                f"need N >= p*q + S + M = {required} workers, "
+                f"the roster has {len(self.active)}"
             )
         self.p = p
         self.q = q
@@ -92,7 +100,7 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
         b_blocks = partition_rows(np.ascontiguousarray(b.T), self.q)
         b_blocks = b_blocks.transpose(0, 2, 1)  # (q, n, r/q) column blocks
 
-        code = PolynomialCode(field, self.backend.n, self.p, self.q)
+        code = PolynomialCode(field, len(self.active), self.p, self.q)
         a_shares = code.encode_a(a_blocks)
         b_shares = code.encode_b(b_blocks)
         self.backend.distribute(self._key_a, a_shares, participants=self.active)

@@ -45,7 +45,7 @@ from repro.ff.lagrange import (
 from repro.ff.linalg import ff_dot, ff_matmul, ff_matvec
 from repro.ff.poly import Poly
 from repro.ff.rs import DecodingError, ReedSolomon, berlekamp_welch
-from repro.ff.vandermonde import vandermonde_matrix, vandermonde_solve
+from repro.ff.vandermonde import vandermonde_matrix
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -72,5 +72,4 @@ __all__ = [
     "mod_pow",
     "safe_chunk_len",
     "vandermonde_matrix",
-    "vandermonde_solve",
 ]

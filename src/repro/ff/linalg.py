@@ -76,9 +76,8 @@ takes longer (0.71-0.77 ms against 0.64-0.66 on the train share). The
 ``float64`` kernel needs a ``float64`` left operand, and converting a
 share on every round would cost more than the product; so a worker
 converts it once, when it stores it, and every later product over it —
-a matvec, the gramian's ``share.T`` matvec, a batched round — takes
-the ``float64`` kernel (the last two rows above; the vector is split
-into a ``(k, 2)`` limb matrix). The rule is the crossover's own bound
+a matvec or a batched round — takes the ``float64`` kernel (the last
+two rows above; the vector is split into a ``(k, 2)`` limb matrix). The rule is the crossover's own bound
 at ``m = 1``: a 2-D share of ``n*k >= 2**18`` entries is resident,
 anything smaller stays ``int64`` — the serving and width-64 batch
 shares (27x120, 134x600) are below it. A matvec over a resident share

@@ -1,10 +1,9 @@
 """Vandermonde matrices over a prime field.
 
-Used for coefficient-space interpolation (recovering a polynomial's
-coefficients from evaluations) and as an alternative, easy-to-audit
-construction of MDS generator matrices in tests: every ``K x K``
+The Berlekamp–Welch systems of the Reed–Solomon decoder and the
+polynomial code's interpolation are built from them. Every ``K x K``
 submatrix of a ``K x N`` Vandermonde matrix on distinct points is
-invertible, which is the MDS property the decoder relies on.
+invertible, which is the MDS property both decoders rely on.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.ff.gauss import gauss_solve
-from repro.ff.poly import Poly
 
-__all__ = ["vandermonde_matrix", "vandermonde_solve"]
+__all__ = ["vandermonde_matrix"]
 
 
 def vandermonde_matrix(field: PrimeField, xs, n_cols: int) -> np.ndarray:
@@ -28,18 +25,3 @@ def vandermonde_matrix(field: PrimeField, xs, n_cols: int) -> np.ndarray:
         out[:, c] = out[:, c - 1] * xs % field.q
     return out
 
-
-def vandermonde_solve(field: PrimeField, xs, ys) -> Poly:
-    """Recover the unique degree ``< len(xs)`` polynomial through the
-    points ``(xs, ys)`` in coefficient form.
-
-    Small systems only (``len(xs)`` is bounded by the worker count);
-    exact Gaussian elimination is the clearest correct tool.
-    """
-    xs = field.asarray(xs)
-    ys = field.asarray(ys)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be equal-length 1-D arrays")
-    v = vandermonde_matrix(field, xs, xs.size)
-    coeffs = gauss_solve(field, v, ys)
-    return Poly(field, coeffs)

@@ -19,7 +19,6 @@ from repro.ml.datasets import Dataset, make_gisette_like, make_linreg_dataset
 from repro.ml.linreg import DistributedLinearRegressionTrainer, LinRegConfig
 from repro.ml.logistic import DistributedLogisticTrainer, LogisticConfig
 from repro.ml.metrics import accuracy, binary_cross_entropy, sigmoid
-from repro.ml.polyapprox import PolynomialSigmoid, fit_sigmoid_poly
 from repro.ml.quantize import OverflowBudget, Quantizer
 from repro.ml.trainer import TrainingHistory
 
@@ -30,12 +29,10 @@ __all__ = [
     "LinRegConfig",
     "LogisticConfig",
     "OverflowBudget",
-    "PolynomialSigmoid",
     "Quantizer",
     "TrainingHistory",
     "accuracy",
     "binary_cross_entropy",
-    "fit_sigmoid_poly",
     "make_gisette_like",
     "make_linreg_dataset",
     "sigmoid",

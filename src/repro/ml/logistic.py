@@ -72,11 +72,6 @@ class DistributedLogisticTrainer:
     session *also* serves independent traffic (other jobs overlap the
     training rounds), and training results are byte-identical at any
     window size.
-
-    ``activation`` defaults to the exact logistic function; pass a
-    :class:`repro.ml.polyapprox.PolynomialSigmoid` to explore the
-    paper's Sec. VII polynomial-approximation direction (evaluation
-    metrics always use the true sigmoid).
     """
 
     def __init__(
@@ -84,7 +79,6 @@ class DistributedLogisticTrainer:
         service,
         dataset: Dataset,
         config: LogisticConfig | None = None,
-        activation=None,
     ):
         from repro.api.session import Session
 
@@ -94,7 +88,6 @@ class DistributedLogisticTrainer:
         self.master = self.session.master
         self.dataset = dataset
         self.config = config or LogisticConfig()
-        self.activation = activation or sigmoid
         self.field = self.session.field
         self.qw = Quantizer(self.field, self.config.l_w)
         self.qe = Quantizer(self.field, self.config.l_e)
@@ -131,7 +124,7 @@ class DistributedLogisticTrainer:
             w_q = self.qw.quantize(w)
             out1 = self.session.submit_matvec(w_q)
             z = self.qw.dequantize(out1.result())    # scale 2^{-l_w}
-            p = self.activation(z)
+            p = sigmoid(z)
             e = p - ds.y_train
 
             # ---- round 2: g = X^T e --------------------------------
@@ -177,7 +170,6 @@ class DistributedLogisticTrainer:
 
 
 def _score(z: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Accuracy and cross-entropy of the predictions ``h(z)`` — always
-    the true sigmoid, whatever activation trained the weights."""
+    """Accuracy and cross-entropy of the predictions ``h(z)``."""
     p = sigmoid(z)
     return accuracy(y, p), binary_cross_entropy(y, p)

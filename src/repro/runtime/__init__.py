@@ -59,7 +59,6 @@ from repro.runtime.latency import (
     GaussianJitterLatency,
     LatencyModel,
     ShiftedExponentialLatency,
-    TraceLatency,
     make_profiles,
 )
 from repro.runtime.net import NetTunables, TcpCluster
@@ -87,7 +86,6 @@ __all__ = [
     "RoundRecord",
     "RoundResult",
     "ShiftedExponentialLatency",
-    "TraceLatency",
     "SilentFailure",
     "SimCluster",
     "SimWorker",

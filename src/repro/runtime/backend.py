@@ -143,7 +143,7 @@ class RoundResult:
 class RoundJob:
     """Declarative description of one broadcast-compute-collect round.
 
-    Three operations cover every master in the repo:
+    Two operations cover every master in the repo:
 
     * ``op="matvec"`` — each worker computes ``payload[payload_key] @
       operand`` over the field; the operand is broadcast. A 2-D operand
@@ -153,10 +153,6 @@ class RoundJob:
     * ``op="matmul"`` — each worker multiplies two pre-shipped factors
       ``payload[payload_key] @ payload[rhs_key]``; nothing is
       broadcast (the round is a trigger).
-    * ``op="gramian"`` — the degree-2 workload: with ``S =
-      payload[payload_key]`` the worker returns ``concat(S @ operand,
-      S.T @ (S @ operand))``. Batched operands stack the same way
-      along a trailing axis.
 
     Jobs carry data, not closures, so a worker daemon in another
     address space (or on another host) executes the same job.
@@ -168,14 +164,14 @@ class RoundJob:
     rhs_key: str | None = None
 
     def __post_init__(self):
-        if self.op not in ("matvec", "matmul", "gramian"):
+        if self.op not in ("matvec", "matmul"):
             raise ValueError(f"unknown round op {self.op!r}")
-        if self.op in ("matvec", "gramian"):
+        if self.op == "matvec":
             if self.operand is None:
-                raise ValueError(f"{self.op} jobs need an operand")
+                raise ValueError("matvec jobs need an operand")
             if np.asarray(self.operand).ndim not in (1, 2):
                 raise ValueError(
-                    f"{self.op} operand must be a vector or a (len, batch) "
+                    "matvec operand must be a vector or a (len, batch) "
                     f"matrix, got shape {np.asarray(self.operand).shape}"
                 )
         if self.op == "matmul" and self.rhs_key is None:
@@ -231,10 +227,7 @@ def run_job_compute(
     share = payload[job.payload_key]
     operand = field.ensure_reduced(job.operand)
     product = matmul_reduced if operand.ndim == 2 else matvec_reduced
-    z = product(field, share, operand)
-    if job.op == "matvec":
-        return z
-    return np.concatenate([z, product(field, share.T, z)], axis=0)
+    return product(field, share, operand)
 
 
 def job_macs(payload: dict[str, Any], job: RoundJob) -> int:
@@ -242,8 +235,6 @@ def job_macs(payload: dict[str, Any], job: RoundJob) -> int:
     simulator's timing; real backends just measure)."""
     if job.op == "matvec":
         return int(np.asarray(payload[job.payload_key]).size) * job.batch_width()
-    if job.op == "gramian":
-        return 2 * int(np.asarray(payload[job.payload_key]).size) * job.batch_width()
     a = np.asarray(payload[job.payload_key])
     b = np.asarray(payload[job.rhs_key])
     return int(a.shape[0] * a.shape[1] * b.shape[1])
@@ -323,6 +314,9 @@ class Backend(ABC):
     #: workers whose results the round never used instead.
     timing_is_exact: bool = False
 
+    #: ids passed to :meth:`drop_workers`, which rebinds it per backend
+    _dropped: frozenset[int] = frozenset()
+
     # ------------------------------------------------------------------
     @property
     @abstractmethod
@@ -363,9 +357,10 @@ class Backend(ABC):
 
     def drop_workers(self, worker_ids: Sequence[int]) -> None:
         """Remove workers from the pool (dynamic re-coding dropped
-        them). Backends holding per-worker resources release them;
-        the default is bookkeeping-free. Dropped ids must not appear
-        in later ``participants``."""
+        them). Backends holding per-worker resources release them too.
+        A later ``distribute`` or ``dispatch_round`` whose participants
+        name a dropped id raises."""
+        self._dropped = self._dropped.union(int(w) for w in worker_ids)
 
     # ------------------------------------------------------------------
     # elastic membership (no-ops on fixed-fleet backends)
@@ -404,6 +399,9 @@ class Backend(ABC):
         for wid in out:
             if not 0 <= wid < self.n:
                 raise ValueError(f"worker id {wid} out of range")
+        dropped = self._dropped.intersection(out)
+        if dropped:
+            raise ValueError(f"workers {sorted(dropped)} were dropped from the pool")
         return out
 
     def __enter__(self):
@@ -419,16 +417,14 @@ class WallClockBackend(Backend):
     (:class:`~repro.runtime.net.client.TcpCluster` is the one built in).
 
     Provides the wall clock (``now`` floored by ``advance_to`` so
-    master-side accounting never runs backward), the dropped-worker
-    bookkeeping behind :meth:`Backend.drop_workers`, and the
-    never-arrived :class:`Arrival` constructor. Subclasses call
+    master-side accounting never runs backward), the membership-event
+    log, and the never-arrived :class:`Arrival` constructor. Subclasses call
     :meth:`_init_wall_clock` from ``__init__``.
     """
 
     def _init_wall_clock(self) -> None:
         self._t0 = time.perf_counter()
         self._floor = 0.0
-        self._dropped: set[int] = set()
         self._membership_events: list[MembershipEvent] = []
         self._membership_lock = threading.Lock()
 
@@ -443,7 +439,7 @@ class WallClockBackend(Backend):
         for wid in worker_ids:
             if int(wid) not in self._dropped:
                 self._note_membership("dropped", int(wid))
-        self._dropped.update(int(w) for w in worker_ids)
+        super().drop_workers(worker_ids)
 
     def _note_membership(self, kind: str, worker_id: int) -> None:
         """Record one roster change (safe from any thread — the socket
@@ -457,11 +453,6 @@ class WallClockBackend(Backend):
             events = tuple(self._membership_events)
             self._membership_events.clear()
         return events
-
-    def _check_not_dropped(self, participants: Sequence[int]) -> None:
-        dead = self._dropped.intersection(participants)
-        if dead:
-            raise ValueError(f"workers {sorted(dead)} were dropped from the pool")
 
     @staticmethod
     def _missing_arrival(worker_id: int, truly_byzantine: bool) -> Arrival:

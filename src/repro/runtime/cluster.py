@@ -32,9 +32,9 @@ one matrix of its rows — and the workers' views move with it. A
 participant's rows in one :func:`~repro.ff.linalg.matmul_reduced` /
 :func:`~repro.ff.linalg.matvec_reduced` call, before any randomness is
 drawn; a worker's honest result is its rows of that one output
-(disjoint views, so no two workers share memory). ``gramian`` and
-``matmul`` jobs, and a worker whose payload entry is no longer its view
-of the stack (re-stored through :meth:`SimWorker.store`), run
+(disjoint views, so no two workers share memory). ``matmul`` jobs, and
+a worker whose payload entry is no longer its view of the stack
+(re-stored through :meth:`SimWorker.store`), run
 :func:`~repro.runtime.backend.run_job_compute` over their own payload,
 as before. No product draws randomness: in participant order each
 worker applies its behaviour and samples its latency from the
@@ -159,7 +159,6 @@ class SimCluster(Backend):
         self.cost_model = cost_model or CostModel()
         self.rng = rng or np.random.default_rng(0)
         self._now = 0.0
-        self._dropped: set[int] = set()
         #: outstanding rounds' per-worker compute-finish times
         #: (round key -> {worker_id: t_compute_done}); new dispatches
         #: queue each worker behind these — concurrent rounds contend
@@ -207,11 +206,6 @@ class SimCluster(Backend):
         self._unsettled.clear()
         for worker in self.workers:
             worker.payload.clear()
-
-    def drop_workers(self, worker_ids: Sequence[int]) -> None:
-        """Bookkeeping only: simulated workers cost nothing to keep,
-        but dropped ids are remembered for introspection."""
-        self._dropped.update(int(w) for w in worker_ids)
 
     # ------------------------------------------------------------------
     def distribute(self, name: str, shares: np.ndarray, participants=None) -> float:

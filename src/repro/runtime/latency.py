@@ -17,7 +17,7 @@ heavy ~8x, one mild ~1.4x) so that "the faster of the two stragglers"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "DeterministicLatency",
     "ShiftedExponentialLatency",
     "GaussianJitterLatency",
-    "TraceLatency",
     "make_profiles",
 ]
 
@@ -95,48 +94,6 @@ class GaussianJitterLatency:
     def sample(self, base_time: float, rng: np.random.Generator) -> float:
         jitter = max(0.0, 1.0 + rng.normal(0.0, self.sigma))
         return base_time * self.factor * jitter
-
-
-class TraceLatency:
-    """Replay a recorded slowdown trace, wrapping around at the end.
-
-    ``samples`` are multiplicative slowdown factors (1.0 = nominal),
-    typically captured from a real deployment's per-round slowdowns.
-    Each :meth:`sample` call consumes the next factor in order, so a
-    worker's latency follows the trace exactly; when the trace runs
-    out it wraps back to the start. ``start`` offsets the replay
-    (decorrelating workers that share one recorded trace), which keeps
-    the profile fully seedable: the same ``(samples, start)`` replays
-    the same sequence regardless of the rng.
-
-    The serving layer reuses the same wrap-around replay for arrival
-    traces (:class:`repro.serve.workload.TraceArrivals` scales a base
-    interarrival gap by the next trace factor).
-    """
-
-    def __init__(self, samples: Sequence[float], start: int = 0):
-        samples = tuple(float(s) for s in samples)
-        if not samples:
-            raise ValueError("trace needs at least one sample")
-        if any(s <= 0 for s in samples):
-            raise ValueError("trace samples must be positive slowdown factors")
-        if start < 0:
-            raise ValueError("start offset must be non-negative")
-        self.samples = samples
-        self.start = start
-        self._cursor = 0
-
-    def sample(self, base_time: float, rng: np.random.Generator) -> float:
-        factor = self.samples[(self.start + self._cursor) % len(self.samples)]
-        self._cursor += 1
-        return base_time * factor
-
-    def reset(self) -> None:
-        """Rewind the replay to its ``start`` offset."""
-        self._cursor = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TraceLatency({len(self.samples)} samples, start={self.start})"
 
 
 def make_profiles(

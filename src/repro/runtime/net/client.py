@@ -477,7 +477,7 @@ class TcpCluster(WallClockBackend):
             if fresh:
                 self.workers.append(SimWorker(wid))
             self._dead.discard(wid)
-            self._dropped.discard(wid)
+            self._dropped = self._dropped - {wid}
             conn.settimeout(self.io_timeout)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns[wid] = conn
@@ -654,7 +654,6 @@ class TcpCluster(WallClockBackend):
     # ------------------------------------------------------------------
     def distribute(self, name: str, shares: np.ndarray, participants=None) -> float:
         participants = self._participants(participants)
-        self._check_not_dropped(participants)
         if len(participants) > shares.shape[0]:
             raise ValueError("fewer shares than participants")
         t0 = time.perf_counter()
@@ -675,7 +674,6 @@ class TcpCluster(WallClockBackend):
         self, job: RoundJob, participants: Sequence[int] | None = None
     ) -> TcpRoundHandle:
         participants = self._participants(participants)
-        self._check_not_dropped(participants)
         self._rid += 1
         rid = self._rid
         live = [wid for wid in participants if wid not in self._dead]

@@ -37,8 +37,8 @@ decoded dict only when set. The record tables, kind by kind:
                    the resident dtype (``float64`` for a share of at
                    least ``2**18`` entries, ``int64`` below)
 ``round``          master → worker: u8 flags (1 rhs_key, 2 trace,
-                   4 attest), u64 rid, u8 op code (matvec, matmul,
-                   gramian), str payload_key, [str rhs_key], + the
+                   4 attest), u64 rid, u8 op code (0 matvec,
+                   1 matmul), str payload_key, [str rhs_key], + the
                    broadcast operand when the op has one. ``attest``
                    asks the daemon to countersign, ``trace`` for its
                    own sub-spans
@@ -228,7 +228,7 @@ _SPAN = struct.Struct(">dd")
 _COUNT = struct.Struct(">H")
 _ARRAY = struct.Struct(">BB")
 
-_OPS = ("matvec", "matmul", "gramian")
+_OPS = ("matvec", "matmul")
 _OP_CODES = {op: code for code, op in enumerate(_OPS)}
 #: behaviour kind codes of the config record; reverse and constant
 #: carry a value, and they and random a probability

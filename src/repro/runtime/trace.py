@@ -37,8 +37,8 @@ class RoundRecord:
     rejected_workers: tuple[int, ...] = ()
     used_workers: tuple[int, ...] = ()
     #: (worker_id, broadcast-done -> arrival latency) for every worker
-    #: that responded — the per-worker slowdown observation the serving
-    #: layer's trace recorder dumps back into replayable profiles
+    #: that responded — the per-worker slowdown observation the tracer
+    #: turns into per-worker spans
     worker_latencies: tuple[tuple[int, float], ...] = ()
 
     @property

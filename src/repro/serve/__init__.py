@@ -33,9 +33,8 @@ Four modules:
 
 :mod:`repro.serve.workload`
     Typed :class:`~repro.serve.workload.Request` objects and traffic
-    generation — Poisson / bursty (Markov-modulated) / diurnal / trace
-    replay arrival processes, open- and closed-loop sources, tenant
-    mixes.
+    generation — Poisson / bursty (Markov-modulated) / diurnal arrival
+    processes, open- and closed-loop sources, tenant mixes.
 :mod:`repro.serve.queueing`
     Per-tenant bounded FIFOs, weighted fair dequeue (stride
     scheduling) and admission control (queue-depth and expired-request
@@ -48,11 +47,6 @@ Four modules:
     The event loop tying it together against sim-virtual or wall-clock
     time, and the :class:`~repro.serve.gateway.ServeReport` metrics
     surface.
-:mod:`repro.serve.recorder`
-    The capture side of trace replay: dump a live gateway run
-    (arrivals + observed per-worker slowdowns) back into the
-    ``TraceArrivals``/``TraceLatency`` format, so incidents become
-    reproducible benchmarks.
 """
 
 from repro.serve.batcher import (
@@ -68,7 +62,6 @@ from repro.serve.batcher import (
 )
 from repro.serve.gateway import Gateway, GatewayConfig, RequestOutcome, ServeReport
 from repro.serve.queueing import FairQueue, TenantStats
-from repro.serve.recorder import GatewayRecorder, RecordedTrace
 from repro.serve.workload import (
     ArrivalProcess,
     BurstyArrivals,
@@ -78,7 +71,6 @@ from repro.serve.workload import (
     PoissonArrivals,
     Request,
     TenantSpec,
-    TraceArrivals,
     WorkloadGenerator,
 )
 
@@ -93,19 +85,16 @@ __all__ = [
     "FairQueue",
     "Gateway",
     "GatewayConfig",
-    "GatewayRecorder",
     "HybridPolicy",
     "MicroBatcher",
     "OpenLoopSource",
     "PendingBatch",
     "PoissonArrivals",
-    "RecordedTrace",
     "Request",
     "RequestOutcome",
     "ServeReport",
     "TenantSpec",
     "TenantStats",
-    "TraceArrivals",
     "WorkloadGenerator",
     "batch_policy_names",
     "make_batch_policy",

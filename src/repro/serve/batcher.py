@@ -55,7 +55,7 @@ RoundTimeEstimator = Callable[[str, int], float]
 class PendingBatch:
     """Requests accumulated for one encoded family, awaiting dispatch."""
 
-    family: str  # session family key: "fwd" | "bwd" | "gram"
+    family: str  # session family key: "fwd" | "bwd"
     opened_at: float
     requests: list[Request] = dc_field(default_factory=list)
 

@@ -324,7 +324,7 @@ class Gateway:
     micro-batching) and *borrows* the session — callers construct and
     close the session (typically as a context manager) and must have
     called ``session.load(x)`` before :meth:`run` if the traffic
-    contains matvec/gramian requests.
+    contains matvec requests.
     """
 
     def __init__(
@@ -433,8 +433,6 @@ class Gateway:
         unbatchable, dispatch alone)."""
         if request.family == "matvec":
             return "bwd" if request.transpose else "fwd"
-        if request.family == "gramian":
-            return "gram"
         return None  # matmul: factors pre-ship at submission, no batching
 
     # ------------------------------------------------------------------

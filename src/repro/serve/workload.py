@@ -15,11 +15,9 @@ source*. Two source shapes cover the standard load-testing regimes:
 
 Arrival *processes* are pluggable (:class:`ArrivalProcess`): Poisson
 (:class:`PoissonArrivals`), bursty Markov-modulated Poisson
-(:class:`BurstyArrivals`), diurnally modulated
+(:class:`BurstyArrivals`) and diurnally modulated
 (:class:`DiurnalArrivals`, thinning-sampled so it is an exact
-nonhomogeneous Poisson process), and recorded-trace replay
-(:class:`TraceArrivals`, wrapping the runtime's
-:class:`~repro.runtime.latency.TraceLatency` replay). A
+nonhomogeneous Poisson process). A
 :class:`WorkloadGenerator` combines one arrival process with a tenant
 mix (:class:`TenantSpec`: traffic share, family mix, relative
 deadlines) and materializes concrete operand payloads in the session's
@@ -35,7 +33,6 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.ff.field import PrimeField
-from repro.runtime.latency import TraceLatency
 
 __all__ = [
     "FAMILIES",
@@ -47,12 +44,11 @@ __all__ = [
     "PoissonArrivals",
     "Request",
     "TenantSpec",
-    "TraceArrivals",
     "WorkloadGenerator",
 ]
 
 #: request families the gateway can serve
-FAMILIES = ("matvec", "gramian", "matmul")
+FAMILIES = ("matvec", "matmul")
 
 
 @dataclass(frozen=True)
@@ -68,14 +64,14 @@ class Request:
         The submitting tenant — admission and fair dequeue are
         per-tenant.
     family:
-        ``"matvec" | "gramian" | "matmul"``; same-family requests are
+        ``"matvec" | "matmul"``; same-family requests are
         candidates for micro-batch coalescing.
     arrival:
         Backend-clock arrival time (seconds).
     deadline:
         Absolute completion deadline; ``math.inf`` means no SLO.
     operand:
-        The request payload: the matvec/gramian vector, or the matmul
+        The request payload: the matvec vector, or the matmul
         left factor.
     operand_b:
         Matmul right factor (matmul only).
@@ -217,27 +213,6 @@ class DiurnalArrivals:
                 return t - now
 
 
-@dataclass
-class TraceArrivals:
-    """Replay a recorded interarrival trace (wrapping around).
-
-    ``trace`` carries the recorded gaps as multiplicative factors on
-    ``base_interval`` — the same wrap-around replay the worker latency
-    layer uses (:class:`~repro.runtime.latency.TraceLatency`), so one
-    recorded trace can drive both worker slowdowns and traffic.
-    """
-
-    trace: TraceLatency
-    base_interval: float = 1.0
-
-    def __post_init__(self):
-        if self.base_interval <= 0:
-            raise ValueError("base_interval must be positive")
-
-    def interarrival(self, now: float, rng: np.random.Generator) -> float:
-        return self.trace.sample(self.base_interval, rng)
-
-
 # ----------------------------------------------------------------------
 # tenants and the generator
 # ----------------------------------------------------------------------
@@ -300,8 +275,7 @@ class WorkloadGenerator:
         The session's computation field (operands are field elements).
     shape:
         ``(m, d)`` of the dataset the session serves — fixes operand
-        lengths (``d`` for ``fwd`` matvec and gramian, ``m`` for
-        ``bwd``).
+        lengths (``d`` for ``fwd`` matvec, ``m`` for ``bwd``).
     tenants:
         The tenant population; traffic is split by ``weight``.
     arrivals:
@@ -360,8 +334,6 @@ class WorkloadGenerator:
         if family == "matvec":
             transpose = rng.random() < tenant.transpose_fraction
             operand = self.field.random(self.m if transpose else self.d, rng)
-        elif family == "gramian":
-            operand = self.field.random(self.d, rng)
         else:  # matmul
             operand = self.field.random((self.matmul_dim, self.matmul_dim), rng)
             operand_b = self.field.random((self.matmul_dim, self.matmul_dim), rng)

@@ -6,30 +6,21 @@ check instead of the ``O(md/K)`` the worker spent (paper Sec. II-B and
 Sec. IV step 3). A wrong result passes a single check with probability
 at most ``1/q``; ``t`` independent probes push that to ``q^-t``.
 
-Three verifiers:
+Two verifiers:
 
 * :class:`FreivaldsVerifier` — matrix–vector products (the paper's
   logistic-regression rounds, Eqs. 6–9).
-* :class:`TwoStageVerifier` — degree-2 gramian computations
-  ``A^T (A w)`` where the worker ships the intermediate product
-  (one-round linear regression).
-* :class:`MatrixPolynomialVerifier` — generalized AVCC: verify
-  ``Y = f(A)`` for a matrix polynomial ``f`` with ``deg f`` matvecs
-  (``O(deg·b²)`` instead of the worker's ``O(deg·b³)``).
+* :class:`MatmulVerifier` — matrix–matrix products of the coded
+  matmul master.
 """
 
 from repro.verify.freivalds import FreivaldsVerifier, MatvecKey, soundness_error
 from repro.verify.matmul import MatmulKey, MatmulVerifier
-from repro.verify.polyverify import MatrixPolynomialVerifier
-from repro.verify.twostage import TwoStageKey, TwoStageVerifier
 
 __all__ = [
     "FreivaldsVerifier",
-    "MatrixPolynomialVerifier",
     "MatvecKey",
     "MatmulKey",
     "MatmulVerifier",
-    "TwoStageKey",
-    "TwoStageVerifier",
     "soundness_error",
 ]

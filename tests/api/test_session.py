@@ -325,9 +325,6 @@ class TestOperandReducedOnce:
     ``submit`` on the session path, at the blocking helper on the bare
     master — and every plan stage after that takes it reduced."""
 
-    #: a scheme feasible at deg_f = 1 and 2, so gramian jobs run too
-    SCHEME2 = SchemeParams(n=6, k=2, s=1, m=1)
-
     @pytest.fixture
     def calls(self, monkeypatch):
         """Callers in the session and master layers of
@@ -347,20 +344,15 @@ class TestOperandReducedOnce:
         return seen
 
     @pytest.mark.parametrize("width", [1, 4])
-    @pytest.mark.parametrize("family", ["fwd", "bwd", "gram"])
+    @pytest.mark.parametrize("family", ["fwd", "bwd"])
     def test_session_submission(self, calls, family, width):
         rng = np.random.default_rng(3)
-        length = {"fwd": 8, "bwd": 12, "gram": 8}[family]
+        length = {"fwd": 8, "bwd": 12}[family]
         ops = [F.random(length, rng) for _ in range(width)]
-        with Session.create(_config(scheme=self.SCHEME2)) as sess:
+        with Session.create(_config()) as sess:
             sess.load(X)
-            if family == "gram":
-                sess.submit_gramian(ops[0]).result()  # builds the gramian master
             del calls[:]
-            if family == "gram":
-                handles = [sess.submit_gramian(w) for w in ops]
-            else:
-                handles = [sess.submit_matvec(w, transpose=family == "bwd") for w in ops]
+            handles = [sess.submit_matvec(w, transpose=family == "bwd") for w in ops]
             sess.flush()
             [h.result() for h in handles]
         assert sess.stats.jobs_per_round[-1] == width
@@ -368,7 +360,7 @@ class TestOperandReducedOnce:
 
     def test_bare_master_entry_points(self, calls):
         rng = np.random.default_rng(4)
-        with Session.create(_config(scheme=self.SCHEME2)) as sess:
+        with Session.create(_config()) as sess:
             sess.load(X)
             master = sess.master
             del calls[:]
@@ -380,25 +372,6 @@ class TestOperandReducedOnce:
 
 
 class TestOtherWorkloads:
-    def test_gramian_jobs_batch(self):
-        cfg = _config(scheme=SchemeParams(n=8, k=3, s=1, m=1), workers=())
-        rng = np.random.default_rng(9)
-        ws = [F.random(8, rng) for _ in range(3)]
-        xt = np.ascontiguousarray(X.T)
-        with Session.create(cfg) as sess:
-            sess.load(X)
-            handles = [sess.submit_gramian(w) for w in ws]
-            for w, h in zip(ws, handles):
-                expect = ff_matvec(F, xt, ff_matvec(F, X, w))
-                assert np.array_equal(h.result(), expect)
-        assert sess.stats.rounds_executed == 1
-        assert sess.stats.jobs_per_round == [3]
-
-    def test_gramian_requires_load(self):
-        with Session.create(_config(workers=())) as sess:
-            with pytest.raises(RuntimeError, match="load"):
-                sess.submit_gramian(F.random(8, RNG))
-
     def test_matmul_executes_immediately(self):
         rng = np.random.default_rng(21)
         a = F.random((8, 6), rng)
@@ -483,7 +456,7 @@ class TestNoBespokeConstructionOutsideCore:
 
     FORBIDDEN = re.compile(
         r"\b(SimCluster|TcpCluster|AVCCMaster|"
-        r"LCCMaster|UncodedMaster|GramianAVCCMaster|"
+        r"LCCMaster|UncodedMaster|"
         r"CodedMatmulAVCCMaster)\s*\("
     )
 
@@ -531,18 +504,20 @@ class TestJobHandle:
             assert h1.record is h2.record
 
 
-class TestGramianSurvivesDynamicRecoding:
-    """The lazily-built gramian master shares the backend pool with the
-    matvec master; when dynamic re-coding evicts a Byzantine worker the
-    gramian master must stop dispatching to it too (on wall-clock
-    backends a dispatch to a dropped worker raises)."""
+class TestMatmulUsesTheSessionRoster:
+    """A matmul job is coded over the session master's roster: a worker
+    AVCC evicted, or one the caller released, gets no share and takes no
+    part in the round. (A dispatch to a dropped worker raises on every
+    backend.)"""
 
     def _cfg(self, backend):
-        specs = [WorkerSpec() for _ in range(8)]
-        specs[2] = WorkerSpec(behavior="reverse")
+        # every honest worker straggles, so the forger's result is the
+        # first to land and is checked in every round, on both backends
+        specs = [WorkerSpec(straggler_factor=11.0) for _ in range(12)]
+        specs[1] = WorkerSpec(behavior="reverse")
         opts = {"straggle_scale": 0.01} if backend == "tcp" else {}
         return SessionConfig(
-            scheme=SchemeParams(n=8, k=3, s=1, m=1),
+            scheme=SchemeParams(n=12, k=4, s=1, m=1),
             master="avcc",
             backend=backend,
             seed=1,
@@ -550,23 +525,35 @@ class TestGramianSurvivesDynamicRecoding:
             backend_options=opts,
         )
 
+    def _matmul_without(self, sess, gone):
+        rng = np.random.default_rng(5)
+        a, b = F.random((8, 6), rng), F.random((6, 10), rng)
+        handle = sess.submit_matmul(a, b, p=2, q=2)
+        np.testing.assert_array_equal(handle.result(), ff_matmul(F, a, b))
+        record = handle.record
+        assert record.round_name == "matmul"
+        took_part = {
+            *record.used_workers,
+            *record.rejected_workers,
+            *(wid for wid, _ in record.worker_latencies),
+        }
+        assert took_part and not took_part & set(gone)
+
     @pytest.mark.parametrize("backend", ["sim", "tcp"])
-    def test_gramian_round_after_byzantine_eviction(self, backend):
-        rng = np.random.default_rng(3)
-        w = F.random(8, rng)
-        xt = np.ascontiguousarray(X.T)
-        expect = ff_matvec(F, xt, ff_matvec(F, X, w))
+    def test_matmul_after_byzantine_eviction(self, backend):
         with Session.create(self._cfg(backend)) as sess:
             sess.load(X)
-            # round 1 exposes the forger to both masters
+            w = F.random(8, RNG)
             assert np.array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
-            assert np.array_equal(sess.submit_gramian(w).result(), expect)
-            out = sess.end_iteration()
-            if 2 in out.dropped_workers:
-                assert 2 not in sess._gramian_master.active
-            # the gramian service must keep working on the reduced pool
-            assert np.array_equal(sess.submit_gramian(w).result(), expect)
-            assert np.array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
+            assert sess.end_iteration().dropped_workers == (1,)
+            self._matmul_without(sess, (1,))
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_matmul_after_release(self, backend):
+        with Session.create(self._cfg(backend)) as sess:
+            sess.load(X)
+            sess.release_workers([0, 5])
+            self._matmul_without(sess, (0, 5))
 
 
 class TestCloseDuringUnwind:
@@ -619,10 +606,7 @@ class TestClosedSessionLetsGo:
         rng = np.random.default_rng(8)
         x = F.random((12, 8), rng)
         w, e = F.random(8, rng), F.random(12, rng)
-        scheme = SchemeParams(n=8, k=3, s=1, m=1)  # room for the degree-2 family
-        sess = Session.create(
-            _config(backend=backend, scheme=scheme, workers=(), audit=True)
-        )
+        sess = Session.create(_config(backend=backend, workers=(), audit=True))
         stacks = _share_stack_refs(sess.backend)
         with sess:
             sess.load(x)
@@ -630,20 +614,19 @@ class TestClosedSessionLetsGo:
             handles = [
                 sess.submit_matvec(w),
                 sess.submit_matvec(e, transpose=True),
-                sess.submit_gramian(w),
             ]
             results = [h.result().copy() for h in handles]
             sess.end_iteration()
             refs = [*stacks, weakref.ref(sess._x)]
             now, summary, head = sess.scheme_now, sess.stats.summary(), sess.audit.head
         gc.collect()
-        assert [r() is None for r in refs] == [True] * 4
+        assert [r() is None for r in refs] == [True] * 3
         # the closed session and its resolved handles are all still here
         assert (sess.scheme_now, sess.stats.summary(), sess.audit.head) == (now, summary, head)
-        assert sess.audit.verify_chain() == len(sess.audit) == 3
+        assert sess.audit.verify_chain() == len(sess.audit) == 2
         for h, want in zip(handles, results):
             np.testing.assert_array_equal(h.result(), want)
-            assert h.record.n_verified >= scheme.k
+            assert h.record.n_verified >= SCHEME.k
 
     def test_socket_master_holds_no_share_stack_after_load(self):
         """The daemons own copies of their shares, so once ``load`` has

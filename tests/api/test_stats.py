@@ -211,7 +211,6 @@ class TestServingHooks:
             assert prior > 0.0
             assert sess.estimate_round_time("fwd", width=8) > prior
             assert sess.estimate_round_time("bwd") > 0.0
-            assert sess.estimate_round_time("gramian") > 0.0
             sess.submit_matvec(F.random(8, RNG)).result()
             blended = sess.estimate_round_time("fwd", width=1)
             observed = sess.stats.recent_round_time()
@@ -248,26 +247,6 @@ class TestServingHooks:
             assert got_mm.tobytes() == ff_matmul(F, a, b).tobytes()
             with pytest.raises(ValueError, match="unknown request family"):
                 sess.submit(_Req("fft", w))
-
-    def test_submit_gramian_request(self):
-        class _Req:
-            family = "gramian"
-            transpose = False
-            operand_b = None
-
-            def __init__(self, operand):
-                self.operand = operand
-
-        from repro.ff import ff_matmul, ff_matvec
-
-        scheme = SchemeParams(n=12, k=4, s=2, m=1)
-        with Session.create(_config(scheme=scheme)) as sess:
-            x = F.random((12, 6), RNG)
-            sess.load(x)
-            w = F.random(6, RNG)
-            got = sess.submit(_Req(w)).result()
-            expected = ff_matvec(F, ff_matmul(F, x.T.copy(), x), w)
-            assert got.tobytes() == expected.tobytes()
 
     def test_estimate_is_finite_and_sane(self):
         with Session.create(_config()) as sess:

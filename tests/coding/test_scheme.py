@@ -137,9 +137,9 @@ class TestBoundaryEquality:
             SchemeParams(n=11, k=9, s=1, m=1, t=1).validate_for("avcc")
 
 
-class TestGramianBounds:
-    """deg_f = 2 (the gramian master's workload): thresholds and
-    feasibility double the K-dependent term, per Eq. (14)."""
+class TestDegreeTwoBounds:
+    """deg_f = 2: thresholds and feasibility double the K-dependent
+    term, per Eq. (14)."""
 
     def test_recovery_threshold_doubles_degree_term(self):
         p1 = SchemeParams(n=20, k=3, deg_f=1)
@@ -147,7 +147,7 @@ class TestGramianBounds:
         assert p1.recovery_threshold == 3
         assert p2.recovery_threshold == 5  # (3-1)*2 + 1
 
-    def test_gramian_exact_feasibility(self):
+    def test_degree_two_exact_feasibility(self):
         # (K+T-1)*2 + S + M + 1 = 4 + 1 + 1 + 1 = 7
         p = SchemeParams(n=7, k=3, s=1, m=1, deg_f=2)
         assert p.avcc_required_n == 7
@@ -155,12 +155,11 @@ class TestGramianBounds:
         with pytest.raises(ValueError, match="Eq. 2"):
             SchemeParams(n=6, k=3, s=1, m=1, deg_f=2).validate_for("avcc")
 
-    def test_gramian_lcc_still_pays_double_m(self):
+    def test_degree_two_lcc_still_pays_double_m(self):
         p = SchemeParams(n=20, k=3, s=1, m=2, deg_f=2)
         assert p.lcc_required_n - p.avcc_required_n == p.m
 
-    def test_experimental_gramian_shape(self):
-        # the session's lazy gramian master uses scheme.with_(deg_f=2);
+    def test_experimental_degree_two_shape(self):
         # the paper's (12, 9) matvec shape is NOT deg-2 feasible
         p = SchemeParams(n=12, k=9, s=1, m=1).with_(deg_f=2)
         assert p.recovery_threshold == 17

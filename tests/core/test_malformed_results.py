@@ -21,7 +21,6 @@ from repro.coding import SchemeParams
 from repro.core import (
     AVCCMaster,
     CodedMatmulAVCCMaster,
-    GramianAVCCMaster,
     InsufficientResultsError,
     LCCMaster,
     UncodedMaster,
@@ -41,7 +40,6 @@ BEYOND = {
     "static_vcc": 4,
     "lcc": 4,
     "uncoded": 1,
-    "gramian": 6,  # need (4 - 1) * 2 + 1 = 7
     "matmul": 9,  # need p * q = 4
 }
 
@@ -86,10 +84,6 @@ def _round(master: str, bad: set[int], kind: str):
         mm = CodedMatmulAVCCMaster(backend, p=2, q=2, s=1, m=1, rng=rng)
         mm.setup(a, b)
         return mm.multiply(), ff_matmul(F, a, b)
-    if master == "gramian":
-        gm = GramianAVCCMaster(backend, SCHEME.with_(k=4, deg_f=2), rng=rng)
-        gm.setup(x)
-        return gm.gramian_round(w), ff_matvec(F, x.T.copy(), ff_matvec(F, x, w))
     mv = {
         "avcc": lambda: AVCCMaster(backend, SCHEME, rng=rng),
         "static_vcc": lambda: AVCCMaster(backend, SCHEME, adaptive=False, rng=rng),

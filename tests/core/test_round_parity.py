@@ -59,11 +59,11 @@ PINNED = {
         "c73e95830bacc804fbde6b873dcd6c73",
     ),
 }
-#: the gramian and matmul masters -> (outputs, records, audit head)
+#: the matmul master -> (outputs, records, audit head)
 PINNED_AUX = (
-    "06c1a9a8764b8e66b28e5210a9f4b980",
-    "5d68fdf0cc77061ca7ef920c4bd14bfd",
-    "4b1544039efa93e830dda6d368e2430984d1569c0b20623f0c7423221734e0d9",
+    "701173e14aea8df0ac506e79f827ff9c",
+    "b17a543a3f79071adc47237a5aea0542",
+    "0ba3e9fcfef388c31ddf03808f42c10b52b3ee4265cd95b1c47315db8dca70b0",
 )
 
 
@@ -130,7 +130,7 @@ def test_session_master_pinned(method):
     assert got == PINNED[method]
 
 
-def test_gramian_and_matmul_masters_pinned():
+def test_matmul_master_pinned():
     config = dataclasses.replace(
         scenario_config("avcc", CFG, s=1, m=1, **FAULTS),
         scheme=SchemeParams(n=12, k=4, s=1, m=1),
@@ -142,19 +142,17 @@ def test_gramian_and_matmul_masters_pinned():
     with Session.create(config) as sess:
         field = sess.field
         sess.load(ds.x_train)
-        handles = [sess.submit_gramian(field.random(ds.d, rng))]
-        handles += [sess.submit_gramian(field.random(ds.d, rng)) for _ in range(3)]
-        sess.flush()
         # a matvec round lets AVCC catch the Byzantine worker; the
-        # iteration boundary then drops it from the gramian roster too
-        handles.append(sess.submit_matvec(field.random(ds.d, rng)))
+        # iteration boundary then evicts it
+        handles = [sess.submit_matvec(field.random(ds.d, rng))]
         sess.end_iteration()
-        handles.append(sess.submit_gramian(field.random(ds.d, rng)))
         a, b = field.random((8, 6), rng), field.random((6, 10), rng)
         handles.append(sess.submit_matmul(a, b, p=2, q=2))
         outputs = [h.result() for h in handles]
         records = sess.stats.records
         got = (_outputs_digest(outputs), _records_digest(records), sess.audit.head)
-    assert {r.round_name for r in records} == {"gramian", "fwd", "matmul"}
-    assert any(r.rejected_workers == (1,) for r in records)
+    assert [r.round_name for r in records] == ["fwd", "matmul"]
+    assert records[0].rejected_workers == (1,)
+    # the evicted worker is off the roster the matmul is coded over
+    assert 1 not in {wid for wid, _ in records[1].worker_latencies}
     assert got == PINNED_AUX

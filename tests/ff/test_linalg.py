@@ -159,8 +159,8 @@ class TestKernelEquality:
 
     @pytest.mark.parametrize("q", FIELDS)
     def test_non_contiguous_and_transposed_views(self, q):
-        """The gramian job multiplies ``share.T``; column slices and
-        strided rows reach the kernels too."""
+        """Transposed views, column slices and strided rows reach the
+        kernels as they are."""
         f = PrimeField(q)
         r = np.random.default_rng(q + 1)
         share = f.random((300, 16), r)                 # share.T is (16, 300)
@@ -204,8 +204,8 @@ class TestResidentShare:
     @pytest.mark.parametrize("q", [2**25 - 39, 2**31 - 1])
     @pytest.mark.parametrize("float_chunk", [None, 7, 64])
     def test_matvec_transposed_view_and_wide_matmul(self, q, float_chunk):
-        """The three products a worker runs over its share: the matvec,
-        the gramian's ``share.T`` matvec and a width-64 batched round.
+        """Products over a resident share: the matvec, a matvec over
+        the transposed view ``share.T`` and a width-64 batched round.
         ``q = 2**31 - 1`` sums at most 64 terms at once, so its 300-long
         inner runs are chunked anyway; a shrunk ``float_chunk`` forces
         the paper field's chunked path too."""

@@ -5,13 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.ff import (
-    Poly,
-    PrimeField,
-    gauss_rank,
-    vandermonde_matrix,
-    vandermonde_solve,
-)
+from repro.ff import PrimeField, gauss_rank, vandermonde_matrix
 
 F = PrimeField(7919)
 
@@ -33,18 +27,3 @@ class TestMatrix:
         for rows in combinations(range(n), k):
             assert gauss_rank(F, v[list(rows)]) == k
 
-
-class TestSolve:
-    def test_recovers_poly(self, rng):
-        p = Poly(F, rng.integers(0, F.q, size=6))
-        xs = F.distinct_points(6)
-        got = vandermonde_solve(F, xs, p(xs))
-        assert got == p
-
-    def test_constant(self):
-        got = vandermonde_solve(F, np.array([5]), np.array([42]))
-        assert got == Poly(F, [42])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            vandermonde_solve(F, np.array([1, 2]), np.array([1]))

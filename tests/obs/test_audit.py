@@ -395,29 +395,12 @@ class TestRecordReplayProvenance:
             report = gateway.run()
             return report, sess.stats, sess.audit, requests, weights
 
-    def test_trace_records_chain_head_and_round_trips(self):
-        from repro.serve import GatewayRecorder, RecordedTrace
-
-        report, stats, audit, _, _ = self._serve_audited()
-        trace = GatewayRecorder().capture(report, stats, audit=audit)
-        assert trace.audit_head == audit.head
-        blob = trace.to_dict()
-        assert blob["audit_head"] == audit.head
-        assert RecordedTrace.from_dict(json.loads(json.dumps(blob))) == trace
-        # unaudited captures stay byte-identical to pre-audit dumps
-        bare = GatewayRecorder().capture(report, stats)
-        assert bare.audit_head is None
-        assert "audit_head" not in bare.to_dict()
-
     def test_replay_rederives_identical_commitments(self):
-        """Replaying the recorded run must re-derive the same chain:
+        """Replaying the same requests must re-derive the same chain:
         same families, operand/output digests and accept sets, ending
-        at the head the trace recorded — bit-drift in a replayed round
-        would surface here as a provenance mismatch."""
-        from repro.serve import GatewayRecorder
-
-        report, stats, audit, requests, weights = self._serve_audited()
-        trace = GatewayRecorder().capture(report, stats, audit=audit)
+        at the same head — bit-drift in a replayed round would surface
+        here as a provenance mismatch."""
+        _, _, audit, requests, weights = self._serve_audited()
         _, _, replay_audit, _, _ = self._serve_audited(
             requests=requests, weights=weights
         )
@@ -431,7 +414,7 @@ class TestRecordReplayProvenance:
         ]
         assert replayed == commitments
         replay_audit.verify_chain()
-        assert replay_audit.head == trace.audit_head
+        assert replay_audit.head == audit.head
 
 
 # ----------------------------------------------------------------------

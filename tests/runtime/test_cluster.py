@@ -10,6 +10,7 @@ from repro.runtime import (
     CostModel,
     Honest,
     ReversedValueAttack,
+    RoundJob,
     SilentFailure,
     SimCluster,
     SimWorker,
@@ -81,6 +82,20 @@ class TestDistribute:
         c = _mk_cluster(n=3)
         with pytest.raises(ValueError, match="fewer shares"):
             c.distribute("X", F.random((2, 2), rng))
+
+    def test_a_dropped_worker_is_refused(self, rng):
+        """``Backend.drop_workers``'s contract, as the socket cluster
+        keeps it: a dropped id in later participants raises."""
+        c = _mk_cluster(n=4)
+        c.distribute("X", F.random((4, 3, 6), rng))
+        c.drop_workers([2])
+        job = RoundJob(payload_key="X", operand=F.random(6, rng))
+        with pytest.raises(ValueError, match=r"workers \[2\] were dropped"):
+            c.dispatch_round(job, participants=[0, 2])
+        with pytest.raises(ValueError, match=r"workers \[2\] were dropped"):
+            c.distribute("Y", F.random((2, 3, 6), rng), participants=[3, 2])
+        handle = c.dispatch_round(job, participants=[0, 1, 3])
+        assert sorted(a.worker_id for a in handle) == [0, 1, 3]
 
 
 class TestRunRound:

@@ -14,7 +14,6 @@ from repro.runtime import (
     ReversedValueAttack,
     ShiftedExponentialLatency,
     SilentFailure,
-    TraceLatency,
     make_profiles,
 )
 
@@ -57,43 +56,6 @@ class TestLatencyModels:
     def test_make_profiles_bad_id(self):
         with pytest.raises(ValueError, match="out of range"):
             make_profiles(3, {5: 2.0})
-
-
-class TestTraceLatency:
-    def test_replays_samples_in_order(self, rng):
-        t = TraceLatency([1.0, 2.0, 0.5])
-        assert [t.sample(2.0, rng) for _ in range(3)] == [2.0, 4.0, 1.0]
-
-    def test_wraps_around(self, rng):
-        t = TraceLatency([1.0, 3.0])
-        assert [t.sample(1.0, rng) for _ in range(5)] == [1.0, 3.0, 1.0, 3.0, 1.0]
-
-    def test_start_offset_shifts_replay(self, rng):
-        t = TraceLatency([1.0, 2.0, 4.0], start=2)
-        assert [t.sample(1.0, rng) for _ in range(3)] == [4.0, 1.0, 2.0]
-
-    def test_reset_rewinds_to_start(self, rng):
-        t = TraceLatency([1.0, 2.0], start=1)
-        assert t.sample(1.0, rng) == 2.0
-        t.reset()
-        assert t.sample(1.0, rng) == 2.0
-
-    def test_ignores_rng(self):
-        # replay is deterministic: the generator plays no part
-        a = TraceLatency([1.5, 2.5])
-        b = TraceLatency([1.5, 2.5])
-        r1, r2 = np.random.default_rng(0), np.random.default_rng(999)
-        assert [a.sample(1.0, r1) for _ in range(4)] == [
-            b.sample(1.0, r2) for _ in range(4)
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            TraceLatency([])
-        with pytest.raises(ValueError, match="positive"):
-            TraceLatency([1.0, 0.0])
-        with pytest.raises(ValueError, match="start"):
-            TraceLatency([1.0], start=-1)
 
 
 class TestBehaviors:

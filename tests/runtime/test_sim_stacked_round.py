@@ -167,21 +167,17 @@ def test_restored_worker_computes_its_own_share(width, rng, compute_calls):
     assert len(compute_calls) - before == N + 1
 
 
-@pytest.mark.parametrize("op", ["gramian", "matmul"])
-def test_gramian_and_matmul_rounds_run_per_worker(op, rng, compute_calls):
+def test_matmul_rounds_run_per_worker(rng, compute_calls):
     field = PrimeField()
     shares = field.random((N, 20, 30), rng)
     stacked, reference = _pair(field, shares)
-    if op == "matmul":
-        rhs = field.random((N, 30, 12), rng)
-        for c in (stacked, reference):
-            c.distribute("rhs", rhs)
-        job = RoundJob(op="matmul", rhs_key="rhs")
-    else:
-        job = RoundJob(op="gramian", operand=field.random(30, rng))
+    rhs = field.random((N, 30, 12), rng)
+    for c in (stacked, reference):
+        c.distribute("rhs", rhs)
+    job = RoundJob(op="matmul", rhs_key="rhs")
     before = len(compute_calls)
     _assert_same_round(field, stacked, reference, job)
-    assert compute_calls[before:] == [op] * (2 * N)
+    assert compute_calls[before:] == ["matmul"] * (2 * N)
 
 
 def test_results_do_not_alias_across_workers(rng):

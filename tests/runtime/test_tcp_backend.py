@@ -154,6 +154,34 @@ class TestWireProtocol:
         with pytest.raises(WireError, match="unknown flag bits 0x10"):
             decode_payload(MSG_CODES["result"], memoryview(result))
 
+    def test_round_frames_keep_their_protocol_3_bytes(self):
+        """The op codes are matvec 0 and matmul 1; both round frames
+        are byte for byte what protocol 3 has always sent."""
+        matvec = encode_frame(
+            "round",
+            {"rid": 7, "op": "matvec", "payload_key": "x", "attest": True},
+            (np.arange(3, dtype="<i8"),),
+        )
+        matmul = encode_frame(
+            "round", {"rid": 8, "op": "matmul", "payload_key": "a", "rhs_key": "b", "trace": True}
+        )
+        assert b"".join(matvec).hex() == (
+            "4156030418a566a000000033040000000000000007000000000178000101010000"
+            "000000000003000000000000000001000000000000000200000000000000"
+        )
+        assert b"".join(matmul).hex() == (
+            "41560304874b175e0000001603000000000000000801000000016100000001620000"
+        )
+
+    def test_the_retired_op_code_is_refused(self):
+        """Code 2 named an op no build runs any more: a round record
+        carrying it is refused on decode, and no op name encodes to it."""
+        record = struct.pack(">BQB", 0, 1, 2) + wire_str("s") + array_table()
+        with pytest.raises(WireError, match="unknown round op code 2"):
+            decode_payload(MSG_CODES["round"], memoryview(record))
+        with pytest.raises(WireError, match="do not fit"):
+            encode_frame("round", {"rid": 1, "op": "gramian", "payload_key": "s"})
+
     def test_descriptor_sign_and_inference_cannot_be_sent(self):
         """Protocol 2 trusted a descriptor's ``nbytes`` sign and a -1 in
         its ``shape``; dims are unsigned now and byte lengths derived,
@@ -553,11 +581,11 @@ class TestExternalFleet:
 
 class TestFamilyParityVsSim:
     """Byte-identical decode vs the simulator for every master family
-    (fwd, bwd, gramian, matmul) through the Session front door."""
+    (fwd, bwd, matmul) through the Session front door."""
 
     SCHEME = SchemeParams(n=8, k=3, s=1, m=1)
 
-    def _serve_all(self, backend, x, w, e, g):
+    def _serve_all(self, backend, x, w, e):
         cfg = SessionConfig(
             scheme=self.SCHEME,
             backend=backend,
@@ -568,22 +596,17 @@ class TestFamilyParityVsSim:
             sess.load(x)
             fwd = sess.submit_matvec(w).result()
             bwd = sess.submit_matvec(e, transpose=True).result()
-            gram = sess.submit_gramian(g).result()
             mm = sess.submit_matmul(x, x.T.copy()).result()
-        return fwd, bwd, gram, mm
+        return fwd, bwd, mm
 
     def test_all_families_byte_identical(self, rng):
         x = F.random((12, 8), rng)
         w = F.random(8, rng)
         e = F.random(12, rng)
-        g = F.random(8, rng)
-        sim = self._serve_all("sim", x, w, e, g)
-        tcp = self._serve_all("tcp", x, w, e, g)
-        for name, a, b in zip(("fwd", "bwd", "gram", "matmul"), sim, tcp):
+        sim = self._serve_all("sim", x, w, e)
+        tcp = self._serve_all("tcp", x, w, e)
+        for name, a, b in zip(("fwd", "bwd", "matmul"), sim, tcp):
             assert a.tobytes() == b.tobytes(), name
         np.testing.assert_array_equal(tcp[0], ff_matvec(F, x, w))
         np.testing.assert_array_equal(tcp[1], ff_matvec(F, x.T.copy(), e))
-        np.testing.assert_array_equal(
-            tcp[2], ff_matvec(F, x.T.copy(), ff_matvec(F, x, g))
-        )
-        np.testing.assert_array_equal(tcp[3], ff_matmul(F, x, x.T.copy()))
+        np.testing.assert_array_equal(tcp[2], ff_matmul(F, x, x.T.copy()))

@@ -82,7 +82,7 @@ FIELDS = {
     "round": st.tuples(
         st.fixed_dictionaries({
             "rid": u64,
-            "op": st.sampled_from(["matvec", "matmul", "gramian"]),
+            "op": st.sampled_from(["matvec", "matmul"]),
             "payload_key": text,
             "rhs_key": st.none() | text,
         }),

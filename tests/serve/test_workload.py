@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.ff import DEFAULT_PRIME, PrimeField
-from repro.runtime.latency import TraceLatency
 from repro.serve import (
     BurstyArrivals,
     ClosedLoopSource,
@@ -15,7 +14,6 @@ from repro.serve import (
     PoissonArrivals,
     Request,
     TenantSpec,
-    TraceArrivals,
     WorkloadGenerator,
 )
 
@@ -67,7 +65,12 @@ class TestRequest:
 
     def test_transpose_is_matvec_only(self):
         with pytest.raises(ValueError, match="transpose"):
-            _req(family="gramian", transpose=True)
+            _req(
+                family="matmul",
+                operand=F.random((3, 3), RNG),
+                operand_b=F.random((3, 3), RNG),
+                transpose=True,
+            )
 
     def test_no_deadline_never_expires(self):
         r = _req()
@@ -112,12 +115,6 @@ class TestArrivalProcesses:
         trough = [p.interarrival(75.0, rng) for _ in range(2000)]
         assert np.mean(peak) < np.mean(trough)
 
-    def test_trace_arrivals_replay_and_wrap(self):
-        trace = TraceArrivals(TraceLatency([1.0, 2.0, 4.0]), base_interval=0.5)
-        rng = np.random.default_rng(0)
-        gaps = [trace.interarrival(0.0, rng) for _ in range(5)]
-        assert gaps == [0.5, 1.0, 2.0, 0.5, 1.0]  # wraps after 3 samples
-
 
 class TestTenantSpec:
     def test_family_mix_must_sum_to_one(self):
@@ -132,7 +129,7 @@ class TestTenantSpec:
         # sums to 1.0, but must still fail at construction — not as an
         # opaque numpy error mid-trace
         with pytest.raises(ValueError, match=">= 0"):
-            TenantSpec("t", family_mix={"matvec": 1.5, "gramian": -0.5})
+            TenantSpec("t", family_mix={"matvec": 1.5, "matmul": -0.5})
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="weight"):
@@ -177,7 +174,7 @@ class TestWorkloadGenerator:
             [
                 TenantSpec(
                     "mix",
-                    family_mix={"matvec": 0.5, "gramian": 0.3, "matmul": 0.2},
+                    family_mix={"matvec": 0.7, "matmul": 0.3},
                     transpose_fraction=0.5,
                 )
             ],
@@ -191,12 +188,10 @@ class TestWorkloadGenerator:
             seen.add((r.family, r.transpose))
             if r.family == "matvec":
                 assert r.operand.shape == ((24,) if r.transpose else (12,))
-            elif r.family == "gramian":
-                assert r.operand.shape == (12,)
             else:
                 assert r.operand.shape == (5, 5)
                 assert r.operand_b.shape == (5, 5)
-        assert {f for f, _ in seen} == {"matvec", "gramian", "matmul"}
+        assert {f for f, _ in seen} == {"matvec", "matmul"}
         assert ("matvec", True) in seen and ("matvec", False) in seen
 
     def test_deadlines_follow_tenant_slack(self):
