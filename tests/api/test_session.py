@@ -555,6 +555,19 @@ class TestMatmulUsesTheSessionRoster:
             sess.release_workers([0, 5])
             self._matmul_without(sess, (0, 5))
 
+    def test_matmul_budget_is_checked_against_the_roster(self):
+        """Six of twelve workers released: a matmul needing eight is
+        refused before any share is sent, and the session serves on."""
+        with Session.create(self._cfg("sim")) as sess:
+            sess.load(X)
+            sess.release_workers([0, 2, 3, 6, 9, 11])
+            a, b = F.random((8, 6), RNG), F.random((6, 9), RNG)
+            with pytest.raises(ValueError, match="the roster has 6"):
+                sess.submit_matmul(a, b, p=2, q=3)
+            np.testing.assert_array_equal(
+                sess.submit_matmul(a, b, p=2, q=1).result(), ff_matmul(F, a, b)
+            )
+
 
 class TestCloseDuringUnwind:
     def test_exception_in_body_skips_flush_and_propagates(self):

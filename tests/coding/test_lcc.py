@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import LagrangeCode, partition_rows
+from repro.coding import LagrangeCode, partition_rows, unpartition_rows
 from repro.coding import lcc as lcc_module
-from repro.ff import DecodingError, PrimeField, ff_matvec
+from repro.ff import DecodingError, PrimeField, ff_matvec, gauss_rank
 from repro.ff.lagrange import eval_lagrange_basis
 
 F = PrimeField(7919)
@@ -381,3 +381,37 @@ class TestDecodeCorrected:
         got, errs = code.decode_corrected(np.arange(11), shares[:11])
         np.testing.assert_array_equal(got, blocks)
         assert errs.tolist() == [4]
+
+
+class TestLinearSpecialCase:
+    """At ``deg_f = 1`` and ``t = 0`` the Lagrange code is an MDS code,
+    the setting of the paper's Fig. 1: ``X`` split into ``X1, X2`` over
+    three workers, any two of which recover ``X b``."""
+
+    def test_fig1_shares(self, rng):
+        x1, x2 = partition_rows(F.random((4, 3), rng), 2)
+        code = LagrangeCode(F, n=3, k=2)
+        shares = code.encode(np.stack([x1, x2]))
+        u = code.encoding_matrix()
+        np.testing.assert_array_equal(shares[0], x1)
+        np.testing.assert_array_equal(shares[1], x2)
+        np.testing.assert_array_equal(shares[2], (u[0, 2] * x1 + u[1, 2] * x2) % F.q)
+
+    @pytest.mark.parametrize("straggler", [0, 1, 2])
+    def test_fig1_any_one_straggler(self, straggler, rng):
+        x, b = F.random((4, 3), rng), F.random(3, rng)
+        code = LagrangeCode(F, n=3, k=2)
+        results = np.stack([ff_matvec(F, s, b) for s in code.encode(partition_rows(x, 2))])
+        idx = np.array([i for i in range(3) if i != straggler])
+        got = code.decode(idx, results[idx])
+        np.testing.assert_array_equal(unpartition_rows(got), ff_matvec(F, x, b))
+
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_every_square_column_subset_of_u_invertible(self, t):
+        """The MDS property of ``U``: the columns of any ``k + t``
+        workers are independent, so any ``k + t`` linear evaluations
+        decode."""
+        code = LagrangeCode(F, n=7, k=3, t=t)
+        u = code.encoding_matrix()
+        for cols in combinations(range(7), 3 + t):
+            assert gauss_rank(F, u[:, list(cols)]) == 3 + t

@@ -2,8 +2,8 @@
 
 A result that is not an integer array of residues in ``[0, q)`` of the
 shape its round implies — one row short, a float dtype, an extra axis,
-an honest value shifted by a multiple of ``q`` — is rejected the way a
-failed Freivalds check is, on every master: it never counts toward the
+an honest value shifted by a multiple of ``q``, or not an ``int64``
+array at all — is rejected the way a failed Freivalds check is, on every master: it never counts toward the
 recovery threshold and never raises out of the round. Within the
 provisioned budget the round decodes exactly from the other workers and
 names the malformed one in ``rejected_workers``; beyond it the master
@@ -58,12 +58,25 @@ class Malformed:
             return result.astype(np.float64)
         if self.kind in NON_RESIDUE:  # the right value, not a residue
             return result + NON_RESIDUE[self.kind] * field.q
+        if self.kind in NOT_AN_INT64_ARRAY:  # the right value, a wrong type
+            return NOT_AN_INT64_ARRAY[self.kind](result)
         return result[np.newaxis]  # wrong ndim
 
 
 #: multiples of ``q`` added to an honest result: each entry is then
 #: congruent to the right one but outside ``[0, q)``
 NON_RESIDUE = {"plus_q": 1, "minus_q": -1, "plus_2**30_q": 2**30}
+
+#: an honest result handed over as something other than an ndarray of
+#: the round's shape whose dtype widens to ``int64`` without loss
+NOT_AN_INT64_ARRAY = {
+    "list": lambda r: r.tolist(),
+    "scalar": lambda r: r.reshape(-1)[0],
+    "empty": lambda r: r[:0],
+    "object": lambda r: r.astype(object),
+    "uint64": lambda r: r.astype(np.uint64),
+    "complex": lambda r: r.astype(np.complex128),
+}
 
 
 def _round(master: str, bad: set[int], kind: str):
@@ -94,7 +107,9 @@ def _round(master: str, bad: set[int], kind: str):
     return mv.forward_round(w), ff_matvec(F, x, w)
 
 
-@pytest.mark.parametrize("kind", ["short", "float", "wrong_ndim", *NON_RESIDUE])
+@pytest.mark.parametrize(
+    "kind", ["short", "float", "wrong_ndim", *NON_RESIDUE, *NOT_AN_INT64_ARRAY]
+)
 @pytest.mark.parametrize("master", sorted(BEYOND))
 def test_malformed_result_is_rejected_not_raised(master, kind):
     if BEYOND[master] > 1:  # within budget: exact, the worker named

@@ -157,6 +157,50 @@ class TestOverTcpFleet:
                 master.multiply()
 
 
+class TestRoster:
+    """``participants`` names the workers the master codes over (the
+    session passes its matvec master's roster): the worker budget is
+    checked against it, and no other worker gets a share or a round."""
+
+    ROSTER = [1, 2, 4, 5, 7, 8]
+
+    def _took_part(self, record):
+        return {
+            *record.used_workers,
+            *record.rejected_workers,
+            *(wid for wid, _ in record.worker_latencies),
+        }
+
+    def test_budget_is_checked_against_the_roster(self):
+        with pytest.raises(ValueError, match="the roster has 5"):
+            CodedMatmulAVCCMaster(
+                make_cluster(), p=2, q=2, s=1, m=1, participants=self.ROSTER[:5]
+            )
+
+    def test_only_the_roster_serves(self, factors):
+        a, b = factors
+        master = CodedMatmulAVCCMaster(
+            make_cluster(), p=2, q=3, s=0, m=0, participants=self.ROSTER
+        )
+        master.setup(a, b)
+        out = master.multiply()
+        np.testing.assert_array_equal(out.vector, ff_matmul(F, a, b))
+        assert master.scheme_now == (6, 6)
+        assert self._took_part(out.record) == set(self.ROSTER)
+
+    def test_a_forger_in_the_roster_is_rejected(self, factors):
+        a, b = factors
+        cluster = make_cluster(behaviors={4: ConstantAttack()})
+        master = CodedMatmulAVCCMaster(
+            cluster, p=2, q=2, s=1, m=1, participants=self.ROSTER
+        )
+        master.setup(a, b)
+        out = master.multiply()
+        np.testing.assert_array_equal(out.vector, ff_matmul(F, a, b))
+        assert out.record.rejected_workers == (4,)
+        assert self._took_part(out.record) <= set(self.ROSTER)
+
+
 class TestValidation:
     def test_worker_budget(self):
         with pytest.raises(ValueError, match="p\\*q \\+ S \\+ M"):

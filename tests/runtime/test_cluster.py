@@ -97,6 +97,18 @@ class TestDistribute:
         handle = c.dispatch_round(job, participants=[0, 1, 3])
         assert sorted(a.worker_id for a in handle) == [0, 1, 3]
 
+    def test_drops_accumulate(self, rng):
+        c = _mk_cluster(n=4)
+        c.distribute("X", F.random((4, 3, 6), rng))
+        c.drop_workers([2])
+        c.drop_workers([0])
+        job = RoundJob(payload_key="X", operand=F.random(6, rng))
+        for gone in (0, 2):
+            with pytest.raises(ValueError, match=rf"workers \[{gone}\] were dropped"):
+                c.dispatch_round(job, participants=[1, gone, 3])
+        handle = c.dispatch_round(job, participants=[1, 3])
+        assert sorted(a.worker_id for a in handle) == [1, 3]
+
 
 class TestRunRound:
     def _setup(self, c, rng, d=6):

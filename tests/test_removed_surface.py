@@ -13,10 +13,13 @@ import importlib
 import pkgutil
 from functools import partial
 
+import numpy as np
 import pytest
 
 import repro
-from repro.api import JobRequest, Session
+from repro.api import JobRequest, Session, SessionConfig
+from repro.coding import SchemeParams
+from repro.ff import PrimeField
 from repro.runtime import RoundJob
 from repro.serve import TenantSpec
 
@@ -60,6 +63,17 @@ def _refuse_gramian_round_job():
         RoundJob(op="gramian", operand=None)
 
 
+def _no_gramian_round_time_prior():
+    """``gramian`` is an unknown family to the round-time estimate: it
+    has no cost-model prior, so before any round has run it reads 0."""
+    field = PrimeField()
+    cfg = SessionConfig(scheme=SchemeParams(n=8, k=3, s=1, m=1), seed=0)
+    with Session.create(cfg) as sess:
+        sess.load(field.random((12, 8), np.random.default_rng(0)))
+        assert sess.estimate_round_time("fwd") > 0.0
+        assert sess.estimate_round_time("gramian") == 0.0
+
+
 def _export_absent(package: str, name: str) -> None:
     mod = importlib.import_module(package)
     assert name not in mod.__all__
@@ -78,6 +92,7 @@ CASES = [
         _refuse_gramian_job_request,
         _refuse_gramian_tenant,
         _refuse_gramian_round_job,
+        _no_gramian_round_time_prior,
     )
 ]
 CASES += [
