@@ -9,7 +9,10 @@ two medians taken back to back (the plain full product over
 runs, not how fast the runner is); ``coding_setup_alloc_headroom`` and
 ``setup_retained_headroom`` are ratios of byte counts, the same on
 every machine — what building a configuration allocates at its peak,
-and what a master keeps once it has shipped the shares.
+and what a master keeps once it has shipped the shares. A fourth,
+``coding_systematic_decode_speedup``, guards a round's decode: the
+full-basis product over :meth:`LagrangeCode.decode`, best of N each,
+on batch_wide_sim's shapes.
 """
 
 import statistics
@@ -22,6 +25,8 @@ import pytest
 from _metrics import record_metric
 from repro.coding import LagrangeCode, SchemeParams
 from repro.core import AVCCMaster, EncodingCache
+from repro.ff.lagrange import eval_lagrange_basis
+from repro.ff.linalg import matmul_reduced
 from repro.runtime import SimCluster, SimWorker
 
 
@@ -121,6 +126,42 @@ def test_decode_subset_choice_irrelevant(benchmark, field, rng):
     idx = np.array([11, 9, 7, 5, 3, 1, 0, 2, 4])  # scattered subset
     out = benchmark(code.decode, idx, shares[idx])
     np.testing.assert_array_equal(out, blocks)
+
+
+def _best_pair_s(first, second, calls=50):
+    """Best-of-``calls`` seconds of two functions, called alternately
+    so both see the same box."""
+    best = [float("inf"), float("inf")]
+    for _ in range(calls):
+        for i, fn in enumerate((first, second)):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def test_systematic_decode_against_the_full_basis(benchmark, field, rng):
+    """batch_wide_sim's decode: 9 verified width-64 results of 134-row
+    blocks, handed over as the arrivals they are, 7 of them from
+    systematic workers. The decoder copies those 7 blocks and
+    interpolates the other 2; the full-basis product it replaced
+    stacked the 9 results and interpolated all 9 blocks."""
+    n, k = 12, 9
+    code = LagrangeCode(field, n=n, k=k)
+    blocks = field.random((k, 134, 64), rng)
+    shares = code.encode(blocks)
+    idx = np.array([0, 10, 1, 2, 3, 11, 4, 5, 6])  # blocks 7 and 8 missing
+    results = [shares[i].copy() for i in idx]
+    out = benchmark(code.decode, idx, results)
+    assert out.tobytes() == blocks.tobytes()
+    basis_t = np.ascontiguousarray(eval_lagrange_basis(field, code.alpha[idx], code.beta[:k]).T)
+
+    def full():
+        return matmul_reduced(field, basis_t, np.stack(results).reshape(k, -1))
+
+    assert full().tobytes() == blocks.reshape(k, -1).tobytes()
+    full_s, decode_s = _best_pair_s(full, lambda: code.decode(idx, results))
+    record_metric("coding_systematic_decode_speedup", full_s / decode_s)
 
 
 def test_privacy_padding_encode_overhead(benchmark, field, rng):

@@ -94,6 +94,7 @@ class LagrangeCode:
         self.beta = beta
         # Encoding matrix U[j, i] = l_j(alpha_i), Eq. (13); shape (k+t, n).
         self._u = eval_lagrange_basis(field, beta, alpha)
+        self._systematic = bool(np.array_equal(alpha[:k], beta[:k])) and t == 0
         #: sorted responder ids -> their decode basis (see _decode_basis)
         self._decode_bases: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -101,7 +102,7 @@ class LagrangeCode:
     @property
     def is_systematic(self) -> bool:
         """True when worker ``i < k`` receives ``X_{i+1}`` verbatim."""
-        return bool(np.array_equal(self.alpha[: self.k], self.beta[: self.k])) and self.t == 0
+        return self._systematic
 
     def encoding_matrix(self) -> np.ndarray:
         """The ``(k+t, n)`` matrix ``U`` with ``X~ = U.T @ [X; W]``."""
@@ -163,7 +164,7 @@ class LagrangeCode:
             )
         k = self.k
         flat_into = into.reshape(self.n, -1)
-        if self.is_systematic:
+        if self._systematic:
             data = into[:k]
             if blocks.ctypes.data != data.ctypes.data or blocks.strides != data.strides:
                 data[...] = blocks  # not in place already
@@ -187,14 +188,31 @@ class LagrangeCode:
         """Recover ``f(X_1)..f(X_k)`` from verified worker evaluations.
 
         ``indices`` are worker ids (positions into ``alpha``); ``shares``
-        the corresponding ``f(X~_i)`` blocks. Exactly the recovery
-        threshold count is used — callers pass their fastest *verified*
-        results. Extra shares are ignored deterministically (the first
-        ``threshold`` in the order given).
+        the corresponding ``f(X~_i)`` blocks, as one ``(R, ...)`` array
+        or a sequence of ``R`` equal-shape arrays (a master's arrivals),
+        stacked here. Exactly the recovery threshold count is used —
+        callers pass their fastest *verified* results. Extra shares are
+        ignored deterministically (the first ``threshold`` in the order
+        given).
+
+        A systematic code (:attr:`is_systematic`) copies block ``j``
+        from the share of worker ``j < k`` whenever that worker is among
+        the used shares — it evaluated at ``alpha_j = beta_j``, so its
+        share *is* ``f(X_j)``, for any ``deg_f`` — and interpolates only
+        the missing blocks, from their columns of the decode basis: the
+        work falls from ``k`` to (missing) rows of the ``(k, R)``
+        product, with the bytes of the full one. Any other code
+        interpolates every block.
+
+        Shares are validated, not re-reduced: ``int64`` residues cost a
+        min/max scan and no copy (:meth:`PrimeField.ensure_reduced`);
+        anything else is reduced into a copy, floats raise.
         """
         field = self.field
         idx = np.asarray(indices, dtype=np.int64)
-        shares = field.asarray(shares)
+        if not isinstance(shares, np.ndarray):
+            shares = np.stack(shares)  # np.asarray of arrays is several times slower
+        shares = field.ensure_reduced(shares)
         if idx.ndim != 1 or shares.shape[0] != idx.size:
             raise ValueError("indices/shares mismatch")
         if np.any(idx < 0) or np.any(idx >= self.n):
@@ -207,10 +225,20 @@ class LagrangeCode:
                 f"need {need} shares to decode deg_f={deg_f}, got {idx.size}"
             )
         idx = idx[:need]
-        shares = shares[:need]
         block_shape = shares.shape[1:]
-        flat = shares.reshape(need, -1)
-        out = matmul_reduced(field, self._decode_basis(idx).T, flat)
+        flat = shares[:need].reshape(need, -1)
+        if not self._systematic:
+            out = matmul_reduced(field, self._decode_basis(idx).T, flat)
+            return out.reshape(self.k, *block_shape)
+        own = np.flatnonzero(idx < self.k)  # share of worker j < k is block j
+        out = np.empty((self.k, flat.shape[1]), dtype=np.int64)
+        for i in own:
+            out[idx[i]] = flat[i]
+        missing = np.ones(self.k, dtype=bool)
+        missing[idx[own]] = False
+        if missing.any():
+            basis = self._decode_basis(idx)[:, missing]
+            out[missing] = matmul_reduced(field, basis.T, flat)
         return out.reshape(self.k, *block_shape)
 
     def _decode_basis(self, idx: np.ndarray) -> np.ndarray:

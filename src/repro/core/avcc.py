@@ -156,7 +156,7 @@ class AVCCMaster(MatvecMasterBase):
         decode_time = self.cost_model.master_compute_time(
             self.lagrange_decode_macs(ctx.need, ctx.code.k, ctx.st.block_rows * plan.width)
         )
-        blocks = ctx.code.decode(positions, np.stack([a.value for a in used]))
+        blocks = ctx.code.decode(positions, [a.value for a in used])
         return self._strip(blocks, ctx.st.true_len), decode_time, (), True
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -123,6 +123,20 @@ class FamilyState:
             f"{self.name} operand must have length {self.operand_true_len} "
             f"(or padded {self.operand_len}), got {operand.shape}"
         )
+
+    def stack_operands(self, operands: Sequence[np.ndarray]) -> np.ndarray:
+        """The ``(operand_len, B)`` batch of ``B`` reduced vectors, each
+        true-length or padded, written straight into one zero-padded
+        buffer: no per-operand padded copy."""
+        out = np.zeros((self.operand_len, len(operands)), dtype=np.int64)
+        for j, op in enumerate(operands):
+            if op.ndim != 1 or op.shape[0] not in (self.operand_true_len, self.operand_len):
+                raise ValueError(
+                    f"{self.name} operand must be a vector of length "
+                    f"{self.operand_true_len} (or padded {self.operand_len}), got {op.shape}"
+                )
+            out[: op.shape[0], j] = op
+        return out
 
     def result_shape(self, operand: np.ndarray) -> tuple[int, ...]:
         """Shape of one worker's honest result for a broadcast (padded)
@@ -225,7 +239,7 @@ class MatvecMasterBase:
 
     Subclasses implement ``setup`` (which installs one
     :class:`RoundContext` per family via :meth:`_install_rounds`), pick
-    a collect policy (:attr:`verify_each`, plus :meth:`_check` or
+    a collect policy (:attr:`verify_each`, plus :meth:`_round_check` or
     :meth:`_wait_count`) and implement :meth:`_decode`; the round
     driving here is common and backend-agnostic.
 
@@ -245,7 +259,7 @@ class MatvecMasterBase:
     audit: Any = None
 
     #: collect policy. ``True``: check every arrival on the master core
-    #: (:meth:`_check`) and stop at ``need`` accepted results (AVCC).
+    #: (:meth:`_round_check`) and stop at ``need`` accepted results (AVCC).
     #: ``False``: take results unchecked until :meth:`_wait_count` have
     #: landed (LCC, uncoded).
     verify_each = False
@@ -436,16 +450,15 @@ class MatvecMasterBase:
         """Stage 1: coalesce ``operands`` (same-family jobs, reduced
         residues — the session reduces each at submission, the
         blocking helpers on entry) into one plan. A single operand
-        stays a plain vector round; several are stacked into a
-        ``(len, B)`` batch served by one broadcast."""
+        stays a plain vector round; several are written into one
+        zero-padded ``(len, B)`` batch served by one broadcast."""
         ops = list(operands)
         if not ops:
             raise ValueError("plan_round needs at least one operand")
         if len(ops) == 1:
             raw = ops[0]
         else:
-            st = self._context(family).st
-            raw = np.stack([st.pad_operand(self.field, op) for op in ops], axis=1)
+            raw = self._context(family).st.stack_operands(ops)
         return self._plan_raw(family, raw, n_jobs=len(ops))
 
     def dispatch_plan(self, plan: RoundPlan) -> RoundHandle:
@@ -552,6 +565,7 @@ class MatvecMasterBase:
             return used, rejected, 0.0, t_ready
         master_free = self._master_free_at(handle)
         verify_time = 0.0
+        check = self._round_check(plan)
         for a in handle:
             if not _well_formed(a.value, shape):
                 rejected.append(a.worker_id)
@@ -563,7 +577,7 @@ class MatvecMasterBase:
             start = max(a.t_arrival, master_free)
             master_free = start + vt
             verify_time += vt
-            if self._check(plan, key, a):
+            if check(key, a):
                 used.append(a)
             else:
                 rejected.append(a.worker_id)
@@ -576,10 +590,15 @@ class MatvecMasterBase:
         """The shape every worker result of this round must have."""
         return plan.context.st.result_shape(plan.job.operand)
 
-    def _check(self, plan: RoundPlan, key: Any, arrival: Arrival) -> bool:
-        """A verifying master's test of one arrival: the claimed product
-        against the round's broadcast operand."""
-        return self.verifier.check(key, plan.job.operand, arrival.value)
+    def _round_check(self, plan: RoundPlan) -> Callable[[Any, Arrival], bool]:
+        """A verifying master's test of one arrival of this round, as
+        ``check(key, arrival)``: the claimed product against the round's
+        broadcast operand. The operand side of every participant's key
+        is computed here, once for the round
+        (:meth:`~repro.verify.freivalds.FreivaldsVerifier.prepare`), and
+        the prepared operand lives in this round's closure only."""
+        operand = self.verifier.prepare(plan.job.operand, plan.context.keys.values())
+        return lambda key, arrival: self.verifier.check(key, operand, arrival.value)
 
     def _wait_count(self, plan: RoundPlan) -> int:
         """How many results an unverifying master waits for: every

@@ -18,7 +18,7 @@ verified evaluations, and interpolates all ``A_j @ B_k`` blocks.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -143,9 +143,13 @@ class CodedMatmulAVCCMaster(MatvecMasterBase):
     def _result_shape(self, plan: RoundPlan) -> tuple[int, ...]:
         return self._product_shape
 
-    def _check(self, plan: RoundPlan, key, arrival: Arrival) -> bool:
-        slot = plan.context.code_pos[arrival.worker_id]
-        return self.verifier.check(key, self._b_shares[slot], arrival.value)
+    def _round_check(self, plan: RoundPlan) -> Callable[[Any, Arrival], bool]:
+        """Each worker's product is checked against its own ``B`` share,
+        so there is no operand side shared by the round."""
+        code_pos = plan.context.code_pos
+        return lambda key, arrival: self.verifier.check(
+            key, self._b_shares[code_pos[arrival.worker_id]], arrival.value
+        )
 
     def _decode(self, plan: RoundPlan, used: list[Arrival], positions: np.ndarray):
         """Interpolate every ``A_j @ B_k`` block from ``pq`` products."""

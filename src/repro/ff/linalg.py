@@ -18,7 +18,7 @@ an integer product to BLAS, so this kernel runs a plain C loop at about
 **The ``float64`` kernel** hands the product to one ``dgemm``. The right
 operand is split into two limbs of ``sh = ceil(bits(q-1) / 2)`` bits,
 ``b = b_lo + 2**sh * b_hi``, and multiplied once as ``a @ [b_lo | b_hi]``
-in ``float64``; the halves are recombined in ``int64`` as
+in ``float64``; the halves are recombined as
 ``((R_hi mod q) * (2**sh mod q) + R_lo) mod q``. It is exact, not
 approximately so: every entry of ``a`` is an integer below ``q`` and
 every limb an integer below ``2**sh``, so every product and — over an
@@ -32,6 +32,33 @@ the ``int64`` kernel. The bound is ``(2**53 - 1) // ((q-1) * (2**sh - 1))``
 inner dimensions are chunked and reduced between chunks, exactly as
 ``field.chunk`` guards ``int64``. (Tests shrink ``field.chunk`` /
 ``field.float_chunk`` to force either kernel's chunked path.)
+
+**The recombination** of a wide product stays in ``float64`` too, and
+converts to ``int64`` once. An integer ``0 <= x < 2**53`` is reduced
+exactly as ``x - floor(x / q) * q``: the quotient ``x / q`` is
+correctly rounded, and the rounding can never carry it up to the next
+integer (the gap, at least ``1/q``, exceeds half an ulp of any
+quotient below ``2**53 / q``), so the floor is the true quotient and
+the product and difference are exact integers. ``R_hi`` is reduced so,
+and ``(R_hi mod q) * (2**sh mod q) + R_lo`` is reduced once more. That
+sum is an integer below ``2**53`` whenever the chunk's bound on
+``R_lo``, ``len * (q-1) * (2**sh - 1)``, leaves room for
+``(q-1) * (2**sh mod q)``; in a chunk within a few terms of
+``field.float_chunk`` it may not, and there ``R_lo`` is reduced first,
+which keeps the sum below ``q * 2**sh + q < 2**49`` (``q < 2**31``,
+``sh <= 16``). The high limb is copied to a contiguous array first:
+its every later pass is then contiguous, as is the result. On a 2-vCPU
+box (default OpenBLAS threading, 150 interleaved calls 2 ms apart, ms
+p10 / median), the whole ``float64`` product over the simulated wide
+round's stacks took 5.03 / 5.62 with the ``int64`` recombination (an
+``int64`` copy and two ``% q`` passes at about 4 ns an element) and
+4.55 / 5.03 with this one for ``(1608x600) . (600x128)``, 4.76 / 5.19
+against 4.46 / 4.91 for ``(804x1206) . (1206x128)``. Recombining each
+row block right after its ``dgemm`` was tried and dropped: a
+column-major ``dgemm`` result, which makes either limb contiguous, slowed
+the 108-row blocks of the second product by ~0.5 ms. A matvec's
+``(n, 2)`` sums are so few that the count of NumPy calls is the cost,
+and it keeps the five-call ``int64`` recombination.
 
 **The crossover** (:func:`_use_dgemm`): ``dgemm`` pays once the inner
 dimension amortises building ``float64`` copies of both operands and
@@ -223,10 +250,47 @@ def _dgemm(a: np.ndarray, limbs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reduce_float64(x: np.ndarray, q: int, scratch: np.ndarray) -> None:
+    """``x %= q`` in place, exactly, for ``float64`` integers in
+    ``[0, 2**53)`` (floor-multiply-subtract, module docstring);
+    ``scratch`` is a temporary of ``x``'s shape."""
+    np.divide(x, q, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= q
+    x -= scratch
+
+
+def _recombine(sums: np.ndarray, q: int, radix: int, lo_too: bool) -> np.ndarray:
+    """``((hi mod q) * radix + lo) mod q`` as ``int64``, for one chunk's
+    ``float64`` limb sums ``sums = [lo | hi]`` (module docstring).
+
+    A wide product is recombined in ``float64`` and converted once:
+    the ``hi`` sums are reduced, and the ``lo`` sums only when
+    ``lo_too`` says their bound leaves no room below ``2**53`` for
+    ``(hi mod q) * radix``. A matvec's ``(n, 2)`` sums are so few that
+    the number of NumPy calls, not elements, is the cost, and the five
+    calls of the ``int64`` recombination are the fewest."""
+    m = sums.shape[1] // 2
+    if m == 1:
+        r = sums.astype(np.int64)
+        return (r[:, 1:] % q * radix + r[:, :1]) % q  # < 2**47 + 2**53: no wrap
+    hi = np.ascontiguousarray(sums[:, m:])
+    scratch = np.empty_like(hi)
+    _reduce_float64(hi, q, scratch)
+    lo = sums[:, :m]
+    if lo_too:
+        _reduce_float64(lo, q, scratch)
+    hi *= radix
+    hi += lo  # an integer below 2**53
+    _reduce_float64(hi, q, scratch)
+    return hi.astype(np.int64)
+
+
 def _matmul_float64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndarray:
     """``a @ b % q`` in one ``dgemm`` per chunk; ``b`` is a matrix or a
     vector (split into a ``(k, 2)`` limb matrix), ``a`` is ``int64`` or
-    a ``float64`` resident share, used as it is."""
+    a ``float64`` resident share, used as it is. Each chunk's limb sums
+    are recombined by :func:`_recombine`."""
     k = b.shape[0]
     m = b.shape[1] if b.ndim == 2 else 1
     sh = limb_bits(q)
@@ -237,12 +301,14 @@ def _matmul_float64(a: np.ndarray, b: np.ndarray, q: int, chunk: int) -> np.ndar
     np.right_shift(b2, sh, out=limbs[:, m:], casting="unsafe")
     radix = (1 << sh) % q
     out = None
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        r = _dgemm(a_f[:, lo:hi], limbs[lo:hi]).astype(np.int64)
-        # (R_hi mod q) * radix < 2**47 and R_lo < 2**53: no int64 wrap
-        part = r[:, m:] % q * radix + r[:, :m]
-        out = part % q if out is None else (out + part) % q
+    for c0 in range(0, k, chunk):
+        c1 = min(c0 + chunk, k)
+        sums = _dgemm(a_f[:, c0:c1], limbs[c0:c1])
+        # the lo sums are reduced too only if, plus (hi mod q) * radix,
+        # their bound could pass the last integer float64 holds exactly
+        lo_too = (c1 - c0) * (q - 1) * ((1 << sh) - 1) + (q - 1) * radix > 2**53 - 1
+        part = _recombine(sums, q, radix, lo_too)
+        out = part if out is None else (out + part) % q
     return out if b.ndim == 2 else out.reshape(-1)
 
 

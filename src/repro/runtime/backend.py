@@ -349,7 +349,8 @@ class Backend(ABC):
     def dispatch_round(
         self, job: RoundJob, participants: Sequence[int] | None = None
     ) -> RoundHandle:
-        """Start one round on ``participants`` (default: all).
+        """Start one round on ``participants`` (default: every worker not
+        dropped).
 
         Non-blocking, and re-entrant: several dispatched rounds may be
         open at once, each finalized through its own handle (workers
@@ -367,11 +368,12 @@ class Backend(ABC):
     # ------------------------------------------------------------------
     def membership(self) -> MembershipView:
         """The current fleet roster. Fixed-fleet backends report every
-        worker live; elastic backends (the socket clusters) report
-        dead/dropped workers and handshaken joiners awaiting
-        admission."""
-        ids = tuple(range(self.n))
-        return MembershipView(n=self.n, live=ids, dead=(), dropped=(), pending=())
+        worker live but the dropped ones; elastic backends (the socket
+        clusters) also report dead workers and handshaken joiners
+        awaiting admission."""
+        dropped = tuple(sorted(self._dropped))
+        live = tuple(w for w in range(self.n) if w not in self._dropped)
+        return MembershipView(n=self.n, live=live, dead=(), dropped=dropped, pending=())
 
     def admit_workers(self) -> tuple[int, ...]:
         """Admit every pending joiner into the roster and return the
@@ -391,8 +393,10 @@ class Backend(ABC):
 
     # ------------------------------------------------------------------
     def _participants(self, participants: Sequence[int] | None) -> list[int]:
+        """The validated participant list; ``None`` means every worker
+        that was not dropped."""
         if participants is None:
-            return list(range(self.n))
+            return [w for w in range(self.n) if w not in self._dropped]
         out = list(participants)
         if len(set(out)) != len(out):
             raise ValueError("duplicate participant ids")

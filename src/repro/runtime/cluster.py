@@ -370,7 +370,7 @@ class SimCluster(Backend):
             Elements broadcast from master to every worker (the operand
             vector) — master pays one transfer per participant.
         participants:
-            Worker ids taking part (default: all).
+            Worker ids taking part (default: every worker not dropped).
         worker_busy_until:
             Optional per-worker earliest start times (absolute clock
             seconds) from rounds still occupying them; a worker starts

@@ -265,6 +265,19 @@ class TenantSpec:
         object.__setattr__(self, "family_mix", mix)
 
 
+def _cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice`` draws from for probabilities ``p``."""
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _family_cdf(tenant: TenantSpec) -> tuple[list[str], np.ndarray]:
+    """A tenant's families in sorted order and the CDF of their mix."""
+    families = sorted(tenant.family_mix)
+    return families, _cdf([tenant.family_mix[f] for f in families])
+
+
 class WorkloadGenerator:
     """Materialize typed requests from an arrival process and a tenant
     mix, with operand payloads drawn in the session's field.
@@ -311,7 +324,10 @@ class WorkloadGenerator:
         self.matmul_dim = matmul_dim
         self._rng = np.random.default_rng(seed)
         total = sum(t.weight for t in tenants)
-        self._tenant_p = np.array([t.weight / total for t in tenants])
+        self._tenant_cdf = _cdf([t.weight / total for t in tenants])
+        #: id(tenant) -> its sorted families and their CDF (self.tenants
+        #: keeps every keyed tenant alive, so no id is reused)
+        self._mixes = {id(t): _family_cdf(t) for t in self.tenants}
         self._next_id = 0
 
     @property
@@ -322,13 +338,16 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     def make_request(self, arrival: float, tenant: TenantSpec | None = None) -> Request:
         """Draw one request arriving at ``arrival`` (tenant drawn by
-        weight unless pinned)."""
+        weight unless pinned).
+
+        Each draw is ``Generator.choice(n, p=p)``'s own — one uniform
+        double looked up in the normalised CDF of ``p`` — with the CDFs
+        built once, not per request, so a seed gives the same trace."""
         rng = self._rng
         if tenant is None:
-            tenant = self.tenants[int(rng.choice(len(self.tenants), p=self._tenant_p))]
-        families = sorted(tenant.family_mix)
-        probs = np.array([tenant.family_mix[f] for f in families])
-        family = families[int(rng.choice(len(families), p=probs))]
+            tenant = self.tenants[int(self._tenant_cdf.searchsorted(rng.random(), side="right"))]
+        families, cdf = self._mixes.get(id(tenant)) or _family_cdf(tenant)
+        family = families[int(cdf.searchsorted(rng.random(), side="right"))]
         transpose = False
         operand_b = None
         if family == "matvec":

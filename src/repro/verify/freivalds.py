@@ -11,6 +11,18 @@ Protocol for a coded matrix ``A ∈ F^{b×d}`` held by one worker:
 Completeness is exact: a correct ``z`` always passes. Soundness: a
 wrong ``z`` passes with probability at most ``q^{-p}`` — for any fixed
 ``δ = z − A·w ≠ 0``, ``r·δ`` is uniform over F_q per probe (Eq. 10–11).
+
+**The operand side, once per round.** Every worker of a round is
+checked against the same broadcast ``w``, so ``s_i·w`` is the same kind
+of product for every key: :meth:`FreivaldsVerifier.prepare` validates
+``w`` once and computes ``s_i·w`` for every participant's key in one
+product (the keys' ``s`` rows stacked), and each arrival's
+:meth:`~FreivaldsVerifier.check` then pays only for its own side — the
+range scan of ``z``, ``r_i·z`` and the compare. The prepared operand
+is a value of its round, handed to ``check`` in place of ``w``: two
+rounds in flight hold two of them, and neither can be checked against
+the other's. The bytes compared are those of the per-key products, so
+verdicts and soundness are unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import numpy as np
 from repro.ff.field import PrimeField
 from repro.ff.linalg import matmul_reduced
 
-__all__ = ["MatvecKey", "FreivaldsVerifier", "soundness_error"]
+__all__ = ["MatvecKey", "PreparedOperand", "FreivaldsVerifier", "soundness_error"]
 
 
 def soundness_error(q: int, probes: int = 1) -> float:
@@ -63,6 +75,39 @@ class MatvecKey:
         return self.s.shape[1]
 
 
+class PreparedOperand:
+    """One round's broadcast operand, validated, with the operand side
+    ``s_i·w`` of every key it was prepared for
+    (:meth:`FreivaldsVerifier.prepare`).
+
+    Attributes
+    ----------
+    operand:
+        The validated operand: ``(d,)`` or ``(d, B)`` residues.
+    """
+
+    __slots__ = ("operand", "_rows", "_rhs")
+
+    def __init__(self, operand: np.ndarray, keys: tuple[MatvecKey, ...], rhs: np.ndarray):
+        self.operand = operand
+        self._rhs = rhs  # the keys' s·operand, stacked in key order
+        self._rows: dict[int, tuple[MatvecKey, int]] = {}
+        row = 0
+        for key in keys:
+            self._rows[id(key)] = (key, row)
+            row += key.probes
+
+    def side(self, key: MatvecKey) -> np.ndarray | None:
+        """``s·operand`` as ``(p, B)`` residues (``B = 1`` for a vector),
+        or ``None`` when ``key`` is not one this operand was prepared
+        for. Keys are matched by identity (the operand holds them, so
+        no other object can take a key's id while it lives)."""
+        hit = self._rows.get(id(key))
+        if hit is None:
+            return None
+        return self._rhs[hit[1] : hit[1] + key.probes]
+
+
 class FreivaldsVerifier:
     """Key generator + integrity checker for matrix–vector workloads.
 
@@ -101,7 +146,30 @@ class FreivaldsVerifier:
         return [self.keygen_single(s, rng) for s in shares]
 
     # ------------------------------------------------------------------
-    def check(self, key: MatvecKey, operand: np.ndarray, claimed: np.ndarray) -> bool:
+    def prepare(self, operand: np.ndarray, keys) -> PreparedOperand:
+        """The operand side of one round: ``operand`` validated once
+        (:meth:`PrimeField.ensure_reduced`, as :meth:`check` would on
+        every call; a float operand raises) and ``s_i·operand`` for
+        every key in ``keys``, computed as one product of the keys'
+        stacked ``s`` rows. Pass the result to :meth:`check` as its
+        ``operand``; it belongs to this round only."""
+        operand = self.field.ensure_reduced(operand)
+        keys = tuple(keys)
+        if operand.ndim not in (1, 2):
+            raise ValueError(f"operand must be 1-D or 2-D, got shape {operand.shape}")
+        d = operand.shape[0]
+        for key in keys:
+            if key.cols != d:
+                raise ValueError(
+                    f"operand has shape {operand.shape}, key expects ({key.cols}, ...)"
+                )
+        s = np.concatenate([key.s for key in keys])
+        rhs = matmul_reduced(self.field, s, operand.reshape(d, -1))
+        return PreparedOperand(operand, keys, rhs)
+
+    def check(
+        self, key: MatvecKey, operand: np.ndarray | PreparedOperand, claimed: np.ndarray
+    ) -> bool:
         """Integrity check (Eq. 8/9): accept iff ``r·claimed == s·operand``.
 
         ``operand`` is the broadcast vector (``w`` or ``e``), ``claimed``
@@ -113,17 +181,24 @@ class FreivaldsVerifier:
         verifies — a worker that forges any job in the batch is
         rejected whole.
 
-        Both inputs are validated on every call, by one range scan
-        each. The operand is the master's own: it is the same reduced
-        array for every arrival of a round, so the scan finds nothing
-        to reduce (and a float operand raises). ``claimed`` is the
-        worker's, and is refused rather than reduced: a result that is
-        not an integer array of residues in ``[0, q)`` fails the check,
-        as no honest worker sends one. ``key.r`` and ``key.s`` are
-        residues by construction and are not re-reduced.
+        ``operand`` may be the round's :class:`PreparedOperand`
+        (:meth:`prepare`): it was validated once for the round, and the
+        ``s·operand`` of a key it was prepared for is looked up, not
+        recomputed. A plain array is validated here by one range scan
+        (it is the master's own, so the scan finds nothing to reduce,
+        and a float operand raises) and multiplied here. ``claimed`` is
+        the worker's, and is refused rather than reduced: a result that
+        is not an integer array of residues in ``[0, q)`` fails the
+        check, as no honest worker sends one. ``key.r`` and ``key.s``
+        are residues by construction and are not re-reduced.
         """
         field = self.field
-        operand = field.ensure_reduced(operand)
+        rhs = None
+        if isinstance(operand, PreparedOperand):
+            rhs = operand.side(key)
+            operand = operand.operand
+        else:
+            operand = field.ensure_reduced(operand)
         if not field.is_reduced(claimed):
             return False
         claimed = claimed.astype(np.int64, copy=False)
@@ -149,7 +224,8 @@ class FreivaldsVerifier:
                     f"({key.rows}, {operand.shape[1]})"
                 )
         lhs = matmul_reduced(field, key.r, claimed)
-        rhs = matmul_reduced(field, key.s, operand)
+        if rhs is None:
+            rhs = matmul_reduced(field, key.s, operand)
         return bool(np.array_equal(lhs, rhs))
 
     # ------------------------------------------------------------------

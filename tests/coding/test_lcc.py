@@ -313,6 +313,9 @@ class TestDecodeBasisCache:
             idx = rng.permutation(base)
             code.decode(idx, results[idx])
         assert len(code._decode_bases) == 1
+        code.decode(np.arange(1, 10), results[1:10])
+        assert len(code._decode_bases) == 2
+        # all k systematic workers: every block is copied, no basis built
         code.decode(np.arange(9), results[:9])
         assert len(code._decode_bases) == 2
 
@@ -324,19 +327,20 @@ class TestDecodeBasisCache:
         for subset in combinations(range(8), 3):
             idx = np.array(subset)
             np.testing.assert_array_equal(code.decode(idx, shares[idx]), blocks)
-            assert 1 <= len(code._decode_bases) <= 4
+            assert len(code._decode_bases) <= 4
+        assert code._decode_bases  # only (0, 1, 2) needs no basis
 
     def test_validation_runs_before_the_cache(self, rng):
         code = LagrangeCode(F, n=6, k=3)
         shares = code.encode(F.random((3, 2), rng))
-        code.decode(np.array([0, 1, 2]), shares[[0, 1, 2]])  # warm
+        code.decode(np.array([0, 1, 3]), shares[[0, 1, 3]])  # warm
         with pytest.raises(ValueError, match="duplicate"):
             code.decode(np.array([0, 0, 1]), shares[[0, 0, 1]])
         with pytest.raises(ValueError, match="out of range"):
             code.decode(np.array([0, 1, 9]), shares[[0, 1, 2]])
         with pytest.raises(ValueError, match="out of range"):
             code.decode(np.array([0, 1, -1]), shares[[0, 1, 2]])
-        assert list(code._decode_bases) == [(0, 1, 2)]
+        assert list(code._decode_bases) == [(0, 1, 3)]
 
     def test_a_new_code_object_starts_empty(self):
         # re-coding builds a new LagrangeCode, so nothing is invalidated
@@ -415,3 +419,82 @@ class TestLinearSpecialCase:
         u = code.encoding_matrix()
         for cols in combinations(range(7), 3 + t):
             assert gauss_rank(F, u[:, list(cols)]) == 3 + t
+
+
+def _full_basis_decode(code, idx, shares, deg_f):
+    """The interpolate-everything reference: every block is the
+    ``(k, R)`` basis product over the first ``R`` shares, in bignums."""
+    need = code.recovery_threshold(deg_f)
+    idx = np.asarray(idx)[:need]
+    basis = eval_lagrange_basis(code.field, code.alpha[idx], code.beta[: code.k])
+    flat = np.asarray(shares)[:need].reshape(need, -1).astype(object)
+    out = np.array((basis.T.astype(object) @ flat) % code.field.q, dtype=np.int64)
+    return out.reshape(code.k, *np.asarray(shares).shape[1:])
+
+
+class TestSystematicDecode:
+    """A systematic code copies the blocks its own workers sent and
+    interpolates only the missing ones; the bytes are those of the full
+    basis product, for any responder set, arrival order and ``deg_f``
+    (the shares need not even be consistent: the interpolant passes
+    through every node, and ``beta_j`` is the node ``alpha_j``)."""
+
+    @pytest.mark.parametrize("deg_f", [1, 2])
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    def test_every_subset_and_order_equals_the_full_basis(self, deg_f, chunk):
+        field = PrimeField(7919)
+        if chunk is not None:  # the kernels' chunked paths
+            field.chunk = field.float_chunk = chunk
+        k, n = 3, 7
+        code = LagrangeCode(field, n=n, k=k)
+        assert code.is_systematic
+        need = code.recovery_threshold(deg_f)
+        r = np.random.default_rng(deg_f)
+        results = field.random((n, 2, 3), r)  # any values: decode is linear
+        for subset in combinations(range(n), need):
+            for order in (subset, subset[::-1], tuple(r.permutation(subset))):
+                idx = np.array(order)
+                want = _full_basis_decode(code, idx, results[idx], deg_f)
+                got = code.decode(idx, results[idx], deg_f=deg_f)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+                as_list = code.decode(idx, list(results[idx]), deg_f=deg_f)
+                assert as_list.tobytes() == want.tobytes()
+
+    def test_present_blocks_are_the_systematic_shares(self, rng):
+        code = LagrangeCode(F, n=12, k=9)
+        blocks = F.random((9, 4, 2), rng)
+        shares = code.encode(blocks)
+        idx = np.array([11, 0, 5, 9, 3, 1, 2, 4, 6])  # blocks 7, 8 missing
+        got = code.decode(idx, shares[idx])
+        np.testing.assert_array_equal(got, blocks)
+        assert code.decode(np.arange(9), shares[:9]).tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_privacy_padded_codes_interpolate_every_block(self, t):
+        code = LagrangeCode(F, n=8, k=3, t=t)
+        assert not code.is_systematic
+        r = np.random.default_rng(t)
+        results = F.random((8, 5), r)
+        need = code.recovery_threshold()
+        for subset in combinations(range(8), need):
+            idx = np.array(subset)
+            want = _full_basis_decode(code, idx, results[idx], 1)
+            assert code.decode(idx, results[idx]).tobytes() == want.tobytes()
+
+    def test_shares_are_validated_not_re_reduced(self, rng):
+        code = LagrangeCode(F, n=6, k=3)
+        shares = code.encode(F.random((3, 4), rng))
+        idx = np.array([0, 4, 2])
+        want = code.decode(idx, shares[idx])
+        shifted = shares[idx] + F.q  # unreduced: reduced into a copy
+        assert code.decode(idx, shifted).tobytes() == want.tobytes()
+        assert code.decode(idx, list(shifted)).tobytes() == want.tobytes()
+        assert code.decode(idx, shares[idx].astype(np.int32)).tobytes() == want.tobytes()
+        with pytest.raises(TypeError, match="float"):
+            code.decode(idx, shares[idx].astype(np.float64))
+        with pytest.raises(TypeError, match="float"):
+            code.decode(idx, [s.astype(np.float64) for s in shares[idx]])
+        with pytest.raises(ValueError, match="shape"):
+            code.decode(idx, [shares[0], shares[4], shares[2][:-1]])
+        with pytest.raises(ValueError, match="mismatch"):
+            code.decode(idx, list(shares[idx])[:2])

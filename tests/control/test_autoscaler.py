@@ -181,10 +181,10 @@ class TestWindowSignals:
 # ----------------------------------------------------------------------
 # gateway windows on the simulator
 # ----------------------------------------------------------------------
-def _sim_session():
+def _sim_session(n=4):
     return Session.create(
         SessionConfig(
-            scheme=SchemeParams(n=4, k=2, s=1, m=0),
+            scheme=SchemeParams(n=n, k=2, s=1, m=0),
             master="avcc",
             backend="sim",
         )
@@ -496,6 +496,29 @@ class TestFleetControllerActuation:
             view = sess.backend.membership()
             assert view.live == (0, 1, 2, 3) and view.dropped == (4,)
             assert sess.master.scheme_now[0] == 4
+            np.testing.assert_array_equal(
+                sess.submit_matvec(v).result(), ff_matvec(F, x, v)
+            )
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_released_worker_is_dropped_in_the_view_and_never_picked_again(
+        self, backend, rng
+    ):
+        """Both backends report a released worker under ``dropped`` and
+        not ``live``, so the next scale-down picks among the others."""
+        x = F.random((6, 5), rng)
+        v = F.random(5, rng)
+        with _sim_session(n=5) if backend == "sim" else _tcp_session(n=5, k=2) as sess:
+            sess.load(x)
+            sess.release_workers([2])
+            view = sess.backend.membership()
+            assert (view.live, view.dropped) == ((0, 1, 3, 4), (2,))
+            scaler = Autoscaler(AutoscalerConfig(scale_down_after=1, min_workers=2))
+            ctrl = FleetController(sess, scaler)
+            assert ctrl.on_window(_signals(live=4)).action == "scale_down"
+            view = sess.backend.membership()
+            assert (view.live, view.dropped) == ((0, 1, 3), (2, 4))
+            assert sess.master.active == [0, 1, 3]
             np.testing.assert_array_equal(
                 sess.submit_matvec(v).result(), ff_matvec(F, x, v)
             )

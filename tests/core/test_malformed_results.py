@@ -27,6 +27,7 @@ from repro.core import (
 )
 from repro.ff import PrimeField, ff_matmul, ff_matvec
 from repro.runtime import DeterministicLatency, SimCluster, SimWorker
+from repro.verify import FreivaldsVerifier
 
 F = PrimeField()
 N = 12
@@ -119,3 +120,36 @@ def test_malformed_result_is_rejected_not_raised(master, kind):
         assert 3 not in out.record.used_workers
     with pytest.raises(InsufficientResultsError):
         _round(master, set(range(BEYOND[master])), kind)
+
+
+def _verdict(check, *args):
+    """A check's outcome: its verdict, or the error it raised."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("width", [None, 4])
+@pytest.mark.parametrize(
+    "kind", ["honest", "short", "float", "wrong_ndim", *NON_RESIDUE, *NOT_AN_INT64_ARRAY]
+)
+def test_prepared_and_unprepared_checks_agree(kind, width):
+    """The round's prepared operand (the master's path) and a plain
+    operand (a standalone replay) give every result the same verdict,
+    or the same error when it reaches ``check`` unscreened."""
+    rng = np.random.default_rng(5)
+    verifier = FreivaldsVerifier(F)
+    shares = F.random((3, 6, 8), rng)
+    keys = verifier.keygen(shares, rng)
+    w = F.random(8 if width is None else (8, width), rng)
+    prepared = verifier.prepare(w, keys)
+    for key, share in zip(keys, shares):
+        result = ff_matmul(F, share, w.reshape(8, -1)).reshape((6, *w.shape[1:]))
+        if kind != "honest":
+            result = Malformed(kind).corrupt(result, F, rng)
+        plain = _verdict(verifier.check, key, w, result)
+        assert _verdict(verifier.check, key, prepared, result) == plain
+        # a uint64 result holds the honest residues: the master's shape
+        # and dtype screen (``_well_formed``) refuses it, not the check
+        assert (plain is True) == (kind in ("honest", "uint64"))

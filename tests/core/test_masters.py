@@ -171,6 +171,37 @@ class TestByzantineTolerance:
             master.forward_round(w)
 
 
+class TestRoundsInFlight:
+    def test_two_rounds_never_verify_against_each_others_operand(self, data):
+        """Two rounds planned and dispatched before either completes,
+        completed in reverse order: every check of a round sees that
+        round's prepared operand, and both decode exactly."""
+        x, _, _ = data
+        r = np.random.default_rng(11)
+        cluster = make_cluster(behaviors={4: ReversedValueAttack()})
+        master = AVCCMaster(cluster, SchemeParams(n=12, k=9, s=1, m=2))
+        master.setup(x)
+        seen = []
+        check = master.verifier.check
+
+        def spy(key, operand, claimed):
+            seen.append(operand)
+            return check(key, operand, claimed)
+
+        master.verifier.check = spy
+        batches = [[F.random(10, r) for _ in range(3)], [F.random(10, r) for _ in range(2)]]
+        plans = [master.plan_round("fwd", ops) for ops in batches]
+        handles = [master.dispatch_plan(plan) for plan in plans]
+        for i in (1, 0):
+            seen.clear()
+            outcomes = master.complete_round(plans[i], handles[i])
+            assert seen and all(op.operand is plans[i].job.operand for op in seen)
+            assert len({id(op) for op in seen}) == 1
+            for op, outcome in zip(batches[i], outcomes):
+                np.testing.assert_array_equal(outcome.vector, ff_matvec(F, x, op))
+            assert 4 not in outcomes[0].record.used_workers
+
+
 class TestStragglerTiming:
     def test_avcc_never_waits_for_stragglers_with_slack(self, data):
         x, w, _ = data

@@ -132,6 +132,41 @@ class TestKernelEquality:
         assert linalg._use_dgemm(64, k, 64, f.float_chunk)
         _same_bytes(ff_matmul(f, a, b), want)
 
+    @pytest.mark.parametrize("q", [2**25 - 39, 2**31 - 1])
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_float_recombination_equals_the_int64_kernel_at_the_limits(self, q, m):
+        """All-(q-1) operands, so every limb sum is as large as it gets,
+        across inner chunk boundaries (the recombined sum plus a
+        previous chunk's residue) and, at the 25-bit prime, across the
+        row blocks a wide product is cut into (``2**24`` multiply-adds
+        over 300-term chunks of 128 limb columns: 436 of the 450 rows)."""
+        f = PrimeField(q)
+        n = 450 if m > 1 else 40
+        for k, chunk in [(64, 64), (65, 64), (129, 64), (600, 300), (601, 300)]:
+            chunk = min(chunk, f.float_chunk)
+            a = np.full((n, k), q - 1, dtype=np.int64)
+            b = np.full((k, m), q - 1, dtype=np.int64)
+            want = np.full((n, m), k * (q - 1) ** 2 % q, dtype=np.int64)
+            _same_bytes(linalg._matmul_int64(a, b, q, f.chunk), want)
+            _same_bytes(linalg._matmul_float64(a, b, q, chunk), want)
+            _same_bytes(
+                linalg._matmul_float64(a.astype(np.float64), b[:, 0], q, chunk), want[:, 0]
+            )
+        r = np.random.default_rng(q)
+        # a full chunk of low limbs 2**sh - 1 against entries near q - 1:
+        # the low sums come within (q - 1) * 2**sh of 2**53, half of them
+        # odd, so they must be reduced before the high residue is added
+        sh, kc = limb_bits(q), f.float_chunk
+        a = q - 1 - r.integers(0, 4, size=(8, kc))
+        b = (r.integers(0, (q >> sh) - 1, size=(kc, m)) << sh) | ((1 << sh) - 1)
+        _same_bytes(linalg._matmul_float64(a, b, q, kc), linalg._matmul_int64(a, b, q, f.chunk))
+        a, b = f.random((n, 601), r), f.random((601, m), r)
+        a[::7] = q - 1
+        _same_bytes(
+            linalg._matmul_float64(a, b, q, min(300, f.float_chunk)),
+            linalg._matmul_int64(a, b, q, f.chunk),
+        )
+
     @pytest.mark.parametrize("q", [97, 7919])
     def test_worst_case_operands_small_fields_forced_chunk(self, q):
         """Small fields' float bound is astronomically long; a forced

@@ -122,6 +122,25 @@ class TestProtocolConformance:
             np.testing.assert_array_equal(a.value, ff_matvec(F, share, v))
 
     @pytest.mark.parametrize("kind", BACKENDS)
+    def test_default_participants_are_the_workers_not_dropped(self, kind, rng):
+        """``participants=None`` means every live worker: after a drop
+        the default round runs on the others instead of raising."""
+        shares = F.random((4, 2, 3), rng)
+        v = F.random(3, rng)
+        with _make_backend(kind, 4, {}, {}) as backend:
+            backend.distribute("share", shares)
+            backend.drop_workers([2])
+            view = backend.membership()
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            arrivals = list(handle)
+            rr = handle.result()
+        assert (view.live, view.dropped) == ((0, 1, 3), (2,))
+        assert sorted(a.worker_id for a in arrivals) == [0, 1, 3]
+        assert sorted(a.worker_id for a in rr.arrivals) == [0, 1, 3]
+        for a in arrivals:
+            np.testing.assert_array_equal(a.value, ff_matvec(F, shares[a.worker_id], v))
+
+    @pytest.mark.parametrize("kind", BACKENDS)
     def test_straggler_arrives_last(self, kind, rng):
         shares = F.random((3, 2, 3), rng)
         v = F.random(3, rng)

@@ -205,6 +205,42 @@ class TestWorkloadGenerator:
     def test_tenant_weights_surface(self):
         assert _generator().tenant_weights == {"a": 1.0, "b": 3.0}
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_stream_equals_generator_choice(self, seed, pinned):
+        """Every draw is the one ``Generator.choice(n, p=p)`` makes, so a
+        seed gives the trace it gave when each request called
+        ``choice``: same tenants, families, transposes and operands."""
+        tenants = [
+            TenantSpec("one", weight=2.0),  # a single-family mix
+            TenantSpec(
+                "mix",
+                weight=1.0,
+                family_mix={"matvec": 0.6, "matmul": 0.4},
+                transpose_fraction=0.3,
+            ),
+            TenantSpec("three", weight=0.5, family_mix={"matmul": 0.25, "matvec": 0.75}),
+        ]
+        gen = WorkloadGenerator(F, (24, 12), tenants, PoissonArrivals(10.0), seed=seed,
+                                matmul_dim=3)
+        rng = np.random.default_rng(seed)
+        p = np.array([t.weight for t in tenants]) / sum(t.weight for t in tenants)
+        for i in range(300):
+            pin = tenants[i % len(tenants)] if pinned else None
+            got = gen.make_request(float(i), tenant=pin)
+            tenant = pin or tenants[int(rng.choice(len(tenants), p=p))]
+            families = sorted(tenant.family_mix)
+            probs = np.array([tenant.family_mix[f] for f in families])
+            family = families[int(rng.choice(len(families), p=probs))]
+            transpose = family == "matvec" and rng.random() < tenant.transpose_fraction
+            if family == "matvec":
+                operand = F.random(24 if transpose else 12, rng)
+            else:
+                operand = F.random((3, 3), rng)
+                assert got.operand_b.tobytes() == F.random((3, 3), rng).tobytes()
+            assert (got.tenant, got.family, got.transpose) == (tenant.name, family, transpose)
+            assert got.operand.tobytes() == operand.tobytes()
+
 
 class TestSources:
     def test_open_loop_sorted_and_terminal(self):

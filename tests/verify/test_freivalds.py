@@ -171,3 +171,64 @@ class TestValidationAndCosts:
         assert key_cost == b * d  # one-time
         # per-check cost (b + d) << worker compute (b * d)
         assert (b + d) * 100 < b * d
+
+
+class TestPreparedOperand:
+    """The operand side ``s_i·w`` computed once per round for every key
+    (:meth:`FreivaldsVerifier.prepare`) gives the verdicts of the
+    per-call product; a plain operand still works, as a replay of one
+    check makes it."""
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    @pytest.mark.parametrize("width", [None, 1, 5])
+    def test_prepared_and_unprepared_agree(self, probes, width, rng):
+        v = FreivaldsVerifier(SMALL, probes=probes)
+        shares = SMALL.random((6, 4, 9), rng)
+        keys = v.keygen(shares, rng)
+        shape = (9,) if width is None else (9, width)
+        for _ in range(20):
+            w = SMALL.random(shape, rng)
+            prepared = v.prepare(w, keys)
+            assert prepared.operand is w  # residues: validated, not copied
+            for key, share in zip(keys, shares):
+                honest = share @ w % SMALL.q
+                forged = honest.copy()
+                forged.reshape(-1)[int(rng.integers(honest.size))] += 1
+                forged %= SMALL.q
+                for claimed in (honest, forged):
+                    assert v.check(key, prepared, claimed) == v.check(key, w, claimed)
+                assert v.check(key, prepared, honest)
+
+    def test_a_key_it_was_not_prepared_for_is_checked_in_full(self, rng):
+        v = FreivaldsVerifier(F)
+        shares = F.random((3, 4, 6), rng)
+        keys = v.keygen(shares, rng)
+        w = F.random(6, rng)
+        prepared = v.prepare(w, keys[:2])
+        assert prepared.side(keys[2]) is None
+        assert v.check(keys[2], prepared, _honest(F, shares[2], w))
+        assert not v.check(keys[2], prepared, (_honest(F, shares[2], w) + 1) % F.q)
+
+    def test_operand_sides_of_two_rounds_never_cross(self, rng):
+        """Each round's result passes against its own prepared operand
+        and fails against the other round's."""
+        v = FreivaldsVerifier(F)
+        shares = F.random((4, 5, 8), rng)
+        keys = v.keygen(shares, rng)
+        w1, w2 = F.random((8, 3), rng), F.random((8, 3), rng)
+        p1, p2 = v.prepare(w1, keys), v.prepare(w2, keys)
+        for key, share in zip(keys, shares):
+            z1, z2 = share @ w1 % F.q, share @ w2 % F.q
+            assert v.check(key, p1, z1) and v.check(key, p2, z2)
+            assert not v.check(key, p2, z1) and not v.check(key, p1, z2)
+
+    def test_prepare_validates_the_operand_once(self, rng):
+        v = FreivaldsVerifier(F)
+        keys = v.keygen(F.random((2, 3, 4), rng), rng)
+        with pytest.raises(TypeError, match="float"):
+            v.prepare(np.ones(4), keys)
+        with pytest.raises(ValueError, match="operand"):
+            v.prepare(F.random(5, rng), keys)
+        w = F.random(4, rng)
+        unreduced = v.prepare(w + F.q, keys)
+        assert unreduced.operand.tobytes() == w.tobytes()
