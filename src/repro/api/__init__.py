@@ -82,7 +82,7 @@ micro-batching). It drives sessions purely through this API:
 policies consume the round-time telemetry
 (``Session.estimate_round_time``, blending a cost-model prior with
 ``SessionStats.recent_round_time``); ``queue_depths`` exposes the
-session-side pending-job depth for dashboards and future autoscaling.
+session-side pending-job depth for dashboards.
 """
 
 from repro.api.config import SessionConfig, WorkerSpec

@@ -792,9 +792,9 @@ class Session:
 
     def queue_depths(self) -> dict[str, int]:
         """Pending (submitted but not yet dispatched) jobs per encoded
-        family — session-side queue-depth telemetry for dashboards and
-        autoscaling policies (the serving gateway keeps its own
-        request-level queues in front of this one)."""
+        family — session-side queue-depth telemetry for dashboards (the
+        serving gateway keeps its own request-level queues in front of
+        this one)."""
         return {fam: len(jobs) for fam, jobs in self._pending.items() if jobs}
 
     def estimate_round_time(self, family: str = "fwd", width: int = 1) -> float:

@@ -3,11 +3,8 @@
 One registry instance is the single source of exported numbers for a
 session: ``SessionStats`` mirrors its tallies here, the gateway feeds
 every terminal request outcome into its counters and histograms
-(:func:`repro.control.signals.outcome_recorder`), and the telemetry
-endpoint renders it as Prometheus text or a JSON snapshot. The
-gateway's control windows are not read back from here: it computes
-them from its own per-window outcome list, whose raw values give exact
-percentiles that bucket counts cannot.
+(:func:`repro.serve.gateway.outcome_recorder`), and the telemetry
+endpoint renders it as Prometheus text or a JSON snapshot.
 
 Design constraints, in order:
 

@@ -34,7 +34,6 @@ from typing import Any, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from repro.api.session import JobHandle, Session
-from repro.control.signals import WindowSignals, outcome_recorder
 from repro.obs.metrics import HistogramSnapshot, snapshot_from_values
 from repro.serve.batcher import MicroBatcher, PendingBatch, make_batch_policy
 from repro.serve.queueing import SHED_EXPIRED, FairQueue
@@ -44,6 +43,92 @@ __all__ = ["Gateway", "GatewayConfig", "RequestOutcome", "ServeReport", "Traffic
 
 #: outcome statuses
 SERVED = "served"
+
+#: metric names the gateway accounting lives under (obs-enabled runs)
+GATEWAY_REQUESTS = "gateway_requests_total"
+GATEWAY_SLO = "gateway_slo_requests_total"
+GATEWAY_LATENCY = "gateway_request_latency_seconds"
+GATEWAY_SLACK = "gateway_deadline_slack_seconds"
+
+
+def _gateway_handles(registry: Any) -> tuple[Any, Any, Any, Any]:
+    """Get-or-create the four gateway metrics once per registry; the
+    per-request path then skips the registry's name lookup + lock."""
+    handles = getattr(registry, "_gateway_handles", None)
+    if handles is None:
+        handles = (
+            registry.counter(
+                GATEWAY_REQUESTS, "terminal request outcomes by status"
+            ),
+            registry.counter(
+                GATEWAY_SLO, "deadline-carrying completions by SLO verdict"
+            ),
+            registry.histogram(
+                GATEWAY_LATENCY,
+                "end-to-end served latency (arrival to decode)",
+            ),
+            registry.histogram(
+                GATEWAY_SLACK,
+                "deadline minus completion for served SLO requests",
+            ),
+        )
+        registry._gateway_handles = handles
+    return handles
+
+
+#: canonical label-key memos for the per-request fast path (label sets
+#: are low-cardinality: statuses x tenants x families)
+_REQ_KEYS: dict[tuple, tuple] = {}
+_TENANT_KEYS: dict[str, tuple] = {}
+_MET_KEYS = {
+    True: (("met", "True"),),
+    False: (("met", "False"),),
+    None: (("met", "None"),),
+}
+_NO_LABELS: tuple = ()
+
+
+def outcome_recorder(registry: Any) -> Any:
+    """Bind the per-request outcome fast path once for ``registry``:
+    returns (and caches on the registry) a ``record(outcome)``
+    callable closed over the four gateway metric handles and the
+    label-key memos — the per-call cost is the metric bumps alone."""
+    rec = getattr(registry, "_outcome_recorder", None)
+    if rec is not None:
+        return rec
+    requests, slo, latency, slack = _gateway_handles(registry)
+
+    def record(
+        outcome: Any,
+        _req_keys=_REQ_KEYS,
+        _tenant_keys=_TENANT_KEYS,
+        _met_keys=_MET_KEYS,
+        _no_labels=_NO_LABELS,
+        _isfinite=math.isfinite,
+    ) -> None:
+        triple = (outcome.status, outcome.tenant, outcome.family)
+        key = _req_keys.get(triple)
+        if key is None:
+            key = _req_keys[triple] = tuple(
+                sorted(zip(("status", "tenant", "family"), map(str, triple)))
+            )
+        requests.inc_key(key)
+        has_deadline = _isfinite(outcome.deadline)
+        if has_deadline:
+            slo.inc_key(_met_keys[outcome.slo_met])
+        if outcome.status == "served" and outcome.latency is not None:
+            tenant = outcome.tenant
+            tkey = _tenant_keys.get(tenant)
+            if tkey is None:
+                tkey = _tenant_keys[tenant] = (("tenant", str(tenant)),)
+            latency.observe_key(tkey, outcome.latency)
+            if has_deadline and outcome.completed is not None:
+                slack.observe_key(
+                    _no_labels, outcome.deadline - outcome.completed
+                )
+
+    registry._outcome_recorder = record
+    return record
 
 
 @runtime_checkable
@@ -332,37 +417,10 @@ class Gateway:
         session: Session,
         source: TrafficSource,
         config: GatewayConfig | None = None,
-        *,
-        control_interval: float | None = None,
-        controller: Any = None,
     ):
         self.session = session
         self.source = source
         self.config = config or GatewayConfig()
-        if controller is not None and control_interval is None:
-            raise ValueError(
-                "a controller needs control_interval (the window length in "
-                "trace seconds) to receive windows"
-            )
-        if control_interval is not None and control_interval <= 0:
-            raise ValueError(
-                f"control_interval must be > 0, got {control_interval}"
-            )
-        #: window length (trace seconds) for control-plane telemetry;
-        #: None disables windowing entirely (zero-overhead default)
-        self.control_interval = control_interval
-        #: anything exposing on_window(WindowSignals) — typically a
-        #: repro.control.controller.FleetController
-        self.controller = controller
-        #: one WindowSignals per closed control window, in order
-        self.window_history: list[WindowSignals] = []
-        self._fresh_outcomes: list[RequestOutcome] = []
-        self._next_window = (
-            control_interval if control_interval is not None else math.inf
-        )
-        self._window_index = 0
-        self._records_mark = 0
-        self._adapt_mark = 0
         policy = make_batch_policy(
             self.config.batch_policy, **self.config.policy_options
         )
@@ -449,7 +507,6 @@ class Gateway:
         heapq.heapify(heap)
         while True:
             self._harvest(heap)
-            self._control_tick()
             self._ingest(heap)
             self._fill(heap)
             due = self._batcher.take_due(self.now)
@@ -492,84 +549,6 @@ class Gateway:
         return self._build_report()
 
     # ------------------------------------------------------------------
-    # control plane (inert unless control_interval is set)
-    # ------------------------------------------------------------------
-    def _control_tick(self) -> None:
-        """Close every control window the clock has passed: build its
-        :class:`~repro.control.signals.WindowSignals` and hand it to
-        the controller (if any). Called between dispatches, so any
-        controller-triggered membership change goes through a drained
-        session quiesce point."""
-        while self.now >= self._next_window:
-            signals = self._build_window(self._next_window)
-            self.window_history.append(signals)
-            self._next_window += self.control_interval
-            if self.controller is not None:
-                self.controller.on_window(signals)
-
-    def _build_window(self, t_end: float) -> WindowSignals:
-        fresh = self._fresh_outcomes
-        self._fresh_outcomes = []
-        stats = self.session.stats
-        byz = {
-            w
-            for r in stats.records[self._records_mark :]
-            for w in r.rejected_workers
-        }
-        self._records_mark = len(stats.records)
-        strag = {
-            w
-            for a in stats.adaptations[self._adapt_mark :]
-            for w in a.observed_stragglers
-        }
-        self._adapt_mark = len(stats.adaptations)
-        view = self.session.backend.membership()
-        # only dead workers still in the coding roster are actionable
-        # drift — once the master evicts them a re-code is a no-op, and
-        # counting them forever would make the policy re-fire every
-        # window until the daemons are restarted.
-        dead = set(view.dead)
-        roster = getattr(self.session.master, "active", None)
-        if roster is not None:
-            dead &= set(roster)
-        if self.obs is not None:
-            self.obs.registry.gauge(
-                "gateway_queue_depth", "requests waiting at window close"
-            ).set(len(self._queue))
-        served = [o for o in fresh if o.status == SERVED]
-        with_slo = [o for o in fresh if math.isfinite(o.deadline)]
-        slo = (
-            sum(1 for o in with_slo if o.slo_met) / len(with_slo)
-            if with_slo
-            else 1.0
-        )
-        lats = [o.latency for o in served if o.latency is not None]
-        p99 = float(np.percentile(lats, 99.0)) if lats else math.nan
-        slacks = [
-            o.deadline - o.completed
-            for o in served
-            if math.isfinite(o.deadline) and o.completed is not None
-        ]
-        signals = WindowSignals(
-            window_index=self._window_index,
-            t_start=t_end - self.control_interval,
-            t_end=t_end,
-            completed=len(fresh),
-            served=len(served),
-            shed=len(fresh) - len(served),
-            queue_depth=len(self._queue),
-            slo_attainment=slo,
-            p99_latency=p99,
-            deadline_slack=min(slacks) if slacks else math.nan,
-            live_workers=len(view.live),
-            pending_workers=len(view.pending),
-            dead_workers=len(dead),
-            observed_stragglers=len(strag),
-            detected_byzantine=len(byz),
-        )
-        self._window_index += 1
-        return signals
-
     def _build_report(self) -> ServeReport:
         outcomes = tuple(
             self._outcomes[rid] for rid in sorted(self._outcomes)
@@ -724,7 +703,6 @@ class Gateway:
                 audit_seq=handle._audit_seq,
             )
             self._outcomes[req.request_id] = done
-            self._fresh_outcomes.append(done)
             if self.obs is not None:
                 self._trace_finish(req, SERVED, outcome.record.t_end)
                 self._record_outcome(done)
@@ -753,7 +731,6 @@ class Gateway:
             slo_met=False if math.isfinite(req.deadline) else None,
         )
         self._outcomes[req.request_id] = done
-        self._fresh_outcomes.append(done)
         if self.obs is not None:
             self._trace_finish(req, status, self._t0 + self.now)
             self._record_outcome(done)

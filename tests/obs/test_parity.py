@@ -3,15 +3,15 @@
 With ``observability=False`` (the default) the observability layer
 must be invisible: ``ServeReport.to_dict()`` and the session's
 ``SessionStats.summary()`` byte-identical to an untouched run, zero
-obs objects allocated. With it on, the control windows
-(``WindowSignals``) and the report itself must not change either, and
-the registry's request counters must agree with the report — the
+obs objects allocated. With it on, the report must not change either,
+and the registry's request counters must agree with the report — the
 simulator's virtual clock makes both runs deterministic, so equality
 is exact, not approximate.
 """
 
-import dataclasses
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,12 +19,14 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.experiments.common import make_serving_workload
-from repro.serve import Gateway, GatewayConfig, OpenLoopSource
+from repro.obs.metrics import snapshot_from_values
+from repro.serve import Gateway, GatewayConfig, OpenLoopSource, Request
+from repro.serve.gateway import outcome_recorder
 
 SHAPE = (48, 24)
 
 
-def _run_serving(observability, *, control_interval=None, n_requests=60):
+def _run_serving(observability, *, n_requests=60):
     cfg = SessionConfig(
         scheme=SchemeParams(n=8, k=4, s=1, m=1),
         backend="sim",
@@ -44,7 +46,6 @@ def _run_serving(observability, *, control_interval=None, n_requests=60):
             GatewayConfig(
                 batch_policy="hybrid", tenant_weights=gen.tenant_weights
             ),
-            control_interval=control_interval,
         )
         report = gateway.run()
         return report, gateway, sess.stats.summary()
@@ -78,23 +79,7 @@ class TestOffSwitchParity:
         assert merged.count == 2 * hist.count
 
 
-class TestWindowAccountingParity:
-    def test_windows_identical_obs_on_vs_off(self):
-        _, gw_off, _ = _run_serving(False, control_interval=0.05)
-        _, gw_on, _ = _run_serving(True, control_interval=0.05)
-        assert len(gw_on.window_history) == len(gw_off.window_history)
-        assert gw_on.window_history, "trace produced no control windows"
-        for off, on in zip(gw_off.window_history, gw_on.window_history):
-            a = dataclasses.asdict(off)
-            b = dataclasses.asdict(on)
-            assert a.keys() == b.keys()
-            for key in a:
-                va, vb = a[key], b[key]
-                if isinstance(va, float) and np.isnan(va):
-                    assert np.isnan(vb), key
-                else:
-                    assert va == vb, (key, va, vb)
-
+class TestRegistryAccountingParity:
     def test_registry_counters_match_report_totals(self):
         rep, gw, _ = _run_serving(True)
         counter = gw.obs.registry.get("gateway_requests_total")
@@ -106,6 +91,97 @@ class TestWindowAccountingParity:
             if dict(key).get("status") == "served"
         )
         assert served == len(rep.served)
+
+
+def _mixed_verdict_trace(field, rng):
+    """An 8-request burst a depth-2 queue sheds, then a paced tail over
+    two tenants where every third request carries a deadline no round
+    can meet and every fourth carries none."""
+    reqs = [
+        Request(
+            request_id=i,
+            tenant="a",
+            family="matvec",
+            operand=field.random(5, rng),
+            arrival=0.0,
+            deadline=1.0,
+        )
+        for i in range(8)
+    ]
+    for i in range(16):
+        t = 0.1 + 0.03 * i
+        slack = math.inf if i % 4 == 3 else 1e-4 if i % 3 == 0 else 0.5
+        reqs.append(
+            Request(
+                request_id=len(reqs),
+                tenant="ab"[i % 2],
+                family="matvec",
+                operand=field.random(5, rng),
+                arrival=t,
+                deadline=t + slack,
+            )
+        )
+    return reqs
+
+
+class TestOutcomeRecorder:
+    """The gateway's four request metrics recount the report's terminal
+    outcomes exactly, series by series."""
+
+    def test_series_recount_the_report(self, rng):
+        cfg = SessionConfig(
+            scheme=SchemeParams(n=6, k=2, s=1, m=1),
+            backend="sim",
+            seed=0,
+            observability=True,
+        )
+        with Session.create(cfg) as sess:
+            sess.load(sess.field.random((6, 5), rng))
+            reqs = _mixed_verdict_trace(sess.field, rng)
+            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
+            rep = gw.run()
+            registry = sess.obs.registry
+        # bound once per registry: the gateway holds the cached recorder
+        assert outcome_recorder(registry) is gw._record_outcome
+        outcomes = rep.outcomes
+        assert rep.total == len(reqs)
+        timed = [o for o in outcomes if math.isfinite(o.deadline)]
+        verdicts = {(o.status == "served", o.slo_met) for o in outcomes}
+        assert verdicts == {(True, True), (True, False), (False, False), (True, None)}
+
+        requests = registry.get("gateway_requests_total")
+        assert dict(requests.series()) == {
+            (("family", f), ("status", s), ("tenant", t)): n
+            for (s, t, f), n in Counter(
+                (o.status, o.tenant, o.family) for o in outcomes
+            ).items()
+        }
+        slo = registry.get("gateway_slo_requests_total")
+        assert dict(slo.series()) == {
+            (("met", met),): n
+            for met, n in Counter(str(o.slo_met) for o in timed).items()
+        }
+
+        def same(hist, labels, values):
+            got = hist.snapshot_of(**labels)
+            want = snapshot_from_values(values, hist.bounds)
+            assert got.counts == want.counts
+            assert got.sum == pytest.approx(want.sum)
+
+        latency = registry.get("gateway_request_latency_seconds")
+        assert {dict(k)["tenant"] for k, _ in latency.series()} == {"a", "b"}
+        for tenant in ("a", "b"):
+            same(
+                latency,
+                {"tenant": tenant},
+                [o.latency for o in rep.served if o.tenant == tenant],
+            )
+        slack = registry.get("gateway_deadline_slack_seconds")
+        same(
+            slack,
+            {},
+            [o.deadline - o.completed for o in timed if o.status == "served"],
+        )
 
 
 class TestRequestTraces:

@@ -5,8 +5,9 @@ worker daemon can dial a *running* cluster, handshake, park as a
 pending join, and be admitted at a quiesce point (never mid-round);
 ``drop_workers`` is reversible; the hello-level protocol negotiation
 turns mismatched daemons away with a descriptive error. The
-session-level reconciliation (``end_iteration`` growing N, byte-exact
-results across membership changes) is exercised at the bottom.
+session-level reconciliation (``end_iteration`` growing N,
+``release_workers`` shrinking it, byte-exact results across membership
+changes) is exercised at the bottom.
 """
 
 import os
@@ -202,16 +203,18 @@ class TestVersionNegotiation:
 # ----------------------------------------------------------------------
 # session-level reconciliation: grow N, keep results byte-exact
 # ----------------------------------------------------------------------
-def _session_config():
+def _session_config(backend="tcp", n=4):
     return SessionConfig(
-        scheme=SchemeParams(n=4, k=2, s=1, m=0),
+        scheme=SchemeParams(n=n, k=2, s=1, m=0),
         master="avcc",
-        backend="tcp",
+        backend=backend,
         backend_options={
             "straggle_scale": 0.002,
             "heartbeat_interval": 0.05,
             "heartbeat_timeout": 0.5,
-        },
+        }
+        if backend == "tcp"
+        else {},
     )
 
 
@@ -279,3 +282,28 @@ class TestElasticSession:
                 sess.release_workers([17])
             with pytest.raises(ValueError, match="at least one"):
                 sess.release_workers([])
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_released_workers_are_dropped_and_shrink_the_scheme(self, backend, rng):
+        """A released worker reads as ``dropped``, not ``live``, so a
+        second release picked from the view (its highest id) never
+        re-picks it; each release shrinks N and answers stay exact."""
+        x = F.random((6, 5), rng)
+        v = F.random(5, rng)
+        with Session.create(_session_config(backend, n=5)) as sess:
+            sess.load(x)
+            sess.release_workers([2])
+            view = sess.backend.membership()
+            assert (view.live, view.dropped) == ((0, 1, 3, 4), (2,))
+            assert sess.master.scheme_now[0] == 4
+            out = sess.release_workers([view.live[-1]])
+            assert out.departed_workers == (4,)
+            view = sess.backend.membership()
+            assert (view.live, view.dropped) == ((0, 1, 3), (2, 4))
+            assert sess.master.active == [0, 1, 3]
+            assert sess.master.scheme_now[0] == 3
+            with pytest.raises(ValueError, match="not in the roster"):
+                sess.release_workers([2])
+            np.testing.assert_array_equal(
+                sess.submit_matvec(v).result(), ff_matvec(F, x, v)
+            )

@@ -80,15 +80,6 @@ class TestExamples:
         assert "ServeReport per gateway variant" in out
         assert "bit-exact against direct arithmetic" in out
 
-    def test_autoscale_demo(self):
-        """The control plane heals a SIGKILLed loopback fleet live."""
-        out = _run("autoscale_demo.py", "--requests", "60")
-        assert "SIGKILLed workers" in out
-        assert "scale_up" in out
-        assert "fully healed" in out
-        assert "rejoined" in out
-        assert "verified bit-exact" in out
-
     def test_observability_demo(self, tmp_path):
         snap = tmp_path / "obs_snapshot.json"
         out = _run(

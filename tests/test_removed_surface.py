@@ -4,9 +4,10 @@ what is left of every package's exports resolves.
 Deleted: the explicit-generator MDS wrapper, the matrix-polynomial and
 two-stage verifiers, the polynomial sigmoid, the gateway trace
 recorder with the trace-replay arrival and latency models, the
-coefficient-form Vandermonde solve, and the degree-2 ``gramian`` job
+coefficient-form Vandermonde solve, the degree-2 ``gramian`` job
 family end to end (master, session entry point, round op, request
-family).
+family), and the SLO control plane (autoscaler policy, fleet
+controller, window signals) with the gateway's control windows.
 """
 
 import importlib
@@ -21,7 +22,7 @@ from repro.api import JobRequest, Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField
 from repro.runtime import RoundJob
-from repro.serve import TenantSpec
+from repro.serve import Gateway, OpenLoopSource, TenantSpec
 
 #: package -> names it exported before the deletion
 DELETED_EXPORTS = {
@@ -33,9 +34,14 @@ DELETED_EXPORTS = {
     "repro.serve": ["GatewayRecorder", "RecordedTrace", "TraceArrivals"],
     "repro.runtime": ["TraceLatency"],
     "repro.ff": ["vandermonde_solve"],
+    "repro.serve.gateway": ["WindowSignals", "record_outcome"],
 }
 DELETED_MODULES = [
     "repro.coding.mds",
+    "repro.control",
+    "repro.control.autoscaler",
+    "repro.control.controller",
+    "repro.control.signals",
     "repro.core.gramian",
     "repro.ml.polyapprox",
     "repro.serve.recorder",
@@ -74,6 +80,15 @@ def _no_gramian_round_time_prior():
         assert sess.estimate_round_time("gramian") == 0.0
 
 
+def _gateway_has_no_control_windows():
+    cfg = SessionConfig(scheme=SchemeParams(n=4, k=2, s=1, m=0), seed=0)
+    with Session.create(cfg) as sess:
+        for keyword in ("control_interval", "controller"):
+            with pytest.raises(TypeError, match=keyword):
+                Gateway(sess, OpenLoopSource([]), **{keyword: 0.25})
+        assert not hasattr(Gateway(sess, OpenLoopSource([])), "window_history")
+
+
 def _export_absent(package: str, name: str) -> None:
     mod = importlib.import_module(package)
     assert name not in mod.__all__
@@ -93,6 +108,7 @@ CASES = [
         _refuse_gramian_tenant,
         _refuse_gramian_round_job,
         _no_gramian_round_time_prior,
+        _gateway_has_no_control_windows,
     )
 ]
 CASES += [
