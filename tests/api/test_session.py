@@ -75,6 +75,19 @@ class TestConfigRoundTrip:
         blob = json.dumps(_config().to_dict())
         assert SessionConfig.from_dict(json.loads(blob)) == _config()
 
+    def test_with_returns_an_updated_copy(self):
+        cfg = _config()
+        changed = cfg.with_(batch_window=5, seed=9)
+        assert (changed.batch_window, changed.seed) == (5, 9)
+        assert changed.workers == cfg.workers and changed.scheme == cfg.scheme
+        assert (cfg.batch_window, cfg.seed) == (_config().batch_window, 1)
+
+    def test_with_revalidates_the_change(self):
+        with pytest.raises(ValueError, match="batch_window"):
+            _config().with_(batch_window=0)
+        with pytest.raises(ValueError, match="worker specs"):
+            _config().with_(scheme=SchemeParams(n=7, k=3, s=1, m=1))
+
     def test_unknown_keys_rejected(self):
         d = _config().to_dict()
         d["bogus"] = 1
@@ -502,6 +515,11 @@ class TestJobHandle:
             h1 = sess.submit_matvec(F.random(8, RNG))
             h2 = sess.submit_matvec(F.random(8, RNG))
             assert h1.record is h2.record
+
+    def test_session_is_not_iterable(self):
+        with Session.create(_config()) as sess:
+            with pytest.raises(TypeError, match="submit_"):
+                iter(sess)
 
 
 class TestMatmulUsesTheSessionRoster:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.coding import SchemeParams
 from repro.experiments import (
     ExperimentConfig,
     FIG3_SETTINGS,
@@ -15,9 +16,11 @@ from repro.experiments import (
     run_fig5,
     run_training,
 )
-from repro.experiments.common import make_session, scenario_config
+from repro.experiments.common import make_session, scenario_config, serving_config
+from repro.experiments.fig3 import Fig3Result
 from repro.experiments.fig4 import FIG4_SETTINGS
-from repro.experiments.table1 import PAPER_TABLE1, speedup_over
+from repro.experiments.table1 import PAPER_TABLE1, Table1Result, speedup_over
+from repro.ml.trainer import TrainingHistory
 
 # A deliberately tiny config: exercises every code path in ~seconds.
 TINY = ExperimentConfig(
@@ -124,6 +127,19 @@ class TestScenarioConfig:
             isinstance(w.behavior, IntermittentAttack) for w in workers
         )
 
+    def test_serving_config_is_the_papers_fleet(self):
+        config = serving_config(TINY)
+        assert config.scheme == SchemeParams(n=12, k=9, s=1, m=1)
+        assert config.backend == "sim" and config.backend_options == {}
+        workers = config.build_workers()
+        assert workers[0].profile.factor == TINY.straggler_factors[0]
+        assert [w.worker_id for w in workers if w.is_byzantine] == [1]
+        assert all(w.profile.factor == 1.0 for w in workers[1:])
+        tcp = serving_config(TINY, backend="tcp", seed_offset=3)
+        assert tcp.backend_options == {"straggle_scale": 0.002}
+        assert tcp.seed == TINY.seed + 3
+        assert tcp.workers == config.workers
+
 
 class TestMakeSession:
     def test_all_methods(self):
@@ -178,6 +194,22 @@ class TestRunners:
         s = speedup_over(res, "uncoded")
         assert s > 0 and math.isfinite(s)
 
+    def test_fig3_plateau_is_the_method_tail_mean(self):
+        accs = {"avcc": [0.2] * 3 + [0.9] * 5, "lcc": [0.5, 0.7], "uncoded": [0.4]}
+        res = Fig3Result(
+            panel="a",
+            attack="reverse",
+            s=1,
+            m=2,
+            histories={
+                k: TrainingHistory(method=k, times=[0.0] * len(v), test_acc=v)
+                for k, v in accs.items()
+            },
+        )
+        assert res.plateau("avcc") == pytest.approx(0.9)
+        assert res.plateau("lcc") == pytest.approx(0.6)
+        assert res.plateau("uncoded") == pytest.approx(0.4)
+
 
 class TestReport:
     def test_format_table(self):
@@ -190,3 +222,12 @@ class TestReport:
         from repro.experiments.report import format_series
 
         assert "(empty)" in format_series("x", [], [])
+
+    def test_table1_render_pairs_measured_with_paper_speedups(self):
+        speedups = {key: (1.5, 2.25) for key in PAPER_TABLE1}
+        out = Table1Result(speedups=speedups, panels={}).render()
+        lines = out.splitlines()
+        assert lines[0] == "Table I: AVCC speedups (measured vs paper)"
+        for (attack, s, m), (p_lcc, p_unc) in PAPER_TABLE1.items():
+            row = next(ln for ln in lines if f"{attack} S={s},M={m}" in ln)
+            assert row.split()[2:] == ["1.50x", f"{p_lcc:.2f}x", "2.25x", f"{p_unc:.2f}x"]

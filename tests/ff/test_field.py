@@ -101,6 +101,44 @@ class TestFieldAxioms:
         assert small_field.pow(a, -1) == small_field.inv(a)
         assert small_field.mul(small_field.pow(a, -3), small_field.pow(a, 3)) == 1
 
+    def test_sub_is_add_of_the_negation(self, small_field, rng):
+        a = small_field.random((4, 6), rng)
+        b = small_field.random((4, 6), rng)
+        d = small_field.sub(a, b)
+        np.testing.assert_array_equal(d, small_field.add(a, small_field.neg(b)))
+        np.testing.assert_array_equal(small_field.add(d, b), a)
+        assert d.min() >= 0 and d.max() < 97
+        assert not small_field.sub(a, a).any()
+
+    def test_ones_is_the_multiplicative_identity(self, small_field, rng):
+        one = small_field.ones((3, 2))
+        assert one.dtype == np.int64 and one.shape == (3, 2)
+        a = small_field.random((3, 2), rng)
+        np.testing.assert_array_equal(small_field.mul(a, one), a)
+
+
+class TestBatchInverse:
+    def test_matches_fermat_inversion_and_keeps_shape(self, paper_field, rng):
+        a = paper_field.random((3, 5), rng)
+        a[a == 0] = 1
+        inv = paper_field.batch_inv(a)
+        assert inv.shape == (3, 5) and inv.dtype == np.int64
+        np.testing.assert_array_equal(inv, paper_field.inv(a))
+        np.testing.assert_array_equal(paper_field.mul(a, inv), paper_field.ones((3, 5)))
+
+    def test_reduces_before_inverting(self, small_field):
+        np.testing.assert_array_equal(
+            small_field.batch_inv([98, -1]), small_field.inv([1, 96])
+        )
+
+    def test_zero_raises(self, small_field):
+        with pytest.raises(ZeroDivisionError):
+            small_field.batch_inv([3, 97, 5])
+
+    def test_empty_input_keeps_its_shape(self, small_field):
+        out = small_field.batch_inv(np.zeros((0, 3), dtype=np.int64))
+        assert out.shape == (0, 3)
+
 
 class TestDistinctPoints:
     def test_basic(self, small_field):

@@ -89,6 +89,28 @@ class TestArithmetic:
         assert P(1, 1).divides_exactly(P(1, 2, 1))
         assert not P(1, 1).divides_exactly(P(1, 0, 1))
 
+    def test_floordiv_and_mod_are_the_divmod_halves(self, rng):
+        for _ in range(10):
+            a = Poly(F, rng.integers(0, 97, size=7))
+            b = Poly(F, np.append(rng.integers(0, 97, size=2), 3))
+            q, r = divmod(a, b)
+            assert a // b == q
+            assert a % b == r
+        assert P(1, 0, 1) // P(1, 1) == P(96, 1)
+        assert P(1, 0, 1) % P(1, 1) == P(2)
+
+    def test_floordiv_and_mod_by_zero_raise(self):
+        with pytest.raises(ZeroDivisionError):
+            P(1, 2) // Poly.zero(F)
+        with pytest.raises(ZeroDivisionError):
+            P(1, 2) % Poly.zero(F)
+
+    def test_equal_polys_hash_equal(self):
+        a, b = P(1, 2, 0, 0), P(1, 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, P(2, 1)}) == 2
+        assert {P(5): "five"}[P(5, 0)] == "five"
+
 
 class TestConstructors:
     def test_from_roots(self):

@@ -111,6 +111,11 @@ class TestHistogram:
         snap = snapshot_from_values([], bounds=(1.0,))
         assert math.isnan(snap.percentile(99.0))
 
+    def test_mean_is_sum_over_count_and_nan_when_empty(self):
+        snap = snapshot_from_values([0.1, 0.9, 5.0], bounds=(0.5, 1.0))
+        assert snap.mean() == pytest.approx(2.0)
+        assert math.isnan(snapshot_from_values([], bounds=(1.0,)).mean())
+
     def test_snapshot_dict_roundtrip(self):
         snap = snapshot_from_values([0.1, 0.9, 5.0], bounds=(0.5, 1.0))
         back = HistogramSnapshot.from_dict(

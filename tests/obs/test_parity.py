@@ -143,45 +143,70 @@ class TestOutcomeRecorder:
             registry = sess.obs.registry
         # bound once per registry: the gateway holds the cached recorder
         assert outcome_recorder(registry) is gw._record_outcome
-        outcomes = rep.outcomes
         assert rep.total == len(reqs)
-        timed = [o for o in outcomes if math.isfinite(o.deadline)]
-        verdicts = {(o.status == "served", o.slo_met) for o in outcomes}
+        verdicts = {(o.status == "served", o.slo_met) for o in rep.outcomes}
         assert verdicts == {(True, True), (True, False), (False, False), (True, None)}
+        _assert_series_recount(rep, registry)
 
-        requests = registry.get("gateway_requests_total")
-        assert dict(requests.series()) == {
-            (("family", f), ("status", s), ("tenant", t)): n
-            for (s, t, f), n in Counter(
-                (o.status, o.tenant, o.family) for o in outcomes
-            ).items()
-        }
-        slo = registry.get("gateway_slo_requests_total")
-        assert dict(slo.series()) == {
-            (("met", met),): n
-            for met, n in Counter(str(o.slo_met) for o in timed).items()
-        }
-
-        def same(hist, labels, values):
-            got = hist.snapshot_of(**labels)
-            want = snapshot_from_values(values, hist.bounds)
-            assert got.counts == want.counts
-            assert got.sum == pytest.approx(want.sum)
-
-        latency = registry.get("gateway_request_latency_seconds")
-        assert {dict(k)["tenant"] for k, _ in latency.series()} == {"a", "b"}
-        for tenant in ("a", "b"):
-            same(
-                latency,
-                {"tenant": tenant},
-                [o.latency for o in rep.served if o.tenant == tenant],
-            )
-        slack = registry.get("gateway_deadline_slack_seconds")
-        same(
-            slack,
-            {},
-            [o.deadline - o.completed for o in timed if o.status == "served"],
+    def test_series_recount_a_tcp_run(self, rng):
+        """On the wall clock which deadlines are met varies run to run;
+        whatever the verdicts, the series recount them exactly."""
+        cfg = SessionConfig(
+            scheme=SchemeParams(n=6, k=2, s=1, m=1),
+            backend="tcp",
+            seed=0,
+            observability=True,
+            backend_options={"straggle_scale": 0.002},
         )
+        with Session.create(cfg) as sess:
+            sess.load(sess.field.random((6, 5), rng))
+            reqs = _mixed_verdict_trace(sess.field, rng)
+            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
+            rep = gw.run()
+            registry = sess.obs.registry
+        assert rep.total == len(reqs)
+        assert rep.shed_queue_full == 6  # the burst overflows at admission
+        _assert_series_recount(rep, registry)
+
+
+def _same_histogram(hist, labels, values):
+    got = hist.snapshot_of(**labels)
+    want = snapshot_from_values(values, hist.bounds)
+    assert got.counts == want.counts
+    assert got.sum == pytest.approx(want.sum)
+
+
+def _assert_series_recount(rep, registry):
+    """Each of the gateway's request series equals its recount from
+    the report's terminal outcomes."""
+    outcomes = rep.outcomes
+    timed = [o for o in outcomes if math.isfinite(o.deadline)]
+    requests = registry.get("gateway_requests_total")
+    assert dict(requests.series()) == {
+        (("family", f), ("status", s), ("tenant", t)): n
+        for (s, t, f), n in Counter(
+            (o.status, o.tenant, o.family) for o in outcomes
+        ).items()
+    }
+    slo = registry.get("gateway_slo_requests_total")
+    assert dict(slo.series()) == {
+        (("met", met),): n
+        for met, n in Counter(str(o.slo_met) for o in timed).items()
+    }
+    latency = registry.get("gateway_request_latency_seconds")
+    assert {dict(k)["tenant"] for k, _ in latency.series()} == {"a", "b"}
+    for tenant in ("a", "b"):
+        _same_histogram(
+            latency,
+            {"tenant": tenant},
+            [o.latency for o in rep.served if o.tenant == tenant],
+        )
+    slack = registry.get("gateway_deadline_slack_seconds")
+    _same_histogram(
+        slack,
+        {},
+        [o.deadline - o.completed for o in timed if o.status == "served"],
+    )
 
 
 class TestRequestTraces:

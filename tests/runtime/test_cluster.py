@@ -110,6 +110,30 @@ class TestDistribute:
         assert sorted(a.worker_id for a in handle) == [1, 3]
 
 
+    def test_duplicate_or_out_of_range_participants_are_refused(self, rng):
+        c = _mk_cluster(n=4)
+        c.distribute("X", F.random((4, 3, 6), rng))
+        job = RoundJob(payload_key="X", operand=F.random(6, rng))
+        with pytest.raises(ValueError, match="duplicate participant"):
+            c.dispatch_round(job, participants=[0, 1, 1])
+        with pytest.raises(ValueError, match="worker id 4 out of range"):
+            c.distribute("Y", F.random((2, 3, 6), rng), participants=[0, 4])
+        with pytest.raises(ValueError, match="worker id -1 out of range"):
+            c.dispatch_round(job, participants=[-1, 2])
+        assert "Y" not in c.worker(0).payload
+
+    def test_unrestricted_round_skips_dropped_workers(self, rng):
+        """``participants=None`` means every worker not dropped, and
+        the roster view agrees."""
+        c = _mk_cluster(n=4)
+        c.distribute("X", F.random((4, 3, 6), rng))
+        c.drop_workers([1])
+        handle = c.dispatch_round(RoundJob(payload_key="X", operand=F.random(6, rng)))
+        assert sorted(a.worker_id for a in handle) == [0, 2, 3]
+        view = c.membership()
+        assert (view.live, view.dropped, view.live_count) == ((0, 2, 3), (1,), 3)
+        assert c.admit_workers() == () and c.take_membership_events() == ()
+
 class TestRunRound:
     def _setup(self, c, rng, d=6):
         shares = F.random((c.n, 3, d), rng)

@@ -125,6 +125,14 @@ class TestElasticJoin:
             kinds = {(e.kind, e.worker_id) for e in backend.take_membership_events()}
         assert ("joined", 3) in kinds
 
+    def test_spawn_worker_refuses_an_id_with_a_live_daemon(self):
+        with _cluster(3) as backend:
+            pid = backend.worker_pids()[1]
+            with pytest.raises(ValueError, match="already has a live process"):
+                backend.spawn_worker(1)
+            assert backend.worker_pids()[1] == pid
+            assert backend.membership().live == (0, 1, 2)
+
     def test_drop_is_reversible(self, rng):
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
@@ -307,3 +315,44 @@ class TestElasticSession:
             np.testing.assert_array_equal(
                 sess.submit_matvec(v).result(), ff_matvec(F, x, v)
             )
+
+    def test_release_is_logged_as_one_dropped_event(self, rng):
+        x = F.random((6, 5), rng)
+        with Session.create(_session_config(n=5)) as sess:
+            sess.load(x)
+            sess.release_workers([4])
+            stats = sess.stats
+            assert [(e.kind, e.worker_id) for e in stats.membership_events] == [
+                ("dropped", 4)
+            ]
+            sess.end_iteration()  # the next drain logs nothing twice
+            assert [(e.kind, e.worker_id) for e in stats.membership_events] == [
+                ("dropped", 4)
+            ]
+            assert stats.membership_changes == 1
+
+    def test_sim_release_survives_end_iteration(self, rng):
+        """The simulator has no joiners and logs no events: a quiesce
+        after a release admits nobody and the worker stays dropped."""
+        x = F.random((6, 5), rng)
+        v = F.random(5, rng)
+        with Session.create(_session_config("sim", n=5)) as sess:
+            sess.load(x)
+            assert sess.release_workers([1]).departed_workers == (1,)
+            out = sess.end_iteration()
+            assert out.joined_workers == () and out.departed_workers == ()
+            view = sess.backend.membership()
+            assert (view.live, view.dropped) == ((0, 2, 3, 4), (1,))
+            assert view.live_count == 4 and sess.master.scheme_now[0] == 4
+            assert sess.stats.membership_events == []
+            np.testing.assert_array_equal(
+                sess.submit_matvec(v).result(), ff_matvec(F, x, v)
+            )
+
+    def test_release_needs_a_membership_aware_master(self, rng):
+        cfg = _session_config("sim").with_(master="lcc")
+        with Session.create(cfg) as sess:
+            sess.load(F.random((4, 3), rng))
+            with pytest.raises(RuntimeError, match="does not support membership"):
+                sess.release_workers([3])
+            assert sess.backend.membership().dropped == ()

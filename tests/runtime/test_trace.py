@@ -46,6 +46,13 @@ class TestRecords:
         assert it.reencode_time == 41.0
         assert it.scheme == (11, 8)
 
+    def test_iteration_duration_spans_rounds_and_reencode(self):
+        it = TraceRecorder.merge_rounds(
+            2, [_round(2, "z", 10, 12), _round(2, "g", 12, 15)], reencode_time=4.0
+        )
+        assert it.t_start == 10
+        assert it.duration == 9.0
+
 
 class TestRecorder:
     def _recorder(self):

@@ -139,6 +139,23 @@ class TestEndToEndParity:
         for req in reqs:
             assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
 
+    def test_matmul_queue_span_closes_when_the_request_dispatches(self):
+        """Matmul requests bypass the batcher and dispatch one by
+        one; with observability on, each one's queue span ends at its
+        dispatch, before the session starts serving it."""
+        reqs = _generator(seed=17, mix={"matvec": 0.5, "matmul": 0.5}).generate(8)
+        matmuls = [r for r in reqs if r.family == "matmul"]
+        assert matmuls
+        x, gw, report = _run(reqs, session_cfg=_session_config(observability=True))
+        assert len(report.served) == 8
+        tracer = gw.obs.tracer
+        for req in matmuls:
+            spans = {s.name: s for s in tracer.resolved(f"req-{req.request_id}")}
+            queue, session = spans["gateway.queue"], spans["session"]
+            assert queue.t_end is not None
+            assert queue.t_start <= queue.t_end <= session.t_start
+            assert queue.t_end < spans["request"].t_end
+            assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
 
 class TestBatchingBehavior:
     def test_serial_policy_runs_one_round_per_request(self):
@@ -204,6 +221,26 @@ class TestSheddingAndSLO:
         assert report.shed_queue_full > 0
         assert len(report.served) + report.shed == 12
 
+    def test_queue_overflow_sheds_at_admission_on_tcp(self):
+        """On the wall clock too, a burst of simultaneous arrivals is
+        admitted in one pass: a depth-2 queue keeps two, sheds the
+        rest as queue-full, and serves what it kept exactly."""
+        ops = F.random(D, np.random.default_rng(0))
+        reqs = [
+            Request(request_id=next(_NEXT_ID), tenant="free", family="matvec",
+                    arrival=0.5, operand=ops)
+            for _ in range(12)
+        ]
+        x, gw, report = _run(
+            reqs,
+            session_cfg=_session_config(backend="tcp"),
+            gateway_cfg=GatewayConfig(queue_depth=2),
+        )
+        assert report.shed_queue_full == 10
+        assert len(report.served) == 2
+        for o in report.served:
+            assert gw.results[o.request_id].tobytes() == ff_matvec(F, x, ops).tobytes()
+
     def test_served_within_deadline_counts_toward_slo(self):
         reqs = _generator(slack=10.0, rate=100.0).generate(15)
         _, _, report = _run(reqs)
@@ -247,6 +284,27 @@ class TestReport:
         assert 0 < report.p50 <= report.p95 <= report.p99
         assert report.throughput > 0
         assert report.duration > 0
+
+    def test_tail_stats_come_from_served_requests_only(self):
+        reqs = _generator(slack=1e-4, rate=5000.0).generate(20)
+        _, _, report = _run(
+            reqs,
+            gateway_cfg=GatewayConfig(batch_policy="count", policy_options={"window": 1}),
+        )
+        assert report.shed > 0 and report.served
+        lat = [o.latency for o in report.served]
+        assert all(o.latency is None for o in report.outcomes if o.status != "served")
+        assert report.p50 == pytest.approx(np.percentile(lat, 50))
+        assert report.p99 == pytest.approx(np.percentile(lat, 99))
+        assert report.latency_histogram().count == len(lat)
+        assert report.latency_histogram().sum == pytest.approx(sum(lat))
+
+    def test_deadline_free_requests_carry_no_slo_verdict(self):
+        reqs = _generator().generate(12)
+        _, _, report = _run(reqs)
+        assert len(report.served) == 12
+        assert {o.slo_met for o in report.outcomes} == {None}
+        assert report.slo_attainment == 1.0
 
     def test_tenant_summary_accounts_everyone(self):
         reqs = _generator().generate(25)
@@ -326,6 +384,43 @@ class TestGatewayGuards:
             GatewayConfig(max_batch=0)
         with pytest.raises(ValueError, match="queue_depth"):
             GatewayConfig(queue_depth=0)
+
+
+class TestServingBesideAByzantineWorker:
+    """Worker 1 of the default fleet always reverses its result."""
+
+    def test_sim_rejects_it_and_only_it(self):
+        reqs = _generator(seed=31).generate(10)
+        with Session.create(_session_config()) as sess:
+            x = _x()
+            sess.load(x)
+            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig())
+            report = gw.run()
+            stats = sess.stats
+        assert len(report.served) == 10
+        assert set(stats.rejected_workers) == {1}
+        for req in reqs:
+            assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
+
+    def test_tcp_never_rejects_an_honest_worker(self):
+        """Which workers a wall-clock round verifies before it has K
+        depends on arrival order, so worker 1 may not be caught; an
+        honest worker must never be rejected, and the roster stays
+        whole."""
+        reqs = _generator(seed=31, rate=500.0).generate(10)
+        with Session.create(_session_config(backend="tcp")) as sess:
+            x = _x()
+            sess.load(x)
+            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig())
+            report = gw.run()
+            stats = sess.stats
+            view = sess.backend.membership()
+        assert len(report.served) == 10
+        assert set(stats.rejected_workers) <= {1}
+        assert view.live == tuple(range(12))
+        assert (view.dead, view.dropped, view.pending) == ((), (), ())
+        for req in reqs:
+            assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
 
 
 class TestWallClockBackend:

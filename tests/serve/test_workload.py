@@ -250,6 +250,13 @@ class TestSources:
         assert [r.request_id for r in init] == list(range(10))
         assert src.on_complete(init[0], 1.0) is None
 
+    def test_open_loop_length_is_the_trace_length(self):
+        reqs = _generator().generate(7)
+        src = OpenLoopSource(reqs)
+        assert len(src) == 7
+        src.initial().clear()  # the schedule handed out is a copy
+        assert len(src) == 7 and len(src.initial()) == 7
+
     def test_closed_loop_issues_next_after_completion(self):
         gen = _generator()
         src = ClosedLoopSource(gen, n_clients=3, think_time=0.01, requests_per_client=2)

@@ -18,6 +18,11 @@ class TestMatmulVerifier:
         key = v.keygen_single(a, rng)
         assert v.check(key, b, ff_matmul(F, a, b))
 
+    def test_key_reports_probes_rows_and_inner_dimension(self, rng):
+        v = MatmulVerifier(F, probes=3)
+        key = v.keygen_single(F.random((6, 8), rng), rng)
+        assert (key.probes, key.rows, key.inner) == (3, 6, 8)
+
     def test_forgery_rejected(self, rng):
         v = MatmulVerifier(F)
         a = F.random((6, 8), rng)
