@@ -8,10 +8,7 @@ bench quantifies the win at the experiments' calibrated scale:
   sequential rounds), observable via ``session.stats``;
 * **simulated service time**: one broadcast + one straggler exposure +
   one verification sweep + one decode, instead of B of each — the
-  per-job cost collapses;
-* **wall clock**: the batched matvec kernel is one ``(b, d) @ (d, B)``
-  matmul per worker instead of B matvecs — better cache behaviour on
-  top of the protocol savings.
+  per-job cost collapses.
 
 The workload is serving-shaped (many small requests against one
 encoded dataset): per-round overheads — broadcast transfer, link
@@ -65,44 +62,11 @@ def workload():
     return field, x, ops
 
 
-def test_batched_submission_throughput(benchmark, cfg, workload):
-    """B concurrent jobs through the round batcher: 1 round total."""
-    field, x, ops = workload
-
-    def run():
-        with Session.create(_config(cfg)) as sess:
-            sess.load(x)
-            handles = [sess.submit_matvec(w) for w in ops]
-            results = [h.result() for h in handles]
-            return results, sess.stats
-
-    results, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats.rounds_executed == 1
-    assert stats.jobs_per_round == [BATCH]
-    assert stats.batched_jobs == BATCH
-    record_metric("batching_factor", stats.batching_factor)
-
-
-def test_sequential_submission_throughput(benchmark, cfg, workload):
-    """The same B jobs submitted with a result() barrier between each:
-    B rounds, B broadcasts, B straggler exposures. The ratio of the
-    two benches' simulated times is the batching speedup."""
-    field, x, ops = workload
-
-    def run():
-        with Session.create(_config(cfg)) as sess:
-            sess.load(x)
-            results = [sess.submit_matvec(w).result() for w in ops]
-            return results, sess.stats
-
-    results, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats.rounds_executed == BATCH
-    assert stats.batching_factor == 1.0
-
-
 def test_batching_serves_identical_bytes_in_less_service_time(cfg, workload):
-    """Not a timing bench: pins the batched path's semantics at scale —
-    byte-identical decodes and strictly less simulated service time."""
+    """B concurrent jobs through the round batcher run in exactly one
+    round; the same B jobs with a ``result()`` barrier between each run
+    in B. Pins the batched path's semantics at scale — byte-identical
+    decodes and strictly less simulated service time."""
     field, x, ops = workload
 
     with Session.create(_config(cfg)) as batched:
@@ -111,12 +75,19 @@ def test_batching_serves_identical_bytes_in_less_service_time(cfg, workload):
         handles = [batched.submit_matvec(w) for w in ops]
         batched_results = [h.result() for h in handles]
         batched_time = batched.now - t0
+    stats = batched.stats
+    assert stats.rounds_executed == 1
+    assert stats.jobs_per_round == [BATCH]
+    assert stats.batched_jobs == BATCH
+    record_metric("batching_factor", stats.batching_factor)
 
     with Session.create(_config(cfg)) as sequential:
         sequential.load(x)
         t0 = sequential.now
         seq_results = [sequential.submit_matvec(w).result() for w in ops]
         sequential_time = sequential.now - t0
+    assert sequential.stats.rounds_executed == BATCH
+    assert sequential.stats.batching_factor == 1.0
 
     for a, b in zip(batched_results, seq_results):
         np.testing.assert_array_equal(a, b)

@@ -11,16 +11,20 @@ Usage::
 ``benchmarks/baselines/metrics.json``. Every gated baseline metric must
 be present in the measured file and must not fall below
 ``value * (1 - tolerance)`` — all gated metrics are higher-is-better
-(batching factor, speedups, occupancy, SLO attainment). Measured
-metrics *above* baseline never fail: improvements land freely.
+(batching factor, simulated-clock speedups, occupancy, SLO attainment,
+success fractions, byte-count headrooms). Measured metrics *above*
+baseline never fail: improvements land freely.
 
 ``--select`` (repeatable, :mod:`fnmatch` patterns) restricts the gate
 to matching baseline keys — how CI jobs that each run a *subset* of the
-benches share one baseline file (e.g. ``--select 'serving_*'`` in the
-``bench-serving`` job). Without it, every baseline key is gated.
+benches share one baseline file (e.g. ``--select 'tcp_*'`` in the
+``bench-tcp`` job). Without it, every baseline key is gated. Every
+pattern must match at least one baseline key: a pattern left behind
+by a deleted metric would otherwise gate nothing, silently.
 
 Failure modes are reported by name, never as a raw ``KeyError``:
 
+* a ``--select`` pattern that **matches no baseline key** is named;
 * baseline keys **missing** from the measured file are listed together
   (the usual cause: a bench stopped emitting a metric, or the CI job's
   ``--select`` set and the benches it runs drifted apart);
@@ -48,8 +52,8 @@ non-default tolerance). New metrics emitted by a bench must be added to
 the baseline file (and, if CI gates them in a ``--select``-ed job, to
 that job's patterns) in the same PR that introduces them.
 
-Exit code 0 = within tolerance; 1 = regression, missing metric, or
-malformed baseline; 2 = bad invocation.
+Exit code 0 = within tolerance; 1 = regression, missing metric,
+unmatched pattern or malformed baseline; 2 = bad invocation.
 """
 
 from __future__ import annotations
@@ -80,7 +84,11 @@ def check(
         and (not select or any(fnmatch(name, pat) for pat in select))
     }
 
-    failures = []
+    failures = [
+        f"--select {pat!r} matches no baseline key"
+        for pat in select or ()
+        if not any(fnmatch(name, pat) for name in gated)
+    ]
     missing = [name for name in gated if name not in measured]
     for name in missing:
         failures.append(f"{name}: baseline metric missing from measured metrics")
@@ -130,16 +138,12 @@ def check(
         for name in new:
             print(f"  + {name} = {measured[name]}")
 
+    if not gated:
+        failures.append("no baseline key is gated")
     if failures:
         print("\nperf regression gate FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
-        return 1
-    if not gated:
-        print(
-            f"perf regression gate: no baseline keys matched select={select}",
-            file=sys.stderr,
-        )
         return 1
     print("\nperf regression gate passed")
     return 0

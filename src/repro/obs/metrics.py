@@ -54,19 +54,28 @@ _KEY_MEMO_CAP = 4096
 
 
 def _label_key(labels: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
-    """Canonical hashable form of a label set (sorted, stringified)."""
+    """Canonical hashable form of a label set (sorted, stringified).
+    Label names are checked when a key is built, so a memo hit pays
+    nothing for it."""
     if not labels:
         return ()
     items = tuple(labels.items())
     try:
         key = _KEY_MEMO.get(items)
     except TypeError:  # unhashable label value: skip the memo
-        return tuple(sorted((k, str(v)) for k, v in labels.items()))
+        return _build_label_key(labels)
     if key is None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = _build_label_key(labels)
         if len(_KEY_MEMO) < _KEY_MEMO_CAP:
             _KEY_MEMO[items] = key
     return key
+
+
+def _build_label_key(labels: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
+    for k in labels:
+        if not _LABEL_RE.match(k):
+            raise ValueError(f"invalid label name {k!r}")
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 def _escape_label_value(value: str) -> str:
@@ -91,11 +100,6 @@ class _Metric:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-
-    def _check_labels(self, labels: Mapping[str, Any]) -> None:
-        for k in labels:
-            if not _LABEL_RE.match(k):
-                raise ValueError(f"invalid label name {k!r} on metric {self.name}")
 
 
 class Counter(_Metric):

@@ -1,6 +1,7 @@
 """Tests for the Lagrange code: roundtrips, systematicity, polynomial
 commutation, and error-corrected decoding."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -221,13 +222,18 @@ class TestEncodeInto:
         np.testing.assert_array_equal(shares, blocks)
         assert not np.shares_memory(shares, blocks)
 
-    def test_systematic_in_place_leaves_the_data_rows_alone(self, rng, monkeypatch):
-        """``blocks is into[:k]``: nothing is copied onto itself and the
-        only product is the parity rows'."""
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in_place", "copied"])
+    def test_systematic_encode_multiplies_the_parity_rows_only(self, rng, monkeypatch, in_place):
+        """``blocks is into[:k]``: nothing is copied onto itself; blocks
+        elsewhere are copied in. Either way the only product is the
+        parity rows', and no array of ``n`` shares is allocated beside
+        the destination (the full product ``U.T @ blocks % q`` makes
+        two)."""
         code = LagrangeCode(F, n=7, k=4)
-        into = np.empty((7, 5, 3), dtype=np.int64)
-        into[:4] = F.random((4, 5, 3), rng)
-        data = into[:4].copy()
+        into = np.empty((7, 40, 30), dtype=np.int64)
+        data = F.random((4, 40, 30), rng)
+        into[:4] = data
+        blocks = into[:4] if in_place else data.copy()
         seen = []
         real = lcc_module.matmul_reduced
 
@@ -236,8 +242,15 @@ class TestEncodeInto:
             return real(field, a, b, into)
 
         monkeypatch.setattr(lcc_module, "matmul_reduced", spy)
-        code.encode(into[:4], None, into)
-        assert seen == [((3, 4), (4, 15))]
+        into[4:] = -1
+        tracemalloc.start()
+        try:
+            code.encode(blocks, None, into)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == [((3, 4), (4, 1200))]
+        assert peak < into[0].nbytes  # less than one share
         np.testing.assert_array_equal(into[:4], data)
         np.testing.assert_array_equal(into, code.encode(data))
 

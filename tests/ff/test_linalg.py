@@ -116,6 +116,31 @@ class TestKernelEquality:
         ]:
             assert resident_share(paper_field, paper_field.zeros(shape)).dtype == dtype
 
+    @pytest.mark.parametrize(
+        "n, k, m",
+        [(134, 600, 64), (12 * 134, 600, 64), (667, 5000, 64)],
+        ids=["batch_wide_share", "batch_wide_stack", "gisette_share"],
+    )
+    def test_worker_wide_products_take_the_float64_kernel(self, paper_field, monkeypatch, n, k, m):
+        """A width-64 round over an ``int64`` share — batch_wide_sim's
+        share, the simulator's stack of twelve of them, and a GISETTE
+        worker's share — is one call of the float64 kernel, with the
+        int64 kernel's bytes."""
+        f = paper_field
+        r = np.random.default_rng(n)
+        a, b = f.random((n, k), r), f.random((k, m), r)
+        want = linalg._matmul_int64(a, b, f.q, f.chunk)
+        calls = []
+        real = linalg._matmul_float64
+
+        def counted(a, b, q, chunk):
+            calls.append(a.shape)
+            return real(a, b, q, chunk)
+
+        monkeypatch.setattr(linalg, "_matmul_float64", counted)
+        _same_bytes(matmul_reduced(f, a, b), want)
+        assert calls == [(n, k)]
+
     @pytest.mark.parametrize("q", [2**25 - 39, 2**31 - 1])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_worst_case_operands_at_the_float_chunk_bound(self, q, extra):

@@ -14,6 +14,7 @@ Three layers of guarantees are pinned here:
 """
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.api import Session, SessionConfig
 from repro.api.config import WorkerSpec
 from repro.coding import SchemeParams
+from repro.core import base as base_module
 from repro.experiments.common import make_serving_workload
 from repro.ff import PrimeField, ff_matvec
 from repro.obs.audit import (
@@ -247,6 +249,40 @@ class TestOffSwitchParity:
         for a, b in zip(outs_off, outs_on):
             np.testing.assert_array_equal(a, b)
         log_on.verify_chain()
+
+    @pytest.mark.parametrize("audit", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_result_is_hashed_once_and_nothing_when_off(
+        self, backend, audit, monkeypatch
+    ):
+        """An audited round digests each result it received once, plus
+        its operand and its output, and commits once; with audit off
+        nothing is digested and no log is touched."""
+        hashed, log_calls = [], []
+        real = base_module.digest_array
+
+        def digest(value):
+            hashed.append(value)
+            return real(value)
+
+        monkeypatch.setattr(base_module, "digest_array", digest)
+        for name, attr in vars(AuditLog).items():
+            if inspect.isfunction(attr):
+
+                def counted(*args, _real=attr, _name=name, **kwargs):
+                    log_calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(AuditLog, name, counted)
+        outs, log = _run_rounds(backend, audit=audit, n_rounds=3)
+        assert len(outs) == 3
+        if not audit:
+            assert log is None and not hashed and not log_calls
+            return
+        assert log_calls.count("commit") == len(log) == 3
+        assert len(hashed) == sum(len(c.worker_digests) + 2 for c in log.records)
+        if backend == "sim":  # every worker's result arrives on the simulator
+            assert all(len(c.worker_digests) == 6 for c in log.records)
 
     def test_serve_report_byte_identical_with_audit_off(self):
         rep_base = self._serve(audit=None)  # field absent entirely

@@ -152,6 +152,36 @@ class TestRegistry:
         assert 'lat_sum{tenant="t"} 0.7' in text
         assert 'lat_count{tenant="t"} 1' in text
 
+    @pytest.mark.parametrize("name", ["bad-label", "0tenant", "ten ant", ""])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            lambda reg, labels: reg.counter("req_total").inc(**labels),
+            lambda reg, labels: reg.gauge("depth").set(1, **labels),
+            lambda reg, labels: reg.histogram("lat").observe(0.1, **labels),
+        ],
+        ids=["counter", "gauge", "histogram"],
+    )
+    def test_forbidden_label_name_raises(self, record, name):
+        """A label name Prometheus cannot parse never reaches the page,
+        and raises again on a second try (a rejected set is not
+        memoized)."""
+        reg = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid label name"):
+                record(reg, {name: "x"})
+        assert '"x"' not in reg.render_prometheus()
+
+    def test_valid_label_names_render(self):
+        reg = MetricsRegistry()
+        reg.counter("req_total").inc(_tenant="a", status_2="ok")
+        reg.gauge("depth").set(2, Queue="q")
+        reg.histogram("lat", buckets=(1.0,)).observe(0.5, worker_id="3")
+        text = reg.render_prometheus()
+        assert 'req_total{_tenant="a",status_2="ok"} 1' in text
+        assert 'depth{Queue="q"} 2' in text
+        assert 'lat_count{worker_id="3"} 1' in text
+
     def test_collectors_run_at_render_time(self):
         reg = MetricsRegistry()
         state = {"v": 1.0}

@@ -9,6 +9,7 @@ simulator's virtual clock makes both runs deterministic, so equality
 is exact, not approximate.
 """
 
+import inspect
 import json
 import math
 from collections import Counter
@@ -19,6 +20,8 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.experiments.common import make_serving_workload
+from repro.obs import Observability, Tracer
+from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import snapshot_from_values
 from repro.serve import Gateway, GatewayConfig, OpenLoopSource, Request
 from repro.serve.gateway import outcome_recorder
@@ -51,7 +54,120 @@ def _run_serving(observability, *, n_requests=60):
         return report, gateway, sess.stats.summary()
 
 
+#: every method of these is observability work ...
+_OBS_CLASSES = (
+    Observability,
+    Tracer,
+    metrics_mod.MetricsRegistry,
+    metrics_mod.Counter,
+    metrics_mod.Gauge,
+    metrics_mod.Histogram,
+)
+#: ... and so are the session's and the gateway's hooks into them
+_OBS_HOOKS = {
+    Session: ("_trace_submit", "_trace_round"),
+    Gateway: ("_trace_admit", "_trace_dequeue", "_trace_dequeue_batch", "_trace_finish"),
+}
+#: the calls each request of `_serve_paced`'s trace costs with
+#: observability on: one request, one round, one outcome
+PER_REQUEST = {
+    "Gateway._trace_admit": 1,
+    "Gateway._trace_dequeue_batch": 1,
+    "Gateway._trace_finish": 1,
+    "Session._trace_submit": 1,
+    "Session._trace_round": 1,
+    "Observability.on_dispatch": 1,
+    "Observability.next_round_trace_id": 1,
+    "Tracer.begin_request": 2,
+    "Tracer.end": 1,
+    "Tracer.end_many": 1,
+    "Tracer.link_rounds": 1,
+    "Tracer.record_round": 1,
+    "MetricsRegistry.gauge": 1,
+    "MetricsRegistry._get_or_create": 1,
+    "Counter.inc": 4,
+    "Counter.inc_key": 5,
+    "Gauge.set": 1,
+    "Histogram.observe": 3,
+    "Histogram.observe_key": 4,
+}
+
+
+@pytest.fixture
+def obs_calls(monkeypatch):
+    """Calls of every method of the observability classes and of the
+    hooks, by ``Class.method``, counted from here on."""
+    calls = Counter()
+    targets = [
+        (cls, name)
+        for cls in _OBS_CLASSES
+        for name, attr in vars(cls).items()
+        if inspect.isfunction(attr) and (name == "__init__" or not name.startswith("__"))
+    ]
+    targets += [(cls, name) for cls, names in _OBS_HOOKS.items() for name in names]
+    for cls, name in targets:
+
+        def counted(*args, _real=vars(cls)[name], _key=f"{cls.__name__}.{name}", **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _serve_paced(observability, n_requests):
+    """``n_requests`` requests a second apart with no deadline: each is
+    served alone, in a round of its own."""
+    cfg = SessionConfig(
+        scheme=SchemeParams(n=8, k=4, s=1, m=1),
+        backend="sim",
+        seed=0,
+        observability=observability,
+    )
+    with Session.create(cfg) as sess:
+        sess.load(sess.field.random(SHAPE, np.random.default_rng(0)))
+        rng = np.random.default_rng(1)
+        reqs = [
+            Request(
+                request_id=i,
+                tenant="a",
+                family="matvec",
+                operand=sess.field.random(SHAPE[1], rng),
+                arrival=float(i),
+                deadline=math.inf,
+            )
+            for i in range(n_requests)
+        ]
+        gateway = Gateway(
+            sess,
+            OpenLoopSource(reqs),
+            GatewayConfig(batch_policy="count", policy_options={"window": 1}),
+        )
+        report = gateway.run()
+    assert len(report.served) == report.rounds_executed == n_requests
+    return report
+
+
 class TestOffSwitchParity:
+    def test_obs_calls_off_and_per_request(self, obs_calls):
+        """Off means off: a served trace with ``observability=False``
+        makes no call into the tracer, the registry or a metric, and
+        runs none of the session's or the gateway's trace hooks. On,
+        every request of a paced trace costs the same calls, pinned in
+        ``PER_REQUEST``, so a hook added to the request path shows."""
+        _serve_paced(False, 8)
+        assert not obs_calls
+        totals = []
+        for n in (4, 8, 12):
+            obs_calls.clear()
+            _serve_paced(True, n)
+            totals.append(Counter(obs_calls))
+        steps = [
+            {k: (b[k] - a[k]) / 4 for k in a.keys() | b.keys() if b[k] != a[k]}
+            for a, b in zip(totals, totals[1:])
+        ]
+        assert steps == [PER_REQUEST, PER_REQUEST]
+
     def test_disabled_session_allocates_no_obs(self):
         cfg = SessionConfig(
             scheme=SchemeParams(n=8, k=4, s=1, m=1), backend="sim", seed=0

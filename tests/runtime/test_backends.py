@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.coding import SchemeParams
 from repro.core import AVCCMaster, LCCMaster, UncodedMaster
 from repro.ff import PrimeField, ff_matmul, ff_matvec
+from repro.ff import linalg
 from repro.runtime import (
     Backend,
     ConstantAttack,
@@ -318,6 +319,20 @@ class TestBackendParity:
                 np.testing.assert_array_equal(master.backward_round(e).vector, g)
 
 
+def _count_kernels(monkeypatch):
+    """The field kernels run from here on, as ``(name, left shape)``."""
+    calls = []
+    for name in ("_matmul_float64", "_matmul_int64"):
+        real = getattr(linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, a.shape))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
 class TestStoreTimeValidation:
     """Workers multiply a stored share as stored (no per-round ``% q``
     pass), so the store path is the trust boundary: whatever arrives is
@@ -377,7 +392,7 @@ class TestStoreTimeValidation:
 
 
     @pytest.mark.parametrize("case", ["matvec", "batched", "matmul"])
-    def test_every_op_multiplies_a_resident_share_as_stored(self, case):
+    def test_every_op_multiplies_a_resident_share_as_stored(self, case, monkeypatch):
         """Shares of 2**18 entries or more are stored ``float64``; every
         op's product over them has the ``int64`` payload's bytes — the
         matmul op converting its resident right-hand share back."""
@@ -394,7 +409,35 @@ class TestStoreTimeValidation:
         }[case]
         job = RoundJob(op=op, payload_key="a", operand=operand, rhs_key="b")
         want = run_job_compute(F, {"a": a, "b": b}, job)
+        kernels = _count_kernels(monkeypatch)
         assert run_job_compute(F, stored, job).tobytes() == want.tobytes()
+        # one exact dgemm over the resident share, no int64 product
+        assert kernels == [("_matmul_float64", a.shape)]
+
+    @pytest.mark.parametrize("width", [1, 64])
+    @pytest.mark.parametrize("shape", [(27, 120), (200, 2000)], ids=["int64", "resident"])
+    def test_a_round_checks_the_operand_not_the_stored_share(self, shape, width, monkeypatch):
+        """The share was validated once, when it was stored; a round
+        over it validates the broadcast operand and nothing else: no
+        scan, reduction or copy of the share."""
+        rng = np.random.default_rng(9)
+        share = F.random(shape, rng)
+        stored = {}
+        store_share(F, stored, "a", share.astype("<u4"))
+        operand = F.random(shape[1] if width == 1 else (shape[1], width), rng)
+        job = RoundJob(op="matvec", payload_key="a", operand=operand)
+        want = run_job_compute(F, {"a": share}, job)
+        seen = []
+        for name in ("asarray", "is_reduced", "ensure_reduced"):
+
+            def spy(self, x, _real=getattr(PrimeField, name), _name=name):
+                seen.append((_name, np.shape(x)))
+                return _real(self, x)
+
+            monkeypatch.setattr(PrimeField, name, spy)
+        assert run_job_compute(F, stored, job).tobytes() == want.tobytes()
+        assert seen[0] == ("ensure_reduced", operand.shape)
+        assert {s for _, s in seen} == {operand.shape}
 
 
 class TestEarlyStopping:

@@ -96,13 +96,31 @@ def compute_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def stack_products(monkeypatch):
+    """Left-operand shapes of the products the simulator runs itself
+    (not through ``run_job_compute``): the stacked ones."""
+    shapes = []
+    for name in ("matvec_reduced", "matmul_reduced"):
+        real = getattr(cluster_mod, name)
+
+        def counted(field, a, b, _real=real):
+            shapes.append(a.shape)
+            return _real(field, a, b)
+
+        monkeypatch.setattr(cluster_mod, name, counted)
+    return shapes
+
+
 def _operand(field, k, width, rng):
     return field.random(k if width == 1 else (k, width), rng)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("width", [1, 64])
-def test_stacked_round_is_the_per_worker_round(shape, width, rng, compute_calls):
+def test_stacked_round_is_the_per_worker_round(
+    shape, width, rng, compute_calls, stack_products
+):
     field = PrimeField()
     b, k = SHAPES[shape]
     shares = field.random((N, b, k), rng)
@@ -110,10 +128,12 @@ def test_stacked_round_is_the_per_worker_round(shape, width, rng, compute_calls)
     resident = np.float64 if N * b * k >= 2**18 else np.int64
     for _ in range(3):  # the generator carries over from round to round
         job = RoundJob(op="matvec", operand=_operand(field, k, width, rng))
-        before = len(compute_calls)
+        before, stacks_before = len(compute_calls), len(stack_products)
         _assert_same_round(field, stacked, reference, job)
-        # the reference ran N products; the stacked cluster none of its own
+        # the reference ran N products; the stacked cluster none of its
+        # own, and one over the whole stack
         assert len(compute_calls) - before == N
+        assert stack_products[stacks_before:] == [(N * b, k)]
         assert all(w.payload["share"].dtype == resident for w in stacked.workers)
 
 
