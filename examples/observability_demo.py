@@ -34,7 +34,7 @@ from repro.experiments.common import (
     make_serving_workload,
     serving_config,
 )
-from repro.obs.bridge import render_timeline
+from repro.obs.cli import render_timeline
 from repro.obs.exporter import TelemetryServer
 from repro.serve import Gateway, GatewayConfig, OpenLoopSource
 

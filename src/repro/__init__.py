@@ -20,6 +20,7 @@ from repro.core import (
     AdaptivePolicy,
     InsufficientResultsError,
     LCCMaster,
+    RoundRecord,
     UncodedMaster,
 )
 from repro.ff import DEFAULT_PRIME, PrimeField
@@ -42,7 +43,6 @@ from repro.runtime import (
     SilentFailure,
     SimCluster,
     SimWorker,
-    TraceRecorder,
     make_profiles,
 )
 from repro.verify import FreivaldsVerifier
@@ -70,11 +70,11 @@ __all__ = [
     "Quantizer",
     "RandomAttack",
     "ReversedValueAttack",
+    "RoundRecord",
     "SchemeParams",
     "SilentFailure",
     "SimCluster",
     "SimWorker",
-    "TraceRecorder",
     "UncodedMaster",
     "make_gisette_like",
     "make_linreg_dataset",

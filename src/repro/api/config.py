@@ -29,7 +29,6 @@ from repro.runtime.byzantine import (
 )
 from repro.runtime.costmodel import CostModel
 from repro.runtime.latency import make_profiles
-from repro.runtime.net.tunables import NetTunables
 from repro.runtime.worker import SimWorker
 
 __all__ = ["SessionConfig", "WorkerSpec"]
@@ -136,14 +135,6 @@ class SessionConfig:
         depth 1. ``1`` is the strictly serial contract: every
         dispatched round is finalized before ``flush`` returns.
         Results are byte-identical across window sizes.
-    elastic_membership:
-        When ``True`` (default), every ``end_iteration`` quiesce point
-        also reconciles the coding roster with live fleet membership:
-        pending joiners (restarted daemons, new capacity) are admitted
-        and heartbeat-declared deaths evicted, with the master
-        re-coding over the new roster. ``False`` freezes the roster at
-        session start (pre-0.7 behaviour). Only the socket backend
-        (``"tcp"``) produces membership changes; elsewhere this is inert.
     observability:
         When ``True`` the session carries an
         :class:`~repro.obs.Observability` bundle: every submitted job
@@ -170,23 +161,19 @@ class SessionConfig:
     cost:
         Overrides for :class:`~repro.runtime.costmodel.CostModel`
         fields (e.g. ``{"worker_sec_per_mac": 300e-9}``).
-    net:
-        The socket backend's liveness/deadline knob surface
-        (:class:`~repro.runtime.net.tunables.NetTunables`):
-        ``heartbeat_interval``/``heartbeat_timeout`` (probing cadence
-        and the dead-worker threshold), ``io_timeout`` (per-socket I/O
-        deadline) and ``round_timeout`` (per-round collect deadline).
-        Used by ``"tcp"``; ignored by ``"sim"``. Accepts
-        a plain mapping in :meth:`from_dict`.
     backend_options:
         Extra keyword arguments for the backend factory (e.g.
         ``{"straggle_scale": 0.05}`` for ``"tcp"``). The
         tcp backend's deployment knobs travel here too:
         ``host``/``port`` (listen address; port 0 = ephemeral),
         ``connect_timeout`` (seconds to wait for the fleet to
-        register) and ``spawn_workers``/``spawn_mode`` (self-launch a
-        loopback fleet vs wait for remote daemons). Entries here
-        override the ``net`` field for per-run tweaks.
+        register), ``spawn_workers``/``spawn_mode`` (self-launch a
+        loopback fleet vs wait for remote daemons), and the liveness
+        and deadline knobs ``heartbeat_interval``/``heartbeat_timeout``
+        (probing cadence and the dead-worker threshold), ``io_timeout``
+        (per-socket I/O deadline) and ``round_timeout`` (per-round
+        collect deadline), validated by
+        :class:`~repro.runtime.net.client.TcpCluster`.
     """
 
     scheme: SchemeParams
@@ -198,11 +185,9 @@ class SessionConfig:
     workers: tuple[WorkerSpec, ...] = ()
     batch_window: int = 32
     max_inflight_rounds: int = 2
-    elastic_membership: bool = True
     observability: bool = False
     audit: bool = False
     cost: dict[str, Any] = dc_field(default_factory=dict)
-    net: NetTunables = dc_field(default_factory=NetTunables)
     backend_options: dict[str, Any] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -224,11 +209,6 @@ class SessionConfig:
         for spec in self.workers:
             if not isinstance(spec, WorkerSpec):
                 raise TypeError(f"workers entries must be WorkerSpec, got {spec!r}")
-        if not isinstance(self.net, NetTunables):
-            raise TypeError(
-                f"net must be NetTunables (or a mapping via from_dict), "
-                f"got {type(self.net)}"
-            )
         self.cost_model()  # validate the overrides eagerly
 
     # ------------------------------------------------------------------
@@ -292,9 +272,6 @@ class SessionConfig:
         )
         if "cost" in data:
             data["cost"] = dict(data["cost"])
-        net = data.get("net")
-        if isinstance(net, Mapping):
-            data["net"] = NetTunables.from_dict(net)
         if "backend_options" in data:
             data["backend_options"] = dict(data["backend_options"])
         return cls(**data)

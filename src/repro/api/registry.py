@@ -158,9 +158,7 @@ def _tcp_backend(
         workers,
         rng=rng,
         cost_model=config.cost_model(),
-        # config.net is the shared knob surface; explicit
-        # backend_options entries still win for per-run overrides
-        **{**config.net.backend_kwargs(), **config.backend_options},
+        **config.backend_options,
     )
 
 

@@ -22,7 +22,7 @@ verification sweep and one decode instead of B — the service's
 heavy-traffic path. :attr:`Session.stats` makes the coalescing
 observable (``jobs_per_round``, ``batching_factor``) and aggregates
 the per-round verify/decode/adaptation telemetry from the masters'
-trace records.
+round records (``SessionStats.records``, the run's one log).
 
 Round pipelining
 ----------------
@@ -55,11 +55,10 @@ import numpy as np
 from repro.api.config import SessionConfig
 from repro.api.registry import resolve_backend, resolve_master
 from repro.api.scheduler import InflightRound, RoundScheduler, SessionClosedError
-from repro.core.results import AdaptationOutcome, RoundOutcome
+from repro.core.results import AdaptationOutcome, RoundOutcome, RoundRecord
 from repro.obs import Observability
 from repro.obs.audit import AuditLog
 from repro.runtime.backend import Backend, MembershipEvent
-from repro.runtime.trace import RoundRecord
 
 __all__ = ["JobHandle", "JobRequest", "Session", "SessionClosedError", "SessionStats"]
 
@@ -369,11 +368,6 @@ class Session:
             config.max_inflight_rounds
             if config
             else SessionConfig.__dataclass_fields__["max_inflight_rounds"].default
-        )
-        self.elastic_membership = (
-            config.elastic_membership
-            if config
-            else SessionConfig.__dataclass_fields__["elastic_membership"].default
         )
         self._owns_backend = owns_backend
         self._pending: dict[str, list[tuple[JobHandle, np.ndarray]]] = {}
@@ -695,20 +689,19 @@ class Session:
         the shares/keys it was planned with, and no round ever mixes
         two scheme configurations.
 
-        With ``elastic_membership`` (the default) the drained quiesce
-        point is also where the session reconciles the coding roster
-        with *fleet* membership: pending joiners are admitted into the
-        backend, heartbeat-declared deaths are evicted, and the master
-        adopts the new roster — growing ``N`` when capacity arrived,
-        not just shrinking ``K`` — with the extra share-shipping time
-        folded into the outcome's ``reencode_time``.
+        The drained quiesce point is also where the session reconciles
+        the coding roster with *fleet* membership: pending joiners are
+        admitted into the backend, heartbeat-declared deaths are
+        evicted, and the master adopts the new roster — growing ``N``
+        when capacity arrived, not just shrinking ``K`` — with the
+        extra share-shipping time folded into the outcome's
+        ``reencode_time``. Only the socket backend produces membership
+        changes; elsewhere this is inert.
         """
         self._check_open()
         self.flush()
         self._scheduler.drain()
-        out = self.master.end_iteration()
-        if self.elastic_membership:
-            out = self._reconcile_membership(out)
+        out = self._reconcile_membership(self.master.end_iteration())
         self._ingest_membership_events()
         self._stats.adaptations.append(out)
         return out

@@ -38,6 +38,7 @@ from repro.core.results import (
     AdaptationOutcome,
     InsufficientResultsError,
     RoundOutcome,
+    RoundRecord,
 )
 from repro.core.uncoded import UncodedMaster
 
@@ -51,5 +52,6 @@ __all__ = [
     "LCCMaster",
     "RecodeDecision",
     "RoundOutcome",
+    "RoundRecord",
     "UncodedMaster",
 ]

@@ -14,7 +14,7 @@ threshold, or take results unchecked until enough have landed) and a
 decode step. :class:`MatvecMasterBase` does the rest once for all of
 them: plan, dispatch, the collect loop, the refusal below the
 threshold, and the finish — iteration observations, the
-:class:`~repro.runtime.trace.RoundRecord`, the audit commitment and the
+:class:`~repro.core.results.RoundRecord`, the audit commitment and the
 clock.
 
 Every matvec master serves two encoded matrix *families* (paper
@@ -41,11 +41,15 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.coding.base import unpartition_rows
-from repro.core.results import AdaptationOutcome, InsufficientResultsError, RoundOutcome
+from repro.core.results import (
+    AdaptationOutcome,
+    InsufficientResultsError,
+    RoundOutcome,
+    RoundRecord,
+)
 from repro.ff.field import PrimeField
 from repro.obs.audit import digest_array
 from repro.runtime.backend import Arrival, Backend, RoundHandle, RoundJob, RoundResult
-from repro.runtime.trace import RoundRecord
 
 __all__ = [
     "pad_rows_to_multiple",

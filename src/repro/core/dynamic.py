@@ -135,12 +135,6 @@ class EncodedConfig:
     #: ``None`` when ``t = 0``
     padding_state: dict | None
 
-    def share_elements_per_worker(self) -> int:
-        """Field elements each worker stores (drives re-ship cost): one
-        ``(m_pad/k, d)`` forward and one ``(d_pad/k, m_pad)`` backward
-        share."""
-        return (self.m_pad * self.d + self.d_pad * self.m_pad) // self.k
-
 
 class EncodingCache:
     """Offline factory for :class:`EncodedConfig` objects, memoized by

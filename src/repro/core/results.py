@@ -6,14 +6,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.trace import RoundRecord
-
-__all__ = ["RoundOutcome", "AdaptationOutcome", "InsufficientResultsError"]
+__all__ = ["RoundRecord", "RoundOutcome", "AdaptationOutcome", "InsufficientResultsError"]
 
 
 class InsufficientResultsError(RuntimeError):
     """Raised when a master cannot gather enough (verified) results to
     decode — more failures than the deployed scheme tolerates."""
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """Timing breakdown of one broadcast-compute-collect round.
+
+    The session keeps one per finished round (``SessionStats.records``);
+    that list is the run's log. Fig. 4's four per-iteration cost
+    categories (Sec. VI, "Per Iteration Cost") are sums of its fields:
+
+    * **compute** — worst-case worker latency the master actually waited on;
+    * **communication** — broadcast + result upload time on the critical path;
+    * **verification** — master-side Freivalds checks (AVCC only);
+    * **decoding** — master-side interpolation / error correction.
+    """
+
+    iteration: int
+    round_name: str
+    t_start: float
+    t_end: float
+    compute_wait: float        # time from broadcast-done to last used arrival
+    comm_time: float           # broadcast + critical-path upload
+    verify_time: float         # master verification work
+    decode_time: float         # master decoding work
+    n_collected: int           # arrivals the master consumed
+    n_verified: int            # arrivals that passed verification
+    n_rejected: int            # arrivals that failed verification
+    rejected_workers: tuple[int, ...] = ()
+    used_workers: tuple[int, ...] = ()
+    #: (worker_id, broadcast-done -> arrival latency) for every worker
+    #: that responded — the per-worker slowdown observation the tracer
+    #: turns into per-worker spans
+    worker_latencies: tuple[tuple[int, float], ...] = ()
+
+    @property
+    def duration(self) -> float:
+        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,11 @@ import numpy as np
 
 from repro.api import Session, SessionConfig, WorkerSpec
 from repro.coding import SchemeParams
+from repro.core import RoundRecord
 from repro.ff import DEFAULT_PRIME
 from repro.ml import Dataset, DistributedLogisticTrainer, LogisticConfig, make_gisette_like
 from repro.ml.trainer import TrainingHistory
-from repro.runtime import CostModel, TraceRecorder
+from repro.runtime import CostModel
 
 __all__ = [
     "ExperimentConfig",
@@ -331,8 +332,9 @@ def run_training(
     intermittent: bool = True,
     straggler_ids: tuple[int, ...] | None = None,
     byzantine_ids: tuple[int, ...] | None = None,
-) -> tuple[TrainingHistory, TraceRecorder]:
-    """Train one method through one scenario; returns history + trace."""
+) -> tuple[TrainingHistory, list[RoundRecord]]:
+    """Train one method through one scenario; returns the history and
+    the session's round records (``stats.records``), the run's log."""
     with make_session(
         method,
         cfg,
@@ -344,7 +346,6 @@ def run_training(
         byzantine_ids=byzantine_ids,
     ) as session:
         session.load(dataset.x_train)
-        recorder = TraceRecorder()
         trainer = DistributedLogisticTrainer(session, dataset, cfg.logistic_config())
-        history = trainer.train(recorder)
-    return history, recorder
+        history = trainer.train()
+    return history, session.stats.records

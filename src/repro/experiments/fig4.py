@@ -17,11 +17,13 @@ bar dominates by orders of magnitude in (b)/(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+from repro.core import RoundRecord
 from repro.experiments.common import ExperimentConfig, run_training
 from repro.experiments.report import format_table
 
-__all__ = ["FIG4_SETTINGS", "Fig4Result", "run_fig4"]
+__all__ = ["FIG4_SETTINGS", "Fig4Result", "mean_breakdown", "run_fig4"]
 
 #: panel -> (S, M)
 FIG4_SETTINGS: dict[str, tuple[int, int]] = {
@@ -32,6 +34,25 @@ FIG4_SETTINGS: dict[str, tuple[int, int]] = {
 
 METHODS = ("avcc", "lcc", "uncoded")
 CATEGORIES = ("compute", "communication", "verification", "decoding")
+
+
+def mean_breakdown(records: Iterable[RoundRecord]) -> dict[str, float]:
+    """Mean per-iteration cost split (Fig. 4's bars) from a run's round
+    records: sum each category over the rounds of an iteration, in
+    record order, then average over iterations."""
+    per_iteration: dict[int, list[float]] = {}
+    for r in records:
+        sums = per_iteration.setdefault(r.iteration, [0.0, 0.0, 0.0, 0.0])
+        sums[0] += r.compute_wait
+        sums[1] += r.comm_time
+        sums[2] += r.verify_time
+        sums[3] += r.decode_time
+    agg = [0.0, 0.0, 0.0, 0.0]
+    for sums in per_iteration.values():
+        for i, v in enumerate(sums):
+            agg[i] += v
+    n = len(per_iteration) or 1
+    return {c: v / n for c, v in zip(CATEGORIES, agg)}
 
 
 @dataclass(frozen=True)
@@ -72,10 +93,10 @@ def run_fig4(panel: str, cfg: ExperimentConfig | None = None) -> Fig4Result:
     breakdown = {}
     accuracy = {}
     for method in METHODS:
-        history, recorder = run_training(
+        history, records = run_training(
             method, cfg, dataset, s=s, m=m, attack="reverse"
         )
-        breakdown[method] = recorder.mean_breakdown()
+        breakdown[method] = mean_breakdown(records)
         accuracy[method] = history.plateau_accuracy()
     return Fig4Result(panel=panel, s=s, m=m, breakdown=breakdown, accuracy=accuracy)
 

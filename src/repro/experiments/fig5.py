@@ -18,7 +18,6 @@ from repro.experiments.common import ExperimentConfig, make_session
 from repro.experiments.report import format_table
 from repro.ml import DistributedLogisticTrainer
 from repro.ml.trainer import TrainingHistory
-from repro.runtime import TraceRecorder
 
 __all__ = ["Fig5Result", "run_fig5"]
 
@@ -75,7 +74,7 @@ def run_fig5(cfg: ExperimentConfig | None = None) -> Fig5Result:
         ) as session:
             session.load(dataset.x_train)
             trainer = DistributedLogisticTrainer(session, dataset, cfg.logistic_config())
-            histories[method] = trainer.train(TraceRecorder())
+            histories[method] = trainer.train()
 
     avcc = histories["avcc"]
     static = histories["static_vcc"]

@@ -22,7 +22,6 @@ import numpy as np
 from repro.ml.datasets import Dataset
 from repro.ml.quantize import OverflowBudget, Quantizer
 from repro.ml.trainer import TrainingHistory, record_evaluation
-from repro.runtime.trace import TraceRecorder
 
 __all__ = ["LinRegConfig", "DistributedLinearRegressionTrainer"]
 
@@ -62,7 +61,7 @@ class DistributedLinearRegressionTrainer:
         self.qe = Quantizer(self.field, self.config.l_e)
         self._budget = OverflowBudget(self.field)
 
-    def train(self, recorder: TraceRecorder | None = None) -> TrainingHistory:
+    def train(self) -> TrainingHistory:
         cfg = self.config
         ds = self.dataset
         m = ds.m
@@ -71,7 +70,7 @@ class DistributedLinearRegressionTrainer:
         weights: list[np.ndarray] = []
         t0 = self.session.now
 
-        for it in range(cfg.iterations):
+        for _ in range(cfg.iterations):
             x_max = ds.max_feature()
             self._budget.check_matvec(
                 x_max, max(1.0, float(np.abs(w).max())) * self.qw.scale, ds.d,
@@ -110,16 +109,6 @@ class DistributedLinearRegressionTrainer:
             history.observed_stragglers.append(adapt.observed_stragglers)
             audit = getattr(self.session, "audit", None)
             history.audit_heads.append(audit.head if audit is not None else None)
-
-            if recorder is not None:
-                recorder.add(
-                    TraceRecorder.merge_rounds(
-                        it,
-                        [out1.record, out2.record],
-                        reencode_time=adapt.reencode_time,
-                        scheme=adapt.scheme,
-                    )
-                )
         self.final_weights = w
         record_evaluation(history, ds, weights, _score)
         return history

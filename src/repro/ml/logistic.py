@@ -35,7 +35,6 @@ from repro.ml.datasets import Dataset
 from repro.ml.metrics import accuracy, binary_cross_entropy, sigmoid
 from repro.ml.quantize import OverflowBudget, Quantizer
 from repro.ml.trainer import TrainingHistory, record_evaluation
-from repro.runtime.trace import TraceRecorder
 
 __all__ = ["LogisticConfig", "DistributedLogisticTrainer"]
 
@@ -106,7 +105,7 @@ class DistributedLogisticTrainer:
         )
 
     # ------------------------------------------------------------------
-    def train(self, recorder: TraceRecorder | None = None) -> TrainingHistory:
+    def train(self) -> TrainingHistory:
         cfg = self.config
         ds = self.dataset
         m = ds.m
@@ -115,7 +114,7 @@ class DistributedLogisticTrainer:
         weights: list[np.ndarray] = []
         t0 = self.session.now
 
-        for it in range(cfg.iterations):
+        for _ in range(cfg.iterations):
             if cfg.check_overflow:
                 w_max = max(1.0, float(np.abs(w).max()))
                 self._check_budgets(w_max)
@@ -154,16 +153,6 @@ class DistributedLogisticTrainer:
             history.observed_stragglers.append(adapt.observed_stragglers)
             audit = getattr(self.session, "audit", None)
             history.audit_heads.append(audit.head if audit is not None else None)
-
-            if recorder is not None:
-                recorder.add(
-                    TraceRecorder.merge_rounds(
-                        it,
-                        [out1.record, out2.record],
-                        reencode_time=adapt.reencode_time,
-                        scheme=adapt.scheme,
-                    )
-                )
         self.final_weights = w
         record_evaluation(history, ds, weights, _score)
         return history

@@ -82,6 +82,9 @@ class Observability:
             "backend_broadcast_elements_total",
             "field elements broadcast to the fleet, by backend",
         )
+        self._round_participants = self.registry.gauge(
+            "backend_round_participants", "participants in the latest round"
+        )
 
     def next_round_trace_id(self) -> str:
         """Fresh ``round-<n>`` trace id for one round's span tree."""
@@ -95,9 +98,7 @@ class Observability:
         except Exception:
             elements = 0
         self._broadcast_elements.inc(float(elements), backend=backend_name)
-        self.registry.gauge(
-            "backend_round_participants", "participants in the latest round"
-        ).set(n_participants, backend=backend_name)
+        self._round_participants.set(n_participants, backend=backend_name)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

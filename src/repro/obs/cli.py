@@ -26,14 +26,46 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any
+from typing import Any, Iterable, Mapping
 
-from .bridge import render_timeline
 from .trace import Tracer
 
 import sys
 
-__all__ = ["audit_main", "main"]
+__all__ = ["audit_main", "main", "render_timeline"]
+
+
+def render_timeline(
+    spans: Iterable[Mapping[str, Any]], width: int = 64
+) -> str:
+    """ASCII timeline of one resolved trace (``repro obs`` CLI)."""
+    spans = [dict(s) for s in spans]
+    closed = [s for s in spans if s.get("t_end") is not None]
+    if not closed:
+        return "(no closed spans)"
+    t_lo = min(s["t_start"] for s in closed)
+    t_hi = max(s["t_end"] for s in closed)
+    scale = (t_hi - t_lo) or 1.0
+    by_id = {s["span_id"]: s for s in spans}
+
+    def depth(s: Mapping[str, Any]) -> int:
+        d, cur = 0, s
+        while cur.get("parent_id") is not None and cur["parent_id"] in by_id:
+            cur = by_id[cur["parent_id"]]
+            d += 1
+            if d > 32:
+                break
+        return d
+
+    label_w = max(len("  " * depth(s) + s["name"]) for s in closed) + 2
+    lines = [f"trace spans {t_lo:.6f}s .. {t_hi:.6f}s ({scale:.6f}s)"]
+    for s in closed:
+        lo = int((s["t_start"] - t_lo) / scale * width)
+        hi = max(lo + 1, int((s["t_end"] - t_lo) / scale * width))
+        bar = " " * lo + "#" * (hi - lo)
+        label = ("  " * depth(s) + s["name"]).ljust(label_w)
+        lines.append(f"{label}|{bar.ljust(width)}| {s['t_end'] - s['t_start']:.6f}s")
+    return "\n".join(lines)
 
 
 def _fetch(url: str) -> Any:

@@ -32,9 +32,12 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-__all__ = ["Span", "Tracer"]
+if TYPE_CHECKING:
+    from repro.core.results import RoundRecord
+
+__all__ = ["Span", "Tracer", "round_forest"]
 
 #: attribute key marking a span as a pointer into another trace
 LINK_ATTR = "link"
@@ -80,6 +83,98 @@ class Span:
             "parent_id": self.parent_id,
             "attrs": dict(self.attrs),
         }
+
+
+def round_forest(
+    record: RoundRecord,
+    worker_spans: Mapping[int, Sequence[Sequence[Any]]] | None = None,
+) -> list[dict[str, Any]]:
+    """Lower one finalized round into a local-parent span forest
+    (round → broadcast / collect / worker:<id> / verify / decode), the
+    tree :meth:`Tracer.record_round` stores once per round. The round
+    span's attrs carry the record's cost fields.
+
+    ``worker_spans`` maps worker id → ``[[name, t0, t1], ...]`` with
+    times relative to the daemon's frame-receipt instant; they are
+    anchored so the last sub-span ends at the master-observed arrival,
+    putting master-side wait and worker-side truth on one timeline.
+    """
+    t0, t3 = record.t_start, record.t_end
+
+    def clamp(a: float, b: float) -> tuple[float, float]:
+        a = min(max(a, t0), t3)
+        return a, min(max(b, a), t3)
+
+    forest: list[dict[str, Any]] = [
+        {
+            "name": "round",
+            "t_start": t0,
+            "t_end": t3,
+            "parent": None,
+            "attrs": {
+                "round_name": record.round_name,
+                "iteration": record.iteration,
+                "compute_wait": record.compute_wait,
+                "comm_time": record.comm_time,
+                "verify_time": record.verify_time,
+                "decode_time": record.decode_time,
+                "n_collected": record.n_collected,
+                "n_verified": record.n_verified,
+                "n_rejected": record.n_rejected,
+            },
+        }
+    ]
+    b0, b_end = clamp(t0, t0 + record.comm_time)
+    forest.append(
+        {"name": "round.broadcast", "t_start": b0, "t_end": b_end, "parent": 0}
+    )
+    c0, c_end = clamp(b_end, b_end + record.compute_wait)
+    collect_idx = len(forest)
+    forest.append(
+        {"name": "round.collect", "t_start": c0, "t_end": c_end, "parent": 0}
+    )
+    used = set(record.used_workers)
+    for wid, latency in record.worker_latencies:
+        # capped at the collect window: a straggler arriving after the
+        # master stopped waiting still nests gap-free (the raw latency
+        # survives in the attrs)
+        w0 = min(max(b_end, t0), c_end)
+        w_end = min(max(b_end + latency, w0), c_end)
+        worker_idx = len(forest)
+        forest.append(
+            {
+                "name": f"worker:{wid}",
+                "t_start": w0,
+                "t_end": w_end,
+                "parent": collect_idx,
+                "attrs": {
+                    "worker_id": wid,
+                    "used": wid in used,
+                    "latency": latency,
+                },
+            }
+        )
+        subs = (worker_spans or {}).get(wid) or ()
+        if subs:
+            # anchor daemon-relative offsets so the last sub-span ends
+            # at the master-observed arrival time
+            anchor = w_end - float(subs[-1][2])
+            for name, r0, r1 in subs:
+                s0 = max(w0, anchor + float(r0))
+                s1 = min(w_end, max(anchor + float(r1), s0))
+                forest.append(
+                    {
+                        "name": str(name),
+                        "t_start": s0,
+                        "t_end": s1,
+                        "parent": worker_idx,
+                    }
+                )
+    v0, v_end = clamp(c_end, c_end + record.verify_time)
+    forest.append({"name": "round.verify", "t_start": v0, "t_end": v_end, "parent": 0})
+    d0, d_end = clamp(v_end, v_end + record.decode_time)
+    forest.append({"name": "round.decode", "t_start": d0, "t_end": d_end, "parent": 0})
+    return forest
 
 
 class Tracer:
@@ -221,7 +316,7 @@ class Tracer:
         worker_spans: Mapping[int, Any] | None = None,
     ) -> None:
         """Record one finalized round's span tree — the forest lowering
-        (:func:`repro.obs.bridge.round_forest`) is deferred to drain
+        (:func:`round_forest`) is deferred to drain
         time, so the round hot path pays one append."""
         log = self._log
         log.append((_ROUND, trace_id, record, worker_spans))
@@ -264,8 +359,6 @@ class Tracer:
 
     def _drain(self) -> None:
         """Apply every pending event (idempotent, cheap when empty)."""
-        from .bridge import round_forest  # deferred: bridge imports us
-
         with self._lock:
             log = self._log
             n = len(log)

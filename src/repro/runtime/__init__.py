@@ -31,7 +31,6 @@ Layout
 ``worker``      a worker description = payload + profile + behaviour
 ``cluster``     the discrete-event backend
 ``net``         the TCP socket backend (wire protocol, daemons, fleets)
-``trace``       per-round/per-iteration timing records (drives Fig. 4/5)
 """
 
 from repro.runtime.backend import (
@@ -61,8 +60,7 @@ from repro.runtime.latency import (
     ShiftedExponentialLatency,
     make_profiles,
 )
-from repro.runtime.net import NetTunables, TcpCluster
-from repro.runtime.trace import IterationRecord, RoundRecord, TraceRecorder
+from repro.runtime.net import TcpCluster
 from repro.runtime.worker import SimWorker
 
 __all__ = [
@@ -76,21 +74,17 @@ __all__ = [
     "GaussianJitterLatency",
     "Honest",
     "IntermittentAttack",
-    "IterationRecord",
     "LatencyModel",
-    "NetTunables",
     "RandomAttack",
     "ReversedValueAttack",
     "RoundHandle",
     "RoundJob",
-    "RoundRecord",
     "RoundResult",
     "ShiftedExponentialLatency",
     "SilentFailure",
     "SimCluster",
     "SimWorker",
     "TcpCluster",
-    "TraceRecorder",
     "WallClockBackend",
     "make_profiles",
 ]

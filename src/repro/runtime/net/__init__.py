@@ -9,7 +9,6 @@ zero-copy numpy payloads. See the README's "Distributed deployment"
 section for the operational guide.
 
 ``wire``           framed messages, protocol version, checksums
-``tunables``       shared liveness/deadline knobs (:class:`NetTunables`)
 ``worker_server``  the worker daemon (two threads over one blocking socket)
 ``worker``         the ``python -m`` CLI entrypoint for daemons
 ``client``         :class:`TcpCluster` — the selector-pumped master Backend
@@ -18,7 +17,6 @@ section for the operational guide.
 
 from repro.runtime.net.client import TcpCluster, TcpRoundHandle
 from repro.runtime.net.fleet import LocalFleet, free_port, spawn_local_workers
-from repro.runtime.net.tunables import NetTunables
 from repro.runtime.net.wire import (
     MSG_CODES,
     PROTOCOL_VERSION,
@@ -35,7 +33,6 @@ from repro.runtime.net.worker_server import WorkerServer
 __all__ = [
     "LocalFleet",
     "MSG_CODES",
-    "NetTunables",
     "PROTOCOL_VERSION",
     "TcpCluster",
     "TcpRoundHandle",

@@ -92,7 +92,6 @@ from repro.runtime.backend import (
 )
 from repro.runtime.costmodel import CostModel
 from repro.runtime.net.fleet import LocalFleet, spawn_local_workers
-from repro.runtime.net.tunables import NetTunables
 from repro.runtime.net.wire import (
     WireCounters,
     WireError,
@@ -262,9 +261,9 @@ class TcpCluster(WallClockBackend):
         marks a worker dead. Probes ride the result pump, so they are
         active exactly while rounds are being collected.
     io_timeout:
-        Per-socket I/O deadline in seconds; ``None`` (default)
-        inherits ``heartbeat_timeout``. See
-        :class:`~repro.runtime.net.tunables.NetTunables`.
+        Per-socket I/O deadline in seconds: how long one send/receive
+        on a single worker's socket may stall before that worker is
+        marked dead. ``None`` (default) inherits ``heartbeat_timeout``.
     round_timeout:
         Per-round collect deadline in seconds (``None`` disables):
         workers silent past it are recorded as never-arrived for that
@@ -296,12 +295,18 @@ class TcpCluster(WallClockBackend):
         ids = [w.worker_id for w in workers]
         if sorted(ids) != list(range(len(workers))):
             raise ValueError("worker ids must be exactly 0..n-1")
-        tunables = NetTunables(
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            io_timeout=io_timeout,
-            round_timeout=round_timeout,
-        )
+        if heartbeat_interval <= 0:
+            raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
+        if heartbeat_timeout <= heartbeat_interval:
+            # or every worker would flap dead between probes
+            raise ValueError(
+                f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
+                f"heartbeat_interval ({heartbeat_interval})"
+            )
+        if io_timeout is not None and io_timeout <= 0:
+            raise ValueError(f"io_timeout must be > 0 or None, got {io_timeout}")
+        if round_timeout is not None and round_timeout <= 0:
+            raise ValueError(f"round_timeout must be > 0 or None, got {round_timeout}")
         self.field = field
         self.workers = list(sorted(workers, key=lambda w: w.worker_id))
         self.rng = rng or np.random.default_rng(0)
@@ -309,10 +314,12 @@ class TcpCluster(WallClockBackend):
         self.cost_model = cost_model or CostModel()
         self.host = host
         self.connect_timeout = connect_timeout
-        self.heartbeat_interval = tunables.heartbeat_interval
-        self.heartbeat_timeout = tunables.heartbeat_timeout
-        self.io_timeout = tunables.effective_io_timeout
-        self.round_timeout = tunables.round_timeout
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
+        # a peer wedged mid-frame looks exactly like one that stopped
+        # acking probes
+        self.io_timeout = io_timeout if io_timeout is not None else heartbeat_timeout
+        self.round_timeout = round_timeout
         self._init_wall_clock()
 
         self._rid = 0

@@ -53,14 +53,6 @@ class SimWorker:
         """
         self.payload.update(items)
 
-    def payload_elements(self) -> int:
-        """Total field elements stored — drives re-encoding transfer cost."""
-        total = 0
-        for v in self.payload.values():
-            if isinstance(v, np.ndarray):
-                total += v.size
-        return total
-
     def execute(
         self,
         compute: Callable[[dict[str, Any]], np.ndarray],

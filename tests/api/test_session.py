@@ -94,33 +94,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="bogus"):
             SessionConfig.from_dict(d)
 
-    def test_net_tunables_round_trip_from_mapping(self):
-        from repro.runtime import NetTunables
-
-        cfg = _config(net=NetTunables(heartbeat_interval=0.1, heartbeat_timeout=2.0))
-        d = cfg.to_dict()
-        assert isinstance(d["net"], dict)  # asdict recurses into the nested dataclass
-        assert SessionConfig.from_dict(d) == cfg
-
-    def test_net_tunables_validation(self):
-        from repro.runtime import NetTunables
-
-        with pytest.raises(ValueError, match="heartbeat_interval"):
-            NetTunables(heartbeat_interval=0.0)
-        with pytest.raises(ValueError, match="must exceed"):
-            NetTunables(heartbeat_interval=1.0, heartbeat_timeout=0.5)
-        with pytest.raises(ValueError, match="io_timeout"):
-            NetTunables(io_timeout=-1.0)
-        with pytest.raises(ValueError, match="round_timeout"):
-            NetTunables(round_timeout=0.0)
-        with pytest.raises(ValueError, match="unknown NetTunables"):
-            NetTunables.from_dict({"heartbeat_interval": 0.1, "bogus": 1})
-        with pytest.raises(TypeError, match="net must be NetTunables"):
-            _config(net={"heartbeat_interval": 0.1})
-        # io_timeout=None inherits the dead-worker threshold
-        assert NetTunables(heartbeat_timeout=3.0).effective_io_timeout == 3.0
-        assert NetTunables(io_timeout=1.5).effective_io_timeout == 1.5
-
     def test_worker_count_must_match_scheme(self):
         with pytest.raises(ValueError, match="worker specs"):
             SessionConfig(scheme=SCHEME, workers=(WorkerSpec(),) * 4)

@@ -139,11 +139,6 @@ class TestEncodingCache:
         cfg, _, _ = cache.shares(4, 2)
         assert cfg.fwd_keys == () and cfg.bwd_keys == ()
 
-    def test_share_elements(self, rng):
-        cache = EncodingCache(F, F.random((8, 6), rng), rng=rng)
-        cfg, fwd, bwd = cache.shares(4, 2)
-        assert cfg.share_elements_per_worker() == fwd[0].size + bwd[0].size
-
     def test_rejects_non_matrix(self, rng):
         with pytest.raises(ValueError):
             EncodingCache(F, F.random(5, rng))

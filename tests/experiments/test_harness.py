@@ -155,11 +155,12 @@ class TestMakeSession:
 
 
 class TestRunners:
-    def test_run_training_returns_history_and_trace(self):
+    def test_run_training_returns_history_and_round_records(self):
         ds = TINY.dataset()
-        hist, rec = run_training("avcc", TINY, ds, s=1, m=1)
+        hist, records = run_training("avcc", TINY, ds, s=1, m=1)
         assert hist.iterations() == TINY.iterations
-        assert len(rec.iterations) == TINY.iterations
+        assert [r.round_name for r in records] == ["fwd", "bwd"] * TINY.iterations
+        assert sorted({r.iteration for r in records}) == list(range(TINY.iterations))
         assert all(np.isfinite(t) for t in hist.times)
 
     def test_fig3_tiny(self):

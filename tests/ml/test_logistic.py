@@ -11,6 +11,7 @@ import pytest
 
 from repro.coding import SchemeParams
 from repro.core import AVCCMaster, LCCMaster, UncodedMaster
+from repro.experiments.fig4 import mean_breakdown
 from repro.ff import PrimeField, ff_matvec
 from repro.ml import (
     DistributedLogisticTrainer,
@@ -26,7 +27,6 @@ from repro.runtime import (
     ReversedValueAttack,
     SimCluster,
     SimWorker,
-    TraceRecorder,
     make_profiles,
 )
 
@@ -109,14 +109,15 @@ class TestConvergence:
         assert hist.times == sorted(hist.times)
 
     def test_history_fields_populated(self, dataset):
-        recorder = TraceRecorder()
         master = AVCCMaster(make_cluster(), SchemeParams(n=12, k=9, s=2, m=1))
         master.setup(dataset.x_train)
-        hist = DistributedLogisticTrainer(master, dataset, CFG).train(recorder)
+        trainer = DistributedLogisticTrainer(master, dataset, CFG)
+        hist = trainer.train()
+        records = trainer.session.stats.records
         assert hist.iterations() == CFG.iterations
-        assert len(recorder.iterations) == CFG.iterations
+        assert [r.iteration for r in records] == [i for i in range(CFG.iterations) for _ in "zg"]
         assert all(s == (12, 9) for s in hist.schemes)
-        b = recorder.mean_breakdown()
+        b = mean_breakdown(records)
         assert b["verification"] > 0 and b["decoding"] > 0
 
 

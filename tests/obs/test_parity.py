@@ -83,8 +83,6 @@ PER_REQUEST = {
     "Tracer.end_many": 1,
     "Tracer.link_rounds": 1,
     "Tracer.record_round": 1,
-    "MetricsRegistry.gauge": 1,
-    "MetricsRegistry._get_or_create": 1,
     "Counter.inc": 4,
     "Counter.inc_key": 5,
     "Gauge.set": 1,

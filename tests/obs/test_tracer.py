@@ -1,17 +1,11 @@
-"""Unit tests for the span tracer and the round-record bridge: link
-splicing, forest recording, eviction, dump round-trips, and the
-recorder reconstruction used by the Fig. 4 breakdown."""
+"""Unit tests for the span tracer: link splicing, forest recording,
+eviction, dump round-trips, and the lowering of a round record into
+its span forest."""
 
 import pytest
 
-from repro.obs.bridge import (
-    mean_breakdown,
-    recorder_from_tracer,
-    round_forest,
-    round_spans,
-)
-from repro.obs.trace import Tracer
-from repro.runtime.trace import RoundRecord
+from repro.core import RoundRecord
+from repro.obs.trace import Tracer, round_forest
 
 
 def _record(**kw):
@@ -134,7 +128,7 @@ class TestTracer:
         assert fresh > spans[-1].span_id
 
 
-class TestBridge:
+class TestRoundForest:
     def test_round_forest_shape_and_containment(self):
         rec = _record()
         forest = round_forest(rec, {1: [["worker.compute", 0.0, 0.2]]})
@@ -157,19 +151,3 @@ class TestBridge:
             if n["name"].startswith("worker:")
         }
         assert flags == {0: True, 1: True, 2: False}
-
-    def test_recorder_reconstruction_matches_breakdown(self):
-        tr = Tracer()
-        for i, name in enumerate(("fwd", "bwd")):
-            tr.record_forest(
-                f"round-{i}", round_forest(_record(round_name=name))
-            )
-        rounds = round_spans(tr)
-        assert len(rounds) == 2
-        recorder = recorder_from_tracer(tr)
-        assert len(recorder.iterations) == 1
-        bd = mean_breakdown(tr)
-        assert bd["communication"] == pytest.approx(0.4)
-        assert bd["verification"] == pytest.approx(0.2)
-        assert bd["decoding"] == pytest.approx(0.2)
-        assert bd["compute"] == pytest.approx(1.0)

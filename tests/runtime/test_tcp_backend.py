@@ -49,6 +49,31 @@ F = PrimeField()
 
 
 # ----------------------------------------------------------------------
+# liveness/deadline knobs
+# ----------------------------------------------------------------------
+class TestTunables:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"heartbeat_interval": 0.0}, "heartbeat_interval must be > 0"),
+            ({"heartbeat_interval": 1.0, "heartbeat_timeout": 0.5}, "must exceed"),
+            ({"io_timeout": -1.0}, "io_timeout must be > 0 or None"),
+            ({"round_timeout": 0.0}, "round_timeout must be > 0 or None"),
+        ],
+    )
+    def test_rejected_before_any_socket_or_fork(self, kwargs, match, monkeypatch):
+        from repro.runtime.net import client
+
+        def refuse(*args, **kw):
+            raise AssertionError("validation must precede sockets and forks")
+
+        monkeypatch.setattr(client.socket, "create_server", refuse)
+        monkeypatch.setattr(client, "spawn_local_workers", refuse)
+        with pytest.raises(ValueError, match=match):
+            TcpCluster(F, _fleet(3, {}, {}), **kwargs)
+
+
+# ----------------------------------------------------------------------
 # wire protocol
 # ----------------------------------------------------------------------
 class TestWireProtocol:
@@ -305,6 +330,8 @@ class TestFaultTolerance:
                 heartbeat_interval=0.05,
                 heartbeat_timeout=0.4,
             ) as backend:
+                # io_timeout=None inherits the dead-worker threshold
+                assert backend.io_timeout == 0.4
                 shares = F.random((3, 2, 4), rng)
                 v = F.random(4, rng)
                 backend.distribute("share", shares)

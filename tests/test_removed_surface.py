@@ -6,9 +6,16 @@ two-stage verifiers, the polynomial sigmoid, the gateway trace
 recorder with the trace-replay arrival and latency models, the
 coefficient-form Vandermonde solve, the degree-2 ``gramian`` job
 family end to end (master, session entry point, round op, request
-family), and the SLO control plane (autoscaler policy, fleet
-controller, window signals) with the gateway's control windows.
+family), the SLO control plane (autoscaler policy, fleet
+controller, window signals) with the gateway's control windows, the
+per-iteration trace recorder and the round-record/span bridge (the
+session's round records are the run's one log), the tcp backend's
+second knob surface (``SessionConfig.net``; the knobs travel in
+``backend_options``) and the ``elastic_membership`` switch (membership
+is reconciled at every iteration boundary).
 """
+
+import inspect
 
 import importlib
 import pkgutil
@@ -21,18 +28,32 @@ import repro
 from repro.api import JobRequest, Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField
+from repro.ml import DistributedLinearRegressionTrainer, DistributedLogisticTrainer
 from repro.runtime import RoundJob
 from repro.serve import Gateway, OpenLoopSource, TenantSpec
 
 #: package -> names it exported before the deletion
 DELETED_EXPORTS = {
-    "repro": ["GramianAVCCMaster", "MDSCode", "MatrixPolynomialVerifier", "TwoStageVerifier"],
+    "repro": [
+        "GramianAVCCMaster",
+        "MDSCode",
+        "MatrixPolynomialVerifier",
+        "TraceRecorder",
+        "TwoStageVerifier",
+    ],
     "repro.coding": ["MDSCode"],
     "repro.core": ["GramianAVCCMaster"],
     "repro.verify": ["MatrixPolynomialVerifier", "TwoStageKey", "TwoStageVerifier"],
     "repro.ml": ["PolynomialSigmoid", "fit_sigmoid_poly"],
     "repro.serve": ["GatewayRecorder", "RecordedTrace", "TraceArrivals"],
-    "repro.runtime": ["TraceLatency"],
+    "repro.runtime": [
+        "IterationRecord",
+        "NetTunables",
+        "RoundRecord",
+        "TraceLatency",
+        "TraceRecorder",
+    ],
+    "repro.runtime.net": ["NetTunables"],
     "repro.ff": ["vandermonde_solve"],
     "repro.serve.gateway": ["WindowSignals", "record_outcome"],
 }
@@ -44,6 +65,9 @@ DELETED_MODULES = [
     "repro.control.signals",
     "repro.core.gramian",
     "repro.ml.polyapprox",
+    "repro.obs.bridge",
+    "repro.runtime.net.tunables",
+    "repro.runtime.trace",
     "repro.serve.recorder",
     "repro.verify.polyverify",
     "repro.verify.twostage",
@@ -89,6 +113,27 @@ def _gateway_has_no_control_windows():
         assert not hasattr(Gateway(sess, OpenLoopSource([])), "window_history")
 
 
+def _train_takes_no_recorder():
+    for trainer in (DistributedLogisticTrainer, DistributedLinearRegressionTrainer):
+        assert list(inspect.signature(trainer.train).parameters) == ["self"]
+
+
+def _recorder_types_exported_nowhere():
+    for package in _packages():
+        exported = set(getattr(importlib.import_module(package), "__all__", ()))
+        assert not exported & {"TraceRecorder", "IterationRecord", "NetTunables"}, package
+
+
+def _config_field_refused(name, value):
+    scheme = SchemeParams(n=4, k=2, s=1, m=0)
+    with pytest.raises(TypeError, match=name):
+        SessionConfig(scheme=scheme, **{name: value})
+    d = SessionConfig(scheme=scheme).to_dict()
+    d[name] = value
+    with pytest.raises(ValueError, match=f"unknown SessionConfig keys: \\['{name}'\\]"):
+        SessionConfig.from_dict(d)
+
+
 def _export_absent(package: str, name: str) -> None:
     mod = importlib.import_module(package)
     assert name not in mod.__all__
@@ -109,7 +154,13 @@ CASES = [
         _refuse_gramian_round_job,
         _no_gramian_round_time_prior,
         _gateway_has_no_control_windows,
+        _train_takes_no_recorder,
+        _recorder_types_exported_nowhere,
     )
+]
+CASES += [
+    pytest.param(partial(_config_field_refused, name, value), id=f"SessionConfig.{name}")
+    for name, value in (("elastic_membership", True), ("net", {"heartbeat_interval": 0.1}))
 ]
 CASES += [
     pytest.param(partial(_export_absent, package, name), id=f"{package}.{name}")
