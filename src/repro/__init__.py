@@ -9,7 +9,7 @@ Top-level convenience re-exports. The subpackages are:
 ``repro.core``         the AVCC master, baselines, dynamic coding
 ``repro.ml``           quantized distributed training applications
 ``repro.experiments``  regeneration of the paper's tables and figures
-``repro.api``          the Session front door (config, registries, batching)
+``repro.api``          the Session front door (config, name tables, batching)
 ``repro.serve``        the multi-tenant serving gateway (traffic, deadlines)
 """
 

@@ -51,26 +51,14 @@ Three pieces:
     for its own round; ``end_iteration`` drains the window before any
     dynamic re-code. Results are byte-identical to serial execution.
 
-Registries (:mod:`repro.api.registry`) — the extension point
-    ``Session.create`` resolves backends and masters **by name**
-    through two registries pre-populated with the built-ins
-    (backends ``"sim" | "tcp"``; masters
-    ``"avcc" | "lcc" | "static_vcc" | "uncoded"``). Third-party code
-    plugs in without touching ``repro`` internals::
-
-        from repro.api import register_backend, register_master
-
-        def my_backend(config, field, workers, rng):   # -> Backend
-            return MyRpcCluster(field, workers, **config.backend_options)
-
-        register_backend("my_rpc", my_backend)
-        Session.create(cfg.with_(backend="my_rpc"))
-
-    A ``BackendFactory`` receives ``(config, field, workers, rng)`` and
+Name tables (:mod:`repro.api.registry`)
+    ``Session.create`` resolves backends and masters **by name**:
+    backends ``"sim" | "tcp"``; masters
+    ``"avcc" | "lcc" | "static_vcc" | "uncoded"``. A
+    ``BackendFactory`` receives ``(config, field, workers, rng)`` and
     returns a :class:`~repro.runtime.backend.Backend`; a
     ``MasterFactory`` receives ``(config, backend, rng)`` and returns a
-    master exposing the coded matvec service. Duplicate names raise
-    unless ``overwrite=True`` — re-binding a built-in is explicit.
+    master exposing the coded matvec service.
 
 The layer-by-layer wiring remains available and importable (the tests
 pin it); this package is sugar plus policy, not a wall.
@@ -89,8 +77,6 @@ from repro.api.config import SessionConfig, WorkerSpec
 from repro.api.registry import (
     backend_names,
     master_names,
-    register_backend,
-    register_master,
     resolve_backend,
     resolve_master,
 )
@@ -108,8 +94,6 @@ __all__ = [
     "WorkerSpec",
     "backend_names",
     "master_names",
-    "register_backend",
-    "register_master",
     "resolve_backend",
     "resolve_master",
 ]

@@ -167,8 +167,8 @@ class SessionConfig:
         tcp backend's deployment knobs travel here too:
         ``host``/``port`` (listen address; port 0 = ephemeral),
         ``connect_timeout`` (seconds to wait for the fleet to
-        register), ``spawn_workers``/``spawn_mode`` (self-launch a
-        loopback fleet vs wait for remote daemons), and the liveness
+        register), ``spawn_workers`` (fork a loopback fleet vs
+        wait for remote daemons), and the liveness
         and deadline knobs ``heartbeat_interval``/``heartbeat_timeout``
         (probing cadence and the dead-worker threshold), ``io_timeout``
         (per-socket I/O deadline) and ``round_timeout`` (per-round

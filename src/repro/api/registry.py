@@ -1,22 +1,14 @@
 """Named factories for execution backends and coded masters.
 
 The session layer resolves ``SessionConfig.backend`` and
-``SessionConfig.master`` strings through these registries, so the
+``SessionConfig.master`` strings through two name tables, so the
 string names ``"sim" | "tcp"`` and
-``"avcc" | "lcc" | "static_vcc" | "uncoded"`` are data, not code —
-a config file can pick any combination, and third parties can plug in
-their own substrate or waiting/verification policy without touching
-``repro`` internals:
+``"avcc" | "lcc" | "static_vcc" | "uncoded"`` are data, not code — a
+config file can pick any combination.
 
-    from repro.api import register_backend, register_master
-
-    register_backend("my_grpc", my_grpc_factory)
-    register_master("my_policy", my_policy_factory)
-    Session.create(SessionConfig(..., backend="my_grpc", master="my_policy"))
-
-The four built-in master names are three classes: ``"static_vcc"``
-builds ``AVCCMaster(adaptive=False)``, AVCC with the dynamic coding
-step off (its ``name`` reads ``"static_vcc"``).
+The four master names are three classes: ``"static_vcc"`` builds
+``AVCCMaster(adaptive=False)``, AVCC with the dynamic coding step off
+(its ``name`` reads ``"static_vcc"``).
 
 Factory contracts
 -----------------
@@ -25,17 +17,14 @@ Factory contracts
     the constructed :class:`~repro.ff.field.PrimeField`, the worker
     fleet (:class:`~repro.runtime.worker.SimWorker` objects built from
     the config's :class:`~repro.api.config.WorkerSpec` entries) and a
-    seeded generator. Must return an object implementing the
+    seeded generator. Returns an object implementing the
     :class:`~repro.runtime.backend.Backend` protocol.
 
 ``MasterFactory(config, backend, rng) -> master``
-    Receives the config and the already-constructed backend. Must
-    return a master exposing the coded matvec service
-    (``setup`` / ``forward_round`` / ``backward_round`` /
-    ``round_many`` / ``end_iteration``).
-
-Both registries reject silent replacement: pass ``overwrite=True`` to
-re-bind a name on purpose.
+    Receives the config and the already-constructed backend. Returns
+    a master exposing the coded matvec service (``setup`` /
+    ``forward_round`` / ``backward_round`` / ``round_many`` /
+    ``end_iteration``).
 """
 
 from __future__ import annotations
@@ -55,8 +44,6 @@ __all__ = [
     "MasterFactory",
     "backend_names",
     "master_names",
-    "register_backend",
-    "register_master",
     "resolve_backend",
     "resolve_master",
 ]
@@ -66,41 +53,6 @@ BackendFactory = Callable[
     "Backend",
 ]
 MasterFactory = Callable[["SessionConfig", "Backend", np.random.Generator], object]
-
-_BACKENDS: dict[str, BackendFactory] = {}
-_MASTERS: dict[str, MasterFactory] = {}
-
-
-def register_backend(
-    name: str, factory: BackendFactory, *, overwrite: bool = False
-) -> None:
-    """Bind ``name`` to an execution-backend factory.
-
-    Raises ``ValueError`` on a duplicate name unless ``overwrite``.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _BACKENDS and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered (pass overwrite=True to re-bind)"
-        )
-    _BACKENDS[name] = factory
-
-
-def register_master(
-    name: str, factory: MasterFactory, *, overwrite: bool = False
-) -> None:
-    """Bind ``name`` to a master factory.
-
-    Raises ``ValueError`` on a duplicate name unless ``overwrite``.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"master name must be a non-empty string, got {name!r}")
-    if name in _MASTERS and not overwrite:
-        raise ValueError(
-            f"master {name!r} is already registered (pass overwrite=True to re-bind)"
-        )
-    _MASTERS[name] = factory
 
 
 def resolve_backend(name: str) -> BackendFactory:
@@ -122,17 +74,17 @@ def resolve_master(name: str) -> MasterFactory:
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Backend names, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
 def master_names() -> tuple[str, ...]:
-    """Registered master names, sorted."""
+    """Master names, sorted."""
     return tuple(sorted(_MASTERS))
 
 
 # ----------------------------------------------------------------------
-# built-in bindings
+# the factories
 # ----------------------------------------------------------------------
 def _sim_backend(
     config: "SessionConfig",
@@ -196,9 +148,10 @@ def _uncoded_master(
     return UncodedMaster(backend, k=config.scheme.k, rng=rng)
 
 
-register_backend("sim", _sim_backend)
-register_backend("tcp", _tcp_backend)
-register_master("avcc", _avcc_master)
-register_master("static_vcc", _static_vcc_master)
-register_master("lcc", _lcc_master)
-register_master("uncoded", _uncoded_master)
+_BACKENDS: dict[str, BackendFactory] = {"sim": _sim_backend, "tcp": _tcp_backend}
+_MASTERS: dict[str, MasterFactory] = {
+    "avcc": _avcc_master,
+    "static_vcc": _static_vcc_master,
+    "lcc": _lcc_master,
+    "uncoded": _uncoded_master,
+}

@@ -3,7 +3,7 @@
 ``Session`` is the sanctioned front door to the coded-computing stack.
 It owns the whole vertical — field, scheme, backend, master, worker
 fleet — built from one :class:`~repro.api.config.SessionConfig`
-through the name registries, and exposes a job-submission surface:
+through the name tables, and exposes a job-submission surface:
 
     cfg = SessionConfig(scheme=SchemeParams(n=6, k=3, s=1, m=1))
     with Session.create(cfg) as sess:
@@ -431,7 +431,7 @@ class Session:
     @classmethod
     def create(cls, config: SessionConfig) -> "Session":
         """Build field → workers → backend → master from one config,
-        resolving the backend and master by registry name."""
+        resolving the backend and master by name."""
         field = config.build_field()
         workers = config.build_workers()
         backend = resolve_backend(config.backend)(

@@ -322,29 +322,12 @@ def make_serving_workload(
 
 
 def run_training(
-    method: str,
-    cfg: ExperimentConfig,
-    dataset: Dataset,
-    *,
-    s: int,
-    m: int,
-    attack: str = "reverse",
-    intermittent: bool = True,
-    straggler_ids: tuple[int, ...] | None = None,
-    byzantine_ids: tuple[int, ...] | None = None,
+    method: str, cfg: ExperimentConfig, dataset: Dataset, **scenario
 ) -> tuple[TrainingHistory, list[RoundRecord]]:
-    """Train one method through one scenario; returns the history and
-    the session's round records (``stats.records``), the run's log."""
-    with make_session(
-        method,
-        cfg,
-        s=s,
-        m=m,
-        attack=attack,
-        intermittent=intermittent,
-        straggler_ids=straggler_ids,
-        byzantine_ids=byzantine_ids,
-    ) as session:
+    """Train one method through one scenario (the keywords of
+    :func:`scenario_config`); returns the history and the session's
+    round records (``stats.records``), the run's log."""
+    with make_session(method, cfg, **scenario) as session:
         session.load(dataset.x_train)
         trainer = DistributedLogisticTrainer(session, dataset, cfg.logistic_config())
         history = trainer.train()

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, make_session
+from repro.experiments.common import ExperimentConfig, run_training
 from repro.experiments.report import format_table
-from repro.ml import DistributedLogisticTrainer
 from repro.ml.trainer import TrainingHistory
 
 __all__ = ["Fig5Result", "run_fig5"]
@@ -60,24 +59,20 @@ def run_fig5(cfg: ExperimentConfig | None = None) -> Fig5Result:
     cfg = cfg.with_(straggler_factors=(8.0, 6.0, 7.0))
     dataset = cfg.dataset()
 
-    histories = {}
-    for method in ("avcc", "static_vcc"):
-        with make_session(
+    avcc, static = (
+        run_training(
             method,
             cfg,
+            dataset,
             s=2,
             m=1,
             n_stragglers=3,
             n_byzantine=1,
             attack="constant",
             intermittent=False,  # persistent faults, as in the paper's scenario
-        ) as session:
-            session.load(dataset.x_train)
-            trainer = DistributedLogisticTrainer(session, dataset, cfg.logistic_config())
-            histories[method] = trainer.train()
-
-    avcc = histories["avcc"]
-    static = histories["static_vcc"]
+        )[0]
+        for method in ("avcc", "static_vcc")
+    )
     reencode_iter = next(
         (i for i, t in enumerate(avcc.reencode_times) if t > 0), -1
     )

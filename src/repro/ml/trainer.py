@@ -1,5 +1,32 @@
-"""Shared training-history record for the distributed trainers, and
-the one plaintext evaluation pass that fills its accuracy and loss."""
+"""The two-round training loop of paper Sec. IV-A, shared by every
+model, with its history record and the one plaintext evaluation pass
+that fills the history's accuracy and loss.
+
+Per iteration ``t``:
+
+* **Round 1** — the master broadcasts the quantized weights ``w_q`` and
+  receives the coded products ``z~_i = X~_i · w_q``; after
+  verification/decoding it holds ``z = X · w_q`` exactly in F_q,
+  dequantizes, and forms the model's error ``e`` in the real domain
+  (``sigmoid(z) − y`` for logistic regression, the clipped residual
+  ``z − y`` for linear regression).
+* **Round 2** — the master broadcasts the quantized error ``e_q`` and
+  obtains ``g = X^T · e_q``, dequantizes and applies the update
+  ``w ← w − (η/m)·g``.
+
+Gradient clipping (by L2 norm) is applied identically to every method;
+it is the standard guard that keeps a *poisoned* decode (LCC beyond
+capacity, uncoded under attack) a bounded-wrong step instead of a
+divergence — without it no baseline survives the constant attack at
+all, with it they degrade gracefully to the plateaus Fig. 3 shows.
+
+An iteration is those two rounds, the ``O(m + d)`` master work between
+them and ``end_iteration()`` — the phases of Fig. 4 and nothing else.
+Accuracy and loss are plaintext and off-protocol: the loop only keeps
+each iteration's weight vector, and :func:`record_evaluation` scores
+them all in one pass after the last iteration, before ``train()``
+returns.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ml.datasets import Dataset
+from repro.ml.quantize import OverflowBudget, Quantizer
 
-__all__ = ["TrainingHistory", "record_evaluation"]
+__all__ = ["TrainingHistory", "TwoRoundTrainer", "record_evaluation"]
 
 #: weight vectors evaluated per dgemm: the evaluation's working set is
 #: one ``(rows, EVAL_COLUMN_BLOCK)`` product per split, whatever
@@ -139,3 +167,110 @@ def record_evaluation(
             history.train_acc.append(acc)
             history.train_loss.append(loss)
             history.test_acc.append(score(z_te, dataset.y_test)[0])
+
+
+class TwoRoundTrainer:
+    """Drives a coded-computing service through the two-round protocol
+    and records accuracy-vs-time curves (the backend's clock: simulated
+    on ``sim``, wall elsewhere — see :class:`TrainingHistory`).
+
+    Accepts either a :class:`repro.api.Session` (the sanctioned path)
+    or a bare master (AVCC / LCC / uncoded / Static VCC), which is
+    wrapped in a session transparently; all round traffic flows through
+    the session's submission API — and thus its pipelined round
+    scheduler — either way. The two training rounds are data-dependent
+    (the error needs the decoded ``z``), so a single training loop
+    runs the pipeline at depth 1 regardless of
+    ``max_inflight_rounds``; widening the window pays off when the
+    session *also* serves independent traffic (other jobs overlap the
+    training rounds), and training results are byte-identical at any
+    window size.
+
+    A model subclass supplies:
+
+    * ``config_type`` — its hyper-parameter dataclass (``iterations``,
+      ``learning_rate``, ``l_w``, ``l_e``, ``grad_clip``);
+    * ``error(z)`` — the error vector round 2 multiplies by ``X^T``,
+      from the decoded round-1 products ``z = X w``;
+    * ``error_bound`` — the largest ``|e|`` it can take, the round-2
+      overflow bound;
+    * ``score(z, y)`` — one iteration's ``(accuracy, loss)`` from
+      ``z = X w`` and the labels (see :func:`record_evaluation`).
+    """
+
+    config_type: type
+    error_bound: float
+
+    def __init__(self, service, dataset: Dataset, config=None):
+        from repro.api.session import Session
+
+        self.session = (
+            service if isinstance(service, Session) else Session.from_master(service)
+        )
+        self.master = self.session.master
+        self.dataset = dataset
+        self.config = config or self.config_type()
+        self.field = self.session.field
+        self.qw = Quantizer(self.field, self.config.l_w)
+        self.qe = Quantizer(self.field, self.config.l_e)
+        self._budget = OverflowBudget(self.field)
+
+    def train(self) -> TrainingHistory:
+        cfg = self.config
+        ds = self.dataset
+        session = self.session
+        x_max = ds.max_feature()
+        w = np.zeros(ds.d, dtype=np.float64)
+        weights: list[np.ndarray] = []
+        times: list[float] = []
+        audit_heads: list[str | None] = []
+        first = len(session.stats.adaptations)
+        t0 = session.now
+
+        for _ in range(cfg.iterations):
+            # worst-case wrap-around analysis for both rounds (Sec. V)
+            w_max = max(1.0, float(np.abs(w).max()))
+            self._budget.check_matvec(
+                x_max, w_max * self.qw.scale, ds.d, what="round-1 z = X w"
+            )
+            self._budget.check_matvec(
+                x_max, self.error_bound * self.qe.scale, ds.m, what="round-2 g = X^T e"
+            )
+
+            # ---- round 1: z = X w ----------------------------------
+            out1 = session.submit_matvec(self.qw.quantize(w))
+            z = self.qw.dequantize(out1.result())    # scale 2^{-l_w}
+            e = self.error(z)
+
+            # ---- round 2: g = X^T e --------------------------------
+            out2 = session.submit_matvec(self.qe.quantize(e), transpose=True)
+            g = self.qe.dequantize(out2.result())    # scale 2^{-l_e}
+
+            grad = g / ds.m
+            norm = float(np.linalg.norm(grad))
+            if norm > cfg.grad_clip:
+                grad = grad * (cfg.grad_clip / norm)
+            w = w - cfg.learning_rate * grad
+
+            # end_iteration() advances the backend clock itself when it
+            # re-ships shares, so session.now already includes the cost.
+            session.end_iteration()
+            # accuracy and loss are evaluated after the loop, from this
+            weights.append(w)
+            times.append(session.now - t0)
+            audit_heads.append(session.audit.head if session.audit is not None else None)
+
+        # the outcomes this run's end_iteration() calls appended
+        outcomes = session.stats.adaptations[first:]
+        history = TrainingHistory(
+            method=self.master.name,
+            times=times,
+            schemes=[a.scheme for a in outcomes],
+            reencode_times=[a.reencode_time for a in outcomes],
+            detected_byzantine=[a.detected_byzantine for a in outcomes],
+            observed_stragglers=[a.observed_stragglers for a in outcomes],
+            audit_heads=audit_heads,
+        )
+        self.final_weights = w
+        record_evaluation(history, ds, weights, self.score)
+        return history

@@ -12,7 +12,7 @@ unchanged.
 Wiring
 ------
 The master listens; workers dial in and register with ``hello``. With
-``spawn_workers=True`` (the default, and what the ``"tcp"`` registry
+``spawn_workers=True`` (the default, and what the ``"tcp"`` backend
 name uses) the cluster launches a loopback fleet itself via
 :mod:`repro.runtime.net.fleet`; with ``spawn_workers=False`` it waits
 ``connect_timeout`` seconds for externally started daemons (other
@@ -268,10 +268,9 @@ class TcpCluster(WallClockBackend):
         Per-round collect deadline in seconds (``None`` disables):
         workers silent past it are recorded as never-arrived for that
         round only.
-    spawn_workers / spawn_mode:
-        Self-launch a loopback fleet (``"fork"`` or ``"subprocess"``,
-        see :mod:`repro.runtime.net.fleet`) or wait for external
-        daemons.
+    spawn_workers:
+        Fork a loopback fleet (see :mod:`repro.runtime.net.fleet`) or
+        wait for external daemons.
     """
 
     def __init__(
@@ -290,7 +289,6 @@ class TcpCluster(WallClockBackend):
         io_timeout: float | None = None,
         round_timeout: float | None = 120.0,
         spawn_workers: bool = True,
-        spawn_mode: str = "fork",
     ):
         ids = [w.worker_id for w in workers]
         if sorted(ids) != list(range(len(workers))):
@@ -349,7 +347,6 @@ class TcpCluster(WallClockBackend):
                     "127.0.0.1" if host in ("0.0.0.0", "") else host,
                     self.port,
                     [w.worker_id for w in self.workers],
-                    mode=spawn_mode,
                     connect_timeout=connect_timeout,
                 )
             self._accept_fleet()
@@ -740,12 +737,9 @@ class TcpCluster(WallClockBackend):
             proc = self._fleet.procs.get(wid)
             if proc is not None:
                 try:
-                    if self._fleet.mode == "fork":
-                        proc.join(0.5)
-                        if proc.is_alive():
-                            proc.terminate()
-                    else:
-                        proc.wait(0.5)
+                    proc.join(0.5)
+                    if proc.is_alive():
+                        proc.terminate()
                 except Exception:  # pragma: no cover - reaping best-effort
                     pass
 

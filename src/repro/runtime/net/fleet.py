@@ -1,16 +1,12 @@
 """Fleet launching: real socket workers on loopback, in one line.
 
 Tests, examples and benchmarks need a genuine TCP fleet without a
-deployment step. Two spawn modes cover that:
-
-* ``"fork"`` (default, POSIX): each worker is a forked
-  :mod:`multiprocessing` process running
-  :class:`~repro.runtime.net.worker_server.WorkerServer` directly —
-  millisecond startup, no re-import of numpy, but same-host only.
-* ``"subprocess"``: each worker is a fresh interpreter running the
-  real ``python -m repro.runtime.net.worker`` CLI — exactly what a
-  remote host would run, used by the tests that validate the
-  entrypoint itself.
+deployment step. Each worker is a forked :mod:`multiprocessing`
+process (POSIX) running
+:class:`~repro.runtime.net.worker_server.WorkerServer` directly —
+millisecond startup, no re-import of numpy, but same-host only. A
+remote host runs the same server through the
+``python -m repro.runtime.net.worker`` CLI instead.
 
 Workers dial the master with retries, so the launch order is
 flexible: either create the (listening) :class:`TcpCluster` first and
@@ -32,12 +28,9 @@ internally when ``spawn_workers=True``, so
 from __future__ import annotations
 
 import multiprocessing
-import os
-import subprocess
-import sys
 import threading
 from collections import deque
-from pathlib import Path
+from multiprocessing.process import BaseProcess
 from typing import Sequence
 
 __all__ = ["LocalFleet", "free_port", "spawn_local_workers"]
@@ -90,16 +83,14 @@ class LocalFleet:
 
     def __init__(
         self,
-        procs: dict[int, object],
-        mode: str,
+        procs: dict[int, BaseProcess],
         *,
         host: str | None = None,
         port: int | None = None,
         connect_timeout: float = 30.0,
     ):
-        #: worker_id -> process (multiprocessing.Process or Popen)
+        #: worker_id -> forked worker process
         self.procs = procs
-        self.mode = mode
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
@@ -125,14 +116,12 @@ class LocalFleet:
             )
         wid = int(worker_id)
         proc = self.procs.get(wid)
-        if proc is not None and self._alive(proc):
+        if proc is not None and proc.is_alive():
             raise ValueError(
                 f"worker {wid} already has a live process (pid {proc.pid}); "
                 "use restart_worker to replace it"
             )
-        self.procs[wid] = _spawn_one(
-            self.host, self.port, wid, self.mode, self.connect_timeout
-        )
+        self.procs[wid] = _spawn_one(self.host, self.port, wid, self.connect_timeout)
 
     def restart_worker(self, worker_id: int) -> None:
         """Replace ``worker_id``'s process with a fresh daemon
@@ -148,30 +137,14 @@ class LocalFleet:
         proc = self.procs.pop(wid, None)
         if proc is not None:
             self._stop_one(proc)
-        self.procs[wid] = _spawn_one(
-            self.host, self.port, wid, self.mode, self.connect_timeout
-        )
+        self.procs[wid] = _spawn_one(self.host, self.port, wid, self.connect_timeout)
 
-    def _alive(self, proc: object) -> bool:
-        if self.mode == "fork":
-            return bool(proc.is_alive())
-        return proc.poll() is None
-
-    def _stop_one(self, proc: object, timeout: float = 2.0) -> None:
+    def _stop_one(self, proc: BaseProcess, timeout: float = 2.0) -> None:
         try:
             proc.terminate()
         except (OSError, ValueError):  # pragma: no cover - already gone
             pass
-        try:
-            if self.mode == "fork":
-                proc.join(timeout)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.kill()
-                    proc.join(timeout)
-            else:
-                proc.wait(timeout)
-        except (OSError, ValueError, subprocess.TimeoutExpired):
-            pass  # pragma: no cover - reaping is best-effort
+        _reap(proc, timeout)
 
     def terminate(self, timeout: float = 2.0) -> None:
         """Stop every still-running worker (idempotent)."""
@@ -181,16 +154,7 @@ class LocalFleet:
             except (OSError, ValueError):  # pragma: no cover - already gone
                 pass
         for proc in self.procs.values():
-            try:
-                if self.mode == "fork":
-                    proc.join(timeout)
-                    if proc.is_alive():  # pragma: no cover - stuck worker
-                        proc.kill()
-                        proc.join(timeout)
-                else:
-                    proc.wait(timeout)
-            except (OSError, ValueError, subprocess.TimeoutExpired):
-                pass  # pragma: no cover - reaping is best-effort
+            _reap(proc, timeout)
 
     def __enter__(self) -> "LocalFleet":
         return self
@@ -200,43 +164,32 @@ class LocalFleet:
         return False
 
 
-def _spawn_one(
-    host: str, port: int, worker_id: int, mode: str, connect_timeout: float
-) -> object:
-    """Start one worker daemon process (fork or subprocess mode)."""
-    if mode == "fork":
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(host, port, int(worker_id), connect_timeout),
-            daemon=True,
-        )
-        proc.start()
-        return proc
-    import repro
+def _reap(proc: BaseProcess, timeout: float) -> None:
+    """Join a terminated worker, killing it if it is stuck."""
+    try:
+        proc.join(timeout)
+        if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.kill()
+            proc.join(timeout)
+    except (OSError, ValueError):
+        pass  # pragma: no cover - reaping is best-effort
 
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.runtime.net.worker",
-            "--host",
-            host,
-            "--port",
-            str(port),
-            "--worker-id",
-            str(int(worker_id)),
-            "--connect-timeout",
-            str(connect_timeout),
-        ],
-        env=env,
+
+def _spawn_one(
+    host: str, port: int, worker_id: int, connect_timeout: float
+) -> BaseProcess:
+    """Fork one worker daemon process."""
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        ctx = multiprocessing.get_context()
+    proc = ctx.Process(
+        target=_worker_entry,
+        args=(host, port, int(worker_id), connect_timeout),
+        daemon=True,
     )
+    proc.start()
+    return proc
 
 
 def spawn_local_workers(
@@ -244,16 +197,11 @@ def spawn_local_workers(
     port: int,
     worker_ids: Sequence[int],
     *,
-    mode: str = "fork",
     connect_timeout: float = 30.0,
 ) -> LocalFleet:
     """Spawn one worker daemon per id, all dialing ``host:port``."""
-    if mode not in ("fork", "subprocess"):
-        raise ValueError(f"unknown spawn mode {mode!r} (use 'fork' or 'subprocess')")
-    procs: dict[int, object] = {
-        int(wid): _spawn_one(host, port, int(wid), mode, connect_timeout)
+    procs = {
+        int(wid): _spawn_one(host, port, int(wid), connect_timeout)
         for wid in worker_ids
     }
-    return LocalFleet(
-        procs, mode, host=host, port=port, connect_timeout=connect_timeout
-    )
+    return LocalFleet(procs, host=host, port=port, connect_timeout=connect_timeout)

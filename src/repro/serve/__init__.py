@@ -40,9 +40,9 @@ Four modules:
     scheduling) and admission control (queue-depth and expired-request
     shedding).
 :mod:`repro.serve.batcher`
-    The pluggable :class:`~repro.serve.batcher.BatchPolicy` registry
-    (``count`` / ``deadline`` / ``hybrid`` built in) and the
-    per-family :class:`~repro.serve.batcher.MicroBatcher`.
+    The two :class:`~repro.serve.batcher.BatchPolicy` implementations
+    (``count`` and ``hybrid``, built by name) and the per-family
+    :class:`~repro.serve.batcher.MicroBatcher`.
 :mod:`repro.serve.gateway`
     The event loop tying it together against sim-virtual or wall-clock
     time, and the :class:`~repro.serve.gateway.ServeReport` metrics
@@ -52,13 +52,10 @@ Four modules:
 from repro.serve.batcher import (
     BatchPolicy,
     CountPolicy,
-    DeadlinePolicy,
     HybridPolicy,
     MicroBatcher,
     PendingBatch,
-    batch_policy_names,
     make_batch_policy,
-    register_batch_policy,
 )
 from repro.serve.gateway import Gateway, GatewayConfig, RequestOutcome, ServeReport
 from repro.serve.queueing import FairQueue, TenantStats
@@ -80,7 +77,6 @@ __all__ = [
     "BurstyArrivals",
     "ClosedLoopSource",
     "CountPolicy",
-    "DeadlinePolicy",
     "DiurnalArrivals",
     "FairQueue",
     "Gateway",
@@ -96,7 +92,5 @@ __all__ = [
     "TenantSpec",
     "TenantStats",
     "WorkloadGenerator",
-    "batch_policy_names",
     "make_batch_policy",
-    "register_batch_policy",
 ]

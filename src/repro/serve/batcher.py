@@ -1,26 +1,25 @@
 """Deadline-aware micro-batching policies and the per-family batcher.
 
-PR 2's session already coalesces same-family jobs into one broadcast
+The session already coalesces same-family jobs into one broadcast
 round, but its trigger is purely count-based (``batch_window`` fills).
 A serving gateway needs the *when* to be a policy: waiting longer
 coalesces more requests per round (amortizing broadcast, straggler
 exposure, verification and decode), but waiting too long blows the
-earliest deadline in the batch. This module makes that trade-off
-pluggable:
+earliest deadline in the batch. This module holds that trade-off:
 
 * :class:`BatchPolicy` — maps a :class:`PendingBatch` to the absolute
   backend-clock time at which it *must* dispatch (``-inf`` = overdue,
   dispatch now; ``+inf`` = no pressure, wait for more traffic).
-* the **policy registry** (:func:`register_batch_policy` /
-  :func:`make_batch_policy`) with three built-ins:
+* two policies, built by name with :func:`make_batch_policy`:
 
-  - ``"count"`` — dispatch when the batch reaches ``window`` requests
-    (PR 2's trigger, generalized);
-  - ``"deadline"`` — dispatch when the earliest deadline's slack is
-    about to fall below ``safety ×`` the estimated round time (live
-    estimate from :meth:`repro.api.session.Session.estimate_round_time`:
-    cost-model prior blended with observed round durations);
-  - ``"hybrid"`` — whichever of the two fires first.
+  - ``"count"`` — dispatch when the batch reaches ``window`` requests;
+  - ``"hybrid"`` — the count trigger, or when the earliest deadline's
+    slack is about to fall below ``safety ×`` the estimated round time
+    (live estimate from
+    :meth:`repro.api.session.Session.estimate_round_time`: cost-model
+    prior blended with observed round durations), or a linger
+    timeout — whichever fires first. With a large ``window`` and
+    ``linger=inf`` it is a pure deadline trigger.
 
 * :class:`MicroBatcher` — holds at most one open batch per encoded
   family and surfaces the next due time, so the gateway's event loop
@@ -38,13 +37,10 @@ from repro.serve.workload import Request
 __all__ = [
     "BatchPolicy",
     "CountPolicy",
-    "DeadlinePolicy",
     "HybridPolicy",
     "MicroBatcher",
     "PendingBatch",
-    "batch_policy_names",
     "make_batch_policy",
-    "register_batch_policy",
 ]
 
 #: (session family key, batch width) -> estimated round seconds
@@ -85,9 +81,9 @@ class BatchPolicy(Protocol):
 @dataclass(frozen=True)
 class CountPolicy:
     """Dispatch when the batch reaches ``window`` requests — the
-    count-based trigger of ``SessionConfig.batch_window``, generalized
-    into the policy registry. ``window=1`` is the *serial gateway*:
-    every request dispatches as its own round the moment it is popped."""
+    count-based trigger of ``SessionConfig.batch_window``, as a
+    gateway policy. ``window=1`` is the *serial gateway*: every
+    request dispatches as its own round the moment it is popped."""
 
     window: int = 8
 
@@ -100,40 +96,22 @@ class CountPolicy:
 
 
 @dataclass(frozen=True)
-class DeadlinePolicy:
-    """Dispatch when the earliest deadline's slack runs out.
-
-    A batch must be in flight ``safety × estimate_round_time(family,
-    width)`` before its earliest absolute deadline — the estimator
-    blends the cost-model prior with live observed round times, and
-    ``safety`` absorbs what the estimate cannot see (stragglers,
-    pipeline queueing). Deadline-free batches (all ``math.inf``) feel
-    no pressure from this policy.
-    """
-
-    safety: float = 1.5
-
-    def __post_init__(self):
-        if self.safety <= 0:
-            raise ValueError(f"safety must be positive, got {self.safety}")
-
-    def due_at(self, batch: PendingBatch, estimator: RoundTimeEstimator) -> float:
-        deadline = batch.earliest_deadline
-        if not math.isfinite(deadline):
-            return math.inf
-        est = estimator(batch.family, batch.width)
-        return deadline - self.safety * est
-
-
-@dataclass(frozen=True)
 class HybridPolicy:
-    """``count`` OR ``deadline`` OR a linger timeout — whichever fires
-    first: fill up to ``window`` requests, unless an SLO forces an
-    earlier dispatch, and never hold a batch open longer than
-    ``linger`` seconds. The linger cap is what keeps tail latency flat
-    through calm stretches: without it a generous deadline lets the
-    deadline component batch right up to the SLO boundary, turning
-    slack into latency even when no more traffic is coming."""
+    """A full ``window``, a deadline, or a linger timeout — whichever
+    fires first: fill up to ``window`` requests, unless an SLO forces
+    an earlier dispatch, and never hold a batch open longer than
+    ``linger`` seconds.
+
+    The deadline trigger puts a batch in flight ``safety ×
+    estimate_round_time(family, width)`` before its earliest absolute
+    deadline — the estimator blends the cost-model prior with live
+    observed round times, and ``safety`` absorbs what the estimate
+    cannot see (stragglers, pipeline queueing). Deadline-free batches
+    (all ``math.inf``) feel no pressure from it. The linger cap is what
+    keeps tail latency flat through calm stretches: without it a
+    generous deadline lets the batch fill right up to the SLO
+    boundary, turning slack into latency even when no more traffic is
+    coming."""
 
     window: int = 8
     safety: float = 1.5
@@ -157,46 +135,21 @@ class HybridPolicy:
         return due
 
 
-# ----------------------------------------------------------------------
-# policy registry
-# ----------------------------------------------------------------------
-_POLICIES: dict[str, Callable[..., BatchPolicy]] = {}
-
-
-def register_batch_policy(
-    name: str, factory: Callable[..., BatchPolicy], *, overwrite: bool = False
-) -> None:
-    """Bind ``name`` to a policy factory (``factory(**options) ->
-    BatchPolicy``). Raises on duplicates unless ``overwrite=True`` —
-    same contract as the backend/master registries."""
-    if not name or not isinstance(name, str):
-        raise ValueError(f"policy name must be a non-empty string, got {name!r}")
-    if name in _POLICIES and not overwrite:
-        raise ValueError(
-            f"batch policy {name!r} is already registered (pass overwrite=True to re-bind)"
-        )
-    _POLICIES[name] = factory
+_POLICIES: dict[str, Callable[..., BatchPolicy]] = {
+    "count": CountPolicy,
+    "hybrid": HybridPolicy,
+}
 
 
 def make_batch_policy(name: str, **options) -> BatchPolicy:
-    """Instantiate a registered policy by name."""
+    """Instantiate the policy called ``name`` with ``options``."""
     try:
         factory = _POLICIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown batch policy {name!r}; registered: {batch_policy_names()}"
+            f"unknown batch policy {name!r}; registered: {tuple(sorted(_POLICIES))}"
         ) from None
     return factory(**options)
-
-
-def batch_policy_names() -> tuple[str, ...]:
-    """Registered policy names, sorted."""
-    return tuple(sorted(_POLICIES))
-
-
-register_batch_policy("count", CountPolicy)
-register_batch_policy("deadline", DeadlinePolicy)
-register_batch_policy("hybrid", HybridPolicy)
 
 
 # ----------------------------------------------------------------------

@@ -153,8 +153,8 @@ class GatewayConfig:
     Attributes
     ----------
     batch_policy:
-        Registered policy name (``"count" | "deadline" | "hybrid"``
-        built in; see :mod:`repro.serve.batcher`).
+        Policy name, ``"count"`` or ``"hybrid"`` (see
+        :mod:`repro.serve.batcher`).
     policy_options:
         Keyword arguments for the policy factory (e.g. ``{"window": 16,
         "safety": 1.5}``).

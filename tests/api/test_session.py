@@ -26,8 +26,6 @@ from repro.api import (
     WorkerSpec,
     backend_names,
     master_names,
-    register_backend,
-    register_master,
 )
 from repro.coding import SchemeParams
 from repro.ff import PrimeField, ff_matvec
@@ -140,42 +138,6 @@ class TestConfigRoundTrip:
                 # uncoded ingests the injected forgery by design
                 assert np.array_equal(got, expected), (backend, master)
             assert got.shape == expected.shape
-
-
-class TestRegistryExtension:
-    def test_custom_names_resolve(self):
-        calls = {}
-
-        def my_backend(config, field, workers, rng):
-            from repro.runtime import SimCluster
-
-            calls["backend"] = True
-            return SimCluster(field, workers, cost_model=config.cost_model(), rng=rng)
-
-        def my_master(config, backend, rng):
-            from repro.core import AVCCMaster
-
-            calls["master"] = True
-            return AVCCMaster(backend, config.scheme, rng=rng)
-
-        register_backend("test_sim_clone", my_backend, overwrite=True)
-        register_master("test_avcc_clone", my_master, overwrite=True)
-        cfg = _config(backend="test_sim_clone", master="test_avcc_clone")
-        w = F.random(8, RNG)
-        with Session.create(cfg) as sess:
-            sess.load(X)
-            assert np.array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
-        assert calls == {"backend": True, "master": True}
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("sim", lambda *a: None)
-        with pytest.raises(ValueError, match="already registered"):
-            register_master("avcc", lambda *a: None)
-
-    def test_unknown_names_listed_in_error(self):
-        with pytest.raises(ValueError, match="registered"):
-            Session.create(_config(backend="warp_drive"))
 
 
 class TestRoundBatching:

@@ -5,7 +5,7 @@ over a fleet with one ``reverse`` Byzantine worker (id 1, attacking
 every round) and one 5x straggler (id 0). Each run pins, as constants:
 
 * the digest of every decoded output, in submission order;
-* the digest of every field of every :class:`~repro.runtime.trace.
+* the digest of every field of every :class:`~repro.core.results.
   RoundRecord` (simulated timings included, floats by exact ``repr``);
 * the audit chain's head;
 * for the four session masters, the digest of the

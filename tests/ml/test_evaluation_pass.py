@@ -8,7 +8,6 @@ produces keeps its bytes, the accuracies are equal, and the loss moves
 only by the rounding of a dgemm against a dgemv.
 """
 
-import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -183,6 +182,29 @@ class TestAgainstPerIterationReference:
         assert history.train_acc == history.test_acc == history.train_loss == []
 
 
+class TestAdaptationsAreThisRunsTail:
+    def test_history_reads_only_its_own_iterations_outcomes(self, case):
+        """On a session that already ended iterations and released a
+        worker, each adaptation series holds exactly the outcomes of
+        this run's ``end_iteration()`` calls: the tail of
+        ``stats.adaptations``."""
+        trainer_cls, cfg, _, ds = case
+        with _session(ds) as session:
+            session.submit_matvec(session.field.random(ds.d, np.random.default_rng(0)))
+            session.end_iteration()
+            session.end_iteration()
+            assert session.release_workers([11]).departed_workers == (11,)
+            before = len(session.stats.adaptations)
+            history = trainer_cls(session, ds, cfg).train()
+            outcomes = session.stats.adaptations[before:]
+        assert before == 3 and len(outcomes) == cfg.iterations
+        assert history.schemes == [a.scheme for a in outcomes]
+        assert history.reencode_times == [a.reencode_time for a in outcomes]
+        assert history.detected_byzantine == [a.detected_byzantine for a in outcomes]
+        assert history.observed_stragglers == [a.observed_stragglers for a in outcomes]
+        assert all(n <= 11 for n, _ in history.schemes)
+
+
 # ----------------------------------------------------------------------
 class _Logged(np.ndarray):
     """A dataset matrix that records every read made of it: slicing,
@@ -341,9 +363,7 @@ class TestFailureMidRun:
             trainer.session, "end_iteration", lambda: ended.append(1) or end_iteration()
         )
         monkeypatch.setattr(
-            sys.modules[trainer_cls.__module__],
-            "record_evaluation",
-            lambda *args: evaluated.append(args),
+            trainer_module, "record_evaluation", lambda *args: evaluated.append(args)
         )
         with pytest.raises(InsufficientResultsError) as raised:
             trainer.train()

@@ -14,11 +14,14 @@ from repro.core import AVCCMaster, LCCMaster, UncodedMaster
 from repro.experiments.fig4 import mean_breakdown
 from repro.ff import PrimeField, ff_matvec
 from repro.ml import (
+    DistributedLinearRegressionTrainer,
     DistributedLogisticTrainer,
+    LinRegConfig,
     LogisticConfig,
     Quantizer,
     accuracy,
     make_gisette_like,
+    make_linreg_dataset,
     sigmoid,
 )
 from repro.runtime import (
@@ -171,20 +174,41 @@ class TestUnderAttack:
         assert hist.time_to_accuracy(2.0) == np.inf
 
 
+def _oversized_data():
+    """Logistic regression on features ``10**5`` times the dataset's."""
+    ds = make_gisette_like(m=320, d=60, value_max=15, rng=np.random.default_rng(3))
+    big = ds.__class__(
+        name="big",
+        x_train=ds.x_train * 10**5,
+        y_train=ds.y_train,
+        x_test=ds.x_test,
+        y_test=ds.y_test,
+    )
+    return DistributedLogisticTrainer, big, CFG
+
+
+def _huge_residual_clip():
+    """Linear regression whose round-2 bound ``residual_clip`` cannot fit."""
+    ds = make_linreg_dataset(m=240, d=24, rng=np.random.default_rng(7))
+    cfg = LinRegConfig(iterations=4, residual_clip=1e12)
+    return DistributedLinearRegressionTrainer, ds, cfg
+
+
 class TestOverflowGuard:
-    def test_oversized_data_rejected(self):
-        """A dataset violating the Sec. V budget must be refused, not
-        silently wrap."""
-        ds = make_gisette_like(m=320, d=60, value_max=15, rng=np.random.default_rng(3))
-        big = ds.__class__(
-            name="big",
-            x_train=ds.x_train * 10**5,
-            y_train=ds.y_train,
-            x_test=ds.x_test,
-            y_test=ds.y_test,
-        )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(_oversized_data, id="logistic-oversized-data"),
+            pytest.param(_huge_residual_clip, id="linreg-huge-residual-clip"),
+        ],
+    )
+    def test_budget_violation_refused_before_any_round(self, build):
+        """A run violating the Sec. V budget must be refused, not
+        silently wrap — and before its first round is dispatched."""
+        trainer_cls, ds, cfg = build()
         master = AVCCMaster(make_cluster(), SchemeParams(n=12, k=9, s=2, m=1))
-        master.setup(big.x_train)
-        trainer = DistributedLogisticTrainer(master, big, CFG)
+        master.setup(ds.x_train)
+        trainer = trainer_cls(master, ds, cfg)
         with pytest.raises(OverflowError):
             trainer.train()
+        assert trainer.session.stats.rounds_executed == 0

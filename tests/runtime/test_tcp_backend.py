@@ -17,14 +17,18 @@ import os
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_backends import _fleet, _make_backend
 from test_worker_daemon import array_table, raw_frame, wire_str
 
+import repro
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.core import AVCCMaster
@@ -591,7 +595,21 @@ class TestExternalFleet:
         a pre-chosen port, then attach a non-spawning cluster — the
         exact flow of a multi-host deployment."""
         port = free_port()
-        with spawn_local_workers("127.0.0.1", port, [0, 1, 2], mode="subprocess"):
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        daemons = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.runtime.net.worker",
+                    "--host", "127.0.0.1", "--port", str(port),
+                    "--worker-id", str(wid), "--connect-timeout", "60",
+                ],
+                env=env,
+            )
+            for wid in range(3)
+        ]
+        try:
             with TcpCluster(
                 F, _fleet(3, {}, {}), port=port, spawn_workers=False,
                 connect_timeout=60.0,
@@ -601,6 +619,11 @@ class TestExternalFleet:
                 backend.distribute("share", shares)
                 handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
                 got = {a.worker_id: a.value for a in handle}
+        finally:
+            for proc in daemons:
+                proc.terminate()
+            for proc in daemons:
+                proc.wait(10)
         assert sorted(got) == [0, 1, 2]
         for wid, value in got.items():
             np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))

@@ -1,4 +1,4 @@
-"""Batch policies, the policy registry, and the micro-batcher."""
+"""Batch policies, their name table, and the micro-batcher."""
 
 import math
 
@@ -8,15 +8,15 @@ import pytest
 from repro.ff import DEFAULT_PRIME, PrimeField
 from repro.serve import (
     CountPolicy,
-    DeadlinePolicy,
     HybridPolicy,
     MicroBatcher,
     PendingBatch,
     Request,
-    batch_policy_names,
     make_batch_policy,
-    register_batch_policy,
 )
+
+#: the pure deadline trigger: a window no test batch fills, no linger
+DEADLINE_ONLY = {"window": 100, "linger": math.inf}
 
 F = PrimeField(DEFAULT_PRIME)
 _OPERAND = F.random(4, np.random.default_rng(0))
@@ -57,13 +57,13 @@ class TestPolicies:
         assert p.due_at(_batch(math.inf), _flat_estimator(0.01)) == -math.inf
 
     def test_deadline_due_tracks_earliest_deadline_and_estimate(self):
-        p = DeadlinePolicy(safety=2.0)
+        p = HybridPolicy(safety=2.0, **DEADLINE_ONLY)
         b = _batch(5.0, 3.0, 9.0)
         assert b.earliest_deadline == 3.0
         assert p.due_at(b, _flat_estimator(0.5)) == pytest.approx(3.0 - 2.0 * 0.5)
 
     def test_deadline_ignores_slo_free_batches(self):
-        p = DeadlinePolicy()
+        p = HybridPolicy(**DEADLINE_ONLY)
         assert p.due_at(_batch(math.inf, math.inf), _flat_estimator(0.5)) == math.inf
 
     def test_hybrid_takes_the_earliest_trigger(self):
@@ -81,7 +81,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             CountPolicy(window=0)
         with pytest.raises(ValueError):
-            DeadlinePolicy(safety=0.0)
+            HybridPolicy(safety=0.0)
         with pytest.raises(ValueError):
             HybridPolicy(linger=0.0)
         # hybrid must reject bad sub-policy knobs at construction, not
@@ -92,9 +92,10 @@ class TestPolicies:
             HybridPolicy(safety=-1.0)
 
 
-class TestRegistry:
+class TestNames:
     def test_builtins_present(self):
-        assert {"count", "deadline", "hybrid"} <= set(batch_policy_names())
+        assert isinstance(make_batch_policy("count"), CountPolicy)
+        assert isinstance(make_batch_policy("hybrid"), HybridPolicy)
 
     def test_make_by_name_with_options(self):
         p = make_batch_policy("count", window=5)
@@ -103,18 +104,6 @@ class TestRegistry:
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="registered"):
             make_batch_policy("nope")
-
-    def test_duplicate_requires_overwrite(self):
-        name = "test-policy-dup"
-        register_batch_policy(name, CountPolicy)
-        with pytest.raises(ValueError, match="already registered"):
-            register_batch_policy(name, CountPolicy)
-        register_batch_policy(name, DeadlinePolicy, overwrite=True)
-        assert isinstance(make_batch_policy(name), DeadlinePolicy)
-
-    def test_rejects_empty_name(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_batch_policy("", CountPolicy)
 
 
 class TestMicroBatcher:
@@ -143,7 +132,7 @@ class TestMicroBatcher:
         assert mb.pending == 1
 
     def test_next_due_is_event_timer(self):
-        mb = self._batcher(policy=DeadlinePolicy(safety=1.0), est=0.1)
+        mb = self._batcher(policy=HybridPolicy(safety=1.0, **DEADLINE_ONLY), est=0.1)
         assert mb.next_due() == math.inf
         mb.add("fwd", _req(deadline=2.0), 0.0)
         assert mb.next_due() == pytest.approx(1.9)

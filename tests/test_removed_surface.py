@@ -11,8 +11,13 @@ controller, window signals) with the gateway's control windows, the
 per-iteration trace recorder and the round-record/span bridge (the
 session's round records are the run's one log), the tcp backend's
 second knob surface (``SessionConfig.net``; the knobs travel in
-``backend_options``) and the ``elastic_membership`` switch (membership
-is reconciled at every iteration boundary).
+``backend_options``), the ``elastic_membership`` switch (membership
+is reconciled at every iteration boundary), the backend, master and
+batch-policy plug-in registries (name tables remain), the
+``deadline`` batch policy (``hybrid`` with a large window and no
+linger has its due times), the trainer's ``check_overflow`` switch
+(both rounds are always checked) and the tcp backend's
+``"subprocess"`` spawn mode (the loopback fleet always forks).
 """
 
 import inspect
@@ -28,9 +33,13 @@ import repro
 from repro.api import JobRequest, Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField
-from repro.ml import DistributedLinearRegressionTrainer, DistributedLogisticTrainer
-from repro.runtime import RoundJob
-from repro.serve import Gateway, OpenLoopSource, TenantSpec
+from repro.ml import (
+    DistributedLinearRegressionTrainer,
+    DistributedLogisticTrainer,
+    LogisticConfig,
+)
+from repro.runtime import RoundJob, SimWorker, TcpCluster
+from repro.serve import Gateway, OpenLoopSource, TenantSpec, make_batch_policy
 
 #: package -> names it exported before the deletion
 DELETED_EXPORTS = {
@@ -56,6 +65,22 @@ DELETED_EXPORTS = {
     "repro.runtime.net": ["NetTunables"],
     "repro.ff": ["vandermonde_solve"],
     "repro.serve.gateway": ["WindowSignals", "record_outcome"],
+    "repro.api": ["register_backend", "register_master"],
+    "repro.api.registry": ["register_backend", "register_master"],
+    "repro.serve": ["DeadlinePolicy", "batch_policy_names", "register_batch_policy"],
+    "repro.serve.batcher": [
+        "DeadlinePolicy",
+        "batch_policy_names",
+        "register_batch_policy",
+    ],
+}
+#: plug-in surface that no package may export under any name
+PLUG_IN_SURFACE = {
+    "DeadlinePolicy",
+    "batch_policy_names",
+    "register_backend",
+    "register_batch_policy",
+    "register_master",
 }
 DELETED_MODULES = [
     "repro.coding.mds",
@@ -124,6 +149,36 @@ def _recorder_types_exported_nowhere():
         assert not exported & {"TraceRecorder", "IterationRecord", "NetTunables"}, package
 
 
+def _plug_in_surface_exported_nowhere():
+    for package in _packages():
+        exported = set(getattr(importlib.import_module(package), "__all__", ()))
+        assert not exported & PLUG_IN_SURFACE, package
+
+
+def _logistic_config_has_no_overflow_switch():
+    with pytest.raises(TypeError, match="check_overflow"):
+        LogisticConfig(check_overflow=True)
+
+
+def _tcp_cluster_has_no_spawn_mode():
+    from repro.runtime.net import client
+
+    def refuse(*args, **kw):
+        raise AssertionError("an unknown keyword must fail before sockets and forks")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(client.socket, "create_server", refuse)
+        mp.setattr(client, "spawn_local_workers", refuse)
+        with pytest.raises(TypeError, match="spawn_mode"):
+            TcpCluster(PrimeField(), [SimWorker(i) for i in range(3)], spawn_mode="fork")
+
+
+def _deadline_policy_is_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown batch policy 'deadline'") as err:
+        make_batch_policy("deadline")
+    assert "('count', 'hybrid')" in str(err.value)
+
+
 def _config_field_refused(name, value):
     scheme = SchemeParams(n=4, k=2, s=1, m=0)
     with pytest.raises(TypeError, match=name):
@@ -156,6 +211,10 @@ CASES = [
         _gateway_has_no_control_windows,
         _train_takes_no_recorder,
         _recorder_types_exported_nowhere,
+        _plug_in_surface_exported_nowhere,
+        _logistic_config_has_no_overflow_switch,
+        _tcp_cluster_has_no_spawn_mode,
+        _deadline_policy_is_an_unknown_name,
     )
 ]
 CASES += [
