@@ -61,7 +61,9 @@ def test_obs_report_parity(cfg):
 
 def test_obs_endpoint_smoke(cfg):
     """A live telemetry endpoint on the traced gateway: health, the
-    Prometheus page, and a served request's full trace."""
+    Prometheus page (its request series, folded from the gateway's
+    outcomes by the scrape itself, count every request), and a served
+    request's full trace."""
     session_cfg = dataclasses.replace(serving_config(cfg), observability=True)
 
     with Session.create(session_cfg) as sess:
@@ -87,7 +89,12 @@ def test_obs_endpoint_smoke(cfg):
                     return resp.read().decode()
 
             ok = "ok" in fetch("/healthz")
-            ok &= "gateway_requests_total" in fetch("/metrics")
+            scraped = sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in fetch("/metrics").splitlines()
+                if line.startswith("gateway_requests_total{")
+            )
+            ok &= scraped == report.total > 0
             doc = json.loads(fetch(f"/trace/req-{report.served[0].request_id}"))
             names = {s["name"] for s in doc["spans"]}
             ok &= {"request", "session", "round", "round.decode"} <= names

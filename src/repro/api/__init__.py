@@ -69,8 +69,7 @@ micro-batching). It drives sessions purely through this API:
 ``Session.submit(request)`` routes typed requests, and its batch
 policies consume the round-time telemetry
 (``Session.estimate_round_time``, blending a cost-model prior with
-``SessionStats.recent_round_time``); ``queue_depths`` exposes the
-session-side pending-job depth for dashboards.
+``SessionStats.recent_round_time``).
 """
 
 from repro.api.config import SessionConfig, WorkerSpec

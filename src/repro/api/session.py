@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.api.config import SessionConfig
 from repro.api.registry import resolve_backend, resolve_master
 from repro.api.scheduler import InflightRound, RoundScheduler, SessionClosedError
 from repro.core.results import AdaptationOutcome, RoundOutcome, RoundRecord
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.audit import AuditLog
 from repro.runtime.backend import Backend, MembershipEvent
 
@@ -257,19 +257,6 @@ class SessionStats:
     # ------------------------------------------------------------------
     # round-time telemetry (feeds the serving layer's deadline batcher)
     # ------------------------------------------------------------------
-    @property
-    def round_durations(self) -> list[float]:
-        """Backend-clock duration of every executed round, in order."""
-        return [r.duration for r in self.records]
-
-    @property
-    def mean_round_time(self) -> float:
-        """Mean round duration over the whole session (0.0 if none)."""
-        durations = self.round_durations
-        if not durations:
-            return 0.0
-        return float(sum(durations)) / len(durations)
-
     def recent_round_time(self, window: int = 8, family: str | None = None) -> float:
         """Mean duration of the last ``window`` rounds (0.0 if none) —
         the live signal the serving layer blends with the cost-model
@@ -339,6 +326,46 @@ class SessionStats:
         return text
 
 
+def _round_collector(stats: SessionStats) -> Callable[[MetricsRegistry], None]:
+    """A registry collector over one session's round log: each read
+    folds the rounds finalized since the last into the five session
+    series, a view of ``stats.records`` and ``stats.jobs_per_round``."""
+    folded = 0
+
+    def fold(registry: MetricsRegistry) -> None:
+        nonlocal folded
+        rounds = registry.counter(
+            "session_rounds_total", "rounds finalized, by family"
+        )
+        jobs = registry.counter(
+            "session_jobs_served_total", "jobs resolved by finalized rounds"
+        )
+        durations = registry.histogram(
+            "session_round_duration_seconds", "finalized round duration"
+        )
+        verify = registry.histogram(
+            "session_verify_seconds", "per-round master verification time"
+        )
+        decode = registry.histogram(
+            "session_decode_seconds", "per-round master decode time"
+        )
+        records = stats.records
+        # length first: `_note_round` appends the job count before the
+        # record, so every record counted here has its job count
+        n = len(records)
+        jobs_per_round = stats.jobs_per_round
+        for i in range(folded, n):
+            record = records[i]
+            rounds.inc(family=record.round_name)
+            jobs.inc(float(jobs_per_round[i]))
+            durations.observe(record.duration, family=record.round_name)
+            verify.observe(record.verify_time)
+            decode.observe(record.decode_time)
+        folded = n
+
+    return fold
+
+
 class Session:
     """A live coded-computing service over one dataset.
 
@@ -380,21 +407,7 @@ class Session:
             # socket backends, to ask worker daemons for their sub-spans)
             self.backend.obs = self.obs
             reg = self.obs.registry
-            self._obs_rounds = reg.counter(
-                "session_rounds_total", "rounds finalized, by family"
-            )
-            self._obs_jobs = reg.counter(
-                "session_jobs_served_total", "jobs resolved by finalized rounds"
-            )
-            self._obs_round_hist = reg.histogram(
-                "session_round_duration_seconds", "finalized round duration"
-            )
-            self._obs_verify = reg.histogram(
-                "session_verify_seconds", "per-round master verification time"
-            )
-            self._obs_decode = reg.histogram(
-                "session_decode_seconds", "per-round master decode time"
-            )
+            reg.register_collector(_round_collector(self._stats))
             #: (kind, family) -> shared (root_attrs, child_attrs) for
             #: submit spans (the tracer copies on drain)
             self._trace_attrs: dict[tuple[str, str], tuple[dict, dict]] = {}
@@ -666,11 +679,6 @@ class Session:
                 round_tid,
                 record.round_name,
             )
-        self._obs_rounds.inc(family=record.round_name)
-        self._obs_jobs.inc(float(len(rec.jobs)))
-        self._obs_round_hist.observe(record.duration, family=record.round_name)
-        self._obs_verify.observe(record.verify_time)
-        self._obs_decode.observe(record.decode_time)
 
     def _note_round(self, handles: list[JobHandle], record: RoundRecord) -> None:
         self._stats.rounds_executed += 1
@@ -782,13 +790,6 @@ class Session:
 
     def pending_jobs(self) -> int:
         return sum(len(v) for v in self._pending.values())
-
-    def queue_depths(self) -> dict[str, int]:
-        """Pending (submitted but not yet dispatched) jobs per encoded
-        family — session-side queue-depth telemetry for dashboards (the
-        serving gateway keeps its own request-level queues in front of
-        this one)."""
-        return {fam: len(jobs) for fam, jobs in self._pending.items() if jobs}
 
     def estimate_round_time(self, family: str = "fwd", width: int = 1) -> float:
         """Expected backend-clock duration of one ``family`` round

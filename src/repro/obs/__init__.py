@@ -5,7 +5,10 @@ Switched on with ``SessionConfig(observability=True)``. One
 :class:`~repro.obs.trace.Tracer` (request-to-round span trees, worker
 sub-spans shipped back over the wire) and the
 :class:`~repro.obs.metrics.MetricsRegistry` (labeled counters / gauges
-/ histograms) that every layer writes to. The
+/ histograms). The session's and the gateway's series are folded from
+their logs (``SessionStats.records``, the terminal request outcomes)
+when the registry is read; only the backends' per-dispatch series are
+written as rounds go out. The
 :class:`~repro.obs.exporter.TelemetryServer` — a threaded HTTP server
 the caller runs beside ``Gateway.run`` — serves both live (``/metrics``
 Prometheus text, ``/metrics.json``, ``/trace/<id>``, ``/healthz``) and
@@ -91,13 +94,12 @@ class Observability:
         return f"round-{next(self._round_seq)}"
 
     def on_dispatch(self, backend_name: str, job: Any, n_participants: int) -> None:
-        """Uniform per-backend dispatch hook (all five backends)."""
+        """Per-round dispatch hook, called by both backends (``sim`` and
+        ``tcp``): a dispatched round's size and roster are in no log."""
         self._rounds_total.inc(backend=backend_name)
-        try:
-            elements = job.broadcast_elements()
-        except Exception:
-            elements = 0
-        self._broadcast_elements.inc(float(elements), backend=backend_name)
+        self._broadcast_elements.inc(
+            float(job.broadcast_elements()), backend=backend_name
+        )
         self._round_participants.set(n_participants, backend=backend_name)
 
     # -- export --------------------------------------------------------

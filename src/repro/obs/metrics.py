@@ -1,19 +1,21 @@
 """Unified metrics registry: labeled counters, gauges and histograms.
 
 One registry instance is the single source of exported numbers for a
-session: ``SessionStats`` mirrors its tallies here, the gateway feeds
-every terminal request outcome into its counters and histograms
-(:func:`repro.serve.gateway.outcome_recorder`), and the telemetry
-endpoint renders it as Prometheus text or a JSON snapshot.
+session, rendered by the telemetry endpoint as Prometheus text or a
+JSON snapshot.
 
 Design constraints, in order:
 
-* **Cheap when hot.** ``Counter.inc`` / ``Histogram.observe`` are a
-  dict lookup plus a float add under a lock — no string formatting, no
-  allocation on the steady path.
-* **Mergeable.** All histograms of a metric share one fixed bucket
-  ladder, so snapshots from different reports/processes add
-  bucket-wise (:meth:`HistogramSnapshot.merge`).
+* **Folded at read, not pushed on the hot path.** The session's round
+  series are a view of ``SessionStats.records`` and the gateway's
+  request series a view of its terminal outcomes: each registers a
+  collector (:meth:`MetricsRegistry.register_collector`) that folds
+  the log entries appended since its last run. Every read of the
+  registry runs the collectors first, so a round or a request costs
+  no metric write; only the per-dispatch backend series are pushed.
+* **One fixed ladder.** Every latency histogram uses
+  :data:`LATENCY_BUCKETS`, so a series and a recount of the same
+  values (:func:`snapshot_from_values`) compare bucket for bucket.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
 
 #: Default log-spaced bucket upper bounds (seconds): 32 us .. ~1100 s,
 #: doubling each step. Fixed across the codebase so any two latency
-#: histograms merge bucket-wise.
+#: histograms compare bucket-wise.
 LATENCY_BUCKETS: tuple[float, ...] = tuple(32e-6 * 2.0**i for i in range(25))
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -47,8 +49,8 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: memo for `_label_key`: raw (k, v) item tuples -> canonical key. Label
 #: sets are low-cardinality (status/tenant/family/worker), so the memo
-#: turns the sort+stringify into one dict hit on the hot path; the cap
-#: guards against a pathological unbounded label.
+#: turns the sort+stringify into one dict hit; the cap guards against a
+#: pathological unbounded label.
 _KEY_MEMO: dict[tuple, tuple[tuple[str, str], ...]] = {}
 _KEY_MEMO_CAP = 4096
 
@@ -114,17 +116,9 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        self.inc_key(_label_key(labels), amount)
-
-    def inc_key(
-        self, key: tuple[tuple[str, str], ...], amount: float = 1.0
-    ) -> None:
-        """Increment by pre-canonicalized label key (hot-path variant:
-        callers that cache `_label_key` output skip the kwargs dict).
-        Lock-free under the GIL — see :meth:`Histogram.observe_key` for
-        the single-writer-per-metric discipline this relies on."""
-        values = self._values
-        values[key] = values.get(key, 0.0) + amount
+        key = _label_key(labels)
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
         """Value of one series (0.0 if never incremented)."""
@@ -190,8 +184,6 @@ class HistogramSnapshot:
 
     ``bounds`` are inclusive upper edges; ``counts`` has
     ``len(bounds) + 1`` entries (the last is the +Inf overflow bucket).
-    Snapshots with identical bounds merge bucket-wise, which is the
-    mechanism behind mergeable cross-report latency histograms.
     """
 
     bounds: tuple[float, ...]
@@ -206,34 +198,6 @@ class HistogramSnapshot:
                 f"{len(self.bounds)} bounds, got {len(self.counts)}"
             )
 
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        return HistogramSnapshot(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            sum=self.sum + other.sum,
-            count=self.count + other.count,
-        )
-
-    def percentile(self, p: float) -> float:
-        """Bucket-interpolated percentile estimate (p in [0, 100])."""
-        if self.count == 0:
-            return math.nan
-        rank = p / 100.0 * self.count
-        seen = 0
-        lo = 0.0
-        for bound, n in zip(self.bounds, self.counts):
-            if seen + n >= rank and n > 0:
-                frac = (rank - seen) / n
-                return lo + frac * (bound - lo)
-            seen += n
-            lo = bound
-        return self.bounds[-1] if self.bounds else math.nan
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else math.nan
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "bounds": list(self.bounds),
@@ -242,20 +206,12 @@ class HistogramSnapshot:
             "count": self.count,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HistogramSnapshot":
-        return cls(
-            bounds=tuple(data["bounds"]),
-            counts=tuple(data["counts"]),
-            sum=float(data["sum"]),
-            count=int(data["count"]),
-        )
-
 
 def snapshot_from_values(
     values: Iterable[float], bounds: Sequence[float] = LATENCY_BUCKETS
 ) -> HistogramSnapshot:
-    """Bucket a finished value list into a mergeable snapshot."""
+    """Bucket a finished value list into a snapshot (the reference a
+    histogram series is recounted against)."""
     bounds = tuple(bounds)
     counts = [0] * (len(bounds) + 1)
     total = 0.0
@@ -286,30 +242,16 @@ class Histogram(_Metric):
         self._sums: dict[tuple[tuple[str, str], ...], float] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        self.observe_key(_label_key(labels), value)
-
-    def observe_key(
-        self, key: tuple[tuple[str, str], ...], value: float
-    ) -> None:
-        """Observe under a pre-canonicalized label key (hot path).
-
-        Lock-free: bucket counts and sums are plain dict/list updates,
-        safe under the GIL for the single-writer-per-metric discipline
-        the codebase follows (each metric is fed from one thread;
-        renders/snapshots read via atomic ``list()``/``dict()`` copies
-        and tolerate a transiently torn count/sum pair).
-        """
         value = float(value)
+        key = _label_key(labels)
         idx = bisect_left(self.bounds, value)
-        counts = self._counts.get(key)
-        if counts is None:
-            with self._lock:  # series creation is the rare, racy part
-                counts = self._counts.get(key)
-                if counts is None:
-                    counts = self._counts[key] = [0] * (len(self.bounds) + 1)
-                    self._sums.setdefault(key, 0.0)
-        counts[idx] += 1
-        self._sums[key] += value
+        with self._lock:
+            counts = self._counts.get(key)
+            if counts is None:
+                counts = self._counts[key] = [0] * (len(self.bounds) + 1)
+                self._sums[key] = 0.0
+            counts[idx] += 1
+            self._sums[key] += value
 
     def snapshot_of(self, **labels: Any) -> HistogramSnapshot:
         key = _label_key(labels)
@@ -320,17 +262,6 @@ class Histogram(_Metric):
             return HistogramSnapshot(
                 self.bounds, tuple(counts), self._sums[key], sum(counts)
             )
-
-    def merged(self) -> HistogramSnapshot:
-        """One snapshot summing every label combination."""
-        out = HistogramSnapshot(self.bounds, tuple([0] * (len(self.bounds) + 1)), 0.0, 0)
-        with self._lock:
-            items = [(tuple(c), self._sums[k]) for k, c in self._counts.items()]
-        for counts, total in items:
-            out = out.merge(
-                HistogramSnapshot(self.bounds, counts, total, sum(counts))
-            )
-        return out
 
     def series(self) -> Iterator[tuple[tuple[tuple[str, str], ...], HistogramSnapshot]]:
         with self._lock:
@@ -375,13 +306,20 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create (re-requesting
     a name returns the same object; re-requesting under a different
     kind raises). Collector callbacks registered with
-    :meth:`register_collector` run just before every render/snapshot —
-    used to pull counters that live elsewhere (the socket backends'
-    wire tallies) into exported gauges without hot-path coupling.
+    :meth:`register_collector` run before every read (:meth:`get`,
+    :meth:`render_prometheus`, :meth:`snapshot`): the session's and the
+    gateway's fold their logs' new entries into their series, the
+    socket backends' mirror the wire tallies into gauges.
+
+    Collectors run one reader at a time under their own lock, so two
+    concurrent scrapes never fold an entry twice. That lock is not the
+    creation lock, so a collector may get-or-create its metrics; it
+    must not read the registry through :meth:`get`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._collect_lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
@@ -424,6 +362,7 @@ class MetricsRegistry:
             return metric
 
     def get(self, name: str) -> _Metric | None:
+        self._collect()
         with self._lock:
             return self._metrics.get(name)
 
@@ -432,10 +371,11 @@ class MetricsRegistry:
             self._collectors.append(fn)
 
     def _collect(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for fn in collectors:
-            fn(self)
+        with self._collect_lock:
+            with self._lock:
+                collectors = list(self._collectors)
+            for fn in collectors:
+                fn(self)
 
     # -- export --------------------------------------------------------
     def render_prometheus(self) -> str:

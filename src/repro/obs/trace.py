@@ -46,7 +46,6 @@ LINK_ATTR = "link"
 _BEGIN = 0  # (_BEGIN, sid, trace_id, name, t_start, parent_id, attrs|None)
 _END = 1  # (_END, sid, t_end, attrs|None)
 _ADD = 2  # (_ADD, sid, trace_id, name, t0, t1, parent_id, attrs|None)
-_FOREST = 3  # (_FOREST, trace_id, forest)
 _ROUND = 4  # (_ROUND, trace_id, record, worker_spans|None)
 _REQ2 = 5  # (_REQ2, root_sid, child_sid, trace_id, root_name, child_name, t, root_attrs|None, child_attrs|None)
 _LINKM = 6  # (_LINKM, contexts, t0, t1, link_tid, round_name)
@@ -186,8 +185,8 @@ class Tracer:
     Span ids come from one global counter, so ids are unique across
     traces — link resolution can splice foreign spans without remaps.
 
-    Writes (``begin``/``end``/``add``/``record_forest``/
-    ``record_round``) are cheap log appends returning integer span
+    Writes (``begin``/``end``/``add``/``record_round`` and the
+    batched request/link events) are cheap log appends returning integer span
     ids; reads drain the log into :class:`Span` objects first.
     CPython's GIL makes the bare appends safe from any thread; the
     lock only serializes draining.
@@ -301,14 +300,6 @@ class Tracer:
         dispatched batch's queue spans)."""
         self._log.append((_ENDM, tuple(span_ids), t_end))
 
-    def record_forest(
-        self, trace_id: str, forest: Iterable[Mapping[str, Any]]
-    ) -> None:
-        """Record a batch of closed spans whose parent pointers are
-        *local indices* into the batch (``None`` = root). Span ids are
-        assigned when the log drains."""
-        self._log.append((_FOREST, trace_id, tuple(forest)))
-
     def record_round(
         self,
         trace_id: str,
@@ -416,16 +407,10 @@ class Tracer:
                         span = self._open.pop(sid, None)
                         if span is not None:
                             span.t_end = t_close
-                else:
-                    if op == _ROUND:
-                        _, tid, record, worker_spans = ev
-                        forest: Iterable[Mapping[str, Any]] = round_forest(
-                            record, worker_spans
-                        )
-                    else:  # _FOREST
-                        _, tid, forest = ev
+                else:  # _ROUND: lower the record into its forest
+                    _, tid, record, worker_spans = ev
                     created: list[Span] = []
-                    for node in forest:
+                    for node in round_forest(record, worker_spans):
                         parent_local = node.get("parent")
                         parent_id = (
                             created[parent_local].span_id

@@ -85,8 +85,8 @@ class LocalFleet:
         self,
         procs: dict[int, BaseProcess],
         *,
-        host: str | None = None,
-        port: int | None = None,
+        host: str,
+        port: int,
         connect_timeout: float = 30.0,
     ):
         #: worker_id -> forked worker process
@@ -109,11 +109,6 @@ class LocalFleet:
         ``admit_workers()``. Raises if ``worker_id`` already has a
         live process (use :meth:`restart_worker` for replacements).
         """
-        if self.host is None or self.port is None:
-            raise RuntimeError(
-                "this fleet was built without a master address; "
-                "spawn_worker needs the host/port the workers dial"
-            )
         wid = int(worker_id)
         proc = self.procs.get(wid)
         if proc is not None and proc.is_alive():
@@ -128,11 +123,6 @@ class LocalFleet:
         (terminating the old one first if it is somehow still alive).
         The restarted daemon re-dials the master — a rejoin is a fresh
         registration, admitted between rounds."""
-        if self.host is None or self.port is None:
-            raise RuntimeError(
-                "this fleet was built without a master address; "
-                "restart_worker needs the host/port the workers dial"
-            )
         wid = int(worker_id)
         proc = self.procs.pop(wid, None)
         if proc is not None:

@@ -29,12 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.api.session import JobHandle, Session
-from repro.obs.metrics import HistogramSnapshot, snapshot_from_values
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.batcher import MicroBatcher, PendingBatch, make_batch_policy
 from repro.serve.queueing import SHED_EXPIRED, FairQueue
 from repro.serve.workload import Request
@@ -43,93 +43,6 @@ __all__ = ["Gateway", "GatewayConfig", "RequestOutcome", "ServeReport", "Traffic
 
 #: outcome statuses
 SERVED = "served"
-
-#: metric names the gateway accounting lives under (obs-enabled runs)
-GATEWAY_REQUESTS = "gateway_requests_total"
-GATEWAY_SLO = "gateway_slo_requests_total"
-GATEWAY_LATENCY = "gateway_request_latency_seconds"
-GATEWAY_SLACK = "gateway_deadline_slack_seconds"
-
-
-def _gateway_handles(registry: Any) -> tuple[Any, Any, Any, Any]:
-    """Get-or-create the four gateway metrics once per registry; the
-    per-request path then skips the registry's name lookup + lock."""
-    handles = getattr(registry, "_gateway_handles", None)
-    if handles is None:
-        handles = (
-            registry.counter(
-                GATEWAY_REQUESTS, "terminal request outcomes by status"
-            ),
-            registry.counter(
-                GATEWAY_SLO, "deadline-carrying completions by SLO verdict"
-            ),
-            registry.histogram(
-                GATEWAY_LATENCY,
-                "end-to-end served latency (arrival to decode)",
-            ),
-            registry.histogram(
-                GATEWAY_SLACK,
-                "deadline minus completion for served SLO requests",
-            ),
-        )
-        registry._gateway_handles = handles
-    return handles
-
-
-#: canonical label-key memos for the per-request fast path (label sets
-#: are low-cardinality: statuses x tenants x families)
-_REQ_KEYS: dict[tuple, tuple] = {}
-_TENANT_KEYS: dict[str, tuple] = {}
-_MET_KEYS = {
-    True: (("met", "True"),),
-    False: (("met", "False"),),
-    None: (("met", "None"),),
-}
-_NO_LABELS: tuple = ()
-
-
-def outcome_recorder(registry: Any) -> Any:
-    """Bind the per-request outcome fast path once for ``registry``:
-    returns (and caches on the registry) a ``record(outcome)``
-    callable closed over the four gateway metric handles and the
-    label-key memos — the per-call cost is the metric bumps alone."""
-    rec = getattr(registry, "_outcome_recorder", None)
-    if rec is not None:
-        return rec
-    requests, slo, latency, slack = _gateway_handles(registry)
-
-    def record(
-        outcome: Any,
-        _req_keys=_REQ_KEYS,
-        _tenant_keys=_TENANT_KEYS,
-        _met_keys=_MET_KEYS,
-        _no_labels=_NO_LABELS,
-        _isfinite=math.isfinite,
-    ) -> None:
-        triple = (outcome.status, outcome.tenant, outcome.family)
-        key = _req_keys.get(triple)
-        if key is None:
-            key = _req_keys[triple] = tuple(
-                sorted(zip(("status", "tenant", "family"), map(str, triple)))
-            )
-        requests.inc_key(key)
-        has_deadline = _isfinite(outcome.deadline)
-        if has_deadline:
-            slo.inc_key(_met_keys[outcome.slo_met])
-        if outcome.status == "served" and outcome.latency is not None:
-            tenant = outcome.tenant
-            tkey = _tenant_keys.get(tenant)
-            if tkey is None:
-                tkey = _tenant_keys[tenant] = (("tenant", str(tenant)),)
-            latency.observe_key(tkey, outcome.latency)
-            if has_deadline and outcome.completed is not None:
-                slack.observe_key(
-                    _no_labels, outcome.deadline - outcome.completed
-                )
-
-    registry._outcome_recorder = record
-    return record
-
 
 @runtime_checkable
 class TrafficSource(Protocol):
@@ -268,21 +181,6 @@ class ServeReport:
     def latencies(self) -> np.ndarray:
         return np.array([o.latency for o in self.served], dtype=float)
 
-    def latency_histogram(self) -> HistogramSnapshot:
-        """Served latencies on the shared fixed bucket ladder — two
-        reports' histograms merge losslessly
-        (:meth:`~repro.obs.metrics.HistogramSnapshot.merge`)."""
-        return snapshot_from_values(self.latencies().tolist())
-
-    def tenant_latency_histograms(self) -> dict[str, HistogramSnapshot]:
-        """Per-tenant served-latency histograms (same ladder)."""
-        out: dict[str, HistogramSnapshot] = {}
-        for tenant in sorted({o.tenant for o in self.served}):
-            out[tenant] = snapshot_from_values(
-                [o.latency for o in self.served if o.tenant == tenant]
-            )
-        return out
-
     def latency_percentile(self, p: float) -> float:
         lat = self.latencies()
         if lat.size == 0:
@@ -367,11 +265,11 @@ class ServeReport:
             "pipeline_occupancy": self.pipeline_occupancy,
         }
 
-    def to_dict(self, include_histograms: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         def clean(v: float) -> float | None:
             return None if isinstance(v, float) and not math.isfinite(v) else v
 
-        out = {
+        return {
             "metrics": {k: clean(v) for k, v in self.metrics().items()},
             "tenants": {
                 t: {k: clean(v) for k, v in row.items()}
@@ -379,16 +277,6 @@ class ServeReport:
             },
             "requests": [o.to_dict() for o in self.outcomes],
         }
-        if include_histograms:
-            # opt-in so the default serialization stays byte-identical
-            out["histograms"] = {
-                "latency": self.latency_histogram().to_dict(),
-                "tenants": {
-                    t: h.to_dict()
-                    for t, h in self.tenant_latency_histograms().items()
-                },
-            }
-        return out
 
     def summary(self) -> str:
         return (
@@ -399,6 +287,48 @@ class ServeReport:
             f"fairness {self.fairness_index():.3f}, "
             f"{self.rounds_executed} rounds (batching x{self.batching_factor:.2f})"
         )
+
+
+def _outcome_collector(
+    outcomes: list[RequestOutcome],
+) -> Callable[[MetricsRegistry], None]:
+    """A registry collector over one gateway's terminal outcomes, in
+    the order they ended: each read folds the outcomes appended since
+    the last into the four request series. It holds the list, not the
+    gateway, so the registry keeps no finished gateway's results alive."""
+    folded = 0
+
+    def fold(registry: MetricsRegistry) -> None:
+        nonlocal folded
+        requests = registry.counter(
+            "gateway_requests_total", "terminal request outcomes by status"
+        )
+        slo = registry.counter(
+            "gateway_slo_requests_total",
+            "deadline-carrying completions by SLO verdict",
+        )
+        latency = registry.histogram(
+            "gateway_request_latency_seconds",
+            "end-to-end served latency (arrival to decode)",
+        )
+        slack = registry.histogram(
+            "gateway_deadline_slack_seconds",
+            "deadline minus completion for served SLO requests",
+        )
+        n = len(outcomes)
+        for i in range(folded, n):
+            o = outcomes[i]
+            requests.inc(status=o.status, tenant=o.tenant, family=o.family)
+            has_deadline = math.isfinite(o.deadline)
+            if has_deadline:
+                slo.inc(met=o.slo_met)
+            if o.status == SERVED and o.latency is not None:
+                latency.observe(o.latency, tenant=o.tenant)
+                if has_deadline and o.completed is not None:
+                    slack.observe(o.deadline - o.completed)
+        folded = n
+
+    return fold
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +364,9 @@ class Gateway:
             depth=self.config.queue_depth, weights=self.config.tenant_weights
         )
         self._inflight: list[tuple[Request, JobHandle, float]] = []
-        self._outcomes: dict[int, RequestOutcome] = {}
+        #: terminal outcomes in the order the requests ended (the
+        #: report sorts them by request id)
+        self._outcomes: list[RequestOutcome] = []
         #: decoded result vectors by request id (parity checks)
         self.results: dict[int, np.ndarray] = {}
         self._ran = False
@@ -444,9 +376,8 @@ class Gateway:
         #: enabled it) — tracing and request metrics hang off it
         self.obs = getattr(session, "obs", None)
         self.audit = getattr(session, "audit", None)
-        self._record_outcome: Any = None
         if self.obs is not None:
-            self._record_outcome = outcome_recorder(self.obs.registry)
+            self.obs.registry.register_collector(_outcome_collector(self._outcomes))
         #: request_id -> (root "request" span, "gateway.queue" span)
         self._req_spans: dict[int, list[Any]] = {}
         #: (tenant, family) -> shared root-attr dict for admission spans
@@ -550,9 +481,7 @@ class Gateway:
 
     # ------------------------------------------------------------------
     def _build_report(self) -> ServeReport:
-        outcomes = tuple(
-            self._outcomes[rid] for rid in sorted(self._outcomes)
-        )
+        outcomes = tuple(sorted(self._outcomes, key=lambda o: o.request_id))
         stats = self.session.stats
         return ServeReport(
             outcomes=outcomes,
@@ -702,10 +631,9 @@ class Gateway:
                 slo_met=slo,
                 audit_seq=handle._audit_seq,
             )
-            self._outcomes[req.request_id] = done
+            self._outcomes.append(done)
             if self.obs is not None:
                 self._trace_finish(req, SERVED, outcome.record.t_end)
-                self._record_outcome(done)
             follow_up = self.source.on_complete(req, completed)
             if follow_up is not None:
                 heapq.heappush(
@@ -730,10 +658,9 @@ class Gateway:
             status=status,
             slo_met=False if math.isfinite(req.deadline) else None,
         )
-        self._outcomes[req.request_id] = done
+        self._outcomes.append(done)
         if self.obs is not None:
             self._trace_finish(req, status, self._t0 + self.now)
-            self._record_outcome(done)
         # a shed is a terminal outcome too: a closed-loop client whose
         # request was dropped still issues its next one
         follow_up = self.source.on_complete(req, self.now)

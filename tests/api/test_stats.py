@@ -1,5 +1,5 @@
 """SessionStats telemetry: summary(), the PR 3 pipeline fields, and
-the serving-layer round-time/queue-depth/submit hooks.
+the serving-layer round-time/submit hooks.
 
 The pipeline fields (``pipeline_occupancy``, ``max_inflight_depth``,
 ``rounds_overlapped``) and ``summary()`` were previously only
@@ -58,7 +58,6 @@ class TestPipelineTelemetryFields:
         assert stats.pipeline_occupancy == 0.0
         assert stats.rounds_overlapped == 0
         assert stats.batching_factor == 0.0
-        assert stats.mean_round_time == 0.0
         assert stats.recent_round_time() == 0.0
 
     def test_serial_session_never_overlaps(self):
@@ -145,14 +144,6 @@ class TestRecentRoundTimeWalksFromTheTail:
 
 
 class TestRoundTimeTelemetry:
-    def test_round_durations_match_records(self):
-        stats = _run_jobs(max_inflight=1, n_jobs=4)
-        assert len(stats.round_durations) == 4
-        assert stats.round_durations == [r.duration for r in stats.records]
-        assert stats.mean_round_time == pytest.approx(
-            sum(stats.round_durations) / 4
-        )
-
     def test_recent_round_time_windows(self):
         stats = SessionStats()
         assert stats.recent_round_time() == 0.0
@@ -160,7 +151,7 @@ class TestRoundTimeTelemetry:
             stats.recent_round_time(window=0)
         full = _run_jobs(max_inflight=1, n_jobs=6)
         assert full.recent_round_time(window=2) == pytest.approx(
-            sum(full.round_durations[-2:]) / 2
+            sum(r.duration for r in full.records[-2:]) / 2
         )
 
     def test_recent_round_time_family_filter(self):
@@ -192,17 +183,6 @@ class TestRoundTimeTelemetry:
 
 
 class TestServingHooks:
-    def test_queue_depths_tracks_pending_families(self):
-        with Session.create(_config()) as sess:
-            sess.load(X)
-            assert sess.queue_depths() == {}
-            sess.submit_matvec(F.random(8, RNG))
-            sess.submit_matvec(F.random(8, RNG))
-            sess.submit_matvec(F.random(16, RNG), transpose=True)
-            assert sess.queue_depths() == {"fwd": 2, "bwd": 1}
-            sess.flush("fwd")
-            assert sess.queue_depths() == {"bwd": 1}
-
     def test_estimate_round_time_prior_then_blend(self):
         with Session.create(_config()) as sess:
             assert sess.estimate_round_time("fwd") == 0.0  # nothing loaded

@@ -1,9 +1,10 @@
 """Unit tests for the metrics registry: labeled series, fixed-ladder
-histograms (mergeable snapshots, window drains), Prometheus/JSON
-rendering, and registry get-or-create semantics."""
+histograms, Prometheus/JSON rendering, registry get-or-create
+semantics, and collectors folded before every read."""
 
 import json
-import math
+import sys
+import threading
 
 import pytest
 
@@ -12,9 +13,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    HistogramSnapshot,
     MetricsRegistry,
-    snapshot_from_values,
 )
 
 
@@ -62,7 +61,7 @@ class TestHistogram:
         h = Histogram("lat", buckets=(0.1, 1.0))
         for v in (0.05, 0.5, 2.0, 3.0):
             h.observe(v)
-        snap = h.merged()
+        snap = h.snapshot_of()
         assert snap.counts == (1, 1, 2)  # <=0.1, <=1.0, +Inf
         assert snap.count == 4
         assert snap.sum == pytest.approx(5.55)
@@ -72,56 +71,18 @@ class TestHistogram:
         h = Histogram("lat", buckets=(0.1, 1.0))
         h.observe(0.1)
         h.observe(1.0)
-        assert h.merged().counts == (1, 1, 0)
+        assert h.snapshot_of().counts == (1, 1, 0)
 
-    def test_observe_key_feeds_the_labelled_series(self):
+    def test_labelled_series_bucket_independently(self):
         h = Histogram("lat", buckets=(0.1, 1.0))
         h.observe(0.05, tenant="a")
-        h.observe_key((("tenant", "a"),), 2.0)
-        h.observe_key((("tenant", "b"),), 0.5)
+        h.observe(2.0, tenant="a")
+        h.observe(0.5, tenant="b")
         a = h.snapshot_of(tenant="a")
         assert a.counts == (1, 0, 1)
         assert a.sum == pytest.approx(2.05)
         assert h.snapshot_of(tenant="b").counts == (0, 1, 0)
-
-    def test_snapshots_merge_losslessly(self):
-        a = snapshot_from_values([0.001, 0.01], bounds=(0.005, 0.05))
-        b = snapshot_from_values([0.02, 0.1], bounds=(0.005, 0.05))
-        m = a.merge(b)
-        assert m.count == 4
-        assert m.counts == tuple(
-            x + y for x, y in zip(a.counts, b.counts)
-        )
-        assert m.sum == pytest.approx(a.sum + b.sum)
-
-    def test_merge_rejects_mismatched_ladders(self):
-        a = snapshot_from_values([1.0], bounds=(0.5,))
-        b = snapshot_from_values([1.0], bounds=(0.25,))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_percentile_interpolates_within_bucket(self):
-        snap = snapshot_from_values([0.3] * 100, bounds=(0.25, 0.5, 1.0))
-        # all mass in the (0.25, 0.5] bucket: estimates interpolate
-        # linearly across that bucket and never leave it
-        assert snap.percentile(50.0) == pytest.approx(0.375)
-        assert snap.percentile(99.0) == pytest.approx(0.4975)
-
-    def test_empty_percentile_is_nan(self):
-        snap = snapshot_from_values([], bounds=(1.0,))
-        assert math.isnan(snap.percentile(99.0))
-
-    def test_mean_is_sum_over_count_and_nan_when_empty(self):
-        snap = snapshot_from_values([0.1, 0.9, 5.0], bounds=(0.5, 1.0))
-        assert snap.mean() == pytest.approx(2.0)
-        assert math.isnan(snapshot_from_values([], bounds=(1.0,)).mean())
-
-    def test_snapshot_dict_roundtrip(self):
-        snap = snapshot_from_values([0.1, 0.9, 5.0], bounds=(0.5, 1.0))
-        back = HistogramSnapshot.from_dict(
-            json.loads(json.dumps(snap.to_dict()))
-        )
-        assert back == snap
+        assert h.snapshot_of(tenant="c").count == 0
 
 
 class TestRegistry:
@@ -191,6 +152,92 @@ class TestRegistry:
         assert "mirrored 1" in reg.render_prometheus()
         state["v"] = 2.0
         assert "mirrored 2" in reg.render_prometheus()
+
+    def test_every_read_runs_the_collectors_first(self):
+        reg = MetricsRegistry()
+        log = [1.0, 2.0]
+        folded = [0]
+
+        def fold(r):
+            total = r.counter("log_total")
+            for v in log[folded[0]:]:
+                total.inc(v)
+            folded[0] = len(log)
+
+        reg.register_collector(fold)
+        assert reg.get("log_total").total() == 3.0
+        log.append(4.0)
+        assert "log_total 7" in reg.render_prometheus()
+        log.append(8.0)
+        assert reg.snapshot()["log_total"]["series"] == [{"labels": {}, "value": 15.0}]
+
+    def test_concurrent_reads_run_one_collector_at_a_time(self):
+        """The collect lock: a second reader waits for the first
+        reader's fold instead of folding the same entries again."""
+        reg = MetricsRegistry()
+        inside = threading.Event()
+        release = threading.Event()
+        running = []
+
+        def fold(r):
+            running.append(1)
+            assert len(running) == 1
+            r.counter("folds_total").inc()  # get-or-create inside a fold
+            inside.set()
+            release.wait(timeout=10.0)
+            running.pop()
+
+        reg.register_collector(fold)
+        first = threading.Thread(target=reg.render_prometheus)
+        first.start()
+        assert inside.wait(timeout=10.0)
+        second = threading.Thread(target=reg.snapshot)
+        second.start()
+        second.join(timeout=0.2)
+        assert second.is_alive()  # blocked on the first reader's fold
+        release.set()
+        first.join(timeout=10.0)
+        second.join(timeout=10.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert reg.get("folds_total").total() == 3.0
+
+    def test_stress_readers_fold_each_entry_once(self):
+        """Six reader threads, switching every microsecond, while this
+        thread appends to the log: every entry is counted once."""
+        reg = MetricsRegistry()
+        log: list[float] = []
+        folded = [0]
+
+        def fold(r):
+            total = r.counter("log_total")
+            n = len(log)
+            for v in log[folded[0]:n]:
+                total.inc(v)
+            folded[0] = n
+
+        reg.register_collector(fold)
+        done = threading.Event()
+
+        def read(fn):
+            while not done.is_set():
+                fn()
+
+        reads = (reg.render_prometheus, reg.snapshot, lambda: reg.get("log_total"))
+        threads = [threading.Thread(target=read, args=(fn,)) for fn in reads * 2]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(3000):
+                log.append(1.0)
+        finally:
+            done.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert reg.get("log_total").total() == len(log)
 
     def test_json_snapshot_is_serializable(self):
         reg = MetricsRegistry()

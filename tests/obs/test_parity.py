@@ -4,14 +4,18 @@ With ``observability=False`` (the default) the observability layer
 must be invisible: ``ServeReport.to_dict()`` and the session's
 ``SessionStats.summary()`` byte-identical to an untouched run, zero
 obs objects allocated. With it on, the report must not change either,
-and the registry's request counters must agree with the report — the
-simulator's virtual clock makes both runs deterministic, so equality
-is exact, not approximate.
+and the registry's session and gateway series must be exact recounts
+of the run's logs (``SessionStats.records`` and the report's terminal
+outcomes), however often and from however many threads the registry
+is read.
 """
 
+import gc
 import inspect
 import json
 import math
+import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -24,7 +28,6 @@ from repro.obs import Observability, Tracer
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import snapshot_from_values
 from repro.serve import Gateway, GatewayConfig, OpenLoopSource, Request
-from repro.serve.gateway import outcome_recorder
 
 SHAPE = (48, 24)
 
@@ -69,7 +72,9 @@ _OBS_HOOKS = {
     Gateway: ("_trace_admit", "_trace_dequeue", "_trace_dequeue_batch", "_trace_finish"),
 }
 #: the calls each request of `_serve_paced`'s trace costs with
-#: observability on: one request, one round, one outcome
+#: observability on: one request, one round, one outcome. The only
+#: metric writes are the backend's per-dispatch ones; the session and
+#: gateway series are folded from their logs when the registry is read
 PER_REQUEST = {
     "Gateway._trace_admit": 1,
     "Gateway._trace_dequeue_batch": 1,
@@ -83,11 +88,8 @@ PER_REQUEST = {
     "Tracer.end_many": 1,
     "Tracer.link_rounds": 1,
     "Tracer.record_round": 1,
-    "Counter.inc": 4,
-    "Counter.inc_key": 5,
+    "Counter.inc": 2,
     "Gauge.set": 1,
-    "Histogram.observe": 3,
-    "Histogram.observe_key": 4,
 }
 
 
@@ -183,15 +185,6 @@ class TestOffSwitchParity:
         assert rep_off.summary() == rep_on.summary()
         assert summary_off == summary_on
 
-    def test_histograms_are_opt_in_only(self):
-        rep, _, _ = _run_serving(False)
-        assert "histograms" not in rep.to_dict()
-        assert "histograms" in rep.to_dict(include_histograms=True)
-        hist = rep.latency_histogram()
-        assert hist.count == len(rep.served)
-        merged = hist.merge(hist)
-        assert merged.count == 2 * hist.count
-
 
 class TestRegistryAccountingParity:
     def test_registry_counters_match_report_totals(self):
@@ -238,11 +231,126 @@ def _mixed_verdict_trace(field, rng):
     return reqs
 
 
-class TestOutcomeRecorder:
-    """The gateway's four request metrics recount the report's terminal
-    outcomes exactly, series by series."""
+def _serve_mixed(backend, rng, scrapers=()):
+    """Serve `_mixed_verdict_trace` with observability on, while each
+    of ``scrapers`` (callables taking the registry) reads the registry
+    in a loop on its own thread. Returns the report, the session's
+    stats and the registry."""
+    cfg = SessionConfig(
+        scheme=SchemeParams(n=6, k=2, s=1, m=1),
+        backend=backend,
+        seed=0,
+        observability=True,
+        backend_options={"straggle_scale": 0.002} if backend == "tcp" else {},
+    )
+    with Session.create(cfg) as sess:
+        sess.load(sess.field.random((6, 5), rng))
+        reqs = _mixed_verdict_trace(sess.field, rng)
+        gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
+        registry = sess.obs.registry
+        done = threading.Event()
+        reads = Counter()
+
+        def scrape(read):
+            while not done.is_set():
+                read(registry)
+                reads[read] += 1
+
+        threads = [threading.Thread(target=scrape, args=(r,)) for r in scrapers]
+        for t in threads:
+            t.start()
+        try:
+            rep = gw.run()
+        finally:
+            done.set()
+            for t in threads:
+                t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert all(reads[r] > 0 for r in scrapers)
+        assert rep.total == len(reqs)
+        return rep, sess.stats, registry
+
+
+class TestSeriesRecount:
+    """The gateway's four request series recount the report's terminal
+    outcomes, and the session's five round series recount
+    ``SessionStats.records`` and ``jobs_per_round``, series by series."""
 
     def test_series_recount_the_report(self, rng):
+        rep, stats, registry = _serve_mixed("sim", rng)
+        verdicts = {(o.status == "served", o.slo_met) for o in rep.outcomes}
+        assert verdicts == {(True, True), (True, False), (False, False), (True, None)}
+        _assert_series_recount(rep, registry)
+        _assert_session_recount(stats, registry)
+
+    def test_series_recount_a_tcp_run(self, rng):
+        """On the wall clock which deadlines are met varies run to run;
+        whatever the verdicts, the series recount them exactly."""
+        rep, stats, registry = _serve_mixed("tcp", rng)
+        assert rep.shed_queue_full == 6  # the burst overflows at admission
+        _assert_series_recount(rep, registry)
+        _assert_session_recount(stats, registry)
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_session_series_recount_the_round_log(self, backend, rng):
+        """Rounds of both families and of widths 1 to 3, read between
+        rounds and after: each read folds only the rounds since the
+        last, and the five series equal their recount every time."""
+        cfg = SessionConfig(
+            scheme=SchemeParams(n=6, k=2, s=1, m=1),
+            backend=backend,
+            seed=0,
+            batch_window=8,
+            observability=True,
+            backend_options={"straggle_scale": 0.002} if backend == "tcp" else {},
+        )
+        with Session.create(cfg) as sess:
+            sess.load(sess.field.random((6, 5), rng))
+            registry = sess.obs.registry
+            for width in (1, 3, 2):
+                for _ in range(width):
+                    sess.submit_matvec(sess.field.random(5, rng))
+                sess.submit_matvec(sess.field.random(6, rng), transpose=True)
+                sess.flush()
+                sess.drain()
+                _assert_session_recount(sess.stats, registry)
+            stats = sess.stats
+        assert sorted(stats.jobs_per_round) == [1, 1, 1, 1, 2, 3]
+        _assert_session_recount(stats, registry)
+
+    def test_reads_in_any_order_change_no_value(self, rng):
+        """``get``, then ``render_prometheus``, then ``snapshot``: the
+        first read folds the logs, the later ones find nothing new."""
+        rep, stats, registry = _serve_mixed("sim", rng)
+        names = sorted(SESSION_SERIES + GATEWAY_SERIES)
+        first = {name: registry.get(name).snapshot() for name in names}
+        text = registry.render_prometheus()
+        snap = registry.snapshot()
+        assert {name: snap[name]["series"] for name in names} == first
+        assert registry.render_prometheus() == text
+        assert registry.snapshot() == snap
+        assert {name: registry.get(name).snapshot() for name in names} == first
+        _assert_series_recount(rep, registry)
+        _assert_session_recount(stats, registry)
+
+    def test_concurrent_scrapes_fold_each_entry_once(self, rng):
+        """Two threads read the registry in a loop while a tcp gateway
+        serves; the series still equal their recount afterwards."""
+        rep, stats, registry = _serve_mixed(
+            "tcp",
+            rng,
+            scrapers=(
+                lambda reg: reg.render_prometheus(),
+                lambda reg: reg.snapshot(),
+            ),
+        )
+        _assert_series_recount(rep, registry)
+        _assert_session_recount(stats, registry)
+
+    def test_registry_keeps_no_finished_gateway_alive(self, rng):
+        """The gateway's collector holds its outcome log, not the
+        gateway: a finished gateway and its result vectors are freed,
+        and its outcomes still count."""
         cfg = SessionConfig(
             scheme=SchemeParams(n=6, k=2, s=1, m=1),
             backend="sim",
@@ -251,36 +359,28 @@ class TestOutcomeRecorder:
         )
         with Session.create(cfg) as sess:
             sess.load(sess.field.random((6, 5), rng))
-            reqs = _mixed_verdict_trace(sess.field, rng)
-            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
+            gw = Gateway(sess, OpenLoopSource(_mixed_verdict_trace(sess.field, rng)))
             rep = gw.run()
-            registry = sess.obs.registry
-        # bound once per registry: the gateway holds the cached recorder
-        assert outcome_recorder(registry) is gw._record_outcome
-        assert rep.total == len(reqs)
-        verdicts = {(o.status == "served", o.slo_met) for o in rep.outcomes}
-        assert verdicts == {(True, True), (True, False), (False, False), (True, None)}
-        _assert_series_recount(rep, registry)
+            gone = weakref.ref(gw)
+            del gw
+            gc.collect()
+            assert gone() is None
+            _assert_series_recount(rep, sess.obs.registry)
 
-    def test_series_recount_a_tcp_run(self, rng):
-        """On the wall clock which deadlines are met varies run to run;
-        whatever the verdicts, the series recount them exactly."""
-        cfg = SessionConfig(
-            scheme=SchemeParams(n=6, k=2, s=1, m=1),
-            backend="tcp",
-            seed=0,
-            observability=True,
-            backend_options={"straggle_scale": 0.002},
-        )
-        with Session.create(cfg) as sess:
-            sess.load(sess.field.random((6, 5), rng))
-            reqs = _mixed_verdict_trace(sess.field, rng)
-            gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
-            rep = gw.run()
-            registry = sess.obs.registry
-        assert rep.total == len(reqs)
-        assert rep.shed_queue_full == 6  # the burst overflows at admission
-        _assert_series_recount(rep, registry)
+
+SESSION_SERIES = [
+    "session_rounds_total",
+    "session_jobs_served_total",
+    "session_round_duration_seconds",
+    "session_verify_seconds",
+    "session_decode_seconds",
+]
+GATEWAY_SERIES = [
+    "gateway_requests_total",
+    "gateway_slo_requests_total",
+    "gateway_request_latency_seconds",
+    "gateway_deadline_slack_seconds",
+]
 
 
 def _same_histogram(hist, labels, values):
@@ -288,6 +388,34 @@ def _same_histogram(hist, labels, values):
     want = snapshot_from_values(values, hist.bounds)
     assert got.counts == want.counts
     assert got.sum == pytest.approx(want.sum)
+
+
+def _assert_session_recount(stats, registry):
+    """Each of the session's round series equals its recount from the
+    round log."""
+    records = stats.records
+    assert records and len(records) == len(stats.jobs_per_round)
+    families = Counter(r.round_name for r in records)
+    rounds = registry.get("session_rounds_total")
+    assert dict(rounds.series()) == {
+        (("family", f),): n for f, n in families.items()
+    }
+    jobs = registry.get("session_jobs_served_total")
+    assert dict(jobs.series()) == {(): sum(stats.jobs_per_round)}
+    durations = registry.get("session_round_duration_seconds")
+    assert {dict(k)["family"] for k, _ in durations.series()} == set(families)
+    for family in families:
+        _same_histogram(
+            durations,
+            {"family": family},
+            [r.duration for r in records if r.round_name == family],
+        )
+    _same_histogram(
+        registry.get("session_verify_seconds"), {}, [r.verify_time for r in records]
+    )
+    _same_histogram(
+        registry.get("session_decode_seconds"), {}, [r.decode_time for r in records]
+    )
 
 
 def _assert_series_recount(rep, registry):

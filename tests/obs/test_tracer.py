@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: link splicing, forest recording,
+"""Unit tests for the span tracer: link splicing, round recording,
 eviction, dump round-trips, and the lowering of a round record into
 its span forest."""
 
@@ -58,40 +58,42 @@ class TestTracer:
         (span,) = tr.spans("t")
         assert span.t_end == 1.0
 
-    def test_record_forest_resolves_local_parents(self):
+    def test_record_round_resolves_local_parents(self):
         tr = Tracer()
-        tr.record_forest(
-            "f",
-            [
-                {"name": "root", "t_start": 0.0, "t_end": 1.0, "parent": None},
-                {"name": "kid", "t_start": 0.1, "t_end": 0.9, "parent": 0},
-                {"name": "grandkid", "t_start": 0.2, "t_end": 0.3, "parent": 1},
-            ],
-        )
-        spans = tr.spans("f")
-        assert spans[1].parent_id == spans[0].span_id
-        assert spans[2].parent_id == spans[1].span_id
+        tr.record_round("f", _record(), {0: [["daemon.compute", 0.0, 0.2]]})
+        by_name = {s.name: s for s in tr.spans("f")}
+        assert by_name["round"].parent_id is None
+        assert tr.root_id("f") == by_name["round"].span_id
+        for name in ("round.broadcast", "round.collect", "round.verify", "round.decode"):
+            assert by_name[name].parent_id == by_name["round"].span_id
+        assert by_name["worker:0"].parent_id == by_name["round.collect"].span_id
+        assert by_name["daemon.compute"].parent_id == by_name["worker:0"].span_id
 
     def test_resolved_splices_linked_trace(self):
         tr = Tracer()
-        root = tr.begin("req", "request", 0.0)
-        tr.end(root, 2.0)
-        tr.record_forest(
-            "round-0",
-            [
-                {"name": "round", "t_start": 0.5, "t_end": 1.5, "parent": None},
-                {"name": "round.decode", "t_start": 1.4, "t_end": 1.5, "parent": 0},
-            ],
-        )
-        link = tr.add(
-            "req", "round", 0.5, 1.5, parent_id=root, link="round-0"
-        )
+        root, session = tr.begin_request("req", "request", "session", 10.0)
+        tr.record_round("round-0", _record(worker_latencies=(), used_workers=()))
+        tr.link_rounds([("req", session, root)], 10.0, 11.0, "round-0", "fwd")
         resolved = tr.resolved("req")
         names = [s.name for s in resolved]
-        assert names == ["request", "round", "round", "round.decode"]
+        assert names == [
+            "request",
+            "session",
+            "round",
+            "round",
+            "round.broadcast",
+            "round.collect",
+            "round.verify",
+            "round.decode",
+        ]
+        link = resolved[2]
+        assert link.attrs == {"link": "round-0", "round_name": "fwd"}
+        assert link.parent_id == session
+        # the rider's spans close at the round's end
+        assert resolved[0].t_end == resolved[1].t_end == 11.0
         # the spliced round root is re-parented under the link span
-        spliced_root = resolved[2]
-        assert spliced_root.parent_id == link
+        spliced_root = resolved[3]
+        assert spliced_root.parent_id == link.span_id
         # every non-root parent id resolves inside the resolved set
         ids = {s.span_id for s in resolved}
         roots = [s for s in resolved if s.parent_id is None]

@@ -296,8 +296,6 @@ class TestReport:
         assert all(o.latency is None for o in report.outcomes if o.status != "served")
         assert report.p50 == pytest.approx(np.percentile(lat, 50))
         assert report.p99 == pytest.approx(np.percentile(lat, 99))
-        assert report.latency_histogram().count == len(lat)
-        assert report.latency_histogram().sum == pytest.approx(sum(lat))
 
     def test_deadline_free_requests_carry_no_slo_verdict(self):
         reqs = _generator().generate(12)

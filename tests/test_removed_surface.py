@@ -16,8 +16,13 @@ is reconciled at every iteration boundary), the backend, master and
 batch-policy plug-in registries (name tables remain), the
 ``deadline`` batch policy (``hybrid`` with a large window and no
 linger has its due times), the trainer's ``check_overflow`` switch
-(both rounds are always checked) and the tcp backend's
-``"subprocess"`` spawn mode (the loopback fleet always forks).
+(both rounds are always checked), the tcp backend's
+``"subprocess"`` spawn mode (the loopback fleet always forks), the
+session's and the gateway's per-round and per-request metric writes
+with their pre-keyed fast paths (the series are folded from the
+run's logs when the registry is read), the report's second bucketing
+of its latencies with the histogram-snapshot arithmetic only it used,
+the tracer's raw-forest event and three test-only stat accessors.
 """
 
 import inspect
@@ -30,7 +35,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import JobRequest, Session, SessionConfig
+from repro.api import JobRequest, Session, SessionConfig, SessionStats
 from repro.coding import SchemeParams
 from repro.ff import PrimeField
 from repro.ml import (
@@ -38,8 +43,11 @@ from repro.ml import (
     DistributedLogisticTrainer,
     LogisticConfig,
 )
+from repro.obs.metrics import Counter, Histogram, HistogramSnapshot
+from repro.obs.trace import Tracer
 from repro.runtime import RoundJob, SimWorker, TcpCluster
-from repro.serve import Gateway, OpenLoopSource, TenantSpec, make_batch_policy
+from repro.runtime.net.fleet import LocalFleet
+from repro.serve import Gateway, OpenLoopSource, ServeReport, TenantSpec, make_batch_policy
 
 #: package -> names it exported before the deletion
 DELETED_EXPORTS = {
@@ -54,7 +62,6 @@ DELETED_EXPORTS = {
     "repro.core": ["GramianAVCCMaster"],
     "repro.verify": ["MatrixPolynomialVerifier", "TwoStageKey", "TwoStageVerifier"],
     "repro.ml": ["PolynomialSigmoid", "fit_sigmoid_poly"],
-    "repro.serve": ["GatewayRecorder", "RecordedTrace", "TraceArrivals"],
     "repro.runtime": [
         "IterationRecord",
         "NetTunables",
@@ -64,10 +71,17 @@ DELETED_EXPORTS = {
     ],
     "repro.runtime.net": ["NetTunables"],
     "repro.ff": ["vandermonde_solve"],
-    "repro.serve.gateway": ["WindowSignals", "record_outcome"],
+    "repro.serve.gateway": ["WindowSignals", "record_outcome", "outcome_recorder"],
     "repro.api": ["register_backend", "register_master"],
     "repro.api.registry": ["register_backend", "register_master"],
-    "repro.serve": ["DeadlinePolicy", "batch_policy_names", "register_batch_policy"],
+    "repro.serve": [
+        "GatewayRecorder",
+        "RecordedTrace",
+        "TraceArrivals",
+        "DeadlinePolicy",
+        "batch_policy_names",
+        "register_batch_policy",
+    ],
     "repro.serve.batcher": [
         "DeadlinePolicy",
         "batch_policy_names",
@@ -189,6 +203,66 @@ def _config_field_refused(name, value):
         SessionConfig.from_dict(d)
 
 
+#: owner -> attributes it had before the deletion (methods, module
+#: privates, the gateway's label-key memos)
+DELETED_ATTRIBUTES = {
+    Counter: ["inc_key"],
+    Histogram: ["observe_key", "merged"],
+    HistogramSnapshot: ["merge", "percentile", "mean", "from_dict"],
+    ServeReport: ["latency_histogram", "tenant_latency_histograms"],
+    Tracer: ["record_forest"],
+    SessionStats: ["round_durations", "mean_round_time"],
+    Session: ["queue_depths"],
+    Gateway: ["_record_outcome"],
+    "repro.serve.gateway": [
+        "_gateway_handles",
+        "_REQ_KEYS",
+        "_TENANT_KEYS",
+        "_MET_KEYS",
+        "_NO_LABELS",
+    ],
+    "repro.obs.trace": ["_FOREST"],
+}
+
+
+def _attribute_absent(owner, name: str) -> None:
+    if isinstance(owner, str):
+        owner = importlib.import_module(owner)
+    assert not hasattr(owner, name)
+
+
+def _owner_id(owner) -> str:
+    return owner if isinstance(owner, str) else owner.__name__
+
+
+def _serve_report_to_dict_has_no_histograms():
+    report = ServeReport(outcomes=(), t_start=0.0, t_end=1.0)
+    with pytest.raises(TypeError, match="include_histograms"):
+        report.to_dict(include_histograms=True)
+    assert "histograms" not in report.to_dict()
+
+
+def _sessions_record_no_metric_handles():
+    """An observed session and gateway hold no metric handle: the
+    registry's collectors are their only link to it."""
+    cfg = SessionConfig(
+        scheme=SchemeParams(n=4, k=2, s=1, m=0), seed=0, observability=True
+    )
+    with Session.create(cfg) as sess:
+        gateway = Gateway(sess, OpenLoopSource([]))
+        for obj in (sess, gateway):
+            assert not [k for k in vars(obj) if k.startswith("_obs_")], obj
+        assert not hasattr(sess.obs.registry, "_outcome_recorder")
+        assert not hasattr(sess.obs.registry, "_gateway_handles")
+
+
+def _local_fleet_needs_the_master_address():
+    with pytest.raises(TypeError, match="host"):
+        LocalFleet({})
+    with pytest.raises(TypeError, match="port"):
+        LocalFleet({}, host="127.0.0.1")
+
+
 def _export_absent(package: str, name: str) -> None:
     mod = importlib.import_module(package)
     assert name not in mod.__all__
@@ -215,6 +289,9 @@ CASES = [
         _logistic_config_has_no_overflow_switch,
         _tcp_cluster_has_no_spawn_mode,
         _deadline_policy_is_an_unknown_name,
+        _serve_report_to_dict_has_no_histograms,
+        _sessions_record_no_metric_handles,
+        _local_fleet_needs_the_master_address,
     )
 ]
 CASES += [
@@ -224,6 +301,11 @@ CASES += [
 CASES += [
     pytest.param(partial(_export_absent, package, name), id=f"{package}.{name}")
     for package, names in DELETED_EXPORTS.items()
+    for name in names
+]
+CASES += [
+    pytest.param(partial(_attribute_absent, owner, name), id=f"{_owner_id(owner)}.{name}")
+    for owner, names in DELETED_ATTRIBUTES.items()
     for name in names
 ]
 CASES += [pytest.param(partial(_module_gone, module), id=module) for module in DELETED_MODULES]
