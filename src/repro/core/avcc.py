@@ -21,7 +21,7 @@ cancel is neither used *nor detected* that round — on a wall-clock
 backend that depends on arrival order, and it is fine: the decode is
 exact either way. Tests assert this invariant, not the schedule
 (``tests/runtime/test_backends.py``); the full adversarial contract is
-ROADMAP direction 3.
+ROADMAP direction 8.
 
 ``end_iteration`` runs the dynamic-coding policy: detected Byzantine
 workers are dropped from the pool (their redundancy is spent), and if

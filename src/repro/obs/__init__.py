@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import IO, Any
 
 from .audit import (
@@ -68,12 +69,58 @@ __all__ = [
 ]
 
 
+def _outcome_collector(outcomes: list[Any]) -> Any:
+    """A registry collector over the terminal request outcomes every
+    gateway of the session appends, in the order they ended: each read
+    folds what was appended since the last into the four request series
+    and drops it from the log, so the log holds only what no read has
+    folded yet and no finished gateway's outcomes stay behind."""
+
+    def fold(registry: MetricsRegistry) -> None:
+        n = len(outcomes)
+        if not n:
+            return
+        requests = registry.counter(
+            "gateway_requests_total", "terminal request outcomes by status"
+        )
+        slo = registry.counter(
+            "gateway_slo_requests_total",
+            "deadline-carrying completions by SLO verdict",
+        )
+        latency = registry.histogram(
+            "gateway_request_latency_seconds",
+            "end-to-end served latency (arrival to decode)",
+        )
+        slack = registry.histogram(
+            "gateway_deadline_slack_seconds",
+            "deadline minus completion for served SLO requests",
+        )
+        for o in outcomes[:n]:
+            requests.inc(status=o.status, tenant=o.tenant, family=o.family)
+            has_deadline = math.isfinite(o.deadline)
+            if has_deadline:
+                slo.inc(met=o.slo_met)
+            if o.status == "served" and o.latency is not None:
+                latency.observe(o.latency, tenant=o.tenant)
+                if has_deadline and o.completed is not None:
+                    slack.observe(o.deadline - o.completed)
+        # a gateway appending meanwhile only adds past ``n``
+        del outcomes[:n]
+
+    return fold
+
+
 class Observability:
     """Per-session bundle of tracer + metrics registry."""
 
     def __init__(self, *, max_traces: int = 4096) -> None:
         self.tracer = Tracer(max_traces=max_traces)
         self.registry = MetricsRegistry()
+        #: terminal request outcomes not yet folded into the request
+        #: series: every gateway on the session appends here, and a
+        #: registry read drains it
+        self.outcomes: list[Any] = []
+        self.registry.register_collector(_outcome_collector(self.outcomes))
         #: the session's :class:`AuditLog` when *both* observability
         #: and audit are armed — feeds the live ``/audit`` endpoints
         self.audit: AuditLog | None = None

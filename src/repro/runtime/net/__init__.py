@@ -9,10 +9,10 @@ zero-copy numpy payloads. See the README's "Distributed deployment"
 section for the operational guide.
 
 ``wire``           framed messages, protocol version, checksums
-``worker_server``  the worker daemon (two threads over one blocking socket)
+``worker_server``  the worker host (one selectors loop serving W workers)
 ``worker``         the ``python -m`` CLI entrypoint for daemons
 ``client``         :class:`TcpCluster` — the selector-pumped master Backend
-``fleet``          loopback fleet spawning for tests/examples/benches
+``fleet``          loopback fleets of hosts (W per host from n and CPUs)
 """
 
 from repro.runtime.net.client import TcpCluster, TcpRoundHandle

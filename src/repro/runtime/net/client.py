@@ -1,13 +1,10 @@
 """The TCP socket execution backend: a master over remote workers.
 
-:class:`TcpCluster` is the third :class:`~repro.runtime.backend.Backend`
-and the only one whose workers live outside the master's address
-space: each worker is a daemon process
-(:mod:`repro.runtime.net.worker_server`) reached over a real socket
-with real serialization (:mod:`repro.runtime.net.wire`). This is the
-deployment model of the paper's testbed — a master node coordinating a
-fleet of worker hosts — and the gateway/session stack runs over it
-unchanged.
+:class:`TcpCluster` is the :class:`~repro.runtime.backend.Backend`
+whose workers live outside the master's address space: each is served
+by a daemon process (:mod:`repro.runtime.net.worker_server`) over a
+socket of its own, with real serialization (:mod:`repro.runtime.net.wire`)
+— the paper's testbed model of a master coordinating worker hosts.
 
 Wiring
 ------
@@ -28,9 +25,8 @@ replies of *every* in-flight round in dispatch order, so results
 stream back tagged with their round id and a central pump
 demultiplexes them to the owning :class:`TcpRoundHandle` — several
 rounds stay in flight at once and no handle can steal another round's
-replies. ``cancel`` is idempotent,
-safe after ``result()``, and additionally ships ``cancel`` frames so
-workers skip rounds still sitting in their queues.
+replies. ``cancel`` is idempotent, safe after ``result()``, and ships
+``cancel`` frames so workers skip rounds still in their queues.
 
 The master owns no thread: the pump is one ``selectors`` wait over
 every worker socket plus the listener, run by whichever thread is
@@ -45,9 +41,9 @@ workers are marked permanently silent: every in-flight round records
 them as never-arrived — the same observation a straggler produces —
 so the master's waiting policy and the adaptive re-coding absorb the
 failure instead of hanging. Heartbeats ride the same pump that
-collects results, and the worker daemon acknowledges them from its
-receive thread even mid-compute, so a slow worker is never mistaken
-for a dead one. ``round_timeout`` bounds each round's collect phase:
+collects results, and a worker host acknowledges them between the
+products it computes, so a busy worker is never mistaken for a dead
+one. ``round_timeout`` bounds each round's collect phase:
 workers that produced nothing by then are recorded as never-arrived
 for that round (but stay in the pool).
 
@@ -56,20 +52,15 @@ for real: ``drop_workers`` ships ``shutdown`` and closes the socket.
 
 Elastic membership
 ------------------
-The listener stays open for the cluster's whole life: a daemon dialing
-in *after* the initial registration — a restarted process rejoining,
-or a brand-new worker scaling the fleet up — completes the same
-``hello``/``config`` handshake (version-checked by
-:func:`~repro.runtime.net.wire.check_hello`) and is parked as a
-*pending join*. Pending joins are admitted into the roster only by an
-explicit :meth:`TcpCluster.admit_workers` call, which refuses to run
-while rounds are in flight — membership changes happen at the same
-between-rounds quiesce points as dynamic re-coding, never mid-round.
-``drop_workers`` is therefore reversible: a dropped id that re-dials
-is re-admitted like any rejoin. :meth:`TcpCluster.membership` reports
-the live/dead/dropped/pending split and
-:meth:`~repro.runtime.backend.Backend.take_membership_events` the
-transition history.
+The listener stays open: a daemon dialing in after the initial
+registration (a restarted worker, or a new one) completes the same
+version-checked ``hello``/``config`` handshake and is parked as a
+*pending join*, admitted only by :meth:`TcpCluster.admit_workers`
+between rounds — the quiesce points of dynamic re-coding. So a dropped
+id that re-dials is re-admitted like any rejoin.
+:meth:`TcpCluster.membership` reports the live/dead/dropped/pending
+split, :meth:`~repro.runtime.backend.Backend.take_membership_events`
+the history.
 """
 
 from __future__ import annotations
@@ -77,7 +68,8 @@ from __future__ import annotations
 import selectors
 import socket
 import time
-from typing import Iterator, Sequence
+from contextlib import suppress
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +85,7 @@ from repro.runtime.backend import (
 from repro.runtime.costmodel import CostModel
 from repro.runtime.net.fleet import LocalFleet, spawn_local_workers
 from repro.runtime.net.wire import (
+    Frame,
     WireCounters,
     WireError,
     behavior_to_dict,
@@ -378,28 +371,43 @@ class TcpCluster(WallClockBackend):
                 conn, _ = self._listener.accept()
             except socket.timeout:
                 continue
-            conn.settimeout(max(0.1, remaining))
-            try:
-                kind, fields, _ = read_frame(conn, self.wire)
-                if kind != "hello":
-                    raise WireError(f"expected hello, got {kind!r}")
-                wid = check_hello(fields)
-                if wid not in expected or wid in self._conns:
-                    raise WireError(f"unexpected or duplicate worker id {wid}")
-                send_frame(conn, "config", self._worker_config(wid), counters=self.wire)
-            except (WireError, OSError, ConnectionError, KeyError, ValueError):
-                conn.close()
-                continue
-            # the per-socket I/O deadline (io_timeout, defaulting to
-            # heartbeat_timeout): a peer stalled mid-frame (SIGSTOP,
-            # silent partition) or a send into a full buffer raises
-            # socket.timeout and is marked dead — the master must never
-            # block unboundedly on one worker's socket
-            conn.settimeout(self.io_timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns[wid] = conn
-            self._sel.register(conn, selectors.EVENT_READ, data=wid)
-            self._hb_pending[wid] = None
+            wid = self._handshake(
+                conn, max(0.1, remaining), lambda w: w in expected and w not in self._conns
+            )
+            if wid is not None:
+                self._enroll(wid, conn)
+
+    def _handshake(
+        self, conn: socket.socket, timeout: float, admissible: Callable[[int], bool]
+    ) -> int | None:
+        """Read a dialer's ``hello`` and answer its ``config``; returns
+        its worker id, or ``None`` (the connection closed) if the hello
+        is malformed or its id not ``admissible``."""
+        conn.settimeout(timeout)
+        try:
+            kind, fields, _ = read_frame(conn, self.wire)
+            if kind != "hello":
+                raise WireError(f"expected hello, got {kind!r}")
+            wid = check_hello(fields)
+            if not admissible(wid):
+                raise WireError(f"unexpected or duplicate worker id {wid}")
+            send_frame(conn, "config", self._worker_config(wid), counters=self.wire)
+        except (WireError, OSError, ConnectionError, KeyError, ValueError):
+            conn.close()
+            return None
+        return wid
+
+    def _enroll(self, wid: int, conn: socket.socket) -> None:
+        # the per-socket I/O deadline (io_timeout, defaulting to
+        # heartbeat_timeout): a peer stalled mid-frame (SIGSTOP,
+        # silent partition) or a send into a full buffer raises
+        # socket.timeout and is marked dead — the master must never
+        # block unboundedly on one worker's socket
+        conn.settimeout(self.io_timeout)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._conns[wid] = conn
+        self._sel.register(conn, selectors.EVENT_READ, data=wid)
+        self._hb_pending[wid] = None
 
     def _worker_config(self, wid: int) -> dict:
         """The ``config`` frame for a worker id — the declared fleet
@@ -431,22 +439,13 @@ class TcpCluster(WallClockBackend):
 
     def _handshake_joiner(self, conn: socket.socket) -> None:
         # bounded handshake: a stalled dialer must not wedge the pump
-        conn.settimeout(min(self.io_timeout or 2.0, 2.0))
-        try:
-            kind, fields, _ = read_frame(conn, self.wire)
-            if kind != "hello":
-                raise WireError(f"expected hello, got {kind!r}")
-            wid = check_hello(fields)
-            send_frame(conn, "config", self._worker_config(wid), counters=self.wire)
-        except (WireError, OSError, ConnectionError, KeyError, ValueError):
-            conn.close()
+        wid = self._handshake(conn, min(self.io_timeout or 2.0, 2.0), lambda w: True)
+        if wid is None:
             return
         stale = self._pending_joins.pop(wid, None)
         if stale is not None:  # superseded by this fresher dial
-            try:
+            with suppress(OSError):
                 stale.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
         self._pending_joins[wid] = conn
 
     def admit_workers(self) -> tuple[int, ...]:
@@ -469,10 +468,8 @@ class TcpCluster(WallClockBackend):
             conn = self._pending_joins[wid]
             if wid in self._conns:
                 del self._pending_joins[wid]
-                try:
+                with suppress(OSError):
                     conn.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
                 continue
             if wid > len(self.workers):
                 continue
@@ -482,11 +479,7 @@ class TcpCluster(WallClockBackend):
                 self.workers.append(SimWorker(wid))
             self._dead.discard(wid)
             self._dropped = self._dropped - {wid}
-            conn.settimeout(self.io_timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns[wid] = conn
-            self._sel.register(conn, selectors.EVENT_READ, data=wid)
-            self._hb_pending[wid] = None
+            self._enroll(wid, conn)
             self._note_membership("joined" if fresh else "rejoined", wid)
             admitted.append(wid)
         return tuple(admitted)
@@ -601,16 +594,9 @@ class TcpCluster(WallClockBackend):
     def _send_heartbeats(self, now_m: float) -> None:
         self._hb_seq += 1
         self._last_hb = now_m
+        probe = encode_frame("heartbeat", {"seq": self._hb_seq})
         for wid in list(self._conns):
-            if wid in self._dead:
-                continue
-            try:
-                send_frame(
-                    self._conns[wid], "heartbeat", {"seq": self._hb_seq},
-                    counters=self.wire,
-                )
-            except (OSError, ConnectionError):
-                self._mark_dead(wid)
+            if wid in self._dead or not self._send(wid, probe):
                 continue
             self._hb_sent[wid] = (self._hb_seq, now_m)
             if self._hb_pending.get(wid) is None:
@@ -634,24 +620,25 @@ class TcpCluster(WallClockBackend):
         conn = self._conns.pop(wid, None)
         if conn is None:
             return
-        try:
+        with suppress(KeyError, ValueError):
             self._sel.unregister(conn)
-        except (KeyError, ValueError):  # pragma: no cover - already gone
-            pass
-        try:
+        with suppress(OSError):
             conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+
+    def _send(self, wid: int, frame: Frame) -> bool:
+        """Send one frame to a live worker; a failed send marks it dead."""
+        try:
+            send_parts(self._conns[wid], frame, counters=self.wire)
+        except OSError:
+            self._mark_dead(wid)
+            return False
+        return True
 
     def _send_cancel(self, rid: int, outstanding: set[int]) -> None:
+        frame = encode_frame("cancel", {"rid": rid})
         for wid in list(outstanding):
-            conn = self._conns.get(wid)
-            if conn is None or wid in self._dead:
-                continue
-            try:
-                send_frame(conn, "cancel", {"rid": rid}, counters=self.wire)
-            except (OSError, ConnectionError):
-                self._mark_dead(wid)
+            if wid in self._conns and wid not in self._dead:
+                self._send(wid, frame)
 
     # ------------------------------------------------------------------
     # Backend protocol
@@ -662,16 +649,8 @@ class TcpCluster(WallClockBackend):
             raise ValueError("fewer shares than participants")
         t0 = time.perf_counter()
         for slot, wid in enumerate(participants):
-            if wid in self._dead:
-                continue  # permanently silent; shares would be lost
-            try:
-                send_parts(
-                    self._conns[wid],
-                    encode_store(name, shares[slot], self.field.q),
-                    counters=self.wire,
-                )
-            except (OSError, ConnectionError):
-                self._mark_dead(wid)
+            if wid not in self._dead:  # else permanently silent; shares would be lost
+                self._send(wid, encode_store(name, shares[slot], self.field.q))
         return time.perf_counter() - t0
 
     def dispatch_round(
@@ -700,10 +679,7 @@ class TcpCluster(WallClockBackend):
         arrays = (job.operand,) if job.operand is not None else ()
         parts = encode_frame("round", fields, arrays)  # serialize once
         for wid in live:
-            try:
-                send_parts(self._conns[wid], parts, counters=self.wire)
-            except (OSError, ConnectionError):
-                self._mark_dead(wid)
+            self._send(wid, parts)
         self._last_broadcast_time = time.perf_counter() - t_b0
         deadline = (
             time.monotonic() + self.round_timeout
@@ -728,20 +704,12 @@ class TcpCluster(WallClockBackend):
     def _shutdown_worker(self, wid: int) -> None:
         conn = self._conns.get(wid)
         if conn is not None:
-            try:
+            with suppress(OSError):
                 send_frame(conn, "shutdown", {})
-            except (OSError, ConnectionError):
-                pass
         self._close_conn(wid)
         if self._fleet is not None:
-            proc = self._fleet.procs.get(wid)
-            if proc is not None:
-                try:
-                    proc.join(0.5)
-                    if proc.is_alive():
-                        proc.terminate()
-                except Exception:  # pragma: no cover - reaping best-effort
-                    pass
+            # reaps the host only once no co-hosted sibling is left on it
+            self._fleet.release(wid)
 
     def close(self) -> None:
         if self._closed:
@@ -753,15 +721,11 @@ class TcpCluster(WallClockBackend):
         for wid in list(self._conns):
             self._close_conn(wid)
         for conn in self._pending_joins.values():
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
         self._pending_joins.clear()
         self._sel.close()
-        try:
+        with suppress(OSError):
             self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
         if self._fleet is not None:
             self._fleet.terminate()

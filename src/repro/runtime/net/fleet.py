@@ -1,46 +1,45 @@
 """Fleet launching: real socket workers on loopback, in one line.
 
 Tests, examples and benchmarks need a genuine TCP fleet without a
-deployment step. Each worker is a forked :mod:`multiprocessing`
-process (POSIX) running
-:class:`~repro.runtime.net.worker_server.WorkerServer` directly —
-millisecond startup, no re-import of numpy, but same-host only. A
-remote host runs the same server through the
-``python -m repro.runtime.net.worker`` CLI instead.
+deployment step. The fleet is a few forked :mod:`multiprocessing`
+processes (POSIX), each a *host*:
+:class:`~repro.runtime.net.worker_server.WorkerServer` serving
+:func:`host_size` consecutive worker ids — W = n // (2 × usable CPUs),
+at least 1, so two hosts per core: 4 hosts of 3 for n = 12 on two
+CPUs, a host per worker below n = 8 there. Millisecond startup, no
+re-import of numpy, same-host only; a remote host runs the server for
+one id through the ``python -m repro.runtime.net.worker`` CLI. The
+master sees n workers either way; only the crash domain is shared (a
+killed host is W simultaneous erasures).
 
-Workers dial the master with retries, so the launch order is
-flexible: either create the (listening) :class:`TcpCluster` first and
-point a fleet at its ephemeral port, or grab a port with
-:func:`free_port`, spawn the fleet, then construct the cluster with
-``spawn_workers=False`` — the workers wait for the master to appear.
+Workers dial the master with retries, so either create the listening
+:class:`TcpCluster` first and point a fleet at its port, or take a
+port from :func:`free_port`, spawn the fleet, then construct the
+cluster with ``spawn_workers=False``.
 
 :class:`LocalFleet` is a context manager; leaving the block terminates
-every worker process. It is also *elastic*: :meth:`LocalFleet.
-spawn_worker` launches an additional daemon into the live cluster and
-:meth:`LocalFleet.restart_worker` replaces a dead one — the new
-process dials the same master address and is admitted at the next
-between-rounds quiesce point. The
-:class:`~repro.runtime.net.client.TcpCluster` spawns (and owns) one
-internally when ``spawn_workers=True``, so
-``SessionConfig(backend="tcp")`` needs no launcher at all.
+every host. It is also *elastic*: :meth:`LocalFleet.spawn_worker` and
+:meth:`LocalFleet.restart_worker` launch a host of one that dials the
+same master and is admitted at its next between-rounds quiesce point.
+The :class:`~repro.runtime.net.client.TcpCluster` spawns (and owns) a
+fleet when ``spawn_workers=True``, so ``SessionConfig(backend="tcp")``
+needs no launcher at all.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import socket
 import threading
 from collections import deque
+from contextlib import suppress
 from multiprocessing.process import BaseProcess
-from typing import Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["LocalFleet", "free_port", "spawn_local_workers"]
+__all__ = ["LocalFleet", "free_port", "host_size", "spawn_local_workers", "usable_cpus"]
 
-#: ports handed out recently but possibly not yet bound by their taker.
-#: ``free_port`` binds port 0, reads the assignment and *closes* the
-#: socket — between that close and the caller's own bind the OS may
-#: hand the same port to another ``free_port`` call (test processes
-#: grab several in quick succession). Remembering the last few issued
-#: ports and skipping them closes that reuse race.
+#: ports handed out recently but possibly not yet bound by their taker
 _RECENT_PORTS: deque[int] = deque(maxlen=128)
 _RECENT_LOCK = threading.Lock()
 
@@ -48,12 +47,11 @@ _RECENT_LOCK = threading.Lock()
 def free_port(host: str = "127.0.0.1") -> int:
     """An OS-assigned free TCP port (for spawn-fleet-first flows).
 
-    Guarded against back-to-back reuse: a port issued by a recent call
-    in this process is never handed out again until 128 further ports
-    have been issued — by then its taker has long since bound it (or
-    abandoned it)."""
-    import socket
-
+    It binds port 0, reads the assignment and closes the socket, so the
+    OS may hand the same port to the next call before the first taker
+    binds it (test processes grab several in quick succession). A port
+    issued by a recent call is therefore skipped until 128 further
+    ports have been issued."""
     for _ in range(32):
         with socket.socket() as sock:
             sock.bind((host, 0))
@@ -67,14 +65,31 @@ def free_port(host: str = "127.0.0.1") -> int:
     return port  # pragma: no cover
 
 
-def _worker_entry(host: str, port: int, worker_id: int, connect_timeout: float) -> None:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one (a container's cpuset), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def host_size(n: int) -> int:
+    """W, the logical workers one host process serves in a loopback
+    fleet of ``n``: two hosts per usable CPU, so the hosts' Python runs
+    beside the master's instead of in 2n interpreters fighting for the
+    same cores, and a host's W back-to-back products stay short."""
+    return max(1, n // (2 * usable_cpus()))
+
+
+def _host_entry(host: str, port: int, worker_ids: list[int], connect_timeout: float) -> None:
     from repro.runtime.net.worker_server import WorkerServer
 
-    WorkerServer(host, port, worker_id, connect_timeout=connect_timeout).run()
+    WorkerServer(host, port, *worker_ids, connect_timeout=connect_timeout).run()
 
 
 class LocalFleet:
-    """A group of locally spawned worker processes (context manager).
+    """A group of locally spawned host processes (context manager).
 
     ``host``/``port``/``connect_timeout`` record the master address the
     fleet dials; they are what let :meth:`spawn_worker` and
@@ -89,20 +104,23 @@ class LocalFleet:
         port: int,
         connect_timeout: float = 30.0,
     ):
-        #: worker_id -> forked worker process
+        #: worker_id -> the forked host process serving it (co-hosted
+        #: ids share one)
         self.procs = procs
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
 
     def pids(self) -> dict[int, int]:
+        """worker_id -> pid of its host: co-hosted ids share a pid."""
         return {wid: int(p.pid) for wid, p in self.procs.items()}
 
     # ------------------------------------------------------------------
     # elastic spawning
     # ------------------------------------------------------------------
     def spawn_worker(self, worker_id: int) -> None:
-        """Launch one additional daemon dialing the fleet's master.
+        """Launch one additional daemon (a host of one) dialing the
+        fleet's master.
 
         The process registers with ``hello`` like any other worker; a
         running cluster parks it as a pending join until its next
@@ -116,35 +134,28 @@ class LocalFleet:
                 f"worker {wid} already has a live process (pid {proc.pid}); "
                 "use restart_worker to replace it"
             )
-        self.procs[wid] = _spawn_one(self.host, self.port, wid, self.connect_timeout)
+        self.procs[wid] = _spawn_host(self.host, self.port, [wid], self.connect_timeout)
 
     def restart_worker(self, worker_id: int) -> None:
-        """Replace ``worker_id``'s process with a fresh daemon
-        (terminating the old one first if it is somehow still alive).
-        The restarted daemon re-dials the master — a rejoin is a fresh
-        registration, admitted between rounds."""
+        """Replace ``worker_id``'s process with a fresh daemon (a host
+        of one), stopping the old host first unless it serves another
+        id. The restarted daemon re-dials the master — a rejoin is a
+        fresh registration, admitted between rounds."""
         wid = int(worker_id)
-        proc = self.procs.pop(wid, None)
-        if proc is not None:
-            self._stop_one(proc)
-        self.procs[wid] = _spawn_one(self.host, self.port, wid, self.connect_timeout)
+        self.release(wid, grace=0.0)
+        self.procs[wid] = _spawn_host(self.host, self.port, [wid], self.connect_timeout)
 
-    def _stop_one(self, proc: BaseProcess, timeout: float = 2.0) -> None:
-        try:
-            proc.terminate()
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-        _reap(proc, timeout)
+    def release(self, worker_id: int, grace: float = 0.5) -> None:
+        """Forget ``worker_id`` once its master has shut it down. Its
+        host, given ``grace`` seconds to exit by itself, is stopped only
+        when it serves no other id: co-hosted siblings serve on."""
+        proc = self.procs.pop(int(worker_id), None)
+        if proc is not None and proc not in self.procs.values():
+            _stop([proc], grace)
 
-    def terminate(self, timeout: float = 2.0) -> None:
-        """Stop every still-running worker (idempotent)."""
-        for proc in self.procs.values():
-            try:
-                proc.terminate()
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-        for proc in self.procs.values():
-            _reap(proc, timeout)
+    def terminate(self) -> None:
+        """Stop every still-running host, each once (idempotent)."""
+        _stop(set(self.procs.values()))
 
     def __enter__(self) -> "LocalFleet":
         return self
@@ -154,28 +165,35 @@ class LocalFleet:
         return False
 
 
-def _reap(proc: BaseProcess, timeout: float) -> None:
-    """Join a terminated worker, killing it if it is stuck."""
-    try:
-        proc.join(timeout)
-        if proc.is_alive():  # pragma: no cover - stuck worker
-            proc.kill()
+def _stop(procs: Iterable[BaseProcess], grace: float = 0.0, timeout: float = 2.0) -> None:
+    """Give each process ``grace`` seconds to exit by itself, terminate
+    the rest together, and reap them, killing one still stuck after
+    ``timeout`` (best-effort throughout)."""
+    procs = list(procs)
+    for proc in procs:
+        with suppress(OSError, ValueError):
+            proc.join(grace)
+            if proc.is_alive():
+                proc.terminate()
+    for proc in procs:
+        with suppress(OSError, ValueError):
             proc.join(timeout)
-    except (OSError, ValueError):
-        pass  # pragma: no cover - reaping is best-effort
+            if proc.is_alive():  # pragma: no cover - stuck host
+                proc.kill()
+                proc.join(timeout)
 
 
-def _spawn_one(
-    host: str, port: int, worker_id: int, connect_timeout: float
+def _spawn_host(
+    host: str, port: int, worker_ids: list[int], connect_timeout: float
 ) -> BaseProcess:
-    """Fork one worker daemon process."""
+    """Fork one host process serving ``worker_ids``."""
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
     proc = ctx.Process(
-        target=_worker_entry,
-        args=(host, port, int(worker_id), connect_timeout),
+        target=_host_entry,
+        args=(host, port, worker_ids, connect_timeout),
         daemon=True,
     )
     proc.start()
@@ -189,9 +207,13 @@ def spawn_local_workers(
     *,
     connect_timeout: float = 30.0,
 ) -> LocalFleet:
-    """Spawn one worker daemon per id, all dialing ``host:port``."""
-    procs = {
-        int(wid): _spawn_one(host, port, int(wid), connect_timeout)
-        for wid in worker_ids
-    }
+    """Spawn hosts of :func:`host_size` consecutive ids each, all
+    dialing ``host:port``."""
+    ids = [int(wid) for wid in worker_ids]
+    size = host_size(len(ids))
+    procs: dict[int, BaseProcess] = {}
+    for i in range(0, len(ids), size):
+        group = ids[i:i + size]
+        proc = _spawn_host(host, port, group, connect_timeout)
+        procs.update(dict.fromkeys(group, proc))
     return LocalFleet(procs, host=host, port=port, connect_timeout=connect_timeout)

@@ -82,7 +82,7 @@ import math
 import socket
 import struct
 import zlib
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -98,6 +98,7 @@ from repro.runtime.byzantine import (
 
 __all__ = [
     "Frame",
+    "FrameReader",
     "MSG_CODES",
     "PROTOCOL_VERSION",
     "WireCounters",
@@ -496,37 +497,19 @@ def send_frame(
     kind: str,
     fields: Mapping[str, Any],
     arrays: Sequence[np.ndarray] = (),
-    lock: Any = None,
     counters: WireCounters | None = None,
 ) -> None:
     """Write one frame to ``sock`` (scatter-gather; arrays are never
-    copied into an intermediate buffer). ``lock`` serializes writers
-    when more than one thread sends on the same socket."""
-    send_parts(sock, encode_frame(kind, fields, arrays), lock=lock, counters=counters)
+    copied into an intermediate buffer)."""
+    send_parts(sock, encode_frame(kind, fields, arrays), counters=counters)
 
 
 def send_parts(
-    sock: socket.socket,
-    frame: Frame,
-    lock: Any = None,
-    counters: WireCounters | None = None,
+    sock: socket.socket, frame: Frame, counters: WireCounters | None = None
 ) -> None:
-    """Write one pre-encoded frame (broadcasts encode once, send to
-    many). ``lock`` serializes concurrent writers on one socket."""
-    if lock is not None:
-        with lock:
-            _send_parts(sock, frame)
-    else:
-        _send_parts(sock, frame)
-    if counters is not None:
-        counters.note_out(frame.nbytes)
-
-
-def _send_parts(sock: socket.socket, frame: Frame) -> None:
-    if hasattr(sock, "sendmsg"):
-        sent = sock.sendmsg(frame)
-        if sent == frame.nbytes:
-            return
+    """Write one pre-encoded frame (broadcasts encode once, send to many)."""
+    sent = sock.sendmsg(frame)
+    if sent < frame.nbytes:
         # short gather-write: resume at the offset, still zero-copy —
         # skip fully-sent parts and sendall the remaining views
         for part in frame:
@@ -537,9 +520,8 @@ def _send_parts(sock: socket.socket, frame: Frame) -> None:
                 continue
             sock.sendall(view[sent:] if sent else view)
             sent = 0
-        return
-    for part in frame:  # pragma: no cover - no-sendmsg fallback
-        sock.sendall(part)
+    if counters is not None:
+        counters.note_out(frame.nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -624,12 +606,8 @@ def decode_payload(code: int, payload: memoryview) -> tuple[str, dict, list[np.n
     return kind, fields, arrays
 
 
-def read_frame(
-    sock: socket.socket, counters: WireCounters | None = None
-) -> tuple[str, dict, list[np.ndarray]]:
-    """Read exactly one frame; raises :class:`WireError` on anything
-    that is not a well-formed, checksummed protocol frame."""
-    pre = _recv_exact(sock, _PREAMBLE.size)
+def _check_preamble(pre: memoryview) -> tuple[int, int, int]:
+    """The kind code, payload CRC and payload length of a preamble."""
     magic, version, code, crc, length = _PREAMBLE.unpack(pre)
     if magic != MAGIC:
         raise WireError(f"bad magic {bytes(magic)!r} (not an AVCC protocol peer?)")
@@ -640,14 +618,61 @@ def read_frame(
         )
     if length > MAX_PAYLOAD:
         raise WireError(f"declared payload of {length} bytes exceeds MAX_PAYLOAD")
-    payload = _recv_exact(sock, length)
+    return code, crc, length
+
+
+def _check_payload(
+    code: int, crc: int, payload: memoryview, counters: WireCounters | None = None
+) -> tuple[str, dict, list[np.ndarray]]:
     if counters is not None:
-        counters.note_in(_PREAMBLE.size + length)
+        counters.note_in(_PREAMBLE.size + len(payload))
     if zlib.crc32(payload) != crc:
         if counters is not None:
             counters.crc_rejects += 1
         raise WireError("payload checksum mismatch (corrupted frame)")
     return decode_payload(code, payload)
+
+
+def read_frame(
+    sock: socket.socket, counters: WireCounters | None = None
+) -> tuple[str, dict, list[np.ndarray]]:
+    """Read exactly one frame; anything that is not a well-formed,
+    checksummed protocol frame raises :class:`WireError`."""
+    code, crc, length = _check_preamble(_recv_exact(sock, _PREAMBLE.size))
+    return _check_payload(code, crc, _recv_exact(sock, length), counters)
+
+
+class FrameReader:
+    """:func:`read_frame` for a loop that must not block on one socket:
+    :meth:`frames` yields each whole frame the socket holds, without
+    waiting, and keeps a frame cut short for the next call. Payloads
+    land in buffers of their own, so arrays stay zero-copy."""
+
+    def __init__(self) -> None:
+        self._pre = self._view = memoryview(bytearray(_PREAMBLE.size))
+        self._got, self._head = 0, None
+
+    def frames(self, sock: socket.socket) -> Iterator[tuple[str, dict, list[np.ndarray]]]:
+        """Raises :class:`WireError` at EOF or at a malformed frame,
+        after yielding every whole frame before it."""
+        while True:
+            try:
+                got = sock.recv_into(self._view[self._got:], 0, socket.MSG_DONTWAIT)
+            except (BlockingIOError, InterruptedError):
+                return
+            if got == 0:
+                raise WireError(f"connection closed ({self._got} bytes into a part)")
+            self._got += got
+            if self._got < len(self._view):
+                continue
+            if self._head is None:
+                self._head = _check_preamble(self._pre)
+                self._view, self._got = memoryview(bytearray(self._head[2])), 0
+                if self._head[2]:
+                    continue
+            (code, crc, _), payload = self._head, self._view
+            self._head, self._view, self._got = None, self._pre, 0
+            yield _check_payload(code, crc, payload)
 
 
 # ----------------------------------------------------------------------

@@ -1,61 +1,45 @@
-"""The remote worker daemon of the TCP backend.
+"""The worker host of the TCP backend.
 
-One :class:`WorkerServer` is one worker node: it dials the master's
-listening socket, registers with a ``hello`` frame, receives its
-``config`` (field modulus, straggler factor, behaviour, straggle
-scale — the same fleet description the simulator applies directly), then serves the store/round protocol until it is shut down
-or the connection drops.
+One :class:`WorkerServer` is one process serving one or more logical
+workers (:mod:`repro.runtime.net.fleet` says how many). Each logical
+worker dials the master on a socket of its own, registers with
+``hello``, receives its own ``config`` (field modulus, straggler
+factor, behaviour, straggle scale, RNG seed) and keeps its own shares,
+so the master sees independent workers; a killed host is all of its
+workers at once.
 
-The daemon is **two plain threads over one blocking socket**, splitting
-the work so it never deadlocks and never goes dark:
+The host is **one thread running one** ``selectors`` **loop**:
 
-* the **receive thread** drains the socket continuously — heartbeats
-  are acknowledged from it (so a worker grinding through a long
-  compute, or waiting out an injected straggle, still proves
-  liveness), cancels are noted, and store/round frames are queued for
-  the compute thread. Draining eagerly also means the master's share
-  distribution can never block on a worker that is busy computing. A
-  ``shutdown`` frame, EOF or a malformed frame ends the thread and the
-  daemon with it: what is still queued is skipped, not served. So does
-  a send that makes no progress for ``connect_timeout`` — a master that
-  stopped reading.
-* the **compute thread** — the one that called :meth:`WorkerServer.run`
-  — executes rounds FIFO through the same
-  :func:`~repro.runtime.backend.run_job_compute` every other backend
-  uses, waits out the configured straggle on a condition that a
-  cancel or a stop ends at once, applies the Byzantine behaviour, and
-  transmits each ``result`` frame as one buffer in one ``sendall`` (a
-  silent behaviour reports ``ok=False`` so the master records a
-  never-arrived worker instead of waiting out a heartbeat timeout; a
-  computation error is reported crash-stop, exactly like the thread
-  pool's).
+* a socket is read as bytes arrive: a heartbeat is acknowledged at
+  once, a cancel drops its round if it is still queued or held, and
+  store/round frames join their worker's queue in arrival order. A
+  ``shutdown``, EOF, a malformed frame or a send stalled for
+  ``connect_timeout`` ends that worker alone, skipping what it queued;
+  the host exits with its last worker;
+* between reads the loop serves one job at a time, taking the workers
+  in turn: :func:`~repro.runtime.backend.run_job_compute`, then the
+  Byzantine behaviour, then one ``result`` frame in one ``sendall`` (a
+  silent worker reports ``ok=False``; a computation error crash-stop);
+* an injected straggle *holds* its worker's head round until a
+  deadline that bounds the loop's ``select`` timeout, so siblings are
+  served meanwhile and a cancel ends the hold at once.
 
-The second thread exists for liveness and nothing else: numpy holds
-the compute thread for as long as a job takes and acks must flow
-meanwhile, so every job, however small, is computed off the receive
-thread — one rule, no size threshold. The same split used to run on
-an event loop with an executor hop per job: ~300 µs of daemon CPU a
-round around a 5 µs matvec, ~150 µs here, and ~90–140 µs since the
-frames carry binary records instead of JSON headers (README
-"Distributed deployment" has the measurements).
+So heartbeats are acknowledged between products, never during one.
 
-Fault injection for tests can come from either end: the master's
-``config`` carries the session's :class:`~repro.api.config.WorkerSpec`
-description, and the daemon's own CLI flags
-(``python -m repro.runtime.net.worker --behavior reverse ...``)
-override it — that is how a multi-host test injects a fault at the
-worker side without the master's cooperation.
+The daemon's own CLI flags (``python -m repro.runtime.net.worker
+--behavior reverse ...``) override the master's ``config``: that is
+how a test injects a fault at the worker side.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import queue
+import selectors
 import socket
 import struct
-import threading
 import time
+from collections import deque
+from contextlib import suppress
 from typing import Any
 
 import numpy as np
@@ -65,6 +49,7 @@ from repro.runtime.backend import RoundJob, run_job_compute, store_share
 from repro.runtime.byzantine import Behavior
 from repro.runtime.net.wire import (
     PROTOCOL_VERSION,
+    FrameReader,
     WireError,
     behavior_from_dict,
     encode_frame,
@@ -74,60 +59,76 @@ from repro.runtime.net.wire import (
 __all__ = ["WorkerServer"]
 
 
+class _Worker:
+    """One logical worker of a host: its socket, its ``config``, its
+    resident shares, its RNG and its queue of jobs."""
+
+    def __init__(self, wid: int, sock: socket.socket):
+        self.wid = wid
+        self.sock: socket.socket | None = sock
+        self.reader = FrameReader()
+        self.factor = 1.0
+        self.behavior: Behavior | None = None
+        self.straggle_scale = 0.05
+        self.field = PrimeField(DEFAULT_PRIME)
+        self.payload: dict[str, np.ndarray] = {}
+        self.rng = np.random.default_rng(wid)
+        #: store / round frames in arrival order
+        self.todo: deque[tuple[str, dict, list[np.ndarray]]] = deque()
+        #: rids of the queued rounds no cancel has dropped
+        self.queued: set[int] = set()
+        #: when the round at the head of ``todo`` reached it, and when
+        #: its injected straggle ends (``None``: no round held)
+        self.t_head = 0.0
+        self.held_until: float | None = None
+
+    def ready(self, now: float) -> bool:
+        """Whether the head job may be taken now (a cancelled round
+        may always: it is dropped)."""
+        if not self.todo:
+            return False
+        kind, fields, _ = self.todo[0]
+        if kind == "store" or fields["rid"] not in self.queued:
+            return True
+        if self.held_until is None:
+            self.t_head = now
+            self.held_until = now + max(0.0, self.factor - 1.0) * self.straggle_scale
+        return now >= self.held_until
+
+
 class WorkerServer:
-    """One worker node serving the wire protocol.
+    """A host serving ``worker_ids`` (one or more logical workers).
 
     Parameters left as ``None`` are taken from the master's ``config``
     frame; explicitly passed values (the daemon CLI's injection flags)
-    take precedence over it.
+    take precedence over it, for every worker of the host.
     """
 
     def __init__(
         self,
         host: str,
         port: int,
-        worker_id: int,
-        *,
+        *worker_ids: int,
         straggler_factor: float | None = None,
         behavior: Behavior | None = None,
         straggle_scale: float | None = None,
         q: int | None = None,
         connect_timeout: float = 30.0,
     ):
-        if worker_id < 0:
-            raise ValueError(f"worker_id must be >= 0, got {worker_id}")
+        if not worker_ids or min(worker_ids) < 0:
+            raise ValueError(f"a host serves one or more worker ids >= 0, got {worker_ids}")
         self.host = host
         self.port = port
-        self.worker_id = worker_id
+        self.worker_ids = tuple(int(w) for w in worker_ids)
         self._cli_factor = straggler_factor
         self._cli_behavior = behavior
         self._cli_scale = straggle_scale
         self._cli_q = q
         self.connect_timeout = connect_timeout
-
-        self.factor = 1.0
-        self.behavior: Behavior | None = None
-        self.straggle_scale = 0.05
-        self.field = PrimeField(q or DEFAULT_PRIME)
-        self.payload: dict[str, np.ndarray] = {}
-        self._rng = np.random.default_rng(worker_id)
-        self._sock: socket.socket | None = None
-        #: acks leave from the receive thread, results from the other
-        self._send_lock = threading.Lock()
-        #: store / round frames in arrival order; ``None`` ends the loop
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        #: guards the four fields below (both threads touch them) and
-        #: is what a straggle wait sleeps on
-        self._wake = threading.Condition()
-        #: rids cancelled but not yet served, and the same rids as a
-        #: min-heap. A cancel at or below the served watermark is
-        #: dropped on arrival, and each round pops what is at or below
-        #: its own rid — work for the cancels it retires, not for every
-        #: one outstanding
-        self._cancelled: set[int] = set()
-        self._cancel_heap: list[int] = []
-        self._served_rid = 0
-        self._stopping = False
+        #: the logical workers still serving, in id order
+        self.workers: list[_Worker] = []
+        self._sel = selectors.DefaultSelector()
+        self._turn = 0
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -155,10 +156,10 @@ class WorkerServer:
     def _connect(self) -> socket.socket:
         """Dial the master, retrying until ``connect_timeout`` — the
         fleet launcher may start workers before the master listens.
-        The socket comes back blocking, and stays so, but a send that
-        makes no progress for ``connect_timeout`` fails (``SO_SNDTIMEO``:
-        a master that stopped reading cannot hold the daemon forever,
-        and the receive thread's blocking ``recv`` is untouched)."""
+        The socket comes back blocking (reads never wait: the loop reads
+        only what ``select`` reports), but a send that makes no progress
+        for ``connect_timeout`` fails (``SO_SNDTIMEO``): a master that
+        stopped reading cannot hold the host forever."""
         deadline = time.monotonic() + self.connect_timeout
         delay = 0.01
         sec, frac = divmod(self.connect_timeout, 1.0)
@@ -176,145 +177,132 @@ class WorkerServer:
                 time.sleep(delay)
                 delay = min(0.2, delay * 2)
 
-    def _apply_config(self, fields: dict) -> None:
+    def _register(self, wid: int) -> _Worker:
+        """Dial and handshake one logical worker: ``hello``, then its ``config``."""
+        sock = self._connect()
+        w = _Worker(wid, sock)
+        self.workers.append(w)
+        hello = {"worker_id": wid, "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
+        sock.sendall(b"".join(encode_frame("hello", hello)))
+        kind, fields, _ = read_frame(sock)
+        if kind != "config":
+            raise WireError(f"expected a config frame after hello, got {kind!r}")
+
         def pick(cli: Any, key: str) -> Any:
             return fields[key] if cli is None else cli
 
-        self.field = PrimeField(pick(self._cli_q, "q"))
-        self.straggle_scale = float(pick(self._cli_scale, "straggle_scale"))
-        self.factor = float(pick(self._cli_factor, "factor"))
-        if self._cli_behavior is not None:
-            self.behavior = self._cli_behavior
-        else:
-            self.behavior = behavior_from_dict(fields["behavior"])
-        self._rng = np.random.default_rng(fields["seed"])
+        w.field = PrimeField(pick(self._cli_q, "q"))
+        w.straggle_scale = float(pick(self._cli_scale, "straggle_scale"))
+        w.factor = float(pick(self._cli_factor, "factor"))
+        w.behavior = self._cli_behavior
+        if w.behavior is None:
+            w.behavior = behavior_from_dict(fields["behavior"])
+        w.rng = np.random.default_rng(fields["seed"])
+        return w
 
     def run(self) -> None:
-        """Register with the master and serve, on this thread, until shutdown/EOF."""
-        sock = self._sock = self._connect()
-        receiver: threading.Thread | None = None
+        """Register every logical worker with the master and serve them,
+        on this thread, until each has been shut down or lost."""
         try:
-            hello = {"worker_id": self.worker_id, "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
-            self._send("hello", hello)
-            kind, fields, _ = read_frame(sock)
-            if kind != "config":
-                raise WireError(f"expected a config frame after hello, got {kind!r}")
-            self._apply_config(fields)
-            receiver = threading.Thread(
-                target=self._receive_loop, args=(sock,), daemon=True,
-                name=f"avcc-worker-{self.worker_id}-recv",
-            )
-            receiver.start()
-            self._compute_loop()
+            for wid in self.worker_ids:
+                w = self._register(wid)
+                self._sel.register(w.sock, selectors.EVENT_READ, w)
+            self._loop()
         finally:
-            self._stop()
-            try:
-                # the receive thread may sit in recv(): shutting the
-                # socket down wakes it, which close() alone does not
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            if receiver is not None:
-                receiver.join()
-            sock.close()
+            for w in list(self.workers):
+                self._end(w)
+            self._sel.close()
 
-    def _stop(self) -> None:
-        """From here on whatever is still queued is skipped: end a
-        straggle wait, wake the compute thread's ``get``."""
-        with self._wake:
-            self._stopping = True
-            self._wake.notify_all()
-        self._inbox.put(None)
+    def _end(self, w: _Worker) -> None:
+        """End one logical worker: what it has queued is skipped."""
+        if w.sock is None:
+            return
+        with suppress(KeyError):  # unregistered if its handshake failed
+            self._sel.unregister(w.sock)
+        w.sock.close()
+        w.sock = None
+        w.todo.clear()
+        self.workers.remove(w)
 
-    def _send(self, kind: str, fields: dict, arrays: tuple = ()) -> None:
-        assert self._sock is not None
+    def _send(self, w: _Worker, kind: str, fields: dict, arrays: tuple = ()) -> None:
         # one buffer, one sendall: under TCP_NODELAY a frame written
         # in pieces leaves as several segments
         frame = b"".join(encode_frame(kind, fields, arrays))
         try:
-            with self._send_lock:
-                self._sock.sendall(frame)
+            w.sock.sendall(frame)  # type: ignore[union-attr]
         except OSError:
-            self._stop()
+            self._end(w)
 
     # ------------------------------------------------------------------
-    # receive thread: keep the socket drained, answer liveness probes
+    # the loop: read what arrived, serve one job, repeat
     # ------------------------------------------------------------------
-    def _receive_loop(self, sock: socket.socket) -> None:
+    def _loop(self) -> None:
+        timeout: float | None = None
+        while self.workers:
+            for key, _ in self._sel.select(timeout):
+                self._read(key.data)
+            now = time.perf_counter()
+            w, wake = self._next_ready(now)
+            if w is not None:
+                self._serve(w)
+                timeout = 0.0
+            else:
+                timeout = None if wake is None else max(0.0, wake - now)
+
+    def _read(self, w: _Worker) -> None:
         try:
-            while True:
-                kind, fields, arrays = read_frame(sock)
+            for kind, fields, arrays in w.reader.frames(w.sock):
                 if kind == "heartbeat":
-                    self._send("heartbeat_ack", {"seq": fields["seq"]})
+                    self._send(w, "heartbeat_ack", {"seq": fields["seq"]})
                 elif kind == "cancel":
-                    rid = fields["rid"]
-                    with self._wake:
-                        # else: already done, or already noted
-                        if rid > self._served_rid and rid not in self._cancelled:
-                            heapq.heappush(self._cancel_heap, rid)
-                            self._cancelled.add(rid)
-                            self._wake.notify_all()
+                    w.queued.discard(fields["rid"])
                 elif kind == "shutdown":
-                    return
+                    self._end(w)
                 elif kind == "round":
                     # receipt timestamp: anchors the daemon's own
                     # sub-spans when the round is traced
                     fields["_t_recv"] = time.perf_counter()
-                    self._inbox.put((kind, fields, arrays))
+                    w.queued.add(fields["rid"])
+                    w.todo.append((kind, fields, arrays))
                 elif kind == "store":
                     if len(arrays) != 1:
                         raise WireError(f"store frame with {len(arrays)} arrays, not one share")
-                    self._inbox.put((kind, fields, arrays))
+                    w.todo.append((kind, fields, arrays))
                 # anything else is ignored: forward compatibility
+                if w.sock is None:
+                    return
         except (WireError, OSError):
-            pass  # master went away (or spoke garbage)
-        finally:
-            self._stop()
+            self._end(w)  # the master went away (or spoke garbage)
 
-    # ------------------------------------------------------------------
-    # compute thread: the one that called run()
-    # ------------------------------------------------------------------
-    def _compute_loop(self) -> None:
-        while True:
-            item = self._inbox.get()
-            if item is None:
-                return
-            kind, fields, arrays = item
-            if kind == "store":
-                share = arrays[0]
-                if share.dtype.kind == "i":
-                    # copy out of the frame buffer: shares live for the
-                    # worker's whole lifetime, frames do not. Reduced
-                    # shares travel as <u4, which store_share widens
-                    # straight to the resident dtype (that widening is
-                    # the copy); anything else it reduces into an array
-                    # of its own or refuses
-                    share = share.astype(np.int64)
-                store_share(self.field, self.payload, fields["name"], share)
-            else:
-                self._serve_round(fields["rid"], fields, arrays)
+    def _next_ready(self, now: float) -> tuple[_Worker | None, float | None]:
+        """The next logical worker in turn whose head job may be taken,
+        or else the earliest time a held round may be."""
+        workers = self.workers
+        wake = None
+        for i in range(len(workers)):
+            w = workers[(self._turn + i) % len(workers)]
+            if w.ready(now):
+                self._turn = (self._turn + i + 1) % len(workers)
+                return w, None
+            if w.held_until is not None:
+                wake = w.held_until if wake is None else min(wake, w.held_until)
+        return None, wake
 
-    def _serve_round(self, rid: int, fields: dict, arrays: list[np.ndarray]) -> None:
-        def skip() -> bool:  # cancelled, or the daemon is stopping
-            return self._stopping or rid in self._cancelled
+    def _serve(self, w: _Worker) -> None:
+        kind, fields, arrays = w.todo.popleft()
+        w.held_until = None
+        if kind == "store":
+            share = arrays[0]
+            if share.dtype.kind == "i":
+                # copy out of the frame buffer, which a share outlives
+                # (a <u4 share is widened, and so copied, by store_share)
+                share = share.astype(np.int64)
+            store_share(w.field, w.payload, fields["name"], share)
+        elif fields["rid"] in w.queued:  # else cancelled: dropped
+            w.queued.discard(fields["rid"])
+            self._answer(w, fields, arrays)
 
-        t_dq = time.perf_counter()
-        with self._wake:
-            if self.factor > 1.0:
-                # the injected slowdown; a cancel or a stop ends it at once
-                self._wake.wait_for(skip, (self.factor - 1.0) * self.straggle_scale)
-            serve = not skip()
-        if serve:
-            self._answer(rid, fields, arrays, t_dq)
-        # rounds are served in dispatch order, so anything at or below
-        # this rid can no longer be usefully cancelled
-        with self._wake:
-            self._served_rid = max(self._served_rid, rid)
-            heap = self._cancel_heap
-            while heap and heap[0] <= rid:
-                self._cancelled.remove(heapq.heappop(heap))
-
-    def _answer(self, rid: int, fields: dict, arrays: list[np.ndarray], t_dq: float) -> None:
+    def _answer(self, w: _Worker, fields: dict, arrays: list[np.ndarray]) -> None:
         value: np.ndarray | None = None
         err: str | None = None
         t0 = time.perf_counter()
@@ -325,15 +313,15 @@ class WorkerServer:
                 operand=arrays[0] if arrays else None,
                 rhs_key=fields["rhs_key"],
             )
-            honest = run_job_compute(self.field, self.payload, job)
-            assert self.behavior is not None
-            value = self.behavior.corrupt(honest, self.field, self._rng)
+            honest = run_job_compute(w.field, w.payload, job)
+            assert w.behavior is not None
+            value = w.behavior.corrupt(honest, w.field, w.rng)
         except Exception as exc:  # crash-stop: report, stay alive
             value, err = None, repr(exc)
         compute_time = time.perf_counter() - t0
         meta: dict[str, Any] = {
-            "rid": rid,
-            "worker_id": self.worker_id,
+            "rid": fields["rid"],
+            "worker_id": w.wid,
             "compute_time": compute_time,
             "ok": value is not None,
             "err": err,
@@ -350,12 +338,13 @@ class WorkerServer:
             # anchors them so the last span ends at result arrival,
             # which folds encode + uplink into "worker.send"
             base = fields["_t_recv"]
-            c0 = max(t0 - base, t_dq - base)
+            t_head = max(w.t_head, base)
+            c0 = t0 - base
             c1 = c0 + compute_time
-            spans = [["worker.recv", 0.0, max(0.0, t_dq - base)]]
-            if self.factor > 1.0:
-                spans.append(["worker.straggle", t_dq - base, t0 - base])
+            spans = [["worker.recv", 0.0, t_head - base]]
+            if w.factor > 1.0:
+                spans.append(["worker.straggle", t_head - base, c0])
             spans.append(["worker.compute", c0, c1])
             spans.append(["worker.send", c1, max(c1, time.perf_counter() - base)])
             meta["spans"] = spans
-        self._send("result", meta, (value,) if value is not None else ())
+        self._send(w, "result", meta, (value,) if value is not None else ())

@@ -29,12 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.api.session import JobHandle, Session
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.batcher import MicroBatcher, PendingBatch, make_batch_policy
 from repro.serve.queueing import SHED_EXPIRED, FairQueue
 from repro.serve.workload import Request
@@ -289,48 +288,6 @@ class ServeReport:
         )
 
 
-def _outcome_collector(
-    outcomes: list[RequestOutcome],
-) -> Callable[[MetricsRegistry], None]:
-    """A registry collector over one gateway's terminal outcomes, in
-    the order they ended: each read folds the outcomes appended since
-    the last into the four request series. It holds the list, not the
-    gateway, so the registry keeps no finished gateway's results alive."""
-    folded = 0
-
-    def fold(registry: MetricsRegistry) -> None:
-        nonlocal folded
-        requests = registry.counter(
-            "gateway_requests_total", "terminal request outcomes by status"
-        )
-        slo = registry.counter(
-            "gateway_slo_requests_total",
-            "deadline-carrying completions by SLO verdict",
-        )
-        latency = registry.histogram(
-            "gateway_request_latency_seconds",
-            "end-to-end served latency (arrival to decode)",
-        )
-        slack = registry.histogram(
-            "gateway_deadline_slack_seconds",
-            "deadline minus completion for served SLO requests",
-        )
-        n = len(outcomes)
-        for i in range(folded, n):
-            o = outcomes[i]
-            requests.inc(status=o.status, tenant=o.tenant, family=o.family)
-            has_deadline = math.isfinite(o.deadline)
-            if has_deadline:
-                slo.inc(met=o.slo_met)
-            if o.status == SERVED and o.latency is not None:
-                latency.observe(o.latency, tenant=o.tenant)
-                if has_deadline and o.completed is not None:
-                    slack.observe(o.deadline - o.completed)
-        folded = n
-
-    return fold
-
-
 # ----------------------------------------------------------------------
 class Gateway:
     """Drive a traffic source through a session; collect a ServeReport.
@@ -376,8 +333,6 @@ class Gateway:
         #: enabled it) — tracing and request metrics hang off it
         self.obs = getattr(session, "obs", None)
         self.audit = getattr(session, "audit", None)
-        if self.obs is not None:
-            self.obs.registry.register_collector(_outcome_collector(self._outcomes))
         #: request_id -> (root "request" span, "gateway.queue" span)
         self._req_spans: dict[int, list[Any]] = {}
         #: (tenant, family) -> shared root-attr dict for admission spans
@@ -633,6 +588,7 @@ class Gateway:
             )
             self._outcomes.append(done)
             if self.obs is not None:
+                self.obs.outcomes.append(done)
                 self._trace_finish(req, SERVED, outcome.record.t_end)
             follow_up = self.source.on_complete(req, completed)
             if follow_up is not None:
@@ -660,6 +616,7 @@ class Gateway:
         )
         self._outcomes.append(done)
         if self.obs is not None:
+            self.obs.outcomes.append(done)
             self._trace_finish(req, status, self._t0 + self.now)
         # a shed is a terminal outcome too: a closed-loop client whose
         # request was dropped still issues its next one

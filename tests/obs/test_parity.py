@@ -17,6 +17,7 @@ import math
 import threading
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,7 +349,7 @@ class TestSeriesRecount:
         _assert_session_recount(stats, registry)
 
     def test_registry_keeps_no_finished_gateway_alive(self, rng):
-        """The gateway's collector holds its outcome log, not the
+        """The session's collector holds the outcome log, not the
         gateway: a finished gateway and its result vectors are freed,
         and its outcomes still count."""
         cfg = SessionConfig(
@@ -366,6 +367,35 @@ class TestSeriesRecount:
             gc.collect()
             assert gone() is None
             _assert_series_recount(rep, sess.obs.registry)
+
+    def test_gateways_on_one_session_share_one_collector(self, rng):
+        """Three observed gateways run one after another on one session,
+        with a registry read after each: the registry holds the same
+        collectors after the third as before the first, each read
+        drains the outcome log, and the nine series recount all three
+        reports and the whole round log."""
+        cfg = SessionConfig(
+            scheme=SchemeParams(n=6, k=2, s=1, m=1),
+            backend="sim",
+            seed=0,
+            observability=True,
+        )
+        with Session.create(cfg) as sess:
+            sess.load(sess.field.random((6, 5), rng))
+            registry = sess.obs.registry
+            collectors = list(registry._collectors)
+            outcomes = []
+            for _ in range(3):
+                reqs = _mixed_verdict_trace(sess.field, rng)
+                gw = Gateway(sess, OpenLoopSource(reqs), GatewayConfig(queue_depth=2))
+                outcomes += gw.run().outcomes
+                assert len(sess.obs.outcomes) == len(reqs)
+                registry.snapshot()
+                assert sess.obs.outcomes == []
+            assert registry._collectors == collectors
+            served = [o for o in outcomes if o.status == "served"]
+            _assert_series_recount(SimpleNamespace(outcomes=outcomes, served=served), registry)
+            _assert_session_recount(sess.stats, registry)
 
 
 SESSION_SERIES = [

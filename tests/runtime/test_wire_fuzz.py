@@ -8,6 +8,10 @@ recomputed (the record and table parser answers). Either way the
 result is a decoded frame or a :class:`WireError`, never any other
 exception, and a decoded frame's arrays tile the payload exactly.
 
+The same mutated frames then reach one logical worker of a live host
+of three: that worker may answer what still parses, then ends at the
+EOF that follows, and its two siblings serve on.
+
 Tier-1 runs a fixed, derandomized example set in a few seconds.
 ``--hypothesis-profile=wire-fuzz`` (registered in ``tests/conftest.py``)
 runs 20 times the examples under a random seed.
@@ -20,6 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_worker_daemon import F, DaemonUnderTest, attack_end
 
 from repro.runtime.byzantine import (
     ConstantAttack,
@@ -33,10 +38,14 @@ from repro.runtime.net import wire
 from repro.runtime.net.wire import WireError, behavior_to_dict, encode_frame, read_frame
 
 EXAMPLES = 150
+#: a live host per example: far fewer of them
+HOST_EXAMPLES = 15
 if settings.get_current_profile_name() == "wire-fuzz":
     fuzz = settings(deadline=None)
+    fuzz_host = settings(max_examples=20 * HOST_EXAMPLES, deadline=None)
 else:
     fuzz = settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    fuzz_host = settings(max_examples=HOST_EXAMPLES, derandomize=True, deadline=None)
 
 u64 = st.integers(0, 2**64 - 1)
 i32 = st.integers(-(2**31), 2**31 - 1)
@@ -178,24 +187,58 @@ def _decoded_or_wire_error(data):
         pass
 
 
+def _stale_crc(frame, mutation):
+    data = _mutate(b"".join(encode_frame(*frame)), *mutation)
+    if len(data) >= wire._PREAMBLE.size:
+        length = wire._PREAMBLE.unpack_from(data)[4]
+        if length > len(data):
+            # any length past the data reads as "closed mid-frame";
+            # one just past it spares allocating up to MAX_PAYLOAD
+            data = data[:8] + (len(data) + 1).to_bytes(4, "big") + data[12:]
+    return data
+
+
+def _recomputed_crc(frame, mutation):
+    data = b"".join(encode_frame(*frame))
+    magic, version, code, _, _ = wire._PREAMBLE.unpack_from(data)
+    payload = _mutate(data[wire._PREAMBLE.size:], *mutation)
+    return wire._PREAMBLE.pack(magic, version, code, zlib.crc32(payload), len(payload)) + payload
+
+
 class TestMutations:
     @fuzz
     @given(frames, mutations)
     def test_stale_crc_frame_is_a_frame_or_a_wire_error(self, frame, mutation):
-        data = _mutate(b"".join(encode_frame(*frame)), *mutation)
-        if len(data) >= wire._PREAMBLE.size:
-            length = wire._PREAMBLE.unpack_from(data)[4]
-            if length > len(data):
-                # any length past the data reads as "closed mid-frame";
-                # one just past it spares allocating up to MAX_PAYLOAD
-                data = data[:8] + (len(data) + 1).to_bytes(4, "big") + data[12:]
-        _decoded_or_wire_error(data)
+        _decoded_or_wire_error(_stale_crc(frame, mutation))
 
     @fuzz
     @given(frames, mutations)
     def test_recomputed_crc_reaches_the_parser(self, frame, mutation):
-        data = b"".join(encode_frame(*frame))
-        magic, version, code, _, _ = wire._PREAMBLE.unpack_from(data)
-        payload = _mutate(data[wire._PREAMBLE.size:], *mutation)
-        pre = wire._PREAMBLE.pack(magic, version, code, zlib.crc32(payload), len(payload))
-        _decoded_or_wire_error(pre + payload)
+        _decoded_or_wire_error(_recomputed_crc(frame, mutation))
+
+
+class TestCoHostedWorker:
+    @fuzz_host
+    @given(frames, mutations, st.sampled_from([_stale_crc, _recomputed_crc]))
+    def test_siblings_serve_on_whatever_one_worker_is_sent(self, frame, mutation, mutate):
+        host = DaemonUnderTest(ids=(0, 1, 2))
+        try:
+            attack_end(host.ends[1], mutate(frame, mutation))
+            for kind, _, _ in read_frames(host.ends[1].read_to_eof()):
+                assert kind in ("result", "heartbeat_ack")
+            rng = np.random.default_rng(0)
+            share, v = F.random((3, 5), rng), F.random(5, rng)
+            host.ends[0].served(share, v)
+            host.ends[2].served(share, v)
+            assert [w.wid for w in host.server.workers] == [0, 2]
+        finally:
+            host.close()
+
+
+def read_frames(data):
+    """The frames a worker sent before it hung up, in order."""
+    stream = _Bytes(data)
+    out = []
+    while stream._buf.tell() < len(data):
+        out.append(read_frame(stream))
+    return out

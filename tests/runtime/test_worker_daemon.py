@@ -1,24 +1,24 @@
-"""The worker daemon: two threads over one blocking socket — every job
-on the thread that called ``run()``, the receive thread free for
-probes and cancels meanwhile, one ``sendall`` per frame.
+"""The worker host: one ``selectors`` loop on the thread that called
+``run()``, serving one or more logical workers — every job and every
+frame on that thread, heartbeats acknowledged between products, an
+injected straggle held without blocking a sibling, one ``sendall`` per
+frame.
 
-``TestDaemonProtocol`` talks to one in-process daemon over a raw
-socket, frame by frame — the only way to pin *which frame follows
-which* (an ack between two results, a round that never answers).
-``TestTwoThreads`` pins what the two threads share and that both end
-with the connection; ``TestHostileFrames`` feeds the receive path what
+``TestDaemonProtocol`` talks to one in-process host over raw sockets,
+frame by frame — the only way to pin *which frame follows which* (an
+ack between two results, a round that never answers). ``TestOneThread``
+pins that the loop is the only thread and that it ends with its last
+connection; ``TestCoHosting`` that logical workers of one host share
+nothing but the thread; ``TestHostileFrames`` feeds the read path what
 no master of this build would send. ``TestThroughTheMaster`` checks
 what a ``TcpCluster`` master can observe of a forked fleet.
 """
 
-import heapq
 import socket
 import struct
-import sys
 import threading
 import time
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,28 +39,11 @@ from repro.runtime.net import wire, worker_server
 F = PrimeField()
 
 
-class DaemonUnderTest:
-    """One in-process daemon and the master's end of its socket."""
+class MasterEnd:
+    """The master's end of one logical worker's socket."""
 
-    def __init__(self, factor=1.0, straggle_scale=0.05, connect_timeout=30.0):
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        self.server = WorkerServer("127.0.0.1", port, 0, connect_timeout=connect_timeout)
-        self._others = set(threading.enumerate())
-        self.thread = threading.Thread(target=self.server.run, daemon=True)
-        self.thread.start()
-        listener.settimeout(10.0)
-        self.sock, _ = listener.accept()
-        listener.close()
-        self.sock.settimeout(10.0)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        kind, fields, _ = read_frame(self.sock)
-        assert kind == "hello" and fields["protocol"] == PROTOCOL_VERSION
-        self.send(
-            "config",
-            {"q": F.q, "factor": factor, "straggle_scale": straggle_scale,
-             "behavior": {"kind": "honest"}, "seed": 0},
-        )
+    def __init__(self, sock):
+        self.sock = sock
         self.rid = 0
 
     def send(self, kind, fields, arrays=()):
@@ -97,16 +80,13 @@ class DaemonUnderTest:
         kind, fields, _ = self.read()
         assert (kind, fields["seq"]) == ("heartbeat_ack", seq)
 
-    def threads(self):
-        """The live threads that exist because of this daemon."""
-        return [t for t in threading.enumerate() if t not in self._others]
-
-    def assert_gone(self, deadline=5.0):
-        """Both daemon threads end within ``deadline`` seconds."""
-        end = time.monotonic() + deadline
-        for t in self.threads():
-            t.join(max(0.0, end - time.monotonic()))
-        assert self.threads() == []
+    def served(self, share, v):
+        """A round on ``share`` is answered, and answered right."""
+        self.store("s", share)
+        self.round("s", v)
+        fields, value = self.result()
+        assert fields["ok"] is True
+        np.testing.assert_array_equal(value, ff_matvec(F, share, v))
 
     def read_to_eof(self):
         """Every byte the daemon still sends before it hangs up."""
@@ -118,13 +98,67 @@ class DaemonUnderTest:
             pass  # it closed with our bytes unread: a reset is its EOF
         return bytes(got)
 
+
+class DaemonUnderTest(MasterEnd):
+    """One in-process host serving ``ids``, and the master's end of
+    each logical worker's socket (``ends``). As a :class:`MasterEnd`
+    it is the end of its first worker."""
+
+    def __init__(self, factor=1.0, straggle_scale=0.05, connect_timeout=30.0, ids=(0,),
+                 factors=None):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        self.server = WorkerServer("127.0.0.1", port, *ids, connect_timeout=connect_timeout)
+        self._others = set(threading.enumerate())
+        self.thread = threading.Thread(target=self.server.run, daemon=True)
+        self.thread.start()
+        listener.settimeout(10.0)
+        self.ends = {}
+        for _ in ids:  # the host registers its workers one at a time
+            sock, _ = listener.accept()
+            sock.settimeout(10.0)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            kind, fields, _ = read_frame(sock)
+            assert kind == "hello" and fields["protocol"] == PROTOCOL_VERSION
+            wid = fields["worker_id"]
+            end = self if wid == ids[0] else MasterEnd(sock)
+            MasterEnd.__init__(end, sock)
+            end.send(
+                "config",
+                {"q": F.q, "factor": (factors or {}).get(wid, factor),
+                 "straggle_scale": straggle_scale, "behavior": {"kind": "honest"},
+                 "seed": 100 + wid},
+            )
+            self.ends[wid] = end
+        listener.close()
+        assert list(self.ends) == list(ids)
+
+    def worker(self, wid=None):
+        """The host's live logical worker ``wid`` (its first by default)."""
+        wid = next(iter(self.ends)) if wid is None else wid
+        (w,) = [w for w in self.server.workers if w.wid == wid]
+        return w
+
+    def threads(self):
+        """The live threads that exist because of this daemon."""
+        return [t for t in threading.enumerate() if t not in self._others]
+
+    def assert_gone(self, deadline=5.0):
+        """The host's thread ends within ``deadline`` seconds."""
+        end = time.monotonic() + deadline
+        for t in self.threads():
+            t.join(max(0.0, end - time.monotonic()))
+        assert self.threads() == []
+
     def close(self):
-        try:
-            self.send("shutdown", {})
-        except OSError:
-            pass
+        for end in self.ends.values():
+            try:
+                end.send("shutdown", {})
+            except OSError:
+                pass
         self.thread.join(10.0)
-        self.sock.close()
+        for end in self.ends.values():
+            end.sock.close()
         assert not self.thread.is_alive()
 
 
@@ -146,7 +180,8 @@ def spawn():
 
     yield make
     for d in made:
-        d.sock.close()
+        for end in d.ends.values():
+            end.sock.close()
         d.thread.join(10.0)
 
 
@@ -166,13 +201,14 @@ def compute_threads(monkeypatch):
 
 @pytest.fixture
 def send_threads(monkeypatch):
-    """``(kind, thread ident)`` of every frame the daemon sends."""
+    """``(kind, thread ident)`` of every frame the daemon sends once
+    registered."""
     seen = []
     real = WorkerServer._send
 
-    def recording(self, kind, fields, arrays=()):
+    def recording(self, w, kind, fields, arrays=()):
         seen.append((kind, threading.get_ident()))
-        return real(self, kind, fields, arrays)
+        return real(self, w, kind, fields, arrays)
 
     monkeypatch.setattr(WorkerServer, "_send", recording)
     return seen
@@ -200,28 +236,45 @@ class CountingSocket:
         return self._sock.sendmsg(buffers, *args)
 
 
+def _hold_jobs(monkeypatch):
+    """Every job blocks until ``release`` is set; ``started`` says one has begun."""
+    started, release = threading.Event(), threading.Event()
+    real = worker_server.run_job_compute
+
+    def held(field, payload, job):
+        started.set()
+        assert release.wait(10.0)
+        return real(field, payload, job)
+
+    monkeypatch.setattr(worker_server, "run_job_compute", held)
+    return started, release
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions that escaped any thread while the test ran."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+    return escaped
+
+
 class TestDaemonProtocol:
-    def test_heartbeat_acked_while_a_job_computes(self, daemon, monkeypatch, rng):
-        """Even the smallest job leaves the receive thread: a probe sent
-        while it computes is answered before its result."""
-        started, release = threading.Event(), threading.Event()
-        real = worker_server.run_job_compute
-
-        def slow(field, payload, job):
-            started.set()
-            assert release.wait(10.0)
-            return real(field, payload, job)
-
-        monkeypatch.setattr(worker_server, "run_job_compute", slow)
+    def test_heartbeat_is_acked_between_products(self, daemon, monkeypatch, rng):
+        """A probe sent while a job computes is answered as soon as that
+        job is done: after its result, before the next queued job's."""
+        started, release = _hold_jobs(monkeypatch)
         share = F.random((3, 5), rng)
         v = F.random(5, rng)
         daemon.store("s", share)
-        rid = daemon.round("s", v)
+        r1, r2 = daemon.round("s", v), daemon.round("s", v)
         assert started.wait(10.0)
-        daemon.assert_idle(seq=41)  # answered mid-compute
+        daemon.send("heartbeat", {"seq": 41})
         release.set()
+        assert daemon.result()[0]["rid"] == r1
+        kind, fields, _ = daemon.read()
+        assert (kind, fields["seq"]) == ("heartbeat_ack", 41)
         fields, value = daemon.result()
-        assert fields["rid"] == rid
+        assert fields["rid"] == r2
         np.testing.assert_array_equal(value, ff_matvec(F, share, v))
 
     def test_results_in_dispatch_order_across_small_and_large_jobs(
@@ -241,14 +294,12 @@ class TestDaemonProtocol:
             assert fields["rid"] == rid
             np.testing.assert_array_equal(value, ff_matvec(F, shares[key], v))
         daemon.assert_idle(seq=1)
-        # every job on the thread that called run(); probes are
-        # acknowledged by the other one
+        # every job and every frame on the thread that called run()
         assert compute_threads == [daemon.thread.ident] * len(keys)
-        assert [t for kind, t in send_threads if kind == "result"] == compute_threads
-        (acker,) = (t for kind, t in send_threads if kind == "heartbeat_ack")
-        assert acker != daemon.thread.ident
+        assert [kind for kind, _ in send_threads] == ["result"] * len(keys) + ["heartbeat_ack"]
+        assert {t for _, t in send_threads} == {daemon.thread.ident}
 
-    def test_queued_jobs_do_not_starve_the_receive_task(self, daemon, rng):
+    def test_queued_jobs_do_not_starve_the_socket(self, daemon, rng):
         """A burst of queued jobs must not starve the socket: a
         heartbeat sent once the burst is under way is acknowledged
         long before its end, and a cancel for its last round lands in
@@ -319,6 +370,21 @@ class TestDaemonProtocol:
         assert all(a <= b for _, a, b in fields["spans"])
         assert fields["digest"] == digest_array(value)
 
+    def test_traced_straggle_is_a_span_of_its_own(self, rng):
+        daemon = DaemonUnderTest(factor=2.0, straggle_scale=0.05)
+        try:
+            daemon.store("s", F.random((3, 5), rng))
+            daemon.round("s", F.random(5, rng), trace=True)
+            spans = daemon.result()[0]["spans"]
+        finally:
+            daemon.close()
+        assert [s[0] for s in spans] == [
+            "worker.recv", "worker.straggle", "worker.compute", "worker.send"
+        ]
+        assert all(a <= b for _, a, b in spans)
+        assert all(prev[2] <= nxt[1] for prev, nxt in zip(spans, spans[1:]))
+        assert spans[1][2] - spans[1][1] >= 0.05
+
     @pytest.mark.parametrize("shape", [(5, 12), (200, 2000)])
     @pytest.mark.parametrize(
         "frame",
@@ -343,9 +409,9 @@ class TestDaemonProtocol:
         daemon.store("s", F.random(shape, rng))  # a stale share under the key
         daemon.store("s", sent)
         v = F.random(shape[1], rng)
-        daemon.round("s", v)  # the compute task is FIFO: the stores are done
+        daemon.round("s", v)  # a worker's jobs are FIFO: the stores are done
         fields, value = daemon.result()
-        stored = daemon.server.payload.get("s")
+        stored = daemon.worker().payload.get("s")
         if want is None:
             assert stored is None
             assert fields["ok"] is False and "KeyError" in fields["err"]
@@ -379,40 +445,17 @@ class TestDaemonProtocol:
             assert len(buf) == wire._PREAMBLE.size + length  # the whole frame
 
 
-def _hold_jobs(monkeypatch):
-    """Every job blocks until ``release`` is set; ``started`` says one has begun."""
-    started, release = threading.Event(), threading.Event()
-    real = worker_server.run_job_compute
-
-    def held(field, payload, job):
-        started.set()
-        assert release.wait(10.0)
-        return real(field, payload, job)
-
-    monkeypatch.setattr(worker_server, "run_job_compute", held)
-    return started, release
-
-
-@pytest.fixture
-def thread_errors(monkeypatch):
-    """Exceptions that escaped any thread while the test ran."""
-    escaped = []
-    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
-    return escaped
-
-
-class TestTwoThreads:
-    def test_serving_daemon_owns_two_threads_and_shutdown_ends_both(self, daemon, rng):
+class TestOneThread:
+    def test_serving_host_owns_one_thread_and_shutdown_ends_it(self, daemon, rng):
         daemon.store("s", F.random((3, 5), rng))
         daemon.round("s", F.random(5, rng))
         daemon.result()
-        names = sorted(t.name for t in daemon.threads())
-        assert names == sorted([daemon.thread.name, "avcc-worker-0-recv"])
+        assert daemon.threads() == [daemon.thread]
         daemon.send("shutdown", {})
         daemon.assert_gone()
         assert daemon.read_to_eof() == b""
 
-    def test_master_eof_mid_compute_ends_both_threads(self, spawn, monkeypatch, rng):
+    def test_master_eof_mid_compute_skips_what_was_queued(self, spawn, monkeypatch, rng):
         started, release = _hold_jobs(monkeypatch)
         daemon = spawn()
         daemon.store("s", F.random((3, 5), rng))
@@ -420,145 +463,63 @@ class TestTwoThreads:
         daemon.round("s", F.random(5, rng))  # queued behind the held job
         assert started.wait(10.0)
         daemon.sock.close()
-        deadline = time.monotonic() + 5.0
-        while len(daemon.threads()) > 1 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert daemon.threads() == [daemon.thread]  # numpy still holds this one
+        time.sleep(0.05)
+        assert daemon.thread.is_alive()  # numpy still holds it
         started.clear()
         release.set()
         daemon.assert_gone()
         assert not started.is_set()  # the queued round was skipped, not computed
 
-    def test_master_eof_mid_straggle_wakes_the_wait(self, spawn, rng):
+    def test_master_eof_mid_straggle_ends_the_hold(self, spawn, rng):
         daemon = spawn(factor=3.0, straggle_scale=30.0)  # a minute a round
         daemon.store("s", F.random((3, 5), rng))
         daemon.round("s", F.random(5, rng))
-        daemon.assert_idle(seq=1)  # the round is queued or already straggling
-        time.sleep(0.05)
+        daemon.assert_idle(seq=1)  # the round is held
         daemon.sock.close()
         daemon.assert_gone(deadline=5.0)
 
-    def test_shutdown_mid_straggle_wakes_the_wait(self, spawn, rng):
+    def test_shutdown_mid_straggle_ends_the_hold(self, spawn, rng):
         daemon = spawn(factor=3.0, straggle_scale=30.0)
         daemon.store("s", F.random((3, 5), rng))
         daemon.round("s", F.random(5, rng))
         daemon.assert_idle(seq=1)
-        time.sleep(0.05)
         daemon.send("shutdown", {})
         daemon.assert_gone(deadline=5.0)
         assert daemon.read_to_eof() == b""  # the straggling round is not answered
 
-    def test_cancels_from_a_second_sender_race_a_few_hundred_queued_rounds(
-        self, daemon, monkeypatch, thread_errors, rng
+    def test_cancels_drop_queued_rounds_and_leave_nothing_behind(
+        self, daemon, monkeypatch, rng
     ):
-        """The cancel book (set, heap and served watermark) and the stop
-        flag are touched by both daemon threads. A second sender stays
-        ``lead`` rounds ahead of the results with one cancel per round —
-        every third rid a target, the rest stale, for a round far in
-        the future, or for a round about to be served — over a
-        backlog of far cancels. Noting a cancel for a round about to be
-        served is held open for 2 ms between heap and set, long enough
-        for that round to finish and prune: only the lock keeps the prune
-        from popping a rid the set does not hold yet. Rounds nobody
-        cancelled are all answered, in dispatch order; a cancel whose
-        probe was acknowledged ahead of an earlier round's result
-        reached the set before its round was dequeued, so that round is
-        never answered; nothing is left in the book."""
-        n_rounds, lead, backlog, far = 301, 30, 20000, 10**6
-        real = worker_server.run_job_compute
-        hot = set()  # rids cancelled as they were about to be served
-
-        def slow(field, payload, job):
-            time.sleep(0.0005)  # keeps the queue a few hundred deep
-            return real(field, payload, job)
-
-        def held_push(heap, rid):
-            heapq.heappush(heap, rid)
-            if rid in hot:
-                time.sleep(0.002)
-
-        monkeypatch.setattr(worker_server, "run_job_compute", slow)
-        monkeypatch.setattr(
-            worker_server, "heapq", SimpleNamespace(heappush=held_push, heappop=heapq.heappop)
-        )
+        """Every third of 300 rounds queued behind a held job is
+        cancelled, among cancels for the round being computed and for
+        rounds never sent: exactly the others are answered, in dispatch
+        order, and the worker keeps no cancel state."""
+        started, release = _hold_jobs(monkeypatch)
+        n_rounds, far = 300, 10**6
         daemon.store("s", F.random((3, 5), rng))
         v = F.random(5, rng)
-        frames = [daemon.round_frame("s", v) for _ in range(n_rounds)]
-        targets = set(range(3, n_rounds + 1, 3))
-        sending = threading.Lock()
-        progress = threading.Condition()
-        answered = [0]
-
-        def cancel_sender():
-            with sending:
-                daemon.sock.sendall(
-                    b"".join(
-                        b"".join(encode_frame("cancel", {"rid": far + j})) for j in range(backlog)
-                    )
-                )
-            for i in range(1, n_rounds + 1):
-                with progress:
-                    assert progress.wait_for(lambda: answered[0] >= i - lead, 30.0)
-                with sending:
-                    if i in targets:
-                        daemon.send("cancel", {"rid": i})
-                        daemon.send("heartbeat", {"seq": i})
-                    elif i % 3 == 1:  # grows the set
-                        daemon.send("cancel", {"rid": far + backlog + i})
-                    elif i % 6 == 5:  # a round the daemon reaches within the hold
-                        hot.add(answered[0] + 3)
-                        daemon.send("cancel", {"rid": answered[0] + 3})
-                    else:  # stale, dropped on arrival
-                        daemon.send("cancel", {"rid": max(0, i - lead - 1)})
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            canceller = threading.Thread(target=cancel_sender, daemon=True)
-            canceller.start()
-            for frame in frames:
-                with sending:
-                    daemon.sock.sendall(frame)
-            stream = []  # ("result", rid) / ("heartbeat_ack", seq), as they arrived
-            acks = 0
-            while acks < len(targets) or ("result", n_rounds) not in stream:
-                kind, fields, _ = daemon.read()
-                stream.append((kind, fields["rid" if kind == "result" else "seq"]))
-                acks += kind == "heartbeat_ack"
-                if kind == "result":
-                    with progress:
-                        answered[0] = fields["rid"]
-                        progress.notify()
-            canceller.join(30.0)
-            assert not canceller.is_alive()
-            daemon.rid = 2 * far  # past the backlog, and past round n_rounds' book-keeping
-            daemon.round("s", v)
-            assert daemon.result()[0]["rid"] == 2 * far + 1
-            daemon.round("s", v)  # served once the one before it has pruned
-            assert daemon.result()[0]["rid"] == 2 * far + 2
-            daemon.assert_idle(seq=0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert daemon.server._cancelled == set() and daemon.server._cancel_heap == []
-        served = [x for kind, x in stream if kind == "result"]
-        assert served == sorted(set(served))
-        assert set(range(1, n_rounds + 1)) - targets - hot <= set(served)
-        in_time = set()
-        for at, (kind, x) in enumerate(stream):
-            if kind == "heartbeat_ack" and any(
-                k == "result" and rid < x for k, rid in stream[at + 1:]
-            ):
-                in_time.add(x)
-        assert len(in_time) > len(targets) // 2  # the race was actually run
-        assert not in_time & set(served)
-        assert thread_errors == []
+        daemon.round("s", v)
+        assert started.wait(10.0)
+        targets = set(range(4, n_rounds + 2, 3))
+        cancels = [0, 1, *sorted(targets), *range(far, far + 500)]
+        burst = b"".join(daemon.round_frame("s", v) for _ in range(n_rounds)) + b"".join(
+            b"".join(encode_frame("cancel", {"rid": rid})) for rid in cancels
+        )
+        assert len(burst) < 48_000  # all of it waits in the socket while round 1 computes
+        daemon.sock.sendall(burst)
+        release.set()
+        served = [daemon.result()[0]["rid"] for _ in range(n_rounds + 1 - len(targets))]
+        assert served == [r for r in range(1, n_rounds + 2) if r not in targets]
+        daemon.assert_idle(seq=2)
+        w = daemon.worker()
+        assert w.queued == set() and not w.todo and w.held_until is None
 
     def test_master_that_stops_reading_cannot_hold_a_send_forever(
         self, spawn, compute_threads, rng
     ):
         """The send deadline is ``connect_timeout``: once the master's
         receive window and the daemon's send buffer are full, the
-        blocked ``sendall`` fails and the daemon stops as on EOF."""
+        blocked ``sendall`` fails and the worker ends as on EOF."""
         daemon = spawn(connect_timeout=0.5)
         daemon.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         daemon.store("s", F.random((250_000, 1), rng))  # results of 1 MB
@@ -567,38 +528,69 @@ class TestTwoThreads:
         daemon.assert_gone(deadline=10.0)
         assert len(compute_threads) < 40  # it gave up mid-stream, the rest was skipped
 
-    def test_round_prunes_the_cancels_it_retires_not_the_backlog(self, daemon, monkeypatch, rng):
-        """Pruning work counted in heap pops: 20 000 far-future cancels
-        cost a round nothing until a round reaches them."""
-        pops = []
 
-        def counting_pop(heap):
-            pops.append(heap[0])
-            return heapq.heappop(heap)
+class TestCoHosting:
+    """Three logical workers on one host thread."""
 
-        monkeypatch.setattr(
-            worker_server, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
-        )
-        far, backlog = 10**6, 20_000
-        daemon.sock.sendall(
-            b"".join(b"".join(encode_frame("cancel", {"rid": far + j})) for j in range(backlog))
-        )
-        daemon.send("cancel", {"rid": 3})
-        daemon.assert_idle(seq=1)  # every cancel is noted
-        daemon.store("s", F.random((3, 5), rng))
-        v = F.random(5, rng)
-        for _ in range(50):
-            daemon.round("s", v)
-        served = [daemon.result()[0]["rid"] for _ in range(49)]
-        assert served == [r for r in range(1, 51) if r != 3]
-        assert pops == [3]
-        assert len(daemon.server._cancelled) == len(daemon.server._cancel_heap) == backlog
-        daemon.rid = far + backlog  # one round past the backlog retires all of it
-        daemon.round("s", v)
-        daemon.round("s", v)  # served once the one before it has pruned
-        assert [daemon.result()[0]["rid"] for _ in range(2)] == [far + backlog + 1, far + backlog + 2]
-        assert pops == [3, *range(far, far + backlog)]
-        assert daemon.server._cancelled == set() and daemon.server._cancel_heap == []
+    def test_each_worker_keeps_its_own_shares_config_and_rng(self, rng):
+        host = DaemonUnderTest(ids=(4, 5, 6))
+        try:
+            shares = {wid: F.random((3, 5), rng) for wid in host.ends}
+            v = F.random(5, rng)
+            for wid, end in host.ends.items():
+                end.store("s", shares[wid])
+            for wid, end in host.ends.items():
+                end.round("s", v)
+            for wid, end in host.ends.items():
+                fields, value = end.result()
+                assert fields["worker_id"] == wid
+                np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+            assert [w.wid for w in host.server.workers] == [4, 5, 6]
+            assert len({id(w.payload) for w in host.server.workers}) == 3
+            # each seeded by its own config
+            assert [w.rng.bit_generator.state for w in host.server.workers] == [
+                np.random.default_rng(100 + wid).bit_generator.state for wid in (4, 5, 6)
+            ]
+        finally:
+            host.close()
+
+    def test_a_held_straggle_blocks_no_sibling_and_its_probes_are_acked(self, rng):
+        """Worker 1 holds its round for a minute; its siblings serve
+        round after round meanwhile, its own probes are acknowledged,
+        and a cancel ends the hold at once."""
+        host = DaemonUnderTest(ids=(0, 1, 2), factors={1: 3.0}, straggle_scale=30.0)
+        try:
+            share = F.random((3, 5), rng)
+            v = F.random(5, rng)
+            slow = host.ends[1]
+            slow.store("s", share)
+            held = slow.round("s", v)
+            t0 = time.monotonic()
+            for _ in range(3):
+                host.ends[0].served(share, v)
+                host.ends[2].served(share, v)
+                slow.assert_idle(seq=9)
+            assert time.monotonic() - t0 < 10.0
+            assert host.worker(1).held_until is not None
+            slow.send("cancel", {"rid": held})
+            slow.assert_idle(seq=10)  # not the held round's result
+            assert host.worker(1).held_until is None
+        finally:
+            host.close()
+
+    def test_shutdown_of_one_worker_leaves_its_siblings_serving(self, rng):
+        host = DaemonUnderTest(ids=(0, 1, 2))
+        try:
+            host.ends[1].send("shutdown", {})
+            assert host.ends[1].read_to_eof() == b""
+            share = F.random((3, 5), rng)
+            v = F.random(5, rng)
+            host.ends[0].served(share, v)
+            host.ends[2].served(share, v)
+            assert [w.wid for w in host.server.workers] == [0, 2]
+        finally:
+            host.close()
+        host.assert_gone()  # the host exits with its last worker
 
 
 def raw_frame(kind_code, body, buffers=(), *, version=PROTOCOL_VERSION, crc=None, length=None):
@@ -672,9 +664,22 @@ HOSTILE = {
 }
 
 
+
+
+def attack_end(end, data):
+    """Send ``data`` down one master end, then close its write side
+    (the truncated frame's "then close")."""
+    try:
+        end.sock.sendall(data)
+        end.sock.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # it has hung up already
+
+
 class TestHostileFrames:
-    """What no master of this build sends, against a live daemon: it
-    drains and exits, owes nothing further, leaves no thread behind."""
+    """What no master of this build sends, against a live daemon: the
+    logical worker it reaches drains and ends, owes nothing further and
+    leaves no thread behind; a co-hosted sibling serves on."""
 
     @pytest.mark.parametrize("attack", sorted(HOSTILE))
     def test_daemon_exits_and_sends_nothing_it_did_not_owe(
@@ -686,13 +691,25 @@ class TestHostileFrames:
         daemon.round("s", np.arange(5))
         fields, value = daemon.result()  # what it owed, it sent
         np.testing.assert_array_equal(value, ff_matvec(F, share, np.arange(5)))
-        try:
-            daemon.sock.sendall(HOSTILE[attack])
-            daemon.sock.shutdown(socket.SHUT_WR)  # the truncated frame's "then close"
-        except OSError:
-            pass  # it has hung up already
+        attack_end(daemon, HOSTILE[attack])
         assert daemon.read_to_eof() == b""
         daemon.assert_gone()
+        assert thread_errors == []
+
+    @pytest.mark.parametrize("attack", sorted(HOSTILE))
+    def test_a_hostile_frame_ends_only_the_worker_it_reaches(self, attack, thread_errors, rng):
+        host = DaemonUnderTest(ids=(0, 1, 2))
+        try:
+            attack_end(host.ends[1], HOSTILE[attack])
+            assert host.ends[1].read_to_eof() == b""
+            share = F.random((3, 5), rng)
+            v = F.random(5, rng)
+            for _ in range(2):
+                host.ends[0].served(share, v)
+                host.ends[2].served(share, v)
+            assert [w.wid for w in host.server.workers] == [0, 2]
+        finally:
+            host.close()
         assert thread_errors == []
 
     def test_the_same_bytes_unbroken_are_served(self, daemon, rng):
@@ -720,7 +737,7 @@ class TestHostileFrames:
         daemon.round("s", v)
         fields, value = daemon.result()
         assert fields["ok"] is False and "KeyError" in fields["err"] and value is None
-        assert "s" not in daemon.server.payload
+        assert "s" not in daemon.worker().payload
         daemon.store("s", share)
         daemon.round("s", v)
         fields, value = daemon.result()
@@ -764,23 +781,14 @@ class TestFrameBytes:
 
 
 class TestThroughTheMaster:
-    def test_long_job_keeps_its_worker_alive_past_the_heartbeat_timeout(
-        self, monkeypatch, rng
-    ):
-        """A job that computes for longer than ``heartbeat_timeout`` is
-        not a dead worker: the receive thread keeps the acks flowing.
-        (Forked daemons inherit the patch.)"""
-        real = worker_server.run_job_compute
-
-        def slow(field, payload, job):
-            time.sleep(1.0)
-            return real(field, payload, job)
-
-        monkeypatch.setattr(worker_server, "run_job_compute", slow)
+    def test_held_straggle_keeps_its_worker_alive_past_the_heartbeat_timeout(self, rng):
+        """A round held for longer than ``heartbeat_timeout`` is not a
+        dead worker: its host acknowledges the probes meanwhile."""
         shares = F.random((3, 2, 4), rng)
         v = F.random(4, rng)
         with TcpCluster(
-            F, _fleet(3, {}, {}), heartbeat_interval=0.05, heartbeat_timeout=0.4
+            F, _fleet(3, {1: 2.0}, {}), straggle_scale=1.0,
+            heartbeat_interval=0.05, heartbeat_timeout=0.4,
         ) as backend:
             backend.distribute("share", shares)
             handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
