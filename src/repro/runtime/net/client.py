@@ -1,10 +1,13 @@
 """The TCP socket execution backend: a master over remote workers.
 
-:class:`TcpCluster` is the :class:`~repro.runtime.backend.Backend`
-whose workers live outside the master's address space: each is served
-by a daemon process (:mod:`repro.runtime.net.worker_server`) over a
-socket of its own, with real serialization (:mod:`repro.runtime.net.wire`)
-— the paper's testbed model of a master coordinating worker hosts.
+:class:`TcpCluster` is the third :class:`~repro.runtime.backend.Backend`
+and the only one whose workers live outside the master's address
+space: each worker is a daemon process
+(:mod:`repro.runtime.net.worker_server`) reached over a real socket
+with real serialization (:mod:`repro.runtime.net.wire`). This is the
+deployment model of the paper's testbed — a master node coordinating a
+fleet of worker hosts — and the gateway/session stack runs over it
+unchanged.
 
 Wiring
 ------
@@ -25,8 +28,9 @@ replies of *every* in-flight round in dispatch order, so results
 stream back tagged with their round id and a central pump
 demultiplexes them to the owning :class:`TcpRoundHandle` — several
 rounds stay in flight at once and no handle can steal another round's
-replies. ``cancel`` is idempotent, safe after ``result()``, and ships
-``cancel`` frames so workers skip rounds still in their queues.
+replies. ``cancel`` is idempotent,
+safe after ``result()``, and additionally ships ``cancel`` frames so
+workers skip rounds still sitting in their queues.
 
 The master owns no thread: the pump is one ``selectors`` wait over
 every worker socket plus the listener, run by whichever thread is
@@ -42,8 +46,10 @@ them as never-arrived — the same observation a straggler produces —
 so the master's waiting policy and the adaptive re-coding absorb the
 failure instead of hanging. Heartbeats ride the same pump that
 collects results, and a worker host acknowledges them between the
-products it computes, so a busy worker is never mistaken for a dead
-one. ``round_timeout`` bounds each round's collect phase:
+products it computes and while it holds a straggling round, so a
+straggler is never mistaken for a dead one — but a single product
+longer than ``heartbeat_timeout`` is (see the README's "Distributed
+deployment"). ``round_timeout`` bounds each round's collect phase:
 workers that produced nothing by then are recorded as never-arrived
 for that round (but stay in the pool).
 
@@ -52,15 +58,20 @@ for real: ``drop_workers`` ships ``shutdown`` and closes the socket.
 
 Elastic membership
 ------------------
-The listener stays open: a daemon dialing in after the initial
-registration (a restarted worker, or a new one) completes the same
-version-checked ``hello``/``config`` handshake and is parked as a
-*pending join*, admitted only by :meth:`TcpCluster.admit_workers`
-between rounds — the quiesce points of dynamic re-coding. So a dropped
-id that re-dials is re-admitted like any rejoin.
-:meth:`TcpCluster.membership` reports the live/dead/dropped/pending
-split, :meth:`~repro.runtime.backend.Backend.take_membership_events`
-the history.
+The listener stays open for the cluster's whole life: a daemon dialing
+in *after* the initial registration — a restarted process rejoining,
+or a brand-new worker scaling the fleet up — completes the same
+``hello``/``config`` handshake (version-checked by
+:func:`~repro.runtime.net.wire.check_hello`) and is parked as a
+*pending join*. Pending joins are admitted into the roster only by an
+explicit :meth:`TcpCluster.admit_workers` call, which refuses to run
+while rounds are in flight — membership changes happen at the same
+between-rounds quiesce points as dynamic re-coding, never mid-round.
+``drop_workers`` is therefore reversible: a dropped id that re-dials
+is re-admitted like any rejoin. :meth:`TcpCluster.membership` reports
+the live/dead/dropped/pending split and
+:meth:`~repro.runtime.backend.Backend.take_membership_events` the
+transition history.
 """
 
 from __future__ import annotations
@@ -68,7 +79,6 @@ from __future__ import annotations
 import selectors
 import socket
 import time
-from contextlib import suppress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -444,8 +454,10 @@ class TcpCluster(WallClockBackend):
             return
         stale = self._pending_joins.pop(wid, None)
         if stale is not None:  # superseded by this fresher dial
-            with suppress(OSError):
+            try:
                 stale.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
         self._pending_joins[wid] = conn
 
     def admit_workers(self) -> tuple[int, ...]:
@@ -468,8 +480,10 @@ class TcpCluster(WallClockBackend):
             conn = self._pending_joins[wid]
             if wid in self._conns:
                 del self._pending_joins[wid]
-                with suppress(OSError):
+                try:
                     conn.close()
+                except OSError:  # pragma: no cover - close is best-effort
+                    pass
                 continue
             if wid > len(self.workers):
                 continue
@@ -524,7 +538,10 @@ class TcpCluster(WallClockBackend):
         return len(self.workers)
 
     def worker_pids(self) -> dict[int, int]:
-        """PIDs of self-spawned workers (empty for external fleets)."""
+        """worker_id -> pid of the host process serving it, for
+        self-spawned fleets (empty for external ones). The pids are per
+        host: co-hosted workers share one, so a signal sent to it
+        reaches every worker of that host."""
         return self._fleet.pids() if self._fleet is not None else {}
 
     # ------------------------------------------------------------------
@@ -620,10 +637,14 @@ class TcpCluster(WallClockBackend):
         conn = self._conns.pop(wid, None)
         if conn is None:
             return
-        with suppress(KeyError, ValueError):
+        try:
             self._sel.unregister(conn)
-        with suppress(OSError):
+        except (KeyError, ValueError):  # pragma: no cover - already gone
+            pass
+        try:
             conn.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
 
     def _send(self, wid: int, frame: Frame) -> bool:
         """Send one frame to a live worker; a failed send marks it dead."""
@@ -704,8 +725,10 @@ class TcpCluster(WallClockBackend):
     def _shutdown_worker(self, wid: int) -> None:
         conn = self._conns.get(wid)
         if conn is not None:
-            with suppress(OSError):
+            try:
                 send_frame(conn, "shutdown", {})
+            except (OSError, ConnectionError):
+                pass
         self._close_conn(wid)
         if self._fleet is not None:
             # reaps the host only once no co-hosted sibling is left on it
@@ -721,11 +744,15 @@ class TcpCluster(WallClockBackend):
         for wid in list(self._conns):
             self._close_conn(wid)
         for conn in self._pending_joins.values():
-            with suppress(OSError):
+            try:
                 conn.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
         self._pending_joins.clear()
         self._sel.close()
-        with suppress(OSError):
+        try:
             self._listener.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
         if self._fleet is not None:
             self._fleet.terminate()

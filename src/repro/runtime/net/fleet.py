@@ -4,26 +4,30 @@ Tests, examples and benchmarks need a genuine TCP fleet without a
 deployment step. The fleet is a few forked :mod:`multiprocessing`
 processes (POSIX), each a *host*:
 :class:`~repro.runtime.net.worker_server.WorkerServer` serving
-:func:`host_size` consecutive worker ids — W = n // (2 × usable CPUs),
-at least 1, so two hosts per core: 4 hosts of 3 for n = 12 on two
-CPUs, a host per worker below n = 8 there. Millisecond startup, no
-re-import of numpy, same-host only; a remote host runs the server for
-one id through the ``python -m repro.runtime.net.worker`` CLI. The
-master sees n workers either way; only the crash domain is shared (a
-killed host is W simultaneous erasures).
+:func:`host_size` consecutive worker ids — millisecond startup, no
+re-import of numpy, but same-host only. W, the ids per host, is
+n // (2 × usable CPUs) bounded to 1..3: two hosts per core, 4 hosts of
+3 for n = 12 on two CPUs, a host per worker below n = 8 there. A
+remote host runs the same server for one id through the
+``python -m repro.runtime.net.worker`` CLI instead. The master sees n
+workers either way; only the crash domain is shared: a killed host is
+W simultaneous erasures.
 
-Workers dial the master with retries, so either create the listening
-:class:`TcpCluster` first and point a fleet at its port, or take a
-port from :func:`free_port`, spawn the fleet, then construct the
-cluster with ``spawn_workers=False``.
+Workers dial the master with retries, so the launch order is
+flexible: either create the (listening) :class:`TcpCluster` first and
+point a fleet at its ephemeral port, or grab a port with
+:func:`free_port`, spawn the fleet, then construct the cluster with
+``spawn_workers=False`` — the workers wait for the master to appear.
 
 :class:`LocalFleet` is a context manager; leaving the block terminates
-every host. It is also *elastic*: :meth:`LocalFleet.spawn_worker` and
-:meth:`LocalFleet.restart_worker` launch a host of one that dials the
-same master and is admitted at its next between-rounds quiesce point.
-The :class:`~repro.runtime.net.client.TcpCluster` spawns (and owns) a
-fleet when ``spawn_workers=True``, so ``SessionConfig(backend="tcp")``
-needs no launcher at all.
+every host. It is also *elastic*: :meth:`LocalFleet.spawn_worker`
+launches an additional daemon (a host of one) into the live cluster
+and :meth:`LocalFleet.restart_worker` replaces a dead one — the new
+process dials the same master address and is admitted at the next
+between-rounds quiesce point. The
+:class:`~repro.runtime.net.client.TcpCluster` spawns (and owns) one
+internally when ``spawn_workers=True``, so
+``SessionConfig(backend="tcp")`` needs no launcher at all.
 """
 
 from __future__ import annotations
@@ -39,19 +43,28 @@ from typing import Iterable, Sequence
 
 __all__ = ["LocalFleet", "free_port", "host_size", "spawn_local_workers", "usable_cpus"]
 
-#: ports handed out recently but possibly not yet bound by their taker
+#: ports handed out recently but possibly not yet bound by their taker.
+#: ``free_port`` binds port 0, reads the assignment and *closes* the
+#: socket — between that close and the caller's own bind the OS may
+#: hand the same port to another ``free_port`` call (test processes
+#: grab several in quick succession). Remembering the last few issued
+#: ports and skipping them closes that reuse race.
 _RECENT_PORTS: deque[int] = deque(maxlen=128)
 _RECENT_LOCK = threading.Lock()
+
+#: the largest host: W = 3 is the one co-hosted size measured to win
+#: (two 2-vCPU hosts of 3 at n = 12); six products back to back in one
+#: host lost on the training workload
+_MAX_HOST_SIZE = 3
 
 
 def free_port(host: str = "127.0.0.1") -> int:
     """An OS-assigned free TCP port (for spawn-fleet-first flows).
 
-    It binds port 0, reads the assignment and closes the socket, so the
-    OS may hand the same port to the next call before the first taker
-    binds it (test processes grab several in quick succession). A port
-    issued by a recent call is therefore skipped until 128 further
-    ports have been issued."""
+    Guarded against back-to-back reuse: a port issued by a recent call
+    in this process is never handed out again until 128 further ports
+    have been issued — by then its taker has long since bound it (or
+    abandoned it)."""
     for _ in range(32):
         with socket.socket() as sock:
             sock.bind((host, 0))
@@ -78,8 +91,9 @@ def host_size(n: int) -> int:
     """W, the logical workers one host process serves in a loopback
     fleet of ``n``: two hosts per usable CPU, so the hosts' Python runs
     beside the master's instead of in 2n interpreters fighting for the
-    same cores, and a host's W back-to-back products stay short."""
-    return max(1, n // (2 * usable_cpus()))
+    same cores, and at most three (:data:`_MAX_HOST_SIZE`), so a host's W
+    back-to-back products stay short."""
+    return min(_MAX_HOST_SIZE, max(1, n // (2 * usable_cpus())))
 
 
 def _host_entry(host: str, port: int, worker_ids: list[int], connect_timeout: float) -> None:

@@ -497,19 +497,37 @@ def send_frame(
     kind: str,
     fields: Mapping[str, Any],
     arrays: Sequence[np.ndarray] = (),
+    lock: Any = None,
     counters: WireCounters | None = None,
 ) -> None:
     """Write one frame to ``sock`` (scatter-gather; arrays are never
-    copied into an intermediate buffer)."""
-    send_parts(sock, encode_frame(kind, fields, arrays), counters=counters)
+    copied into an intermediate buffer). ``lock`` serializes writers
+    when more than one thread sends on the same socket."""
+    send_parts(sock, encode_frame(kind, fields, arrays), lock=lock, counters=counters)
 
 
 def send_parts(
-    sock: socket.socket, frame: Frame, counters: WireCounters | None = None
+    sock: socket.socket,
+    frame: Frame,
+    lock: Any = None,
+    counters: WireCounters | None = None,
 ) -> None:
-    """Write one pre-encoded frame (broadcasts encode once, send to many)."""
-    sent = sock.sendmsg(frame)
-    if sent < frame.nbytes:
+    """Write one pre-encoded frame (broadcasts encode once, send to
+    many). ``lock`` serializes concurrent writers on one socket."""
+    if lock is not None:
+        with lock:
+            _send_parts(sock, frame)
+    else:
+        _send_parts(sock, frame)
+    if counters is not None:
+        counters.note_out(frame.nbytes)
+
+
+def _send_parts(sock: socket.socket, frame: Frame) -> None:
+    if hasattr(sock, "sendmsg"):
+        sent = sock.sendmsg(frame)
+        if sent == frame.nbytes:
+            return
         # short gather-write: resume at the offset, still zero-copy —
         # skip fully-sent parts and sendall the remaining views
         for part in frame:
@@ -520,8 +538,9 @@ def send_parts(
                 continue
             sock.sendall(view[sent:] if sent else view)
             sent = 0
-    if counters is not None:
-        counters.note_out(frame.nbytes)
+        return
+    for part in frame:  # pragma: no cover - no-sendmsg fallback
+        sock.sendall(part)
 
 
 # ----------------------------------------------------------------------
@@ -636,8 +655,8 @@ def _check_payload(
 def read_frame(
     sock: socket.socket, counters: WireCounters | None = None
 ) -> tuple[str, dict, list[np.ndarray]]:
-    """Read exactly one frame; anything that is not a well-formed,
-    checksummed protocol frame raises :class:`WireError`."""
+    """Read exactly one frame; raises :class:`WireError` on anything
+    that is not a well-formed, checksummed protocol frame."""
     code, crc, length = _check_preamble(_recv_exact(sock, _PREAMBLE.size))
     return _check_payload(code, crc, _recv_exact(sock, length), counters)
 

@@ -38,3 +38,13 @@ def mid_field():
 def paper_field():
     """The paper's field, q = 2**25 - 39."""
     return PrimeField(DEFAULT_PRIME)
+
+
+@pytest.fixture
+def host_per_worker(monkeypatch):
+    """Loopback fleets fork one host per worker whatever the CPU count,
+    so a test that SIGKILLs a worker through its host's pid kills that
+    worker alone (co-hosted workers share their host's pid)."""
+    from repro.runtime.net import fleet
+
+    monkeypatch.setattr(fleet, "host_size", lambda n: 1)

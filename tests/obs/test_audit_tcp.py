@@ -19,6 +19,7 @@ from repro.api.config import WorkerSpec
 from repro.coding import SchemeParams
 from repro.obs.audit import ChainError, load_jsonl, verify_chain
 from repro.obs.cli import audit_main
+from repro.runtime.net import fleet
 
 #: worker 5 always corrupts and worker 4 is the one killed mid-run;
 #: both are fast, so both are always among the arrivals a round
@@ -43,7 +44,11 @@ def audited_run(tmp_path_factory):
         backend_options={"straggle_scale": 0.01},
     )
     killed = 4
-    with Session.create(cfg) as sess:
+    with pytest.MonkeyPatch.context() as mp:
+        # one host per worker: the SIGKILL ends worker 4 alone
+        mp.setattr(fleet, "host_size", lambda n: 1)
+        sess = Session.create(cfg)
+    with sess:
         x = sess.field.random((12, 8), np.random.default_rng(0))
         sess.load(x)
         for i in range(3):

@@ -101,6 +101,7 @@ class TestSpanCompleteness:
                 parent = by_id[s.parent_id]
                 assert parent.name.startswith("worker:")
 
+    @pytest.mark.usefixtures("host_per_worker")
     def test_worker_death_still_closes_the_tree(self):
         cfg = _config("tcp")
         with Session.create(cfg) as sess:

@@ -72,6 +72,7 @@ def _round(backend, shares, v, participants=None):
 # backend-level join / rejoin / drop
 # ----------------------------------------------------------------------
 class TestElasticJoin:
+    @pytest.mark.usefixtures("host_per_worker")
     def test_sigkill_restart_rejoin_and_serve(self, rng):
         """The ISSUE's acceptance choreography: SIGKILL a worker
         mid-run, restart its daemon, admit it at a quiesce point, and
@@ -227,6 +228,7 @@ def _session_config(backend="tcp", n=4):
 
 
 class TestElasticSession:
+    @pytest.mark.usefixtures("host_per_worker")
     def test_membership_changes_keep_results_exact(self, rng):
         """Kill → evict → rejoin → grow → release across quiesce
         points; every matvec answer must equal the plain-field

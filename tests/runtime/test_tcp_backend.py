@@ -237,6 +237,7 @@ class TestWireProtocol:
 # fault-tolerant round transport
 # ----------------------------------------------------------------------
 class TestFaultTolerance:
+    @pytest.mark.usefixtures("host_per_worker")
     def test_worker_killed_mid_round_survivors_complete(self, rng):
         """SIGKILL one worker while its round is in flight: the EOF
         marks it dead, the round completes from the survivors, and
@@ -261,6 +262,7 @@ class TestFaultTolerance:
             handle3 = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
             assert sorted(a.worker_id for a in handle3) == [0, 1, 3]
 
+    @pytest.mark.usefixtures("host_per_worker")
     def test_crash_within_tolerance_still_decodes_exactly(self, rng):
         """Master-level: killing one worker mid-round stays inside the
         (n=6, k=3) code's slack, so the decoded result is still exact."""

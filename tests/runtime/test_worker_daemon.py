@@ -512,6 +512,11 @@ class TestOneThread:
         assert served == [r for r in range(1, n_rounds + 2) if r not in targets]
         daemon.assert_idle(seq=2)
         w = daemon.worker()
+        # the host thread drops a cancelled round left at the head on
+        # the loop turn after the read that acked the probe
+        deadline = time.monotonic() + 5.0
+        while w.todo and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert w.queued == set() and not w.todo and w.held_until is None
 
     def test_master_that_stops_reading_cannot_hold_a_send_forever(
@@ -795,6 +800,37 @@ class TestThroughTheMaster:
             got = {a.worker_id: a.value for a in handle}
             assert backend.membership().dead == ()
         assert sorted(got) == [0, 1, 2]
+        for wid, value in got.items():
+            np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+
+    @pytest.mark.usefixtures("host_per_worker")
+    def test_product_longer_than_the_heartbeat_timeout_marks_its_worker_dead(
+        self, monkeypatch, rng
+    ):
+        """A host acknowledges probes between products, never during
+        one: a single product longer than ``heartbeat_timeout`` reads as
+        a dead worker, never-arrived in its round while the others
+        answer. (Forked hosts inherit the patch.)"""
+        shares = F.random((3, 2, 4), rng)
+        v = F.random(4, rng)
+        real = worker_server.run_job_compute
+
+        def slow_on_worker_1(field, payload, job):
+            if np.array_equal(payload[job.payload_key], shares[1]):
+                time.sleep(1.0)
+            return real(field, payload, job)
+
+        monkeypatch.setattr(worker_server, "run_job_compute", slow_on_worker_1)
+        with TcpCluster(
+            F, _fleet(3, {}, {}), heartbeat_interval=0.05, heartbeat_timeout=0.4
+        ) as backend:
+            backend.distribute("share", shares)
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            got = {a.worker_id: a.value for a in handle}
+            assert backend.membership().dead == (1,)
+            never = [a for a in handle.result().arrivals if a.worker_id == 1]
+            assert len(never) == 1 and not np.isfinite(never[0].t_arrival)
+        assert sorted(got) == [0, 2]
         for wid, value in got.items():
             np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
 
