@@ -24,7 +24,9 @@ The host is **one thread running one** ``selectors`` **loop**:
   deadline that bounds the loop's ``select`` timeout, so siblings are
   served meanwhile and a cancel ends the hold at once.
 
-So heartbeats are acknowledged between products, never during one.
+So heartbeats are acknowledged between products, never during one: a
+single product longer than the master's ``heartbeat_timeout`` marks
+its worker dead, and on a host of W it delays the siblings' acks too.
 
 The daemon's own CLI flags (``python -m repro.runtime.net.worker
 --behavior reverse ...``) override the master's ``config``: that is

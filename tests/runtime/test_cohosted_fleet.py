@@ -40,6 +40,14 @@ def cohost(monkeypatch):
     return force
 
 
+@pytest.mark.parametrize(
+    "cpus, n, w", [(2, 12, 3), (2, 7, 1), (2, 8, 2), (1, 4, 2), (1, 12, 3), (4, 64, 3), (1, 1, 1)]
+)
+def test_host_size_is_two_hosts_per_cpu_and_at_most_three(monkeypatch, cpus, n, w):
+    monkeypatch.setattr(fleet, "usable_cpus", lambda: cpus)
+    assert fleet.host_size(n) == w
+
+
 def _hosts(backend):
     """worker ids grouped by the pid of their host."""
     groups = {}
