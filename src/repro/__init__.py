@@ -3,7 +3,7 @@
 Top-level convenience re-exports. The subpackages are:
 
 ``repro.ff``           finite-field substrate (field, codecs' math)
-``repro.coding``       Lagrange and polynomial coded-computing codecs
+``repro.coding``       the Lagrange coded-computing codec
 ``repro.verify``       Freivalds-style verifiable computing
 ``repro.runtime``      simulated and socket master/worker clusters
 ``repro.core``         the AVCC master, baselines, dynamic coding
@@ -16,7 +16,6 @@ Top-level convenience re-exports. The subpackages are:
 from repro.coding import LagrangeCode, SchemeParams
 from repro.core import (
     AVCCMaster,
-    CodedMatmulAVCCMaster,
     AdaptivePolicy,
     InsufficientResultsError,
     LCCMaster,
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AVCCMaster",
     "AdaptivePolicy",
-    "CodedMatmulAVCCMaster",
     "ConstantAttack",
     "CostModel",
     "DEFAULT_PRIME",

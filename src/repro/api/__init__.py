@@ -32,9 +32,9 @@ Three pieces:
     :class:`~repro.api.session.JobHandle` — **the single future type
     of this API**: every submission path yields one, and
     ``handle.result()`` / ``handle.outcome()`` / ``handle.record`` are
-    the only ways results come back. The ``submit_matvec`` /
-    ``submit_matmul`` conveniences are thin
-    wrappers that build a ``JobRequest`` and call ``submit``.
+    the only ways results come back. The ``submit_matvec``
+    convenience is a thin wrapper that builds a ``JobRequest`` and
+    calls ``submit``.
     Concurrently submitted jobs against the same encoded family are
     **coalesced into a single broadcast round** (one ``RoundJob``
     serving many jobs — the heavy-traffic path), and

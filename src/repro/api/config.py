@@ -113,7 +113,7 @@ class SessionConfig:
     prime:
         Field modulus (the paper's ``2**25 - 39`` by default).
     seed:
-        Seeds the backend rng (latency jitter, attack randomness) and
+        Seeds the backend rng (latency samples, attack randomness) and
         the master rng (key generation, privacy padding).
     probes:
         Freivalds probes per verification check.

@@ -60,17 +60,18 @@ class InflightRound:
     """One dispatched-but-not-finalized round in the window (the
     window deque itself carries the FIFO dispatch order)."""
 
-    master: Any
     plan: RoundPlan
     handle: RoundHandle
     jobs: list["JobHandle"]
 
 
 class RoundScheduler:
-    """Bounded-window FIFO pipeline over the masters' round lifecycle.
+    """Bounded-window FIFO pipeline over a master's round lifecycle.
 
     Parameters
     ----------
+    master:
+        The master every round is planned, dispatched and finalized on.
     max_inflight:
         Window bound W (>= 1). ``1`` is the serial scheduler.
     on_dispatched:
@@ -83,12 +84,14 @@ class RoundScheduler:
 
     def __init__(
         self,
+        master: Any,
         max_inflight: int,
         on_dispatched: Callable[[int], None],
         on_finalized: Callable[[InflightRound, list[RoundOutcome]], None],
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        self.master = master
         self.max_inflight = max_inflight
         self._window: deque[InflightRound] = deque()
         self._on_dispatched = on_dispatched
@@ -102,7 +105,6 @@ class RoundScheduler:
 
     def submit(
         self,
-        master: Any,
         family: str,
         jobs: list["JobHandle"],
         operands: Sequence[np.ndarray],
@@ -123,15 +125,15 @@ class RoundScheduler:
         try:
             while len(self._window) >= self.max_inflight:
                 self.finalize_next()
-            plan = master.plan_round(family, operands)
-            handle = master.dispatch_plan(plan)
+            plan = self.master.plan_round(family, operands)
+            handle = self.master.dispatch_plan(plan)
         except BaseException as exc:
             for h in jobs:
                 if not h.done():
                     h._fail(exc)
             raise
         self._window.append(
-            InflightRound(master=master, plan=plan, handle=handle, jobs=jobs)
+            InflightRound(plan=plan, handle=handle, jobs=jobs)
         )
         self._on_dispatched(len(self._window))
         if self.max_inflight == 1:
@@ -145,7 +147,7 @@ class RoundScheduler:
         and its job handles fail with the root cause."""
         rec = self._window.popleft()
         try:
-            outcomes = rec.master.complete_round(rec.plan, rec.handle)
+            outcomes = self.master.complete_round(rec.plan, rec.handle)
         except BaseException as exc:
             try:
                 rec.handle.cancel()

@@ -63,41 +63,32 @@ from repro.runtime.backend import Backend, MembershipEvent
 __all__ = ["JobHandle", "JobRequest", "Session", "SessionClosedError", "SessionStats"]
 
 #: request families the submission surface accepts
-JOB_FAMILIES = ("matvec", "matmul")
+JOB_FAMILIES = ("matvec",)
 
 
 @dataclass(frozen=True, eq=False)
 class JobRequest:
     """One typed unit of work for :meth:`Session.submit`.
 
-    The canonical submission type: the convenience wrappers
-    (``submit_matvec``/``submit_matmul``) construct
-    one of these and hand it to ``submit``. Any object exposing the
-    same attributes — notably :class:`repro.serve.workload.Request` —
-    is accepted by ``submit`` directly.
+    The canonical submission type: the convenience wrapper
+    ``submit_matvec`` constructs one of these and hands it to
+    ``submit``. Any object exposing the same attributes — notably
+    :class:`repro.serve.workload.Request` — is accepted by ``submit``
+    directly.
 
     Attributes
     ----------
     family:
-        ``"matvec" | "matmul"``.
+        ``"matvec"``, the one family; it labels the job's trace.
     operand:
-        The job's input: the vector for matvec, the left
-        factor ``A`` for matmul.
+        The job's input vector.
     transpose:
-        Matvec only: serve ``X.T @ operand`` instead of
-        ``X @ operand``.
-    operand_b:
-        Matmul only: the right factor ``B``.
-    p, q:
-        Matmul only: the ``(p, q)`` factor partitioning.
+        Serve ``X.T @ operand`` instead of ``X @ operand``.
     """
 
     family: str
     operand: np.ndarray
     transpose: bool = False
-    operand_b: np.ndarray | None = None
-    p: int = 2
-    q: int = 2
 
     def __post_init__(self) -> None:
         if self.family not in JOB_FAMILIES:
@@ -105,8 +96,6 @@ class JobRequest:
                 f"unknown request family {self.family!r}; "
                 f"expected {'|'.join(JOB_FAMILIES)}"
             )
-        if self.family == "matmul" and self.operand_b is None:
-            raise ValueError("matmul requests need operand_b (the right factor)")
 
 
 class JobHandle:
@@ -158,7 +147,7 @@ class JobHandle:
         return self._outcome
 
     def result(self) -> np.ndarray:
-        """The decoded array (vector for matvec, matrix for matmul)."""
+        """The decoded vector."""
         return self.outcome().vector
 
     @property
@@ -422,8 +411,7 @@ class Session:
             AuditLog() if config is not None and config.audit else None
         )
         if self.audit is not None:
-            # arm the primary master (auxiliary masters are armed as
-            # they are built) and ask the socket backends to request
+            # arm the master and ask the socket backends to request
             # worker countersignatures on every round frame
             self.master.audit = self.audit
             self.backend.attest = True
@@ -431,6 +419,7 @@ class Session:
                 # the live /audit telemetry endpoints read through obs
                 self.obs.audit = self.audit
         self._scheduler = RoundScheduler(
+            self.master,
             self.max_inflight_rounds,
             on_dispatched=self._stats.dispatch_depths.append,
             on_finalized=self._note_finalized,
@@ -486,52 +475,20 @@ class Session:
         ``request`` is duck-typed (so :class:`repro.serve.workload.
         Request` — or any compatible object — can be submitted without
         this module importing the serving layer): it must expose
-        ``family`` (``"matvec" | "matmul"``) and
-        ``operand``, plus optionally ``transpose`` for matvec and
-        ``operand_b``/``p``/``q`` for matmul.
+        ``family`` (``"matvec"``) and ``operand``, plus optionally
+        ``transpose``.
 
-        Matvec jobs coalesce per family into one broadcast
-        round at flush time. Matmul rounds broadcast nothing (factors
-        are pre-shipped at submission), so they skip the batching queue
-        and dispatch immediately — but they enter the pipeline window
-        like any other round, so their finalization keeps the FIFO
-        master-core order and the pipeline telemetry sees them.
+        Jobs coalesce per encoded family (``fwd``/``bwd``) into one
+        broadcast round at flush time.
         """
         self._check_open()
         family = request.family
-        if family == "matvec":
-            fam = "bwd" if bool(getattr(request, "transpose", False)) else "fwd"
-            return self._enqueue(
-                "matvec", fam, self.field.asarray(request.operand), request
+        if family not in JOB_FAMILIES:
+            raise ValueError(
+                f"unknown request family {family!r}; expected {'|'.join(JOB_FAMILIES)}"
             )
-        if family == "matmul":
-            from repro.core.matmul import CodedMatmulAVCCMaster
-
-            scheme = self._aux_scheme()
-            s = scheme.s if scheme is not None else 0
-            m = scheme.m if scheme is not None else 0
-            master = CodedMatmulAVCCMaster(
-                self.backend,
-                p=int(getattr(request, "p", 2)),
-                q=int(getattr(request, "q", 2)),
-                s=s,
-                m=m,
-                probes=self._aux_probes(),
-                rng=self.master.rng,
-                participants=self.master.active,
-            )
-            if self.audit is not None:
-                master.audit = self.audit
-            master.setup(request.operand, request.operand_b)
-            handle = JobHandle(self, "matmul", "matmul")
-            self._stats.jobs_submitted += 1
-            if self.obs is not None:
-                self._trace_submit(handle, request)
-            self._scheduler.submit(master, "matmul", [handle], [])
-            return handle
-        raise ValueError(
-            f"unknown request family {family!r}; expected {'|'.join(JOB_FAMILIES)}"
-        )
+        fam = "bwd" if bool(getattr(request, "transpose", False)) else "fwd"
+        return self._enqueue("matvec", fam, self.field.asarray(request.operand), request)
 
     def submit_matvec(self, operand: np.ndarray, *, transpose: bool = False) -> JobHandle:
         """Queue one coded matrix–vector job: ``X @ operand`` (or
@@ -539,17 +496,6 @@ class Session:
         :meth:`submit`."""
         return self.submit(
             JobRequest(family="matvec", operand=operand, transpose=transpose)
-        )
-
-    def submit_matmul(
-        self, a: np.ndarray, b: np.ndarray, *, p: int = 2, q: int = 2
-    ) -> JobHandle:
-        """Run one verified coded matrix–matrix job ``A @ B`` with
-        ``(p, q)`` factor partitioning. With the serial window
-        (``max_inflight_rounds=1``) the handle resolves before this
-        method returns. Thin wrapper over :meth:`submit`."""
-        return self.submit(
-            JobRequest(family="matmul", operand=a, operand_b=b, p=p, q=q)
         )
 
     def _enqueue(
@@ -616,7 +562,7 @@ class Session:
                 continue
             handles = [h for h, _ in jobs]
             operands = [op for _, op in jobs]
-            self._scheduler.submit(self.master, fam, handles, operands)
+            self._scheduler.submit(fam, handles, operands)
 
     def drain(self) -> None:
         """Finalize every in-flight round (does not dispatch pending
@@ -928,18 +874,6 @@ class Session:
         raise TypeError("Session is not iterable; use submit_* handles")
 
     # ------------------------------------------------------------------
-    def _aux_scheme(self) -> Any:
-        """The SchemeParams the matmul master derives its tolerances
-        from: the config's when available, else the primary master's."""
-        if self.config is not None:
-            return self.config.scheme
-        return getattr(self.master, "scheme", None)
-
-    def _aux_probes(self) -> int:
-        if self.config is not None:
-            return self.config.probes
-        return getattr(self.master, "probes", 1)
-
     def _check_open(self) -> None:
         if self._closed:
             raise SessionClosedError("session is closed")

@@ -1,5 +1,4 @@
-"""Coded-computing codecs: Lagrange coded computing (LCC) and the
-polynomial code of coded matrix–matrix products.
+"""Coded-computing codecs: Lagrange coded computing (LCC).
 
 The paper treats MDS coding as "a special case of LCC when the
 computations are only linear" (Sec. IV-A); the implementation does
@@ -13,12 +12,10 @@ dynamic-coding policy alike.
 
 from repro.coding.base import partition_rows, stack_blocks, unpartition_rows
 from repro.coding.lcc import LagrangeCode
-from repro.coding.polynomial import PolynomialCode
 from repro.coding.scheme import SchemeParams
 
 __all__ = [
     "LagrangeCode",
-    "PolynomialCode",
     "SchemeParams",
     "partition_rows",
     "stack_blocks",

@@ -22,8 +22,7 @@ The matvec implementations:
                                ingests Byzantine results silently (Sec. V)
 =============================  ==================================================
 
-:class:`CodedMatmulAVCCMaster` (``A @ B``) applies the AVCC policy to
-matrix–matrix products. Every master is its ``setup``, a collect policy and
+Every master is its ``setup``, a collect policy and
 a decode step on the one round path of
 :class:`~repro.core.base.MatvecMasterBase`, which plans, dispatches,
 collects, refuses below the recovery threshold and finishes each round
@@ -32,7 +31,6 @@ collects, refuses below the recovery threshold and finishes each round
 
 from repro.core.avcc import AVCCMaster
 from repro.core.dynamic import AdaptivePolicy, EncodingCache, RecodeDecision
-from repro.core.matmul import CodedMatmulAVCCMaster
 from repro.core.lcc_master import LCCMaster
 from repro.core.results import (
     AdaptationOutcome,
@@ -44,7 +42,6 @@ from repro.core.uncoded import UncodedMaster
 
 __all__ = [
     "AVCCMaster",
-    "CodedMatmulAVCCMaster",
     "AdaptationOutcome",
     "AdaptivePolicy",
     "EncodingCache",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ class RoundContext:
     mutated these objects in place instead would break that contract.
     """
 
-    st: FamilyState | None    # geometry (None for matmul's factor pair)
+    st: FamilyState           # geometry
     code: Any                 # the code decoded with (None: uncoded)
     code_pos: dict[int, int]  # worker id -> code position
     keys: dict[int, Any]      # worker id -> key (empty: nothing is verified)
@@ -196,32 +196,30 @@ class RoundPlan:
     Attributes
     ----------
     family:
-        Encoded family served (``"fwd"``/``"bwd"``/``"matmul"``).
-    round_name:
-        Name stamped on the round's trace record.
+        Encoded family served (``"fwd"``/``"bwd"``), the name stamped
+        on the round's record.
     job:
         The declarative broadcast-compute-collect description.
     participants:
         Worker ids the round was planned against (snapshot of the
         master's active pool at plan time).
+    context:
+        The :class:`RoundContext` the round is verified and decoded
+        against.
     width:
         Trailing batch width of the stacked operand (1 = plain vector).
     n_jobs:
         How many session-level jobs the round serves. ``0`` marks a
         *raw* round (``forward_round``-style single operand): the
         finalized vector is returned unsplit.
-    context:
-        The :class:`RoundContext` the round is verified and decoded
-        against.
     """
 
     family: str
-    round_name: str
     job: RoundJob
     participants: tuple[int, ...]
+    context: RoundContext
     width: int = 1
     n_jobs: int = 0
-    context: Any = None
 
 
 def _well_formed(value: Any, shape: tuple[int, ...], field: PrimeField | None = None) -> bool:
@@ -243,9 +241,9 @@ class MatvecMasterBase:
 
     Subclasses implement ``setup`` (which installs one
     :class:`RoundContext` per family via :meth:`_install_rounds`), pick
-    a collect policy (:attr:`verify_each`, plus :meth:`_round_check` or
-    :meth:`_wait_count`) and implement :meth:`_decode`; the round
-    driving here is common and backend-agnostic.
+    a collect policy (:attr:`verify_each`, or :meth:`_wait_count`) and
+    implement :meth:`_decode`; the round driving here is common and
+    backend-agnostic.
 
     The round lifecycle is split into the :class:`RoundPlan` state
     machine so callers (the session scheduler) can hold several rounds
@@ -263,7 +261,8 @@ class MatvecMasterBase:
     audit: Any = None
 
     #: collect policy. ``True``: check every arrival on the master core
-    #: (:meth:`_round_check`) and stop at ``need`` accepted results (AVCC).
+    #: against the round's operand and stop at ``need`` accepted
+    #: results (AVCC).
     #: ``False``: take results unchecked until :meth:`_wait_count` have
     #: landed (LCC, uncoded).
     verify_each = False
@@ -312,7 +311,7 @@ class MatvecMasterBase:
     # ------------------------------------------------------------------
     def _install_rounds(
         self,
-        families: dict[str, FamilyState | None],
+        families: dict[str, FamilyState],
         code: Any,
         need: int,
         participants: Sequence[int],
@@ -511,7 +510,6 @@ class MatvecMasterBase:
         operand = st.pad_operand(self.field, operand)
         return RoundPlan(
             family=family,
-            round_name=family,
             job=RoundJob(op="matvec", payload_key=st.name, operand=operand),
             participants=tuple(self.active),
             width=1 if operand.ndim == 1 else int(operand.shape[1]),
@@ -528,7 +526,7 @@ class MatvecMasterBase:
         if len(used) < need:
             what = "verified" if self.verify_each else "collected"
             raise InsufficientResultsError(
-                f"{plan.round_name} round: {len(used)} {what} results, need {need}"
+                f"{plan.family} round: {len(used)} {what} results, need {need}"
             )
         return self._finish(plan, handle, rr, used, rejected, verify_time, t_ready)
 
@@ -544,15 +542,18 @@ class MatvecMasterBase:
         plan implies is rejected before any policy sees it (the range
         half of that test is the verifier's own, on a verifying master),
         so it never counts toward ``need`` or the wait count. A
-        verifying master checks each other arrival on
-        the master core, serialized — a check starts once the result
-        landed and the previous check finished — until ``need`` pass.
+        verifying master checks each other arrival's claimed product
+        against the round's broadcast operand on the master core,
+        serialized — a check starts once the result landed and the
+        previous check finished — until ``need`` pass. The operand side
+        of every participant's key is computed once for the round
+        (:meth:`~repro.verify.freivalds.FreivaldsVerifier.prepare`).
         Returns ``(used, rejected_ids, verify_time, t_ready)``,
         ``t_ready`` being when the master core holds everything it
         decodes from.
         """
         ctx = plan.context
-        shape = self._result_shape(plan)
+        shape = ctx.st.result_shape(plan.job.operand)
         used: list[Arrival] = []
         rejected: list[int] = []
         if not self.verify_each:
@@ -569,7 +570,7 @@ class MatvecMasterBase:
             return used, rejected, 0.0, t_ready
         master_free = self._master_free_at(handle)
         verify_time = 0.0
-        check = self._round_check(plan)
+        operand = self.verifier.prepare(plan.job.operand, ctx.keys.values())
         for a in handle:
             if not _well_formed(a.value, shape):
                 rejected.append(a.worker_id)
@@ -581,7 +582,7 @@ class MatvecMasterBase:
             start = max(a.t_arrival, master_free)
             master_free = start + vt
             verify_time += vt
-            if check(key, a):
+            if self.verifier.check(key, operand, a.value):
                 used.append(a)
             else:
                 rejected.append(a.worker_id)
@@ -589,20 +590,6 @@ class MatvecMasterBase:
                 handle.cancel()
                 break
         return used, rejected, verify_time, master_free
-
-    def _result_shape(self, plan: RoundPlan) -> tuple[int, ...]:
-        """The shape every worker result of this round must have."""
-        return plan.context.st.result_shape(plan.job.operand)
-
-    def _round_check(self, plan: RoundPlan) -> Callable[[Any, Arrival], bool]:
-        """A verifying master's test of one arrival of this round, as
-        ``check(key, arrival)``: the claimed product against the round's
-        broadcast operand. The operand side of every participant's key
-        is computed here, once for the round
-        (:meth:`~repro.verify.freivalds.FreivaldsVerifier.prepare`), and
-        the prepared operand lives in this round's closure only."""
-        operand = self.verifier.prepare(plan.job.operand, plan.context.keys.values())
-        return lambda key, arrival: self.verifier.check(key, operand, arrival.value)
 
     def _wait_count(self, plan: RoundPlan) -> int:
         """How many results an unverifying master waits for: every
@@ -648,7 +635,7 @@ class MatvecMasterBase:
         bcast_done = rr.t_start + rr.broadcast_time
         record = RoundRecord(
             iteration=self._iteration,
-            round_name=plan.round_name,
+            round_name=plan.family,
             t_start=rr.t_start,
             t_end=t_end,
             compute_wait=max(0.0, last.t_arrival - bcast_done - last.comm_time),
@@ -678,11 +665,10 @@ class MatvecMasterBase:
                 if a.value is not None
             }
             shipped = getattr(handle, "worker_digests", None) or {}
-            operand = plan.job.operand
             self.audit.commit(
-                family=plan.round_name,
+                family=plan.family,
                 scheme=(*self.scheme_now, *self._budget),
-                operand_digest=digest_array(operand) if operand is not None else "",
+                operand_digest=digest_array(plan.job.operand),
                 output_digest=digest_array(output),
                 workers=plan.participants,
                 worker_digests=sorted(digests.items()),

@@ -1,8 +1,7 @@
 """Tamper-evident serving provenance: the hash-chained round audit log.
 
-Every round the masters run is *verified* (Freivalds / polynomial
-verification) before its decode is trusted — this module makes that
-evidence durable. With ``SessionConfig.audit=True`` the session arms
+Every round the masters run is *verified* (Freivalds checks) before
+its decode is trusted — this module makes that evidence durable. With ``SessionConfig.audit=True`` the session arms
 every master with one shared :class:`AuditLog`, and each finalized
 round appends one :class:`RoundCommitment`:
 

@@ -26,7 +26,7 @@ Layout
 ``backend``     the Backend/RoundJob/RoundHandle protocol
 ``events``      minimal event-queue kernel
 ``costmodel``   seconds-per-MAC / bandwidth / RTT constants
-``latency``     worker speed profiles (deterministic, shifted-exp, ...)
+``latency``     worker speed profiles (multiplicative slowdowns)
 ``byzantine``   attack behaviours (reverse-value, constant, ...)
 ``worker``      a worker description = payload + profile + behaviour
 ``cluster``     the discrete-event backend
@@ -55,9 +55,7 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.events import EventQueue
 from repro.runtime.latency import (
     DeterministicLatency,
-    GaussianJitterLatency,
     LatencyModel,
-    ShiftedExponentialLatency,
     make_profiles,
 )
 from repro.runtime.net import TcpCluster
@@ -71,7 +69,6 @@ __all__ = [
     "CostModel",
     "DeterministicLatency",
     "EventQueue",
-    "GaussianJitterLatency",
     "Honest",
     "IntermittentAttack",
     "LatencyModel",
@@ -80,7 +77,6 @@ __all__ = [
     "RoundHandle",
     "RoundJob",
     "RoundResult",
-    "ShiftedExponentialLatency",
     "SilentFailure",
     "SimCluster",
     "SimWorker",

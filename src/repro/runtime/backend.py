@@ -143,16 +143,12 @@ class RoundResult:
 class RoundJob:
     """Declarative description of one broadcast-compute-collect round.
 
-    Two operations cover every master in the repo:
-
-    * ``op="matvec"`` — each worker computes ``payload[payload_key] @
-      operand`` over the field; the operand is broadcast. A 2-D operand
-      ``(d, B)`` is a *batch* of ``B`` vectors coalesced into one round
-      (the session layer's multi-job broadcast); the worker returns the
-      stacked products ``(b, B)``.
-    * ``op="matmul"`` — each worker multiplies two pre-shipped factors
-      ``payload[payload_key] @ payload[rhs_key]``; nothing is
-      broadcast (the round is a trigger).
+    One operation covers every master in the repo, ``op="matvec"``:
+    each worker computes ``payload[payload_key] @ operand`` over the
+    field; the operand is broadcast. A 2-D operand ``(d, B)`` is a
+    *batch* of ``B`` vectors coalesced into one round (the session
+    layer's multi-job broadcast); the worker returns the stacked
+    products ``(b, B)``.
 
     Jobs carry data, not closures, so a worker daemon in another
     address space (or on another host) executes the same job.
@@ -161,30 +157,31 @@ class RoundJob:
     op: str = "matvec"
     payload_key: str = "share"
     operand: np.ndarray | None = None
-    rhs_key: str | None = None
+
+    #: no job names a second payload key; read by the e2e benchmark's
+    #: wire probe (``benchmarks/e2e/probes.py``) until that probe stops
+    #: reading it
+    rhs_key = None
 
     def __post_init__(self):
-        if self.op not in ("matvec", "matmul"):
+        if self.op != "matvec":
             raise ValueError(f"unknown round op {self.op!r}")
-        if self.op == "matvec":
-            if self.operand is None:
-                raise ValueError("matvec jobs need an operand")
-            if np.asarray(self.operand).ndim not in (1, 2):
-                raise ValueError(
-                    "matvec operand must be a vector or a (len, batch) "
-                    f"matrix, got shape {np.asarray(self.operand).shape}"
-                )
-        if self.op == "matmul" and self.rhs_key is None:
-            raise ValueError("matmul jobs need an rhs_key")
+        if self.operand is None:
+            raise ValueError("matvec jobs need an operand")
+        if np.asarray(self.operand).ndim not in (1, 2):
+            raise ValueError(
+                "matvec operand must be a vector or a (len, batch) "
+                f"matrix, got shape {np.asarray(self.operand).shape}"
+            )
 
     def broadcast_elements(self) -> int:
         """Field elements the master ships to each participant."""
-        return int(self.operand.size) if self.operand is not None else 0
+        return int(self.operand.size)
 
     def batch_width(self) -> int:
         """Number of coalesced jobs this round serves (columns of a
         2-D operand; 1 for the plain vector case)."""
-        if self.operand is None or self.operand.ndim == 1:
+        if self.operand.ndim == 1:
             return 1
         return int(self.operand.shape[1])
 
@@ -217,13 +214,8 @@ def run_job_compute(
     ``distribute`` on the simulator, both through
     :func:`~repro.ff.linalg.resident_share`), so a static share is
     neither re-reduced nor converted on every round. The broadcast
-    operand is validated here, per round. A ``float64`` right-hand
-    share of a ``matmul`` job is the one operand converted back to
-    ``int64``: the kernels split the right operand into integer limbs.
+    operand is validated here, per round.
     """
-    if job.op == "matmul":
-        rhs = payload[job.rhs_key]
-        return matmul_reduced(field, payload[job.payload_key], rhs.astype(np.int64, copy=False))
     share = payload[job.payload_key]
     operand = field.ensure_reduced(job.operand)
     product = matmul_reduced if operand.ndim == 2 else matvec_reduced
@@ -233,11 +225,7 @@ def run_job_compute(
 def job_macs(payload: dict[str, Any], job: RoundJob) -> int:
     """Multiply-accumulate count of a job at one worker (drives the
     simulator's timing; real backends just measure)."""
-    if job.op == "matvec":
-        return int(np.asarray(payload[job.payload_key]).size) * job.batch_width()
-    a = np.asarray(payload[job.payload_key])
-    b = np.asarray(payload[job.rhs_key])
-    return int(a.shape[0] * a.shape[1] * b.shape[1])
+    return int(np.asarray(payload[job.payload_key]).size) * job.batch_width()
 
 
 class RoundHandle(ABC):

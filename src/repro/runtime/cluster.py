@@ -27,15 +27,15 @@ share name's ``(n, rows, cols)`` stack once and keeps it as one stack;
 each worker stores a row view of it. At the stack's first round it
 takes its resident dtype — the rule of
 :func:`~repro.ff.linalg.resident_share`, applied to the stack as the
-one matrix of its rows — and the workers' views move with it. A
-``matvec`` round then validates its operand once and multiplies every
-participant's rows in one :func:`~repro.ff.linalg.matmul_reduced` /
+one matrix of its rows — and the workers' views move with it. A round
+then validates its operand once and multiplies every participant's
+rows in one :func:`~repro.ff.linalg.matmul_reduced` /
 :func:`~repro.ff.linalg.matvec_reduced` call, before any randomness is
 drawn; a worker's honest result is its rows of that one output
-(disjoint views, so no two workers share memory). ``matmul`` jobs, and
-a worker whose payload entry is no longer its view of the stack
-(re-stored through :meth:`SimWorker.store`), run
-:func:`~repro.runtime.backend.run_job_compute` over their own payload,
+(disjoint views, so no two workers share memory). A worker whose
+payload entry is no longer its view of the stack (re-stored through
+:meth:`SimWorker.store`) runs
+:func:`~repro.runtime.backend.run_job_compute` over its own payload,
 as before. No product draws randomness: in participant order each
 worker applies its behaviour and samples its latency from the
 cluster's one generator, the same draws in the same order whichever
@@ -138,7 +138,7 @@ class SimCluster(Backend):
     cost_model:
         Timing constants.
     rng:
-        Single generator for all stochastic elements (latency jitter,
+        Single generator for all stochastic elements (latency samples,
         attack randomness) — runs are reproducible given the seed.
     """
 
@@ -308,11 +308,11 @@ class SimCluster(Backend):
     def _stacked_products(
         self, job: RoundJob, participants: Sequence[int]
     ) -> dict[int, np.ndarray]:
-        """Honest ``matvec`` results of the participants whose share is
+        """Honest results of the participants whose share is
         still their row view of the job's stack, keyed by ``id`` of that
         view: one operand validation and one product over the stack's
         slots from the first such participant to the last."""
-        held = self._stacks.get(job.payload_key) if job.op == "matvec" else None
+        held = self._stacks.get(job.payload_key)
         if held is None:
             return {}
         stack, views, _holders = held

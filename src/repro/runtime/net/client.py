@@ -683,12 +683,7 @@ class TcpCluster(WallClockBackend):
         live = [wid for wid in participants if wid not in self._dead]
 
         t_b0 = time.perf_counter()
-        fields = {
-            "rid": rid,
-            "op": job.op,
-            "payload_key": job.payload_key,
-            "rhs_key": job.rhs_key,
-        }
+        fields = {"rid": rid, "op": job.op, "payload_key": job.payload_key}
         if self.obs is not None:
             # traced rounds ask the daemons for their own sub-spans;
             # untraced frames are byte-identical to pre-obs builds
@@ -697,8 +692,7 @@ class TcpCluster(WallClockBackend):
         if self.attest:
             # audited rounds ask the daemons to countersign results
             fields["attest"] = True
-        arrays = (job.operand,) if job.operand is not None else ()
-        parts = encode_frame("round", fields, arrays)  # serialize once
+        parts = encode_frame("round", fields, (job.operand,))  # serialize once
         for wid in live:
             self._send(wid, parts)
         self._last_broadcast_time = time.perf_counter() - t_b0

@@ -36,12 +36,12 @@ decoded dict only when set. The record tables, kind by kind:
                    validates what it stores and widens integers to
                    the resident dtype (``float64`` for a share of at
                    least ``2**18`` entries, ``int64`` below)
-``round``          master → worker: u8 flags (1 rhs_key, 2 trace,
-                   4 attest), u64 rid, u8 op code (0 matvec,
-                   1 matmul), str payload_key, [str rhs_key], + the
-                   broadcast operand when the op has one. ``attest``
-                   asks the daemon to countersign, ``trace`` for its
-                   own sub-spans
+``round``          master → worker: u8 flags (2 trace, 4 attest),
+                   u64 rid, u8 op code (0 matvec), str payload_key,
+                   + the broadcast operand. ``attest`` asks the daemon
+                   to countersign, ``trace`` for its own sub-spans.
+                   Op codes 1 and 2 and flag bit 1 named retired
+                   operations and are refused
 ``result``         worker → master: u8 flags (1 ok, 2 err, 4 digest,
                    8 spans), u64 rid, i32 worker_id, f64 compute_time,
                    [str err], [16 bytes digest], [u16 count, then per
@@ -229,14 +229,14 @@ _SPAN = struct.Struct(">dd")
 _COUNT = struct.Struct(">H")
 _ARRAY = struct.Struct(">BB")
 
-_OPS = ("matvec", "matmul")
+_OPS = ("matvec",)
 _OP_CODES = {op: code for code, op in enumerate(_OPS)}
 #: behaviour kind codes of the config record; reverse and constant
 #: carry a value, and they and random a probability
 _BEHAVIORS = ("honest", "reverse", "constant", "random", "silent")
 _BEHAVIOR_CODES = {kind: code for code, kind in enumerate(_BEHAVIORS)}
 
-_RHS_KEY, _TRACE, _ATTEST = 1, 2, 4
+_TRACE, _ATTEST = 2, 4
 _OK, _ERR, _DIGEST, _SPANS = 1, 2, 4, 8
 _DIGEST_LEN = 16
 
@@ -315,29 +315,26 @@ def _dec_store(buf: memoryview) -> tuple[dict, int]:
 
 
 def _enc_round(f: Mapping[str, Any]) -> bytes:
+    # an ``rhs_key`` of None is accepted and sends nothing: the e2e
+    # benchmark's wire probe (``benchmarks/e2e/probes.py``) still
+    # encodes one until that probe stops reading ``RoundJob.rhs_key``
+    if f.get("rhs_key") is not None:
+        raise ValueError("no round names a second payload key")
     flags = 0
-    tail = _str(f["payload_key"])
-    rhs_key = f.get("rhs_key")
-    if rhs_key is not None:
-        flags |= _RHS_KEY
-        tail += _str(rhs_key)
     if f.get("trace"):
         flags |= _TRACE
     if f.get("attest"):
         flags |= _ATTEST
-    return _ROUND.pack(flags, f["rid"], _OP_CODES[f["op"]]) + tail
+    return _ROUND.pack(flags, f["rid"], _OP_CODES[f["op"]]) + _str(f["payload_key"])
 
 
 def _dec_round(buf: memoryview) -> tuple[dict, int]:
     flags, rid, op = _ROUND.unpack_from(buf)
-    _check_flags("round", flags, _RHS_KEY | _TRACE | _ATTEST)
+    _check_flags("round", flags, _TRACE | _ATTEST)
     if op >= len(_OPS):
         raise WireError(f"unknown round op code {op}")
     payload_key, off = _take_str(buf, _ROUND.size)
-    rhs_key = None
-    if flags & _RHS_KEY:
-        rhs_key, off = _take_str(buf, off)
-    fields = {"rid": rid, "op": _OPS[op], "payload_key": payload_key, "rhs_key": rhs_key}
+    fields = {"rid": rid, "op": _OPS[op], "payload_key": payload_key}
     if flags & _TRACE:
         fields["trace"] = True
     if flags & _ATTEST:
@@ -404,6 +401,8 @@ _KINDS: dict[str, tuple[int, frozenset, Callable, Callable]] = {
         _enc_config, _dec_config,
     ),
     "store": (3, frozenset(("name",)), _enc_store, _dec_store),
+    # ``rhs_key`` (None only, see ``_enc_round``) is read by the e2e
+    # benchmark's wire probe until that probe stops reading it
     "round": (
         4, frozenset(("rid", "op", "payload_key", "rhs_key", "trace", "attest")),
         _enc_round, _dec_round,
@@ -497,37 +496,21 @@ def send_frame(
     kind: str,
     fields: Mapping[str, Any],
     arrays: Sequence[np.ndarray] = (),
-    lock: Any = None,
     counters: WireCounters | None = None,
 ) -> None:
     """Write one frame to ``sock`` (scatter-gather; arrays are never
-    copied into an intermediate buffer). ``lock`` serializes writers
-    when more than one thread sends on the same socket."""
-    send_parts(sock, encode_frame(kind, fields, arrays), lock=lock, counters=counters)
+    copied into an intermediate buffer)."""
+    send_parts(sock, encode_frame(kind, fields, arrays), counters=counters)
 
 
 def send_parts(
-    sock: socket.socket,
-    frame: Frame,
-    lock: Any = None,
-    counters: WireCounters | None = None,
+    sock: socket.socket, frame: Frame, counters: WireCounters | None = None
 ) -> None:
     """Write one pre-encoded frame (broadcasts encode once, send to
-    many). ``lock`` serializes concurrent writers on one socket."""
-    if lock is not None:
-        with lock:
-            _send_parts(sock, frame)
-    else:
-        _send_parts(sock, frame)
-    if counters is not None:
-        counters.note_out(frame.nbytes)
-
-
-def _send_parts(sock: socket.socket, frame: Frame) -> None:
-    if hasattr(sock, "sendmsg"):
-        sent = sock.sendmsg(frame)
-        if sent == frame.nbytes:
-            return
+    many). Each side sends on a socket from one thread only."""
+    # without sendmsg, every part goes by sendall
+    sent = sock.sendmsg(frame) if hasattr(sock, "sendmsg") else 0
+    if sent != frame.nbytes:
         # short gather-write: resume at the offset, still zero-copy —
         # skip fully-sent parts and sendall the remaining views
         for part in frame:
@@ -538,9 +521,8 @@ def _send_parts(sock: socket.socket, frame: Frame) -> None:
                 continue
             sock.sendall(view[sent:] if sent else view)
             sent = 0
-        return
-    for part in frame:  # pragma: no cover - no-sendmsg fallback
-        sock.sendall(part)
+    if counters is not None:
+        counters.note_out(frame.nbytes)
 
 
 # ----------------------------------------------------------------------

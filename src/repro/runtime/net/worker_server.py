@@ -313,7 +313,6 @@ class WorkerServer:
                 op=fields["op"],
                 payload_key=fields["payload_key"],
                 operand=arrays[0] if arrays else None,
-                rhs_key=fields["rhs_key"],
             )
             honest = run_job_compute(w.field, w.payload, job)
             assert w.behavior is not None

@@ -372,12 +372,9 @@ class Gateway:
         return t_disp + self.session.estimate_round_time(handle.family) <= t
 
     @staticmethod
-    def _session_family(request: Request) -> str | None:
-        """Map a request to the session's encoded-family key (None =
-        unbatchable, dispatch alone)."""
-        if request.family == "matvec":
-            return "bwd" if request.transpose else "fwd"
-        return None  # matmul: factors pre-ship at submission, no batching
+    def _session_family(request: Request) -> str:
+        """The session's encoded-family key a request is batched under."""
+        return "bwd" if request.transpose else "fwd"
 
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
@@ -472,12 +469,6 @@ class Gateway:
         )
         self._req_spans[req.request_id] = list(pair)
 
-    def _trace_dequeue(self, req: Request, now: float) -> None:
-        pair = self._req_spans.get(req.request_id)
-        if pair is not None and pair[1] is not None:
-            self.obs.tracer.end(pair[1], self._t0 + now)
-            pair[1] = None
-
     def _trace_dequeue_batch(self, reqs: list[Request], now: float) -> None:
         """Close every dequeued request's queue span in one event."""
         spans = self._req_spans
@@ -510,18 +501,14 @@ class Gateway:
         self._note_shed(heap)
 
     def _fill(self, heap: list[tuple[float, int, Request]]) -> None:
-        """Move fair-dequeued requests into the batcher (matmul
-        dispatches alone); a family hitting the batch cap dispatches
-        immediately (window pressure)."""
+        """Move fair-dequeued requests into the batcher; a family hitting
+        the batch cap dispatches immediately (window pressure)."""
         while True:
             req = self._queue.pop(self.now)
             self._note_shed(heap)
             if req is None:
                 return
             family = self._session_family(req)
-            if family is None:
-                self._dispatch_single(req, heap)
-                continue
             self._batcher.add(family, req, self.now)
             if self._batcher.due_now(family, self.now):
                 batch = self._batcher.pop_family(family)
@@ -546,19 +533,6 @@ class Gateway:
         handles = [self.session.submit(r) for r in live]
         self.session.flush(batch.family)
         self._inflight.extend((r, h, now) for r, h in zip(live, handles))
-        self._harvest(heap)
-
-    def _dispatch_single(
-        self, req: Request, heap: list[tuple[float, int, Request]]
-    ) -> None:
-        now = self.now
-        if req.expired(now):
-            self._finish_shed(req, SHED_EXPIRED, heap)
-            return
-        if self.obs is not None:
-            self._trace_dequeue(req, now)
-        handle = self.session.submit(req)
-        self._inflight.append((req, handle, now))
         self._harvest(heap)
 
     def _harvest(self, heap: list[tuple[float, int, Request]]) -> None:

@@ -1,7 +1,7 @@
 """Traffic generation for the serving gateway.
 
-The gateway consumes typed :class:`Request` objects — tenant, coded
-family, arrival time, deadline, operand payload — from a *traffic
+The gateway consumes typed :class:`Request` objects — tenant, arrival
+time, deadline, operand payload — from a *traffic
 source*. Two source shapes cover the standard load-testing regimes:
 
 * **open loop** (:class:`OpenLoopSource`): arrivals follow a pregenerated
@@ -19,7 +19,7 @@ Arrival *processes* are pluggable (:class:`ArrivalProcess`): Poisson
 (:class:`DiurnalArrivals`, thinning-sampled so it is an exact
 nonhomogeneous Poisson process). A
 :class:`WorkloadGenerator` combines one arrival process with a tenant
-mix (:class:`TenantSpec`: traffic share, family mix, relative
+mix (:class:`TenantSpec`: traffic share, transposed share, relative
 deadlines) and materializes concrete operand payloads in the session's
 field.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: request families the gateway can serve
-FAMILIES = ("matvec", "matmul")
+FAMILIES = ("matvec",)
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,17 @@ class Request:
         The submitting tenant — admission and fair dequeue are
         per-tenant.
     family:
-        ``"matvec" | "matmul"``; same-family requests are
-        candidates for micro-batch coalescing.
+        ``"matvec"``, the one family; it labels the gateway's request
+        series and trace attributes.
     arrival:
         Backend-clock arrival time (seconds).
     deadline:
         Absolute completion deadline; ``math.inf`` means no SLO.
     operand:
-        The request payload: the matvec vector, or the matmul
-        left factor.
-    operand_b:
-        Matmul right factor (matmul only).
+        The request payload: the vector.
     transpose:
-        For matvec: serve ``X.T @ operand`` (the ``bwd`` family)
-        instead of ``X @ operand``.
+        Serve ``X.T @ operand`` (the ``bwd`` family) instead of
+        ``X @ operand``.
     """
 
     request_id: int
@@ -86,7 +83,6 @@ class Request:
     arrival: float
     deadline: float = math.inf
     operand: np.ndarray | None = None
-    operand_b: np.ndarray | None = None
     transpose: bool = False
 
     def __post_init__(self):
@@ -100,18 +96,11 @@ class Request:
             )
         if self.operand is None:
             raise ValueError(f"{self.family} requests need an operand")
-        if self.family == "matmul" and self.operand_b is None:
-            raise ValueError("matmul requests need operand_b (the right factor)")
-        if self.family != "matvec" and self.transpose:
-            raise ValueError("transpose only applies to matvec requests")
 
     @property
     def payload_elements(self) -> int:
         """Field elements the request ships to the gateway."""
-        size = int(np.asarray(self.operand).size)
-        if self.operand_b is not None:
-            size += int(np.asarray(self.operand_b).size)
-        return size
+        return int(np.asarray(self.operand).size)
 
     def slack(self, now: float) -> float:
         """Seconds until the deadline (negative = already missed)."""
@@ -227,10 +216,8 @@ class TenantSpec:
     weight:
         Share of generated traffic *and* the tenant's fair-dequeue
         weight at the gateway.
-    family_mix:
-        ``family -> probability`` over :data:`FAMILIES`; must sum to 1.
     transpose_fraction:
-        Fraction of this tenant's matvec requests served against the
+        Fraction of this tenant's requests served against the
         transposed (``bwd``) family.
     deadline_slack:
         Relative deadline (seconds after arrival); ``math.inf`` = no
@@ -239,9 +226,6 @@ class TenantSpec:
 
     name: str
     weight: float = 1.0
-    family_mix: Mapping[str, float] = dc_field(
-        default_factory=lambda: {"matvec": 1.0}
-    )
     transpose_fraction: float = 0.0
     deadline_slack: float = math.inf
 
@@ -250,19 +234,10 @@ class TenantSpec:
             raise ValueError("tenant name must be non-empty")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-        mix = dict(self.family_mix)
-        unknown = set(mix) - set(FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown families in mix: {sorted(unknown)}")
-        if any(p < 0 for p in mix.values()):
-            raise ValueError(f"family_mix probabilities must be >= 0, got {mix}")
-        if abs(sum(mix.values()) - 1.0) > 1e-9:
-            raise ValueError(f"family_mix must sum to 1, got {sum(mix.values())}")
         if not 0.0 <= self.transpose_fraction <= 1.0:
             raise ValueError("transpose_fraction must be in [0, 1]")
         if self.deadline_slack <= 0:
             raise ValueError("deadline_slack must be positive")
-        object.__setattr__(self, "family_mix", mix)
 
 
 def _cdf(p) -> np.ndarray:
@@ -270,12 +245,6 @@ def _cdf(p) -> np.ndarray:
     cdf = np.cumsum(p, dtype=np.float64)
     cdf /= cdf[-1]
     return cdf
-
-
-def _family_cdf(tenant: TenantSpec) -> tuple[list[str], np.ndarray]:
-    """A tenant's families in sorted order and the CDF of their mix."""
-    families = sorted(tenant.family_mix)
-    return families, _cdf([tenant.family_mix[f] for f in families])
 
 
 class WorkloadGenerator:
@@ -294,11 +263,8 @@ class WorkloadGenerator:
     arrivals:
         The arrival process shared by all tenants.
     seed:
-        Seeds one generator for arrivals, tenant/family draws and
-        operand payloads — a given seed reproduces the trace exactly.
-    matmul_dim:
-        Side length of the square factors generated for matmul
-        requests.
+        Seeds one generator for arrivals, tenant draws and operand
+        payloads — a given seed reproduces the trace exactly.
     """
 
     def __init__(
@@ -308,26 +274,19 @@ class WorkloadGenerator:
         tenants: Sequence[TenantSpec],
         arrivals: ArrivalProcess,
         seed: int = 0,
-        matmul_dim: int = 8,
     ):
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        if matmul_dim < 1:
-            raise ValueError("matmul_dim must be >= 1")
         self.field = field
         self.m, self.d = int(shape[0]), int(shape[1])
         self.tenants = tuple(tenants)
         self.arrivals = arrivals
-        self.matmul_dim = matmul_dim
         self._rng = np.random.default_rng(seed)
         total = sum(t.weight for t in tenants)
         self._tenant_cdf = _cdf([t.weight / total for t in tenants])
-        #: id(tenant) -> its sorted families and their CDF (self.tenants
-        #: keeps every keyed tenant alive, so no id is reused)
-        self._mixes = {id(t): _family_cdf(t) for t in self.tenants}
         self._next_id = 0
 
     @property
@@ -340,31 +299,26 @@ class WorkloadGenerator:
         """Draw one request arriving at ``arrival`` (tenant drawn by
         weight unless pinned).
 
-        Each draw is ``Generator.choice(n, p=p)``'s own — one uniform
-        double looked up in the normalised CDF of ``p`` — with the CDFs
-        built once, not per request, so a seed gives the same trace."""
+        The tenant draw is ``Generator.choice(n, p=p)``'s own — one
+        uniform double looked up in the normalised CDF of ``p`` — with
+        the CDF built once, not per request, so a seed gives the same
+        trace."""
         rng = self._rng
         if tenant is None:
             tenant = self.tenants[int(self._tenant_cdf.searchsorted(rng.random(), side="right"))]
-        families, cdf = self._mixes.get(id(tenant)) or _family_cdf(tenant)
-        family = families[int(cdf.searchsorted(rng.random(), side="right"))]
-        transpose = False
-        operand_b = None
-        if family == "matvec":
-            transpose = rng.random() < tenant.transpose_fraction
-            operand = self.field.random(self.m if transpose else self.d, rng)
-        else:  # matmul
-            operand = self.field.random((self.matmul_dim, self.matmul_dim), rng)
-            operand_b = self.field.random((self.matmul_dim, self.matmul_dim), rng)
-        deadline = arrival + tenant.deadline_slack
+        # the draw that once picked the request's family from a mix:
+        # kept, unused, so every seed still yields the trace it always
+        # has (the serve benchmarks digest that trace)
+        rng.random()
+        transpose = rng.random() < tenant.transpose_fraction
+        operand = self.field.random(self.m if transpose else self.d, rng)
         req = Request(
             request_id=self._next_id,
             tenant=tenant.name,
-            family=family,
+            family="matvec",
             arrival=arrival,
-            deadline=deadline,
+            deadline=arrival + tenant.deadline_slack,
             operand=operand,
-            operand_b=operand_b,
             transpose=transpose,
         )
         self._next_id += 1

@@ -6,21 +6,15 @@ check instead of the ``O(md/K)`` the worker spent (paper Sec. II-B and
 Sec. IV step 3). A wrong result passes a single check with probability
 at most ``1/q``; ``t`` independent probes push that to ``q^-t``.
 
-Two verifiers:
-
-* :class:`FreivaldsVerifier` — matrix–vector products (the paper's
-  logistic-regression rounds, Eqs. 6–9).
-* :class:`MatmulVerifier` — matrix–matrix products of the coded
-  matmul master.
+:class:`FreivaldsVerifier` checks matrix–vector products (the paper's
+logistic-regression rounds, Eqs. 6–9), one vector or a ``(d, B)``
+batch of them per round.
 """
 
 from repro.verify.freivalds import FreivaldsVerifier, MatvecKey, soundness_error
-from repro.verify.matmul import MatmulKey, MatmulVerifier
 
 __all__ = [
     "FreivaldsVerifier",
     "MatvecKey",
-    "MatmulKey",
-    "MatmulVerifier",
     "soundness_error",
 ]

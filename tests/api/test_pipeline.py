@@ -246,62 +246,6 @@ class TestDrainBeforeAdaptation:
             assert np.array_equal(out.vector, ff_matvec(F, X, w))
 
 
-class TestMatmulInThePipeline:
-    def test_matmul_enters_the_window_and_finalizes_fifo(self):
-        from repro.ff.linalg import ff_matmul
-
-        rng = np.random.default_rng(21)
-        a = F.random((8, 6), rng)
-        b = F.random((6, 4), rng)
-        w = F.random(8, RNG)
-        with Session.create(_config(batch_window=1)) as sess:
-            sess.load(X)
-            h_mv = sess.submit_matvec(w)  # dispatched, in flight
-            h_mm = sess.submit_matmul(a, b)
-            assert not h_mm.done()  # pipelined, not synchronous
-            assert sess.rounds_in_flight() == 2
-            # FIFO: resolving the matmul finalizes the matvec first
-            assert np.array_equal(h_mm.result(), ff_matmul(F, a, b))
-            assert h_mv.done()
-        stats = sess.stats
-        assert stats.rounds_executed == 2
-        assert len(stats.dispatch_depths) == 2  # telemetry sees both
-        assert stats.rounds_overlapped == 1
-
-    @pytest.mark.parametrize("backend", ["sim", "tcp"])
-    def test_concurrent_matmuls_keep_their_own_factors(self, backend):
-        """Regression: each matmul master ships factors under unique
-        payload keys — a second submit_matmul while the first round is
-        still in flight must not overwrite the factors the first
-        round's (possibly straggling) workers are computing on."""
-        from repro.ff.linalg import ff_matmul
-
-        rng = np.random.default_rng(33)
-        a1, b1 = F.random((8, 6), rng), F.random((6, 4), rng)
-        a2, b2 = F.random((8, 6), rng), F.random((6, 4), rng)
-        specs = list(_specs())
-        opts = {"straggle_scale": 0.2} if backend == "tcp" else {}
-        cfg = _config(
-            backend=backend, workers=tuple(specs), backend_options=opts
-        )
-        with Session.create(cfg) as sess:
-            h1 = sess.submit_matmul(a1, b1)
-            h2 = sess.submit_matmul(a2, b2)
-            assert np.array_equal(h1.result(), ff_matmul(F, a1, b1)), backend
-            assert np.array_equal(h2.result(), ff_matmul(F, a2, b2)), backend
-
-    def test_matmul_still_synchronous_on_serial_window(self):
-        from repro.ff.linalg import ff_matmul
-
-        rng = np.random.default_rng(21)
-        a = F.random((8, 6), rng)
-        b = F.random((6, 4), rng)
-        with Session.create(_config(max_inflight_rounds=1)) as sess:
-            h = sess.submit_matmul(a, b)
-            assert h.done()
-            assert np.array_equal(h.result(), ff_matmul(F, a, b))
-
-
 class TestTrainerOnPipelinedSession:
     def test_training_is_identical_at_any_window(self):
         """The trainers run on the pipelined path; their two rounds per

@@ -29,7 +29,6 @@ from repro.api import (
 )
 from repro.coding import SchemeParams
 from repro.ff import PrimeField, ff_matvec
-from repro.ff.linalg import ff_matmul
 
 F = PrimeField()
 RNG = np.random.default_rng(11)
@@ -319,31 +318,7 @@ class TestOperandReducedOnce:
             assert set(calls) == {"repro.core.base"}
 
 
-class TestOtherWorkloads:
-    def test_matmul_executes_immediately(self):
-        rng = np.random.default_rng(21)
-        a = F.random((8, 6), rng)
-        b = F.random((6, 4), rng)
-        with Session.create(_config(workers=(), max_inflight_rounds=1)) as sess:
-            h = sess.submit_matmul(a, b, p=2, q=2)
-            assert h.done()
-            assert np.array_equal(h.result(), ff_matmul(F, a, b))
-
-    def test_matmul_dispatches_immediately_at_default_window(self):
-        rng = np.random.default_rng(21)
-        a = F.random((8, 6), rng)
-        b = F.random((6, 4), rng)
-        with Session.create(_config(workers=(), max_inflight_rounds=1)) as sess:
-            serial = sess.submit_matmul(a, b, p=2, q=2).result()
-        with Session.create(_config(workers=())) as sess:
-            h = sess.submit_matmul(a, b, p=2, q=2)
-            assert sess.pending_jobs() == 0
-            assert sess.rounds_in_flight() <= 2
-            got = h.result()
-        assert sess.stats.jobs_per_round == [1]
-        assert got.tobytes() == serial.tobytes()
-        assert np.array_equal(got, ff_matmul(F, a, b))
-
+class TestClosedSession:
     def test_submit_after_close_raises(self):
         sess = Session.create(_config())
         sess.close()
@@ -404,8 +379,7 @@ class TestNoBespokeConstructionOutsideCore:
 
     FORBIDDEN = re.compile(
         r"\b(SimCluster|TcpCluster|AVCCMaster|"
-        r"LCCMaster|UncodedMaster|"
-        r"CodedMatmulAVCCMaster)\s*\("
+        r"LCCMaster|UncodedMaster)\s*\("
     )
 
     def _offenders(self, paths):
@@ -457,11 +431,10 @@ class TestJobHandle:
                 iter(sess)
 
 
-class TestMatmulUsesTheSessionRoster:
-    """A matmul job is coded over the session master's roster: a worker
-    AVCC evicted, or one the caller released, gets no share and takes no
-    part in the round. (A dispatch to a dropped worker raises on every
-    backend.)"""
+class TestRoundsUseTheSessionRoster:
+    """A round runs on the session master's roster: a worker AVCC
+    evicted, or one the caller released, takes no part in it. (A
+    dispatch to a dropped worker raises on every backend.)"""
 
     def _cfg(self, backend):
         # every honest worker straggles, so the forger's result is the
@@ -478,13 +451,12 @@ class TestMatmulUsesTheSessionRoster:
             backend_options=opts,
         )
 
-    def _matmul_without(self, sess, gone):
-        rng = np.random.default_rng(5)
-        a, b = F.random((8, 6), rng), F.random((6, 10), rng)
-        handle = sess.submit_matmul(a, b, p=2, q=2)
-        np.testing.assert_array_equal(handle.result(), ff_matmul(F, a, b))
+    def _round_without(self, sess, gone):
+        e = F.random(12, np.random.default_rng(5))
+        handle = sess.submit_matvec(e, transpose=True)
+        np.testing.assert_array_equal(handle.result(), ff_matvec(F, X.T.copy(), e))
         record = handle.record
-        assert record.round_name == "matmul"
+        assert record.round_name == "bwd"
         took_part = {
             *record.used_workers,
             *record.rejected_workers,
@@ -493,33 +465,20 @@ class TestMatmulUsesTheSessionRoster:
         assert took_part and not took_part & set(gone)
 
     @pytest.mark.parametrize("backend", ["sim", "tcp"])
-    def test_matmul_after_byzantine_eviction(self, backend):
+    def test_round_after_byzantine_eviction(self, backend):
         with Session.create(self._cfg(backend)) as sess:
             sess.load(X)
             w = F.random(8, RNG)
             assert np.array_equal(sess.submit_matvec(w).result(), ff_matvec(F, X, w))
             assert sess.end_iteration().dropped_workers == (1,)
-            self._matmul_without(sess, (1,))
+            self._round_without(sess, (1,))
 
     @pytest.mark.parametrize("backend", ["sim", "tcp"])
-    def test_matmul_after_release(self, backend):
+    def test_round_after_release(self, backend):
         with Session.create(self._cfg(backend)) as sess:
             sess.load(X)
             sess.release_workers([0, 5])
-            self._matmul_without(sess, (0, 5))
-
-    def test_matmul_budget_is_checked_against_the_roster(self):
-        """Six of twelve workers released: a matmul needing eight is
-        refused before any share is sent, and the session serves on."""
-        with Session.create(self._cfg("sim")) as sess:
-            sess.load(X)
-            sess.release_workers([0, 2, 3, 6, 9, 11])
-            a, b = F.random((8, 6), RNG), F.random((6, 9), RNG)
-            with pytest.raises(ValueError, match="the roster has 6"):
-                sess.submit_matmul(a, b, p=2, q=3)
-            np.testing.assert_array_equal(
-                sess.submit_matmul(a, b, p=2, q=1).result(), ff_matmul(F, a, b)
-            )
+            self._round_without(sess, (0, 5))
 
 
 class TestCloseDuringUnwind:

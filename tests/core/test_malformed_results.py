@@ -20,7 +20,6 @@ import pytest
 from repro.coding import SchemeParams
 from repro.core import (
     AVCCMaster,
-    CodedMatmulAVCCMaster,
     InsufficientResultsError,
     LCCMaster,
     UncodedMaster,
@@ -41,7 +40,7 @@ BEYOND = {
     "static_vcc": 4,
     "lcc": 4,
     "uncoded": 1,
-    "matmul": 9,  # need p * q = 4
+    "avcc_batched": 4,  # a (d, B) operand: every result a matrix
 }
 
 
@@ -92,20 +91,16 @@ def _round(master: str, bad: set[int], kind: str):
     ]
     backend = SimCluster(F, workers, rng=np.random.default_rng(1))
     rng = np.random.default_rng(0)
-    x, w = F.random((36, 8), rng), F.random(8, rng)
-    if master == "matmul":
-        a, b = F.random((8, 6), rng), F.random((6, 4), rng)
-        mm = CodedMatmulAVCCMaster(backend, p=2, q=2, s=1, m=1, rng=rng)
-        mm.setup(a, b)
-        return mm.multiply(), ff_matmul(F, a, b)
+    x, w = F.random((36, 8), rng), F.random((8, 4) if master == "avcc_batched" else 8, rng)
     mv = {
         "avcc": lambda: AVCCMaster(backend, SCHEME, rng=rng),
+        "avcc_batched": lambda: AVCCMaster(backend, SCHEME, rng=rng),
         "static_vcc": lambda: AVCCMaster(backend, SCHEME, adaptive=False, rng=rng),
         "lcc": lambda: LCCMaster(backend, SCHEME, rng=rng),
         "uncoded": lambda: UncodedMaster(backend, k=SCHEME.k, rng=rng),
     }[master]()
     mv.setup(x)
-    return mv.forward_round(w), ff_matvec(F, x, w)
+    return mv.forward_round(w), ff_matmul(F, x, w) if w.ndim == 2 else ff_matvec(F, x, w)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.coding import SchemeParams
 from repro.experiments.common import ExperimentConfig, scenario_config
 from repro.ml import DistributedLogisticTrainer
 
@@ -59,14 +58,6 @@ PINNED = {
         "c73e95830bacc804fbde6b873dcd6c73",
     ),
 }
-#: the matmul master -> (outputs, records, audit head)
-PINNED_AUX = (
-    "701173e14aea8df0ac506e79f827ff9c",
-    "b17a543a3f79071adc47237a5aea0542",
-    "0ba3e9fcfef388c31ddf03808f42c10b52b3ee4265cd95b1c47315db8dca70b0",
-)
-
-
 def _sha(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -128,31 +119,3 @@ def test_session_master_pinned(method):
         )
     assert history.method == method
     assert got == PINNED[method]
-
-
-def test_matmul_master_pinned():
-    config = dataclasses.replace(
-        scenario_config("avcc", CFG, s=1, m=1, **FAULTS),
-        scheme=SchemeParams(n=12, k=4, s=1, m=1),
-        audit=True,
-        batch_window=8,
-    )
-    ds = CFG.dataset()
-    rng = np.random.default_rng(9)
-    with Session.create(config) as sess:
-        field = sess.field
-        sess.load(ds.x_train)
-        # a matvec round lets AVCC catch the Byzantine worker; the
-        # iteration boundary then evicts it
-        handles = [sess.submit_matvec(field.random(ds.d, rng))]
-        sess.end_iteration()
-        a, b = field.random((8, 6), rng), field.random((6, 10), rng)
-        handles.append(sess.submit_matmul(a, b, p=2, q=2))
-        outputs = [h.result() for h in handles]
-        records = sess.stats.records
-        got = (_outputs_digest(outputs), _records_digest(records), sess.audit.head)
-    assert [r.round_name for r in records] == ["fwd", "matmul"]
-    assert records[0].rejected_workers == (1,)
-    # the evicted worker is off the roster the matmul is coded over
-    assert 1 not in {wid for wid, _ in records[1].worker_latencies}
-    assert got == PINNED_AUX

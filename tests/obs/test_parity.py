@@ -70,7 +70,7 @@ _OBS_CLASSES = (
 #: ... and so are the session's and the gateway's hooks into them
 _OBS_HOOKS = {
     Session: ("_trace_submit", "_trace_round"),
-    Gateway: ("_trace_admit", "_trace_dequeue", "_trace_dequeue_batch", "_trace_finish"),
+    Gateway: ("_trace_admit", "_trace_dequeue_batch", "_trace_finish"),
 }
 #: the calls each request of `_serve_paced`'s trace costs with
 #: observability on: one request, one round, one outcome. The only

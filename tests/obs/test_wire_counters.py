@@ -45,14 +45,8 @@ class TestWireCounters:
 
     def test_crc_reject_counter(self):
         import io
-        import struct
 
-        from repro.runtime.net.wire import (
-            MSG_CODES,
-            WireError,
-            encode_frame,
-            read_frame,
-        )
+        from repro.runtime.net.wire import WireError, encode_frame, read_frame
 
         parts = encode_frame("hello", {"worker_id": 1})
         raw = bytearray(b"".join(bytes(p) for p in parts))
@@ -77,7 +71,7 @@ class TestWireCounters:
 
         from repro.runtime.net.wire import encode_frame, read_frame, send_parts
 
-        fields = {"rid": 1, "op": "matvec", "payload_key": "s", "rhs_key": None}
+        fields = {"rid": 1, "op": "matvec", "payload_key": "s"}
         frame = encode_frame("round", fields, (np.arange(120),))
         assert frame.nbytes == len(b"".join(frame))
         counters = WireCounters()

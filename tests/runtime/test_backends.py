@@ -391,24 +391,19 @@ class TestStoreTimeValidation:
                     self._round(backend, vec)
 
 
-    @pytest.mark.parametrize("case", ["matvec", "batched", "matmul"])
-    def test_every_op_multiplies_a_resident_share_as_stored(self, case, monkeypatch):
-        """Shares of 2**18 entries or more are stored ``float64``; every
-        op's product over them has the ``int64`` payload's bytes — the
-        matmul op converting its resident right-hand share back."""
+    @pytest.mark.parametrize("width", [1, 64], ids=["matvec", "batched"])
+    def test_every_round_multiplies_a_resident_share_as_stored(self, width, monkeypatch):
+        """Shares of 2**18 entries or more are stored ``float64``; a
+        round's product over one has the ``int64`` payload's bytes, for
+        a vector operand and a batch alike."""
         rng = np.random.default_rng(8)
-        a, b = F.random((200, 2000), rng), F.random((2000, 150), rng)
+        a = F.random((200, 2000), rng)
         stored = {}
-        for name, share in (("a", a), ("b", b)):
-            store_share(F, stored, name, share.astype("<u4"))
-            assert stored[name].dtype == np.float64
-        op, operand = {
-            "matvec": ("matvec", F.random(2000, rng)),
-            "batched": ("matvec", F.random((2000, 64), rng)),
-            "matmul": ("matmul", None),
-        }[case]
-        job = RoundJob(op=op, payload_key="a", operand=operand, rhs_key="b")
-        want = run_job_compute(F, {"a": a, "b": b}, job)
+        store_share(F, stored, "a", a.astype("<u4"))
+        assert stored["a"].dtype == np.float64
+        operand = F.random(2000 if width == 1 else (2000, width), rng)
+        job = RoundJob(op="matvec", payload_key="a", operand=operand)
+        want = run_job_compute(F, {"a": a}, job)
         kernels = _count_kernels(monkeypatch)
         assert run_job_compute(F, stored, job).tobytes() == want.tobytes()
         # one exact dgemm over the resident share, no int64 product

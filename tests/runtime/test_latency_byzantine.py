@@ -7,12 +7,10 @@ from repro.ff import PrimeField
 from repro.runtime import (
     ConstantAttack,
     DeterministicLatency,
-    GaussianJitterLatency,
     Honest,
     IntermittentAttack,
     RandomAttack,
     ReversedValueAttack,
-    ShiftedExponentialLatency,
     SilentFailure,
     make_profiles,
 )
@@ -24,34 +22,15 @@ class TestLatencyModels:
     def test_deterministic(self, rng):
         assert DeterministicLatency(3.0).sample(2.0, rng) == 6.0
 
-    def test_shifted_exponential_floor(self, rng):
-        m = ShiftedExponentialLatency(factor=2.0, rate=5.0)
-        samples = [m.sample(1.0, rng) for _ in range(500)]
-        assert min(samples) >= 2.0  # service floor
-        assert np.mean(samples) == pytest.approx(2.0 * (1 + 1 / 5), rel=0.15)
-
-    def test_gaussian_jitter_nonnegative(self, rng):
-        m = GaussianJitterLatency(factor=1.0, sigma=2.0)  # huge sigma
-        assert all(m.sample(1.0, rng) >= 0 for _ in range(300))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DeterministicLatency(0)
-        with pytest.raises(ValueError):
-            ShiftedExponentialLatency(rate=0)
-        with pytest.raises(ValueError):
-            GaussianJitterLatency(sigma=-1)
 
     def test_make_profiles(self, rng):
         profiles = make_profiles(5, {1: 8.0, 3: 1.4})
         assert profiles[0].sample(1.0, rng) == 1.0
         assert profiles[1].sample(1.0, rng) == 8.0
         assert profiles[3].sample(1.0, rng) == pytest.approx(1.4)
-
-    def test_make_profiles_jitter(self, rng):
-        profiles = make_profiles(3, {0: 4.0}, jitter_sigma=0.01)
-        assert isinstance(profiles[0], GaussianJitterLatency)
-        assert profiles[0].sample(1.0, rng) == pytest.approx(4.0, rel=0.2)
 
     def test_make_profiles_bad_id(self):
         with pytest.raises(ValueError, match="out of range"):

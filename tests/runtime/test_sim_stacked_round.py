@@ -1,8 +1,8 @@
 """The simulator's stacked ``matvec`` round against the per-worker one.
 
 ``SimCluster.distribute`` keeps a share name as one resident stack and a
-``matvec`` round multiplies it in one product; every other round, and a
-worker whose share was re-stored, runs ``run_job_compute`` per worker.
+round multiplies it in one product; a worker whose share was re-stored
+runs ``run_job_compute`` on its own.
 The reference here is the same cluster with every worker re-stored
 (each share made resident on its own, as a remote worker stores it), so
 every product runs per worker. The two must agree on every value's
@@ -24,7 +24,6 @@ from repro.runtime import (
     SilentFailure,
     SimCluster,
     SimWorker,
-    make_profiles,
 )
 
 N = 12
@@ -39,10 +38,23 @@ BEHAVIOURS = {
 SHAPES = {"small": (4, 50), "wide": (134, 600)}
 
 
+class _Jitter:
+    """A latency profile that draws from the cluster's generator, so
+    the latency draws interleave with the behaviours' in the order
+    under test."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def sample(self, base_time, rng):
+        return base_time * self.factor * (1.0 + 0.2 * rng.random())
+
+
 def _cluster(field, seed=3):
-    profiles = make_profiles(N, {4: 3.0}, jitter_sigma=0.2)
     workers = [
-        SimWorker(i, profile=profiles[i], behavior=BEHAVIOURS.get(i, Honest()))
+        SimWorker(
+            i, profile=_Jitter(3.0 if i == 4 else 1.0), behavior=BEHAVIOURS.get(i, Honest())
+        )
         for i in range(N)
     ]
     return SimCluster(field, workers, rng=np.random.default_rng(seed))
@@ -185,19 +197,6 @@ def test_restored_worker_computes_its_own_share(width, rng, compute_calls):
     _assert_same_round(field, stacked, reference, job)
     # N per-worker products in the reference, one (worker 6) in the stack's
     assert len(compute_calls) - before == N + 1
-
-
-def test_matmul_rounds_run_per_worker(rng, compute_calls):
-    field = PrimeField()
-    shares = field.random((N, 20, 30), rng)
-    stacked, reference = _pair(field, shares)
-    rhs = field.random((N, 30, 12), rng)
-    for c in (stacked, reference):
-        c.distribute("rhs", rhs)
-    job = RoundJob(op="matmul", rhs_key="rhs")
-    before = len(compute_calls)
-    _assert_same_round(field, stacked, reference, job)
-    assert compute_calls[before:] == ["matmul"] * (2 * N)
 
 
 def test_results_do_not_alias_across_workers(rng):

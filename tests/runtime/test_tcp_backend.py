@@ -183,33 +183,40 @@ class TestWireProtocol:
         with pytest.raises(WireError, match="unknown flag bits 0x10"):
             decode_payload(MSG_CODES["result"], memoryview(result))
 
-    def test_round_frames_keep_their_protocol_3_bytes(self):
-        """The op codes are matvec 0 and matmul 1; both round frames
-        are byte for byte what protocol 3 has always sent."""
-        matvec = encode_frame(
-            "round",
-            {"rid": 7, "op": "matvec", "payload_key": "x", "attest": True},
-            (np.arange(3, dtype="<i8"),),
-        )
-        matmul = encode_frame(
-            "round", {"rid": 8, "op": "matmul", "payload_key": "a", "rhs_key": "b", "trace": True}
-        )
+    def test_the_matvec_round_frame_keeps_its_protocol_3_bytes(self):
+        """Op code 0 is matvec; its round frame is byte for byte what
+        protocol 3 has always sent, with or without an ``rhs_key`` of
+        None in the fields."""
+        fields = {"rid": 7, "op": "matvec", "payload_key": "x", "attest": True}
+        operand = (np.arange(3, dtype="<i8"),)
+        matvec = encode_frame("round", fields, operand)
         assert b"".join(matvec).hex() == (
             "4156030418a566a000000033040000000000000007000000000178000101010000"
             "000000000003000000000000000001000000000000000200000000000000"
         )
-        assert b"".join(matmul).hex() == (
-            "41560304874b175e0000001603000000000000000801000000016100000001620000"
-        )
+        with_none = encode_frame("round", {**fields, "rhs_key": None}, operand)
+        assert b"".join(with_none) == b"".join(matvec)
 
-    def test_the_retired_op_code_is_refused(self):
-        """Code 2 named an op no build runs any more: a round record
-        carrying it is refused on decode, and no op name encodes to it."""
-        record = struct.pack(">BQB", 0, 1, 2) + wire_str("s") + array_table()
-        with pytest.raises(WireError, match="unknown round op code 2"):
+    @pytest.mark.parametrize("code, op", [(1, "matmul"), (2, "gramian")])
+    def test_a_retired_op_code_is_refused(self, code, op):
+        """Codes 1 and 2 named ops no build runs any more: a round
+        record carrying either is refused on decode, and the op's name
+        does not encode."""
+        record = struct.pack(">BQB", 0, 1, code) + wire_str("s") + array_table()
+        with pytest.raises(WireError, match=f"unknown round op code {code}"):
             decode_payload(MSG_CODES["round"], memoryview(record))
         with pytest.raises(WireError, match="do not fit"):
-            encode_frame("round", {"rid": 1, "op": "gramian", "payload_key": "s"})
+            encode_frame("round", {"rid": 1, "op": op, "payload_key": "s"})
+
+    def test_the_retired_rhs_key_flag_is_refused(self):
+        """Flag bit 1 announced the matmul round's second payload key: a
+        round record setting it is refused on decode, and a key other
+        than None does not encode."""
+        record = struct.pack(">BQB", 1, 8, 0) + wire_str("a") + wire_str("b") + array_table()
+        with pytest.raises(WireError, match="unknown flag bits 0x01"):
+            decode_payload(MSG_CODES["round"], memoryview(record))
+        with pytest.raises(WireError, match="do not fit"):
+            encode_frame("round", {"rid": 8, "op": "matvec", "payload_key": "a", "rhs_key": "b"})
 
     def test_descriptor_sign_and_inference_cannot_be_sent(self):
         """Protocol 2 trusted a descriptor's ``nbytes`` sign and a -1 in
@@ -632,12 +639,12 @@ class TestExternalFleet:
 
 
 class TestFamilyParityVsSim:
-    """Byte-identical decode vs the simulator for every master family
-    (fwd, bwd, matmul) through the Session front door."""
+    """Byte-identical decode vs the simulator for both encoded families
+    and a coalesced ``(d, B)`` batch through the Session front door."""
 
     SCHEME = SchemeParams(n=8, k=3, s=1, m=1)
 
-    def _serve_all(self, backend, x, w, e):
+    def _serve_all(self, backend, x, w, e, ws):
         cfg = SessionConfig(
             scheme=self.SCHEME,
             backend=backend,
@@ -648,17 +655,20 @@ class TestFamilyParityVsSim:
             sess.load(x)
             fwd = sess.submit_matvec(w).result()
             bwd = sess.submit_matvec(e, transpose=True).result()
-            mm = sess.submit_matmul(x, x.T.copy()).result()
-        return fwd, bwd, mm
+            handles = [sess.submit_matvec(col) for col in ws.T]
+            batched = np.stack([h.result() for h in handles], axis=1)
+            assert sess.stats.jobs_per_round[-1] == ws.shape[1]
+        return fwd, bwd, batched
 
     def test_all_families_byte_identical(self, rng):
         x = F.random((12, 8), rng)
         w = F.random(8, rng)
         e = F.random(12, rng)
-        sim = self._serve_all("sim", x, w, e)
-        tcp = self._serve_all("tcp", x, w, e)
-        for name, a, b in zip(("fwd", "bwd", "matmul"), sim, tcp):
+        ws = F.random((8, 3), rng)
+        sim = self._serve_all("sim", x, w, e, ws)
+        tcp = self._serve_all("tcp", x, w, e, ws)
+        for name, a, b in zip(("fwd", "bwd", "batched"), sim, tcp):
             assert a.tobytes() == b.tobytes(), name
         np.testing.assert_array_equal(tcp[0], ff_matvec(F, x, w))
         np.testing.assert_array_equal(tcp[1], ff_matvec(F, x.T.copy(), e))
-        np.testing.assert_array_equal(tcp[2], ff_matmul(F, x, x.T.copy()))
+        np.testing.assert_array_equal(tcp[2], ff_matmul(F, x, ws))

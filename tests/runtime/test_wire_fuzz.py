@@ -91,9 +91,8 @@ FIELDS = {
     "round": st.tuples(
         st.fixed_dictionaries({
             "rid": u64,
-            "op": st.sampled_from(["matvec", "matmul"]),
+            "op": st.just("matvec"),
             "payload_key": text,
-            "rhs_key": st.none() | text,
         }),
         _flags(trace=st.just(True), attest=st.just(True)),
     ).map(lambda parts: {**parts[0], **parts[1]}),

@@ -55,7 +55,7 @@ class MasterEnd:
     def round_frame(self, key, operand=None, op="matvec", **extra):
         """One encoded ``round`` frame (bytes) under the next rid."""
         self.rid += 1
-        fields = {"rid": self.rid, "op": op, "payload_key": key, "rhs_key": None}
+        fields = {"rid": self.rid, "op": op, "payload_key": key}
         fields.update(extra)
         arrays = (operand,) if operand is not None else ()
         return b"".join(encode_frame("round", fields, arrays))
@@ -666,6 +666,14 @@ HOSTILE = {
     "unknown_flag_bits": raw_frame(_ROUND, _round_body(flags=0x80), [_OPERAND]),
     "record_length_past_payload": raw_frame(_ROUND, _round_body(key_len=1000), [_OPERAND]),
     "unknown_op_code": raw_frame(_ROUND, _round_body(op=9), [_OPERAND]),
+    # the retired matmul round: op code 1, and flag bit 1 with the
+    # second payload key it announced
+    "retired_matmul_op_code": raw_frame(_ROUND, _round_body(op=1), [_OPERAND]),
+    "retired_rhs_key_flag": raw_frame(
+        _ROUND,
+        struct.pack(">BQB", 1, 2, 0) + wire_str("s") + wire_str("t") + array_table((1, (5,))),
+        [_OPERAND],
+    ),
 }
 
 

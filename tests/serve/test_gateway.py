@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import Session, SessionConfig, WorkerSpec
 from repro.coding import SchemeParams
-from repro.ff import DEFAULT_PRIME, PrimeField, ff_matmul, ff_matvec
+from repro.ff import DEFAULT_PRIME, PrimeField, ff_matvec
 from repro.serve import (
     ClosedLoopSource,
     Gateway,
@@ -53,20 +53,16 @@ def _x(seed=0):
     return F.random((M, D), np.random.default_rng(seed))
 
 
-def _generator(seed=7, slack=math.inf, rate=200.0, mix=None):
+def _generator(seed=7, slack=math.inf, rate=200.0):
     tenants = [
-        TenantSpec("free", weight=1.0, deadline_slack=slack,
-                   family_mix=mix or {"matvec": 1.0}, transpose_fraction=0.4),
-        TenantSpec("pro", weight=2.0, deadline_slack=slack,
-                   family_mix=mix or {"matvec": 1.0}),
+        TenantSpec("free", weight=1.0, deadline_slack=slack, transpose_fraction=0.4),
+        TenantSpec("pro", weight=2.0, deadline_slack=slack),
     ]
     return WorkloadGenerator(F, (M, D), tenants, PoissonArrivals(rate), seed=seed)
 
 
 def _expected(x, req):
-    if req.family == "matvec":
-        return ff_matvec(F, x.T.copy() if req.transpose else x, req.operand)
-    return ff_matmul(F, req.operand, req.operand_b)
+    return ff_matvec(F, x.T.copy() if req.transpose else x, req.operand)
 
 
 def _run(requests, session_cfg=None, gateway_cfg=None, x=None):
@@ -124,32 +120,14 @@ class TestEndToEndParity:
         for rid, vec in serial_gw.results.items():
             assert vec.tobytes() == piped_gw.results[rid].tobytes()
 
-    def test_mixed_families_including_matmul(self):
-        mix = {"matvec": 0.75, "matmul": 0.25}
-        reqs = _generator(seed=17, mix=mix).generate(40)
-        assert {r.family for r in reqs} == {"matvec", "matmul"}
-        x, gw, report = _run(
-            reqs,
-            gateway_cfg=GatewayConfig(
-                batch_policy="hybrid",
-                policy_options={"window": 6, "linger": 0.05},
-            ),
-        )
-        assert len(report.served) == 40
-        for req in reqs:
-            assert gw.results[req.request_id].tobytes() == _expected(x, req).tobytes()
-
-    def test_matmul_queue_span_closes_when_the_request_dispatches(self):
-        """Matmul requests bypass the batcher and dispatch one by
-        one; with observability on, each one's queue span ends at its
-        dispatch, before the session starts serving it."""
-        reqs = _generator(seed=17, mix={"matvec": 0.5, "matmul": 0.5}).generate(8)
-        matmuls = [r for r in reqs if r.family == "matmul"]
-        assert matmuls
+    def test_queue_span_closes_when_the_request_dispatches(self):
+        """With observability on, each request's queue span ends when
+        its batch dispatches, before the session starts serving it."""
+        reqs = _generator(seed=17).generate(8)
         x, gw, report = _run(reqs, session_cfg=_session_config(observability=True))
         assert len(report.served) == 8
         tracer = gw.obs.tracer
-        for req in matmuls:
+        for req in reqs:
             spans = {s.name: s for s in tracer.resolved(f"req-{req.request_id}")}
             queue, session = spans["gateway.queue"], spans["session"]
             assert queue.t_end is not None

@@ -1,5 +1,6 @@
 """Request typing, arrival processes, and the workload generator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from repro.serve import (
 )
 
 F = PrimeField(DEFAULT_PRIME)
-RNG = np.random.default_rng(0)
 
 
 def _req(**kw):
@@ -41,9 +41,10 @@ class TestRequest:
         assert r.expired(1.0 + 1e-9)
         assert r.payload_elements == 4
 
-    def test_rejects_unknown_family(self):
+    @pytest.mark.parametrize("family", ["conv2d", "matmul"])
+    def test_rejects_unknown_family(self, family):
         with pytest.raises(ValueError, match="unknown family"):
-            _req(family="conv2d")
+            _req(family=family)
 
     def test_rejects_deadline_before_arrival(self):
         with pytest.raises(ValueError, match="precedes arrival"):
@@ -52,25 +53,6 @@ class TestRequest:
     def test_rejects_missing_operand(self):
         with pytest.raises(ValueError, match="need an operand"):
             _req(operand=None)
-
-    def test_matmul_needs_both_factors(self):
-        with pytest.raises(ValueError, match="operand_b"):
-            _req(family="matmul")
-        r = _req(
-            family="matmul",
-            operand=F.random((3, 3), RNG),
-            operand_b=F.random((3, 3), RNG),
-        )
-        assert r.payload_elements == 18
-
-    def test_transpose_is_matvec_only(self):
-        with pytest.raises(ValueError, match="transpose"):
-            _req(
-                family="matmul",
-                operand=F.random((3, 3), RNG),
-                operand_b=F.random((3, 3), RNG),
-                transpose=True,
-            )
 
     def test_no_deadline_never_expires(self):
         r = _req()
@@ -117,20 +99,6 @@ class TestArrivalProcesses:
 
 
 class TestTenantSpec:
-    def test_family_mix_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            TenantSpec("t", family_mix={"matvec": 0.5})
-
-    def test_rejects_unknown_mix_family(self):
-        with pytest.raises(ValueError, match="unknown families"):
-            TenantSpec("t", family_mix={"fft": 1.0})
-
-    def test_rejects_negative_mix_probability(self):
-        # sums to 1.0, but must still fail at construction — not as an
-        # opaque numpy error mid-trace
-        with pytest.raises(ValueError, match=">= 0"):
-            TenantSpec("t", family_mix={"matvec": 1.5, "matmul": -0.5})
-
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="weight"):
             TenantSpec("t", weight=0.0)
@@ -167,32 +135,19 @@ class TestWorkloadGenerator:
         share_b = sum(1 for r in reqs if r.tenant == "b") / len(reqs)
         assert share_b == pytest.approx(0.75, abs=0.08)
 
-    def test_operand_shapes_per_family(self):
+    def test_operand_shapes_per_side(self):
         gen = WorkloadGenerator(
             F,
             (24, 12),
-            [
-                TenantSpec(
-                    "mix",
-                    family_mix={"matvec": 0.7, "matmul": 0.3},
-                    transpose_fraction=0.5,
-                )
-            ],
+            [TenantSpec("mix", transpose_fraction=0.5)],
             PoissonArrivals(rate=10.0),
             seed=3,
-            matmul_dim=5,
         )
         reqs = gen.generate(200)
-        seen = set()
         for r in reqs:
-            seen.add((r.family, r.transpose))
-            if r.family == "matvec":
-                assert r.operand.shape == ((24,) if r.transpose else (12,))
-            else:
-                assert r.operand.shape == (5, 5)
-                assert r.operand_b.shape == (5, 5)
-        assert {f for f, _ in seen} == {"matvec", "matmul"}
-        assert ("matvec", True) in seen and ("matvec", False) in seen
+            assert r.family == "matvec"
+            assert r.operand.shape == ((24,) if r.transpose else (12,))
+        assert {r.transpose for r in reqs} == {True, False}
 
     def test_deadlines_follow_tenant_slack(self):
         reqs = _generator().generate(60)
@@ -210,36 +165,48 @@ class TestWorkloadGenerator:
     def test_stream_equals_generator_choice(self, seed, pinned):
         """Every draw is the one ``Generator.choice(n, p=p)`` makes, so a
         seed gives the trace it gave when each request called
-        ``choice``: same tenants, families, transposes and operands."""
+        ``choice``, the one-family draw included: same tenants,
+        transposes and operands."""
         tenants = [
-            TenantSpec("one", weight=2.0),  # a single-family mix
-            TenantSpec(
-                "mix",
-                weight=1.0,
-                family_mix={"matvec": 0.6, "matmul": 0.4},
-                transpose_fraction=0.3,
-            ),
-            TenantSpec("three", weight=0.5, family_mix={"matmul": 0.25, "matvec": 0.75}),
+            TenantSpec("one", weight=2.0),
+            TenantSpec("mix", weight=1.0, transpose_fraction=0.3),
+            TenantSpec("three", weight=0.5, transpose_fraction=0.75),
         ]
-        gen = WorkloadGenerator(F, (24, 12), tenants, PoissonArrivals(10.0), seed=seed,
-                                matmul_dim=3)
+        gen = WorkloadGenerator(F, (24, 12), tenants, PoissonArrivals(10.0), seed=seed)
         rng = np.random.default_rng(seed)
         p = np.array([t.weight for t in tenants]) / sum(t.weight for t in tenants)
         for i in range(300):
             pin = tenants[i % len(tenants)] if pinned else None
             got = gen.make_request(float(i), tenant=pin)
             tenant = pin or tenants[int(rng.choice(len(tenants), p=p))]
-            families = sorted(tenant.family_mix)
-            probs = np.array([tenant.family_mix[f] for f in families])
-            family = families[int(rng.choice(len(families), p=probs))]
-            transpose = family == "matvec" and rng.random() < tenant.transpose_fraction
-            if family == "matvec":
-                operand = F.random(24 if transpose else 12, rng)
-            else:
-                operand = F.random((3, 3), rng)
-                assert got.operand_b.tobytes() == F.random((3, 3), rng).tobytes()
-            assert (got.tenant, got.family, got.transpose) == (tenant.name, family, transpose)
+            assert rng.choice(1, p=[1.0]) == 0  # the family, from a mix of one
+            transpose = rng.random() < tenant.transpose_fraction
+            operand = F.random(24 if transpose else 12, rng)
+            assert (got.tenant, got.family, got.transpose) == (tenant.name, "matvec", transpose)
             assert got.operand.tobytes() == operand.tobytes()
+
+    #: seed -> digest of the 48-request trace below, as the generator
+    #: drew it when a tenant could still mix families
+    PINNED_TRACES = {0: "9debc13d5de05281", 1: "575f8b2052eb46a9", 7: "a213fe95ddb4dada"}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_TRACES))
+    def test_seeded_trace_is_pinned(self, seed):
+        """The serve benchmarks' tenants (two, 30 % transposed) draw
+        the trace a seed has always drawn: every arrival, tenant,
+        deadline, side and operand byte."""
+        tenants = [
+            TenantSpec("free", 1.0, transpose_fraction=0.3, deadline_slack=60.0),
+            TenantSpec("pro", 3.0, transpose_fraction=0.3, deadline_slack=60.0),
+        ]
+        gen = WorkloadGenerator(F, (24, 12), tenants, PoissonArrivals(1.0), seed=seed)
+        h = hashlib.sha256()
+        for r in gen.generate(48):
+            h.update(
+                repr((r.request_id, r.tenant, r.family, r.arrival, r.deadline, r.transpose))
+                .encode()
+            )
+            h.update(np.ascontiguousarray(r.operand, dtype=np.int64).tobytes())
+        assert h.hexdigest()[:16] == self.PINNED_TRACES[seed]
 
 
 class TestSources:

@@ -55,11 +55,6 @@ class TestExamples:
         assert "invalid choice" in proc.stderr
         assert "bit-exact" not in proc.stdout
 
-    def test_coded_matmul(self):
-        out = _run("coded_matmul.py")
-        assert "recovered bit-exactly" in out
-        assert "rejected (lying):  [4]" in out
-
     def test_linear_regression(self):
         out = _run("linear_regression.py")
         assert "bit-exact" in out

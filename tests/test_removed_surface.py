@@ -22,7 +22,11 @@ session's and the gateway's per-round and per-request metric writes
 with their pre-keyed fast paths (the series are folded from the
 run's logs when the registry is read), the report's second bucketing
 of its latencies with the histogram-snapshot arithmetic only it used,
-the tracer's raw-forest event and three test-only stat accessors.
+the tracer's raw-forest event and three test-only stat accessors, the
+two-factor ``A @ B`` job family end to end (polynomial code, matmul
+verifier and master, session entry point and request family, round op
+and its wire code and flag), and the latency profiles no worker
+sampled (shifted-exponential, Gaussian jitter).
 """
 
 import inspect
@@ -57,10 +61,17 @@ DELETED_EXPORTS = {
         "MatrixPolynomialVerifier",
         "TraceRecorder",
         "TwoStageVerifier",
+        "CodedMatmulAVCCMaster",
     ],
-    "repro.coding": ["MDSCode"],
-    "repro.core": ["GramianAVCCMaster"],
-    "repro.verify": ["MatrixPolynomialVerifier", "TwoStageKey", "TwoStageVerifier"],
+    "repro.coding": ["MDSCode", "PolynomialCode"],
+    "repro.core": ["GramianAVCCMaster", "CodedMatmulAVCCMaster"],
+    "repro.verify": [
+        "MatrixPolynomialVerifier",
+        "TwoStageKey",
+        "TwoStageVerifier",
+        "MatmulKey",
+        "MatmulVerifier",
+    ],
     "repro.ml": ["PolynomialSigmoid", "fit_sigmoid_poly"],
     "repro.runtime": [
         "IterationRecord",
@@ -68,6 +79,8 @@ DELETED_EXPORTS = {
         "RoundRecord",
         "TraceLatency",
         "TraceRecorder",
+        "ShiftedExponentialLatency",
+        "GaussianJitterLatency",
     ],
     "repro.runtime.net": ["NetTunables"],
     "repro.ff": ["vandermonde_solve"],
@@ -88,6 +101,15 @@ DELETED_EXPORTS = {
         "register_batch_policy",
     ],
 }
+#: the two-factor family's names, which no package may export
+MATMUL_SURFACE = {
+    "CodedMatmulAVCCMaster",
+    "MatmulKey",
+    "MatmulVerifier",
+    "PolynomialCode",
+    "ShiftedExponentialLatency",
+    "GaussianJitterLatency",
+}
 #: plug-in surface that no package may export under any name
 PLUG_IN_SURFACE = {
     "DeadlinePolicy",
@@ -103,6 +125,9 @@ DELETED_MODULES = [
     "repro.control.controller",
     "repro.control.signals",
     "repro.core.gramian",
+    "repro.core.matmul",
+    "repro.coding.polynomial",
+    "repro.verify.matmul",
     "repro.ml.polyapprox",
     "repro.obs.bridge",
     "repro.runtime.net.tunables",
@@ -118,18 +143,47 @@ def _no_submit_gramian():
 
 
 def _refuse_gramian_job_request():
-    with pytest.raises(ValueError, match=r"expected matvec\|matmul"):
+    with pytest.raises(ValueError, match=r"expected matvec$"):
         JobRequest(family="gramian", operand=None)
 
 
 def _refuse_gramian_tenant():
-    with pytest.raises(ValueError, match="unknown families"):
+    with pytest.raises(TypeError, match="family_mix"):
         TenantSpec("t", family_mix={"gramian": 1.0})
 
 
 def _refuse_gramian_round_job():
     with pytest.raises(ValueError, match="unknown round op 'gramian'"):
         RoundJob(op="gramian", operand=None)
+
+
+def _no_submit_matmul():
+    assert not hasattr(Session, "submit_matmul")
+
+
+def _refuse_matmul_job_request():
+    with pytest.raises(ValueError, match=r"unknown request family 'matmul'; expected matvec$"):
+        JobRequest(family="matmul", operand=np.zeros(2, dtype=np.int64))
+    with pytest.raises(TypeError, match="operand_b"):
+        JobRequest(family="matvec", operand=np.zeros(2, dtype=np.int64), operand_b=None)
+
+
+def _refuse_matmul_round_job():
+    with pytest.raises(ValueError, match="unknown round op 'matmul'"):
+        RoundJob(op="matmul", operand=np.zeros(2, dtype=np.int64))
+    with pytest.raises(TypeError, match="rhs_key"):
+        RoundJob(operand=np.zeros(2, dtype=np.int64), rhs_key="b")
+
+
+def _refuse_tenant_family_mix():
+    with pytest.raises(TypeError, match="family_mix"):
+        TenantSpec("t", family_mix={"matvec": 1.0})
+
+
+def _matmul_surface_exported_nowhere():
+    for package in _packages():
+        exported = set(getattr(importlib.import_module(package), "__all__", ()))
+        assert not exported & MATMUL_SURFACE, package
 
 
 def _no_gramian_round_time_prior():
@@ -212,8 +266,8 @@ DELETED_ATTRIBUTES = {
     ServeReport: ["latency_histogram", "tenant_latency_histograms"],
     Tracer: ["record_forest"],
     SessionStats: ["round_durations", "mean_round_time"],
-    Session: ["queue_depths"],
-    Gateway: ["_record_outcome"],
+    Session: ["queue_depths", "submit_matmul", "_aux_scheme", "_aux_probes"],
+    Gateway: ["_record_outcome", "_dispatch_single"],
     "repro.serve.gateway": [
         "_gateway_handles",
         "_REQ_KEYS",
@@ -281,6 +335,11 @@ CASES = [
         _refuse_gramian_job_request,
         _refuse_gramian_tenant,
         _refuse_gramian_round_job,
+        _no_submit_matmul,
+        _refuse_matmul_job_request,
+        _refuse_matmul_round_job,
+        _refuse_tenant_family_mix,
+        _matmul_surface_exported_nowhere,
         _no_gramian_round_time_prior,
         _gateway_has_no_control_windows,
         _train_takes_no_recorder,
