@@ -488,7 +488,18 @@ class Session:
                 f"unknown request family {family!r}; expected {'|'.join(JOB_FAMILIES)}"
             )
         fam = "bwd" if bool(getattr(request, "transpose", False)) else "fwd"
-        return self._enqueue("matvec", fam, self.field.asarray(request.operand), request)
+        operand = self.field.asarray(request.operand)
+        handle = JobHandle(self, "matvec", fam)
+        self._stats.jobs_submitted += 1
+        if self.obs is not None:
+            # before the append: a window-filling enqueue flushes (and
+            # may finalize) immediately, and the round graft needs the
+            # handle's trace context to exist by then
+            self._trace_submit(handle, request)
+        self._pending.setdefault(fam, []).append((handle, operand))
+        if len(self._pending[fam]) >= self.batch_window:
+            self.flush(fam)
+        return handle
 
     def submit_matvec(self, operand: np.ndarray, *, transpose: bool = False) -> JobHandle:
         """Queue one coded matrix–vector job: ``X @ operand`` (or
@@ -497,21 +508,6 @@ class Session:
         return self.submit(
             JobRequest(family="matvec", operand=operand, transpose=transpose)
         )
-
-    def _enqueue(
-        self, kind: str, family: str, operand: np.ndarray, request: Any = None
-    ) -> JobHandle:
-        handle = JobHandle(self, kind, family)
-        self._stats.jobs_submitted += 1
-        if self.obs is not None:
-            # before the append: a window-filling enqueue flushes (and
-            # may finalize) immediately, and the round graft needs the
-            # handle's trace context to exist by then
-            self._trace_submit(handle, request)
-        self._pending.setdefault(family, []).append((handle, operand))
-        if len(self._pending[family]) >= self.batch_window:
-            self.flush(family)
-        return handle
 
     def _trace_submit(self, handle: JobHandle, request: Any) -> None:
         """Open (or join) the request's trace: gateway-admitted
