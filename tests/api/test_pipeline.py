@@ -246,6 +246,54 @@ class TestDrainBeforeAdaptation:
             assert np.array_equal(out.vector, ff_matvec(F, X, w))
 
 
+class TestBothFamiliesInThePipeline:
+    def test_a_transpose_job_enters_the_window_and_finalizes_fifo(self):
+        w = F.random(8, RNG)
+        e = F.random(12, RNG)
+        with Session.create(_config(batch_window=1)) as sess:
+            sess.load(X)
+            h_fwd = sess.submit_matvec(w)  # dispatched, in flight
+            h_bwd = sess.submit_matvec(e, transpose=True)
+            assert not h_bwd.done()  # pipelined, not synchronous
+            assert sess.rounds_in_flight() == 2
+            # FIFO: resolving the transpose job finalizes the forward first
+            assert np.array_equal(h_bwd.result(), ff_matvec(F, X.T.copy(), e))
+            assert h_fwd.done()
+        stats = sess.stats
+        assert stats.rounds_executed == 2
+        assert len(stats.dispatch_depths) == 2  # telemetry sees both
+        assert stats.rounds_overlapped == 1
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_concurrent_rounds_keep_their_own_operands(self, backend):
+        """A second round dispatched while the first is still in flight
+        must not overwrite the operand the first round's (possibly
+        straggling) workers are computing on."""
+        rng = np.random.default_rng(33)
+        w1, w2 = F.random(8, rng), F.random(8, rng)
+        e = F.random(12, rng)
+        opts = {"straggle_scale": 0.2} if backend == "tcp" else {}
+        cfg = _config(backend=backend, batch_window=1, backend_options=opts)
+        with Session.create(cfg) as sess:
+            sess.load(X)
+            h1 = sess.submit_matvec(w1)
+            h2 = sess.submit_matvec(w2)
+            h3 = sess.submit_matvec(e, transpose=True)
+            assert sess.rounds_in_flight() == 3
+            assert np.array_equal(h3.result(), ff_matvec(F, X.T.copy(), e)), backend
+            assert np.array_equal(h2.result(), ff_matvec(F, X, w2)), backend
+            assert np.array_equal(h1.result(), ff_matvec(F, X, w1)), backend
+
+    def test_a_job_is_synchronous_on_a_serial_window(self):
+        w = F.random(8, RNG)
+        with Session.create(_config(max_inflight_rounds=1, batch_window=1)) as sess:
+            sess.load(X)
+            h = sess.submit_matvec(w)
+            assert h.done()
+            assert sess.rounds_in_flight() == 0
+            assert np.array_equal(h.result(), ff_matvec(F, X, w))
+
+
 class TestTrainerOnPipelinedSession:
     def test_training_is_identical_at_any_window(self):
         """The trainers run on the pipelined path; their two rounds per

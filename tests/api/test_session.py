@@ -480,6 +480,33 @@ class TestRoundsUseTheSessionRoster:
             sess.release_workers([0, 5])
             self._round_without(sess, (0, 5))
 
+    def test_k_is_rederived_for_the_smaller_roster(self):
+        """Six of twelve released: K = min(k, N - (S+M+T)) for the six
+        left, and the session serves on exactly."""
+        with Session.create(self._cfg("sim")) as sess:
+            sess.load(X)
+            gone = (0, 2, 3, 6, 9, 11)
+            out = sess.release_workers(gone)
+            assert out.scheme == (6, 4)
+            assert sess.scheme_now == (6, 4)
+            self._round_without(sess, gone)
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_a_batched_round_after_release(self, backend):
+        errors = F.random((3, 12), np.random.default_rng(6))
+        with Session.create(self._cfg(backend)) as sess:
+            sess.load(X)
+            sess.release_workers([0, 5])
+            handles = [sess.submit_matvec(e, transpose=True) for e in errors]
+            sess.flush()
+            for e, h in zip(errors, handles):
+                np.testing.assert_array_equal(h.result(), ff_matvec(F, X.T.copy(), e))
+            record = handles[0].record
+            assert all(h.record is record for h in handles)
+            took_part = {*record.used_workers, *record.rejected_workers}
+            assert took_part and not took_part & {0, 5}
+        assert sess.stats.jobs_per_round == [3]
+
 
 class TestCloseDuringUnwind:
     def test_exception_in_body_skips_flush_and_propagates(self):

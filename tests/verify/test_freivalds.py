@@ -173,6 +173,62 @@ class TestValidationAndCosts:
         assert (b + d) * 100 < b * d
 
 
+class TestBatchedOperand:
+    """A batched round's ``(d, B)`` operand and ``(b, B)`` product are
+    checked in one probe application; the check accepts only when every
+    column verifies."""
+
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_a_forged_column_rejects_the_whole_batch(self, column, rng):
+        v = FreivaldsVerifier(F)
+        share = F.random((6, 9), rng)
+        key = v.keygen_single(share, rng)
+        w = F.random((9, 5), rng)
+        z = share @ w % F.q
+        assert v.check(key, w, z)
+        for _ in range(50):
+            forged = z.copy()
+            i = rng.integers(0, 6)
+            forged[i, column] = (forged[i, column] + rng.integers(1, F.q)) % F.q
+            assert not v.check(key, w, forged)
+
+    def test_statistical_soundness_small_field(self, rng):
+        """F_97, 1 probe, a forged batch: the acceptance rate stays
+        under 3/97, as for one vector (the bound holds per column)."""
+        v = FreivaldsVerifier(SMALL, probes=1)
+        share = SMALL.random((5, 5), rng)
+        w = SMALL.random((5, 3), rng)
+        z = share @ w % SMALL.q
+        trials, passed = 4000, 0
+        for _ in range(trials):
+            key = v.keygen_single(share, rng)  # fresh r each trial
+            forged = z.copy()
+            forged[:, 1] = (forged[:, 1] + SMALL.random(5, rng)) % SMALL.q
+            if np.array_equal(forged, z):
+                continue
+            if v.check(key, w, forged):
+                passed += 1
+        assert passed / trials < 3 / 97
+
+    def test_shape_checks(self, rng):
+        v = FreivaldsVerifier(F)
+        key = v.keygen_single(F.random((4, 6), rng), rng)
+        with pytest.raises(ValueError, match="claimed"):
+            v.check(key, F.random((6, 3), rng), F.random((4, 2), rng))
+        with pytest.raises(ValueError, match="claimed"):
+            v.check(key, F.random((6, 3), rng), F.random(4, rng))
+        with pytest.raises(ValueError, match="operand"):
+            v.check(key, F.random((7, 3), rng), F.random((4, 3), rng))
+        with pytest.raises(ValueError, match="operand"):
+            v.check(key, F.random((6, 3, 1), rng), F.random((4, 3), rng))
+
+    def test_check_cost_scales_with_width(self, rng):
+        v = FreivaldsVerifier(F, probes=2)
+        key = v.keygen_single(F.random((10, 20), rng), rng)
+        assert v.check_cost_ops(key, width=1) == v.check_cost_ops(key) == 2 * 30
+        assert v.check_cost_ops(key, width=64) == 64 * v.check_cost_ops(key)
+
+
 class TestPreparedOperand:
     """The operand side ``s_i·w`` computed once per round for every key
     (:meth:`FreivaldsVerifier.prepare`) gives the verdicts of the
